@@ -19,7 +19,7 @@ from . import curves, serialize, toric, variational
 from .curves import GraphError, MassBalanceError, SubharmonicityError
 from .geometry import DimensionError, DiscreteMeasure, Polytope, support_function
 from .serialize import SchemaError, dumps, rational_str
-from .solver import SolverOptions, solve_curve, solve_toric
+from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 from .toric import AdmissibilityError, DegeneratePolytopeError
 
 VALIDATION_ERRORS = (
@@ -315,12 +315,12 @@ def run(argv) -> int:
             return 2
     try:
         return args.fn(args)
-    except VALIDATION_ERRORS as exc:
+    except (*VALIDATION_ERRORS, ConvergenceError) as exc:
         print(
             dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
             file=sys.stderr, end="",
         )
-        return 2
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 def main() -> None:

@@ -5,12 +5,20 @@ subdifferentials, volumes, and Legendre-type transforms over a polytope.
 All coordinates are `fractions.Fraction` and every predicate is exact;
 no floating point enters this module.
 
+One kernel, `subdivision`, computes the linearity subdivision of a
+max-of-affine function: its vertices, the cell (subdifferential) at each
+and its edges.  Breakpoints, pruning to essential pieces, the Legendre
+transform `dual_transform` and the Monge-Ampere masses of `toric` all
+read it.  It walks the subdivision in O(k) exact operations per vertex
+and per edge for k pieces, O(k*V) in all for V vertices.
+
 Ambient dimensions 1 and 2 are supported.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,6 +88,11 @@ def _hull2(points):
     return ring
 
 
+def ring_area(ring):
+    """Signed area of a polygon given by its boundary points (shoelace)."""
+    return sum((cross2(a, b) for a, b in zip(ring, ring[1:] + ring[:1])), Fraction(0)) / 2
+
+
 @dataclass(frozen=True)
 class Polytope:
     """Rational polytope, canonically the lex-sorted tuple of extreme points."""
@@ -117,10 +130,7 @@ class Polytope:
         ring = self.ring()
         if len(ring) < 3:
             return Fraction(0)
-        area2 = Fraction(0)
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            area2 += cross2(a, b)
-        return area2 / 2
+        return ring_area(ring)
 
     def is_full_dimensional(self) -> bool:
         return self.volume() > 0
@@ -203,17 +213,161 @@ def _strict_feasible(constraints, n: int) -> bool:
     return _strict_feasible(ones, 1)
 
 
-def _essential_mask(pieces):
-    """pieces[i] survives iff it is the strict maximum somewhere."""
-    mask = []
-    for i, pi in enumerate(pieces):
-        cons = [
-            (vsub(pi.slope, pj.slope), pi.intercept - pj.intercept)
-            for j, pj in enumerate(pieces)
-            if j != i
+def _lower_chain(lifted):
+    """Pieces at the strict vertices of the lower convex chain.
+
+    lifted: (x, c, piece) triples with distinct x.  Pieces lifted onto the
+    interior of a chain segment, or above the chain, are dropped.
+    """
+    out = []
+    for x, c, p in sorted(lifted, key=lambda t: t[0]):
+        while len(out) >= 2:
+            (x1, c1, _), (x2, c2, _) = out[-2], out[-1]
+            if (x2 - x1) * (c - c1) - (c2 - c1) * (x - x1) > 0:
+                break
+            out.pop()
+        out.append((x, c, p))
+    return [p for _, _, p in out]
+
+
+def subdivision(pieces):
+    """Linearity subdivision of g = max(<s_i, .> - c_i), exactly.
+
+    Returns (cells, edges).  cells lists, in sorted order, every vertex v
+    of the subdivision with its cell: the pieces whose slopes are the
+    extreme points of the subdifferential at v (counterclockwise in 2-D,
+    left and right in 1-D).  The subdifferential is the convex hull of
+    those slopes, so its volume is the Monge-Ampere mass at v.
+
+    edges (2-D only) lists the edges of the subdivision as
+    (origin, direction, length, (a, b)): the points origin + t*direction
+    with 0 <= t <= length, or t >= 0 when length is None, where pieces a
+    and b are the maximum.  A bounded edge appears once from each end.
+
+    The vertices are the lower facets of the lifted points (s_i, c_i).  In
+    1-D they are read off the lower chain.  In 2-D the walk starts at one
+    vertex and leaves each vertex v along the outward normal n of every
+    edge (a, b) of its cell: the next vertex is v + t*n for the smallest
+    t > 0 at which some piece overtakes a and b, and none means the edge
+    is unbounded.  That is O(k) exact work per vertex and per edge, for k
+    pieces.  Collinear slopes in 2-D give no vertex; their edges are the
+    parallel lines of the lower chain along the slope line.
+    """
+    pieces = list(pieces)
+    if len(pieces[0].slope) == 1:
+        chain = _lower_chain([(p.slope[0], p.intercept, p) for p in pieces])
+        cells = [
+            (((b.intercept - a.intercept) / (b.slope[0] - a.slope[0]),), (a, b))
+            for a, b in zip(chain, chain[1:])
         ]
-        mask.append(_strict_feasible(cons, len(pi.slope)))
-    return mask
+        return cells, []
+    hull = _hull2([p.slope for p in pieces])
+    if len(hull) < 3:
+        return [], _parallel_edges(pieces, hull)
+    return _walk(pieces)
+
+
+def cell_volume(cell) -> Fraction:
+    """Volume of the subdifferential spanned by a cell of `subdivision`."""
+    if len(cell[0].slope) == 1:
+        return cell[1].slope[0] - cell[0].slope[0]
+    return ring_area([p.slope for p in cell])
+
+
+def _parallel_edges(pieces, hull):
+    """Edges of a 2-D subdivision whose slopes lie on one line: full lines,
+    each as two opposite rays."""
+    if len(hull) < 2:
+        return []
+    u = vsub(hull[1], hull[0])
+    chain = _lower_chain([(dot(vsub(p.slope, hull[0]), u), p.intercept, p) for p in pieces])
+    edges = []
+    for a, b in zip(chain, chain[1:]):
+        # a and b tie on the line <b.slope - a.slope, x> = b.intercept - a.intercept,
+        # which is perpendicular to u; origin is its point on the span of u.
+        origin = vscale((b.intercept - a.intercept) / dot(vsub(b.slope, a.slope), u), u)
+        edges.append((origin, (-u[1], u[0]), None, (a, b)))
+        edges.append((origin, (u[1], -u[0]), None, (a, b)))
+    return edges
+
+
+def _walk(pieces):
+    """The 2-D subdivision walk of `subdivision`, for slopes spanning the plane.
+
+    It runs on integers: slopes are S_i / D and intercepts C_i / E over
+    common denominators, and a vertex is X / q in lowest terms, where piece
+    i has the value (E <S_i, X> - D q C_i) / (D E q).
+    """
+    D = math.lcm(*(c.denominator for p in pieces for c in p.slope))
+    E = math.lcm(*(p.intercept.denominator for p in pieces))
+    S = [(int(p.slope[0] * D), int(p.slope[1] * D)) for p in pieces]
+    C = [int(p.intercept * E) for p in pieces]
+    index = {s: i for i, s in enumerate(S)}
+
+    def gaps(X, q):
+        vals = [E * (s0 * X[0] + s1 * X[1]) - D * q * c for (s0, s1), c in zip(S, C)]
+        m = max(vals)
+        return [m - val for val in vals]
+
+    def cell(gap):
+        return [index[s] for s in _hull2([s for s, d in zip(S, gap) if d == 0])]
+
+    def clip(gap, a, N):
+        """(G, R): some piece first overtakes piece a at X + G/(E R) * N."""
+        n0, n1 = N
+        base = S[a][0] * n0 + S[a][1] * n1
+        best = None
+        for (s0, s1), d in zip(S, gap):
+            rate = s0 * n0 + s1 * n1 - base
+            if rate > 0 and (best is None or d * best[1] < best[0] * rate):
+                best = (d, rate)
+        return best
+
+    def step(X, q, N, clipped):
+        G, R = clipped
+        X0, X1, q = E * R * X[0] + G * N[0], E * R * X[1] + G * N[1], E * R * q
+        h = math.gcd(X0, X1, q)
+        return (X0 // h, X1 // h), q // h
+
+    # Start anywhere and move until dim+1 affinely independent pieces tie:
+    # off the piece's own region, then along the tie line of two pieces.
+    X, q = (0, 0), 1
+    gap = gaps(X, q)
+    ring = cell(gap)
+    while len(ring) < 3:
+        a = ring[0]
+        if len(ring) == 1:
+            N = vsub(next(s for s in S if s != S[a]), S[a])
+        else:
+            u = vsub(S[ring[1]], S[a])
+            N = (u[1], -u[0])
+            if clip(gap, a, N) is None:
+                N = (-u[1], u[0])
+        X, q = step(X, q, N, clip(gap, a, N))
+        gap = gaps(X, q)
+        ring = cell(gap)
+
+    cells, edges = [], []
+    todo, seen = [(X, q, gap, ring)], {(X, q)}
+    while todo:
+        X, q, gap, ring = todo.pop()
+        v = (Fraction(X[0], q), Fraction(X[1], q))
+        cells.append((v, tuple(pieces[i] for i in ring)))
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            u = vsub(S[b], S[a])
+            N = (u[1], -u[0])  # outward normal of the CCW edge (a, b)
+            clipped = clip(gap, a, N)
+            length = None if clipped is None else Fraction(clipped[0], E * clipped[1] * q)
+            edges.append((v, N, length, (pieces[a], pieces[b])))
+            if clipped is None:
+                continue
+            w = step(X, q, N, clipped)
+            if w not in seen:
+                seen.add(w)
+                wgap = gaps(*w)
+                todo.append((*w, wgap, cell(wgap)))
+    cells.sort(key=lambda vc: vc[0])
+    return cells, edges
 
 
 @dataclass(frozen=True)
@@ -238,8 +392,13 @@ class PLConvexFunction:
                 best[p.slope] = p.intercept
         ps = [AffineFunctional(s, c) for s, c in best.items()]
         if prune and len(ps) > 1:
-            mask = _essential_mask(ps)
-            ps = [p for p, keep in zip(ps, mask) if keep]
+            # A piece is the strict maximum somewhere iff its slope is an
+            # extreme point of some cell of the subdivision (or of some
+            # parallel edge pair, when the slopes are collinear).
+            cells, edges = subdivision(ps)
+            keep = {p for _, cell in cells for p in cell}
+            keep.update(p for *_, pair in edges for p in pair)
+            ps = [p for p in ps if p in keep]
         ps.sort(key=lambda p: (p.slope, p.intercept))
         return PLConvexFunction(tuple(ps))
 
@@ -384,25 +543,6 @@ def polytope_volume(p: Polytope) -> Fraction:
     return p.volume()
 
 
-def _solve2(a1, b1, a2, b2):
-    """Solve the 2x2 system a1.v = b1, a2.v = b2; None if singular."""
-    det = cross2(a1, a2)
-    if det == 0:
-        return None
-    x = (b1 * a2[1] - b2 * a1[1]) / det
-    y = (a1[0] * b2 - a2[0] * b1) / det
-    return (x, y)
-
-
-def _spans(slopes, n: int) -> bool:
-    """Do the given slopes affinely span R^n?"""
-    if n == 1:
-        return len(set(slopes)) >= 2
-    base = slopes[0]
-    dirs = [vsub(s, base) for s in slopes[1:]]
-    return any(cross2(d1, d2) != 0 for d1, d2 in itertools.combinations(dirs, 2))
-
-
 def breakpoints(g: PLConvexFunction):
     """Vertices of the linearity subdivision induced by g.
 
@@ -410,28 +550,7 @@ def breakpoints(g: PLConvexFunction):
     affinely spanning slopes; they are the only possible atoms of the
     real Monge-Ampere measure of g.
     """
-    n = g.dim
-    found = set()
-    if n == 1:
-        for pi, pj in itertools.combinations(g.pieces, 2):
-            if pi.slope == pj.slope:
-                continue
-            v = ((pi.intercept - pj.intercept) / (pi.slope[0] - pj.slope[0]),)
-            if pi.value(v) == g(v) and _spans([p.slope for p in g.active_pieces(v)], 1):
-                found.add(v)
-    else:
-        for pi, pj, pk in itertools.combinations(g.pieces, 3):
-            v = _solve2(
-                vsub(pi.slope, pj.slope),
-                pi.intercept - pj.intercept,
-                vsub(pi.slope, pk.slope),
-                pi.intercept - pk.intercept,
-            )
-            if v is None or v in found:
-                continue
-            if pi.value(v) == g(v) and _spans([p.slope for p in g.active_pieces(v)], 2):
-                found.add(v)
-    return sorted(found)
+    return [v for v, _ in subdivision(g.pieces)[0]]
 
 
 def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
@@ -440,48 +559,28 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     The Legendre-type transform of F restricted to delta.  The maximum,
     for each v, is attained at a vertex of the subdivision of delta
     induced by the linearity regions of F, so h is the max-affine
-    function with one piece (u, F(u)) per such vertex.
+    function with one piece (u, F(u)) per such vertex: the vertices of
+    delta, the vertices of F's subdivision inside delta, and the points
+    where an edge of F's subdivision crosses an edge of delta.
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    n = delta.dim
+    cells, edges = subdivision(F.pieces)
     cands = set(delta.vertices)
-    ps = F.pieces
-    if n == 1:
-        a, b = delta.vertices[0][0], delta.vertices[-1][0]
-        for pi, pj in itertools.combinations(ps, 2):
-            if pi.slope == pj.slope:
-                continue
-            u = (pi.intercept - pj.intercept) / (pi.slope[0] - pj.slope[0])
-            if a <= u <= b and pi.value((u,)) == F((u,)):
-                cands.add((u,))
-    else:
-        ring = delta.ring()
-        for pi, pj, pk in itertools.combinations(ps, 3):
-            u = _solve2(
-                vsub(pi.slope, pj.slope),
-                pi.intercept - pj.intercept,
-                vsub(pi.slope, pk.slope),
-                pi.intercept - pk.intercept,
-            )
-            if u is not None and pi.value(u) == F(u) and delta.contains(u):
-                cands.add(u)
-        if len(ring) >= 2:
-            edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
-            for pi, pj in itertools.combinations(ps, 2):
-                a_tie = vsub(pi.slope, pj.slope)
-                b_tie = pi.intercept - pj.intercept
-                for a, b in edges:
-                    d = vsub(b, a)
-                    # a + s d on the tie line
-                    denom = dot(a_tie, d)
-                    if denom == 0:
-                        continue
-                    s = (b_tie - dot(a_tie, a)) / denom
-                    if 0 <= s <= 1:
-                        u = vadd(a, vscale(s, d))
-                        if pi.value(u) == F(u):
-                            cands.add(u)
+    cands.update(v for v, _ in cells if delta.contains(v))
+    ring = delta.ring()
+    if delta.dim == 2 and len(ring) >= 2:
+        sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
+        for o, d, length, _ in edges:
+            for p, q in sides:
+                e = vsub(q, p)
+                det = cross2(d, e)
+                if det == 0:
+                    continue
+                w = vsub(p, o)
+                t, s = cross2(w, e) / det, cross2(w, d) / det
+                if 0 <= s <= 1 and 0 <= t and (length is None or t <= length):
+                    cands.add(vadd(p, vscale(s, e)))
     pieces = [AffineFunctional(u, F(u)) for u in cands]
     return PLConvexFunction.from_pieces(pieces, prune=False)
 

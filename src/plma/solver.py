@@ -29,16 +29,16 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    cross2,
     dot,
     dual_transform,
+    ring_area,
     vsub,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """An iterative solve stopped without a verified result (CLI exit 3)."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class SolverOptions:
     max_iterations: int = 200
     min_step: float = 2.0 ** -20
     snap_denominator: int = 10**6
-    verbose: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -113,13 +112,6 @@ def _clip_polygon(ring, a, b):
     return dedup if len(dedup) >= 3 else None
 
 
-def _poly_area(ring) -> Fraction:
-    s = Fraction(0)
-    for p, q in zip(ring, ring[1:] + ring[:1]):
-        s += cross2(p, q)
-    return s / 2
-
-
 def _power_cells(delta: Polytope, atoms, weights):
     """Cell descriptions and volumes for the weighted subdivision.
 
@@ -141,7 +133,7 @@ def _power_cells(delta: Polytope, atoms, weights):
                 continue
             ring = _clip_polygon(ring, vsub(vi, vj), weights[j] - weights[i])
         cells.append(ring)
-        vols.append(_poly_area(ring) if ring else Fraction(0))
+        vols.append(ring_area(ring) if ring else Fraction(0))
     return cells, vols
 
 
@@ -280,8 +272,6 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
             weights[i] = wi0 + 0.5 * (lo + hi)
             cells, vols = _power_cells(delta, fatoms, weights)
             r = residual_vec(vols)
-        if opts.verbose:
-            print(f"iter {it}: residual {np.max(np.abs(r)):.3e}")
 
     converged = bool(np.max(np.abs(r)) <= tol_abs)
     wfrac = [Fraction(w).limit_denominator(10**15) for w in weights]

@@ -2,9 +2,10 @@
 
 The measure assigns to each vertex of the linearity subdivision the exact
 volume of the subdifferential there; for admissible functions the cells
-partition the polytope, so the total mass equals its volume.  The
-analytic-side measure is the same atom list scaled by n! and tagged with
-monomial points.
+partition the polytope, so the total mass equals its volume.  Vertices and
+cells come from one pass of `geometry.subdivision` (O(k*V) exact
+operations for k pieces and V vertices).  The analytic-side measure is the
+same atom list scaled by n! and tagged with monomial points.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     as_point,
-    breakpoints,
+    cell_volume,
     is_admissible,
     polytope_volume,
-    subdifferential,
+    subdivision,
     support_function,
 )
 
@@ -67,12 +68,9 @@ def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> Tori
             "(slope outside, or missing vertex slope)"
         )
     n = delta.dim
-    atoms = []
-    for v in breakpoints(g):
-        mass = polytope_volume(subdifferential(g, v))
-        if mass != 0:
-            atoms.append((v, mass))
-    nr = DiscreteMeasure.from_atoms(atoms)
+    nr = DiscreteMeasure.from_atoms(
+        (v, cell_volume(cell)) for v, cell in subdivision(g.pieces)[0]
+    )
     an = tuple((MonomialPoint(p), factorial(n) * m) for p, m in nr.atoms)
     return ToricMAResult(nr, an, degree(delta))
 

@@ -39,6 +39,7 @@ from .geometry import (
     dual_transform,
     support_function,
 )
+from .solver import ConvergenceError
 from .toric import AdmissibilityError, degree, ma_measure, mixed_ma
 
 
@@ -172,12 +173,6 @@ class MinOfConvex:
         return min(g(v) for g in self.parts)
 
 
-def obstacle_eval(psi, v) -> Fraction:
-    if isinstance(psi, PLConvexFunction):
-        return psi(v)
-    return psi(v)
-
-
 def _conjugate_pieces(g: PLConvexFunction):
     """Pieces of the Legendre conjugate of g, valid on the slope hull of g.
 
@@ -217,7 +212,7 @@ def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
     """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero."""
     p = envelope_toric(psi, delta)
     ma = ma_measure(p, delta).measure_NR.scale(factorial(delta.dim))
-    return ma.integrate(lambda x: obstacle_eval(psi, x) - p(x))
+    return ma.integrate(lambda x: psi(x) - p(x))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def envelope_subharmonic(
         if env is not None and _verify_envelope(env, psi, graph, omega0):
             return env
         subdiv *= 2
-    raise EnvelopeError("obstacle solve did not stabilize")
+    raise ConvergenceError("obstacle solve did not stabilize")
 
 
 def _candidate_keys(psi, graph, omega0):

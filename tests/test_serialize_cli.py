@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plma import cli, serialize
+from plma import cli, serialize, variational
 from plma.curves import GraphMeasure, GraphPLFunction, GraphPoint, circle_graph, vertex_key
 from plma.geometry import DiscreteMeasure, Polytope, support_function
 from plma.serialize import SchemaError
@@ -202,3 +202,25 @@ def test_cli_selftest(capsys):
     assert cli.run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    # With no contact ever proposed, no exact rebuild verifies: the obstacle
+    # solve does not converge, which is exit 3 and not a validation error.
+    g = circle_graph()
+    om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
+    psi = GraphPLFunction.build(
+        g, [((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(-1, 2)), (Fraction(1), Fraction(0)))]
+    )
+    graph = write(tmp_path, "graph.json", serialize.graph_to_json(g))
+    omega0 = write(tmp_path, "om.json", serialize.graph_measure_to_json(g, om))
+    obstacle = write(tmp_path, "psi.json", serialize.graph_function_to_json(psi))
+    argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(variational, "_pgs_contact", lambda *args: [])
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ConvergenceError", "message": "obstacle solve did not stabilize"}

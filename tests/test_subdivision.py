@@ -1,0 +1,237 @@
+"""The subdivision kernel against the triple-enumeration reference.
+
+The oracles below are the brute-force routines the kernel replaced: every
+triple of pieces (every pair in 1-D) is solved for its tie point and kept
+when it is a vertex, every tie line is cut with every edge of the polytope,
+and essential pieces come from Fourier-Motzkin feasibility.  They take
+O(k^4) exact operations, so the cases stay small except for a few lattice
+paraboloids.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from plma.geometry import (
+    AffineFunctional,
+    PLConvexFunction,
+    Polytope,
+    _strict_feasible,
+    breakpoints,
+    cross2,
+    dot,
+    dual_transform,
+    subdifferential,
+    vadd,
+    vscale,
+    vsub,
+)
+from plma.toric import ma_measure
+
+from conftest import ACCEPTANCE_POLYTOPES, random_admissible, unit_square
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def _solve2(a1, b1, a2, b2):
+    """Solve the 2x2 system a1.v = b1, a2.v = b2; None if singular."""
+    det = cross2(a1, a2)
+    if det == 0:
+        return None
+    return ((b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det)
+
+
+def _spans(slopes, n):
+    """Do the given slopes affinely span R^n?"""
+    if n == 1:
+        return len(set(slopes)) >= 2
+    dirs = [vsub(s, slopes[0]) for s in slopes[1:]]
+    return any(cross2(d1, d2) != 0 for d1, d2 in itertools.combinations(dirs, 2))
+
+
+def _triple_ties(ps):
+    for pi, pj, pk in itertools.combinations(ps, 3):
+        v = _solve2(vsub(pi.slope, pj.slope), pi.intercept - pj.intercept,
+                    vsub(pi.slope, pk.slope), pi.intercept - pk.intercept)
+        if v is not None:
+            yield pi, v
+
+
+def oracle_breakpoints(g):
+    n = g.dim
+    found = set()
+    if n == 1:
+        for pi, pj in itertools.combinations(g.pieces, 2):
+            v = ((pi.intercept - pj.intercept) / (pi.slope[0] - pj.slope[0]),)
+            if pi.value(v) == g(v) and _spans([p.slope for p in g.active_pieces(v)], 1):
+                found.add(v)
+    else:
+        for pi, v in _triple_ties(g.pieces):
+            if v not in found and pi.value(v) == g(v) and _spans(
+                [p.slope for p in g.active_pieces(v)], 2
+            ):
+                found.add(v)
+    return sorted(found)
+
+
+def oracle_ma_atoms(g, bps):
+    """MA atoms of g from its oracle breakpoints: subdifferential volumes."""
+    atoms = [(v, subdifferential(g, v).volume()) for v in bps]
+    return tuple((v, m) for v, m in atoms if m != 0)
+
+
+def oracle_dual_transform(F, delta):
+    cands = set(delta.vertices)
+    ps = F.pieces
+    if delta.dim == 1:
+        a, b = delta.vertices[0][0], delta.vertices[-1][0]
+        for pi, pj in itertools.combinations(ps, 2):
+            u = (pi.intercept - pj.intercept) / (pi.slope[0] - pj.slope[0])
+            if a <= u <= b and pi.value((u,)) == F((u,)):
+                cands.add((u,))
+    else:
+        for pi, u in _triple_ties(ps):
+            if pi.value(u) == F(u) and delta.contains(u):
+                cands.add(u)
+        ring = delta.ring()
+        if len(ring) >= 2:
+            edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
+            for pi, pj in itertools.combinations(ps, 2):
+                a_tie, b_tie = vsub(pi.slope, pj.slope), pi.intercept - pj.intercept
+                for a, b in edges:
+                    d = vsub(b, a)
+                    denom = dot(a_tie, d)
+                    if denom == 0:
+                        continue
+                    s = (b_tie - dot(a_tie, a)) / denom
+                    if 0 <= s <= 1:
+                        u = vadd(a, vscale(s, d))
+                        if pi.value(u) == F(u):
+                            cands.add(u)
+    return PLConvexFunction.from_pieces(
+        [AffineFunctional(u, F(u)) for u in cands], prune=False
+    ).pieces
+
+
+def oracle_pruned(pieces):
+    """from_pieces(prune=True) with the Fourier-Motzkin essential mask."""
+    best = {}
+    for p in pieces:
+        if p.slope not in best or p.intercept < best[p.slope]:
+            best[p.slope] = p.intercept
+    ps = [AffineFunctional(s, c) for s, c in best.items()]
+    if len(ps) > 1:
+        ps = [
+            pi for pi in ps
+            if _strict_feasible(
+                [(vsub(pi.slope, pj.slope), pi.intercept - pj.intercept)
+                 for pj in ps if pj is not pi],
+                len(pi.slope),
+            )
+        ]
+    return tuple(sorted(ps, key=lambda p: (p.slope, p.intercept)))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def small_pieces(rng, n):
+    """1-12 pieces on a small integer grid; ties and coplanar lifts are common.
+
+    One draw in four puts every slope on a line (collinear slopes)."""
+    k = rng.randint(1, 12)
+    if n == 1:
+        return [AffineFunctional((Fraction(rng.randint(-3, 3)),), Fraction(rng.randint(-2, 2)))
+                for _ in range(k)]
+    if rng.random() < 0.25:
+        base = (rng.randint(-1, 1), rng.randint(-1, 1))
+        u = (rng.randint(-2, 2), rng.randint(1, 2))
+        slopes = [vadd(base, vscale(rng.randint(-2, 2), u)) for _ in range(k)]
+    else:
+        slopes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(k)]
+    return [AffineFunctional(tuple(Fraction(c) for c in s), Fraction(rng.randint(-2, 2), 2))
+            for s in slopes]
+
+
+def lattice_paraboloid(rng, k, grid):
+    """k slopes on the 1/grid lattice of the unit square, the four corners
+    included, with intercepts |s|^2 / 2: every piece is essential and many
+    lifts are coplanar."""
+    pts = [(Fraction(i, grid), Fraction(j, grid)) for i in range(grid + 1) for j in range(grid + 1)]
+    corners = [p for p in pts if p in unit_square().vertices]
+    slopes = corners + rng.sample([p for p in pts if p not in corners], k - 4)
+    return PLConvexFunction.from_pieces(
+        [AffineFunctional(s, (s[0] ** 2 + s[1] ** 2) / 2) for s in slopes]
+    )
+
+
+DELTAS_2D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 2] + [
+    Polytope.from_points([(0, 0), (2, 1)]),  # a segment
+]
+DELTAS_1D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 1] + [
+    Polytope.from_points([(-1,), (Fraction(5, 2),)]),
+]
+
+
+def check_against_oracle(g, deltas):
+    bps = oracle_breakpoints(g)
+    assert breakpoints(g) == bps
+    assert ma_measure(g, deltas[0], check=False).measure_NR.atoms == oracle_ma_atoms(g, bps)
+    for delta in deltas:
+        assert dual_transform(g, delta).pieces == oracle_dual_transform(g, delta)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_grid_against_oracle(n):
+    rng = random.Random(f"subdivision/{n}")
+    deltas = DELTAS_1D if n == 1 else DELTAS_2D
+    for _ in range(120):
+        pieces = small_pieces(rng, n)
+        assert PLConvexFunction.from_pieces(pieces).pieces == oracle_pruned(pieces)
+        for prune in (True, False):
+            g = PLConvexFunction.from_pieces(pieces, prune=prune)
+            check_against_oracle(g, [rng.choice(deltas)])
+
+
+def test_acceptance_polytopes_against_oracle():
+    rng = random.Random("subdivision/acceptance")
+    for delta in ACCEPTANCE_POLYTOPES:
+        deltas = DELTAS_1D if delta.dim == 1 else DELTAS_2D
+        for _ in range(8):
+            g = random_admissible(rng, delta, extra=rng.randint(0, 8))
+            assert g.pieces == oracle_pruned(g.pieces)
+            check_against_oracle(g, deltas)
+            assert ma_measure(g, delta).measure_NR.total_mass() == delta.volume()
+
+
+@pytest.mark.parametrize("k, grid", [(8, 3), (16, 5), (32, 7)])
+def test_lattice_paraboloid_against_oracle(k, grid):
+    g = lattice_paraboloid(random.Random(f"paraboloid/{k}"), k, grid)
+    assert len(g.pieces) == k
+    bps = oracle_breakpoints(g)
+    assert breakpoints(g) == bps
+    assert ma_measure(g, unit_square()).measure_NR.atoms == oracle_ma_atoms(g, bps)
+    if k <= 16:
+        assert dual_transform(g, unit_square()).pieces == oracle_dual_transform(g, unit_square())
+
+
+def test_ma_measure_k64_paraboloid():
+    # The triple enumeration took about 40 s here; the walk well under 1 s.
+    delta = unit_square()
+    g = lattice_paraboloid(random.Random("paraboloid/64"), 64, 9)
+    assert len(g.pieces) == 64
+    res = ma_measure(g, delta)
+    real = res.measure_NR
+    assert real.is_positive()
+    assert real.total_mass() == delta.volume()
+    assert [(mp.v, m) for mp, m in res.measure_an] == [(p, factorial(2) * m) for p, m in real.atoms]
