@@ -17,7 +17,6 @@ Ambient dimensions 1 and 2 are supported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,35 +181,6 @@ class AffineFunctional:
 
     def value(self, v) -> Fraction:
         return dot(self.slope, v) - self.intercept
-
-
-def _strict_feasible(constraints, n: int) -> bool:
-    """Exact feasibility of the open system  a . v > b  (Fourier-Motzkin)."""
-    if n == 1:
-        lows, highs = [], []
-        for a, b in constraints:
-            if a[0] > 0:
-                lows.append(b / a[0])
-            elif a[0] < 0:
-                highs.append(b / a[0])
-            elif b >= 0:
-                return False
-        if not lows or not highs:
-            return True
-        return max(lows) < min(highs)
-    # n == 2: eliminate the second coordinate.
-    lows, highs, ones = [], [], []  # bounds as affine functions c0 + c1*v1
-    for a, b in constraints:
-        if a[1] > 0:
-            lows.append((b / a[1], -a[0] / a[1]))  # v2 > c0 + c1 v1
-        elif a[1] < 0:
-            highs.append((b / a[1], -a[0] / a[1]))  # v2 < c0 + c1 v1
-        else:
-            ones.append(((a[0],), b))
-    for (l0, l1), (h0, h1) in itertools.product(lows, highs):
-        # h0 + h1 v1 > l0 + l1 v1
-        ones.append(((h1 - l1,), l0 - h0))
-    return _strict_feasible(ones, 1)
 
 
 def _lower_chain(lifted):
@@ -439,27 +409,16 @@ class PLConvexFunction:
     def __add__(self, other: "PLConvexFunction") -> "PLConvexFunction":
         if self.dim != other.dim:
             raise DimensionError("dimension mismatch in sum")
-        n = self.dim
-        out = []
-        for i, pi in enumerate(self.pieces):
-            cons_i = [
-                (vsub(pi.slope, pk.slope), pi.intercept - pk.intercept)
-                for k, pk in enumerate(self.pieces)
-                if k != i
-            ]
-            for j, pj in enumerate(other.pieces):
-                cons = cons_i + [
-                    (vsub(pj.slope, pl.slope), pj.intercept - pl.intercept)
-                    for l, pl in enumerate(other.pieces)
-                    if l != j
-                ]
-                # The sum piece matters only where both summands are strictly
-                # active at once.
-                if _strict_feasible(cons, n):
-                    out.append(
-                        AffineFunctional(vadd(pi.slope, pj.slope), pi.intercept + pj.intercept)
-                    )
-        return PLConvexFunction.from_pieces(out, prune=False)
+        # The sum is the max of all pairwise sums; pruning keeps the pairs
+        # that are strictly active together somewhere.
+        return PLConvexFunction.from_pieces(
+            [
+                AffineFunctional(vadd(p.slope, q.slope), p.intercept + q.intercept)
+                for p in self.pieces
+                for q in other.pieces
+            ],
+            prune=True,
+        )
 
 
 @dataclass(frozen=True)

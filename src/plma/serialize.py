@@ -129,7 +129,7 @@ def solve_report_to_json(report):
     return {
         "solution": pl_function_to_json(report.solution),
         "residual": [
-            {"point": point_to_json(p), "error": rational_str(Fraction(e).limit_denominator(10**15))}
+            {"point": point_to_json(p), "error": rational_str(e)}
             for p, e in report.residual
         ],
         "polished_residual": [

@@ -4,16 +4,29 @@ Curve case: linear, delegates to the exact superposition of Green
 potentials.
 
 Toric case: the variational problem is reduced to its finite-dimensional
-dual.  Each target atom v_i carries a weight w_i; the weighted max
-F_w(u) = max_i(<u, v_i> + w_i) subdivides the polytope into power cells
-whose volumes are the Monge-Ampere masses of the Legendre transform of
-F_w.  The concave dual objective  sum_i nu_i w_i - integral of F_w  is
-maximized by a damped Newton method on the gradient nu_i - vol(cell_i),
-with a monotone single-weight fallback when a needed cell disappears.
-The iteration runs in floating point; the final weights are converted to
-rationals and the residual is recomputed exactly through the independent
-subdifferential-volume path, both as is and after snapping to small
-denominators (which often recovers the exact solution).
+dual, semi-discrete optimal transport.  Each target atom v_i carries a
+weight w_i; the weighted max F_w(u) = max_i(<u, v_i> + w_i) subdivides the
+polytope into power cells whose volumes are the Monge-Ampere masses of the
+Legendre transform of F_w.  The concave dual objective
+sum_i nu_i w_i - integral of F_w  is maximized by damped Newton on the
+gradient nu_i - vol(cell_i), the one method of the 2-D solve:
+
+- The start is a Voronoi diagram: the atoms are shrunk affinely to sites
+  inside the polytope, and the weights make each cell the Voronoi cell of
+  its site, so every cell starts nonempty.
+- A step w + alpha d (alpha = 1, 1/2, ...) is taken when every cell keeps
+  area at least eps0 = min(min_i nu_i, smallest starting cell) / 2 and the
+  residual norm drops to (1 - alpha/2) times its current value.  This is
+  the step of Kitagawa, Merigot and Thibert (arXiv:1603.05579), who prove
+  that it converges from any start with nonempty cells.  A step that needs
+  alpha below MIN_STEP ends the solve unconverged.
+
+The iteration runs in floating point.  The weights are fixed in the gauge
+w_0 = 0, converted to rationals and snapped to small denominators, which
+recovers the exact solution whenever it is rational.  The residual of the
+returned solution is always recomputed exactly through the independent
+subdifferential-volume path.  In one dimension the cells are consecutive
+intervals and the weights have a closed form.
 """
 
 from __future__ import annotations
@@ -29,9 +42,12 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    cross2,
     dot,
     dual_transform,
     ring_area,
+    vadd,
+    vscale,
     vsub,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
@@ -41,12 +57,16 @@ class ConvergenceError(RuntimeError):
     """An iterative solve stopped without a verified result (CLI exit 3)."""
 
 
+# Newton gives up once the damping factor falls below MIN_STEP; the final
+# weights are snapped to rationals with denominators up to SNAP_DENOMINATOR.
+MIN_STEP = 2.0 ** -20
+SNAP_DENOMINATOR = 10**6
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tolerance: float = 1e-10
     max_iterations: int = 200
-    min_step: float = 2.0 ** -20
-    snap_denominator: int = 10**6
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -58,7 +78,7 @@ class SolverOptions:
 @dataclass(frozen=True)
 class SolveReport:
     solution: PLConvexFunction
-    residual: tuple  # ((atom, error), ...) for the returned solution
+    residual: tuple  # ((atom, exact error), ...) for the returned solution
     polished_residual: tuple  # exact errors after snapping weights to small rationals
     iterations: int
     converged: bool
@@ -138,13 +158,20 @@ def _power_cells(delta: Polytope, atoms, weights):
 
 
 def _facet_length(cell, a, b):
-    """Float length of the part of the cell boundary on the line a . u = b."""
+    """Float length of the part of the cell boundary on the line a . u = b.
+
+    The length is the extent of the boundary points near the line, measured
+    along the line's direction (-a_1, a_0) / |a|.
+    """
     scale = 1.0 + max(abs(float(dot(a, p))) for p in cell)
-    pts = sorted({p for p in cell if abs(float(dot(a, p)) - float(b)) <= 1e-9 * scale})
-    if len(pts) < 2:
+    along = [
+        float(a[0] * p[1] - a[1] * p[0])
+        for p in cell
+        if abs(float(dot(a, p)) - float(b)) <= 1e-9 * scale
+    ]
+    if len(along) < 2:
         return 0.0
-    d = vsub(pts[-1], pts[0])
-    return math.sqrt(float(d[0]) ** 2 + float(d[1]) ** 2)
+    return (max(along) - min(along)) / math.hypot(float(a[0]), float(a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +202,33 @@ def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):
     return weights
 
 
-def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None = None,
-                initial_weights=None) -> SolveReport:
+def _voronoi_weights(delta: Polytope, atoms):
+    """Float weights whose power cells are Voronoi cells of sites inside delta.
+
+    The sites are p_i = c + t (v_i - m), with c the vertex mean of delta, m
+    the atom mean and t half the largest scale that keeps every site in
+    delta.  Since <u, p_i> - |p_i|^2/2 = t(<u, v_i> + w_i) + (terms without
+    i) for w_i = -|p_i|^2 / (2t), cell i is the Voronoi cell of p_i: it
+    contains p_i, so it is nonempty.
+    """
+    ring = delta.ring()
+    c = vscale(Fraction(1, len(ring)), tuple(map(sum, zip(*ring))))
+    m = vscale(Fraction(1, len(atoms)), tuple(map(sum, zip(*(v for v, _ in atoms)))))
+    dirs = [vsub(v, m) for v, _ in atoms]
+    # c + t d stays inside the CCW edge (a, b) while
+    # cross(b - a, c - a) + t cross(b - a, d) > 0.
+    limits = [
+        cross2(vsub(b, a), vsub(c, a)) / -cross2(vsub(b, a), d)
+        for a, b in zip(ring, ring[1:] + ring[:1])
+        for d in dirs
+        if cross2(vsub(b, a), d) < 0
+    ]
+    t = min(limits, default=Fraction(2)) / 2
+    sites = [vadd(c, vscale(t, d)) for d in dirs]
+    return [float(-dot(p, p) / (2 * t)) for p in sites]
+
+
+def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None = None) -> SolveReport:
     """Find admissible g with MA(g) = nu (real normalization, mass Vol(delta))."""
     opts = opts or SolverOptions()
     if not delta.is_full_dimensional():
@@ -198,31 +250,27 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         return SolveReport(g, res, res, 0, True)
 
     fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
-    if initial_weights is None:
-        weights = [0.0] * k
-    else:
-        weights = [float(w) for w in initial_weights]
     target = np.array([m for _, m in fatoms])
     tol_abs = opts.tolerance * float(vol)
 
     def residual_vec(vols):
         return target - np.array([float(v) for v in vols])
 
+    weights = _voronoi_weights(delta, atoms)
     cells, vols = _power_cells(delta, fatoms, weights)
     r = residual_vec(vols)
+    # Kitagawa-Merigot-Thibert: keep every cell at least this large.
+    eps0 = 0.5 * min(float(np.min(target)), min(float(v) for v in vols))
     it = 0
     while it < opts.max_iterations and np.max(np.abs(r)) > tol_abs:
         it += 1
         H = np.zeros((k, k))
         for i in range(k):
-            if cells[i] is None:
-                continue
             for j in range(k):
-                if j == i or cells[j] is None:
+                if j == i:
                     continue
                 a = vsub(fatoms[i][0], fatoms[j][0])
-                b = weights[j] - weights[i]
-                ln = _facet_length(cells[i], a, b)
+                ln = _facet_length(cells[i], a, weights[j] - weights[i])
                 if ln > 0:
                     dist = math.hypot(a[0], a[1])
                     H[i][j] = -ln / dist
@@ -230,59 +278,31 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # vol_i grows with w_i, so H is the (positive semidefinite) negated
         # Hessian of the dual objective; pin the first weight and solve.
         try:
-            step_red = np.linalg.solve(H[1:, 1:], r[1:])
-            step = np.concatenate([[0.0], step_red])
+            step = [0.0] + np.linalg.solve(H[1:, 1:], r[1:]).tolist()
         except np.linalg.LinAlgError:
-            step = None
-        progressed = False
-        if step is not None and np.all(np.isfinite(step)):
-            alpha = 1.0
-            while alpha >= opts.min_step:
-                trial = [w + alpha * s for w, s in zip(weights, step)]
-                tcells, tvols = _power_cells(delta, fatoms, trial)
-                tr = residual_vec(tvols)
-                if np.max(np.abs(tr)) < np.max(np.abs(r)) and all(v > 0 for v in tvols):
-                    weights, cells, vols, r = trial, tcells, tvols, tr
-                    progressed = True
-                    break
-                alpha /= 2
-        if not progressed:
-            # monotone fix of the worst cell: its volume grows with its weight
-            i = int(np.argmax(np.abs(r)))
-            wi0 = weights[i]
-
-            def vol_i(shift):
-                trial = list(weights)
-                trial[i] = wi0 + shift
-                return float(_power_cells(delta, fatoms, trial)[1][i])
-
-            want = target[i]
-            lo, hi = -1.0, 1.0
-            while vol_i(hi) < want and hi < 2**20:
-                hi *= 2
-            while vol_i(lo) > want and lo > -(2**20):
-                lo *= 2
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if vol_i(mid) < want:
-                    lo = mid
-                else:
-                    hi = mid
-            weights = list(weights)
-            weights[i] = wi0 + 0.5 * (lo + hi)
-            cells, vols = _power_cells(delta, fatoms, weights)
-            r = residual_vec(vols)
+            break
+        alpha, norm = 1.0, np.linalg.norm(r)
+        while alpha >= MIN_STEP:
+            trial = [w + alpha * s for w, s in zip(weights, step)]
+            tcells, tvols = _power_cells(delta, fatoms, trial)
+            tr = residual_vec(tvols)
+            if min(tvols) >= eps0 and np.linalg.norm(tr) <= (1 - alpha / 2) * norm:
+                break
+            alpha /= 2
+        else:
+            break  # the step stalled: report not converged
+        weights, cells, r = trial, tcells, tr
 
     converged = bool(np.max(np.abs(r)) <= tol_abs)
-    wfrac = [Fraction(w).limit_denominator(10**15) for w in weights]
-    g = _solution_from_weights(delta, atoms, wfrac)
-    res = tuple((p, v - m) for (p, m), v in zip(atoms, vols))
-    snapped = [w.limit_denominator(opts.snap_denominator) for w in wfrac]
-    g_snap = _solution_from_weights(delta, atoms, snapped)
-    polished = _exact_residual(g_snap, nu, delta)
-    if all(e == 0 for _, e in polished):
-        g = g_snap
-        res = polished
+    wfrac = [Fraction(w - weights[0]).limit_denominator(10**15) for w in weights]
+    g = _solution_from_weights(
+        delta, atoms, [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
+    )
+    polished = _exact_residual(g, nu, delta)
+    res = polished
+    if any(e != 0 for _, e in polished):
+        g = _solution_from_weights(delta, atoms, wfrac)
+        res = _exact_residual(g, nu, delta)
     return SolveReport(g, res, polished, it, converged)
 
 

@@ -12,6 +12,7 @@ from plma.geometry import (
 )
 from plma.solver import (
     SolverOptions,
+    _facet_length,
     _power_cells,
     residual,
     solve_curve,
@@ -76,6 +77,9 @@ def test_simplex_three_atoms():
     # irrational and the rational polish can only come close
     assert all(abs(e) <= Fraction(1, 10**10) for _, e in rep.polished_residual)
     assert all(isinstance(e, Fraction) for _, e in rep.polished_residual)
+    # the reported residual is the exact one of the returned solution
+    assert rep.residual == residual(rep.solution, nu, delta)
+    assert all(isinstance(e, Fraction) for _, e in rep.residual)
 
 
 def test_roundtrip_random(rng):
@@ -93,15 +97,14 @@ def test_roundtrip_random(rng):
             assert max(map(float, diffs)) - min(map(float, diffs)) <= 1e-9
 
 
-def test_uniqueness_two_initializations(rng):
+def test_uniqueness_exact(rng):
+    # the solution is g itself up to an additive constant, exactly
     delta = unit_square()
     g = random_admissible(rng, delta)
     nu = ma_measure(g, delta).measure_NR
-    r1 = solve_toric(delta, nu)
-    r2 = solve_toric(delta, nu, initial_weights=[rnd_frac(rng) for _ in nu.atoms])
-    assert r1.converged and r2.converged
-    diffs = [float(r1.solution(v) - r2.solution(v)) for v in delta.vertices]
-    assert max(diffs) - min(diffs) <= 10 * 1e-10
+    rep = solve_toric(delta, nu)
+    assert rep.converged
+    assert len({g(v) - rep.solution(v) for v in delta.vertices}) == 1
 
 
 def test_cells_partition_exactly(rng):
@@ -112,6 +115,35 @@ def test_cells_partition_exactly(rng):
     weights = [rnd_frac(rng) for _ in atoms]
     _, vols = _power_cells(delta, atoms, weights)
     assert sum(vols) == polytope_volume(delta)
+
+
+def test_facet_length_along_the_line():
+    # the facet x = 1 with float noise in x: sorted by x, its points are not
+    # in their order along the line, so first-to-last would measure 1, not 2
+    cell = [(1.0 + 1e-10, 0.0), (3.0, 0.0), (3.0, 2.0), (1.0, 2.0), (1.0 - 1e-10, 1.0)]
+    assert abs(_facet_length(cell, (1.0, 0.0), 1.0) - 2.0) < 1e-9
+
+
+def test_hexagon_target_with_noisy_facet():
+    # from acceptance criterion 3: four cells meet near a vertex, and a
+    # wrong facet length there made Newton stall at a residual of 1.5e-8
+    delta = hexagon()
+    nu = DiscreteMeasure.from_atoms(
+        [
+            ((Fraction(-17, 3), Fraction(11, 3)), Fraction(1, 2)),
+            ((Fraction(-1, 21), Fraction(6, 7)), Fraction(7, 9)),
+            ((Fraction(15, 28), Fraction(6, 7)), Fraction(14, 27)),
+            ((Fraction(4, 3), Fraction(25, 18)), Fraction(1, 2)),
+            ((Fraction(10, 3), Fraction(-27, 4)), Fraction(2, 9)),
+            ((Fraction(9, 2), Fraction(-39, 10)), Fraction(5, 54)),
+            ((Fraction(9, 2), Fraction(1, 3)), Fraction(1, 6)),
+            ((Fraction(73, 12), Fraction(-27, 4)), Fraction(2, 9)),
+        ]
+    )
+    rep = solve_toric(delta, nu)
+    assert rep.converged
+    assert all(e == 0 for _, e in rep.polished_residual)
+    assert ma_measure(rep.solution, delta).measure_NR == nu
 
 
 def test_mass_mismatch_rejected():

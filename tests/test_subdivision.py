@@ -3,9 +3,10 @@
 The oracles below are the brute-force routines the kernel replaced: every
 triple of pieces (every pair in 1-D) is solved for its tie point and kept
 when it is a vertex, every tie line is cut with every edge of the polytope,
-and essential pieces come from Fourier-Motzkin feasibility.  They take
-O(k^4) exact operations, so the cases stay small except for a few lattice
-paraboloids.
+and essential pieces come from Fourier-Motzkin feasibility, as do the
+pieces of a sum: a pair of pieces is kept when both are strictly active at
+once.  They take O(k^4) exact operations, so the cases stay small except
+for a few lattice paraboloids.
 """
 
 import itertools
@@ -19,7 +20,6 @@ from plma.geometry import (
     AffineFunctional,
     PLConvexFunction,
     Polytope,
-    _strict_feasible,
     breakpoints,
     cross2,
     dot,
@@ -118,6 +118,35 @@ def oracle_dual_transform(F, delta):
     ).pieces
 
 
+def _strict_feasible(constraints, n: int) -> bool:
+    """Exact feasibility of the open system  a . v > b  (Fourier-Motzkin)."""
+    if n == 1:
+        lows, highs = [], []
+        for a, b in constraints:
+            if a[0] > 0:
+                lows.append(b / a[0])
+            elif a[0] < 0:
+                highs.append(b / a[0])
+            elif b >= 0:
+                return False
+        if not lows or not highs:
+            return True
+        return max(lows) < min(highs)
+    # n == 2: eliminate the second coordinate.
+    lows, highs, ones = [], [], []  # bounds as affine functions c0 + c1*v1
+    for a, b in constraints:
+        if a[1] > 0:
+            lows.append((b / a[1], -a[0] / a[1]))  # v2 > c0 + c1 v1
+        elif a[1] < 0:
+            highs.append((b / a[1], -a[0] / a[1]))  # v2 < c0 + c1 v1
+        else:
+            ones.append(((a[0],), b))
+    for (l0, l1), (h0, h1) in itertools.product(lows, highs):
+        # h0 + h1 v1 > l0 + l1 v1
+        ones.append(((h1 - l1,), l0 - h0))
+    return _strict_feasible(ones, 1)
+
+
 def oracle_pruned(pieces):
     """from_pieces(prune=True) with the Fourier-Motzkin essential mask."""
     best = {}
@@ -135,6 +164,20 @@ def oracle_pruned(pieces):
             )
         ]
     return tuple(sorted(ps, key=lambda p: (p.slope, p.intercept)))
+
+
+def oracle_sum(f, g):
+    """f + g from the pairs of pieces that are strictly active together."""
+    out = []
+    for pi in f.pieces:
+        for pj in g.pieces:
+            cons = [(vsub(pi.slope, pk.slope), pi.intercept - pk.intercept)
+                    for pk in f.pieces if pk is not pi]
+            cons += [(vsub(pj.slope, pl.slope), pj.intercept - pl.intercept)
+                     for pl in g.pieces if pl is not pj]
+            if _strict_feasible(cons, f.dim):
+                out.append(AffineFunctional(vadd(pi.slope, pj.slope), pi.intercept + pj.intercept))
+    return PLConvexFunction.from_pieces(out, prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +244,17 @@ def test_small_grid_against_oracle(n):
         for prune in (True, False):
             g = PLConvexFunction.from_pieces(pieces, prune=prune)
             check_against_oracle(g, [rng.choice(deltas)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sum_against_oracle(n):
+    rng = random.Random(f"sum/{n}")
+    for _ in range(100):
+        f, g = (PLConvexFunction.from_pieces(small_pieces(rng, n), prune=rng.random() < 0.5)
+                for _ in range(2))
+        if rng.random() < 0.5:
+            g = g.translate(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n)))
+        assert (f + g).pieces == oracle_sum(f, g).pieces
 
 
 def test_acceptance_polytopes_against_oracle():
