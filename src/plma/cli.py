@@ -106,7 +106,7 @@ def cmd_toric_solve(args):
     report = solve_toric(delta, nu, opts)
     if args.format == "csv":
         rows = [["x1", "x2", "error", "exactness"]]
-        for p, e in report.polished_residual:
+        for p, e in report.residual:
             coords = [_dec(c) for c in p] + [""] * (2 - len(p))
             rows.append([*coords, _dec(e), "exact"])
         _emit(_csv(rows), args.output)

@@ -341,7 +341,7 @@ def _gauss_solve(A, b):
         for r in range(n):
             if r != col and M[r][col] != 0:
                 c = M[r][col]
-                M[r] = [x - c * y for x, y in zip(M[r], M[col])]
+                M[r] = [x - c * y if y else x for x, y in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
 
 

@@ -1,7 +1,7 @@
 """Solvers for the Monge-Ampere equation in both computable regimes.
 
-Curve case: linear, delegates to the exact superposition of Green
-potentials.
+Curve case: linear, one exact Poisson solve with source mu - omega0,
+normalized to zero omega0-integral.
 
 Toric case: the variational problem is reduced to its finite-dimensional
 dual, semi-discrete optimal transport.  Each target atom v_i carries a
@@ -37,6 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import curves
 from .geometry import (
     AffineFunctional,
     DiscreteMeasure,
@@ -312,7 +313,18 @@ def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
 
 
 def solve_curve(graph, mu, omega0):
-    """Exact curve solve: superposition of Green potentials."""
-    from .curves import superpose
+    """Exact f with laplacian(f) = mu - omega0 and omega0-integral zero.
 
-    return superpose(graph, mu, omega0)
+    One Poisson solve with source mu - omega0; superpose gives the same
+    function from one Green solve per atom of mu.
+    """
+    d_L = omega0.total_mass()
+    if mu.total_mass() != d_L:
+        raise curves.MassBalanceError("mu must have the same mass as the reference measure")
+    if not mu.is_positive():
+        raise curves.MassBalanceError("mu must be positive")
+    if d_L <= 0 or not omega0.is_positive():
+        raise curves.MassBalanceError("reference measure must be positive")
+    base = curves.vertex_key(graph.vertex_ids[0])
+    f = curves.solve_poisson(graph, mu.sub(graph, omega0), base)
+    return f.add_constant(-omega0.integrate(graph, f) / d_L)

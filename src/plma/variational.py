@@ -7,11 +7,12 @@ constant c to the argument adds c times the degree.
 
 Envelopes come in two flavours.  Toric: the largest admissible convex
 minorant, computed exactly through Legendre transforms over the polytope.
-Curve: the largest subharmonic minorant, found by projected Gauss-Seidel
-on a subdivided graph followed by an exact reconstruction that is
-verified against the obstacle and the subharmonicity constraint; the
-numeric sweep only ever proposes a contact pattern, every reported digit
-is exact.
+Curve: the largest subharmonic minorant, an obstacle problem on the
+finitely many points where it can bend (vertices, obstacle breakpoints,
+reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
+Zidani, SIAM J. Numer. Anal. 2009) solves it over the rationals, one
+exact Poisson solve per contact set, and the result is verified against
+the obstacle and the subharmonicity constraint.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import curves
-from .curves import (
-    GraphMeasure,
-    GraphPLFunction,
-    MetricGraph,
-    SubharmonicityError,
-    laplacian,
-)
+from .curves import GraphMeasure, GraphPLFunction, MetricGraph
 from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
@@ -220,31 +215,47 @@ def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
 
 
 def envelope_subharmonic(
-    psi: GraphPLFunction,
-    graph: MetricGraph,
-    omega0: GraphMeasure,
-    base_subdivision: int = 16,
-    max_doublings: int = 6,
+    psi: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure
 ) -> GraphPLFunction:
     """Largest omega0-subharmonic function below psi, exact.
 
-    A float projected Gauss-Seidel sweep on a subdivided graph proposes
-    the contact pattern among the finitely many points where the true
-    envelope can have boundary kinks (obstacle breakpoints, vertices,
-    reference atoms); the envelope is then rebuilt exactly from that
-    pattern and verified.  The subdivision doubles until verification
-    succeeds.
+    The envelope is linear between the nodes (vertices, obstacle
+    breakpoints, reference atoms), so it is the solution x of the discrete
+    obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
+    s = 0 wherever x < psi.  Howard's policy iteration solves it over the
+    rationals.  Starting from the contact set C = every node, solve
+    x = psi on C and laplacian(x) = -omega0 off C, then set
+    C = {k : psi(k) - x(k) <= s(k)}, until C repeats.  The iterates
+    decrease monotonically to the solution, which an obstacle problem
+    reaches in at most len(nodes) + 1 solves (Bokanowski, Maroso and
+    Zidani).  The result is verified against the obstacle and
+    subharmonicity; a failure raises ConvergenceError.
     """
     if curves.is_subharmonic(psi, graph, omega0):
         return psi
-    candidates = _candidate_keys(psi, graph, omega0)
-    subdiv = base_subdivision
-    for _ in range(max_doublings):
-        flagged = _pgs_contact(psi, graph, omega0, candidates, subdiv)
-        env = _rebuild_envelope(psi, graph, omega0, flagged)
-        if env is not None and _verify_envelope(env, psi, graph, omega0):
-            return env
-        subdiv *= 2
+    nodes, index, chains, edge_offsets = curves._refine(
+        graph, _candidate_keys(psi, graph, omega0)
+    )
+    obstacle = {k: psi.eval(graph, k) for k in nodes}
+    mass = dict(omega0.atoms)
+    source = {k: -m for k, m in mass.items()}
+    contact = set(nodes)
+    for _ in range(len(nodes) + 1):
+        fixed = {k: obstacle[k] for k in contact}
+        x = curves._assemble_and_solve(graph, source, nodes, index, chains, fixed=fixed)
+        s = {k: mass.get(k, Fraction(0)) for k in nodes}
+        for chain in chains:
+            for a, b, ln in chain:
+                d = (x[b] - x[a]) / ln
+                s[a] += d
+                s[b] -= d
+        nxt = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
+        if nxt == contact:
+            env = curves._function_from_node_values(graph, x, edge_offsets)
+            if _verify_envelope(env, psi, graph, omega0):
+                return env
+            break
+        contact = nxt
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
@@ -256,92 +267,6 @@ def _candidate_keys(psi, graph, omega0):
     for k, _ in omega0.atoms:
         keys.add(k)
     return sorted(keys, key=repr)
-
-
-def _pgs_contact(psi, graph, omega0, candidates, subdiv):
-    """Projected Gauss-Seidel (SOR) on a refinement; returns flagged contact keys."""
-    interior = {}
-    for key in candidates:
-        if key[0] == "e":
-            interior.setdefault(key[1], set()).add(key[2])
-    index = {}
-    nodes = []
-
-    def idx(k):
-        if k not in index:
-            index[k] = len(nodes)
-            nodes.append(k)
-        return index[k]
-
-    for vid in graph.vertex_ids:
-        idx(("v", vid))
-    adj = [[] for _ in graph.vertex_ids]
-    for e, (u, v, ln) in enumerate(graph.edges):
-        offs = set(interior.get(e, set()))
-        offs.update(Fraction(j, subdiv) * ln for j in range(1, subdiv))
-        offs = sorted(offs)
-        chain = [idx(("v", u))] + [idx(("e", e, o)) for o in offs] + [idx(("v", v))]
-        while len(adj) < len(nodes):
-            adj.append([])
-        offs_full = [Fraction(0)] + offs + [ln]
-        for a, b, o1, o2 in zip(chain, chain[1:], offs_full, offs_full[1:]):
-            w = float(1 / (o2 - o1))
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-
-    n = len(nodes)
-    obstacle = [float(psi.eval(graph, k)) for k in nodes]
-    source = [0.0] * n
-    for k, m in omega0.atoms:
-        source[index[k]] = float(m)
-    wsum = [sum(w for _, w in nbrs) for nbrs in adj]
-    x = list(obstacle)
-    relax = 1.9  # over-relaxation, projected back onto the obstacle
-    cand_idx = [index[k] for k in candidates]
-    scale = max(1.0, max(abs(v) for v in obstacle))
-    tol = 1e-7 * scale
-    prev_flags = None
-    stable = 0
-    for sweep in range(1, 20001):
-        delta_max = 0.0
-        for i in range(n):
-            acc = source[i]
-            for j, w in adj[i]:
-                acc += w * x[j]
-            xi = x[i]
-            new = xi + relax * (acc / wsum[i] - xi)
-            if new > obstacle[i]:
-                new = obstacle[i]
-            d = abs(new - xi)
-            if d > delta_max:
-                delta_max = d
-            x[i] = new
-        if delta_max < 1e-12 * scale:
-            break
-        if sweep % 40 == 0:
-            flags = tuple(x[i] >= obstacle[i] - tol for i in cand_idx)
-            stable = stable + 1 if flags == prev_flags else 0
-            prev_flags = flags
-            if stable >= 3:
-                break
-    return [k for k, i in zip(candidates, cand_idx) if x[i] >= obstacle[i] - tol]
-
-
-def _rebuild_envelope(psi, graph, omega0, contact):
-    if not contact:
-        return None
-    fixed = {k: psi.eval(graph, k) for k in contact}
-    rho = {k: -m for k, m in omega0.atoms}
-    all_keys = set(contact) | {k for k, _ in omega0.atoms}
-    for e, pairs in enumerate(psi.edge_values):
-        for o, _ in pairs[1:-1]:
-            all_keys.add(graph.point_key(curves.GraphPoint(e, o)))
-    nodes, index, chains, edge_offsets = curves._refine(graph, sorted(all_keys, key=repr))
-    try:
-        values = curves._assemble_and_solve(graph, rho, nodes, index, chains, fixed=fixed)
-    except curves.GraphError:
-        return None
-    return curves._function_from_node_values(graph, values, edge_offsets)
 
 
 def _verify_envelope(env, psi, graph, omega0):

@@ -10,7 +10,14 @@ from plma.serialize import SchemaError
 from plma.solver import solve_toric
 from plma.toric import ma_measure
 
-from conftest import interval, random_admissible, random_graph, random_positive_measure, unit_square
+from conftest import (
+    interval,
+    random_admissible,
+    random_graph,
+    random_positive_measure,
+    simplex2,
+    unit_square,
+)
 
 
 def test_rational_strings():
@@ -123,6 +130,22 @@ def test_cli_toric_solve_exit_codes(tmp_path, toric_files, capsys):
     assert err["error"]["type"] == "AdmissibilityError"
 
 
+def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
+    # irrational optimal weights: the snap fails, and the CSV must show the
+    # exact residual of the returned solution, as the JSON "residual" does
+    d = write(tmp_path, "delta.json", serialize.polytope_to_json(simplex2()))
+    corners = (["0", "0"], ["1", "0"], ["0", "1"])  # Berkovich mass 2! * 1/6 each
+    mu = write(tmp_path, "mu.json", {"atoms": [{"point": p, "mass": "1/3"} for p in corners]})
+    assert cli.run(["toric-solve", "--delta", d, "--mu", mu]) == 0
+    residual = json.loads(capsys.readouterr().out)["residual"]
+    assert cli.run(["toric-solve", "--delta", d, "--mu", mu, "--format", "csv"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == len(residual) == 3
+    for row, entry in zip(rows, residual):
+        assert row[2] == cli._dec(serialize.parse_rational(entry["error"]))
+        assert row[3] == "exact"
+
+
 def test_cli_malformed_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"vertices": [')
@@ -205,8 +228,8 @@ def test_cli_selftest(capsys):
 
 
 def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
-    # With no contact ever proposed, no exact rebuild verifies: the obstacle
-    # solve does not converge, which is exit 3 and not a validation error.
+    # An envelope that fails its exact verification is a solver failure:
+    # exit 3, not a validation error.
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     psi = GraphPLFunction.build(
@@ -218,7 +241,7 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
     assert cli.run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(variational, "_pgs_contact", lambda *args: [])
+    monkeypatch.setattr(variational, "_verify_envelope", lambda *args: False)
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

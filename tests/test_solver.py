@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from plma.curves import GraphMeasure, GraphPoint, circle_graph, green, ma_curve, vertex_key
+from plma.curves import (
+    GraphMeasure,
+    GraphPoint,
+    MassBalanceError,
+    circle_graph,
+    green,
+    ma_curve,
+    superpose,
+    vertex_key,
+)
 from plma.geometry import (
     AffineFunctional,
     DiscreteMeasure,
@@ -205,6 +214,30 @@ def test_solve_curve_examples(rng):
         mu2 = random_positive_measure(rng, gr, Fraction(3))
         phi = solve_curve(gr, mu2, om2)
         assert ma_curve(phi, gr, om2) == mu2
+
+
+def test_solve_curve_matches_superpose(rng):
+    # one Poisson solve against the superposition of one Green solve per atom
+    for _ in range(20):
+        gr = random_graph(rng)
+        om = random_positive_measure(rng, gr, Fraction(2), natoms=rng.randint(1, 4))
+        mu = random_positive_measure(rng, gr, Fraction(2), natoms=rng.randint(1, 5))
+        assert solve_curve(gr, mu, om) == superpose(gr, mu, om)
+    # the same checks, in the same order, as superpose
+    messages = []
+    g = circle_graph()
+    om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(1))])
+    signed = GraphMeasure.from_atoms(
+        g, [(GraphPoint(0, Fraction(1, 2)), Fraction(2)), (vertex_key(0), Fraction(-1))]
+    )
+    for mu, ref in ((om.scale(2), om), (signed, om), (om, signed)):
+        with pytest.raises(MassBalanceError) as expected:
+            superpose(g, mu, ref)
+        with pytest.raises(MassBalanceError) as got:
+            solve_curve(g, mu, ref)
+        assert str(got.value) == str(expected.value)
+        messages.append(str(got.value))
+    assert len(set(messages)) == 3
 
 
 def test_dominance_over_perturbations(rng):

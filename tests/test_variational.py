@@ -7,8 +7,10 @@ from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
     GraphPoint,
+    MetricGraph,
     circle_graph,
     green,
+    is_subharmonic,
     ma_curve,
     superpose,
     vertex_key,
@@ -303,6 +305,59 @@ def test_orthogonality_curve(rng):
         psi = base + bump
         assert orthogonality_defect_curve(psi, g, om) == 0
         assert orthogonality_defect(psi, (g, om)) == 0
+        # below psi and subharmonic, with zero defect: this is P(psi)
+        env = envelope_subharmonic(psi, g, om)
+        assert_below(env, psi, g)
+        assert is_subharmonic(env, g, om)
+
+
+def assert_below(env, psi, g):
+    """env <= psi at every breakpoint of either function, so everywhere."""
+    for e, (p1, p2) in enumerate(zip(env.edge_values, psi.edge_values)):
+        for o in {o for o, _ in p1} | {o for o, _ in p2}:
+            assert env.eval(g, GraphPoint(e, o)) <= psi.eval(g, GraphPoint(e, o))
+
+
+def test_envelope_graph_regression():
+    # A dented obstacle on a 15-vertex graph (17 edges) on which an earlier
+    # float contact sweep never settled; reference masses 1/2 at vertex 0
+    # and 3/2 inside edge 15.
+    edges = [
+        (0, 1, "4/3"), (1, 2, "1/3"), (1, 3, "6"), (0, 4, "1"), (3, 5, "2/3"), (2, 6, "1"),
+        (3, 7, "1"), (1, 8, "3/2"), (3, 9, "4"), (8, 10, "5/2"), (1, 11, "2"), (1, 12, "5/3"),
+        (2, 13, "1/3"), (0, 14, "3"), (4, 2, "2"), (6, 11, "1"), (0, 2, "2"),
+    ]
+    g = MetricGraph.build(range(15), [(u, v, Fraction(ln)) for u, v, ln in edges])
+    om = GraphMeasure.from_atoms(
+        g, [(vertex_key(0), Fraction(1, 2)), (GraphPoint(15, Fraction(1, 2)), Fraction(3, 2))]
+    )
+    values = [
+        [("0", "0"), ("4/3", "-1517/3324")],
+        [("0", "-1517/3324"), ("1/3", "-641/2216")],
+        [("0", "-1517/3324"), ("6", "5131/3324")],
+        [("0", "0"), ("1", "-1195/6648")],
+        [("0", "5131/3324"), ("2/3", "16501/9972")],
+        [("0", "-641/2216"), ("1", "1831/13296")],
+        [("0", "5131/3324"), ("3/4", "11093/6648"), ("1", "11093/6648")],
+        [("0", "-1517/3324"), ("9/8", "-28505/13296"), ("3/2", "-28505/13296")],
+        [("0", "5131/3324"), ("4", "5131/3324")],
+        [("0", "-28505/13296"), ("5/2", "-28505/13296")],
+        [("0", "-1517/3324"), ("2", "1261/6648")],
+        [("0", "-1517/3324"), ("5/3", "-1517/3324")],
+        [("0", "-641/2216"), ("1/6", "-3023/9972"), ("1/3", "-275/831")],
+        [("0", "0"), ("3", "5/4")],
+        [("0", "-1195/6648"), ("1/2", "-1195/4432"), ("2", "-641/2216")],
+        [("0", "1831/13296"), ("1/2", "3113/8864"), ("1", "1261/6648")],
+        [("0", "0"), ("2", "-641/2216")],
+    ]
+    psi = GraphPLFunction.build(
+        g, [[(Fraction(o), Fraction(y)) for o, y in pairs] for pairs in values]
+    )
+    assert not is_subharmonic(psi, g, om)
+    env = envelope_subharmonic(psi, g, om)
+    assert_below(env, psi, g)
+    assert is_subharmonic(env, g, om)
+    assert orthogonality_defect_curve(psi, g, om) == 0
 
 
 # ---------------------------------------------------------------------------
