@@ -165,11 +165,7 @@ class GraphPLFunction:
         if key[0] == "v":
             return self.vertex_value(graph, key[1])
         _, e, off = key
-        pairs = self.edge_values[e]
-        for (o1, y1), (o2, y2) in zip(pairs, pairs[1:]):
-            if o1 <= off <= o2:
-                return y1 + (y2 - y1) * (off - o1) / (o2 - o1)
-        raise GraphError("offset outside edge")
+        return _interp(self.edge_values[e], off)
 
     def combine(self, other: "GraphPLFunction", a, b) -> "GraphPLFunction":
         """a * self + b * other, breakpoints merged per edge."""
@@ -299,9 +295,9 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
 def _refine(graph: MetricGraph, keys):
     """Insert interior edge points as nodes.
 
-    Returns (nodes, node_index, per-edge chains) where each chain lists
-    (node_a, node_b, length) segments covering the edge in order, and
-    per-edge sorted interior offsets.
+    Returns (nodes, per-edge chains, per-edge sorted interior offsets),
+    where each chain lists (node_a, node_b, length) segments covering the
+    edge in order.
     """
     interior = {}
     for key in keys:
@@ -323,8 +319,7 @@ def _refine(graph: MetricGraph, keys):
                 for a, b, o1, o2 in zip(stops, stops[1:], offs_full, offs_full[1:])
             ]
         )
-    index = {k: i for i, k in enumerate(nodes)}
-    return nodes, index, chains, edge_offsets
+    return nodes, chains, edge_offsets
 
 
 def _gauss_solve(A, b):
@@ -345,7 +340,7 @@ def _gauss_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _assemble_and_solve(graph, rho_map, nodes, index, chains, fixed=None):
+def _assemble_and_solve(rho_map, nodes, chains, fixed=None):
     """Solve sum_j w_ij (x_j - x_i) = rho_i at free nodes, exactly.
 
     fixed: dict key -> value of pinned nodes.  When fixed is None, the
@@ -402,9 +397,8 @@ def solve_poisson(
         raise MassBalanceError("source measure must have total mass zero")
     norm_key = graph.point_key(normalization) if not _is_key(normalization) else normalization
     keys = [k for k, _ in rho.atoms] + [norm_key]
-    nodes, index, chains, edge_offsets = _refine(graph, keys)
-    rho_map = dict(rho.atoms)
-    values = _assemble_and_solve(graph, rho_map, nodes, index, chains)
+    nodes, chains, edge_offsets = _refine(graph, keys)
+    values = _assemble_and_solve(dict(rho.atoms), nodes, chains)
     f = _function_from_node_values(graph, values, edge_offsets)
     return f.add_constant(-f.eval(graph, norm_key))
 
@@ -425,14 +419,23 @@ def green_value(graph: MetricGraph, x, y, omega0: GraphMeasure) -> Fraction:
     return green(graph, x, omega0).eval(graph, y)
 
 
-def superpose(graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure) -> GraphPLFunction:
-    """d_L^{-1} sum over atoms x of mu of mass(x) * green(x); solves
-    laplacian(f) = mu - omega0 with omega0-integral zero."""
+def _check_balance(mu: GraphMeasure, omega0: GraphMeasure) -> Fraction:
+    """Check that mu is positive with the mass d_L of the positive reference
+    omega0, as laplacian(f) = mu - omega0 requires; return d_L."""
     d_L = omega0.total_mass()
     if mu.total_mass() != d_L:
         raise MassBalanceError("mu must have the same mass as the reference measure")
     if not mu.is_positive():
         raise MassBalanceError("mu must be positive")
+    if d_L <= 0 or not omega0.is_positive():
+        raise MassBalanceError("reference measure must be positive")
+    return d_L
+
+
+def superpose(graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure) -> GraphPLFunction:
+    """d_L^{-1} sum over atoms x of mu of mass(x) * green(x); solves
+    laplacian(f) = mu - omega0 with omega0-integral zero."""
+    d_L = _check_balance(mu, omega0)
     out = GraphPLFunction.constant(graph, 0)
     for key, mass in mu.atoms:
         out = out + green(graph, key, omega0).scale(mass / d_L)

@@ -21,17 +21,23 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
   that it converges from any start with nonempty cells.  A step that needs
   alpha below MIN_STEP ends the solve unconverged.
 
-The iteration runs in floating point.  The weights are fixed in the gauge
-w_0 = 0, converted to rationals and snapped to small denominators, which
-recovers the exact solution whenever it is rational.  The residual of the
-returned solution is always recomputed exactly through the independent
-subdifferential-volume path.  In one dimension the cells are consecutive
-intervals and the weights have a closed form.
+The cells are clipped from the polygon one neighbour at a time, and each
+edge keeps the label of the neighbour whose halfplane cut it, so the Newton
+matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
+edges directly.
+
+The iteration runs in floating point, on a float copy of the polygon: the
+float cells guide, and the exact subdifferential kernel verifies.  The
+weights are fixed in the gauge w_0 = 0, converted to rationals and snapped
+to small denominators, which recovers the exact solution whenever it is
+rational.  The residual of the returned solution is always recomputed
+exactly through the independent subdifferential-volume path.  In one
+dimension the cells are consecutive intervals and the weights have a
+closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +52,6 @@ from .geometry import (
     cross2,
     dot,
     dual_transform,
-    ring_area,
     vadd,
     vscale,
     vsub,
@@ -86,93 +91,83 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# exact power cells
+# labelled power cells
 
 
-def _clip_interval(delta: Polytope, atoms, weights, i):
-    lo, hi = delta.vertices[0][0], delta.vertices[-1][0]
-    vi, wi = atoms[i][0], weights[i]
-    for j, (vj, _) in enumerate(atoms):
-        if j == i:
-            continue
-        a = vi - vj
-        b = weights[j] - wi
-        # need a*u >= b
-        if a > 0:
-            lo = max(lo, b / a)
-        elif a < 0:
-            hi = min(hi, b / a)
-        elif b > 0:
-            return None
-    if lo >= hi:
-        return None
-    return (lo, hi)
+def _clip_polygon(cell, a, b, j):
+    """Intersect a labelled CCW polygon with the halfplane a . u >= b.
 
-
-def _clip_polygon(ring, a, b):
-    """Intersect a CCW polygon with the halfplane a . u >= b."""
-    out = []
-    m = len(ring)
-    for idx in range(m):
-        p, q = ring[idx], ring[(idx + 1) % m]
-        fp, fq = dot(a, p) - b, dot(a, q) - b
-        if fp >= 0:
-            out.append(p)
-            if fq < 0:
-                t = fp / (fp - fq)
-                out.append(tuple(pc + t * (qc - pc) for pc, qc in zip(p, q)))
-        elif fq > 0:
-            t = fp / (fp - fq)
-            out.append(tuple(pc + t * (qc - pc) for pc, qc in zip(p, q)))
-    dedup = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) >= 2 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup if len(dedup) >= 3 else None
-
-
-def _power_cells(delta: Polytope, atoms, weights):
-    """Cell descriptions and volumes for the weighted subdivision.
-
-    Arithmetic follows the input types: rational in, rational out.
+    A cell is a list of (p, label) pairs, the label naming the edge from p to
+    the next point.  Kept edges keep their label; the new edge on the line
+    a . u = b gets the label j.
     """
-    n = delta.dim
+    out = []
+    for (p, lab), (q, _) in zip(cell, cell[1:] + cell[:1]):
+        fp = a[0] * p[0] + a[1] * p[1] - b
+        fq = a[0] * q[0] + a[1] * q[1] - b
+        if fp >= 0:
+            out.append((p, lab))
+        if fp >= 0 > fq or fp < 0 < fq:
+            t = fp / (fp - fq)
+            cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            out.append((cut, j if fq < 0 else lab))
+    # a repeated point starts a zero-length edge: keep the label of the edge
+    # that leaves it
+    dedup = []
+    for p, lab in out:
+        if dedup and p == dedup[-1][0]:
+            dedup[-1] = (p, lab)
+        else:
+            dedup.append((p, lab))
+    if len(dedup) >= 2 and dedup[0][0] == dedup[-1][0]:
+        dedup.pop()
+    return dedup if len(dedup) >= 3 else []
+
+
+def _power_cells(ring, atoms, weights):
+    """Labelled power cells of the weighted atoms in the CCW polygon ring.
+
+    Cell i is the ring clipped by <u, v_i - v_j> >= w_j - w_i for every other
+    atom j; each edge is labelled by the j whose line carries it, or None on
+    the boundary of the polygon.  An empty cell is [].  Arithmetic follows
+    the input types: rational in, rational out.
+    """
     cells, vols = [], []
-    if n == 1:
-        for i in range(len(atoms)):
-            iv = _clip_interval(delta, atoms, weights, i)
-            cells.append(iv)
-            vols.append(iv[1] - iv[0] if iv else Fraction(0))
-        return cells, vols
-    base = delta.ring()
     for i, (vi, _) in enumerate(atoms):
-        ring = base
+        cell = [(p, None) for p in ring]
         for j, (vj, _) in enumerate(atoms):
-            if j == i or ring is None:
-                continue
-            ring = _clip_polygon(ring, vsub(vi, vj), weights[j] - weights[i])
-        cells.append(ring)
-        vols.append(ring_area(ring) if ring else Fraction(0))
+            if j != i and cell:
+                cell = _clip_polygon(
+                    cell, (vi[0] - vj[0], vi[1] - vj[1]), weights[j] - weights[i], j
+                )
+        cells.append(cell)
+        edges = zip(cell, cell[1:] + cell[:1])
+        vols.append(
+            sum(p[0] * q[1] - p[1] * q[0] for (p, _), (q, _) in edges) / 2 if cell else 0
+        )
     return cells, vols
 
 
-def _facet_length(cell, a, b):
-    """Float length of the part of the cell boundary on the line a . u = b.
+def _newton_matrix(cells, atoms):
+    """d vol_i / d w_j, read off the labelled edges of the power cells.
 
-    The length is the extent of the boundary points near the line, measured
-    along the line's direction (-a_1, a_0) / |a|.
+    The edge p -> q of cell i labelled j lies on a line perpendicular to
+    a = v_i - v_j, so |q - p| / |a| = |cross(q - p, a)| / |a|^2; that is
+    -d vol_i / d w_j (Kitagawa, Merigot and Thibert), and the diagonal makes
+    each row sum to zero.  Plain lists, exact for rational cells.
     """
-    scale = 1.0 + max(abs(float(dot(a, p))) for p in cell)
-    along = [
-        float(a[0] * p[1] - a[1] * p[0])
-        for p in cell
-        if abs(float(dot(a, p)) - float(b)) <= 1e-9 * scale
-    ]
-    if len(along) < 2:
-        return 0.0
-    return (max(along) - min(along)) / math.hypot(float(a[0]), float(a[1]))
+    k = len(atoms)
+    H = [[0] * k for _ in range(k)]
+    for i, cell in enumerate(cells):
+        vi = atoms[i][0]
+        for (p, j), (q, _) in zip(cell, cell[1:] + cell[:1]):
+            if j is None:
+                continue
+            a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
+            c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
+            H[i][j] -= c
+            H[i][i] += c
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,6 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
             f"target mass {nu.total_mass()} != Vol(delta) = {vol}"
         )
     atoms = list(nu.atoms)
-    k = len(atoms)
 
     if delta.dim == 1:
         weights = solve_1d_exact(delta, nu)
@@ -255,27 +249,18 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
     tol_abs = opts.tolerance * float(vol)
 
     def residual_vec(vols):
-        return target - np.array([float(v) for v in vols])
+        return target - np.array(vols, dtype=float)
 
+    ring = [tuple(map(float, p)) for p in delta.ring()]
     weights = _voronoi_weights(delta, atoms)
-    cells, vols = _power_cells(delta, fatoms, weights)
+    cells, vols = _power_cells(ring, fatoms, weights)
     r = residual_vec(vols)
     # Kitagawa-Merigot-Thibert: keep every cell at least this large.
-    eps0 = 0.5 * min(float(np.min(target)), min(float(v) for v in vols))
+    eps0 = 0.5 * min(float(np.min(target)), min(vols))
     it = 0
     while it < opts.max_iterations and np.max(np.abs(r)) > tol_abs:
         it += 1
-        H = np.zeros((k, k))
-        for i in range(k):
-            for j in range(k):
-                if j == i:
-                    continue
-                a = vsub(fatoms[i][0], fatoms[j][0])
-                ln = _facet_length(cells[i], a, weights[j] - weights[i])
-                if ln > 0:
-                    dist = math.hypot(a[0], a[1])
-                    H[i][j] = -ln / dist
-                    H[i][i] += ln / dist
+        H = np.array(_newton_matrix(cells, fatoms), dtype=float)
         # vol_i grows with w_i, so H is the (positive semidefinite) negated
         # Hessian of the dual objective; pin the first weight and solve.
         try:
@@ -285,7 +270,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         alpha, norm = 1.0, np.linalg.norm(r)
         while alpha >= MIN_STEP:
             trial = [w + alpha * s for w, s in zip(weights, step)]
-            tcells, tvols = _power_cells(delta, fatoms, trial)
+            tcells, tvols = _power_cells(ring, fatoms, trial)
             tr = residual_vec(tvols)
             if min(tvols) >= eps0 and np.linalg.norm(tr) <= (1 - alpha / 2) * norm:
                 break
@@ -318,13 +303,7 @@ def solve_curve(graph, mu, omega0):
     One Poisson solve with source mu - omega0; superpose gives the same
     function from one Green solve per atom of mu.
     """
-    d_L = omega0.total_mass()
-    if mu.total_mass() != d_L:
-        raise curves.MassBalanceError("mu must have the same mass as the reference measure")
-    if not mu.is_positive():
-        raise curves.MassBalanceError("mu must be positive")
-    if d_L <= 0 or not omega0.is_positive():
-        raise curves.MassBalanceError("reference measure must be positive")
+    d_L = curves._check_balance(mu, omega0)
     base = curves.vertex_key(graph.vertex_ids[0])
     f = curves.solve_poisson(graph, mu.sub(graph, omega0), base)
     return f.add_constant(-omega0.integrate(graph, f) / d_L)

@@ -233,7 +233,7 @@ def envelope_subharmonic(
     """
     if curves.is_subharmonic(psi, graph, omega0):
         return psi
-    nodes, index, chains, edge_offsets = curves._refine(
+    nodes, chains, edge_offsets = curves._refine(
         graph, _candidate_keys(psi, graph, omega0)
     )
     obstacle = {k: psi.eval(graph, k) for k in nodes}
@@ -242,7 +242,7 @@ def envelope_subharmonic(
     contact = set(nodes)
     for _ in range(len(nodes) + 1):
         fixed = {k: obstacle[k] for k in contact}
-        x = curves._assemble_and_solve(graph, source, nodes, index, chains, fixed=fixed)
+        x = curves._assemble_and_solve(source, nodes, chains, fixed=fixed)
         s = {k: mass.get(k, Fraction(0)) for k in nodes}
         for chain in chains:
             for a, b, ln in chain:

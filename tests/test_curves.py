@@ -220,6 +220,18 @@ def test_superpose_mass_mismatch():
         superpose(g, mu, om)
 
 
+def test_superpose_checks_reference_without_atoms():
+    # with no atom in mu there is no Green solve to check omega0, and the
+    # zero function does not have laplacian mu - omega0 = -omega0
+    g = circle_graph()
+    mu = GraphMeasure.from_atoms(g, [])
+    om = GraphMeasure.from_atoms(
+        g, [(vertex_key(0), Fraction(1)), (GraphPoint(0, Fraction(1, 2)), Fraction(-1))]
+    )
+    with pytest.raises(MassBalanceError, match="reference measure must be positive"):
+        superpose(g, mu, om)
+
+
 def test_is_subharmonic_examples(rng):
     g = random_graph(rng)
     om = random_positive_measure(rng, g, Fraction(2))

@@ -16,12 +16,13 @@ from plma.geometry import (
     AffineFunctional,
     DiscreteMeasure,
     PLConvexFunction,
+    dot,
     polytope_volume,
     support_function,
 )
 from plma.solver import (
     SolverOptions,
-    _facet_length,
+    _newton_matrix,
     _power_cells,
     residual,
     solve_curve,
@@ -122,15 +123,46 @@ def test_cells_partition_exactly(rng):
     atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
     atoms = list(dict(atoms).items())
     weights = [rnd_frac(rng) for _ in atoms]
-    _, vols = _power_cells(delta, atoms, weights)
+    _, vols = _power_cells(delta.ring(), atoms, weights)
     assert sum(vols) == polytope_volume(delta)
 
 
-def test_facet_length_along_the_line():
-    # the facet x = 1 with float noise in x: sorted by x, its points are not
-    # in their order along the line, so first-to-last would measure 1, not 2
-    cell = [(1.0 + 1e-10, 0.0), (3.0, 0.0), (3.0, 2.0), (1.0, 2.0), (1.0 - 1e-10, 1.0)]
-    assert abs(_facet_length(cell, (1.0, 0.0), 1.0) - 2.0) < 1e-9
+def test_newton_matrix_is_the_volume_derivative(rng):
+    # near-Voronoi weights: the cells of the sites v_i / 4, which lie inside
+    # the hexagon, moved by noise of denominator 10^6 + 3 into general
+    # position, so the combinatorics hold on [w - h e_j, w + h e_j]; there
+    # each cell area is quadratic in h and the central difference is the
+    # derivative, exactly
+    delta = hexagon()
+    atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
+    atoms = list(dict(atoms).items())
+    den = 10**6 + 3
+    weights = [-dot(v, v) / 8 + Fraction(rng.randint(-den, den), 100 * den) for v, _ in atoms]
+    ring = delta.ring()
+    cells, _ = _power_cells(ring, atoms, weights)
+    assert all(cells)
+    H = _newton_matrix(cells, atoms)
+    h = Fraction(1, 10**12)
+    k = len(atoms)
+    for j in range(k):
+        up = [w + h * (i == j) for i, w in enumerate(weights)]
+        down = [w - h * (i == j) for i, w in enumerate(weights)]
+        _, vup = _power_cells(ring, atoms, up)
+        _, vdown = _power_cells(ring, atoms, down)
+        for i in range(k):
+            assert H[i][j] == (vup[i] - vdown[i]) / (2 * h)
+    assert all(H[i][j] == H[j][i] for i in range(k) for j in range(k))
+
+
+def test_newton_matrix_cut_through_vertices():
+    # the line x + y = 1 between the atoms (0,0) and (1,1) cuts the square
+    # exactly through two of its vertices; each cell keeps the cut edge
+    # there, of length sqrt 2 at distance sqrt 2 between the atoms
+    atoms = [((Fraction(0), Fraction(0)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1, 2))]
+    cells, vols = _power_cells(unit_square().ring(), atoms, [Fraction(0), Fraction(-1)])
+    assert vols == [Fraction(1, 2), Fraction(1, 2)]
+    assert [len(c) for c in cells] == [3, 3]
+    assert _newton_matrix(cells, atoms) == [[1, -1], [-1, 1]]
 
 
 def test_hexagon_target_with_noisy_facet():
