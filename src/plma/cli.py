@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -302,8 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; no argument has a mutable default
+    return build_parser()
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.fn in (cmd_envelope, cmd_orthogonality):
         toric_mode = args.delta is not None
         curve_mode = args.graph is not None and args.omega0 is not None

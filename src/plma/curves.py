@@ -4,18 +4,21 @@ The Laplacian of a piecewise-linear function is the atomic signed measure
 assigning to each point the sum of its outgoing slopes; with this
 convention a local maximum carries negative mass and the total mass is
 always zero.  Poisson problems are solved exactly over the rationals by
-fraction-free elimination on the vertex system, Green functions are
-normalized against the reference measure, and the dynamical canonical
-metric on the circle is obtained by iterating the degree-m transfer
-operator.
+sparse elimination, in minimum-degree order, on the Laplacian of the
+vertices and the atoms; Green functions are normalized against the
+reference measure, and the canonical metric of multiplication by m on
+the circle at step k is one Poisson solve whose source is uniform on the
+m^k-division points.
 
 Loops and parallel edges are allowed; all edge lengths are finite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import as_fraction
 
@@ -95,13 +98,23 @@ class MetricGraph:
         """A GraphPoint representative for a location key."""
         if key[0] == "e":
             return GraphPoint(key[1], key[2])
-        vid = key[1]
-        for i, (u, v, ln) in enumerate(self.edges):
-            if u == vid:
-                return GraphPoint(i, Fraction(0))
-            if v == vid:
-                return GraphPoint(i, ln)
-        raise GraphError(f"vertex {vid!r} is isolated")
+        e, at_start = self._vertex_end(key[1])
+        return GraphPoint(e, Fraction(0) if at_start else self.edges[e][2])
+
+    @cached_property
+    def _vertex_ends(self):
+        ends = {}
+        for e, (u, v, _) in enumerate(self.edges):
+            ends.setdefault(u, (e, True))
+            ends.setdefault(v, (e, False))
+        return ends
+
+    def _vertex_end(self, vid):
+        """(edge, at_start) of the first edge end at vertex vid."""
+        try:
+            return self._vertex_ends[vid]
+        except KeyError:
+            raise GraphError(f"vertex {vid!r} is isolated") from None
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,8 @@ class GraphPLFunction:
         )
 
     def vertex_value(self, graph: MetricGraph, vid) -> Fraction:
-        for e, (u, v, ln) in enumerate(graph.edges):
-            if u == vid:
-                return self.edge_values[e][0][1]
-            if v == vid:
-                return self.edge_values[e][-1][1]
-        raise GraphError(f"vertex {vid!r} is isolated")
+        e, at_start = graph._vertex_end(vid)
+        return self.edge_values[e][0 if at_start else -1][1]
 
     def eval(self, graph: MetricGraph, pt) -> Fraction:
         key = graph.point_key(pt)
@@ -244,10 +253,11 @@ class GraphMeasure:
 
     def mass_at(self, graph: MetricGraph, loc) -> Fraction:
         key = graph.point_key(loc) if not _is_key(loc) else loc
-        for k, m in self.atoms:
-            if k == key:
-                return m
-        return Fraction(0)
+        return self._masses.get(key, Fraction(0))
+
+    @cached_property
+    def _masses(self):
+        return dict(self.atoms)
 
     def scale(self, c) -> "GraphMeasure":
         c = as_fraction(c)
@@ -322,59 +332,65 @@ def _refine(graph: MetricGraph, keys):
     return nodes, chains, edge_offsets
 
 
-def _gauss_solve(A, b):
-    """Exact dense Gaussian elimination over the rationals."""
-    n = len(A)
-    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise GraphError("singular linear system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                c = M[r][col]
-                M[r] = [x - c * y if y else x for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
 def _assemble_and_solve(rho_map, nodes, chains, fixed=None):
     """Solve sum_j w_ij (x_j - x_i) = rho_i at free nodes, exactly.
 
     fixed: dict key -> value of pinned nodes.  When fixed is None, the
     node 0 is pinned to zero (pure Neumann problem, rho must balance).
+
+    The system is the Laplacian restricted to the free nodes, one sparse
+    row (a dict) per node.  Rows are eliminated in minimum-degree order,
+    ties broken by the free index (Rose, Tarjan and Lueker), so a chain
+    or a cycle costs O(len(nodes)); then back substitution.
     """
-    fixed = dict(fixed) if fixed else None
-    if fixed is None:
-        fixed = {nodes[0]: Fraction(0)}
-        drop_equation_at = {nodes[0]}
-    else:
-        drop_equation_at = set(fixed)
+    fixed = dict(fixed) if fixed else {nodes[0]: Fraction(0)}
     free = [k for k in nodes if k not in fixed]
     pos = {k: i for i, k in enumerate(free)}
-    m = len(free)
-    A = [[Fraction(0)] * m for _ in range(m)]
-    b = [Fraction(0)] * m
-    for k in free:
-        b[pos[k]] = rho_map.get(k, Fraction(0))
+    rows = [{} for _ in free]
+    b = [rho_map.get(k, Fraction(0)) for k in free]
     for chain in chains:
         for a, bb, ln in chain:
             w = 1 / ln
             for this, other in ((a, bb), (bb, a)):
-                if this in drop_equation_at:
+                i = pos.get(this)
+                if i is None:
                     continue
-                i = pos[this]
-                A[i][i] -= w
-                if other in fixed:
+                row = rows[i]
+                row[i] = row.get(i, 0) - w
+                j = pos.get(other)
+                if j is None:
                     b[i] -= w * fixed[other]
                 else:
-                    A[i][pos[other]] += w
-    x = _gauss_solve(A, b) if m else []
+                    row[j] = row.get(j, 0) + w
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * len(free)
+    eliminated = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        if done[i] or size != len(rows[i]):
+            continue  # stale entry: row i was eliminated or changed size
+        done[i] = True
+        row = rows[i]
+        piv = row.pop(i, 0)
+        if piv == 0:
+            raise GraphError("singular linear system")
+        for k in row:
+            row[k] /= piv
+        b[i] /= piv
+        for j in row:
+            rj = rows[j]
+            c = rj.pop(i)
+            for k, v in row.items():
+                rj[k] = rj.get(k, 0) - c * v
+            b[j] -= c * b[i]
+            heapq.heappush(heap, (len(rj), j))
+        eliminated.append(i)
+    x = [None] * len(free)
+    for i in reversed(eliminated):
+        x[i] = b[i] - sum((v * x[k] for k, v in rows[i].items()), Fraction(0))
     out = dict(fixed)
-    for k, val in zip(free, x):
-        out[k] = val
+    out.update(zip(free, x))
     return out
 
 
@@ -463,33 +479,16 @@ def circle_graph(length=1) -> MetricGraph:
     return MetricGraph.build([0], [(0, 0, length)])
 
 
-def _compose_with_mult(f: GraphPLFunction, graph: MetricGraph, m: int) -> GraphPLFunction:
-    """t -> f(m t mod 1) on the unit circle."""
-    pairs = f.edge_values[0]
-    offs = set()
-    for j in range(m):
-        for o, _ in pairs:
-            offs.add((o + j) / m)
-    offs.add(Fraction(0))
-    offs.add(Fraction(1))
-    out = []
-    for o in sorted(offs):
-        if o == 1:
-            out.append((o, pairs[0][1]))
-        else:
-            t = (m * o) % 1
-            out.append((o, _interp(pairs, t)))
-    return GraphPLFunction((tuple(out),))
-
-
 def canonical_metric(m: int, iterations: int, d_L=1):
-    """Iterate the multiplication-by-m transfer operator on the unit circle.
+    """Canonical metric of multiplication by m on the unit circle, at step k.
 
-    Returns (potential, measure): the potential relative to the reference
-    metric whose curvature is d_L * delta at the base point, and its
-    Monge-Ampere measure after the given number of iterations.  The
-    measure equidistributes toward d_L times Lebesgue measure on the
-    circle: after k steps it is uniform over the m^k-division points.
+    Returns (potential, measure).  The measure omega_k puts d_L / m^k on
+    each m^k-division point, and the potential u solves the one Poisson
+    problem laplacian(u) = omega_k - omega0 with u = 0 at the base point,
+    where omega0 = d_L * delta at the base point.  That is exactly the
+    k-th iterate of the pullback u -> h + (u o m) / m^2 from u = 0 (Baker
+    and Rumely), and omega_k equidistributes toward d_L times Lebesgue
+    measure.
     """
     if m < 2:
         raise ValueError("multiplier m must be at least 2")
@@ -497,17 +496,14 @@ def canonical_metric(m: int, iterations: int, d_L=1):
         raise ValueError("iterations must be nonnegative")
     d_L = as_fraction(d_L)
     graph = circle_graph()
-    lam = Fraction(m * m)
+    parts = m**iterations
     omega0 = GraphMeasure.from_atoms(graph, [(("v", 0), d_L)])
-    omega1 = GraphMeasure.from_atoms(
+    rho = GraphMeasure.from_atoms(
         graph,
-        [(GraphPoint(0, Fraction(j, m)), d_L / m) for j in range(m)],
+        [(GraphPoint(0, Fraction(j, parts)), d_L / parts) for j in range(parts)]
+        + [(("v", 0), -d_L)],
     )
-    # potential of one pullback step: laplacian = omega1 - omega0
-    h0 = solve_poisson(graph, omega1.sub(graph, omega0), ("v", 0))
-    u = GraphPLFunction.constant(graph, 0)
-    for _ in range(iterations):
-        u = (h0 + _compose_with_mult(u, graph, m).scale(1 / lam)).simplify()
+    u = solve_poisson(graph, rho, ("v", 0))
     measure = laplacian(u, graph).add(graph, omega0)
     return u, measure
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class DimensionError(ValueError):
@@ -116,10 +117,12 @@ class Polytope:
         return Polytope(n, tuple(sorted(set(hull))))
 
     def ring(self):
-        """Boundary vertices in counterclockwise order (2-D)."""
-        if self.dim == 1:
-            return list(self.vertices)
-        return _hull2(self.vertices)
+        """Boundary vertices in counterclockwise order (2-D), as a new list."""
+        return list(self._ring)
+
+    @cached_property
+    def _ring(self):
+        return self.vertices if self.dim == 1 else tuple(_hull2(self.vertices))
 
     def volume(self) -> Fraction:
         if self.dim == 1:

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from plma import curves
 from plma.curves import (
     GraphError,
     GraphMeasure,
@@ -21,6 +23,7 @@ from plma.curves import (
     superpose,
     vertex_key,
 )
+from plma.solver import solve_curve
 
 from conftest import random_graph, random_graph_point, random_positive_measure
 
@@ -318,3 +321,151 @@ def test_canonical_monotone_decay():
 def test_canonical_bad_m():
     with pytest.raises(ValueError):
         canonical_metric(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense exact solve and the pullback iterate
+
+
+def _gauss_solve(A, b):
+    """Exact dense Gauss-Jordan elimination over the rationals."""
+    n = len(A)
+    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                c = M[r][col]
+                M[r] = [x - c * y for x, y in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def dense_assemble_and_solve(rho_map, nodes, chains, fixed=None):
+    """The same system as curves._assemble_and_solve, as one dense matrix."""
+    fixed = dict(fixed) if fixed else {nodes[0]: Fraction(0)}
+    free = [k for k in nodes if k not in fixed]
+    pos = {k: i for i, k in enumerate(free)}
+    m = len(free)
+    A = [[Fraction(0)] * m for _ in range(m)]
+    b = [rho_map.get(k, Fraction(0)) for k in free]
+    for chain in chains:
+        for a, bb, ln in chain:
+            w = 1 / ln
+            for this, other in ((a, bb), (bb, a)):
+                if this in fixed:
+                    continue
+                i = pos[this]
+                A[i][i] -= w
+                if other in fixed:
+                    b[i] -= w * fixed[other]
+                else:
+                    A[i][pos[other]] += w
+    out = dict(fixed)
+    out.update(zip(free, _gauss_solve(A, b) if m else []))
+    return out
+
+
+def _compose_with_mult(f, m):
+    """t -> f(m t mod 1) on the unit circle."""
+    pairs = f.edge_values[0]
+    offs = {(o + j) / m for j in range(m) for o, _ in pairs} | {Fraction(0), Fraction(1)}
+    out = []
+    for o in sorted(offs):
+        t = Fraction(0) if o == 1 else (m * o) % 1
+        out.append((o, curves._interp(pairs, t)))
+    return GraphPLFunction((tuple(out),))
+
+
+def pullback_iterates(m, d_L):
+    """u_0 = 0, u_{k+1} = h + (u_k o m) / m^2 with laplacian(h) = omega_1 - omega0."""
+    g = circle_graph()
+    omega0 = GraphMeasure.from_atoms(g, [(vertex_key(0), d_L)])
+    omega1 = GraphMeasure.from_atoms(
+        g, [(GraphPoint(0, Fraction(j, m)), d_L / m) for j in range(m)]
+    )
+    h = solve_poisson(g, omega1.sub(g, omega0), vertex_key(0))
+    u = GraphPLFunction.constant(g, 0)
+    while True:
+        yield u, laplacian(u, g).add(g, omega0)
+        u = (h + _compose_with_mult(u, m).scale(Fraction(1, m * m))).simplify()
+
+
+def _length(rng):
+    return Fraction(rng.randint(1, 6), rng.randint(1, 3))
+
+
+def _oracle_graph(rng):
+    """A random connected graph with a loop, a parallel edge and interior nodes."""
+    nv = rng.randint(2, 24)
+    edges = [(rng.randrange(v), v, _length(rng)) for v in range(1, nv)]
+    for _ in range(rng.randint(0, nv // 3)):
+        edges.append((rng.randrange(nv), rng.randrange(nv), _length(rng)))
+    u, v, _ = edges[0]
+    w = rng.randrange(nv)
+    edges += [(v, u, Fraction(5, 2)), (w, w, Fraction(rng.randint(1, 4)))]
+    g = MetricGraph.build(list(range(nv)), edges)
+    keys = {vertex_key(x) for x in g.vertex_ids}
+    for _ in range(rng.randint(1, 2 * nv)):
+        e = rng.randrange(len(g.edges))
+        keys.add(g.point_key(GraphPoint(e, g.edge_length(e) * Fraction(rng.randint(1, 6), 7))))
+    return g, sorted(keys, key=repr)
+
+
+def test_sparse_solve_equals_dense_oracle():
+    rng = random.Random(606)
+    for _ in range(36):
+        g, keys = _oracle_graph(rng)
+        nodes, chains, _ = curves._refine(g, keys)
+        rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(nodes, 3)}
+        pinned = curves._assemble_and_solve(rho, nodes, chains)
+        assert pinned == dense_assemble_and_solve(rho, nodes, chains)
+        # the contact-set mode of the Howard iteration: a nonempty pinned set
+        contact = rng.sample(nodes, rng.randint(1, len(nodes)))
+        fixed = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
+        got = curves._assemble_and_solve(rho, nodes, chains, fixed=fixed)
+        assert got == dense_assemble_and_solve(rho, nodes, chains, fixed=fixed)
+        assert all(got[k] == v for k, v in fixed.items())
+
+
+@pytest.mark.parametrize(
+    "m, ks, d_L",
+    [
+        (2, (0, 1, 4, 6, 8, 10), Fraction(1)),
+        (3, (4, 5), Fraction(1)),
+        (5, (3,), Fraction(1)),
+        (2, (3, 5), Fraction(3, 2)),
+        (3, (2, 3), Fraction(7)),
+        (5, (1, 2), Fraction(2, 5)),
+    ],
+)
+def test_canonical_metric_equals_pullback_iterate(m, ks, d_L):
+    iterates = pullback_iterates(m, d_L)
+    for k in range(max(ks) + 1):
+        u, measure = next(iterates)
+        if k in ks:
+            potential, got = canonical_metric(m, k, d_L)
+            assert potential.edge_values == u.edge_values
+            assert got.atoms == measure.atoms
+
+
+def test_solve_curve_at_scale():
+    # the benchmark's graph shape (a spanning tree plus v/4 extra edges) at
+    # 160 vertices, with three atoms in mu and two in omega0
+    rng = random.Random(160)
+    nv = 160
+    edges = [(rng.randrange(v), v, _length(rng)) for v in range(1, nv)]
+    for _ in range(nv // 4):
+        u, v = rng.sample(range(nv), 2)
+        edges.append((u, v, _length(rng)))
+    g = MetricGraph.build(list(range(nv)), edges)
+    pts = [GraphPoint(e, g.edge_length(e) * Fraction(q, 4)) for e, q in ((3, 1), (70, 2), (150, 3))]
+    mu = GraphMeasure.from_atoms(g, zip(pts, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))))
+    omega0 = GraphMeasure.from_atoms(
+        g, [(vertex_key(0), Fraction(1, 4)), (vertex_key(99), Fraction(3, 4))]
+    )
+    f = solve_curve(g, mu, omega0)
+    assert laplacian(f, g) == mu.sub(g, omega0)
+    assert omega0.integrate(g, f) == 0

@@ -179,6 +179,11 @@ def test_polytope_canonical_form():
     p = Polytope.from_points([(1, 1), (0, 0), (1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))])
     assert p == unit_square()
     assert p.vertices == tuple(sorted(p.vertices))
+    # the ring is computed once; a caller that edits its copy changes nothing
+    ring = p.ring()
+    ring.append((5, 5))
+    assert p.ring() == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert p == unit_square() and hash(p) == hash(unit_square())
 
 
 def test_pieces_are_essential():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -190,6 +191,24 @@ def test_cli_canonical_csv(capsys):
     assert rows[0] == "arc_start,arc_end,mass,exactness"
     assert len(rows) == 65
     assert all(r.split(",")[2] == "0.015625" for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "m, k, digest",
+    [
+        (2, 6, "15daf5250f48dcc498397198721b44f22b1215a8bc308fd81d642a51c3335fef"),
+        (2, 8, "b5c25273f879a474ca67602ab9bc82b38f30a8c57370cda979fdc5110e69e6c5"),
+        (2, 10, "0b79ab505012a6885e25f5996d402791b658ab184d79872bfd64ea104399abf8"),
+        (3, 5, "4c05028df2ee77a18c1f8676189e301de3e96e896665387189d6c2c49ff6e7d0"),
+    ],
+)
+def test_cli_canonical_golden_stdout(m, k, digest, capsys):
+    # sha256 of the stdout the pullback iteration printed; the Poisson
+    # solve must keep it byte for byte
+    assert cli.run(["curve-canonical", "--m", str(m), "--iterations", str(k)]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
 
 
 def test_cli_envelope_and_orthogonality(tmp_path, capsys):
