@@ -9,7 +9,6 @@ from .geometry import (
     breakpoints,
     convex_envelope,
     is_admissible,
-    polytope_volume,
     subdifferential,
     support_function,
 )

@@ -85,6 +85,8 @@ class MetricGraph:
                 return self.point_key(GraphPoint(pt[1], pt[2]))
             return pt
         e, off = pt.edge, pt.offset
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < len(self.edges):
+            raise GraphError(f"edge index {e!r} is not an edge of the graph")
         u, v, ln = self.edges[e]
         if off == 0:
             return ("v", u)
@@ -139,6 +141,12 @@ class GraphPLFunction:
 
     @staticmethod
     def build(graph: MetricGraph, edge_values) -> "GraphPLFunction":
+        edge_values = tuple(edge_values)
+        if len(edge_values) != len(graph.edges):
+            raise GraphError(
+                f"expected one breakpoint list per edge ({len(graph.edges)}), "
+                f"got {len(edge_values)}"
+            )
         evs = []
         for e, pairs in enumerate(edge_values):
             ln = graph.edge_length(e)

@@ -1,16 +1,16 @@
 """Exact rational convex geometry.
 
 Polytopes in V-representation, finite-max-of-affine convex functions,
-subdifferentials, volumes, and Legendre-type transforms over a polytope.
-All coordinates are `fractions.Fraction` and every predicate is exact;
-no floating point enters this module.
+subdifferentials, volumes and moments, and Legendre-type transforms over
+a polytope.  All coordinates are `fractions.Fraction` and every
+predicate is exact; no floating point enters this module.
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
 and its edges.  Breakpoints, pruning to essential pieces, the Legendre
-transform `dual_transform` and the Monge-Ampere masses of `toric` all
-read it.  It walks the subdivision in O(k) exact operations per vertex
-and per edge for k pieces, O(k*V) in all for V vertices.
+transform `dual_transform`, the Monge-Ampere masses and the toric energy
+all read it.  It walks the subdivision in O(k) exact operations per
+vertex and per edge for k pieces, O(k*V) in all for V vertices.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -247,6 +247,18 @@ def cell_volume(cell) -> Fraction:
     return ring_area([p.slope for p in cell])
 
 
+def cell_moment(cell) -> tuple:
+    """First moment, the integral of u du, over the subdifferential spanned
+    by a cell of `subdivision`: (b^2 - a^2)/2 on [a, b] in 1-D, and the sum
+    of (p + q) cross(p, q)/6 over the counterclockwise edges (p, q) in 2-D."""
+    if len(cell[0].slope) == 1:
+        a, b = cell[0].slope[0], cell[1].slope[0]
+        return ((b * b - a * a) / 2,)
+    ring = [p.slope for p in cell]
+    edges = [(p, q, cross2(p, q)) for p, q in zip(ring, ring[1:] + ring[:1])]
+    return tuple(sum((p[i] + q[i]) * c for p, q, c in edges) / 6 for i in (0, 1))
+
+
 def _parallel_edges(pieces, hull):
     """Edges of a 2-D subdivision whose slopes lie on one line: full lines,
     each as two opposite rays."""
@@ -446,11 +458,11 @@ class DiscreteMeasure:
         return all(m > 0 for _, m in self.atoms)
 
     def mass_at(self, loc) -> Fraction:
-        loc = as_point(loc)
-        for p, m in self.atoms:
-            if p == loc:
-                return m
-        return Fraction(0)
+        return self._masses.get(as_point(loc), Fraction(0))
+
+    @cached_property
+    def _masses(self):
+        return dict(self.atoms)
 
     def scale(self, c) -> "DiscreteMeasure":
         c = as_fraction(c)
@@ -478,10 +490,6 @@ def support_function(delta: Polytope) -> PLConvexFunction:
     )
 
 
-def evaluate(g: PLConvexFunction, v) -> Fraction:
-    return g(v)
-
-
 def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
     """True iff all slopes of g lie in delta and every vertex of delta is a slope.
 
@@ -499,10 +507,6 @@ def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
 def subdifferential(g: PLConvexFunction, v) -> Polytope:
     """Convex hull of the slopes active at v."""
     return Polytope.from_points([p.slope for p in g.active_pieces(v)])
-
-
-def polytope_volume(p: Polytope) -> Fraction:
-    return p.volume()
 
 
 def breakpoints(g: PLConvexFunction):
@@ -564,16 +568,3 @@ def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
     )
     return dual_transform(F, delta)
 
-
-def convex_envelope_of_function(psi: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
-    """Largest convex minorant of psi with slopes in delta.
-
-    psi must be admissible for some polytope containing delta (its
-    breakpoint values then determine the envelope).
-    """
-    bps = breakpoints(psi)
-    if not bps:
-        if all(delta.contains(s) for s in psi.slopes):
-            return psi
-        raise ValueError("affine input with slope outside the target polytope")
-    return convex_envelope([(v, psi(v)) for v in bps], delta)

@@ -44,6 +44,16 @@ def parse_rational(s) -> Fraction:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 
 
+def _has_array(obj, key) -> bool:
+    return isinstance(obj, dict) and isinstance(obj.get(key), list)
+
+
+def _vertex_id(vid):
+    if isinstance(vid, (list, dict)):
+        raise SchemaError(f"a vertex id must be a JSON scalar, got {vid!r}")
+    return vid
+
+
 def point_to_json(v):
     return [rational_str(c) for c in v]
 
@@ -63,7 +73,7 @@ def polytope_to_json(p: Polytope):
 
 
 def polytope_from_json(obj) -> Polytope:
-    if not isinstance(obj, dict) or "vertices" not in obj:
+    if not _has_array(obj, "vertices"):
         raise SchemaError('polytope must be {"vertices": [...]}')
     return Polytope.from_points([point_from_json(v) for v in obj["vertices"]])
 
@@ -79,7 +89,7 @@ def pl_function_to_json(g: PLConvexFunction):
 
 
 def pl_function_from_json(obj) -> PLConvexFunction:
-    if not isinstance(obj, dict) or "pieces" not in obj:
+    if not _has_array(obj, "pieces"):
         raise SchemaError('function must be {"pieces": [...]}')
     pieces = []
     for item in obj["pieces"]:
@@ -102,7 +112,7 @@ def measure_to_json(mu: DiscreteMeasure):
 
 
 def measure_from_json(obj) -> DiscreteMeasure:
-    if not isinstance(obj, dict) or "atoms" not in obj:
+    if not _has_array(obj, "atoms"):
         raise SchemaError('measure must be {"atoms": [...]}')
     atoms = []
     for item in obj["atoms"]:
@@ -155,15 +165,16 @@ def graph_to_json(graph: MetricGraph):
 
 
 def graph_from_json(obj) -> MetricGraph:
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
+    if not (_has_array(obj, "vertices") and _has_array(obj, "edges")):
         raise SchemaError('graph must be {"vertices": [...], "edges": [...]}')
+    vertex_ids = [_vertex_id(vid) for vid in obj["vertices"]]
     edges = []
     for item in obj["edges"]:
-        if not isinstance(item, dict) or "ends" not in item or "length" not in item:
+        if not _has_array(item, "ends") or len(item["ends"]) != 2 or "length" not in item:
             raise SchemaError('each edge must be {"ends": [i, j], "length": "p/q"}')
         u, v = item["ends"]
         edges.append((u, v, parse_rational(item["length"])))
-    return MetricGraph.build(list(obj["vertices"]), edges)
+    return MetricGraph.build(vertex_ids, edges)
 
 
 def graph_point_to_json(graph, loc):
@@ -178,7 +189,7 @@ def graph_point_to_json(graph, loc):
 
 def graph_point_from_json(obj):
     if isinstance(obj, dict) and "vertex" in obj:
-        return vertex_key(obj["vertex"])
+        return vertex_key(_vertex_id(obj["vertex"]))
     if isinstance(obj, dict) and "edge" in obj and "offset" in obj:
         return GraphPoint(obj["edge"], parse_rational(obj["offset"]))
     raise SchemaError('graph point must be {"vertex": id} or {"edge": k, "offset": "p/q"}')
@@ -194,10 +205,14 @@ def graph_function_to_json(f: GraphPLFunction):
 
 
 def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
-    if not isinstance(obj, dict) or "edges" not in obj:
+    if not _has_array(obj, "edges"):
         raise SchemaError('graph function must be {"edges": [...]}')
     values = []
     for pairs in obj["edges"]:
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise SchemaError('each edge must be a list of ["offset", "value"] pairs')
         values.append(tuple((parse_rational(o), parse_rational(y)) for o, y in pairs))
     return GraphPLFunction.build(graph, values)
 
@@ -212,7 +227,7 @@ def graph_measure_to_json(graph, mu: GraphMeasure):
 
 
 def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
-    if not isinstance(obj, dict) or "atoms" not in obj:
+    if not _has_array(obj, "atoms"):
         raise SchemaError('graph measure must be {"atoms": [...]}')
     atoms = []
     for item in obj["atoms"]:

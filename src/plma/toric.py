@@ -23,7 +23,6 @@ from .geometry import (
     as_point,
     cell_volume,
     is_admissible,
-    polytope_volume,
     subdivision,
     support_function,
 )
@@ -57,7 +56,7 @@ class ToricMAResult:
 
 def degree(delta: Polytope) -> Fraction:
     """n! Vol(delta): the self-intersection number of the polarization."""
-    return factorial(delta.dim) * polytope_volume(delta)
+    return factorial(delta.dim) * delta.volume()
 
 
 def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> ToricMAResult:

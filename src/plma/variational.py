@@ -1,9 +1,9 @@
 """Energy functional, envelopes, and the orthogonality property.
 
-Energies are relative: energy(g, g0) is defined through the telescoping
-mixed-measure formula and vanishes at g = g0.  All toric masses carry the
-analytic normalization (n! times the real measure), so that adding a
-constant c to the argument adds c times the degree.
+Energies are relative: energy(g, g0) vanishes at g = g0, and the toric
+one is a difference of Legendre integrals over the polytope.  All toric
+masses carry the analytic normalization (n! times the real measure), so
+that adding a constant c to the argument adds c times the degree.
 
 Envelopes come in two flavours.  Toric: the largest admissible convex
 minorant, computed exactly through Legendre transforms over the polytope.
@@ -24,18 +24,24 @@ from math import factorial
 from . import curves
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph
 from .geometry import (
+    DimensionError,
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
     as_fraction,
     as_point,
     breakpoints,
+    cell_moment,
+    cell_volume,
     convex_envelope,
+    dot,
     dual_transform,
+    is_admissible,
+    subdivision,
     support_function,
 )
 from .solver import ConvergenceError
-from .toric import AdmissibilityError, degree, ma_measure, mixed_ma
+from .toric import AdmissibilityError, degree, ma_measure
 
 
 class EnvelopeError(ValueError):
@@ -47,14 +53,29 @@ class EnvelopeError(ValueError):
 
 
 def energy_toric(g: PLConvexFunction, g0: PLConvexFunction, delta: Polytope) -> Fraction:
-    """Relative energy of g against g0 over the polytope; exact rational."""
-    n = delta.dim
-    scale = factorial(n)
-    total = Fraction(0)
-    for j in range(n + 1):
-        mm = mixed_ma([g] * j + [g0] * (n - j), delta)
-        total += scale * mm.integrate(lambda p: g(p) - g0(p))
-    return total / (n + 1)
+    """Relative energy of g against g0 over the polytope; exact rational.
+
+    E(g, g0) = n! (L(g0) - L(g)), with L(g) the integral over delta of the
+    Legendre transform g* (Donaldson, JDG 2002).  g* is affine on the cell
+    C at each vertex v of the subdivision of g, so L(g) is the sum of
+    <M1(C), v> - Vol(C) g(v), M1 the first moment: one `subdivision` pass,
+    O(k*V).  The checks keep the order of the polarization formula
+    (Boucksom, Favre and Jonsson), which the tests keep as the oracle.
+    """
+    if not is_admissible(g0, delta):
+        raise AdmissibilityError("every argument must be admissible for the polytope")
+    if g.dim != delta.dim:
+        raise DimensionError("argument dimension mismatch")
+    if not is_admissible(g, delta):
+        raise AdmissibilityError("every argument must be admissible for the polytope")
+    return factorial(delta.dim) * (_legendre_integral(g0) - _legendre_integral(g))
+
+
+def _legendre_integral(g: PLConvexFunction) -> Fraction:
+    """The integral of g* over the slope hull of g, cell by cell."""
+    cells = subdivision(g.pieces)[0]
+    terms = (dot(cell_moment(c), v) - cell_volume(c) * c[0].value(v) for v, c in cells)
+    return sum(terms, Fraction(0))
 
 
 def energy_curve(f: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure) -> Fraction:
@@ -168,31 +189,8 @@ class MinOfConvex:
         return min(g(v) for g in self.parts)
 
 
-def _conjugate_pieces(g: PLConvexFunction):
-    """Pieces of the Legendre conjugate of g, valid on the slope hull of g.
-
-    The conjugate at u is the max over breakpoints v of <u, v> - g(v),
-    so each breakpoint contributes the piece (slope v, intercept g(v)).
-    """
-    bps = breakpoints(g)
-    if not bps:
-        raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
-    return [(v, g(v)) for v in bps]
-
-
 def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     """Largest convex function with slopes in delta lying below psi."""
-    if isinstance(psi, PLConvexFunction):
-        if all(delta.contains(s) for s in psi.slopes):
-            return psi
-        return dual_transform(
-            PLConvexFunction.from_pieces(_conjugate_pieces(psi)), delta
-        )
-    if isinstance(psi, MinOfConvex):
-        pieces = []
-        for g in psi.parts:
-            pieces.extend(_conjugate_pieces(g))
-        return dual_transform(PLConvexFunction.from_pieces(pieces), delta)
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
             raise EnvelopeError("free-form obstacles are one-dimensional")
@@ -200,7 +198,19 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
         if not (psi.left_slope <= a and b <= psi.right_slope):
             raise EnvelopeError("obstacle decays below the admissible slope range")
         return convex_envelope([((v,), y) for v, y in psi.points], delta)
-    raise TypeError(f"unsupported obstacle type {type(psi).__name__}")
+    if isinstance(psi, PLConvexFunction) and all(delta.contains(s) for s in psi.slopes):
+        return psi
+    if not isinstance(psi, (PLConvexFunction, MinOfConvex)):
+        raise TypeError(f"unsupported obstacle type {type(psi).__name__}")
+    parts = psi.parts if isinstance(psi, MinOfConvex) else (psi,)
+    # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
+    samples = []
+    for g in parts:
+        bps = breakpoints(g)
+        if not bps:
+            raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
+        samples.extend((v, g(v)) for v in bps)
+    return dual_transform(PLConvexFunction.from_pieces(samples), delta)
 
 
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:

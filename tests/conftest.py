@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from plma.curves import GraphMeasure, GraphPoint, MetricGraph
 from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
+from plma.toric import mixed_ma
 
 
 def interval(a=0, b=1):
@@ -45,6 +47,30 @@ def random_admissible(rng, delta, extra=4):
         )
         pieces.append(AffineFunctional(sl, rnd_frac(rng)))
     return PLConvexFunction.from_pieces(pieces)
+
+
+def lattice_paraboloid(rng, k, grid):
+    """k slopes on the 1/grid lattice of the unit square, the four corners
+    included, with intercepts |s|^2 / 2: every piece is essential and many
+    lifts are coplanar."""
+    pts = [(Fraction(i, grid), Fraction(j, grid)) for i in range(grid + 1) for j in range(grid + 1)]
+    corners = [p for p in pts if p in unit_square().vertices]
+    slopes = corners + rng.sample([p for p in pts if p not in corners], k - 4)
+    return PLConvexFunction.from_pieces(
+        [AffineFunctional(s, (s[0] ** 2 + s[1] ** 2) / 2) for s in slopes]
+    )
+
+
+def polarization_energy(g, g0, delta):
+    """The energy by polarization (Boucksom, Favre and Jonsson): the mean
+    over j = 0..n of n! times the integral of g - g0 against the mixed
+    measure MA(g[j], g0[n - j])."""
+    n = delta.dim
+    total = Fraction(0)
+    for j in range(n + 1):
+        mm = mixed_ma([g] * j + [g0] * (n - j), delta)
+        total += factorial(n) * mm.integrate(lambda p: g(p) - g0(p))
+    return total / (n + 1)
 
 
 def random_graph(rng, max_extra_edges=4):

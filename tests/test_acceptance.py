@@ -22,7 +22,7 @@ from plma.curves import (
     superpose,
     vertex_key,
 )
-from plma.geometry import DiscreteMeasure, polytope_volume, support_function
+from plma.geometry import DiscreteMeasure, support_function
 from plma.solver import solve_toric
 from plma.toric import degree, ma_measure, point_mass_solution
 from plma.variational import (
@@ -36,6 +36,7 @@ from plma.variational import (
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     interval,
+    polarization_energy,
     random_admissible,
     random_graph,
     random_graph_point,
@@ -68,7 +69,7 @@ def test_criterion_1_mass_identity():
     def body():
         for delta in ACCEPTANCE_POLYTOPES:
             n = delta.dim
-            vol = polytope_volume(delta)
+            vol = delta.volume()
             for _ in range(50):
                 g = random_admissible(rng, delta)
                 res = ma_measure(g, delta)
@@ -83,7 +84,7 @@ def test_criterion_2_point_mass():
 
     def body():
         for delta in ACCEPTANCE_POLYTOPES:
-            vol = polytope_volume(delta)
+            vol = delta.volume()
             for _ in range(20):
                 v0 = tuple(rnd_frac(rng, den=7, lo=-1, hi=1) for _ in range(delta.dim))
                 g = point_mass_solution(delta, v0)
@@ -109,7 +110,7 @@ def test_criterion_3_solver_roundtrip():
 
     def body():
         for delta in ACCEPTANCE_POLYTOPES:
-            vol = float(polytope_volume(delta))
+            vol = float(delta.volume())
             for i in range(25):
                 g, nu = random_target(rng, delta)
                 rep = solve_toric(delta, nu)
@@ -230,8 +231,12 @@ def test_criterion_7_energy_cocycle():
             rhs = energy_toric(g, h, delta) + energy_toric(h, k, delta)
             assert lhs == rhs
             assert -lhs == energy_toric(k, h, delta) + energy_toric(h, g, delta)
+            for a, b in ((g, h), (h, k), (g, k)):
+                assert energy_toric(a, b, delta) == polarization_energy(a, b, delta)
 
-    run_criterion(7, "energy antisymmetry and cocycle identity, 30 pairs", 10, body)
+    run_criterion(
+        7, "energy antisymmetry, cocycle identity and polarization oracle, 30 triples", 10, body
+    )
 
 
 def test_criterion_8_canonical_dynamics():

@@ -155,6 +155,58 @@ def test_cli_malformed_json(tmp_path, capsys):
     assert "line" in err["error"]["message"]
 
 
+ONE_EDGE = {"vertices": [0, 1], "edges": [{"ends": [0, 1], "length": "1"}]}
+AT_0 = {"atoms": [{"point": {"vertex": 0}, "mass": "1"}]}
+VALID_DOCUMENTS = {
+    "toric-ma": {"delta": serialize.polytope_to_json(unit_square()),
+                 "g": serialize.pl_function_to_json(support_function(unit_square()))},
+    "toric-solve": {"delta": serialize.polytope_to_json(unit_square()),
+                    "mu": {"atoms": [{"point": ["1/2", "1/2"], "mass": "2"}]}},
+    "curve-solve": {"graph": ONE_EDGE, "omega0": AT_0, "mu": AT_0},
+    "curve-green": {"graph": ONE_EDGE, "omega0": AT_0, "x": {"vertex": 1}},
+    "envelope": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
+}
+EDGE_5 = {"edge": 5, "offset": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "command, role, document, error",
+    [
+        ("toric-ma", "delta", {"vertices": 5}, "SchemaError"),
+        ("toric-ma", "g", {"pieces": 7}, "SchemaError"),
+        ("toric-solve", "mu", {"atoms": 3}, "SchemaError"),
+        ("curve-solve", "graph",
+         {"vertices": [0, 1], "edges": [{"ends": 5, "length": "1"}]}, "SchemaError"),
+        ("curve-solve", "graph",
+         {"vertices": [[0], 1], "edges": [{"ends": [1, 1], "length": "1"}]}, "SchemaError"),
+        ("curve-green", "x", {"vertex": [0]}, "SchemaError"),
+        ("envelope", "g", {"edges": [5]}, "SchemaError"),
+        ("curve-green", "x", EDGE_5, "GraphError"),
+        ("curve-green", "x", {"edge": -1, "offset": "1/2"}, "GraphError"),
+        ("curve-green", "x", {"edge": "a", "offset": "1/2"}, "GraphError"),
+        ("curve-green", "omega0", {"atoms": [{"point": EDGE_5, "mass": "1"}]}, "GraphError"),
+        ("curve-solve", "mu", {"atoms": [{"point": EDGE_5, "mass": "1"}]}, "GraphError"),
+        ("envelope", "g", {"edges": []}, "GraphError"),
+        ("envelope", "g", {"edges": [[["0", "0"], ["1", "1"]]] * 2}, "GraphError"),
+    ],
+)
+def test_cli_malformed_documents_exit_2(tmp_path, capsys, command, role, document, error):
+    documents = VALID_DOCUMENTS[command]
+
+    def argv(docs):
+        args = [command]
+        for name, doc in docs.items():
+            args += ["--" + name, write(tmp_path, name + ".json", doc)]
+        return args
+
+    assert cli.run(argv(documents)) == 0
+    capsys.readouterr()
+    assert cli.run(argv({**documents, role: document})) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
 def test_cli_energy(tmp_path, toric_files, capsys):
     d, g = toric_files
     assert cli.run(["toric-energy", "--delta", d, "--g", g]) == 0

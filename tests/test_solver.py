@@ -17,7 +17,6 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     dot,
-    polytope_volume,
     support_function,
 )
 from plma.solver import (
@@ -45,7 +44,7 @@ from conftest import (
 def test_point_mass_target(rng):
     for delta in (interval(), unit_square(), simplex2(), hexagon()):
         v0 = tuple(rnd_frac(rng, den=5, lo=-1, hi=1) for _ in range(delta.dim))
-        nu = DiscreteMeasure.from_atoms([(v0, polytope_volume(delta))])
+        nu = DiscreteMeasure.from_atoms([(v0, delta.volume())])
         rep = solve_toric(delta, nu)
         assert rep.converged
         assert all(e == 0 for _, e in rep.polished_residual)
@@ -100,7 +99,7 @@ def test_roundtrip_random(rng):
             rep = solve_toric(delta, nu)
             assert rep.converged
             fl = max(abs(float(e)) for _, e in rep.residual)
-            assert fl <= 1e-10 * float(polytope_volume(delta))
+            assert fl <= 1e-10 * float(delta.volume())
             if delta.dim == 1:
                 assert all(e == 0 for _, e in rep.residual)
             diffs = [g(v) - rep.solution(v) for v in delta.vertices]
@@ -124,7 +123,7 @@ def test_cells_partition_exactly(rng):
     atoms = list(dict(atoms).items())
     weights = [rnd_frac(rng) for _ in atoms]
     _, vols = _power_cells(delta.ring(), atoms, weights)
-    assert sum(vols) == polytope_volume(delta)
+    assert sum(vols) == delta.volume()
 
 
 def test_newton_matrix_is_the_volume_derivative(rng):

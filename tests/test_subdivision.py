@@ -31,7 +31,7 @@ from plma.geometry import (
 )
 from plma.toric import ma_measure
 
-from conftest import ACCEPTANCE_POLYTOPES, random_admissible, unit_square
+from conftest import ACCEPTANCE_POLYTOPES, lattice_paraboloid, random_admissible, unit_square
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +200,6 @@ def small_pieces(rng, n):
         slopes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(k)]
     return [AffineFunctional(tuple(Fraction(c) for c in s), Fraction(rng.randint(-2, 2), 2))
             for s in slopes]
-
-
-def lattice_paraboloid(rng, k, grid):
-    """k slopes on the 1/grid lattice of the unit square, the four corners
-    included, with intercepts |s|^2 / 2: every piece is essential and many
-    lifts are coplanar."""
-    pts = [(Fraction(i, grid), Fraction(j, grid)) for i in range(grid + 1) for j in range(grid + 1)]
-    corners = [p for p in pts if p in unit_square().vertices]
-    slopes = corners + rng.sample([p for p in pts if p not in corners], k - 4)
-    return PLConvexFunction.from_pieces(
-        [AffineFunctional(s, (s[0] ** 2 + s[1] ** 2) / 2) for s in slopes]
-    )
 
 
 DELTAS_2D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 2] + [

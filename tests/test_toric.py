@@ -9,7 +9,6 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    polytope_volume,
     subdifferential,
     support_function,
 )
@@ -71,7 +70,7 @@ def brute_force_total_mass(g):
             if v in seen or g(v) != a.slope[0] * v[0] + a.slope[1] * v[1] - a.intercept:
                 continue
             seen.add(v)
-            total += polytope_volume(subdifferential(g, v))
+            total += subdifferential(g, v).volume()
     return total
 
 
@@ -122,7 +121,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def mixed_volume2(p, q):
     return (
-        polytope_volume(minkowski_sum(p, q)) - polytope_volume(p) - polytope_volume(q)
+        minkowski_sum(p, q).volume() - p.volume() - q.volume()
     ) / 2
 
 
@@ -134,7 +133,7 @@ def test_mixed_ma_against_mixed_volumes(rng):
             g1 = random_admissible(rng, delta)
             g2 = random_admissible(rng, delta)
             mm = mixed_ma([g1, g2], delta)
-            assert mm.is_positive() and mm.total_mass() == polytope_volume(delta)
+            assert mm.is_positive() and mm.total_mass() == delta.volume()
             for p, mass in mm.atoms:
                 assert mass == mixed_volume2(subdifferential(g1, p), subdifferential(g2, p))
 
@@ -152,7 +151,7 @@ def test_mass_identity_random(rng):
         for _ in range(8):
             g = random_admissible(rng, delta)
             res = ma_measure(g, delta)
-            assert res.measure_NR.total_mass() == polytope_volume(delta)
+            assert res.measure_NR.total_mass() == delta.volume()
 
 
 def test_translation_equivariance(rng):

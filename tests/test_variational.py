@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -17,8 +18,9 @@ from plma.curves import (
 )
 from plma.geometry import (
     AffineFunctional,
+    DimensionError,
     PLConvexFunction,
-    polytope_volume,
+    Polytope,
     support_function,
 )
 from plma.toric import AdmissibilityError, degree, ma_measure, point_mass_solution
@@ -40,7 +42,10 @@ from plma.variational import (
 )
 
 from conftest import (
+    ACCEPTANCE_POLYTOPES,
     interval,
+    lattice_paraboloid,
+    polarization_energy,
     random_admissible,
     random_graph,
     random_positive_measure,
@@ -86,6 +91,54 @@ def test_energy_interval_hand_oracle():
     assert expected == Fraction(-1, 2)
     assert energy_toric(g, g0, delta) == expected
     assert energy_toric(g0, g, delta) == -expected
+
+
+DEGENERATE_POLYTOPES = [
+    Polytope.from_points([(0, 0), (2, 1)]),  # a segment in the plane
+    Polytope.from_points([(Fraction(1, 2),)]),  # a point on the line
+    Polytope.from_points([(1, -2)]),  # a point in the plane
+    interval(0, 3),
+    Polytope.from_points([(0, 0), (2, 0), (0, 3)]),  # the (2, 3)-triangle
+]
+
+
+def test_energy_equals_polarization_oracle():
+    rng = random.Random(2002)
+    pairs = []
+    for delta in ACCEPTANCE_POLYTOPES:
+        pairs += [(delta, random_admissible(rng, delta), random_admissible(rng, delta))
+                  for _ in range(10)]
+    for delta in DEGENERATE_POLYTOPES:
+        pairs += [(delta, random_admissible(rng, delta), random_admissible(rng, delta))
+                  for _ in range(4)]
+    square = unit_square()
+    for k, grid in ((8, 3), (16, 4)):
+        pairs += [(square, lattice_paraboloid(rng, k, grid), lattice_paraboloid(rng, k, grid))
+                  for _ in range(3)]
+    assert len(pairs) == 66
+    for delta, g, g0 in pairs:
+        assert energy_toric(g, g0, delta) == polarization_energy(g, g0, delta)
+
+
+def test_energy_checks_g0_before_g():
+    square = unit_square()
+    good = support_function(square)
+    narrow = pl(((0, 0), 0), ((1, 0), 0))  # misses two vertex slopes of the square
+    line = support_function(interval())
+    # a bad g0 is reported before a bad g, as the polarization formula reports it
+    admissible = "every argument must be admissible for the polytope"
+    for g, g0, error, message in (
+        (narrow, line, DimensionError, "dimension mismatch"),
+        (line, narrow, AdmissibilityError, admissible),
+        (good, narrow, AdmissibilityError, admissible),
+        (narrow, good, AdmissibilityError, admissible),
+        (line, good, DimensionError, "argument dimension mismatch"),
+    ):
+        with pytest.raises(error) as got:
+            energy_toric(g, g0, square)
+        with pytest.raises(error) as oracle:
+            polarization_energy(g, g0, square)
+        assert str(got.value) == str(oracle.value) == message
 
 
 def test_energy_cocycle_antisymmetry(rng):
