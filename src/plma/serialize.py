@@ -31,7 +31,8 @@ class SchemaError(ValueError):
 
 
 def rational_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

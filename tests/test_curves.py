@@ -161,6 +161,23 @@ def test_disconnected_graph_rejected():
         MetricGraph.build([0, 1, 2, 3], [(0, 1, 1), (2, 3, 1)])
 
 
+def test_points_not_in_the_graph_rejected():
+    g = MetricGraph.build([0, 1], [(0, 1, 1)])
+    half = Fraction(1, 2)
+    for loc in (vertex_key(99), ("e", 5, half), ("e", -1, half), ("e", 0, Fraction(3, 2)),
+                GraphPoint(0, Fraction(-1, 2))):
+        with pytest.raises(GraphError):
+            g.point_key(loc)
+        with pytest.raises(GraphError):
+            GraphMeasure.from_atoms(g, [(loc, Fraction(1))])
+        with pytest.raises(GraphError):
+            GraphMeasure(()).mass_at(g, loc)
+    # keys are checked like points: an edge end is its vertex
+    assert g.point_key(("e", 0, Fraction(0))) == vertex_key(0)
+    assert g.point_key(("e", 0, Fraction(1))) == vertex_key(1)
+    assert g.point_key(("e", 0, half)) == g.point_key(GraphPoint(0, half)) == ("e", 0, half)
+
+
 def test_poisson_uniqueness_up_to_constants(rng):
     g = random_graph(rng)
     mu = random_positive_measure(rng, g, Fraction(3))
@@ -319,12 +336,15 @@ def test_canonical_monotone_decay():
 
 
 def test_canonical_bad_m():
-    with pytest.raises(ValueError):
-        canonical_metric(1, 3)
+    # m is checked before the iteration count
+    for m, k, message in ((1, 3, "multiplier m"), (1, -1, "multiplier m"), (2, -1, "iterations")):
+        with pytest.raises(ValueError, match=message):
+            canonical_metric(m, k)
 
 
 # ---------------------------------------------------------------------------
-# oracles: the dense exact solve and the pullback iterate
+# oracles: the dense exact solve, the pullback iterate and the Poisson
+# solve of the canonical metric
 
 
 def _gauss_solve(A, b):
@@ -393,6 +413,20 @@ def pullback_iterates(m, d_L):
         u = (h + _compose_with_mult(u, m).scale(Fraction(1, m * m))).simplify()
 
 
+def poisson_canonical_metric(m, k, d_L):
+    """One Poisson solve on the circle with source omega_k - omega0."""
+    g = circle_graph()
+    parts = m**k
+    omega0 = GraphMeasure.from_atoms(g, [(vertex_key(0), d_L)])
+    rho = GraphMeasure.from_atoms(
+        g,
+        [(GraphPoint(0, Fraction(j, parts)), d_L / parts) for j in range(parts)]
+        + [(vertex_key(0), -d_L)],
+    )
+    u = solve_poisson(g, rho, vertex_key(0))
+    return u, laplacian(u, g).add(g, omega0)
+
+
 def _length(rng):
     return Fraction(rng.randint(1, 6), rng.randint(1, 3))
 
@@ -449,6 +483,38 @@ def test_canonical_metric_equals_pullback_iterate(m, ks, d_L):
             potential, got = canonical_metric(m, k, d_L)
             assert potential.edge_values == u.edge_values
             assert got.atoms == measure.atoms
+
+
+@pytest.mark.parametrize(
+    "m, ks, d_L",
+    [
+        (2, (0, 1, 4, 6, 8, 10), Fraction(1)),
+        (3, (0, 4, 5), Fraction(1)),
+        (5, (0, 3), Fraction(1)),
+        (2, (0, 3, 5), Fraction(3, 2)),
+        (3, (0, 2, 3), Fraction(7)),
+        (5, (0, 1, 2), Fraction(2, 5)),
+        (2, (0, 1, 5), Fraction(0)),
+        (3, (0, 1, 3), Fraction(-3)),
+        (7, (0, 1, 2), Fraction(1)),
+    ],
+)
+def test_canonical_metric_equals_poisson_oracle(m, ks, d_L):
+    for k in ks:
+        potential, measure = canonical_metric(m, k, d_L)
+        u, omega_k = poisson_canonical_metric(m, k, d_L)
+        assert potential.edge_values == u.edge_values
+        assert measure.atoms == omega_k.atoms
+
+
+def test_arc_masses_index_by_floor():
+    _, measure = canonical_metric(2, 6)
+    for parts in (8, 12, 64):
+        expected = [Fraction(0)] * parts
+        for key, mass in measure.atoms:
+            t = Fraction(0) if key[0] == "v" else key[2] % 1
+            expected[int(t * parts)] += mass
+        assert arc_masses(measure, parts) == expected
 
 
 def test_solve_curve_at_scale():

@@ -165,8 +165,16 @@ VALID_DOCUMENTS = {
     "curve-solve": {"graph": ONE_EDGE, "omega0": AT_0, "mu": AT_0},
     "curve-green": {"graph": ONE_EDGE, "omega0": AT_0, "x": {"vertex": 1}},
     "envelope": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
+    "orthogonality": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
 }
 EDGE_5 = {"edge": 5, "offset": "1/2"}
+
+
+def _run_documents(tmp_path, command, documents):
+    args = [command]
+    for name, doc in documents.items():
+        args += ["--" + name, write(tmp_path, name + ".json", doc)]
+    return cli.run(args)
 
 
 @pytest.mark.parametrize(
@@ -192,19 +200,37 @@ EDGE_5 = {"edge": 5, "offset": "1/2"}
 )
 def test_cli_malformed_documents_exit_2(tmp_path, capsys, command, role, document, error):
     documents = VALID_DOCUMENTS[command]
-
-    def argv(docs):
-        args = [command]
-        for name, doc in docs.items():
-            args += ["--" + name, write(tmp_path, name + ".json", doc)]
-        return args
-
-    assert cli.run(argv(documents)) == 0
+    assert _run_documents(tmp_path, command, documents) == 0
     capsys.readouterr()
-    assert cli.run(argv({**documents, role: document})) == 2
+    assert _run_documents(tmp_path, command, {**documents, role: document}) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "command, role",
+    [
+        ("curve-solve", "mu"),
+        ("curve-solve", "omega0"),
+        ("curve-green", "x"),
+        ("envelope", "omega0"),
+        ("orthogonality", "omega0"),
+    ],
+)
+def test_cli_vertex_not_in_graph_exit_2(tmp_path, capsys, command, role):
+    documents = VALID_DOCUMENTS[command]
+    assert _run_documents(tmp_path, command, documents) == 0
+    capsys.readouterr()
+    vertex_99 = {"vertex": 99}
+    if role != "x":
+        vertex_99 = {"atoms": [{"point": vertex_99, "mass": "1"}]}
+    assert _run_documents(tmp_path, command, {**documents, role: vertex_99}) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "GraphError", "message": "vertex 99 is not a vertex of the graph"
+    }
 
 
 def test_cli_energy(tmp_path, toric_files, capsys):
@@ -255,9 +281,26 @@ def test_cli_canonical_csv(capsys):
     ],
 )
 def test_cli_canonical_golden_stdout(m, k, digest, capsys):
-    # sha256 of the stdout the pullback iteration printed; the Poisson
-    # solve must keep it byte for byte
+    # sha256 of the stdout the pullback iteration printed; the closed form
+    # must keep it byte for byte
     assert cli.run(["curve-canonical", "--m", str(m), "--iterations", str(k)]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        (["--m", "2", "--iterations", "12"],
+         "a8bb10d643ccb654580cafe3a55e676c4c2201218ddd11be8bd95806f73fae45"),
+        (["--m", "3", "--iterations", "5", "--format", "csv"],
+         "60a18b3f603b12149dc09872f60e7acc6d32966a8a622c4ee8df6b186acff9cc"),
+    ],
+)
+def test_cli_canonical_golden_stdout_poisson(options, digest, capsys):
+    # sha256 of the stdout the Poisson solve printed
+    assert cli.run(["curve-canonical", *options]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""
