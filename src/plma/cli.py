@@ -218,12 +218,10 @@ def cmd_selftest(args):
     from .geometry import AffineFunctional, PLConvexFunction
 
     rng = random.Random(20240)
-    ok = True
+    lines = []
 
     def report(name, passed):
-        nonlocal ok
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name}\n")
 
     square = Polytope.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     passed = True
@@ -257,7 +255,8 @@ def cmd_selftest(args):
         )
     report("curve Green symmetry", passed)
 
-    return 0 if ok else 1
+    _emit("".join(lines), args.output)
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 # ---------------------------------------------------------------------------

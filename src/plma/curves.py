@@ -6,11 +6,15 @@ convention a local maximum carries negative mass and the total mass is
 always zero.  Poisson problems are solved exactly over the rationals by
 sparse elimination, in minimum-degree order, on the Laplacian of the
 vertices and the atoms; Green functions are normalized against the
-reference measure.  The canonical metric of multiplication by m on the
-circle at step k needs no solve: its potential is the discrete parabola
-through the m^k-division points, in closed form.
+reference measure.  The same elimination, solve_laplacian, is the one
+linear solve of the package: it takes any weighted graph, and the toric
+Newton step runs it in floats on the power-cell adjacency graph.  The
+canonical metric of multiplication by m on the circle at step k needs no
+solve: its potential is the discrete parabola through the m^k-division
+points, in closed form.
 
-Loops and parallel edges are allowed; all edge lengths are finite.
+A graph has at least one edge; loops and parallel edges are allowed,
+and all edge lengths are finite.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class MetricGraph:
         g = MetricGraph(vids, tuple(es))
         if not g.is_connected():
             raise GraphError("graph must be connected")
+        if not es:
+            raise GraphError("graph must have at least one edge")
         return g
 
     def is_connected(self) -> bool:
@@ -108,13 +114,6 @@ class MetricGraph:
     def _vertex_set(self):
         return frozenset(self.vertex_ids)
 
-    def some_point(self, key) -> "GraphPoint":
-        """A GraphPoint representative for a location key."""
-        if key[0] == "e":
-            return GraphPoint(key[1], key[2])
-        e, at_start = self._vertex_end(key[1])
-        return GraphPoint(e, Fraction(0) if at_start else self.edges[e][2])
-
     @cached_property
     def _vertex_ends(self):
         ends = {}
@@ -135,10 +134,6 @@ class MetricGraph:
 class GraphPoint:
     edge: int
     offset: Fraction
-
-    @staticmethod
-    def make(edge, offset) -> "GraphPoint":
-        return GraphPoint(edge, as_fraction(offset))
 
 
 def vertex_key(vid):
@@ -324,16 +319,16 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
 def _refine(graph: MetricGraph, keys):
     """Insert interior edge points as nodes.
 
-    Returns (nodes, per-edge chains, per-edge sorted interior offsets),
-    where each chain lists (node_a, node_b, length) segments covering the
-    edge in order.
+    Returns (nodes, edges, per-edge sorted interior offsets), where edges
+    holds one (node_a, node_b, 1 / length) per segment, the segments of
+    each graph edge in order.
     """
     interior = {}
     for key in keys:
         if key[0] == "e":
             interior.setdefault(key[1], set()).add(key[2])
     nodes = [("v", vid) for vid in graph.vertex_ids]
-    chains = []
+    edges = []
     edge_offsets = []
     for e, (u, v, ln) in enumerate(graph.edges):
         offs = sorted(interior.get(e, ()))
@@ -342,45 +337,42 @@ def _refine(graph: MetricGraph, keys):
             nodes.append(("e", e, o))
         stops = [("v", u)] + [("e", e, o) for o in offs] + [("v", v)]
         offs_full = [Fraction(0)] + offs + [ln]
-        chains.append(
-            [
-                (a, b, o2 - o1)
-                for a, b, o1, o2 in zip(stops, stops[1:], offs_full, offs_full[1:])
-            ]
+        edges.extend(
+            (a, b, 1 / (o2 - o1))
+            for a, b, o1, o2 in zip(stops, stops[1:], offs_full, offs_full[1:])
         )
-    return nodes, chains, edge_offsets
+    return nodes, edges, edge_offsets
 
 
-def _assemble_and_solve(rho_map, nodes, chains, fixed=None):
-    """Solve sum_j w_ij (x_j - x_i) = rho_i at free nodes, exactly.
+def solve_laplacian(rho, nodes, edges, fixed):
+    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes.
 
-    fixed: dict key -> value of pinned nodes.  When fixed is None, the
-    node 0 is pinned to zero (pure Neumann problem, rho must balance).
+    edges: undirected (a, b, w), each adding the weight w to the rows of
+    both a and b; fixed: dict node -> value of the pinned nodes.  The
+    arithmetic follows the input types: Fractions in, Fractions out, and
+    floats in, floats out.  A zero pivot raises GraphError.
 
     The system is the Laplacian restricted to the free nodes, one sparse
     row (a dict) per node.  Rows are eliminated in minimum-degree order,
     ties broken by the free index (Rose, Tarjan and Lueker), so a chain
     or a cycle costs O(len(nodes)); then back substitution.
     """
-    fixed = dict(fixed) if fixed else {nodes[0]: Fraction(0)}
     free = [k for k in nodes if k not in fixed]
     pos = {k: i for i, k in enumerate(free)}
     rows = [{} for _ in free]
-    b = [rho_map.get(k, Fraction(0)) for k in free]
-    for chain in chains:
-        for a, bb, ln in chain:
-            w = 1 / ln
-            for this, other in ((a, bb), (bb, a)):
-                i = pos.get(this)
-                if i is None:
-                    continue
-                row = rows[i]
-                row[i] = row.get(i, 0) - w
-                j = pos.get(other)
-                if j is None:
-                    b[i] -= w * fixed[other]
-                else:
-                    row[j] = row.get(j, 0) + w
+    b = [rho.get(k, 0) for k in free]
+    for a, bb, w in edges:
+        for this, other in ((a, bb), (bb, a)):
+            i = pos.get(this)
+            if i is None:
+                continue
+            row = rows[i]
+            row[i] = row.get(i, 0) - w
+            j = pos.get(other)
+            if j is None:
+                b[i] -= w * fixed[other]
+            else:
+                row[j] = row.get(j, 0) + w
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * len(free)
@@ -407,7 +399,7 @@ def _assemble_and_solve(rho_map, nodes, chains, fixed=None):
         eliminated.append(i)
     x = [None] * len(free)
     for i in reversed(eliminated):
-        x[i] = b[i] - sum((v * x[k] for k, v in rows[i].items()), Fraction(0))
+        x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
     out = dict(fixed)
     out.update(zip(free, x))
     return out
@@ -432,10 +424,9 @@ def solve_poisson(
         raise MassBalanceError("source measure must have total mass zero")
     norm_key = graph.point_key(normalization)
     keys = [k for k, _ in rho.atoms] + [norm_key]
-    nodes, chains, edge_offsets = _refine(graph, keys)
-    values = _assemble_and_solve(dict(rho.atoms), nodes, chains)
-    f = _function_from_node_values(graph, values, edge_offsets)
-    return f.add_constant(-f.eval(graph, norm_key))
+    nodes, edges, edge_offsets = _refine(graph, keys)
+    values = solve_laplacian(dict(rho.atoms), nodes, edges, {norm_key: Fraction(0)})
+    return _function_from_node_values(graph, values, edge_offsets)
 
 
 def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:

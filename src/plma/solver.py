@@ -24,7 +24,9 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
 The cells are clipped from the polygon one neighbour at a time, and each
 edge keeps the label of the neighbour whose halfplane cut it, so the Newton
 matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
-edges directly.
+edges directly.  It is the weighted Laplacian of the cell adjacency graph,
+so with w_0 pinned each Newton step is one sparse Laplacian solve, by the
+same elimination as the curve side (curves.solve_laplacian), in floats.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -38,10 +40,9 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import curves
 from .geometry import (
@@ -148,16 +149,19 @@ def _power_cells(ring, atoms, weights):
     return cells, vols
 
 
-def _newton_matrix(cells, atoms):
-    """d vol_i / d w_j, read off the labelled edges of the power cells.
+def _newton_edges(cells, atoms):
+    """The Newton matrix d vol_i / d w_j as edges (i, j, c / 2) of a Laplacian.
 
     The edge p -> q of cell i labelled j lies on a line perpendicular to
-    a = v_i - v_j, so |q - p| / |a| = |cross(q - p, a)| / |a|^2; that is
+    a = v_i - v_j, so c = |q - p| / |a| = |cross(q - p, a)| / |a|^2 is
     -d vol_i / d w_j (Kitagawa, Merigot and Thibert), and the diagonal makes
-    each row sum to zero.  Plain lists, exact for rational cells.
+    each row sum to zero.  Each labelled half-edge gives half its c to the
+    undirected pair, so the Laplacian of these edges is (H + H^T) / 2, which
+    is H when the cells are exact.  Float clipping can leave cell i a sliver
+    edge labelled j while cell j has none labelled i; the halves keep the
+    system symmetric all the same.
     """
-    k = len(atoms)
-    H = [[0] * k for _ in range(k)]
+    edges = []
     for i, cell in enumerate(cells):
         vi = atoms[i][0]
         for (p, j), (q, _) in zip(cell, cell[1:] + cell[:1]):
@@ -165,9 +169,8 @@ def _newton_matrix(cells, atoms):
                 continue
             a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
             c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
-            H[i][j] -= c
-            H[i][i] += c
-    return H
+            edges.append((i, j, c / 2))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,8 @@ def _solution_from_weights(delta, atoms, weights):
     return dual_transform(F, delta)
 
 
-def _exact_residual(g, nu, delta):
+def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
+    """Exact per-atom difference between MA(g) and nu."""
     got = ma_measure(g, delta, check=False).measure_NR
     locs = sorted({p for p, _ in got.atoms} | {p for p, _ in nu.atoms})
     return tuple((p, got.mass_at(p) - nu.mass_at(p)) for p in locs)
@@ -241,60 +245,59 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
     if delta.dim == 1:
         weights = solve_1d_exact(delta, nu)
         g = _solution_from_weights(delta, atoms, weights)
-        res = _exact_residual(g, nu, delta)
+        res = residual(g, nu, delta)
         return SolveReport(g, res, res, 0, True)
 
     fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
-    target = np.array([m for _, m in fatoms])
+    k = len(fatoms)
+    target = [m for _, m in fatoms]
     tol_abs = opts.tolerance * float(vol)
 
     def residual_vec(vols):
-        return target - np.array(vols, dtype=float)
+        return [t - v for t, v in zip(target, vols)]
 
     ring = [tuple(map(float, p)) for p in delta.ring()]
     weights = _voronoi_weights(delta, atoms)
     cells, vols = _power_cells(ring, fatoms, weights)
     r = residual_vec(vols)
     # Kitagawa-Merigot-Thibert: keep every cell at least this large.
-    eps0 = 0.5 * min(float(np.min(target)), min(vols))
+    eps0 = 0.5 * min(min(target), min(vols))
     it = 0
-    while it < opts.max_iterations and np.max(np.abs(r)) > tol_abs:
+    while it < opts.max_iterations and max(map(abs, r)) > tol_abs:
         it += 1
-        H = np.array(_newton_matrix(cells, fatoms), dtype=float)
         # vol_i grows with w_i, so H is the (positive semidefinite) negated
-        # Hessian of the dual objective; pin the first weight and solve.
+        # Hessian of the dual objective, a graph Laplacian: pin the first
+        # weight and solve H d = r.
         try:
-            step = [0.0] + np.linalg.solve(H[1:, 1:], r[1:]).tolist()
-        except np.linalg.LinAlgError:
+            x = curves.solve_laplacian(
+                {i: -ri for i, ri in enumerate(r)}, range(k), _newton_edges(cells, fatoms), {0: 0.0}
+            )
+        except curves.GraphError:
             break
-        alpha, norm = 1.0, np.linalg.norm(r)
+        step = [x[i] for i in range(k)]
+        alpha, norm = 1.0, math.hypot(*r)
         while alpha >= MIN_STEP:
             trial = [w + alpha * s for w, s in zip(weights, step)]
             tcells, tvols = _power_cells(ring, fatoms, trial)
             tr = residual_vec(tvols)
-            if min(tvols) >= eps0 and np.linalg.norm(tr) <= (1 - alpha / 2) * norm:
+            if min(tvols) >= eps0 and math.hypot(*tr) <= (1 - alpha / 2) * norm:
                 break
             alpha /= 2
         else:
             break  # the step stalled: report not converged
         weights, cells, r = trial, tcells, tr
 
-    converged = bool(np.max(np.abs(r)) <= tol_abs)
+    converged = max(map(abs, r)) <= tol_abs
     wfrac = [Fraction(w - weights[0]).limit_denominator(10**15) for w in weights]
     g = _solution_from_weights(
         delta, atoms, [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
     )
-    polished = _exact_residual(g, nu, delta)
+    polished = residual(g, nu, delta)
     res = polished
     if any(e != 0 for _, e in polished):
         g = _solution_from_weights(delta, atoms, wfrac)
-        res = _exact_residual(g, nu, delta)
+        res = residual(g, nu, delta)
     return SolveReport(g, res, polished, it, converged)
-
-
-def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
-    """Exact per-atom difference between MA(g) and nu."""
-    return _exact_residual(g, nu, delta)
 
 
 def solve_curve(graph, mu, omega0):

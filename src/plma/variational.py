@@ -243,7 +243,7 @@ def envelope_subharmonic(
     """
     if curves.is_subharmonic(psi, graph, omega0):
         return psi
-    nodes, chains, edge_offsets = curves._refine(
+    nodes, edges, edge_offsets = curves._refine(
         graph, _candidate_keys(psi, graph, omega0)
     )
     obstacle = {k: psi.eval(graph, k) for k in nodes}
@@ -252,13 +252,12 @@ def envelope_subharmonic(
     contact = set(nodes)
     for _ in range(len(nodes) + 1):
         fixed = {k: obstacle[k] for k in contact}
-        x = curves._assemble_and_solve(source, nodes, chains, fixed=fixed)
+        x = curves.solve_laplacian(source, nodes, edges, fixed)
         s = {k: mass.get(k, Fraction(0)) for k in nodes}
-        for chain in chains:
-            for a, b, ln in chain:
-                d = (x[b] - x[a]) / ln
-                s[a] += d
-                s[b] -= d
+        for a, b, w in edges:
+            d = w * (x[b] - x[a])
+            s[a] += d
+            s[b] -= d
         nxt = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
         if nxt == contact:
             env = curves._function_from_node_values(graph, x, edge_offsets)

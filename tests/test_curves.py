@@ -23,9 +23,10 @@ from plma.curves import (
     superpose,
     vertex_key,
 )
-from plma.solver import solve_curve
+from plma.geometry import dot
+from plma.solver import _newton_edges, _power_cells, solve_curve
 
-from conftest import random_graph, random_graph_point, random_positive_measure
+from conftest import hexagon, random_graph, random_graph_point, random_positive_measure, rnd_frac
 
 
 def star3():
@@ -363,26 +364,23 @@ def _gauss_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def dense_assemble_and_solve(rho_map, nodes, chains, fixed=None):
-    """The same system as curves._assemble_and_solve, as one dense matrix."""
-    fixed = dict(fixed) if fixed else {nodes[0]: Fraction(0)}
+def dense_solve_laplacian(rho, nodes, edges, fixed):
+    """The same system as curves.solve_laplacian, as one dense matrix."""
     free = [k for k in nodes if k not in fixed]
     pos = {k: i for i, k in enumerate(free)}
     m = len(free)
     A = [[Fraction(0)] * m for _ in range(m)]
-    b = [rho_map.get(k, Fraction(0)) for k in free]
-    for chain in chains:
-        for a, bb, ln in chain:
-            w = 1 / ln
-            for this, other in ((a, bb), (bb, a)):
-                if this in fixed:
-                    continue
-                i = pos[this]
-                A[i][i] -= w
-                if other in fixed:
-                    b[i] -= w * fixed[other]
-                else:
-                    A[i][pos[other]] += w
+    b = [rho.get(k, Fraction(0)) for k in free]
+    for a, bb, w in edges:
+        for this, other in ((a, bb), (bb, a)):
+            if this in fixed:
+                continue
+            i = pos[this]
+            A[i][i] -= w
+            if other in fixed:
+                b[i] -= w * fixed[other]
+            else:
+                A[i][pos[other]] += w
     out = dict(fixed)
     out.update(zip(free, _gauss_solve(A, b) if m else []))
     return out
@@ -452,16 +450,33 @@ def test_sparse_solve_equals_dense_oracle():
     rng = random.Random(606)
     for _ in range(36):
         g, keys = _oracle_graph(rng)
-        nodes, chains, _ = curves._refine(g, keys)
+        nodes, edges, _ = curves._refine(g, keys)
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(nodes, 3)}
-        pinned = curves._assemble_and_solve(rho, nodes, chains)
-        assert pinned == dense_assemble_and_solve(rho, nodes, chains)
+        # the pure Neumann mode of solve_poisson: one node pinned to zero
+        fixed = {nodes[0]: Fraction(0)}
+        pinned = curves.solve_laplacian(rho, nodes, edges, fixed)
+        assert pinned == dense_solve_laplacian(rho, nodes, edges, fixed)
         # the contact-set mode of the Howard iteration: a nonempty pinned set
         contact = rng.sample(nodes, rng.randint(1, len(nodes)))
         fixed = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
-        got = curves._assemble_and_solve(rho, nodes, chains, fixed=fixed)
-        assert got == dense_assemble_and_solve(rho, nodes, chains, fixed=fixed)
+        got = curves.solve_laplacian(rho, nodes, edges, fixed)
+        assert got == dense_solve_laplacian(rho, nodes, edges, fixed)
         assert all(got[k] == v for k, v in fixed.items())
+    # the toric Newton system: the cell adjacency graph of exact power cells
+    # of 5 atoms in the hexagon, first weight pinned
+    for _ in range(4):
+        atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
+        atoms = list(dict(atoms).items())
+        weights = [-dot(v, v) / 8 + Fraction(rng.randint(-99, 99), 10**4) for v, _ in atoms]
+        cells, _ = _power_cells(hexagon().ring(), atoms, weights)
+        assert all(cells)
+        edges = _newton_edges(cells, atoms)
+        k = len(atoms)
+        rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
+        fixed = {0: Fraction(0)}
+        got = curves.solve_laplacian(rho, range(k), edges, fixed)
+        assert got == dense_solve_laplacian(rho, range(k), edges, fixed)
+        assert all(isinstance(x, Fraction) for x in got.values())
 
 
 @pytest.mark.parametrize(

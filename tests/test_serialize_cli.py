@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,25 @@ def test_cli_vertex_not_in_graph_exit_2(tmp_path, capsys, command, role):
     }
 
 
+EDGELESS = {"vertices": [0], "edges": []}
+EDGELESS_DOCUMENTS = {
+    "envelope": {"graph": EDGELESS, "omega0": AT_0, "g": {"edges": []}},
+    "orthogonality": {"graph": EDGELESS, "omega0": AT_0, "g": {"edges": []}},
+    "curve-solve": {"graph": EDGELESS, "omega0": AT_0, "mu": AT_0},
+    "curve-green": {"graph": EDGELESS, "omega0": AT_0, "x": {"vertex": 0}},
+}
+
+
+@pytest.mark.parametrize("command", list(EDGELESS_DOCUMENTS))
+def test_cli_edgeless_graph_exit_2(tmp_path, capsys, command):
+    assert _run_documents(tmp_path, command, EDGELESS_DOCUMENTS[command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "GraphError", "message": "graph must have at least one edge"
+    }
+
+
 def test_cli_energy(tmp_path, toric_files, capsys):
     d, g = toric_files
     assert cli.run(["toric-energy", "--delta", d, "--g", g]) == 0
@@ -339,6 +362,26 @@ def test_cli_selftest(capsys):
     assert cli.run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_cli_selftest_output_file(tmp_path, capsys):
+    out = tmp_path / "selftest.txt"
+    assert cli.run(["selftest", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.run(["selftest"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_cli_start_does_not_import_numpy():
+    # the package is standard library only; a fresh interpreter shows it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, plma.cli; plma.cli.build_parser(); print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from plma.geometry import (
 )
 from plma.solver import (
     SolverOptions,
-    _newton_matrix,
+    _newton_edges,
     _power_cells,
     residual,
     solve_curve,
@@ -126,6 +126,18 @@ def test_cells_partition_exactly(rng):
     assert sum(vols) == delta.volume()
 
 
+def newton_matrix(cells, atoms):
+    """The dense Laplacian that the edges of _newton_edges assemble."""
+    k = len(atoms)
+    H = [[0] * k for _ in range(k)]
+    for i, j, w in _newton_edges(cells, atoms):
+        H[i][i] += w
+        H[j][j] += w
+        H[i][j] -= w
+        H[j][i] -= w
+    return H
+
+
 def test_newton_matrix_is_the_volume_derivative(rng):
     # near-Voronoi weights: the cells of the sites v_i / 4, which lie inside
     # the hexagon, moved by noise of denominator 10^6 + 3 into general
@@ -140,7 +152,7 @@ def test_newton_matrix_is_the_volume_derivative(rng):
     ring = delta.ring()
     cells, _ = _power_cells(ring, atoms, weights)
     assert all(cells)
-    H = _newton_matrix(cells, atoms)
+    H = newton_matrix(cells, atoms)
     h = Fraction(1, 10**12)
     k = len(atoms)
     for j in range(k):
@@ -161,7 +173,7 @@ def test_newton_matrix_cut_through_vertices():
     cells, vols = _power_cells(unit_square().ring(), atoms, [Fraction(0), Fraction(-1)])
     assert vols == [Fraction(1, 2), Fraction(1, 2)]
     assert [len(c) for c in cells] == [3, 3]
-    assert _newton_matrix(cells, atoms) == [[1, -1], [-1, 1]]
+    assert newton_matrix(cells, atoms) == [[1, -1], [-1, 1]]
 
 
 def test_hexagon_target_with_noisy_facet():
