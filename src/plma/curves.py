@@ -122,13 +122,6 @@ class MetricGraph:
             ends.setdefault(v, (e, False))
         return ends
 
-    def _vertex_end(self, vid):
-        """(edge, at_start) of the first edge end at vertex vid."""
-        try:
-            return self._vertex_ends[vid]
-        except KeyError:
-            raise GraphError(f"vertex {vid!r} is isolated") from None
-
 
 @dataclass(frozen=True)
 class GraphPoint:
@@ -181,13 +174,13 @@ class GraphPLFunction:
         )
 
     def vertex_value(self, graph: MetricGraph, vid) -> Fraction:
-        e, at_start = graph._vertex_end(vid)
-        return self.edge_values[e][0 if at_start else -1][1]
+        return self.eval(graph, ("v", vid))
 
     def eval(self, graph: MetricGraph, pt) -> Fraction:
         key = graph.point_key(pt)
         if key[0] == "v":
-            return self.vertex_value(graph, key[1])
+            e, at_start = graph._vertex_ends[key[1]]
+            return self.edge_values[e][0 if at_start else -1][1]
         _, e, off = key
         return _interp(self.edge_values[e], off)
 

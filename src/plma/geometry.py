@@ -7,10 +7,13 @@ predicate is exact; no floating point enters this module.
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
-and its edges.  Breakpoints, pruning to essential pieces, the Legendre
-transform `dual_transform`, the Monge-Ampere masses and the toric energy
-all read it.  It walks the subdivision in O(k) exact operations per
-vertex and per edge for k pieces, O(k*V) in all for V vertices.
+and the pairs of pieces that tie along its edges.  Breakpoints, pruning
+to essential pieces, the Monge-Ampere masses and the toric energy all
+read it.  So does the Legendre transform `dual_transform`: it takes F's
+vertices inside the polytope from the 2-D walk, and F's breakpoints along
+each side of the polytope from the 1-D chain of F restricted to that
+side.  The walk takes O(k) exact operations per vertex and per edge for
+k pieces, O(k*V) in all for V vertices.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -212,10 +215,9 @@ def subdivision(pieces):
     left and right in 1-D).  The subdifferential is the convex hull of
     those slopes, so its volume is the Monge-Ampere mass at v.
 
-    edges (2-D only) lists the edges of the subdivision as
-    (origin, direction, length, (a, b)): the points origin + t*direction
-    with 0 <= t <= length, or t >= 0 when length is None, where pieces a
-    and b are the maximum.  A bounded edge appears once from each end.
+    edges (2-D only) lists, for each edge of the subdivision, the pair
+    (a, b) of pieces that are the maximum along it.  A bounded edge
+    appears once from each end.
 
     The vertices are the lower facets of the lifted points (s_i, c_i).  In
     1-D they are read off the lower chain.  In 2-D the walk starts at one
@@ -260,20 +262,14 @@ def cell_moment(cell) -> tuple:
 
 
 def _parallel_edges(pieces, hull):
-    """Edges of a 2-D subdivision whose slopes lie on one line: full lines,
-    each as two opposite rays."""
+    """Edges of a 2-D subdivision whose slopes lie on one line: parallel
+    full lines, one per pair of consecutive pieces of the lower chain
+    along the slope line."""
     if len(hull) < 2:
         return []
     u = vsub(hull[1], hull[0])
     chain = _lower_chain([(dot(vsub(p.slope, hull[0]), u), p.intercept, p) for p in pieces])
-    edges = []
-    for a, b in zip(chain, chain[1:]):
-        # a and b tie on the line <b.slope - a.slope, x> = b.intercept - a.intercept,
-        # which is perpendicular to u; origin is its point on the span of u.
-        origin = vscale((b.intercept - a.intercept) / dot(vsub(b.slope, a.slope), u), u)
-        edges.append((origin, (-u[1], u[0]), None, (a, b)))
-        edges.append((origin, (u[1], -u[0]), None, (a, b)))
-    return edges
+    return list(zip(chain, chain[1:]))
 
 
 def _walk(pieces):
@@ -341,9 +337,8 @@ def _walk(pieces):
         for a, b in zip(ring, ring[1:] + ring[:1]):
             u = vsub(S[b], S[a])
             N = (u[1], -u[0])  # outward normal of the CCW edge (a, b)
+            edges.append((pieces[a], pieces[b]))
             clipped = clip(gap, a, N)
-            length = None if clipped is None else Fraction(clipped[0], E * clipped[1] * q)
-            edges.append((v, N, length, (pieces[a], pieces[b])))
             if clipped is None:
                 continue
             w = step(X, q, N, clipped)
@@ -382,7 +377,7 @@ class PLConvexFunction:
             # parallel edge pair, when the slopes are collinear).
             cells, edges = subdivision(ps)
             keep = {p for _, cell in cells for p in cell}
-            keep.update(p for *_, pair in edges for p in pair)
+            keep.update(p for pair in edges for p in pair)
             ps = [p for p in ps if p in keep]
         ps.sort(key=lambda p: (p.slope, p.intercept))
         return PLConvexFunction(tuple(ps))
@@ -525,28 +520,31 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     The Legendre-type transform of F restricted to delta.  The maximum,
     for each v, is attained at a vertex of the subdivision of delta
     induced by the linearity regions of F, so h is the max-affine
-    function with one piece (u, F(u)) per such vertex: the vertices of
-    delta, the vertices of F's subdivision inside delta, and the points
-    where an edge of F's subdivision crosses an edge of delta.
+    function with one piece (u, F(u)) per such vertex.  The candidates
+    come from three sources: the vertices of delta, the vertices of F's
+    subdivision inside delta, and, in 2-D, the breakpoints of F along each
+    side p -> q of delta.  On that side s -> F(p + s*(q - p)) is the 1-D
+    max of the pieces with slope <s_i, q - p> and intercept c_i - <s_i, p>,
+    and its subdivision vertices with 0 < s < 1 are the points where an
+    edge of F's subdivision crosses the side.
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    cells, edges = subdivision(F.pieces)
     cands = set(delta.vertices)
-    cands.update(v for v, _ in cells if delta.contains(v))
+    cands.update(v for v, _ in subdivision(F.pieces)[0] if delta.contains(v))
     ring = delta.ring()
     if delta.dim == 2 and len(ring) >= 2:
         sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
-        for o, d, length, _ in edges:
-            for p, q in sides:
-                e = vsub(q, p)
-                det = cross2(d, e)
-                if det == 0:
-                    continue
-                w = vsub(p, o)
-                t, s = cross2(w, e) / det, cross2(w, d) / det
-                if 0 <= s <= 1 and 0 <= t and (length is None or t <= length):
-                    cands.add(vadd(p, vscale(s, e)))
+        for p, q in sides:
+            d = vsub(q, p)
+            # equal restricted slopes: only the lowest intercept can matter
+            side = {}
+            for f in F.pieces:
+                x, c = dot(f.slope, d), f.intercept - dot(f.slope, p)
+                if x not in side or c < side[x]:
+                    side[x] = c
+            cells = subdivision([AffineFunctional((x,), c) for x, c in side.items()])[0]
+            cands.update(vadd(p, vscale(s, d)) for (s,), _ in cells if 0 < s < 1)
     pieces = [AffineFunctional(u, F(u)) for u in cands]
     return PLConvexFunction.from_pieces(pieces, prune=False)
 
@@ -556,13 +554,12 @@ def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
 
     samples: iterable of (point, value) pairs.  The result h satisfies
     h(p) <= y for every sample and no convex minorant with slopes in
-    delta exceeds it anywhere.
+    delta exceeds it anywhere.  Samples of mixed dimension, or of another
+    dimension than delta, raise DimensionError.
     """
     samples = [(as_point(p), as_fraction(y)) for p, y in samples]
     if not samples:
         raise ValueError("empty sample set")
-    if any(len(p) != delta.dim for p, _ in samples):
-        raise DimensionError("sample/polytope dimension mismatch")
     F = PLConvexFunction.from_pieces(
         [AffineFunctional(p, y) for p, y in samples], prune=True
     )

@@ -35,7 +35,6 @@ from .geometry import (
     cell_volume,
     convex_envelope,
     dot,
-    dual_transform,
     is_admissible,
     subdivision,
     support_function,
@@ -210,7 +209,7 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
         if not bps:
             raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
         samples.extend((v, g(v)) for v in bps)
-    return dual_transform(PLConvexFunction.from_pieces(samples), delta)
+    return convex_envelope(samples, delta)
 
 
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:

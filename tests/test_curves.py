@@ -179,6 +179,15 @@ def test_points_not_in_the_graph_rejected():
     assert g.point_key(("e", 0, half)) == g.point_key(GraphPoint(0, half)) == ("e", 0, half)
 
 
+def test_vertex_value_of_unknown_vertex_names_it():
+    g = MetricGraph.build([0, 1], [(0, 1, 1)])
+    f = GraphPLFunction.build(g, [[(0, 2), (1, 5)]])
+    assert (f.vertex_value(g, 0), f.vertex_value(g, 1)) == (2, 5)
+    for read in (lambda: f.vertex_value(g, 99), lambda: f.eval(g, vertex_key(99))):
+        with pytest.raises(GraphError, match="^vertex 99 is not a vertex of the graph$"):
+            read()
+
+
 def test_poisson_uniqueness_up_to_constants(rng):
     g = random_graph(rng)
     mu = random_positive_measure(rng, g, Fraction(3))

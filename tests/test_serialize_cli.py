@@ -329,6 +329,78 @@ def test_cli_canonical_golden_stdout_poisson(options, digest, capsys):
     assert err == ""
 
 
+def _shifted_paraboloid(inner, shift):
+    """Lattice paraboloid on the 1/3 grid of the unit square: the four corner
+    slopes plus `inner`, intercepts |s|^2/2 + <s, shift>."""
+    slopes = [(0, 0), (1, 0), (0, 1), (1, 1)] + [(Fraction(i, 3), Fraction(j, 3)) for i, j in inner]
+    return {"pieces": [
+        {"slope": [str(Fraction(c)) for c in s],
+         "intercept": str((Fraction(s[0]) ** 2 + Fraction(s[1]) ** 2) / 2
+                          + s[0] * shift[0] + s[1] * shift[1])}
+        for s in slopes
+    ]}
+
+
+SQUARE_JSON = serialize.polytope_to_json(unit_square())
+MIN_OF_PARABOLOIDS = {"min_of": [
+    _shifted_paraboloid([(1, 1), (2, 1), (1, 2), (2, 2)], (Fraction(1, 4), Fraction(-1, 8))),
+    _shifted_paraboloid([(1, 0), (0, 2), (2, 3), (3, 1)], (Fraction(-3, 8), Fraction(1, 4))),
+]}
+TORIC_GOLDEN = {
+    # hexagon, four atoms, one inside the hull of the others; the snap succeeds
+    "hexagon-a4i1": ("toric-solve", {
+        "delta": {"vertices": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"],
+                               ["1", "1"], ["-1", "-1"]]},
+        "mu": {"atoms": [{"point": ["-1", "-5"], "mass": "1"},
+                         {"point": ["3/2", "-2"], "mass": "1"},
+                         {"point": ["5/3", "-7/3"], "mass": "3"},
+                         {"point": ["3", "-3"], "mass": "1"}]},
+    }),
+    # simplex, five atoms; the snap succeeds
+    "simplex-a5": ("toric-solve", {
+        "delta": serialize.polytope_to_json(simplex2()),
+        "mu": {"atoms": [{"point": ["-1/2", "1/2"], "mass": "1/3"},
+                         {"point": ["0", "0"], "mass": "1/12"},
+                         {"point": ["1/2", "1"], "mass": "1/12"},
+                         {"point": ["5/2", "-5"], "mass": "1/4"},
+                         {"point": ["8", "6"], "mass": "1/4"}]},
+    }),
+    "interval-a3": ("toric-solve", {
+        "delta": serialize.polytope_to_json(interval()),
+        "mu": {"atoms": [{"point": ["-1"], "mass": "1/4"},
+                         {"point": ["1/3"], "mass": "1/2"},
+                         {"point": ["5/2"], "mass": "1/4"}]},
+    }),
+    "envelope-min-of": ("envelope", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
+    "orthogonality-min-of": ("orthogonality", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("hexagon-a4i1",
+         "6a51fe260009783a1f2dbc5a4ef7662b08a880b415fb1ad5baff47bbe9eb95c8"),
+        ("simplex-a5",
+         "e2b77a4032a8066fa43c2909e7da119da00c7aa1ced367c6e1e4cb2513bbe46d"),
+        ("interval-a3",
+         "e5297a288f68c36a33b298f93b03d27bab873dfb6d3269cf6d0267ce99ec55f3"),
+        ("envelope-min-of",
+         "afbbc658bb10f8d6218473a26ca9bcdeda160944aa7f5e2559a2653157200e4c"),
+        ("orthogonality-min-of",
+         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
+    ],
+)
+def test_cli_toric_golden_stdout(tmp_path, case, digest, capsys):
+    # sha256 of the stdout on fixed toric inputs, pinned before the Legendre
+    # transform read its breakpoints along the sides of delta off the 1-D chain
+    command, documents = TORIC_GOLDEN[case]
+    assert _run_documents(tmp_path, command, documents) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
 def test_cli_envelope_and_orthogonality(tmp_path, capsys):
     delta = interval(-1, 1)
     d = write(tmp_path, "delta.json", serialize.polytope_to_json(delta))

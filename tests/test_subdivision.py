@@ -25,6 +25,7 @@ from plma.geometry import (
     dot,
     dual_transform,
     subdifferential,
+    subdivision,
     vadd,
     vscale,
     vsub,
@@ -210,9 +211,26 @@ DELTAS_1D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 1] + [
 ]
 
 
+def check_edges(g):
+    """The edge pairs of a 2-D subdivision: consecutive pieces of the cell
+    rings when the slopes span the plane, else consecutive essential pieces
+    along the slope line, which are all the pieces pruning keeps."""
+    cells, edges = subdivision(g.pieces)
+    if _spans(g.slopes, 2):
+        rings = {(r[i], r[(i + 1) % len(r)]) for _, r in cells for i in range(len(r))}
+        assert set(edges) == rings
+    elif len(g.pieces) > 1:
+        essential = oracle_pruned(g.pieces)  # by slope: lex order is the order along the line
+        assert edges == list(zip(essential, essential[1:]))
+        kept = PLConvexFunction.from_pieces(g.pieces).pieces
+        assert {p for pair in edges for p in pair} == set(kept)
+
+
 def check_against_oracle(g, deltas):
     bps = oracle_breakpoints(g)
     assert breakpoints(g) == bps
+    if g.dim == 2:
+        check_edges(g)
     assert ma_measure(g, deltas[0], check=False).measure_NR.atoms == oracle_ma_atoms(g, bps)
     for delta in deltas:
         assert dual_transform(g, delta).pieces == oracle_dual_transform(g, delta)

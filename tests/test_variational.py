@@ -287,6 +287,16 @@ def test_envelope_min_of_translates_1d():
     assert gap_bps == []
 
 
+def test_envelope_min_of_dimension_errors():
+    # the CLI prints these messages for an obstacle of the wrong dimension
+    line = pl(((-1,), 1), ((1,), 1))
+    plane = pl(((-1, 0), 1), ((1, 0), 1), ((0, 1), 1))
+    for parts, message in (((line, line), "dimension mismatch"),
+                           ((line, plane), "pieces of mixed dimension")):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            envelope_toric(MinOfConvex(parts), unit_square())
+
+
 def test_envelope_circle_dented_tent():
     # psi: dented below the zero function near t=1/4; envelope is affine
     # across the dent and equals psi elsewhere
