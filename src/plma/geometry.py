@@ -12,8 +12,9 @@ to essential pieces, the Monge-Ampere masses and the toric energy all
 read it.  So does the Legendre transform `dual_transform`: it takes F's
 vertices inside the polytope from the 2-D walk, and F's breakpoints along
 each side of the polytope from the 1-D chain of F restricted to that
-side.  The walk takes O(k) exact operations per vertex and per edge for
-k pieces, O(k*V) in all for V vertices.
+side, each with its value read off the cell that found it.  The walk
+takes O(k) exact operations per vertex and per edge for k pieces, O(k*V)
+in all for V vertices.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -527,11 +528,16 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     max of the pieces with slope <s_i, q - p> and intercept c_i - <s_i, p>,
     and its subdivision vertices with 0 < s < 1 are the points where an
     edge of F's subdivision crosses the side.
+
+    Only the vertices of delta pay for a max over all k pieces.  Every
+    other value is read off the kernel cell that found the candidate, in
+    O(1): every piece of a cell is active at its vertex, and the left piece
+    of a side's 1-D cell is F on the side (Lucet, Numer. Algorithms 1997).
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    cands = set(delta.vertices)
-    cands.update(v for v, _ in subdivision(F.pieces)[0] if delta.contains(v))
+    values = {u: F(u) for u in delta.vertices}
+    values.update((v, c[0].value(v)) for v, c in subdivision(F.pieces)[0] if delta.contains(v))
     ring = delta.ring()
     if delta.dim == 2 and len(ring) >= 2:
         sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
@@ -544,8 +550,10 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
                 if x not in side or c < side[x]:
                     side[x] = c
             cells = subdivision([AffineFunctional((x,), c) for x, c in side.items()])[0]
-            cands.update(vadd(p, vscale(s, d)) for (s,), _ in cells if 0 < s < 1)
-    pieces = [AffineFunctional(u, F(u)) for u in cands]
+            values.update(
+                (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
+            )
+    pieces = [AffineFunctional(u, y) for u, y in values.items()]
     return PLConvexFunction.from_pieces(pieces, prune=False)
 
 
@@ -556,12 +564,15 @@ def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
     h(p) <= y for every sample and no convex minorant with slopes in
     delta exceeds it anywhere.  Samples of mixed dimension, or of another
     dimension than delta, raise DimensionError.
+
+    The sample function is not pruned: a sample that is never the strict
+    maximum enters no cell of its subdivision, so `dual_transform` reads
+    the same candidates and values with it or without it.
     """
     samples = [(as_point(p), as_fraction(y)) for p, y in samples]
     if not samples:
         raise ValueError("empty sample set")
     F = PLConvexFunction.from_pieces(
-        [AffineFunctional(p, y) for p, y in samples], prune=True
+        [AffineFunctional(p, y) for p, y in samples], prune=False
     )
     return dual_transform(F, delta)
-

@@ -30,10 +30,14 @@ same elimination as the curve side (curves.solve_laplacian), in floats.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
-weights are fixed in the gauge w_0 = 0, converted to rationals and snapped
-to small denominators, which recovers the exact solution whenever it is
-rational.  The residual of the returned solution is always recomputed
-exactly through the independent subdifferential-volume path.  In one
+weights are fixed in the gauge w_0 = 0, rounded to the common denominator
+2^50 and snapped to small denominators, which recovers the exact solution
+whenever it is rational.  When the snap fails, the weights on 2^-50 are
+returned: one common dyadic denominator keeps the integers of the exact
+check small, where a separate rational approximation per weight made
+their common denominator grow with k.  The residual of the returned
+solution is always recomputed exactly through the independent
+subdifferential-volume path.  In one
 dimension the cells are consecutive intervals and the weights have a
 closed form.
 """
@@ -288,7 +292,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         weights, cells, r = trial, tcells, tr
 
     converged = max(map(abs, r)) <= tol_abs
-    wfrac = [Fraction(w - weights[0]).limit_denominator(10**15) for w in weights]
+    wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
     g = _solution_from_weights(
         delta, atoms, [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
     )

@@ -30,7 +30,6 @@ from .geometry import (
     Polytope,
     as_fraction,
     as_point,
-    breakpoints,
     cell_moment,
     cell_volume,
     convex_envelope,
@@ -131,13 +130,10 @@ class PiecewiseLinear1D:
     def from_convex(g: PLConvexFunction) -> "PiecewiseLinear1D":
         if g.dim != 1:
             raise ValueError("1-D only")
-        bps = breakpoints(g)
+        # each breakpoint's value is read off its cell; with none, g is affine
+        pts = tuple((v[0], c[0].value(v)) for v, c in subdivision(g.pieces)[0])
         slopes = sorted(s[0] for s in g.slopes)
-        if not bps:
-            v0 = Fraction(0)
-            return PiecewiseLinear1D(((v0, g((v0,))),), slopes[0], slopes[-1])
-        pts = tuple((v[0], g(v)) for v in bps)
-        return PiecewiseLinear1D(pts, slopes[0], slopes[-1])
+        return PiecewiseLinear1D(pts or ((Fraction(0), g((0,))),), slopes[0], slopes[-1])
 
     def __call__(self, v) -> Fraction:
         v = as_point(v)[0] if isinstance(v, (tuple, list)) else as_fraction(v)
@@ -189,7 +185,16 @@ class MinOfConvex:
 
 
 def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
-    """Largest convex function with slopes in delta lying below psi."""
+    """Largest convex function with slopes in delta lying below psi.
+
+    psi - h_delta must be bounded below: the recession slopes of a free-form
+    obstacle must bracket delta, and the slopes of every part of a min of
+    convex functions must have delta in their convex hull.  Otherwise the
+    conjugate of a part is infinite somewhere on delta, and EnvelopeError
+    ("obstacle decays below the admissible slope range") is raised.  The
+    conjugate of each part is sampled at its breakpoints, with the values
+    read off the subdivision cells.
+    """
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
             raise EnvelopeError("free-form obstacles are one-dimensional")
@@ -202,13 +207,18 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     if not isinstance(psi, (PLConvexFunction, MinOfConvex)):
         raise TypeError(f"unsupported obstacle type {type(psi).__name__}")
     parts = psi.parts if isinstance(psi, MinOfConvex) else (psi,)
+    # psi - h_delta is bounded below iff every part's slope hull contains delta
+    if all(g.dim == delta.dim for g in parts) and not all(
+        all(map(Polytope.from_points(g.slopes).contains, delta.vertices)) for g in parts
+    ):
+        raise EnvelopeError("obstacle decays below the admissible slope range")
     # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
     samples = []
     for g in parts:
-        bps = breakpoints(g)
-        if not bps:
+        cells = subdivision(g.pieces)[0]
+        if not cells:
             raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
-        samples.extend((v, g(v)) for v in bps)
+        samples.extend((v, c[0].value(v)) for v, c in cells)
     return convex_envelope(samples, delta)
 
 

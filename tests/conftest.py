@@ -7,6 +7,7 @@ import pytest
 from plma.curves import GraphMeasure, GraphPoint, MetricGraph
 from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
 from plma.toric import mixed_ma
+from plma.variational import MinOfConvex
 
 
 def interval(a=0, b=1):
@@ -47,6 +48,27 @@ def random_admissible(rng, delta, extra=4):
         )
         pieces.append(AffineFunctional(sl, rnd_frac(rng)))
     return PLConvexFunction.from_pieces(pieces)
+
+
+def random_min_of(rng, delta, free=1 / 3):
+    """Min of 2-4 convex parts.  A part is, with probability `free`, 1-5
+    pieces with slopes on the 1/2 grid of delta's bounding box grown by 1/2,
+    whose slope hull may miss part of delta; otherwise it is an admissible
+    function translated off the origin."""
+    n = delta.dim
+    lo = [int(2 * min(v[i] for v in delta.vertices)) - 1 for i in range(n)]
+    hi = [int(2 * max(v[i] for v in delta.vertices)) + 1 for i in range(n)]
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < free:
+            slopes = [tuple(Fraction(rng.randint(a, b), 2) for a, b in zip(lo, hi))
+                      for _ in range(rng.randint(1, 5))]
+            g = PLConvexFunction.from_pieces([AffineFunctional(s, rnd_frac(rng)) for s in slopes])
+        else:
+            g = random_admissible(rng, delta, extra=rng.randint(0, 4))
+            g = g.translate(tuple(rnd_frac(rng, den=4) for _ in range(n)))
+        parts.append(g)
+    return MinOfConvex.build(parts)
 
 
 def lattice_paraboloid(rng, k, grid):

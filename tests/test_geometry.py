@@ -14,8 +14,17 @@ from plma.geometry import (
     subdifferential,
     support_function,
 )
+from plma.variational import envelope_toric
 
-from conftest import interval, random_admissible, rnd_frac, simplex2, unit_square
+from conftest import (
+    ACCEPTANCE_POLYTOPES,
+    interval,
+    random_admissible,
+    random_min_of,
+    rnd_frac,
+    simplex2,
+    unit_square,
+)
 
 
 def pl(*pieces):
@@ -89,6 +98,17 @@ def test_convex_envelope_of_convex_is_identity(rng):
             for _ in range(20):
                 v = tuple(rnd_frac(rng, den=8, lo=-3, hi=3) for _ in range(delta.dim))
                 assert env(v) == g(v)
+
+
+def test_envelope_toric_against_breakpoint_samples():
+    # the oracle is the conjugate sampled by evaluating each part at its
+    # breakpoints; envelope_toric reads those values off the kernel cells
+    rng = random.Random("envelope/min-of-admissible")
+    for delta in ACCEPTANCE_POLYTOPES:
+        for _ in range(10):
+            psi = random_min_of(rng, delta, free=0)
+            samples = [(v, g(v)) for g in psi.parts for v in breakpoints(g)]
+            assert envelope_toric(psi, delta) == convex_envelope(samples, delta)
 
 
 def brute_force_envelope(samples, delta, v, grid=48):

@@ -423,6 +423,21 @@ def test_cli_envelope_and_orthogonality(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
+def test_cli_envelope_slope_range_exit_2(tmp_path, command, capsys):
+    # psi = max(u/4 - 1, 3u/4 - 4/3) has slopes in [1/4, 3/4], not all of
+    # delta = [0, 1], so psi - h_delta is unbounded below; an envelope read
+    # off its conjugate samples was max(-5/6, u - 3/2), above psi(0) = -1
+    psi = {"min_of": [{"pieces": [{"slope": ["1/4"], "intercept": "1"},
+                                  {"slope": ["3/4"], "intercept": "4/3"}]}]}
+    documents = {"delta": serialize.polytope_to_json(interval()), "g": psi}
+    assert _run_documents(tmp_path, command, documents) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "EnvelopeError", "message": "obstacle decays below the admissible slope range"}}
+
+
 def test_cli_output_file(tmp_path, toric_files):
     d, g = toric_files
     out = tmp_path / "result.json"

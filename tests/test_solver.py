@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,20 @@ def test_uniqueness_exact(rng):
     rep = solve_toric(delta, nu)
     assert rep.converged
     assert len({g(v) - rep.solution(v) for v in delta.vertices}) == 1
+
+
+def test_generic_k50_target_unsnapped():
+    # uniform masses on 50 atoms of the 1/17 grid: the solution is irrational,
+    # so the snap fails and the weights come back on the common dyadic 2^-50
+    delta = unit_square()
+    grid = [(Fraction(i, 17), Fraction(j, 17)) for i in range(18) for j in range(18)]
+    atoms = random.Random("generic/50").sample(grid, 50)
+    nu = DiscreteMeasure.from_atoms([(p, Fraction(1, 50)) for p in atoms])
+    rep = solve_toric(delta, nu)
+    assert rep.converged
+    assert any(e != 0 for _, e in rep.polished_residual)
+    assert rep.residual == residual(rep.solution, nu, delta)
+    assert all(abs(e) <= Fraction(1, 10**10) * delta.volume() for _, e in rep.residual)
 
 
 def test_cells_partition_exactly(rng):

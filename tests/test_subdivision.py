@@ -21,6 +21,7 @@ from plma.geometry import (
     PLConvexFunction,
     Polytope,
     breakpoints,
+    convex_envelope,
     cross2,
     dot,
     dual_transform,
@@ -250,6 +251,28 @@ def test_small_grid_against_oracle(n):
         for prune in (True, False):
             g = PLConvexFunction.from_pieces(pieces, prune=prune)
             check_against_oracle(g, [rng.choice(deltas)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_convex_envelope_against_oracle(n):
+    # convex_envelope does not prune its samples: repeated points with a
+    # larger value and samples that are never the strict maximum must leave
+    # the transform of the pruned sample function unchanged
+    rng = random.Random(f"envelope/{n}")
+    deltas = DELTAS_1D if n == 1 else DELTAS_2D
+    non_essential = 0
+    for _ in range(60):
+        samples = [(p.slope, p.intercept) for p in small_pieces(rng, n)]
+        repeated = rng.sample(samples, min(3, len(samples)))
+        samples += [(x, y + rng.randint(0, 2)) for x, y in repeated]
+        rng.shuffle(samples)
+        F = PLConvexFunction.from_pieces([AffineFunctional(x, y) for x, y in samples], prune=True)
+        non_essential += len(F.pieces) < len({x for x, _ in samples})
+        for delta in deltas:
+            env = convex_envelope(samples, delta)
+            assert env == dual_transform(F, delta)
+            assert env.pieces == oracle_dual_transform(F, delta)
+    assert non_essential > 10
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -21,10 +22,14 @@ from plma.geometry import (
     DimensionError,
     PLConvexFunction,
     Polytope,
+    breakpoints,
+    dot,
     support_function,
+    vsub,
 )
 from plma.toric import AdmissibilityError, degree, ma_measure, point_mass_solution
 from plma.variational import (
+    EnvelopeError,
     MinOfConvex,
     PiecewiseLinear1D,
     energy_curve,
@@ -48,6 +53,7 @@ from conftest import (
     polarization_energy,
     random_admissible,
     random_graph,
+    random_min_of,
     random_positive_measure,
     rnd_frac,
     simplex2,
@@ -295,6 +301,51 @@ def test_envelope_min_of_dimension_errors():
                            ((line, plane), "pieces of mixed dimension")):
         with pytest.raises(DimensionError, match=f"^{message}$"):
             envelope_toric(MinOfConvex(parts), unit_square())
+
+
+def decays(g, delta):
+    """Whether g grows slower than h_delta along some direction d, so that
+    g - h_delta is unbounded below: max <s, d> over the slopes s of g is
+    below max <u, d> over delta.  A separating direction is among the
+    differences of two of these points and their normals."""
+    if delta.dim == 1:
+        dirs = [(Fraction(1),), (Fraction(-1),)]
+    else:
+        dirs = []
+        for p, q in itertools.combinations(list(g.slopes) + list(delta.vertices), 2):
+            w = vsub(q, p)
+            dirs += [w, (-w[0], -w[1]), (w[1], -w[0]), (-w[1], w[0])]
+    return any(
+        max(dot(s, d) for s in g.slopes) < max(dot(u, d) for u in delta.vertices) for d in dirs
+    )
+
+
+def test_envelope_min_of_below_obstacle_or_rejected():
+    # an obstacle whose parts all cover delta with their slopes gets an
+    # envelope below it with zero orthogonality defect; any other obstacle
+    # decays below h_delta along some direction and is rejected
+    rng = random.Random("envelope/min-of")
+    outcomes = {1: set(), 2: set()}
+    for delta in ACCEPTANCE_POLYTOPES:
+        n = delta.dim
+        step, reach = (4, 12) if n == 1 else (2, 4)
+        grid = [Fraction(j, step) for j in range(-reach, reach + 1)]
+        for _ in range(15):
+            psi = random_min_of(rng, delta)
+            try:
+                env = envelope_toric(psi, delta)
+            except EnvelopeError as exc:
+                assert str(exc) == "obstacle decays below the admissible slope range"
+                assert any(decays(g, delta) for g in psi.parts)
+                outcomes[n].add("rejected")
+                continue
+            assert not any(decays(g, delta) for g in psi.parts)
+            points = list(itertools.product(grid, repeat=n)) + breakpoints(env)
+            points += [v for g in psi.parts for v in breakpoints(g)]
+            assert all(env(v) <= psi(v) for v in points)
+            assert orthogonality_defect_toric(psi, delta) == 0
+            outcomes[n].add("accepted")
+    assert outcomes == {1: {"accepted", "rejected"}, 2: {"accepted", "rejected"}}
 
 
 def test_envelope_circle_dented_tent():
