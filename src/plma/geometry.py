@@ -2,8 +2,14 @@
 
 Polytopes in V-representation, finite-max-of-affine convex functions,
 subdifferentials, volumes and moments, and Legendre-type transforms over
-a polytope.  All coordinates are `fractions.Fraction` and every
-predicate is exact; no floating point enters this module.
+a polytope.  All coordinates are `fractions.Fraction`.  The predicates
+scale them once to integers over a common denominator and then run on
+`int`s: the walk on the slopes and intercepts of all pieces, the
+point-in-polygon test on a table of integer half-planes, one per side,
+and the cell volume and moment on the slopes of the cell.  So every
+predicate is exact, no floating point enters this module, and there is
+one `Fraction` per result (the small-integer exact computation of Yap,
+Comput. Geom. 1997).
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
@@ -92,9 +98,23 @@ def _hull2(points):
     return ring
 
 
+def _scaled(xs, D):
+    """The integers D * x for rationals x whose denominators divide D."""
+    return tuple(x.numerator * (D // x.denominator) for x in xs)
+
+
+def _integer_points(points):
+    """Rational points as integer points P over their common denominator D,
+    each point being P / D; returns (P, D)."""
+    D = math.lcm(*(c.denominator for p in points for c in p))
+    return [_scaled(p, D) for p in points], D
+
+
 def ring_area(ring):
-    """Signed area of a polygon given by its boundary points (shoelace)."""
-    return sum((cross2(a, b) for a, b in zip(ring, ring[1:] + ring[:1])), Fraction(0)) / 2
+    """Signed area of a polygon given by its boundary points: the shoelace
+    sum on the integer points P / D, over 2 D^2."""
+    P, D = _integer_points(ring)
+    return Fraction(sum(cross2(a, b) for a, b in zip(P, P[1:] + P[:1])), 2 * D * D)
 
 
 @dataclass(frozen=True)
@@ -141,13 +161,28 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.volume() > 0
 
+    @cached_property
+    def _halfplanes(self):
+        """Integers (n0, n1, c) with n0 u0 + n1 u1 >= c on the polygon, one
+        per counterclockwise side (a, b): n is the inward normal of b - a."""
+        out = []
+        for a, b in zip(self._ring, self._ring[1:] + self._ring[:1]):
+            n0, n1 = a[1] - b[1], b[0] - a[0]
+            c = n0 * a[0] + n1 * a[1]
+            m = math.lcm(n0.denominator, n1.denominator, c.denominator)
+            out.append(_scaled((n0, n1, c), m))
+        return tuple(out)
+
     def contains(self, p) -> bool:
+        """Whether p lies in the polytope.  In 2-D, p = (x0/q0, x1/q1) lies in a
+        polygon iff n0 x0 q1 + n1 x1 q0 >= c q0 q1 for every side's integer
+        half-plane (n0, n1, c)."""
         p = as_point(p)
         if len(p) != self.dim:
             raise DimensionError("point/polytope dimension mismatch")
         if self.dim == 1:
             return self.vertices[0][0] <= p[0] <= self.vertices[-1][0]
-        ring = self.ring()
+        ring = self._ring
         if len(ring) == 1:
             return p == ring[0]
         if len(ring) == 2:
@@ -159,10 +194,8 @@ class Polytope:
             # p = a + s*d with s in [0,1]
             s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
             return 0 <= s <= 1
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            if cross2(vsub(b, a), vsub(p, a)) < 0:
-                return False
-        return True
+        x0, q0, x1, q1 = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+        return all(n0 * x0 * q1 + n1 * x1 * q0 >= c * q0 * q1 for n0, n1, c in self._halfplanes)
 
     def translate(self, t) -> "Polytope":
         t = as_point(t)
@@ -227,7 +260,8 @@ def subdivision(pieces):
     t > 0 at which some piece overtakes a and b, and none means the edge
     is unbounded.  That is O(k) exact work per vertex and per edge, for k
     pieces.  Collinear slopes in 2-D give no vertex; their edges are the
-    parallel lines of the lower chain along the slope line.
+    parallel lines of the lower chain along the slope line, which an O(k)
+    cross-product test on the integer slopes detects.
     """
     pieces = list(pieces)
     if len(pieces[0].slope) == 1:
@@ -237,14 +271,12 @@ def subdivision(pieces):
             for a, b in zip(chain, chain[1:])
         ]
         return cells, []
-    hull = _hull2([p.slope for p in pieces])
-    if len(hull) < 3:
-        return [], _parallel_edges(pieces, hull)
     return _walk(pieces)
 
 
 def cell_volume(cell) -> Fraction:
-    """Volume of the subdifferential spanned by a cell of `subdivision`."""
+    """Volume of the subdifferential spanned by a cell of `subdivision`;
+    in 2-D the shoelace sum on the cell's slopes, run on integers."""
     if len(cell[0].slope) == 1:
         return cell[1].slope[0] - cell[0].slope[0]
     return ring_area([p.slope for p in cell])
@@ -253,37 +285,40 @@ def cell_volume(cell) -> Fraction:
 def cell_moment(cell) -> tuple:
     """First moment, the integral of u du, over the subdifferential spanned
     by a cell of `subdivision`: (b^2 - a^2)/2 on [a, b] in 1-D, and the sum
-    of (p + q) cross(p, q)/6 over the counterclockwise edges (p, q) in 2-D."""
+    of (p + q) cross(p, q)/6 over the counterclockwise edges (p, q) in 2-D,
+    run on the integer slopes P / D of the cell and divided by 6 D^3."""
     if len(cell[0].slope) == 1:
         a, b = cell[0].slope[0], cell[1].slope[0]
         return ((b * b - a * a) / 2,)
-    ring = [p.slope for p in cell]
+    ring, D = _integer_points([p.slope for p in cell])
     edges = [(p, q, cross2(p, q)) for p, q in zip(ring, ring[1:] + ring[:1])]
-    return tuple(sum((p[i] + q[i]) * c for p, q, c in edges) / 6 for i in (0, 1))
+    return tuple(Fraction(sum((p[i] + q[i]) * c for p, q, c in edges), 6 * D**3) for i in (0, 1))
 
 
-def _parallel_edges(pieces, hull):
-    """Edges of a 2-D subdivision whose slopes lie on one line: parallel
-    full lines, one per pair of consecutive pieces of the lower chain
-    along the slope line."""
-    if len(hull) < 2:
-        return []
-    u = vsub(hull[1], hull[0])
-    chain = _lower_chain([(dot(vsub(p.slope, hull[0]), u), p.intercept, p) for p in pieces])
+def _parallel_edges(pieces, S, C):
+    """Edges of a 2-D subdivision whose integer slopes S lie on one line:
+    parallel full lines, one per pair of consecutive pieces of the lower
+    chain along the slope line, from its lexicographically first end to
+    its last."""
+    u = vsub(max(S), min(S))
+    chain = _lower_chain([(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])
     return list(zip(chain, chain[1:]))
 
 
 def _walk(pieces):
-    """The 2-D subdivision walk of `subdivision`, for slopes spanning the plane.
+    """The 2-D part of `subdivision`.
 
     It runs on integers: slopes are S_i / D and intercepts C_i / E over
     common denominators, and a vertex is X / q in lowest terms, where piece
-    i has the value (E <S_i, X> - D q C_i) / (D E q).
+    i has the value (E <S_i, X> - D q C_i) / (D E q).  Slopes that do not
+    span the plane go to `_parallel_edges`.
     """
-    D = math.lcm(*(c.denominator for p in pieces for c in p.slope))
+    S, D = _integer_points([p.slope for p in pieces])
     E = math.lcm(*(p.intercept.denominator for p in pieces))
-    S = [(int(p.slope[0] * D), int(p.slope[1] * D)) for p in pieces]
-    C = [int(p.intercept * E) for p in pieces]
+    C = _scaled([p.intercept for p in pieces], E)
+    u = vsub(S[-1], S[0])
+    if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
+        return [], _parallel_edges(pieces, S, C)
     index = {s: i for i, s in enumerate(S)}
 
     def gaps(X, q):
@@ -377,9 +412,9 @@ class PLConvexFunction:
             # extreme point of some cell of the subdivision (or of some
             # parallel edge pair, when the slopes are collinear).
             cells, edges = subdivision(ps)
-            keep = {p for _, cell in cells for p in cell}
-            keep.update(p for pair in edges for p in pair)
-            ps = [p for p in ps if p in keep]
+            keep = {id(p) for _, cell in cells for p in cell}
+            keep.update(id(p) for pair in edges for p in pair)
+            ps = [p for p in ps if id(p) in keep]
         ps.sort(key=lambda p: (p.slope, p.intercept))
         return PLConvexFunction(tuple(ps))
 

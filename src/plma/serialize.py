@@ -22,7 +22,6 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    as_fraction,
 )
 
 
@@ -40,7 +39,7 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError(f"expected a rational string, got {s!r}")
     try:
-        return as_fraction(Fraction(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 

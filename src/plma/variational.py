@@ -188,12 +188,13 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     """Largest convex function with slopes in delta lying below psi.
 
     psi - h_delta must be bounded below: the recession slopes of a free-form
-    obstacle must bracket delta, and the slopes of every part of a min of
-    convex functions must have delta in their convex hull.  Otherwise the
-    conjugate of a part is infinite somewhere on delta, and EnvelopeError
-    ("obstacle decays below the admissible slope range") is raised.  The
-    conjugate of each part is sampled at its breakpoints, with the values
-    read off the subdivision cells.
+    obstacle must bracket delta, and the slopes of a convex obstacle, or of
+    every part of a min of convex functions, must have delta in their
+    convex hull.  Otherwise the conjugate of a part is infinite somewhere on
+    delta, and EnvelopeError ("obstacle decays below the admissible slope
+    range") is raised.  An admissible convex obstacle is its own envelope.
+    The conjugate of each part is sampled at its breakpoints, with the
+    values read off the subdivision cells.
     """
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
@@ -202,7 +203,7 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
         if not (psi.left_slope <= a and b <= psi.right_slope):
             raise EnvelopeError("obstacle decays below the admissible slope range")
         return convex_envelope([((v,), y) for v, y in psi.points], delta)
-    if isinstance(psi, PLConvexFunction) and all(delta.contains(s) for s in psi.slopes):
+    if isinstance(psi, PLConvexFunction) and is_admissible(psi, delta):
         return psi
     if not isinstance(psi, (PLConvexFunction, MinOfConvex)):
         raise TypeError(f"unsupported obstacle type {type(psi).__name__}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,13 @@ from plma.geometry import (
     Polytope,
     breakpoints,
     convex_envelope,
+    cross2,
     is_admissible,
     subdifferential,
     support_function,
+    vadd,
+    vscale,
+    vsub,
 )
 from plma.variational import envelope_toric
 
@@ -202,6 +207,63 @@ def test_polytope_canonical_form():
     ring.append((5, 5))
     assert p.ring() == [(0, 0), (1, 0), (1, 1), (0, 1)]
     assert p == unit_square() and hash(p) == hash(unit_square())
+
+
+def contains_by_cross_products(delta, p):
+    """Polytope.contains as it was before the integer half-planes: a point
+    lies in a polygon iff it is left of or on every counterclockwise side."""
+    if delta.dim == 1:
+        return delta.vertices[0][0] <= p[0] <= delta.vertices[-1][0]
+    ring = delta.ring()
+    if len(ring) == 1:
+        return p == ring[0]
+    if len(ring) == 2:
+        a, b = ring
+        if cross2(vsub(b, a), vsub(p, a)) != 0:
+            return False
+        t, d = vsub(p, a), vsub(b, a)
+        s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
+        return 0 <= s <= 1
+    return all(cross2(vsub(b, a), vsub(p, a)) >= 0 for a, b in zip(ring, ring[1:] + ring[:1]))
+
+
+def probe_points(rng, delta):
+    """Vertices, side midpoints, the points 1/12 off them along both axes
+    (just inside and just outside), and random points of the bounding box
+    grown by 1, all with denominators at most 12."""
+    ring = delta.ring()
+    marks = ring + [vscale(Fraction(1, 2), vadd(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+    steps = [Fraction(i, 12) for i in (-1, 0, 1)]
+    pts = [vadd(m, d) for m in marks for d in itertools.product(steps, repeat=delta.dim)]
+    lo = [min(v[i] for v in ring) - 1 for i in range(delta.dim)]
+    hi = [max(v[i] for v in ring) + 1 for i in range(delta.dim)]
+    for _ in range(40):
+        q = rng.randint(1, 12)
+        pts.append(tuple(Fraction(rng.randint(int(a * q), int(b * q)), q) for a, b in zip(lo, hi)))
+    return pts
+
+
+def test_contains_against_cross_products():
+    rng = random.Random("contains")
+    # a random polygon on the 1/6 grid: midpoints and the 1/12 steps stay
+    # on the 1/12 grid
+    polygon = Polytope.from_points(
+        [(Fraction(rng.randint(-12, 12), 6), Fraction(rng.randint(-12, 12), 6)) for _ in range(9)])
+    assert len(polygon.ring()) >= 5
+    deltas = ACCEPTANCE_POLYTOPES + [
+        polygon,
+        Polytope.from_points([(0, 0), (2, 1)]),  # a segment
+        Polytope.from_points([(0, 1), (0, Fraction(5, 3))]),  # a vertical segment
+        Polytope.from_points([(Fraction(1, 3), Fraction(-1, 2))]),  # a point
+    ]
+    for delta in deltas:
+        answers = set()
+        for p in probe_points(rng, delta):
+            assert max(c.denominator for c in p) <= 12
+            got = delta.contains(p)
+            assert got == contains_by_cross_products(delta, p), (delta, p)
+            answers.add(got)
+        assert answers == {True, False}
 
 
 def test_pieces_are_essential():

@@ -174,8 +174,8 @@ VALID_DOCUMENTS = {
 EDGE_5 = {"edge": 5, "offset": "1/2"}
 
 
-def _run_documents(tmp_path, command, documents):
-    args = [command]
+def _run_documents(tmp_path, command, documents, options=()):
+    args = [command, *options]
     for name, doc in documents.items():
         args += ["--" + name, write(tmp_path, name + ".json", doc)]
     return cli.run(args)
@@ -401,6 +401,60 @@ def test_cli_toric_golden_stdout(tmp_path, case, digest, capsys):
     assert err == ""
 
 
+SUPPORT_SQUARE = serialize.pl_function_to_json(support_function(unit_square()))
+# the lattice paraboloid on the whole 1/3 grid of the unit square, k = 16
+PARABOLOID_16 = _shifted_paraboloid(
+    [(i, j) for i in range(4) for j in range(4) if {i, j} - {0, 3}], (0, 0))
+# the corner slopes plus five interior slopes over the common denominator 6
+DENOMINATOR_6 = {"pieces": [
+    {"slope": s, "intercept": c} for s, c in [
+        (["0", "0"], "1/6"), (["1", "0"], "1/3"), (["0", "1"], "1/2"), (["1", "1"], "5/6"),
+        (["1/6", "1/2"], "-1/6"), (["5/6", "1/3"], "1/6"), (["1/2", "5/6"], "1/3"),
+        (["1/3", "1/6"], "-1/3"), (["1/2", "1/2"], "-1/2"),
+    ]
+]}
+CSV = ("--format", "csv")
+MA_ENERGY_GOLDEN = {
+    "ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": SUPPORT_SQUARE}, ()),
+    "ma-paraboloid16": ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, ()),
+    "ma-denominator6": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, ()),
+    "ma-paraboloid16-csv": ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, CSV),
+    "ma-denominator6-csv": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, CSV),
+    "energy-paraboloid16": ("toric-energy", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, ()),
+    "energy-denominator6": ("toric-energy",
+                            {"delta": SQUARE_JSON, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, ()),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("ma-square",
+         "d21af9d40a66bb273084b0c566cc0ec0948b362450e77cec3d1720903254f0c4"),
+        ("ma-paraboloid16",
+         "94bed1a5dc43e8b3b1e3e5f32fd2a1f4ea00309f845d29d482dfc49cb43ffd43"),
+        ("ma-denominator6",
+         "d722785e8e937b1c704e2913674c709fac7301079269089b7516a0cbc47bd770"),
+        ("ma-paraboloid16-csv",
+         "2f844aa6a2f65113a5861323c02fb18a2b51609863a72918559e74aeb9269e27"),
+        ("ma-denominator6-csv",
+         "ea2be3cf52a2c2c3e031d02f7f7f4658b884a3be32eac0be0c40791450904a86"),
+        ("energy-paraboloid16",
+         "a0b78a2c3f35e5d47d82d83c6c32b71d5d48607b96b60b81d3580fc502ae96b2"),
+        ("energy-denominator6",
+         "45294bd002b287e7a286b4f1c9b4469d9ba3f5d8e272a7b0e189ec380737c136"),
+    ],
+)
+def test_cli_toric_ma_energy_golden_stdout(tmp_path, case, digest, capsys):
+    # sha256 of the stdout of the two commands that run the subdivision kernel
+    # end to end, pinned before its predicates ran on integers
+    command, documents, options = MA_ENERGY_GOLDEN[case]
+    assert _run_documents(tmp_path, command, documents, options) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
 def test_cli_envelope_and_orthogonality(tmp_path, capsys):
     delta = interval(-1, 1)
     d = write(tmp_path, "delta.json", serialize.polytope_to_json(delta))
@@ -430,6 +484,23 @@ def test_cli_envelope_slope_range_exit_2(tmp_path, command, capsys):
     # off its conjugate samples was max(-5/6, u - 3/2), above psi(0) = -1
     psi = {"min_of": [{"pieces": [{"slope": ["1/4"], "intercept": "1"},
                                   {"slope": ["3/4"], "intercept": "4/3"}]}]}
+    documents = {"delta": serialize.polytope_to_json(interval()), "g": psi}
+    assert _run_documents(tmp_path, command, documents) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "EnvelopeError", "message": "obstacle decays below the admissible slope range"}}
+
+
+@pytest.mark.parametrize("spelling", ["convex", "min-of"])
+@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
+def test_cli_convex_obstacle_slope_range_exit_2(tmp_path, command, spelling, capsys):
+    # psi = u/2 has its one slope in delta = [0, 1] but not delta in its slope
+    # hull: psi - h_delta is unbounded below whether psi comes as a convex
+    # function or as a min of one, and envelope once printed psi for the first
+    psi = {"pieces": [{"slope": ["1/2"], "intercept": "0"}]}
+    if spelling == "min-of":
+        psi = {"min_of": [psi]}
     documents = {"delta": serialize.polytope_to_json(interval()), "g": psi}
     assert _run_documents(tmp_path, command, documents) == 2
     out, err = capsys.readouterr()

@@ -21,6 +21,8 @@ from plma.geometry import (
     PLConvexFunction,
     Polytope,
     breakpoints,
+    cell_moment,
+    cell_volume,
     convex_envelope,
     cross2,
     dot,
@@ -204,6 +206,33 @@ def small_pieces(rng, n):
             for s in slopes]
 
 
+def rational_pieces(rng):
+    """1-12 pieces in 2-D with slopes on the 1/den grid of [0, 2]^2 for a
+    den of 2 to 6 per draw, so that the slopes have a common denominator
+    above 1.  One draw in four puts every slope on a line."""
+    k, den = rng.randint(1, 12), rng.randint(2, 6)
+    if rng.random() < 0.25:
+        base = (rng.randint(0, den), rng.randint(0, den))
+        u = (rng.randint(-2, 2), rng.randint(1, 2))
+        slopes = [vadd(base, vscale(rng.randint(-2, 2), u)) for _ in range(k)]
+    else:
+        slopes = [(rng.randint(0, 2 * den), rng.randint(0, 2 * den)) for _ in range(k)]
+    return [AffineFunctional((Fraction(s0, den), Fraction(s1, den)),
+                             Fraction(rng.randint(-4, 4), 4)) for s0, s1 in slopes]
+
+
+def fraction_shoelace(ring):
+    """The shoelace formula on the rational slopes of a cell."""
+    return sum((cross2(a, b) for a, b in zip(ring, ring[1:] + ring[:1])), Fraction(0)) / 2
+
+
+def fraction_moment(ring):
+    """The integral of u du over a polygon: the sum of (p + q) cross(p, q)/6
+    over its counterclockwise edges (p, q), on the rational slopes."""
+    edges = [(p, q, cross2(p, q)) for p, q in zip(ring, ring[1:] + ring[:1])]
+    return tuple(sum(((p[i] + q[i]) * c for p, q, c in edges), Fraction(0)) / 6 for i in (0, 1))
+
+
 DELTAS_2D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 2] + [
     Polytope.from_points([(0, 0), (2, 1)]),  # a segment
 ]
@@ -251,6 +280,27 @@ def test_small_grid_against_oracle(n):
         for prune in (True, False):
             g = PLConvexFunction.from_pieces(pieces, prune=prune)
             check_against_oracle(g, [rng.choice(deltas)])
+
+
+def test_rational_slopes_against_oracle():
+    rng = random.Random("subdivision/rational")
+    collinear = volumes = 0
+    for _ in range(120):
+        pieces = rational_pieces(rng)
+        assert PLConvexFunction.from_pieces(pieces).pieces == oracle_pruned(pieces)
+        g = PLConvexFunction.from_pieces(pieces, prune=rng.random() < 0.5)
+        check_against_oracle(g, [rng.choice(DELTAS_2D)])
+        collinear += len(g.pieces) > 1 and not _spans(g.slopes, 2)
+        cells, edges = subdivision(g.pieces)
+        # the same cells and edge pairs whatever the order of the pieces
+        shuffled = subdivision(rng.sample(g.pieces, len(g.pieces)))
+        assert shuffled[0] == cells and set(shuffled[1]) == set(edges)
+        for _, cell in cells:
+            ring = [p.slope for p in cell]
+            assert cell_volume(cell) == fraction_shoelace(ring)
+            assert cell_moment(cell) == fraction_moment(ring)
+            volumes += 1
+    assert collinear > 10 and volumes > 200
 
 
 @pytest.mark.parametrize("n", [1, 2])

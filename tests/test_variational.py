@@ -24,6 +24,7 @@ from plma.geometry import (
     Polytope,
     breakpoints,
     dot,
+    is_admissible,
     support_function,
     vsub,
 )
@@ -301,6 +302,32 @@ def test_envelope_min_of_dimension_errors():
                            ((line, plane), "pieces of mixed dimension")):
         with pytest.raises(DimensionError, match=f"^{message}$"):
             envelope_toric(MinOfConvex(parts), unit_square())
+
+
+def test_envelope_convex_obstacle_as_min_of_one():
+    # a convex obstacle and the min of it alone have the same envelope or
+    # the same error: psi itself when it is admissible, else the slope-range
+    # error when delta is not in its slope hull, else a dimension error
+    rng = random.Random("envelope/convex")
+    line = pl(((-1,), 1), ((1,), 1))
+    cases = [(line, unit_square()), (support_function(unit_square()), interval())]
+    for delta in ACCEPTANCE_POLYTOPES:
+        for _ in range(10):
+            psi = random_min_of(rng, delta).parts[0]
+            cases.append((psi, delta))
+    outcomes = set()
+    for psi, delta in cases:
+        got = []
+        for obstacle in (psi, MinOfConvex((psi,))):
+            try:
+                got.append(envelope_toric(obstacle, delta))
+            except (DimensionError, EnvelopeError) as exc:
+                got.append((type(exc), str(exc)))
+        assert got[0] == got[1]
+        if got[0] == psi:
+            assert is_admissible(psi, delta)
+        outcomes.add(got[0] == psi if isinstance(got[0], PLConvexFunction) else got[0][0])
+    assert outcomes == {True, False, EnvelopeError, DimensionError}
 
 
 def decays(g, delta):
