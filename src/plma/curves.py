@@ -185,17 +185,22 @@ class GraphPLFunction:
         return _interp(self.edge_values[e], off)
 
     def combine(self, other: "GraphPLFunction", a, b) -> "GraphPLFunction":
-        """a * self + b * other, breakpoints merged per edge."""
+        """a * self + b * other, breakpoints merged per edge.
+
+        Both functions must live on the same edges: a different edge count,
+        or an edge whose breakpoints start or end at different offsets,
+        raises GraphError.
+        """
         a, b = as_fraction(a), as_fraction(b)
-        evs = []
-        for p1, p2 in zip(self.edge_values, other.edge_values):
-            offs = sorted({o for o, _ in p1} | {o for o, _ in p2})
-            evs.append(
-                tuple(
-                    (o, a * _interp(p1, o) + b * _interp(p2, o)) for o in offs
-                )
+        if len(self.edge_values) != len(other.edge_values):
+            raise GraphError(
+                f"edge count mismatch: {len(self.edge_values)} and {len(other.edge_values)}"
             )
-        return GraphPLFunction(tuple(evs))
+        return GraphPLFunction(
+            tuple(
+                _merge(p1, p2, a, b) for p1, p2 in zip(self.edge_values, other.edge_values)
+            )
+        )
 
     def __add__(self, other):
         return self.combine(other, 1, 1)
@@ -234,6 +239,34 @@ def _interp(pairs, off):
         if o1 <= off <= o2:
             return y1 + (y2 - y1) * (off - o1) / (o2 - o1)
     raise GraphError("offset outside edge")
+
+
+def _merge(p1, p2, a, b):
+    """The breakpoints of a * f1 + b * f2 on one edge, from those of f1 and f2.
+
+    One pass over both sorted lists: a breakpoint of one function lies on
+    the current segment of the other, which is interpolated there, so an
+    edge costs O(len(p1) + len(p2)).
+    """
+    if p1[0][0] != p2[0][0] or p1[-1][0] != p2[-1][0]:
+        raise GraphError("edge end offsets differ")
+    out = [(p1[0][0], a * p1[0][1] + b * p2[0][1])]
+    i = j = 1
+    while i < len(p1):
+        (o1, y1), (o2, y2) = p1[i], p2[j]
+        if o1 == o2:
+            out.append((o1, a * y1 + b * y2))
+            i += 1
+            j += 1
+        elif o1 < o2:
+            q, z = p2[j - 1]
+            out.append((o1, a * y1 + b * (z + (y2 - z) * (o1 - q) / (o2 - q))))
+            i += 1
+        else:
+            q, z = p1[i - 1]
+            out.append((o2, a * (z + (y1 - z) * (o2 - q) / (o1 - q)) + b * y2))
+            j += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)

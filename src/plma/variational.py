@@ -10,16 +10,17 @@ minorant, computed exactly through Legendre transforms over the polytope.
 Curve: the largest subharmonic minorant, an obstacle problem on the
 finitely many points where it can bend (vertices, obstacle breakpoints,
 reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
-Zidani, SIAM J. Numer. Anal. 2009) solves it over the rationals, one
-exact Poisson solve per contact set, and the result is verified against
-the obstacle and the subharmonicity constraint.
+Zidani, SIAM J. Numer. Anal. 2009) solves it: a float pass only guesses
+the contact set, and an exact pass started from that guess, usually one
+rational Poisson solve, stops at exact complementarity.  The result is
+verified against the obstacle and the subharmonicity constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 from . import curves
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph
@@ -242,14 +243,22 @@ def envelope_subharmonic(
     The envelope is linear between the nodes (vertices, obstacle
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
-    s = 0 wherever x < psi.  Howard's policy iteration solves it over the
-    rationals.  Starting from the contact set C = every node, solve
-    x = psi on C and laplacian(x) = -omega0 off C, then set
-    C = {k : psi(k) - x(k) <= s(k)}, until C repeats.  The iterates
-    decrease monotonically to the solution, which an obstacle problem
-    reaches in at most len(nodes) + 1 solves (Bokanowski, Maroso and
-    Zidani).  The result is verified against the obstacle and
-    subharmonicity; a failure raises ConvergenceError.
+    s = 0 wherever x < psi.  Howard's policy iteration (_howard) solves it:
+    from a contact set C, solve x = psi on C and laplacian(x) = -omega0
+    off C, then set C = {k : psi(k) - x(k) <= s(k)}.
+
+    The iteration runs twice.  First in floats, from C = every node until
+    a contact set repeats: this guide only proposes a contact set.  Then
+    over the rationals from that set, until x is exactly complementary
+    (x <= psi and s >= 0 at every node; s = 0 off C holds by
+    construction), which a good guess passes after one solve.  If the
+    guide fails (an overflow, a singular or non-finite solve, no repeat
+    or an empty contact set), the exact pass starts from every node
+    instead.  Howard's iteration converges from any nonempty contact set,
+    in at most len(nodes) + 1 exact solves (Bokanowski, Maroso and
+    Zidani), and the solution is unique, so the guide changes the cost
+    and never the result.  The result is verified against the obstacle
+    and subharmonicity; a failure raises ConvergenceError.
     """
     if curves.is_subharmonic(psi, graph, omega0):
         return psi
@@ -258,24 +267,59 @@ def envelope_subharmonic(
     )
     obstacle = {k: psi.eval(graph, k) for k in nodes}
     mass = dict(omega0.atoms)
-    source = {k: -m for k, m in mass.items()}
-    contact = set(nodes)
-    for _ in range(len(nodes) + 1):
-        fixed = {k: obstacle[k] for k in contact}
-        x = curves.solve_laplacian(source, nodes, edges, fixed)
-        s = {k: mass.get(k, Fraction(0)) for k in nodes}
-        for a, b, w in edges:
-            d = w * (x[b] - x[a])
-            s[a] += d
-            s[b] -= d
-        nxt = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
-        if nxt == contact:
+    contact = _float_contact(obstacle, mass, nodes, edges) or set(nodes)
+    for x, s, _ in _howard(obstacle, mass, nodes, edges, contact):
+        if all(x[k] <= obstacle[k] and s[k] >= 0 for k in nodes):
             env = curves._function_from_node_values(graph, x, edge_offsets)
             if _verify_envelope(env, psi, graph, omega0):
                 return env
             break
-        contact = nxt
     raise ConvergenceError("obstacle solve did not stabilize")
+
+
+def _howard(obstacle, mass, nodes, edges, contact):
+    """Howard's policy iteration for the discrete obstacle problem.
+
+    From the contact set `contact`, yield x, s = laplacian(x) + omega0 and
+    the next contact set, for at most len(nodes) + 1 solves.  The
+    arithmetic follows the input types, as in solve_laplacian.  With C
+    nonempty on a connected graph, the Laplacian with Dirichlet rows on C
+    is a nonsingular M-matrix, so every solve is well posed; and C never
+    empties, because s sums to mass(omega0) > 0 and s = 0 off C, so some
+    node of C has s > 0 = psi - x and stays in contact.
+    """
+    source = {k: -m for k, m in mass.items()}
+    for _ in range(len(nodes) + 1):
+        x = curves.solve_laplacian(source, nodes, edges, {k: obstacle[k] for k in contact})
+        s = {k: mass.get(k, 0) for k in nodes}
+        for a, b, w in edges:
+            d = w * (x[b] - x[a])
+            s[a] += d
+            s[b] -= d
+        contact = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
+        yield x, s, contact
+
+
+def _float_contact(obstacle, mass, nodes, edges):
+    """The contact set at which Howard's iteration settles in floats, from
+    every node: the first that repeats an earlier one, since rounding at a
+    tie node (x = psi, s = 0) can make the float iteration cycle.  None if
+    a float solve overflows, is singular or not finite, or nothing repeats.
+    Only a guide: the exact pass checks it."""
+    found = [set(nodes)]
+    try:
+        obstacle = {k: float(y) for k, y in obstacle.items()}
+        mass = {k: float(m) for k, m in mass.items()}
+        edges = [(a, b, float(w)) for a, b, w in edges]
+        for x, _, contact in _howard(obstacle, mass, nodes, edges, found[0]):
+            if not all(map(isfinite, x.values())):
+                return None
+            if contact in found:
+                return contact
+            found.append(contact)
+    except (OverflowError, ZeroDivisionError, curves.GraphError):
+        pass
+    return None
 
 
 def _candidate_keys(psi, graph, omega0):

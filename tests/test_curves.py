@@ -188,6 +188,68 @@ def test_vertex_value_of_unknown_vertex_names_it():
             read()
 
 
+def combine_oracle(f1, f2, a, b):
+    """a * f1 + b * f2 with every merged breakpoint read off by _interp."""
+    evs = []
+    for p1, p2 in zip(f1.edge_values, f2.edge_values):
+        offs = sorted({o for o, _ in p1} | {o for o, _ in p2})
+        evs.append(tuple(
+            (o, a * curves._interp(p1, o) + b * curves._interp(p2, o)) for o in offs))
+    return GraphPLFunction(tuple(evs))
+
+
+def random_breakpoints(rng, ln, grid):
+    """Strictly increasing offsets from 0 to ln on the 1/grid subdivision of
+    the edge, with random values."""
+    inner = sorted(rng.sample(range(1, grid), rng.randint(0, min(4, grid - 1))))
+    offs = [Fraction(0)] + [ln * Fraction(j, grid) for j in inner] + [ln]
+    return [(o, rnd_frac(rng, den=rng.randint(1, 5))) for o in offs]
+
+
+def test_combine_merge_against_interp_oracle(rng):
+    # two functions per graph with breakpoints on the 1/6 and the 1/4 grids
+    # of each edge (offsets at 1/2 coincide, the others lie on one side only)
+    # or on the same grid, under general coefficients
+    cases = {"coinciding": 0, "one-sided": 0}
+    for _ in range(60):
+        g = random_graph(rng)
+        grids = rng.choice([(6, 4), (6, 6), (2, 5), (3, 3)])
+        fs = []
+        for grid in grids:
+            evs = [random_breakpoints(rng, ln, grid) for _, _, ln in g.edges]
+            # agree at the vertices, as GraphPLFunction.build requires
+            vals = {vid: rnd_frac(rng) for vid in g.vertex_ids}
+            for pairs, (u, v, _) in zip(evs, g.edges):
+                pairs[0], pairs[-1] = (pairs[0][0], vals[u]), (pairs[-1][0], vals[v])
+            fs.append(GraphPLFunction.build(g, evs))
+        f1, f2 = fs
+        for p1, p2 in zip(f1.edge_values, f2.edge_values):
+            o1, o2 = {o for o, _ in p1[1:-1]}, {o for o, _ in p2[1:-1]}
+            cases["coinciding"] += bool(o1 & o2)
+            cases["one-sided"] += bool(o1 ^ o2)
+        a, b = rnd_frac(rng, den=7, lo=-3, hi=3), rnd_frac(rng, den=5, lo=-3, hi=3)
+        for x, y in ((a, b), (1, 1), (1, -1), (0, b)):
+            assert f1.combine(f2, x, y) == combine_oracle(f1, f2, Fraction(x), Fraction(y))
+        assert f1 + f2 == combine_oracle(f1, f2, 1, 1)
+        assert f1 - f2 == combine_oracle(f1, f2, 1, -1)
+    assert min(cases.values()) > 20
+
+
+def test_combine_rejects_other_edges():
+    # zip once dropped the edges of the longer function without a word
+    g2 = MetricGraph.build([0, 1, 2], [(0, 1, 1), (1, 2, 2)])
+    g1 = MetricGraph.build([0, 1], [(0, 1, 1)])
+    f2 = GraphPLFunction.constant(g2, 1)
+    f1 = GraphPLFunction.constant(g1, 1)
+    with pytest.raises(GraphError, match="edge count mismatch"):
+        f2 + f1
+    with pytest.raises(GraphError, match="edge count mismatch"):
+        f1 - f2
+    longer = GraphPLFunction.constant(MetricGraph.build([0, 1], [(0, 1, 2)]), 1)
+    with pytest.raises(GraphError, match="edge end offsets differ"):
+        f1 + longer
+
+
 def test_poisson_uniqueness_up_to_constants(rng):
     g = random_graph(rng)
     mu = random_positive_measure(rng, g, Fraction(3))

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from plma import cli, serialize, variational
-from plma.curves import GraphMeasure, GraphPLFunction, GraphPoint, circle_graph, vertex_key
+from plma.curves import (
+    GraphMeasure,
+    GraphPLFunction,
+    GraphPoint,
+    circle_graph,
+    solve_poisson,
+    vertex_key,
+)
 from plma.geometry import DiscreteMeasure, Polytope, support_function
 from plma.serialize import SchemaError
 from plma.solver import solve_toric
@@ -450,6 +457,84 @@ def test_cli_toric_ma_energy_golden_stdout(tmp_path, case, digest, capsys):
     # end to end, pinned before its predicates ran on integers
     command, documents, options = MA_ENERGY_GOLDEN[case]
     assert _run_documents(tmp_path, command, documents, options) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
+def _dented_graph(vertices, edges, omega0, mu, dents):
+    """Graph documents with the obstacle psi solving laplacian(psi) = mu -
+    dents - omega0/2 (masses 2, 1 and 2), as the benchmark builds them: one
+    exact Poisson solve, so psi fails to be subharmonic at the dents."""
+    graph = {"vertices": vertices,
+             "edges": [{"ends": [u, v], "length": ln} for u, v, ln in edges]}
+    g = serialize.graph_from_json(graph)
+
+    def atoms(pairs, c=1):
+        return [(serialize.graph_point_from_json(p), c * Fraction(m)) for p, m in pairs]
+
+    rho = GraphMeasure.from_atoms(
+        g, atoms(mu) + atoms(dents, -1) + atoms(omega0, Fraction(-1, 2)))
+    psi = solve_poisson(g, rho, vertex_key(vertices[0]))
+    omega0 = {"atoms": [{"point": p, "mass": m} for p, m in omega0]}
+    return {"graph": graph, "omega0": omega0, "g": serialize.graph_function_to_json(psi)}
+
+
+CURVE_GOLDEN = {
+    # 8 vertices, 10 edges with a loop and a parallel pair, four dents
+    "v8": _dented_graph(
+        list(range(8)),
+        [(0, 1, "3/2"), (1, 2, "1"), (1, 3, "2/3"), (3, 4, "5/2"), (0, 5, "2"),
+         (5, 6, "1/3"), (6, 7, "4"), (2, 7, "3"), (4, 4, "2"), (0, 1, "5/3")],
+        [({"vertex": 0}, "1/2"), ({"edge": 3, "offset": "5/8"}, "3/2")],
+        [({"vertex": 6}, "1/2"), ({"edge": 7, "offset": "3/4"}, "5/6"),
+         ({"vertex": 4}, "2/3")],
+        [({"edge": 1, "offset": "1/4"}, "1/3"), ({"vertex": 3}, "1/6"),
+         ({"edge": 8, "offset": "1/2"}, "1/4"), ({"edge": 5, "offset": "1/6"}, "1/4")],
+    ),
+    # 14 vertices on a spanning tree plus three chords, seven dents
+    "v14": _dented_graph(
+        list(range(14)),
+        [(0, 1, "2"), (0, 2, "1/3"), (1, 3, "5/2"), (2, 4, "1"), (3, 5, "4/3"),
+         (4, 6, "3"), (1, 7, "1/2"), (7, 8, "6"), (8, 9, "2/3"), (2, 10, "5/3"),
+         (10, 11, "1"), (6, 12, "3/2"), (12, 13, "2"), (5, 9, "4"), (11, 13, "1/3"),
+         (3, 10, "3")],
+        [({"edge": 7, "offset": "3/2"}, "5/4"), ({"vertex": 12}, "3/4")],
+        [({"vertex": 2}, "1/3"), ({"edge": 13, "offset": "1"}, "1"),
+         ({"edge": 4, "offset": "1/3"}, "2/3")],
+        [({"vertex": 5}, "1/12"), ({"edge": 0, "offset": "1/2"}, "1/6"),
+         ({"edge": 9, "offset": "5/12"}, "1/12"), ({"vertex": 11}, "1/4"),
+         ({"edge": 15, "offset": "9/4"}, "1/6"), ({"vertex": 8}, "1/12"),
+         ({"edge": 6, "offset": "1/8"}, "1/6")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case, options, digest",
+    [
+        ("envelope", "v8", (),
+         "467fdec3c2fddeb8f50a2bcab7203a7540ee437ae1255d1740792efa093a3831"),
+        ("envelope", "v8", CSV,
+         "b6b89b94194369049e044c715e58a55f60fa44791d486de36f835bb8722139db"),
+        ("envelope", "v14", (),
+         "9174c7975d03a587900c3b8fc5681d80b05b8df24f205c8e855ede00a4924924"),
+        ("envelope", "v14", CSV,
+         "2b07e326e17bcf95e1bc8a1a3251e1d170e09290bee411921162e80cff3dcf8e"),
+        ("orthogonality", "v8", (),
+         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
+        ("orthogonality", "v8", CSV,
+         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+        ("orthogonality", "v14", (),
+         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
+        ("orthogonality", "v14", CSV,
+         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+    ],
+)
+def test_cli_curve_envelope_golden_stdout(tmp_path, command, case, options, digest, capsys):
+    # sha256 of the stdout of the graph obstacle problem, pinned while every
+    # Howard step was an exact solve from the contact set of all nodes
+    assert _run_documents(tmp_path, command, CURVE_GOLDEN[case], options) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from plma import cli, curves, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
@@ -14,6 +16,7 @@ from plma.curves import (
     green,
     is_subharmonic,
     ma_curve,
+    solve_poisson,
     superpose,
     vertex_key,
 )
@@ -499,6 +502,163 @@ def test_envelope_graph_regression():
     assert_below(env, psi, g)
     assert is_subharmonic(env, g, om)
     assert orthogonality_defect_curve(psi, g, om) == 0
+
+
+def obstacle_problem(psi, g, om):
+    """The nodes, segments and node values of psi of the discrete problem."""
+    nodes, edges, offsets = curves._refine(g, variational._candidate_keys(psi, g, om))
+    return nodes, edges, offsets, {k: psi.eval(g, k) for k in nodes}
+
+
+def howard_oracle(psi, g, om):
+    """P(psi) as Howard's iteration computed it with no float guide: exact
+    solves from the contact set of every node until the set repeats."""
+    if is_subharmonic(psi, g, om):
+        return psi
+    nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
+    mass = dict(om.atoms)
+    source = {k: -m for k, m in mass.items()}
+    contact = set(nodes)
+    for _ in range(len(nodes) + 1):
+        x = curves.solve_laplacian(source, nodes, edges, {k: obstacle[k] for k in contact})
+        s = {k: mass.get(k, Fraction(0)) for k in nodes}
+        for a, b, w in edges:
+            d = w * (x[b] - x[a])
+            s[a] += d
+            s[b] -= d
+        nxt = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
+        if nxt == contact:
+            return curves._function_from_node_values(g, x, offsets)
+        contact = nxt
+    raise AssertionError("the oracle did not settle")
+
+
+def dented_graph(rng, nv, dents):
+    """An obstacle as the benchmark draws them: a random spanning tree plus
+    nv // 4 chords, omega0 of mass 2 on two points, and psi solving
+    laplacian(psi) = mu - dent - omega0 / 2 (mu of mass 2 on three points,
+    dent of mass 1 on `dents` points), which is not subharmonic."""
+    def length():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 3))
+
+    edges = [(rng.randrange(v), v, length()) for v in range(1, nv)]
+    edges += [(*rng.sample(range(nv), 2), length()) for _ in range(nv // 4)]
+    g = MetricGraph.build(range(nv), edges)
+
+    def measure(count, total):
+        points = set()
+        while len(points) < count:
+            if rng.random() < 0.5:
+                points.add(vertex_key(rng.randrange(nv)))
+            else:
+                e = rng.randrange(len(edges))
+                points.add(("e", e, edges[e][2] * Fraction(rng.randint(1, 3), 4)))
+        cuts = sorted(rng.sample(range(1, 12), count - 1))
+        bounds = [0] + cuts + [12]
+        points = sorted(points, key=repr)
+        return [(p, total * Fraction(b - a, 12)) for p, a, b in zip(points, bounds, bounds[1:])]
+
+    om = measure(2, Fraction(2))
+    rho = measure(3, Fraction(2))
+    rho += [(p, -m) for p, m in measure(dents, Fraction(1))] + [(p, -m / 2) for p, m in om]
+    psi = solve_poisson(g, GraphMeasure.from_atoms(g, rho), vertex_key(0))
+    return g, GraphMeasure.from_atoms(g, om), psi
+
+
+def test_envelope_against_howard_oracle(monkeypatch):
+    # 200 obstacles, v = 4..60 cycled: the float guide and the exact pass
+    # give what exact Howard from every node gives, in one exact solve each
+    rng = random.Random(20090313)
+    solve = curves.solve_laplacian
+    exact_solves = []
+
+    def counted(rho, nodes, edges, fixed):
+        exact_solves[-1] += isinstance(edges[0][2], Fraction)
+        return solve(rho, nodes, edges, fixed)
+
+    for i in range(200):
+        nv = 4 + i % 57
+        g, om, psi = dented_graph(rng, nv, min(12, 1 + nv // 4))
+        exact_solves.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(curves, "solve_laplacian", counted)
+            env = envelope_subharmonic(psi, g, om)
+        assert env == howard_oracle(psi, g, om)
+    assert exact_solves == [1] * 200
+
+
+def test_exact_howard_from_any_start():
+    # Howard's iteration converges from any nonempty contact set: from every
+    # node, from one node and from random subsets, it reaches the envelope
+    rng = random.Random(2009)
+    starts = 0
+    for i in range(30):
+        g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
+        expected = howard_oracle(psi, g, om)
+        nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
+        candidates = [set(nodes), {rng.choice(nodes)}]
+        candidates += [set(rng.sample(nodes, rng.randint(1, len(nodes)))) for _ in range(3)]
+        for contact in candidates:
+            for x, s, contact in variational._howard(obstacle, dict(om.atoms), nodes, edges,
+                                                     contact):
+                assert contact  # the contact set never empties
+                if all(x[k] <= obstacle[k] and s[k] >= 0 for k in nodes):
+                    break
+            else:
+                raise AssertionError("no complementary solve in len(nodes) + 1 solves")
+            assert curves._function_from_node_values(g, x, offsets) == expected
+            starts += 1
+    assert starts == 150
+
+
+def spiked_edge(exp_length, exp_value):
+    """One edge of length 10**exp_length, psi zigzagging to +-10**exp_value
+    at its quarter points, omega0 of mass 1 at vertex 0 and at the first
+    quarter point."""
+    ln, val = Fraction(10) ** exp_length, Fraction(10) ** exp_value
+    g = MetricGraph.build([0, 1], [(0, 1, ln)])
+    om = GraphMeasure.from_atoms(g, [(vertex_key(0), 1), (GraphPoint(0, ln / 4), 1)])
+    zigzag = [(0, 0), (ln / 4, val), (ln / 2, -val), (3 * ln / 4, val), (ln, 0)]
+    return g, om, GraphPLFunction.build(g, [zigzag])
+
+
+# (exponent of the length, exponent of the values): the float guide meets
+# an edge weight or a value that float() cannot hold, a weight or values
+# that round to zero, a singular float system, a non-finite iterate, and
+# a contact set that never repeats
+FLOAT_HOSTILE = [(-400, 0), (0, 400), (400, 0), (0, -400), (150, 200), (-200, 150),
+                 (-200, -150)]
+
+
+@pytest.mark.parametrize("exp_length, exp_value", FLOAT_HOSTILE)
+def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length, exp_value):
+    g, om, psi = spiked_edge(exp_length, exp_value)
+    assert not is_subharmonic(psi, g, om)
+    expected = howard_oracle(psi, g, om)
+    howard, starts = variational._howard, []
+
+    def recorded(obstacle, mass, nodes, edges, contact):
+        if isinstance(mass[vertex_key(0)], Fraction):
+            starts.append(contact == set(nodes))
+        return howard(obstacle, mass, nodes, edges, contact)
+
+    with monkeypatch.context() as m:
+        m.setattr(variational, "_howard", recorded)
+        assert envelope_subharmonic(psi, g, om) == expected
+    # the guide failed, or its floats could not tell the nodes apart:
+    # the exact pass starts from every node
+    assert starts == [True]
+    documents = {"graph": serialize.graph_to_json(g), "omega0": serialize.graph_measure_to_json(g, om),
+                 "g": serialize.graph_function_to_json(psi)}
+    argv = ["envelope"]
+    for name, doc in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == serialize.graph_function_to_json(expected)
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
