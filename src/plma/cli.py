@@ -76,7 +76,7 @@ def _curve_context(args):
 
 def _sample_rows_1d(g, delta):
     a, b = delta.vertices[0][0], delta.vertices[-1][0]
-    ts = {v[0] for v in toric.ma_measure(g, delta, check=False).measure_NR.atoms}
+    ts = {v[0] for v, _ in toric.ma_measure(g, delta, check=False).measure_NR.atoms}
     ts |= {a, b} | {a + Fraction(j, 64) * (b - a) for j in range(65)}
     return [[_dec(t), _dec(g((t,))), "exact"] for t in sorted(ts)]
 

@@ -13,12 +13,15 @@ Comput. Geom. 1997).
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
-and the pairs of pieces that tie along its edges.  Breakpoints, pruning
-to essential pieces, the Monge-Ampere masses and the toric energy all
-read it.  So does the Legendre transform `dual_transform`: it takes F's
-vertices inside the polytope from the 2-D walk, and F's breakpoints along
-each side of the polytope from the 1-D chain of F restricted to that
-side, each with its value read off the cell that found it.  The walk
+and the pairs of pieces that tie along its edges.  There is one walk per
+function: `PLConvexFunction.subdivision` runs the kernel at most once,
+and `from_pieces` hands it the walk that pruned the pieces to the
+essential ones.  Breakpoints, the Monge-Ampere masses, the toric energy
+and the envelopes all read that walk.  So does the Legendre transform
+`dual_transform`: it takes F's vertices inside the polytope from F's
+walk, and F's breakpoints along each side of the polytope from the 1-D
+chain of F restricted to that side, each with its value read off the
+cell that found it.  The walk
 takes O(k) exact operations per vertex and per edge for k pieces, O(k*V)
 in all for V vertices.
 
@@ -388,12 +391,24 @@ def _walk(pieces):
 
 @dataclass(frozen=True)
 class PLConvexFunction:
-    """Finite max of affine functionals; convex and piecewise linear."""
+    """Finite max of affine functionals; convex and piecewise linear.
+
+    The constructor takes canonical pieces: distinct slopes, in (slope,
+    intercept) order.
+    """
 
     pieces: tuple
 
     @staticmethod
-    def from_pieces(pieces, prune: bool = True) -> "PLConvexFunction":
+    def from_pieces(pieces) -> "PLConvexFunction":
+        """The max of the pieces, on its essential pieces.
+
+        Validates the pieces, keeps the lowest intercept per slope and
+        drops every piece that is never the strict maximum, as read off one
+        `subdivision` walk.  The result keeps that walk: its pieces have
+        the same cells and edge pairs.  Code that already holds canonical
+        pieces calls the constructor instead.
+        """
         ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
         if not ps:
             raise ValueError("need at least one affine piece")
@@ -406,17 +421,24 @@ class PLConvexFunction:
         for p in ps:
             if p.slope not in best or p.intercept < best[p.slope]:
                 best[p.slope] = p.intercept
-        ps = [AffineFunctional(s, c) for s, c in best.items()]
-        if prune and len(ps) > 1:
-            # A piece is the strict maximum somewhere iff its slope is an
-            # extreme point of some cell of the subdivision (or of some
-            # parallel edge pair, when the slopes are collinear).
-            cells, edges = subdivision(ps)
-            keep = {id(p) for _, cell in cells for p in cell}
-            keep.update(id(p) for pair in edges for p in pair)
-            ps = [p for p in ps if id(p) in keep]
-        ps.sort(key=lambda p: (p.slope, p.intercept))
-        return PLConvexFunction(tuple(ps))
+        ps = [AffineFunctional(s, c) for s, c in sorted(best.items())]
+        if len(ps) == 1:
+            return PLConvexFunction(tuple(ps))
+        # A piece is the strict maximum somewhere iff its slope is an
+        # extreme point of some cell of the subdivision (or of some
+        # parallel edge pair, when the slopes are collinear).
+        walk = subdivision(ps)
+        keep = {id(p) for _, cell in walk[0] for p in cell}
+        keep.update(id(p) for pair in walk[1] for p in pair)
+        g = PLConvexFunction(tuple(p for p in ps if id(p) in keep))
+        g.__dict__["subdivision"] = walk
+        return g
+
+    @cached_property
+    def subdivision(self):
+        """(cells, edges) of the kernel `subdivision` on the pieces, walked
+        at most once per function; every reader shares it and only reads."""
+        return subdivision(self.pieces)
 
     @property
     def dim(self) -> int:
@@ -447,9 +469,8 @@ class PLConvexFunction:
     def translate(self, t) -> "PLConvexFunction":
         """g(. - t)."""
         t = as_point(t)
-        return PLConvexFunction.from_pieces(
-            [AffineFunctional(p.slope, p.intercept + dot(p.slope, t)) for p in self.pieces],
-            prune=False,
+        return PLConvexFunction(
+            tuple(AffineFunctional(p.slope, p.intercept + dot(p.slope, t)) for p in self.pieces)
         )
 
     def __add__(self, other: "PLConvexFunction") -> "PLConvexFunction":
@@ -458,12 +479,9 @@ class PLConvexFunction:
         # The sum is the max of all pairwise sums; pruning keeps the pairs
         # that are strictly active together somewhere.
         return PLConvexFunction.from_pieces(
-            [
-                AffineFunctional(vadd(p.slope, q.slope), p.intercept + q.intercept)
-                for p in self.pieces
-                for q in other.pieces
-            ],
-            prune=True,
+            AffineFunctional(vadd(p.slope, q.slope), p.intercept + q.intercept)
+            for p in self.pieces
+            for q in other.pieces
         )
 
 
@@ -516,9 +534,7 @@ class DiscreteMeasure:
 
 def support_function(delta: Polytope) -> PLConvexFunction:
     """max over vertices u of delta of <u, .>."""
-    return PLConvexFunction.from_pieces(
-        [AffineFunctional(u, Fraction(0)) for u in delta.vertices], prune=False
-    )
+    return PLConvexFunction(tuple(AffineFunctional(u, Fraction(0)) for u in delta.vertices))
 
 
 def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
@@ -547,7 +563,7 @@ def breakpoints(g: PLConvexFunction):
     affinely spanning slopes; they are the only possible atoms of the
     real Monge-Ampere measure of g.
     """
-    return [v for v, _ in subdivision(g.pieces)[0]]
+    return [v for v, _ in g.subdivision[0]]
 
 
 def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
@@ -572,7 +588,7 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
     values = {u: F(u) for u in delta.vertices}
-    values.update((v, c[0].value(v)) for v, c in subdivision(F.pieces)[0] if delta.contains(v))
+    values.update((v, c[0].value(v)) for v, c in F.subdivision[0] if delta.contains(v))
     ring = delta.ring()
     if delta.dim == 2 and len(ring) >= 2:
         sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
@@ -588,8 +604,7 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
             values.update(
                 (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
             )
-    pieces = [AffineFunctional(u, y) for u, y in values.items()]
-    return PLConvexFunction.from_pieces(pieces, prune=False)
+    return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
 
 
 def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
@@ -600,14 +615,11 @@ def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
     delta exceeds it anywhere.  Samples of mixed dimension, or of another
     dimension than delta, raise DimensionError.
 
-    The sample function is not pruned: a sample that is never the strict
-    maximum enters no cell of its subdivision, so `dual_transform` reads
-    the same candidates and values with it or without it.
+    The sample function is pruned like any other, and `dual_transform`
+    reads the walk that pruned it.
     """
     samples = [(as_point(p), as_fraction(y)) for p, y in samples]
     if not samples:
         raise ValueError("empty sample set")
-    F = PLConvexFunction.from_pieces(
-        [AffineFunctional(p, y) for p, y in samples], prune=False
-    )
+    F = PLConvexFunction.from_pieces(AffineFunctional(p, y) for p, y in samples)
     return dual_transform(F, delta)

@@ -80,8 +80,8 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -182,8 +182,7 @@ def _newton_edges(cells, atoms):
 
 
 def _solution_from_weights(delta, atoms, weights):
-    pieces = [AffineFunctional(v, -w) for (v, _), w in zip(atoms, weights)]
-    F = PLConvexFunction.from_pieces(pieces, prune=False)
+    F = PLConvexFunction(tuple(AffineFunctional(v, -w) for (v, _), w in zip(atoms, weights)))
     return dual_transform(F, delta)
 
 

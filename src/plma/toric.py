@@ -3,8 +3,8 @@
 The measure assigns to each vertex of the linearity subdivision the exact
 volume of the subdifferential there; for admissible functions the cells
 partition the polytope, so the total mass equals its volume.  Vertices and
-cells come from one pass of `geometry.subdivision` (O(k*V) exact
-operations for k pieces and V vertices).  The analytic-side measure is the
+cells come from the function's one `geometry.subdivision` walk (O(k*V)
+exact operations for k pieces and V vertices).  The analytic-side measure is the
 same atom list scaled by n! and tagged with monomial points.
 """
 
@@ -23,7 +23,6 @@ from .geometry import (
     as_point,
     cell_volume,
     is_admissible,
-    subdivision,
     support_function,
 )
 
@@ -67,9 +66,7 @@ def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> Tori
             "(slope outside, or missing vertex slope)"
         )
     n = delta.dim
-    nr = DiscreteMeasure.from_atoms(
-        (v, cell_volume(cell)) for v, cell in subdivision(g.pieces)[0]
-    )
+    nr = DiscreteMeasure.from_atoms((v, cell_volume(cell)) for v, cell in g.subdivision[0])
     an = tuple((MonomialPoint(p), factorial(n) * m) for p, m in nr.atoms)
     return ToricMAResult(nr, an, degree(delta))
 

@@ -36,7 +36,6 @@ from .geometry import (
     convex_envelope,
     dot,
     is_admissible,
-    subdivision,
     support_function,
 )
 from .solver import ConvergenceError
@@ -72,7 +71,7 @@ def energy_toric(g: PLConvexFunction, g0: PLConvexFunction, delta: Polytope) -> 
 
 def _legendre_integral(g: PLConvexFunction) -> Fraction:
     """The integral of g* over the slope hull of g, cell by cell."""
-    cells = subdivision(g.pieces)[0]
+    cells = g.subdivision[0]
     terms = (dot(cell_moment(c), v) - cell_volume(c) * c[0].value(v) for v, c in cells)
     return sum(terms, Fraction(0))
 
@@ -132,7 +131,7 @@ class PiecewiseLinear1D:
         if g.dim != 1:
             raise ValueError("1-D only")
         # each breakpoint's value is read off its cell; with none, g is affine
-        pts = tuple((v[0], c[0].value(v)) for v, c in subdivision(g.pieces)[0])
+        pts = tuple((v[0], c[0].value(v)) for v, c in g.subdivision[0])
         slopes = sorted(s[0] for s in g.slopes)
         return PiecewiseLinear1D(pts or ((Fraction(0), g((0,))),), slopes[0], slopes[-1])
 
@@ -217,7 +216,7 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
     samples = []
     for g in parts:
-        cells = subdivision(g.pieces)[0]
+        cells = g.subdivision[0]
         if not cells:
             raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
         samples.extend((v, c[0].value(v)) for v, c in cells)

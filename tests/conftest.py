@@ -50,6 +50,17 @@ def random_admissible(rng, delta, extra=4):
     return PLConvexFunction.from_pieces(pieces)
 
 
+def unpruned(pieces):
+    """The max of the pieces with the lowest intercept per slope and no piece
+    dropped, in canonical order for the constructor, so that the kernel also
+    runs on pieces that are never the strict maximum."""
+    best = {}
+    for p in pieces:
+        if p.slope not in best or p.intercept < best[p.slope]:
+            best[p.slope] = p.intercept
+    return PLConvexFunction(tuple(AffineFunctional(s, c) for s, c in sorted(best.items())))
+
+
 def random_min_of(rng, delta, free=1 / 3):
     """Min of 2-4 convex parts.  A part is, with probability `free`, 1-5
     pieces with slopes on the 1/2 grid of delta's bounding box grown by 1/2,

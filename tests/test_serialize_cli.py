@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, serialize, variational
+from plma import cli, geometry, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
@@ -140,6 +140,31 @@ def test_cli_toric_solve_exit_codes(tmp_path, toric_files, capsys):
     assert cli.run(["toric-solve", "--delta", d, "--mu", bad]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "AdmissibilityError"
+
+
+# three atoms on the unit square; the start misses them by up to 371/1536
+THREE_ATOMS = {"atoms": [{"point": ["0", "0"], "mass": "1/3"},
+                         {"point": ["1", "0"], "mass": "1/2"},
+                         {"point": ["1", "1"], "mass": "7/6"}]}
+
+
+@pytest.mark.parametrize(
+    "options, code",
+    [(("--max-iter", "1"), 3), (("--tol", "nan"), 2), (("--tol", "inf"), 2)],
+)
+def test_cli_toric_solve_three_atoms_exit_codes(tmp_path, options, code, capsys):
+    # one Newton step does not converge: exit 3 with the report; a tolerance
+    # that is not finite is invalid: exit 2 (inf reported the start as
+    # converged, and nan failed even an exact solve)
+    documents = {"delta": serialize.polytope_to_json(unit_square()), "mu": THREE_ATOMS}
+    assert _run_documents(tmp_path, "toric-solve", documents, options) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert err == "" and json.loads(out)["converged"] is False
+    else:
+        assert out == ""
+        assert json.loads(err) == {"error": {
+            "type": "ValueError", "message": "tolerance must be positive and finite"}}
 
 
 def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
@@ -460,6 +485,76 @@ def test_cli_toric_ma_energy_golden_stdout(tmp_path, case, digest, capsys):
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""
+
+
+def _pieces(pairs):
+    return {"pieces": [{"slope": s, "intercept": c} for s, c in pairs]}
+
+
+# admissible obstacles that lose pieces when loaded: the slope (0, 0) (and
+# (0) in 1-D) comes twice, and the slope (1/2, 0) (and (1/2)) is never the
+# strict maximum; an admissible obstacle is its own envelope, so envelope
+# prints the loaded function's pieces
+PRUNED_SQUARE = _pieces([
+    (["0", "0"], "0"), (["1", "0"], "1/2"), (["0", "1"], "1/3"), (["1", "1"], "3/2"),
+    (["1/2", "1/2"], "-1/4"), (["1/2", "0"], "1"), (["0", "0"], "2"),
+])
+PRUNED_INTERVAL = _pieces([
+    (["0"], "0"), (["1"], "1"), (["1/3"], "-1/4"), (["1/2"], "1"), (["0"], "3"),
+])
+PRUNED_GOLDEN = {
+    "envelope-square": ("envelope", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
+    "ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
+    "envelope-interval-csv": ("envelope", {"delta": serialize.polytope_to_json(interval()),
+                                           "g": PRUNED_INTERVAL}, CSV),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("envelope-square",
+         "616e4de2a0786a03f48975cd7674e3d937ce60f91dfe212d661f67f2964ed516"),
+        ("ma-square",
+         "37da3319ff56c30f86aa7ff518f06f7187c45cff09fd01399fad150bf6aa2aab"),
+        ("envelope-interval-csv",
+         "fc9a4995d966daf922efc55a4e5e08ad4978d005a8da83ac9e3c0d0fc709bb39"),
+    ],
+)
+def test_cli_pruned_obstacle_golden_stdout(tmp_path, case, digest, capsys):
+    # sha256 of the stdout on loaded functions that prune, pinned while
+    # pruning was a flag of from_pieces and its walk was thrown away
+    command, documents, options = PRUNED_GOLDEN[case]
+    assert _run_documents(tmp_path, command, documents, options) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "command, documents, walks",
+    [
+        ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, 1),
+        ("toric-energy", {"delta": SQUARE_JSON, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, 2),
+        ("envelope", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}, 3),
+        ("orthogonality", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}, 4),
+    ],
+)
+def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, monkeypatch):
+    # each loaded 2-D function is walked once, when it is built, and the
+    # command reads that walk; envelope adds one walk of the sample function
+    # and orthogonality one more of the envelope
+    calls = []
+    walk = geometry._walk
+
+    def counted(pieces):
+        calls.append(len(pieces))
+        return walk(pieces)
+
+    monkeypatch.setattr(geometry, "_walk", counted)
+    assert _run_documents(tmp_path, command, documents) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == walks
 
 
 def _dented_graph(vertices, edges, omega0, mu, dents):

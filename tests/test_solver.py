@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -239,6 +240,14 @@ def test_solver_options_validation():
         SolverOptions(tolerance=0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_solver_options_reject_non_finite_tolerance(tolerance):
+    # an infinite tolerance reported any start as converged, and NaN reported
+    # even an exact solution as not converged
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        SolverOptions(tolerance=tolerance)
 
 
 def test_residual_op(rng):

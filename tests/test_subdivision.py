@@ -35,7 +35,13 @@ from plma.geometry import (
 )
 from plma.toric import ma_measure
 
-from conftest import ACCEPTANCE_POLYTOPES, lattice_paraboloid, random_admissible, unit_square
+from conftest import (
+    ACCEPTANCE_POLYTOPES,
+    lattice_paraboloid,
+    random_admissible,
+    unit_square,
+    unpruned,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +123,7 @@ def oracle_dual_transform(F, delta):
                         u = vadd(a, vscale(s, d))
                         if pi.value(u) == F(u):
                             cands.add(u)
-    return PLConvexFunction.from_pieces(
-        [AffineFunctional(u, F(u)) for u in cands], prune=False
-    ).pieces
+    return unpruned([AffineFunctional(u, F(u)) for u in cands]).pieces
 
 
 def _strict_feasible(constraints, n: int) -> bool:
@@ -152,7 +156,7 @@ def _strict_feasible(constraints, n: int) -> bool:
 
 
 def oracle_pruned(pieces):
-    """from_pieces(prune=True) with the Fourier-Motzkin essential mask."""
+    """from_pieces with the Fourier-Motzkin essential mask."""
     best = {}
     for p in pieces:
         if p.slope not in best or p.intercept < best[p.slope]:
@@ -181,7 +185,7 @@ def oracle_sum(f, g):
                      for pl in g.pieces if pl is not pj]
             if _strict_feasible(cons, f.dim):
                 out.append(AffineFunctional(vadd(pi.slope, pj.slope), pi.intercept + pj.intercept))
-    return PLConvexFunction.from_pieces(out, prune=False)
+    return unpruned(out)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,21 @@ def check_edges(g):
         assert {p for pair in edges for p in pair} == set(kept)
 
 
+def check_kept_walk(g):
+    """A function from from_pieces keeps the walk that pruned it: the cells
+    of a fresh walk on its pieces, and the same edge pairs as a set."""
+    if len(g.pieces) > 1:
+        assert "subdivision" in vars(g)
+    cells, edges = subdivision(g.pieces)
+    assert g.subdivision[0] == cells
+    assert set(g.subdivision[1]) == set(edges)
+
+
+def pruned_or_not(pieces, rng):
+    """from_pieces or the unpruned function, at even odds."""
+    return PLConvexFunction.from_pieces(pieces) if rng.random() < 0.5 else unpruned(pieces)
+
+
 def check_against_oracle(g, deltas):
     bps = oracle_breakpoints(g)
     assert breakpoints(g) == bps
@@ -277,8 +296,8 @@ def test_small_grid_against_oracle(n):
     for _ in range(120):
         pieces = small_pieces(rng, n)
         assert PLConvexFunction.from_pieces(pieces).pieces == oracle_pruned(pieces)
-        for prune in (True, False):
-            g = PLConvexFunction.from_pieces(pieces, prune=prune)
+        check_kept_walk(PLConvexFunction.from_pieces(pieces))
+        for g in (PLConvexFunction.from_pieces(pieces), unpruned(pieces)):
             check_against_oracle(g, [rng.choice(deltas)])
 
 
@@ -288,7 +307,8 @@ def test_rational_slopes_against_oracle():
     for _ in range(120):
         pieces = rational_pieces(rng)
         assert PLConvexFunction.from_pieces(pieces).pieces == oracle_pruned(pieces)
-        g = PLConvexFunction.from_pieces(pieces, prune=rng.random() < 0.5)
+        check_kept_walk(PLConvexFunction.from_pieces(pieces))
+        g = pruned_or_not(pieces, rng)
         check_against_oracle(g, [rng.choice(DELTAS_2D)])
         collinear += len(g.pieces) > 1 and not _spans(g.slopes, 2)
         cells, edges = subdivision(g.pieces)
@@ -305,9 +325,9 @@ def test_rational_slopes_against_oracle():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_convex_envelope_against_oracle(n):
-    # convex_envelope does not prune its samples: repeated points with a
-    # larger value and samples that are never the strict maximum must leave
-    # the transform of the pruned sample function unchanged
+    # convex_envelope prunes its samples and transforms the pruned sample
+    # function: repeated points with a larger value and samples that are
+    # never the strict maximum must leave the transform unchanged
     rng = random.Random(f"envelope/{n}")
     deltas = DELTAS_1D if n == 1 else DELTAS_2D
     non_essential = 0
@@ -316,7 +336,7 @@ def test_convex_envelope_against_oracle(n):
         repeated = rng.sample(samples, min(3, len(samples)))
         samples += [(x, y + rng.randint(0, 2)) for x, y in repeated]
         rng.shuffle(samples)
-        F = PLConvexFunction.from_pieces([AffineFunctional(x, y) for x, y in samples], prune=True)
+        F = PLConvexFunction.from_pieces([AffineFunctional(x, y) for x, y in samples])
         non_essential += len(F.pieces) < len({x for x, _ in samples})
         for delta in deltas:
             env = convex_envelope(samples, delta)
@@ -329,11 +349,11 @@ def test_convex_envelope_against_oracle(n):
 def test_sum_against_oracle(n):
     rng = random.Random(f"sum/{n}")
     for _ in range(100):
-        f, g = (PLConvexFunction.from_pieces(small_pieces(rng, n), prune=rng.random() < 0.5)
-                for _ in range(2))
+        f, g = (pruned_or_not(small_pieces(rng, n), rng) for _ in range(2))
         if rng.random() < 0.5:
             g = g.translate(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n)))
         assert (f + g).pieces == oracle_sum(f, g).pieces
+        check_kept_walk(f + g)
 
 
 def test_acceptance_polytopes_against_oracle():
@@ -351,6 +371,7 @@ def test_acceptance_polytopes_against_oracle():
 def test_lattice_paraboloid_against_oracle(k, grid):
     g = lattice_paraboloid(random.Random(f"paraboloid/{k}"), k, grid)
     assert len(g.pieces) == k
+    check_kept_walk(g)
     bps = oracle_breakpoints(g)
     assert breakpoints(g) == bps
     assert ma_measure(g, unit_square()).measure_NR.atoms == oracle_ma_atoms(g, bps)

@@ -62,6 +62,7 @@ from conftest import (
     rnd_frac,
     simplex2,
     unit_square,
+    unpruned,
 )
 
 
@@ -71,9 +72,8 @@ def pl(*pieces):
 
 def halve(g):
     # the function v -> g(v)/2; slopes shrink into delta when g lives on 2*delta
-    return PLConvexFunction.from_pieces(
-        [AffineFunctional(tuple(s / 2 for s in p.slope), p.intercept / 2) for p in g.pieces],
-        prune=False,
+    return unpruned(
+        [AffineFunctional(tuple(s / 2 for s in p.slope), p.intercept / 2) for p in g.pieces]
     )
 
 
