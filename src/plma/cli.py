@@ -18,7 +18,7 @@ from math import factorial
 
 from . import curves, serialize, toric, variational
 from .curves import GraphError, MassBalanceError, SubharmonicityError
-from .geometry import DimensionError, DiscreteMeasure, Polytope, support_function
+from .geometry import DimensionError, DiscreteMeasure, Polytope, breakpoints, support_function
 from .serialize import SchemaError, dumps, rational_str
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 from .toric import AdmissibilityError, DegeneratePolytopeError
@@ -74,10 +74,11 @@ def _curve_context(args):
     return graph, omega0
 
 
-def _sample_rows_1d(g, delta):
-    a, b = delta.vertices[0][0], delta.vertices[-1][0]
-    ts = {v[0] for v, _ in toric.ma_measure(g, delta, check=False).measure_NR.atoms}
-    ts |= {a, b} | {a + Fraction(j, 64) * (b - a) for j in range(65)}
+def _sample_rows_1d(g):
+    # g lives on N_R: sample one unit beyond its first and last breakpoints
+    ts = sorted(v[0] for v in breakpoints(g))
+    lo, hi = ts[0] - 1, ts[-1] + 1
+    ts = set(ts) | {lo + Fraction(j, 64) * (hi - lo) for j in range(65)}
     return [[_dec(t), _dec(g((t,))), "exact"] for t in sorted(ts)]
 
 
@@ -139,7 +140,7 @@ def cmd_envelope(args):
         psi = _load_obstacle_toric(serialize.load_path(args.g))
         env = variational.envelope_toric(psi, delta)
         if args.format == "csv" and delta.dim == 1:
-            _emit(_csv([["t", "value", "exactness"], *_sample_rows_1d(env, delta)]), args.output)
+            _emit(_csv([["t", "value", "exactness"], *_sample_rows_1d(env)]), args.output)
         else:
             _emit(dumps(serialize.pl_function_to_json(env)), args.output)
         return 0

@@ -555,8 +555,9 @@ def arc_masses(measure: GraphMeasure, parts: int):
     out = [Fraction(0)] * parts
     for key, mass in measure.atoms:
         if key[0] == "v":
-            t = Fraction(0)
+            out[0] += mass
         else:
-            t = key[2] % 1
-        out[t.numerator * parts // t.denominator] += mass
+            # floor(frac(o) * parts) from o's integers, negative o included
+            o = key[2]
+            out[o.numerator * parts // o.denominator % parts] += mass
     return out

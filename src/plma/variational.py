@@ -259,8 +259,16 @@ def envelope_subharmonic(
     and never the result.  The result is verified against the obstacle
     and subharmonicity; a failure raises ConvergenceError.
     """
-    if curves.is_subharmonic(psi, graph, omega0):
-        return psi
+    return _envelope_and_measure(psi, graph, omega0)[0]
+
+
+def _envelope_and_measure(psi, graph, omega0):
+    """envelope_subharmonic's envelope p, with the measure omega0 +
+    laplacian(p) that its exact check found positive, so that a caller
+    needing MA(p) does not take the Laplacian again."""
+    ma = _positive_ma(psi, graph, omega0)
+    if ma is not None:
+        return psi, ma
     nodes, edges, edge_offsets = curves._refine(
         graph, _candidate_keys(psi, graph, omega0)
     )
@@ -270,8 +278,9 @@ def envelope_subharmonic(
     for x, s, _ in _howard(obstacle, mass, nodes, edges, contact):
         if all(x[k] <= obstacle[k] and s[k] >= 0 for k in nodes):
             env = curves._function_from_node_values(graph, x, edge_offsets)
-            if _verify_envelope(env, psi, graph, omega0):
-                return env
+            ma = _verify_envelope(env, psi, graph, omega0)
+            if ma is not None:
+                return env, ma
             break
     raise ConvergenceError("obstacle solve did not stabilize")
 
@@ -331,18 +340,26 @@ def _candidate_keys(psi, graph, omega0):
     return sorted(keys, key=repr)
 
 
+def _positive_ma(f, graph, omega0):
+    """ma_curve(f) if f is subharmonic, else None."""
+    try:
+        return curves.ma_curve(f, graph, omega0)
+    except curves.SubharmonicityError:
+        return None
+
+
 def _verify_envelope(env, psi, graph, omega0):
+    """The measure MA(env) if env lies below psi and is subharmonic, else None."""
     gap = psi - env
     if any(y < 0 for pairs in gap.edge_values for _, y in pairs):
-        return False
-    return curves.is_subharmonic(env, graph, omega0)
+        return None
+    return _positive_ma(env, graph, omega0)
 
 
 def orthogonality_defect_curve(
     psi: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure
 ) -> Fraction:
-    p = envelope_subharmonic(psi, graph, omega0)
-    ma = curves.ma_curve(p, graph, omega0)
+    p, ma = _envelope_and_measure(psi, graph, omega0)
     return ma.integrate(graph, psi - p)
 
 

@@ -594,13 +594,20 @@ def test_canonical_metric_equals_poisson_oracle(m, ks, d_L):
 
 
 def test_arc_masses_index_by_floor():
-    _, measure = canonical_metric(2, 6)
-    for parts in (8, 12, 64):
-        expected = [Fraction(0)] * parts
-        for key, mass in measure.atoms:
-            t = Fraction(0) if key[0] == "v" else key[2] % 1
-            expected[int(t * parts)] += mass
-        assert arc_masses(measure, parts) == expected
+    _, canonical = canonical_metric(2, 6)
+    # offsets of 1 and beyond, and negative ones, wrap around the circle
+    wrapped = GraphMeasure(tuple(
+        (("e", 0, Fraction(p, q)), Fraction(i + 1, 7))
+        for i, (p, q) in enumerate([(1, 1), (5, 2), (13, 4), (-1, 8), (-7, 3), (-2, 1),
+                                    (-1, 64), (129, 64), (-65, 12)])
+    ))
+    for measure in (canonical, wrapped):
+        for parts in (8, 12, 64):
+            expected = [Fraction(0)] * parts
+            for key, mass in measure.atoms:
+                t = Fraction(0) if key[0] == "v" else key[2] % 1
+                expected[int(t * parts)] += mass
+            assert arc_masses(measure, parts) == expected
 
 
 def test_solve_curve_at_scale():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, geometry, serialize, variational
+from plma import cli, curves, geometry, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
@@ -41,6 +41,71 @@ def test_rational_strings():
         serialize.parse_rational("1.5x")
     with pytest.raises(SchemaError):
         serialize.parse_rational(None)
+
+
+def test_rational_str_matches_numerator_denominator(rng):
+    # the reference: the numerator alone when the denominator is 1, else p/q
+    def formula(x):
+        x = Fraction(x)
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    values = [rng.randint(-10**40, 10**40) for _ in range(100)]
+    values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**12)) for _ in range(300)]
+    values += [0, -1, Fraction(0), Fraction(-6, 3), Fraction(4, -6)]
+    for x in values:
+        assert serialize.rational_str(x) == formula(x)
+
+
+ESCAPES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", "\u2028", "\ud800",
+           "\U0001F600", "a", "b", " "]
+
+
+def _random_document(rng, depth=0):
+    """A seeded JSON-able tree of the shapes json.dumps accepts."""
+    def text():
+        return "".join(rng.choice(ESCAPES) for _ in range(rng.randint(0, 5)))
+
+    kind = rng.randrange(10) if depth < 4 else rng.randrange(6)
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return rng.choice([rng.randint(-9, 9), rng.randint(-10**40, 10**40), -(2**63), 2**64])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 0.1, -2.5e-310, 1e300, rng.random(), float("nan"),
+                           float("inf"), float("-inf")])
+    if kind in (4, 5):
+        return rng.choice(["", [], (), {}, 0])
+    if kind in (6, 7):
+        items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if kind == 6 else tuple(items)
+    if rng.random() < 0.7:
+        keys = [text() for _ in range(rng.randint(0, 4))]
+    else:
+        # non-str keys: json converts them, after sorting the items
+        keys = rng.choice([[rng.randint(-50, 50) for _ in range(3)],
+                           [0.5, -1.25, float("inf"), 3, True], [None], [False]])
+    return {k: _random_document(rng, depth + 1) for k in keys}
+
+
+def test_dumps_matches_stdlib_indented_output(rng):
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [object(), {1, 2}, Fraction(1, 2), b"bytes", [1, {"a": complex(1, 2)}],
+     {(1, 2): "tuple key"}, {"a": 1, 2: "mixed keys"}],
+)
+def test_dumps_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as ours:
+        serialize.dumps(doc)
+    assert str(ours.value) == str(stdlib.value)
 
 
 def test_polytope_roundtrip(rng):
@@ -518,12 +583,14 @@ PRUNED_GOLDEN = {
         ("ma-square",
          "37da3319ff56c30f86aa7ff518f06f7187c45cff09fd01399fad150bf6aa2aab"),
         ("envelope-interval-csv",
-         "fc9a4995d966daf922efc55a4e5e08ad4978d005a8da83ac9e3c0d0fc709bb39"),
+         "4f779de09d99896a661216aad7f02dd83cb9846b9365ad1c0f665c267e1d2aa2"),
     ],
 )
 def test_cli_pruned_obstacle_golden_stdout(tmp_path, case, digest, capsys):
     # sha256 of the stdout on loaded functions that prune, pinned while
-    # pruning was a flag of from_pieces and its walk was thrown away
+    # pruning was a flag of from_pieces and its walk was thrown away; the
+    # 1-D CSV digest was recorded again when its sample grid moved from the
+    # slope interval to one unit around the breakpoints
     command, documents, options = PRUNED_GOLDEN[case]
     assert _run_documents(tmp_path, command, documents, options) == 0
     out, err = capsys.readouterr()
@@ -555,6 +622,42 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
     assert _run_documents(tmp_path, command, documents) == 0
     assert capsys.readouterr().err == ""
     assert len(calls) == walks
+
+
+def test_cli_envelope_interval_csv_samples_around_breakpoints(tmp_path, capsys):
+    # g lives on N_R: the rows run from one unit before the first breakpoint
+    # to one unit after the last, and every breakpoint is a row
+    documents = {"delta": serialize.polytope_to_json(interval()), "g": PRUNED_INTERVAL}
+    assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert header == ["t", "value", "exactness"]
+    g = variational.envelope_toric(serialize.pl_function_from_json(PRUNED_INTERVAL), interval())
+    ts = sorted(v[0] for v in geometry.breakpoints(g))
+    assert ts == [Fraction(-3, 4), Fraction(15, 8)]
+    # the grid step is 37/512, so every printed t is exact
+    sampled = [Fraction(t) for t, _, _ in rows]
+    assert sampled[0] == ts[0] - 1 and sampled[-1] == ts[-1] + 1
+    assert sampled == sorted(set(sampled)) and len(sampled) == 65 + len(ts)
+    assert set(ts) <= set(sampled)
+    for t, (_, value, exactness) in zip(sampled, rows):
+        assert value == cli._dec(g((t,))) and exactness == "exact"
+
+
+@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
+def test_cli_graph_envelope_one_laplacian_per_check(tmp_path, command, capsys, monkeypatch):
+    # one Laplacian of the dented obstacle, which is not subharmonic, and one
+    # of the envelope, whose measure orthogonality then integrates
+    calls = []
+    laplacian = curves.laplacian
+
+    def counted(f, graph):
+        calls.append(f)
+        return laplacian(f, graph)
+
+    monkeypatch.setattr(curves, "laplacian", counted)
+    assert _run_documents(tmp_path, command, CURVE_GOLDEN["v8"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 2
 
 
 def _dented_graph(vertices, edges, omega0, mu, dents):
@@ -736,7 +839,7 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
     assert cli.run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(variational, "_verify_envelope", lambda *args: False)
+    monkeypatch.setattr(variational, "_verify_envelope", lambda *args: None)
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
