@@ -4,12 +4,14 @@ Polytopes in V-representation, finite-max-of-affine convex functions,
 subdifferentials, volumes and moments, and Legendre-type transforms over
 a polytope.  All coordinates are `fractions.Fraction`.  The predicates
 scale them once to integers over a common denominator and then run on
-`int`s: the walk on the slopes and intercepts of all pieces, the
-point-in-polygon test on a table of integer half-planes, one per side,
-and the cell volume and moment on the slopes of the cell.  So every
-predicate is exact, no floating point enters this module, and there is
-one `Fraction` per result (the small-integer exact computation of Yap,
-Comput. Geom. 1997).
+`int`s: the walk, the 1-D chain and the Legendre transform on the slopes
+and intercepts of all pieces (the transform also on the vertices of the
+polytope), each cell's monotone chain on its tied slopes, the convex hull
+on its points, the point-in-polygon test on a table of integer
+half-planes, one per side, and the cell volume and moment on the slopes
+of the cell.  So every predicate is exact, no floating point enters this
+module, and there is one `Fraction` per result (the small-integer exact
+computation of Yap, Comput. Geom. 1997).
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
@@ -31,6 +33,7 @@ Ambient dimensions 1 and 2 are supported.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,6 +55,10 @@ def as_point(p) -> tuple:
 
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _idot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def vsub(a, b):
@@ -76,29 +83,35 @@ def _check_dim(n: int):
 
 
 def _hull2(points):
-    """Extreme points of a 2-D point set, in counterclockwise boundary order.
-
-    Andrew's monotone chain with strict turns, so collinear points are
-    dropped.  Collapses to 1 or 2 points for degenerate inputs.
+    """Extreme points of a sequence of 2-D rational points, in
+    counterclockwise boundary order, found on the integer points over their
+    common denominator.  Collapses to 1 or 2 points for degenerate inputs.
     """
-    pts = sorted(set(points))
+    P, _ = _integer_points(points)
+    back = dict(zip(P, points))
+    return [back[p] for p in _ccw_ring(sorted(back))]
+
+
+def _ccw_ring(pts):
+    """Andrew's monotone chain on lex-sorted distinct 2-D points, with strict
+    turns, so collinear points are dropped: the counterclockwise ring from
+    the first point, or its two ends when all points are collinear."""
     if len(pts) <= 2:
         return pts
+    ring = _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
+    return ring if len(ring) >= 3 else [pts[0], pts[-1]]
 
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) < 3:  # all collinear
-        return [pts[0], pts[-1]]
-    return ring
+def _half_chain(pts):
+    out = []
+    for x, y in pts:
+        while len(out) >= 2:
+            (x1, y1), (x2, y2) = out[-2], out[-1]
+            if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
+                break
+            out.pop()
+        out.append((x, y))
+    return out
 
 
 def _scaled(xs, D):
@@ -111,6 +124,14 @@ def _integer_points(points):
     each point being P / D; returns (P, D)."""
     D = math.lcm(*(c.denominator for p in points for c in p))
     return [_scaled(p, D) for p in points], D
+
+
+def _integer_pieces(pieces):
+    """Slopes S_i / D and intercepts C_i / E of affine pieces over common
+    denominators; returns (S, D, C, E)."""
+    S, D = _integer_points([p.slope for p in pieces])
+    E = math.lcm(*(p.intercept.denominator for p in pieces))
+    return S, D, _scaled([p.intercept for p in pieces], E), E
 
 
 def ring_area(ring):
@@ -227,9 +248,10 @@ class AffineFunctional:
 
 
 def _lower_chain(lifted):
-    """Pieces at the strict vertices of the lower convex chain.
+    """The strict vertices of the lower convex chain of lifted points.
 
-    lifted: (x, c, piece) triples with distinct x.  Pieces lifted onto the
+    lifted: (x, c, piece) triples with distinct x; returns the triples at
+    the vertices of the chain, by increasing x.  Points lifted onto the
     interior of a chain segment, or above the chain, are dropped.
     """
     out = []
@@ -240,7 +262,7 @@ def _lower_chain(lifted):
                 break
             out.pop()
         out.append((x, c, p))
-    return [p for _, _, p in out]
+    return out
 
 
 def subdivision(pieces):
@@ -257,7 +279,9 @@ def subdivision(pieces):
     appears once from each end.
 
     The vertices are the lower facets of the lifted points (s_i, c_i).  In
-    1-D they are read off the lower chain.  In 2-D the walk starts at one
+    1-D they are read off the lower chain of the integer slopes S_i / D and
+    intercepts C_i / E: the pieces a, b consecutive on it meet at
+    D (C_b - C_a) / (E (S_b - S_a)).  In 2-D the walk starts at one
     vertex and leaves each vertex v along the outward normal n of every
     edge (a, b) of its cell: the next vertex is v + t*n for the smallest
     t > 0 at which some piece overtakes a and b, and none means the edge
@@ -268,10 +292,11 @@ def subdivision(pieces):
     """
     pieces = list(pieces)
     if len(pieces[0].slope) == 1:
-        chain = _lower_chain([(p.slope[0], p.intercept, p) for p in pieces])
+        S, D, C, E = _integer_pieces(pieces)
+        chain = _lower_chain([(s, c, p) for (s,), c, p in zip(S, C, pieces)])
         cells = [
-            (((b.intercept - a.intercept) / (b.slope[0] - a.slope[0]),), (a, b))
-            for a, b in zip(chain, chain[1:])
+            ((Fraction(D * (cb - ca), E * (sb - sa)),), (a, b))
+            for (sa, ca, a), (sb, cb, b) in zip(chain, chain[1:])
         ]
         return cells, []
     return _walk(pieces)
@@ -304,7 +329,8 @@ def _parallel_edges(pieces, S, C):
     chain along the slope line, from its lexicographically first end to
     its last."""
     u = vsub(max(S), min(S))
-    chain = _lower_chain([(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])
+    chain = [p for _, _, p in _lower_chain(
+        [(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])]
     return list(zip(chain, chain[1:]))
 
 
@@ -313,12 +339,12 @@ def _walk(pieces):
 
     It runs on integers: slopes are S_i / D and intercepts C_i / E over
     common denominators, and a vertex is X / q in lowest terms, where piece
-    i has the value (E <S_i, X> - D q C_i) / (D E q).  Slopes that do not
-    span the plane go to `_parallel_edges`.
+    i has the value (E <S_i, X> - D q C_i) / (D E q).  The cell of a vertex
+    is the monotone chain of the integer slopes of the pieces tied there,
+    counterclockwise from the lex-first.  Slopes that do not span the plane
+    go to `_parallel_edges`.
     """
-    S, D = _integer_points([p.slope for p in pieces])
-    E = math.lcm(*(p.intercept.denominator for p in pieces))
-    C = _scaled([p.intercept for p in pieces], E)
+    S, D, C, E = _integer_pieces(pieces)
     u = vsub(S[-1], S[0])
     if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
         return [], _parallel_edges(pieces, S, C)
@@ -330,7 +356,7 @@ def _walk(pieces):
         return [m - val for val in vals]
 
     def cell(gap):
-        return [index[s] for s in _hull2([s for s, d in zip(S, gap) if d == 0])]
+        return [index[s] for s in _ccw_ring(sorted(s for s, d in zip(S, gap) if d == 0))]
 
     def clip(gap, a, N):
         """(G, R): some piece first overtakes piece a at X + G/(E R) * N."""
@@ -577,8 +603,15 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     subdivision inside delta, and, in 2-D, the breakpoints of F along each
     side p -> q of delta.  On that side s -> F(p + s*(q - p)) is the 1-D
     max of the pieces with slope <s_i, q - p> and intercept c_i - <s_i, p>,
-    and its subdivision vertices with 0 < s < 1 are the points where an
-    edge of F's subdivision crosses the side.
+    and the vertices of its lower chain with 0 < s < 1 are the points where
+    an edge of F's subdivision crosses the side.
+
+    It runs on integers, with one Fraction per result.  F's slopes are
+    S_i / D and its intercepts C_i / E, and delta's vertices are V / Q.  F
+    at a vertex is the integer max of E <S_i, V> - D Q C_i, over D E Q.  On
+    a side P -> P' the restricted slopes <S_i, P' - P> (over D Q) and
+    intercepts D Q C_i - E <S_i, P> (over D Q E) are integers, and so is
+    the test 0 < s < 1.
 
     Only the vertices of delta pay for a max over all k pieces.  Every
     other value is read off the kernel cell that found the candidate, in
@@ -587,23 +620,37 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    values = {u: F(u) for u in delta.vertices}
-    values.update((v, c[0].value(v)) for v, c in F.subdivision[0] if delta.contains(v))
+    S, D, C, E = _integer_pieces(F.pieces)
     ring = delta.ring()
-    if delta.dim == 2 and len(ring) >= 2:
-        sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
-        for p, q in sides:
-            d = vsub(q, p)
+    R, Q = _integer_points(ring)
+    DQ = D * Q
+    values = {
+        u: Fraction(max(E * _idot(s, V) - DQ * c for s, c in zip(S, C)), DQ * E)
+        for u, V in zip(ring, R)
+    }
+    for v, cell in F.subdivision[0]:
+        if delta.contains(v):
+            # v = X / q; any piece a of its cell is F there
+            a, q = cell[0], math.lcm(*(x.denominator for x in v))
+            (c,) = _scaled((a.intercept,), E)
+            top = E * _idot(_scaled(a.slope, D), _scaled(v, q)) - D * q * c
+            values[v] = Fraction(top, D * E * q)
+    if delta.dim == 2 and len(R) >= 2:
+        for P, P1 in zip(R, R[1:] + R[:1]) if len(R) >= 3 else [R]:
+            d0, d1 = P1[0] - P[0], P1[1] - P[1]
             # equal restricted slopes: only the lowest intercept can matter
             side = {}
-            for f in F.pieces:
-                x, c = dot(f.slope, d), f.intercept - dot(f.slope, p)
-                if x not in side or c < side[x]:
-                    side[x] = c
-            cells = subdivision([AffineFunctional((x,), c) for x, c in side.items()])[0]
-            values.update(
-                (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
-            )
+            for (s0, s1), c in zip(S, C):
+                x, y = s0 * d0 + s1 * d1, DQ * c - E * (s0 * P[0] + s1 * P[1])
+                if x not in side or y < side[x]:
+                    side[x] = y
+            chain = _lower_chain([(x, y, None) for x, y in side.items()])
+            for (xa, ya, _), (xb, yb, _) in zip(chain, chain[1:]):
+                # consecutive pieces of the chain meet at s = n / m
+                n, m = yb - ya, E * (xb - xa)
+                if 0 < n < m:
+                    u = (Fraction(m * P[0] + n * d0, m * Q), Fraction(m * P[1] + n * d1, m * Q))
+                    values[u] = Fraction(E * xa * n - m * ya, DQ * E * m)
     return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
 
 

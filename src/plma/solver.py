@@ -13,7 +13,8 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
 
 - The start is a Voronoi diagram: the atoms are shrunk affinely to sites
   inside the polytope, and the weights make each cell the Voronoi cell of
-  its site, so every cell starts nonempty.
+  its site, so every cell starts nonempty.  The weights are exact, on
+  integers, and rounded to float once each.
 - A step w + alpha d (alpha = 1, 1/2, ...) is taken when every cell keeps
   area at least eps0 = min(min_i nu_i, smallest starting cell) / 2 and the
   residual norm drops to (1 - alpha/2) times its current value.  This is
@@ -54,12 +55,8 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    cross2,
-    dot,
+    _integer_points,
     dual_transform,
-    vadd,
-    vscale,
-    vsub,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
 
@@ -210,25 +207,39 @@ def _voronoi_weights(delta: Polytope, atoms):
 
     The sites are p_i = c + t (v_i - m), with c the vertex mean of delta, m
     the atom mean and t half the largest scale that keeps every site in
-    delta.  Since <u, p_i> - |p_i|^2/2 = t(<u, v_i> + w_i) + (terms without
-    i) for w_i = -|p_i|^2 / (2t), cell i is the Voronoi cell of p_i: it
-    contains p_i, so it is nonempty.
+    delta (t = 1 when no direction v_i - m meets a side).  Since <u, p_i> -
+    |p_i|^2/2 = t(<u, v_i> + w_i) + (terms without i) for w_i = -|p_i|^2 /
+    (2t), cell i is the Voronoi cell of p_i: it contains p_i, so it is
+    nonempty.
+
+    It runs on integers: the n vertices of delta are R_j / Q and the k
+    atoms V_i / A, so c = sum R / (n Q) and v_i - m = (k V_i - sum V) / (k A).
+    Each weight is rounded to float once, from its exact value.
     """
-    ring = delta.ring()
-    c = vscale(Fraction(1, len(ring)), tuple(map(sum, zip(*ring))))
-    m = vscale(Fraction(1, len(atoms)), tuple(map(sum, zip(*(v for v, _ in atoms)))))
-    dirs = [vsub(v, m) for v, _ in atoms]
-    # c + t d stays inside the CCW edge (a, b) while
-    # cross(b - a, c - a) + t cross(b - a, d) > 0.
-    limits = [
-        cross2(vsub(b, a), vsub(c, a)) / -cross2(vsub(b, a), d)
-        for a, b in zip(ring, ring[1:] + ring[:1])
-        for d in dirs
-        if cross2(vsub(b, a), d) < 0
-    ]
-    t = min(limits, default=Fraction(2)) / 2
-    sites = [vadd(c, vscale(t, d)) for d in dirs]
-    return [float(-dot(p, p) / (2 * t)) for p in sites]
+    R, Q = _integer_points(delta.ring())
+    V, A = _integer_points([v for v, _ in atoms])
+    n, k = len(R), len(V)
+    sR = (sum(r[0] for r in R), sum(r[1] for r in R))
+    sV = (sum(v[0] for v in V), sum(v[1] for v in V))
+    dirs = [(k * v[0] - sV[0], k * v[1] - sV[1]) for v in V]
+    # c + t d stays inside the CCW side (a, b) while cross(b - a, c - a) +
+    # t cross(b - a, d) > 0, that is, while t < N k A / (n Q M) with the
+    # integers N = cross(B - A, sum R - n A) and M = cross(k V - sum V, B - A).
+    limit = None  # the least N / M, compared by cross-multiplication
+    for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
+        e0, e1 = b0 - a0, b1 - a1
+        N = e0 * (sR[1] - n * a1) - e1 * (sR[0] - n * a0)
+        for d0, d1 in dirs:
+            M = d0 * e1 - d1 * e0
+            if M > 0 and (limit is None or N * limit[1] < limit[0] * M):
+                limit = (N, M)
+    # t = tn / td: half the least limit, or 1
+    tn, td = (1, 1) if limit is None else (limit[0] * k * A, 2 * n * Q * limit[1])
+    # site i is (a sum R + b d_i) / (n Q a), and w_i = -td |site i|^2 / (2 tn)
+    a, b = td * k * A, n * Q * tn
+    den = 2 * tn * (n * Q * a) ** 2
+    return [-(td * ((a * sR[0] + b * d0) ** 2 + (a * sR[1] + b * d1) ** 2)) / den
+            for d0, d1 in dirs]
 
 
 def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None = None) -> SolveReport:

@@ -29,6 +29,14 @@ def hexagon():
 ACCEPTANCE_POLYTOPES = [interval(), unit_square(), simplex2(), hexagon()]
 
 
+def rational_hexagon():
+    """A hexagon whose vertex coordinates have the pairwise coprime
+    denominators 3, 7 and 11, so no two of them share a scale."""
+    Q = Fraction
+    return Polytope.from_points([(Q(1, 3), Q(-5, 7)), (Q(9, 7), Q(-4, 11)), (Q(15, 11), Q(2, 3)),
+                                 (Q(2, 3), Q(10, 7)), (Q(-5, 7), Q(9, 11)), (Q(-8, 11), Q(-1, 3))])
+
+
 def rnd_frac(rng, den=6, lo=-2, hi=2):
     return Fraction(rng.randint(lo * den, hi * den), den)
 

@@ -468,6 +468,14 @@ TORIC_GOLDEN = {
                          {"point": ["1/3"], "mass": "1/2"},
                          {"point": ["5/2"], "mass": "1/4"}]},
     }),
+    # uniform masses on twelve atoms of the 1/17 grid in the unit square; the
+    # snap fails, so the weights on 2^-50 and their exact residual are printed
+    "square-a12-unsnapped": ("toric-solve", {
+        "delta": SQUARE_JSON,
+        "mu": {"atoms": [{"point": [f"{i}/17", f"{j}/17"], "mass": "1/6"} for i, j in [
+            (0, 5), (4, 1), (7, 11), (7, 14), (9, 17), (10, 11),
+            (10, 15), (13, 1), (13, 8), (13, 13), (15, 0), (17, 1)]]},
+    }),
     "envelope-min-of": ("envelope", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
     "orthogonality-min-of": ("orthogonality", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
 }
@@ -482,6 +490,8 @@ TORIC_GOLDEN = {
          "e2b77a4032a8066fa43c2909e7da119da00c7aa1ced367c6e1e4cb2513bbe46d"),
         ("interval-a3",
          "e5297a288f68c36a33b298f93b03d27bab873dfb6d3269cf6d0267ce99ec55f3"),
+        ("square-a12-unsnapped",
+         "9e5af46f3d7f111d2ad274a7f0772e902fd47b153d586261613b020b4ebf609e"),
         ("envelope-min-of",
          "afbbc658bb10f8d6218473a26ca9bcdeda160944aa7f5e2559a2653157200e4c"),
         ("orthogonality-min-of",
@@ -491,6 +501,8 @@ TORIC_GOLDEN = {
 def test_cli_toric_golden_stdout(tmp_path, case, digest, capsys):
     # sha256 of the stdout on fixed toric inputs, pinned before the Legendre
     # transform read its breakpoints along the sides of delta off the 1-D chain
+    # (square-a12-unsnapped: before the transform and the Voronoi start ran
+    # on integers)
     command, documents = TORIC_GOLDEN[case]
     assert _run_documents(tmp_path, command, documents) == 0
     out, err = capsys.readouterr()

@@ -18,13 +18,18 @@ from plma.geometry import (
     AffineFunctional,
     DiscreteMeasure,
     PLConvexFunction,
+    cross2,
     dot,
     support_function,
+    vadd,
+    vscale,
+    vsub,
 )
 from plma.solver import (
     SolverOptions,
     _newton_edges,
     _power_cells,
+    _voronoi_weights,
     residual,
     solve_curve,
     solve_toric,
@@ -32,11 +37,13 @@ from plma.solver import (
 from plma.toric import AdmissibilityError, ma_measure, point_mass_solution
 
 from conftest import (
+    ACCEPTANCE_POLYTOPES,
     hexagon,
     interval,
     random_admissible,
     random_graph,
     random_positive_measure,
+    rational_hexagon,
     rnd_frac,
     simplex2,
     unit_square,
@@ -140,6 +147,50 @@ def test_cells_partition_exactly(rng):
     weights = [rnd_frac(rng) for _ in atoms]
     _, vols = _power_cells(delta.ring(), atoms, weights)
     assert sum(vols) == delta.volume()
+
+
+def fraction_voronoi_weights(delta, atoms):
+    """The Voronoi start on rationals: the sites c + t (v_i - m) and the
+    weights -|p_i|^2 / (2t), each rounded to float from its Fraction."""
+    ring = delta.ring()
+    c = vscale(Fraction(1, len(ring)), tuple(map(sum, zip(*ring))))
+    m = vscale(Fraction(1, len(atoms)), tuple(map(sum, zip(*(v for v, _ in atoms)))))
+    dirs = [vsub(v, m) for v, _ in atoms]
+    limits = [
+        cross2(vsub(b, a), vsub(c, a)) / -cross2(vsub(b, a), d)
+        for a, b in zip(ring, ring[1:] + ring[:1])
+        for d in dirs
+        if cross2(vsub(b, a), d) < 0
+    ]
+    t = min(limits, default=Fraction(2)) / 2
+    sites = [vadd(c, vscale(t, d)) for d in dirs]
+    return [float(-dot(p, p) / (2 * t)) for p in sites]
+
+
+def test_voronoi_weights_against_fraction_oracle():
+    # the integer start rounds each exact weight once, so its floats equal
+    # the rational start's; an unsnapped solve prints weights on 2^-50 that
+    # a one-ulp change of the start can move
+    rng = random.Random("voronoi")
+    deltas = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 2] + [rational_hexagon()]
+    single = coincident = outside = 0
+    for _ in range(400):
+        delta = rng.choice(deltas)
+        den = rng.choice([1, 3, 7, 17])
+        k = rng.choice([1, 2, 3, 5, 8])
+        atoms = [((rnd_frac(rng, den, -3, 3), rnd_frac(rng, den, -3, 3)), Fraction(1, k))
+                 for _ in range(k)]
+        if k > 1 and rng.random() < 0.2:
+            atoms = atoms[:1] * k  # every direction v_i - m is 0: no side limits t
+        elif k > 2 and rng.random() < 0.3:
+            atoms[-1] = atoms[0]
+        weights = _voronoi_weights(delta, atoms)
+        assert weights == fraction_voronoi_weights(delta, atoms)
+        assert all(type(w) is float for w in weights)
+        single += k == 1
+        coincident += k > 1 and len({v for v, _ in atoms}) == 1
+        outside += any(not delta.contains(v) for v, _ in atoms)
+    assert single > 40 and coincident > 20 and outside > 200
 
 
 def newton_matrix(cells, atoms):

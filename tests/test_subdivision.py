@@ -39,6 +39,7 @@ from conftest import (
     ACCEPTANCE_POLYTOPES,
     lattice_paraboloid,
     random_admissible,
+    rational_hexagon,
     unit_square,
     unpruned,
 )
@@ -124,6 +125,47 @@ def oracle_dual_transform(F, delta):
                         if pi.value(u) == F(u):
                             cands.add(u)
     return unpruned([AffineFunctional(u, F(u)) for u in cands]).pieces
+
+
+def fraction_chain(pieces):
+    """The 1-D `subdivision` on rationals: (breakpoint, (a, b)) for every two
+    pieces a, b consecutive on the lower chain of the lifted points (s, c)."""
+    chain = []
+    for p in sorted(pieces, key=lambda p: p.slope):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if ((b.slope[0] - a.slope[0]) * (p.intercept - a.intercept)
+                    > (b.intercept - a.intercept) * (p.slope[0] - a.slope[0])):
+                break
+            chain.pop()
+        chain.append(p)
+    return [(((b.intercept - a.intercept) / (b.slope[0] - a.slope[0]),), (a, b))
+            for a, b in zip(chain, chain[1:])]
+
+
+def fraction_dual_transform(F, delta):
+    """`dual_transform` on rationals: F at the vertices of delta, each walk
+    vertex inside delta with the value of its cell, and on each side p -> q
+    the chain of the restricted pieces (<s_i, q - p>, c_i - <s_i, p>), each
+    breakpoint with the value of its left piece."""
+    values = {u: F(u) for u in delta.vertices}
+    walk = fraction_chain(F.pieces) if F.dim == 1 else F.subdivision[0]
+    values.update((v, c[0].value(v)) for v, c in walk if delta.contains(v))
+    ring = delta.ring()
+    if delta.dim == 2 and len(ring) >= 2:
+        sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
+        for p, q in sides:
+            d = vsub(q, p)
+            side = {}
+            for f in F.pieces:
+                x, c = dot(f.slope, d), f.intercept - dot(f.slope, p)
+                if x not in side or c < side[x]:
+                    side[x] = c
+            cells = fraction_chain([AffineFunctional((x,), c) for x, c in side.items()])
+            values.update(
+                (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
+            )
+    return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
 
 
 def _strict_feasible(constraints, n: int) -> bool:
@@ -237,6 +279,52 @@ def fraction_moment(ring):
     return tuple(sum(((p[i] + q[i]) * c for p, q, c in edges), Fraction(0)) / 6 for i in (0, 1))
 
 
+def coprime_pieces(rng, n, delta):
+    """1-8 pieces whose slopes and intercepts have the denominators 1, 2, 5
+    and 1, 4, 9, coprime to those of the rational polytopes below.  In 2-D,
+    one draw in three adds pieces whose slopes differ from another's by a
+    normal of one side of delta, so that their restricted slopes on that
+    side are equal."""
+    def q(dens, span=3):
+        den = rng.choice(dens)
+        return Fraction(rng.randint(-span * den, span * den), den)
+
+    pieces = [AffineFunctional(tuple(q((1, 2, 5)) for _ in range(n)), q((1, 4, 9)))
+              for _ in range(rng.randint(1, 8))]
+    ring = delta.ring()
+    if n == 2 and len(ring) >= 2 and rng.random() < 1 / 3:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(ring))
+            d = vsub(ring[(i + 1) % len(ring)], ring[i])
+            s = rng.choice(pieces).slope
+            pieces.append(AffineFunctional(vadd(s, vscale(q((1, 2)), (-d[1], d[0]))), q((1, 4, 9))))
+    return pieces
+
+
+def equal_side_slopes(g, delta):
+    """Whether two pieces of g have the same restricted slope on a side of delta."""
+    ring = delta.ring()
+    if len(ring) < 2:
+        return False
+    sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
+    return any(len({dot(p.slope, vsub(b, a)) for p in g.pieces}) < len(g.pieces)
+               for a, b in sides)
+
+
+Q = Fraction
+# vertex denominators 3, 7 and 11: a hexagon, a triangle, a segment and a
+# point in the plane, and two intervals
+RATIONAL_DELTAS_2D = [
+    rational_hexagon(),
+    Polytope.from_points([(Q(-1, 3), Q(1, 7)), (Q(12, 7), Q(-2, 11)), (Q(5, 11), Q(5, 3))]),
+    Polytope.from_points([(Q(1, 3), Q(-2, 7)), (Q(13, 11), Q(5, 3))]),
+    Polytope.from_points([(Q(2, 7), Q(-4, 11))]),
+]
+RATIONAL_DELTAS_1D = [
+    Polytope.from_points([(Q(-1, 3),), (Q(5, 7),)]),
+    Polytope.from_points([(Q(2, 11),), (Q(13, 3),)]),
+]
+
 DELTAS_2D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 2] + [
     Polytope.from_points([(0, 0), (2, 1)]),  # a segment
 ]
@@ -317,6 +405,10 @@ def test_rational_slopes_against_oracle():
         assert shuffled[0] == cells and set(shuffled[1]) == set(edges)
         for _, cell in cells:
             ring = [p.slope for p in cell]
+            # a strictly convex counterclockwise ring from its lex-first slope
+            assert ring[0] == min(ring)
+            assert all(cross2(vsub(b, a), vsub(c, b)) > 0
+                       for a, b, c in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]))
             assert cell_volume(cell) == fraction_shoelace(ring)
             assert cell_moment(cell) == fraction_moment(ring)
             volumes += 1
@@ -343,6 +435,32 @@ def test_convex_envelope_against_oracle(n):
             assert env == dual_transform(F, delta)
             assert env.pieces == oracle_dual_transform(F, delta)
     assert non_essential > 10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_transform_on_coprime_denominators(n):
+    # the integer transform and the 1-D chain against their rational forms
+    # and the brute-force transform, with slope, intercept and vertex
+    # denominators that share no factor, on polygons, a segment and a point
+    # in the plane and on intervals with rational ends
+    rng = random.Random(f"transform/{n}")
+    deltas = RATIONAL_DELTAS_1D if n == 1 else RATIONAL_DELTAS_2D
+    single = equal = breaks = 0
+    for _ in range(100):
+        delta = rng.choice(deltas)
+        pieces = coprime_pieces(rng, n, delta)
+        g = pruned_or_not(pieces, rng)
+        if n == 1:
+            shuffled = rng.sample(g.pieces, len(g.pieces))
+            assert subdivision(shuffled) == (fraction_chain(g.pieces), [])
+            breaks += len(g.subdivision[0])
+        for d in (delta, rng.choice(deltas)):
+            h = dual_transform(g, d)
+            assert h == fraction_dual_transform(g, d)
+            assert h.pieces == oracle_dual_transform(g, d)
+            equal += n == 2 and equal_side_slopes(g, d)
+        single += len(g.pieces) == 1
+    assert single > 5 and (n == 1 and breaks > 100 or n == 2 and equal > 15)
 
 
 @pytest.mark.parametrize("n", [1, 2])
