@@ -551,13 +551,18 @@ def canonical_metric(m: int, iterations: int, d_L=1):
 
 
 def arc_masses(measure: GraphMeasure, parts: int):
-    """Masses of the arcs [j/parts, (j+1)/parts) of the unit circle."""
-    out = [Fraction(0)] * parts
+    """Masses of the arcs [j/parts, (j+1)/parts) of the unit circle.
+
+    An arc with one atom takes its mass as is; only a second atom in the
+    same arc costs an addition.
+    """
+    out = [None] * parts
     for key, mass in measure.atoms:
         if key[0] == "v":
-            out[0] += mass
+            j = 0
         else:
             # floor(frac(o) * parts) from o's integers, negative o included
             o = key[2]
-            out[o.numerator * parts // o.denominator % parts] += mass
-    return out
+            j = o.numerator * parts // o.denominator % parts
+        out[j] = mass if out[j] is None else out[j] + mass
+    return [Fraction(0) if m is None else m for m in out]

@@ -242,9 +242,12 @@ def envelope_subharmonic(
     The envelope is linear between the nodes (vertices, obstacle
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
-    s = 0 wherever x < psi.  Howard's policy iteration (_howard) solves it:
-    from a contact set C, solve x = psi on C and laplacian(x) = -omega0
-    off C, then set C = {k : psi(k) - x(k) <= s(k)}.
+    s = 0 wherever x < psi.  The nodes are numbered 0..n-1 once, in the
+    order of curves._refine, and the obstacle is read off psi's
+    breakpoints edge by edge (_node_values).  Howard's policy iteration
+    (_howard) solves the problem on those indices: from a contact set C,
+    solve x = psi on C and laplacian(x) = -omega0 off C, then set
+    C = {k : psi(k) - x(k) <= s(k)}.
 
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
@@ -256,50 +259,59 @@ def envelope_subharmonic(
     instead.  Howard's iteration converges from any nonempty contact set,
     in at most len(nodes) + 1 exact solves (Bokanowski, Maroso and
     Zidani), and the solution is unique, so the guide changes the cost
-    and never the result.  The result is verified against the obstacle
-    and subharmonicity; a failure raises ConvergenceError.
+    and never the result.  A subharmonic psi needs no test of its own: the
+    exact pass then ends with x = psi at every node, and psi is returned
+    as given, not simplified.  The result is verified against the
+    obstacle and subharmonicity; a failure raises ConvergenceError.
     """
     return _envelope_and_measure(psi, graph, omega0)[0]
 
 
 def _envelope_and_measure(psi, graph, omega0):
     """envelope_subharmonic's envelope p, with the measure omega0 +
-    laplacian(p) that its exact check found positive, so that a caller
-    needing MA(p) does not take the Laplacian again."""
-    ma = _positive_ma(psi, graph, omega0)
-    if ma is not None:
-        return psi, ma
-    nodes, edges, edge_offsets = curves._refine(
-        graph, _candidate_keys(psi, graph, omega0)
-    )
-    obstacle = {k: psi.eval(graph, k) for k in nodes}
-    mass = dict(omega0.atoms)
-    contact = _float_contact(obstacle, mass, nodes, edges) or set(nodes)
-    for x, s, _ in _howard(obstacle, mass, nodes, edges, contact):
-        if all(x[k] <= obstacle[k] and s[k] >= 0 for k in nodes):
-            env = curves._function_from_node_values(graph, x, edge_offsets)
-            ma = _verify_envelope(env, psi, graph, omega0)
-            if ma is not None:
-                return env, ma
+    laplacian(p) and the gap psi - p that its exact check found positive,
+    so that a caller needing MA(p) or the gap does not compute them again."""
+    nodes, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
+    index = {k: i for i, k in enumerate(nodes)}
+    edges = [(index[a], index[b], w) for a, b, w in edges]
+    obstacle = _node_values(psi, graph, edge_offsets)
+    mass = {index[k]: m for k, m in omega0.atoms}
+    contact = _float_contact(obstacle, mass, edges) or set(range(len(nodes)))
+    for x, s, _ in _howard(obstacle, mass, edges, contact):
+        if all(xk <= yk for xk, yk in zip(x, obstacle)) and all(sk >= 0 for sk in s):
+            if x == obstacle:
+                env = psi
+            else:
+                env = curves._function_from_node_values(graph, dict(zip(nodes, x)),
+                                                        edge_offsets)
+            checked = _verify_envelope(env, psi, graph, omega0)
+            if checked is not None:
+                return (env, *checked)
             break
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
-def _howard(obstacle, mass, nodes, edges, contact):
+def _howard(obstacle, mass, edges, contact):
     """Howard's policy iteration for the discrete obstacle problem.
 
-    From the contact set `contact`, yield x, s = laplacian(x) + omega0 and
-    the next contact set, for at most len(nodes) + 1 solves.  The
-    arithmetic follows the input types, as in solve_laplacian.  With C
-    nonempty on a connected graph, the Laplacian with Dirichlet rows on C
-    is a nonsingular M-matrix, so every solve is well posed; and C never
-    empties, because s sums to mass(omega0) > 0 and s = 0 off C, so some
-    node of C has s > 0 = psi - x and stays in contact.
+    The nodes are the indices of the list `obstacle`, `mass` maps an index
+    to its omega0 mass and `edges` holds (i, j, w) segments.  From the
+    contact set `contact` (a set of indices), yield the lists x and
+    s = laplacian(x) + omega0 and the next contact set, for at most
+    len(obstacle) + 1 solves.  The arithmetic follows the input types, as
+    in solve_laplacian.  With C nonempty on a connected graph, the
+    Laplacian with Dirichlet rows on C is a nonsingular M-matrix, so every
+    solve is well posed; and C never empties, because s sums to
+    mass(omega0) > 0 and s = 0 off C, so some node of C has s > 0 = psi - x
+    and stays in contact.
     """
+    nodes = range(len(obstacle))
     source = {k: -m for k, m in mass.items()}
-    for _ in range(len(nodes) + 1):
-        x = curves.solve_laplacian(source, nodes, edges, {k: obstacle[k] for k in contact})
-        s = {k: mass.get(k, 0) for k in nodes}
+    for _ in range(len(obstacle) + 1):
+        values = curves.solve_laplacian(source, nodes, edges,
+                                        {k: obstacle[k] for k in contact})
+        x = [values[k] for k in nodes]
+        s = [mass.get(k, 0) for k in nodes]
         for a, b, w in edges:
             d = w * (x[b] - x[a])
             s[a] += d
@@ -308,19 +320,19 @@ def _howard(obstacle, mass, nodes, edges, contact):
         yield x, s, contact
 
 
-def _float_contact(obstacle, mass, nodes, edges):
+def _float_contact(obstacle, mass, edges):
     """The contact set at which Howard's iteration settles in floats, from
     every node: the first that repeats an earlier one, since rounding at a
     tie node (x = psi, s = 0) can make the float iteration cycle.  None if
     a float solve overflows, is singular or not finite, or nothing repeats.
     Only a guide: the exact pass checks it."""
-    found = [set(nodes)]
+    found = [set(range(len(obstacle)))]
     try:
-        obstacle = {k: float(y) for k, y in obstacle.items()}
+        obstacle = [float(y) for y in obstacle]
         mass = {k: float(m) for k, m in mass.items()}
         edges = [(a, b, float(w)) for a, b, w in edges]
-        for x, _, contact in _howard(obstacle, mass, nodes, edges, found[0]):
-            if not all(map(isfinite, x.values())):
+        for x, _, contact in _howard(obstacle, mass, edges, found[0]):
+            if not all(map(isfinite, x)):
                 return None
             if contact in found:
                 return contact
@@ -330,37 +342,57 @@ def _float_contact(obstacle, mass, nodes, edges):
     return None
 
 
-def _candidate_keys(psi, graph, omega0):
-    keys = {("v", vid) for vid in graph.vertex_ids}
+def _candidate_keys(psi, omega0):
+    """The interior points where the envelope can bend besides the
+    vertices: psi's interior breakpoints and omega0's atoms.  Their order
+    does not matter, as curves._refine sorts the offsets of each edge."""
+    keys = {k for k, _ in omega0.atoms}
     for e, pairs in enumerate(psi.edge_values):
-        for o, _ in pairs[1:-1]:
-            keys.add(graph.point_key(curves.GraphPoint(e, o)))
-    for k, _ in omega0.atoms:
-        keys.add(k)
-    return sorted(keys, key=repr)
+        keys.update(("e", e, o) for o, _ in pairs[1:-1])
+    return keys
 
 
-def _positive_ma(f, graph, omega0):
-    """ma_curve(f) if f is subharmonic, else None."""
-    try:
-        return curves.ma_curve(f, graph, omega0)
-    except curves.SubharmonicityError:
-        return None
+def _node_values(psi, graph, edge_offsets):
+    """psi at the nodes of curves._refine, as a list in their order: the
+    vertices, then each edge's sorted interior offsets.  One pass over
+    psi's breakpoints per edge: a node on a breakpoint takes psi's value
+    there, and only a node strictly inside a segment of psi is
+    interpolated.  A vertex takes its value from the edge psi.eval reads."""
+    values = []
+    for vid in graph.vertex_ids:
+        e, first = graph._vertex_ends[vid]
+        values.append(psi.edge_values[e][0 if first else -1][1])
+    for pairs, offsets in zip(psi.edge_values, edge_offsets):
+        j = 1
+        for o in offsets:
+            while pairs[j][0] < o:
+                j += 1
+            o2, y2 = pairs[j]
+            if o2 == o:
+                values.append(y2)
+            else:
+                o1, y1 = pairs[j - 1]
+                values.append(y1 + (y2 - y1) * (o - o1) / (o2 - o1))
+    return values
 
 
 def _verify_envelope(env, psi, graph, omega0):
-    """The measure MA(env) if env lies below psi and is subharmonic, else None."""
+    """(MA(env), psi - env) if env lies below psi and is subharmonic, else
+    None."""
     gap = psi - env
     if any(y < 0 for pairs in gap.edge_values for _, y in pairs):
         return None
-    return _positive_ma(env, graph, omega0)
+    try:
+        return curves.ma_curve(env, graph, omega0), gap
+    except curves.SubharmonicityError:
+        return None
 
 
 def orthogonality_defect_curve(
     psi: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure
 ) -> Fraction:
-    p, ma = _envelope_and_measure(psi, graph, omega0)
-    return ma.integrate(graph, psi - p)
+    _, ma, gap = _envelope_and_measure(psi, graph, omega0)
+    return ma.integrate(graph, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,36 @@ def test_arc_masses_index_by_floor():
             assert arc_masses(measure, parts) == expected
 
 
+def fraction_arc_masses(measure, parts):
+    """arc_masses as it was: one Fraction addition per atom."""
+    out = [Fraction(0)] * parts
+    for key, mass in measure.atoms:
+        if key[0] == "v":
+            out[0] += mass
+        else:
+            o = key[2]
+            out[o.numerator * parts // o.denominator % parts] += mass
+    return out
+
+
+def test_arc_masses_against_one_addition_per_atom():
+    # vertex atoms, offsets of 1 and beyond and negative ones, several
+    # atoms per arc and empty arcs, against the loop that adds every atom
+    rng = random.Random(1024)
+    for _ in range(300):
+        parts = rng.choice([1, 2, 3, 8, 12, 64])
+        atoms = [(("v", 0), rnd_frac(rng))] * rng.randint(0, 2)
+        for _ in range(rng.randint(0, 2 * parts)):
+            o = Fraction(rng.randint(-3 * parts, 3 * parts), parts) + Fraction(rng.randint(0, 7), 8 * parts)
+            atoms.append((("e", 0, o), rnd_frac(rng, den=rng.choice([1, 5, 7]))))
+        rng.shuffle(atoms)
+        measure = GraphMeasure(tuple(atoms))
+        got = arc_masses(measure, parts)
+        assert got == fraction_arc_masses(measure, parts)
+        assert all(type(m) is Fraction for m in got)
+        assert [str(m) for m in got] == [str(m) for m in fraction_arc_masses(measure, parts)]
+
+
 def test_solve_curve_at_scale():
     # the benchmark's graph shape (a spanning tree plus v/4 extra edges) at
     # 160 vertices, with three atoms in mu and two in omega0

@@ -657,8 +657,8 @@ def test_cli_envelope_interval_csv_samples_around_breakpoints(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["envelope", "orthogonality"])
 def test_cli_graph_envelope_one_laplacian_per_check(tmp_path, command, capsys, monkeypatch):
-    # one Laplacian of the dented obstacle, which is not subharmonic, and one
-    # of the envelope, whose measure orthogonality then integrates
+    # one Laplacian, the envelope's, whose measure orthogonality then
+    # integrates: the obstacle is not tested for subharmonicity up front
     calls = []
     laplacian = curves.laplacian
 
@@ -669,7 +669,24 @@ def test_cli_graph_envelope_one_laplacian_per_check(tmp_path, command, capsys, m
     monkeypatch.setattr(curves, "laplacian", counted)
     assert _run_documents(tmp_path, command, CURVE_GOLDEN["v8"]) == 0
     assert capsys.readouterr().err == ""
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_cli_graph_orthogonality_one_gap(tmp_path, capsys, monkeypatch):
+    # psi - P(psi) is built once, by the envelope's check, and integrated
+    calls = []
+    combine = curves.GraphPLFunction.combine
+
+    def counted(self, other, a, b):
+        calls.append((a, b))
+        return combine(self, other, a, b)
+
+    monkeypatch.setattr(curves.GraphPLFunction, "combine", counted)
+    for case in ("v8", "v14", "subharmonic"):
+        calls.clear()
+        assert _run_documents(tmp_path, "orthogonality", CURVE_GOLDEN[case]) == 0
+        assert capsys.readouterr().err == ""
+        assert calls == [(1, -1)]
 
 
 def _dented_graph(vertices, edges, omega0, mu, dents):
@@ -688,6 +705,18 @@ def _dented_graph(vertices, edges, omega0, mu, dents):
     psi = solve_poisson(g, rho, vertex_key(vertices[0]))
     omega0 = {"atoms": [{"point": p, "mass": m} for p, m in omega0]}
     return {"graph": graph, "omega0": omega0, "g": serialize.graph_function_to_json(psi)}
+
+
+def _subharmonic_graph(vertices, edges, omega0, mu, redundant):
+    """Graph documents with a subharmonic obstacle: psi solves laplacian(psi)
+    = mu - omega0/2 (masses 1 and 2), and each edge in `redundant` gets one more breakpoint,
+    collinear, in the middle of its first segment."""
+    documents = _dented_graph(vertices, edges, omega0, mu, [])
+    for e in redundant:
+        pairs = documents["g"]["edges"][e]
+        (o1, y1), (o2, y2) = [[Fraction(c) for c in pair] for pair in pairs[:2]]
+        pairs.insert(1, [serialize.rational_str((o1 + o2) / 2), serialize.rational_str((y1 + y2) / 2)])
+    return documents
 
 
 CURVE_GOLDEN = {
@@ -716,6 +745,15 @@ CURVE_GOLDEN = {
          ({"edge": 9, "offset": "5/12"}, "1/12"), ({"vertex": 11}, "1/4"),
          ({"edge": 15, "offset": "9/4"}, "1/6"), ({"vertex": 8}, "1/12"),
          ({"edge": 6, "offset": "1/8"}, "1/6")],
+    ),    # 5 vertices, a loop and a cycle: psi is subharmonic, its own envelope,
+    # printed with the redundant breakpoints on edges 1 (the loop) and 3
+    "subharmonic": _subharmonic_graph(
+        list(range(5)),
+        [(0, 1, "3/2"), (1, 1, "2"), (1, 2, "1/2"), (2, 3, "5/3"), (0, 3, "1"), (3, 4, "4/3")],
+        [({"vertex": 0}, "1/2"), ({"edge": 3, "offset": "2/3"}, "3/2")],
+        [({"vertex": 4}, "1/2"), ({"edge": 1, "offset": "1/2"}, "1/4"),
+         ({"edge": 0, "offset": "3/4"}, "1/4")],
+        [1, 3],
     ),
 }
 
@@ -739,11 +777,20 @@ CURVE_GOLDEN = {
          "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
         ("orthogonality", "v14", CSV,
          "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+        ("envelope", "subharmonic", (),
+         "d72813608d6ff93d8decd9f47d71de129be7c915264765675da2cd7a4cfeac83"),
+        ("envelope", "subharmonic", CSV,
+         "6c504b1eb0da958024f47f70aa132ec34e1f96224d9ccc6fce115142bf660df6"),
+        ("orthogonality", "subharmonic", (),
+         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
+        ("orthogonality", "subharmonic", CSV,
+         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
     ],
 )
 def test_cli_curve_envelope_golden_stdout(tmp_path, command, case, options, digest, capsys):
     # sha256 of the stdout of the graph obstacle problem, pinned while every
-    # Howard step was an exact solve from the contact set of all nodes
+    # Howard step was an exact solve from the contact set of all nodes; the
+    # subharmonic case while a test of psi ahead of Howard returned psi
     assert _run_documents(tmp_path, command, CURVE_GOLDEN[case], options) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest

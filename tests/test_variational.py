@@ -505,9 +505,24 @@ def test_envelope_graph_regression():
 
 
 def obstacle_problem(psi, g, om):
-    """The nodes, segments and node values of psi of the discrete problem."""
-    nodes, edges, offsets = curves._refine(g, variational._candidate_keys(psi, g, om))
+    """The nodes, segments and node values of psi of the discrete problem,
+    keyed by location and read with psi.eval: the interior nodes are psi's
+    breakpoints and om's atoms, whatever variational picks."""
+    keys = [k for k, _ in om.atoms] + [
+        g.point_key(GraphPoint(e, o)) for e, pairs in enumerate(psi.edge_values)
+        for o, _ in pairs[1:-1]
+    ]
+    nodes, edges, offsets = curves._refine(g, keys)
     return nodes, edges, offsets, {k: psi.eval(g, k) for k in nodes}
+
+
+def indexed_problem(psi, g, om):
+    """obstacle_problem on node indices, as _howard takes it: the nodes,
+    the (i, j, w) segments, the offsets, the obstacle list and the masses."""
+    nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
+    index = {k: i for i, k in enumerate(nodes)}
+    return (nodes, [(index[a], index[b], w) for a, b, w in edges], offsets,
+            [obstacle[k] for k in nodes], {index[k]: m for k, m in om.atoms})
 
 
 def howard_oracle(psi, g, om):
@@ -595,20 +610,117 @@ def test_exact_howard_from_any_start():
     for i in range(30):
         g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
         expected = howard_oracle(psi, g, om)
-        nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
-        candidates = [set(nodes), {rng.choice(nodes)}]
-        candidates += [set(rng.sample(nodes, rng.randint(1, len(nodes)))) for _ in range(3)]
+        nodes, edges, offsets, obstacle, mass = indexed_problem(psi, g, om)
+        n = len(nodes)
+        candidates = [set(range(n)), {rng.randrange(n)}]
+        candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
         for contact in candidates:
-            for x, s, contact in variational._howard(obstacle, dict(om.atoms), nodes, edges,
-                                                     contact):
+            for x, s, contact in variational._howard(obstacle, mass, edges, contact):
                 assert contact  # the contact set never empties
-                if all(x[k] <= obstacle[k] and s[k] >= 0 for k in nodes):
+                if all(xk <= yk for xk, yk in zip(x, obstacle)) and min(s) >= 0:
                     break
             else:
                 raise AssertionError("no complementary solve in len(nodes) + 1 solves")
-            assert curves._function_from_node_values(g, x, offsets) == expected
+            values = dict(zip(nodes, x))
+            assert curves._function_from_node_values(g, values, offsets) == expected
             starts += 1
     assert starts == 150
+
+
+def loopy_obstacle(rng, nv):
+    """A random spanning tree plus nv // 4 chords, a loop and an edge
+    parallel to another, with a random continuous psi (0-3 interior
+    breakpoints per edge) and omega0 of mass 2 on three atoms: one at a
+    vertex, one on a breakpoint of psi when psi has one, and one strictly
+    inside a segment of psi."""
+    def length():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 3))
+
+    edges = [(rng.randrange(v), v, length()) for v in range(1, nv)]
+    edges += [(*rng.sample(range(nv), 2), length()) for _ in range(nv // 4)]
+    loop = rng.randrange(nv)
+    edges.append((loop, loop, length()))
+    edges.append((*edges[rng.randrange(nv - 1)][:2], length()))
+    rng.shuffle(edges)
+    g = MetricGraph.build(range(nv), edges)
+    vertex = [rnd_frac(rng) for _ in range(nv)]
+    values = []
+    for u, v, ln in edges:
+        offsets = sorted({ln * Fraction(rng.randint(1, 15), 16) for _ in range(rng.randint(0, 3))})
+        values.append([(0, vertex[u])] + [(o, rnd_frac(rng)) for o in offsets] + [(ln, vertex[v])])
+    psi = GraphPLFunction.build(g, values)
+    breakpoints = [GraphPoint(e, o) for e, pairs in enumerate(psi.edge_values)
+                   for o, _ in pairs[1:-1]]
+    e = rng.randrange(len(edges))
+    pairs = psi.edge_values[e]
+    i = rng.randrange(len(pairs) - 1)
+    inside = GraphPoint(e, (pairs[i][0] + pairs[i + 1][0]) / 2)
+    atoms = [vertex_key(rng.randrange(nv)), inside]
+    if breakpoints:
+        atoms.append(rng.choice(breakpoints))
+    om = GraphMeasure.from_atoms(g, zip(atoms, (Fraction(1, 2), Fraction(3, 4), Fraction(3, 4))))
+    return g, om, psi
+
+
+def test_obstacle_read_off_breakpoints():
+    # the obstacle at the nodes, filled edge by edge from psi's breakpoints,
+    # is psi.eval at each node key, on loops, parallel edges and omega0
+    # atoms at vertices, on breakpoints and inside segments
+    rng = random.Random(2015)
+    kinds = set()
+    for i in range(60):
+        g, om, psi = loopy_obstacle(rng, 2 + i % 11)
+        nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
+        assert curves._refine(g, variational._candidate_keys(psi, om)) == (nodes, edges, offsets)
+        assert variational._node_values(psi, g, offsets) == [obstacle[k] for k in nodes]
+        breakpoints = {g.point_key(GraphPoint(e, o))
+                       for e, pairs in enumerate(psi.edge_values) for o, _ in pairs}
+        kinds.update(k[0] + str(k in breakpoints) for k, _ in om.atoms)
+        if i % 4 == 0:
+            assert envelope_subharmonic(psi, g, om) == howard_oracle(psi, g, om)
+    assert kinds == {"vTrue", "eTrue", "eFalse"}
+
+
+def with_redundant_point(psi, e):
+    """psi with one more breakpoint, on its own first segment of edge e."""
+    pairs = list(psi.edge_values[e])
+    (o1, y1), (o2, y2) = pairs[:2]
+    pairs.insert(1, ((o1 + o2) / 2, (y1 + y2) / 2))
+    values = list(psi.edge_values)
+    values[e] = tuple(pairs)
+    return GraphPLFunction(tuple(values))
+
+
+def subharmonic_obstacles():
+    """Subharmonic obstacles with a redundant collinear breakpoint: one on
+    the loop of the circle, one on a tree with an omega0 atom inside an
+    edge."""
+    circle = circle_graph()
+    om = GraphMeasure.from_atoms(circle, [(vertex_key(0), 1)])
+    psi = GraphPLFunction.build(
+        circle, [[(0, 0), (Fraction(1, 2), Fraction(-1, 4)), (1, 0)]])
+    yield circle, om, with_redundant_point(psi, 0)
+    tree = MetricGraph.build(range(5), [(0, 1, 2), (1, 2, Fraction(1, 3)), (1, 3, 1),
+                                        (3, 4, Fraction(5, 2))])
+    om = GraphMeasure.from_atoms(
+        tree, [(vertex_key(0), Fraction(1, 2)), (GraphPoint(3, Fraction(3, 2)), Fraction(3, 2))])
+    mu = GraphMeasure.from_atoms(
+        tree, [(vertex_key(2), 1), (GraphPoint(0, Fraction(1, 2)), 1)])
+    psi = solve_poisson(tree, mu.sub(tree, om), vertex_key(0))
+    yield tree, om, with_redundant_point(psi, 3)
+
+
+def test_subharmonic_obstacle_returned_as_given():
+    # the exact pass ends with x = psi at every node, and psi comes back
+    # unchanged, its redundant breakpoint included, with MA(psi) as measure
+    for g, om, psi in subharmonic_obstacles():
+        assert is_subharmonic(psi, g, om) and psi.simplify() != psi
+        env, ma, gap = variational._envelope_and_measure(psi, g, om)
+        assert env.edge_values == psi.edge_values
+        assert ma == ma_curve(psi, g, om)
+        assert gap == psi - psi
+        assert envelope_subharmonic(psi, g, om).edge_values == psi.edge_values
+        assert orthogonality_defect_curve(psi, g, om) == 0
 
 
 def spiked_edge(exp_length, exp_value):
@@ -635,12 +747,15 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     g, om, psi = spiked_edge(exp_length, exp_value)
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
+    nodes, edges, _, obstacle, mass = indexed_problem(psi, g, om)
+    guide = variational._float_contact(obstacle, mass, edges)
+    assert guide is None or guide == set(range(len(nodes)))
     howard, starts = variational._howard, []
 
-    def recorded(obstacle, mass, nodes, edges, contact):
-        if isinstance(mass[vertex_key(0)], Fraction):
-            starts.append(contact == set(nodes))
-        return howard(obstacle, mass, nodes, edges, contact)
+    def recorded(obstacle, mass, edges, contact):
+        if isinstance(obstacle[0], Fraction):
+            starts.append(contact == set(range(len(obstacle))))
+        return howard(obstacle, mass, edges, contact)
 
     with monkeypatch.context() as m:
         m.setattr(variational, "_howard", recorded)
