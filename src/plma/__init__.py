@@ -26,7 +26,6 @@ from .curves import (
     GraphError,
     GraphMeasure,
     GraphPLFunction,
-    GraphPoint,
     MassBalanceError,
     MetricGraph,
     SubharmonicityError,

@@ -17,22 +17,9 @@ from fractions import Fraction
 from math import factorial
 
 from . import curves, serialize, toric, variational
-from .curves import GraphError, MassBalanceError, SubharmonicityError
-from .geometry import DimensionError, DiscreteMeasure, Polytope, breakpoints, support_function
+from .geometry import DiscreteMeasure, Polytope, breakpoints, support_function
 from .serialize import SchemaError, dumps, rational_str
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
-from .toric import AdmissibilityError, DegeneratePolytopeError
-
-VALIDATION_ERRORS = (
-    SchemaError,
-    AdmissibilityError,
-    DegeneratePolytopeError,
-    DimensionError,
-    GraphError,
-    MassBalanceError,
-    SubharmonicityError,
-    ValueError,
-)
 
 
 def _dec(x) -> str:
@@ -201,12 +188,11 @@ def cmd_curve_canonical(args):
             )
         _emit(_csv(rows), args.output)
     else:
-        graph = curves.circle_graph()
         _emit(
             dumps(
                 {
                     "potential": serialize.graph_function_to_json(potential),
-                    "measure": serialize.graph_measure_to_json(graph, measure),
+                    "measure": serialize.graph_measure_to_json(measure),
                     "arc_masses": [rational_str(m) for m in masses],
                 }
             ),
@@ -249,8 +235,8 @@ def cmd_selftest(args):
              (2, 0, Fraction(rng.randint(1, 4)))],
         )
         omega0 = curves.GraphMeasure.from_atoms(graph, [(("v", 0), Fraction(1))])
-        x = curves.GraphPoint(0, Fraction(1, 3))
-        y = curves.GraphPoint(1, Fraction(1, 2))
+        x = ("e", 0, Fraction(1, 3))
+        y = ("e", 1, Fraction(1, 2))
         passed = passed and curves.green_value(graph, x, y, omega0) == curves.green_value(
             graph, y, x, omega0
         )
@@ -322,9 +308,11 @@ def run(argv) -> int:
                 file=sys.stderr, end="",
             )
             return 2
+    # every invalid-input error subclasses ValueError (exit 2), and
+    # ConvergenceError, a RuntimeError, is non-convergence (exit 3)
     try:
         return args.fn(args)
-    except (*VALIDATION_ERRORS, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(
             dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
             file=sys.stderr, end="",

@@ -1,17 +1,23 @@
 """Potential theory on finite metric graphs.
 
-The Laplacian of a piecewise-linear function is the atomic signed measure
-assigning to each point the sum of its outgoing slopes; with this
-convention a local maximum carries negative mass and the total mass is
-always zero.  Poisson problems are solved exactly over the rationals by
-sparse elimination, in minimum-degree order, on the Laplacian of the
-vertices and the atoms; Green functions are normalized against the
-reference measure.  The same elimination, solve_laplacian, is the one
-linear solve of the package: it takes any weighted graph, and the toric
-Newton step runs it in floats on the power-cell adjacency graph.  The
-canonical metric of multiplication by m on the circle at step k needs no
-solve: its potential is the discrete parabola through the m^k-division
-points, in closed form.
+A location on a graph is a key: ("v", id) for a vertex and ("e", e, off)
+for the point at offset off, strictly inside edge e; MetricGraph.point_key
+checks a key against the graph and canonicalises an edge end to its
+vertex.  The Laplacian of a piecewise-linear function is the atomic
+signed measure assigning to each point the sum of its outgoing slopes;
+with this convention a local maximum carries negative mass and the total
+mass is always zero.  Poisson problems are solved exactly over the
+rationals by sparse elimination, in minimum-degree order, on the
+Laplacian of the vertices and the atoms; Green functions are normalized
+against the reference measure.  _refine numbers those nodes once (the
+vertices in graph order, then each edge's sorted interior offsets), and
+only this module reads that order.  The same elimination,
+solve_laplacian, is the one linear solve of the package: it runs on the
+node numbers 0..n-1 of any weighted graph, and the toric Newton step runs
+it in floats on the power-cell adjacency graph.  The canonical metric of
+multiplication by m on the circle at step k needs no solve: its
+potential is the discrete parabola through the m^k-division points, in
+closed form.
 
 A graph has at least one edge; loops and parallel edges are allowed,
 and all edge lengths are finite.
@@ -84,21 +90,21 @@ class MetricGraph:
     def edge_length(self, e: int) -> Fraction:
         return self.edges[e][2]
 
-    def point_key(self, pt):
-        """Canonical location key: ('v', id) for vertices, ('e', e, off) inside edges.
+    def point_key(self, key):
+        """Canonical form of a location key: ('v', id) for a vertex and
+        ('e', e, off) for the point at offset off inside edge e.
 
-        pt is a GraphPoint or a key; either is checked against the graph, and
-        a vertex id, edge index or offset that is not in it raises GraphError.
+        An edge key at either end of its edge becomes the end vertex's key.
+        Anything else, and a vertex id, edge index or offset that is not in
+        the graph, raises GraphError.
         """
-        is_key = _is_key(pt)
-        if not is_key:
-            e, off = pt.edge, pt.offset
-        elif pt[0] == "e":
-            _, e, off = pt
-        elif pt[1] in self._vertex_set:
-            return pt
-        else:
-            raise GraphError(f"vertex {pt[1]!r} is not a vertex of the graph")
+        if isinstance(key, tuple) and len(key) == 2 and key[0] == "v":
+            if key[1] in self._vertex_set:
+                return key
+            raise GraphError(f"vertex {key[1]!r} is not a vertex of the graph")
+        if not (isinstance(key, tuple) and len(key) == 3 and key[0] == "e"):
+            raise GraphError(f"{key!r} is not a location key ('v', id) or ('e', edge, offset)")
+        _, e, off = key
         if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < len(self.edges):
             raise GraphError(f"edge index {e!r} is not an edge of the graph")
         u, v, ln = self.edges[e]
@@ -108,7 +114,7 @@ class MetricGraph:
             return ("v", v)
         if not 0 < off < ln:
             raise GraphError("offset outside edge")
-        return pt if is_key else ("e", e, off)
+        return key
 
     @cached_property
     def _vertex_set(self):
@@ -121,12 +127,6 @@ class MetricGraph:
             ends.setdefault(u, (e, True))
             ends.setdefault(v, (e, False))
         return ends
-
-
-@dataclass(frozen=True)
-class GraphPoint:
-    edge: int
-    offset: Fraction
 
 
 def vertex_key(vid):
@@ -313,16 +313,15 @@ class GraphMeasure:
         return sum((m * f.eval(graph, k) for k, m in self.atoms), Fraction(0))
 
 
-def _is_key(loc):
-    return isinstance(loc, tuple) and loc and loc[0] in ("v", "e")
-
-
 # ---------------------------------------------------------------------------
 # Laplacian and Poisson solving
 
 
 def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
-    """Atomic measure of outgoing-slope sums; total mass is exactly zero."""
+    """Atomic measure of outgoing-slope sums; total mass is exactly zero.
+
+    f lives on graph, so each interior breakpoint (e, o) has 0 < o < the
+    length of e, and ("e", e, o) is its canonical key as it stands."""
     acc = {}
 
     def put(key, m):
@@ -337,71 +336,74 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
         put(("v", u), slopes[0])
         put(("v", v), -slopes[-1])
         for i in range(1, len(pairs) - 1):
-            put(graph.point_key(GraphPoint(e, pairs[i][0])), slopes[i] - slopes[i - 1])
+            put(("e", e, pairs[i][0]), slopes[i] - slopes[i - 1])
     cleaned = sorted(((k, m) for k, m in acc.items() if m != 0), key=lambda km: repr(km[0]))
     return GraphMeasure(tuple(cleaned))
 
 
 def _refine(graph: MetricGraph, keys):
-    """Insert interior edge points as nodes.
+    """Number the nodes of the refined graph: the vertices in graph order,
+    then each edge's sorted interior offsets, edge by edge.
 
-    Returns (nodes, edges, per-edge sorted interior offsets), where edges
-    holds one (node_a, node_b, 1 / length) per segment, the segments of
-    each graph edge in order.
+    keys are location keys; those inside an edge become nodes.  Returns
+    (index, edges, edge_offsets): index maps each node's key to its
+    number, edges holds one (i, j, 1 / length) per segment on those
+    numbers, the segments of each graph edge in order, and edge_offsets
+    the sorted interior offsets of each edge.  solve_laplacian breaks its
+    minimum-degree ties in this order, and _node_values and
+    _function_from_node_values read it.
     """
     interior = {}
     for key in keys:
         if key[0] == "e":
             interior.setdefault(key[1], set()).add(key[2])
-    nodes = [("v", vid) for vid in graph.vertex_ids]
+    index = {("v", vid): i for i, vid in enumerate(graph.vertex_ids)}
     edges = []
     edge_offsets = []
     for e, (u, v, ln) in enumerate(graph.edges):
         offs = sorted(interior.get(e, ()))
         edge_offsets.append(offs)
-        for o in offs:
-            nodes.append(("e", e, o))
-        stops = [("v", u)] + [("e", e, o) for o in offs] + [("v", v)]
+        first = len(index)
+        index.update((("e", e, o), first + j) for j, o in enumerate(offs))
+        stops = [index[("v", u)], *range(first, len(index)), index[("v", v)]]
         offs_full = [Fraction(0)] + offs + [ln]
         edges.extend(
             (a, b, 1 / (o2 - o1))
             for a, b, o1, o2 in zip(stops, stops[1:], offs_full, offs_full[1:])
         )
-    return nodes, edges, edge_offsets
+    return index, edges, edge_offsets
 
 
-def solve_laplacian(rho, nodes, edges, fixed):
-    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes.
+def solve_laplacian(rho, n, edges, fixed):
+    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes of 0..n-1.
 
-    edges: undirected (a, b, w), each adding the weight w to the rows of
-    both a and b; fixed: dict node -> value of the pinned nodes.  The
-    arithmetic follows the input types: Fractions in, Fractions out, and
-    floats in, floats out.  A zero pivot raises GraphError.
+    rho: dict node -> source (0 where absent); edges: undirected (i, j, w),
+    each adding the weight w to the rows of both i and j; fixed: dict
+    node -> value of the pinned nodes.  Returns the list of the n values,
+    the pinned ones included.  The arithmetic follows the input types:
+    Fractions in, Fractions out, and floats in, floats out.  A zero pivot
+    raises GraphError.
 
     The system is the Laplacian restricted to the free nodes, one sparse
     row (a dict) per node.  Rows are eliminated in minimum-degree order,
-    ties broken by the free index (Rose, Tarjan and Lueker), so a chain
-    or a cycle costs O(len(nodes)); then back substitution.
+    ties broken by the node number (Rose, Tarjan and Lueker), so a chain
+    or a cycle costs O(n); then back substitution.
     """
-    free = [k for k in nodes if k not in fixed]
-    pos = {k: i for i, k in enumerate(free)}
-    rows = [{} for _ in free]
-    b = [rho.get(k, 0) for k in free]
-    for a, bb, w in edges:
-        for this, other in ((a, bb), (bb, a)):
-            i = pos.get(this)
-            if i is None:
+    rows = [{} for _ in range(n)]
+    b = [rho.get(i, 0) for i in range(n)]
+    for a, c, w in edges:
+        for i, j in ((a, c), (c, a)):
+            if i in fixed:
                 continue
             row = rows[i]
             row[i] = row.get(i, 0) - w
-            j = pos.get(other)
-            if j is None:
-                b[i] -= w * fixed[other]
+            if j in fixed:
+                b[i] -= w * fixed[j]
             else:
                 row[j] = row.get(j, 0) + w
-    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heap = [(len(rows[i]), i) for i in range(n) if i not in fixed]
     heapq.heapify(heap)
-    done = [False] * len(free)
+    done = [False] * n
     eliminated = []
     while heap:
         size, i = heapq.heappop(heap)
@@ -423,22 +425,46 @@ def solve_laplacian(rho, nodes, edges, fixed):
             b[j] -= c * b[i]
             heapq.heappush(heap, (len(rj), j))
         eliminated.append(i)
-    x = [None] * len(free)
+    x = [fixed.get(i) for i in range(n)]
     for i in reversed(eliminated):
         x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
-    out = dict(fixed)
-    out.update(zip(free, x))
-    return out
+    return x
+
+
+def _node_values(f, graph, edge_offsets):
+    """f at the nodes of _refine, as a list in their order: the vertices,
+    then each edge's sorted interior offsets.  One pass over f's
+    breakpoints per edge: a node on a breakpoint takes f's value there,
+    and only a node strictly inside a segment of f is interpolated.  A
+    vertex takes its value from the edge f.eval reads."""
+    values = []
+    for vid in graph.vertex_ids:
+        e, first = graph._vertex_ends[vid]
+        values.append(f.edge_values[e][0 if first else -1][1])
+    for pairs, offsets in zip(f.edge_values, edge_offsets):
+        j = 1
+        for o in offsets:
+            while pairs[j][0] < o:
+                j += 1
+            o2, y2 = pairs[j]
+            if o2 == o:
+                values.append(y2)
+            else:
+                o1, y1 = pairs[j - 1]
+                values.append(y1 + (y2 - y1) * (o - o1) / (o2 - o1))
+    return values
 
 
 def _function_from_node_values(graph, values, edge_offsets):
+    """The function, linear between the nodes of _refine, that takes the
+    values of the list `values` (in _refine's node order), simplified."""
+    at = dict(zip(graph.vertex_ids, values))
+    node = len(graph.vertex_ids)
     evs = []
-    for e, (u, v, ln) in enumerate(graph.edges):
-        pairs = [(Fraction(0), values[("v", u)])]
-        for o in edge_offsets[e]:
-            pairs.append((o, values[("e", e, o)]))
-        pairs.append((ln, values[("v", v)]))
-        evs.append(tuple(pairs))
+    for (u, v, ln), offs in zip(graph.edges, edge_offsets):
+        inner = zip(offs, values[node:node + len(offs)])
+        node += len(offs)
+        evs.append(((Fraction(0), at[u]), *inner, (ln, at[v])))
     return GraphPLFunction(tuple(evs)).simplify()
 
 
@@ -449,9 +475,9 @@ def solve_poisson(
     if rho.total_mass() != 0:
         raise MassBalanceError("source measure must have total mass zero")
     norm_key = graph.point_key(normalization)
-    keys = [k for k, _ in rho.atoms] + [norm_key]
-    nodes, edges, edge_offsets = _refine(graph, keys)
-    values = solve_laplacian(dict(rho.atoms), nodes, edges, {norm_key: Fraction(0)})
+    index, edges, edge_offsets = _refine(graph, [k for k, _ in rho.atoms] + [norm_key])
+    source = {index[k]: m for k, m in rho.atoms}
+    values = solve_laplacian(source, len(index), edges, {index[norm_key]: Fraction(0)})
     return _function_from_node_values(graph, values, edge_offsets)
 
 

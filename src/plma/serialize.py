@@ -16,13 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .curves import (
-    GraphMeasure,
-    GraphPLFunction,
-    GraphPoint,
-    MetricGraph,
-    vertex_key,
-)
+from .curves import GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
 from .geometry import (
     AffineFunctional,
     DiscreteMeasure,
@@ -181,11 +175,8 @@ def graph_from_json(obj) -> MetricGraph:
     return MetricGraph.build(vertex_ids, edges)
 
 
-def graph_point_to_json(graph, loc):
-    if isinstance(loc, tuple) and loc and loc[0] in ("v", "e"):
-        key = loc
-    else:
-        key = graph.point_key(loc)
+def graph_point_to_json(key):
+    """The JSON object of a canonical location key."""
     if key[0] == "v":
         return {"vertex": key[1]}
     return {"edge": key[1], "offset": rational_str(key[2])}
@@ -195,7 +186,7 @@ def graph_point_from_json(obj):
     if isinstance(obj, dict) and "vertex" in obj:
         return vertex_key(_vertex_id(obj["vertex"]))
     if isinstance(obj, dict) and "edge" in obj and "offset" in obj:
-        return GraphPoint(obj["edge"], parse_rational(obj["offset"]))
+        return ("e", obj["edge"], parse_rational(obj["offset"]))
     raise SchemaError('graph point must be {"vertex": id} or {"edge": k, "offset": "p/q"}')
 
 
@@ -221,10 +212,10 @@ def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
     return GraphPLFunction.build(graph, values)
 
 
-def graph_measure_to_json(graph, mu: GraphMeasure):
+def graph_measure_to_json(mu: GraphMeasure):
     return {
         "atoms": [
-            {"point": graph_point_to_json(graph, key), "mass": rational_str(m)}
+            {"point": graph_point_to_json(key), "mass": rational_str(m)}
             for key, m in mu.atoms
         ]
     }

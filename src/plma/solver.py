@@ -27,7 +27,8 @@ edge keeps the label of the neighbour whose halfplane cut it, so the Newton
 matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
 edges directly.  It is the weighted Laplacian of the cell adjacency graph,
 so with w_0 pinned each Newton step is one sparse Laplacian solve, by the
-same elimination as the curve side (curves.solve_laplacian), in floats.
+same elimination as the curve side (curves.solve_laplacian), in floats:
+the atoms are its nodes 0..k-1 and the solve returns the step as a list.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -283,12 +284,11 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # Hessian of the dual objective, a graph Laplacian: pin the first
         # weight and solve H d = r.
         try:
-            x = curves.solve_laplacian(
-                {i: -ri for i, ri in enumerate(r)}, range(k), _newton_edges(cells, fatoms), {0: 0.0}
+            step = curves.solve_laplacian(
+                {i: -ri for i, ri in enumerate(r)}, k, _newton_edges(cells, fatoms), {0: 0.0}
             )
         except curves.GraphError:
             break
-        step = [x[i] for i in range(k)]
         alpha, norm = 1.0, math.hypot(*r)
         while alpha >= MIN_STEP:
             trial = [w + alpha * s for w, s in zip(weights, step)]

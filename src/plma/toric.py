@@ -41,10 +41,6 @@ class MonomialPoint:
 
     v: tuple
 
-    @staticmethod
-    def make(v) -> "MonomialPoint":
-        return MonomialPoint(as_point(v))
-
 
 @dataclass(frozen=True)
 class ToricMAResult:

@@ -242,10 +242,12 @@ def envelope_subharmonic(
     The envelope is linear between the nodes (vertices, obstacle
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
-    s = 0 wherever x < psi.  The nodes are numbered 0..n-1 once, in the
-    order of curves._refine, and the obstacle is read off psi's
-    breakpoints edge by edge (_node_values).  Howard's policy iteration
-    (_howard) solves the problem on those indices: from a contact set C,
+    s = 0 wherever x < psi.  curves._refine numbers the nodes 0..n-1
+    once, curves._node_values reads the obstacle off psi's breakpoints in
+    that order, and curves._function_from_node_values turns the solution
+    back into a function; this module sees node numbers only.  Howard's
+    policy iteration (_howard) solves the problem on those numbers, with
+    curves.solve_laplacian as its linear solve: from a contact set C,
     solve x = psi on C and laplacian(x) = -omega0 off C, then set
     C = {k : psi(k) - x(k) <= s(k)}.
 
@@ -271,19 +273,16 @@ def _envelope_and_measure(psi, graph, omega0):
     """envelope_subharmonic's envelope p, with the measure omega0 +
     laplacian(p) and the gap psi - p that its exact check found positive,
     so that a caller needing MA(p) or the gap does not compute them again."""
-    nodes, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
-    index = {k: i for i, k in enumerate(nodes)}
-    edges = [(index[a], index[b], w) for a, b, w in edges]
-    obstacle = _node_values(psi, graph, edge_offsets)
+    index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
+    obstacle = curves._node_values(psi, graph, edge_offsets)
     mass = {index[k]: m for k, m in omega0.atoms}
-    contact = _float_contact(obstacle, mass, edges) or set(range(len(nodes)))
+    contact = _float_contact(obstacle, mass, edges) or set(range(len(index)))
     for x, s, _ in _howard(obstacle, mass, edges, contact):
         if all(xk <= yk for xk, yk in zip(x, obstacle)) and all(sk >= 0 for sk in s):
             if x == obstacle:
                 env = psi
             else:
-                env = curves._function_from_node_values(graph, dict(zip(nodes, x)),
-                                                        edge_offsets)
+                env = curves._function_from_node_values(graph, x, edge_offsets)
             checked = _verify_envelope(env, psi, graph, omega0)
             if checked is not None:
                 return (env, *checked)
@@ -305,12 +304,11 @@ def _howard(obstacle, mass, edges, contact):
     mass(omega0) > 0 and s = 0 off C, so some node of C has s > 0 = psi - x
     and stays in contact.
     """
-    nodes = range(len(obstacle))
+    n = len(obstacle)
+    nodes = range(n)
     source = {k: -m for k, m in mass.items()}
-    for _ in range(len(obstacle) + 1):
-        values = curves.solve_laplacian(source, nodes, edges,
-                                        {k: obstacle[k] for k in contact})
-        x = [values[k] for k in nodes]
+    for _ in range(n + 1):
+        x = curves.solve_laplacian(source, n, edges, {k: obstacle[k] for k in contact})
         s = [mass.get(k, 0) for k in nodes]
         for a, b, w in edges:
             d = w * (x[b] - x[a])
@@ -350,30 +348,6 @@ def _candidate_keys(psi, omega0):
     for e, pairs in enumerate(psi.edge_values):
         keys.update(("e", e, o) for o, _ in pairs[1:-1])
     return keys
-
-
-def _node_values(psi, graph, edge_offsets):
-    """psi at the nodes of curves._refine, as a list in their order: the
-    vertices, then each edge's sorted interior offsets.  One pass over
-    psi's breakpoints per edge: a node on a breakpoint takes psi's value
-    there, and only a node strictly inside a segment of psi is
-    interpolated.  A vertex takes its value from the edge psi.eval reads."""
-    values = []
-    for vid in graph.vertex_ids:
-        e, first = graph._vertex_ends[vid]
-        values.append(psi.edge_values[e][0 if first else -1][1])
-    for pairs, offsets in zip(psi.edge_values, edge_offsets):
-        j = 1
-        for o in offsets:
-            while pairs[j][0] < o:
-                j += 1
-            o2, y2 = pairs[j]
-            if o2 == o:
-                values.append(y2)
-            else:
-                o1, y1 = pairs[j - 1]
-                values.append(y1 + (y2 - y1) * (o - o1) / (o2 - o1))
-    return values
 
 
 def _verify_envelope(env, psi, graph, omega0):

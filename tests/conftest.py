@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from plma.curves import GraphMeasure, GraphPoint, MetricGraph
+from plma.curves import GraphMeasure, MetricGraph
 from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
 from plma.toric import mixed_ma
 from plma.variational import MinOfConvex
@@ -132,7 +132,7 @@ def random_graph(rng, max_extra_edges=4):
 def random_graph_point(rng, graph):
     e = rng.randrange(len(graph.edges))
     ln = graph.edge_length(e)
-    return GraphPoint(e, ln * Fraction(rng.randint(0, 4), 4))
+    return ("e", e, ln * Fraction(rng.randint(0, 4), 4))
 
 
 def random_positive_measure(rng, graph, total, natoms=3):

@@ -11,7 +11,6 @@ from math import factorial
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
-    GraphPoint,
     arc_masses,
     canonical_metric,
     circle_graph,

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from plma.curves import (
     GraphError,
     GraphMeasure,
     GraphPLFunction,
-    GraphPoint,
     MassBalanceError,
     MetricGraph,
     arc_masses,
@@ -89,7 +89,7 @@ def test_laplacian_tent_with_oracle():
     lap = laplacian(tent(g), g)
     # outgoing-slope convention: +2 at the base point, -2 at the max
     assert lap.mass_at(g, vertex_key(0)) == 2
-    assert lap.mass_at(g, GraphPoint(0, Fraction(1, 2))) == -2
+    assert lap.mass_at(g, ("e", 0, Fraction(1, 2))) == -2
     for key, mass in lap.atoms:
         assert mass == slope_sum_oracle(tent(g), g, key)
 
@@ -118,14 +118,14 @@ def test_solve_poisson_zero():
 def test_solve_poisson_circle_tent():
     g = circle_graph()
     rho = GraphMeasure.from_atoms(
-        g, [(GraphPoint(0, Fraction(1, 2)), Fraction(1)), (vertex_key(0), Fraction(-1))]
+        g, [(("e", 0, Fraction(1, 2)), Fraction(1)), (vertex_key(0), Fraction(-1))]
     )
     f = solve_poisson(g, rho, vertex_key(0))
     assert laplacian(f, g) == rho
     assert f.eval(g, vertex_key(0)) == 0
     # normative sign: -min(t, 1-t)/2
-    assert f.eval(g, GraphPoint(0, Fraction(1, 2))) == Fraction(-1, 4)
-    assert f.eval(g, GraphPoint(0, Fraction(1, 4))) == Fraction(-1, 8)
+    assert f.eval(g, ("e", 0, Fraction(1, 2))) == Fraction(-1, 4)
+    assert f.eval(g, ("e", 0, Fraction(1, 4))) == Fraction(-1, 8)
 
 
 def gauss_oracle_star(rho_leaf_plus, rho_leaf_minus):
@@ -146,7 +146,7 @@ def test_solve_poisson_star_path():
     for vid, val in expected.items():
         assert f.eval(g, vertex_key(vid)) == val
     # constant on the third edge
-    assert f.eval(g, GraphPoint(2, Fraction(1, 2))) == 0
+    assert f.eval(g, ("e", 2, Fraction(1, 2))) == 0
     assert f.eval(g, vertex_key(3)) == 0
 
 
@@ -165,18 +165,21 @@ def test_disconnected_graph_rejected():
 def test_points_not_in_the_graph_rejected():
     g = MetricGraph.build([0, 1], [(0, 1, 1)])
     half = Fraction(1, 2)
+    # and so is anything that is not a key: another tag, a list, an int, a
+    # key of the wrong length
     for loc in (vertex_key(99), ("e", 5, half), ("e", -1, half), ("e", 0, Fraction(3, 2)),
-                GraphPoint(0, Fraction(-1, 2))):
+                ("e", 0, Fraction(-1, 2)), ("x", 1), ["v", 0], ["e", 0, half], 5, ("e", 0),
+                ("v",), ("v", 0, 1), ("e", 0, half, 1)):
         with pytest.raises(GraphError):
             g.point_key(loc)
         with pytest.raises(GraphError):
             GraphMeasure.from_atoms(g, [(loc, Fraction(1))])
         with pytest.raises(GraphError):
             GraphMeasure(()).mass_at(g, loc)
-    # keys are checked like points: an edge end is its vertex
+    # an edge end is its vertex
     assert g.point_key(("e", 0, Fraction(0))) == vertex_key(0)
     assert g.point_key(("e", 0, Fraction(1))) == vertex_key(1)
-    assert g.point_key(("e", 0, half)) == g.point_key(GraphPoint(0, half)) == ("e", 0, half)
+    assert g.point_key(("e", 0, half)) == ("e", 0, half)
 
 
 def test_vertex_value_of_unknown_vertex_names_it():
@@ -268,13 +271,13 @@ def test_green_at_omega0_atom():
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     phi = green(g, vertex_key(0), om)
-    assert phi.eval(g, GraphPoint(0, Fraction(1, 3))) == 0
+    assert phi.eval(g, ("e", 0, Fraction(1, 3))) == 0
 
 
 def test_green_circle_defining_properties():
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(1))])
-    x = GraphPoint(0, Fraction(1, 2))
+    x = ("e", 0, Fraction(1, 2))
     phi = green(g, x, om)
     want = GraphMeasure.from_atoms(g, [(x, Fraction(1)), (vertex_key(0), Fraction(-1))])
     assert laplacian(phi, g) == want
@@ -293,11 +296,11 @@ def test_green_symmetry(rng):
 def test_superpose_examples(rng):
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
-    x = GraphPoint(0, Fraction(1, 3))
+    x = ("e", 0, Fraction(1, 3))
     mu = GraphMeasure.from_atoms(g, [(x, Fraction(2))])
     assert superpose(g, mu, om) == green(g, x, om)
     assert superpose(g, om, om).simplify() == GraphPLFunction.constant(g, 0)
-    a, b = GraphPoint(0, Fraction(1, 4)), GraphPoint(0, Fraction(2, 3))
+    a, b = ("e", 0, Fraction(1, 4)), ("e", 0, Fraction(2, 3))
     mu2 = GraphMeasure.from_atoms(g, [(a, Fraction(1)), (b, Fraction(1))])
     f = superpose(g, mu2, om)
     assert laplacian(f, g) == mu2.sub(g, om)
@@ -307,7 +310,7 @@ def test_superpose_examples(rng):
 def test_superpose_mass_mismatch():
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
-    mu = GraphMeasure.from_atoms(g, [(GraphPoint(0, Fraction(1, 3)), Fraction(1))])
+    mu = GraphMeasure.from_atoms(g, [(("e", 0, Fraction(1, 3)), Fraction(1))])
     with pytest.raises(MassBalanceError):
         superpose(g, mu, om)
 
@@ -318,7 +321,7 @@ def test_superpose_checks_reference_without_atoms():
     g = circle_graph()
     mu = GraphMeasure.from_atoms(g, [])
     om = GraphMeasure.from_atoms(
-        g, [(vertex_key(0), Fraction(1)), (GraphPoint(0, Fraction(1, 2)), Fraction(-1))]
+        g, [(vertex_key(0), Fraction(1)), (("e", 0, Fraction(1, 2)), Fraction(-1))]
     )
     with pytest.raises(MassBalanceError, match="reference measure must be positive"):
         superpose(g, mu, om)
@@ -359,7 +362,7 @@ def test_maximum_principle(rng):
         candidates = [k for k, _ in lap.atoms]
         candidates += [g.point_key(vertex_key(v)) for v in g.vertex_ids]
         for e, pairs in enumerate(f.edge_values):
-            candidates += [g.point_key(GraphPoint(e, o)) for o, _ in pairs]
+            candidates += [g.point_key(("e", e, o)) for o, _ in pairs]
         overall = max(f.eval(g, k) for k in candidates)
         on_support = max(f.eval(g, k) for k, _ in lap.atoms)
         assert overall == on_support
@@ -435,9 +438,9 @@ def _gauss_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def dense_solve_laplacian(rho, nodes, edges, fixed):
+def dense_solve_laplacian(rho, n, edges, fixed):
     """The same system as curves.solve_laplacian, as one dense matrix."""
-    free = [k for k in nodes if k not in fixed]
+    free = [k for k in range(n) if k not in fixed]
     pos = {k: i for i, k in enumerate(free)}
     m = len(free)
     A = [[Fraction(0)] * m for _ in range(m)]
@@ -452,8 +455,9 @@ def dense_solve_laplacian(rho, nodes, edges, fixed):
                 b[i] -= w * fixed[other]
             else:
                 A[i][pos[other]] += w
-    out = dict(fixed)
-    out.update(zip(free, _gauss_solve(A, b) if m else []))
+    out = [fixed.get(k) for k in range(n)]
+    for k, x in zip(free, _gauss_solve(A, b) if m else []):
+        out[k] = x
     return out
 
 
@@ -473,7 +477,7 @@ def pullback_iterates(m, d_L):
     g = circle_graph()
     omega0 = GraphMeasure.from_atoms(g, [(vertex_key(0), d_L)])
     omega1 = GraphMeasure.from_atoms(
-        g, [(GraphPoint(0, Fraction(j, m)), d_L / m) for j in range(m)]
+        g, [(("e", 0, Fraction(j, m)), d_L / m) for j in range(m)]
     )
     h = solve_poisson(g, omega1.sub(g, omega0), vertex_key(0))
     u = GraphPLFunction.constant(g, 0)
@@ -489,7 +493,7 @@ def poisson_canonical_metric(m, k, d_L):
     omega0 = GraphMeasure.from_atoms(g, [(vertex_key(0), d_L)])
     rho = GraphMeasure.from_atoms(
         g,
-        [(GraphPoint(0, Fraction(j, parts)), d_L / parts) for j in range(parts)]
+        [(("e", 0, Fraction(j, parts)), d_L / parts) for j in range(parts)]
         + [(vertex_key(0), -d_L)],
     )
     u = solve_poisson(g, rho, vertex_key(0))
@@ -513,7 +517,7 @@ def _oracle_graph(rng):
     keys = {vertex_key(x) for x in g.vertex_ids}
     for _ in range(rng.randint(1, 2 * nv)):
         e = rng.randrange(len(g.edges))
-        keys.add(g.point_key(GraphPoint(e, g.edge_length(e) * Fraction(rng.randint(1, 6), 7))))
+        keys.add(g.point_key(("e", e, g.edge_length(e) * Fraction(rng.randint(1, 6), 7))))
     return g, sorted(keys, key=repr)
 
 
@@ -521,17 +525,18 @@ def test_sparse_solve_equals_dense_oracle():
     rng = random.Random(606)
     for _ in range(36):
         g, keys = _oracle_graph(rng)
-        nodes, edges, _ = curves._refine(g, keys)
-        rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(nodes, 3)}
+        index, edges, _ = curves._refine(g, keys)
+        n = len(index)
+        rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(range(n), 3)}
         # the pure Neumann mode of solve_poisson: one node pinned to zero
-        fixed = {nodes[0]: Fraction(0)}
-        pinned = curves.solve_laplacian(rho, nodes, edges, fixed)
-        assert pinned == dense_solve_laplacian(rho, nodes, edges, fixed)
+        fixed = {0: Fraction(0)}
+        pinned = curves.solve_laplacian(rho, n, edges, fixed)
+        assert pinned == dense_solve_laplacian(rho, n, edges, fixed)
         # the contact-set mode of the Howard iteration: a nonempty pinned set
-        contact = rng.sample(nodes, rng.randint(1, len(nodes)))
+        contact = rng.sample(range(n), rng.randint(1, n))
         fixed = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
-        got = curves.solve_laplacian(rho, nodes, edges, fixed)
-        assert got == dense_solve_laplacian(rho, nodes, edges, fixed)
+        got = curves.solve_laplacian(rho, n, edges, fixed)
+        assert got == dense_solve_laplacian(rho, n, edges, fixed)
         assert all(got[k] == v for k, v in fixed.items())
     # the toric Newton system: the cell adjacency graph of exact power cells
     # of 5 atoms in the hexagon, first weight pinned
@@ -545,9 +550,111 @@ def test_sparse_solve_equals_dense_oracle():
         k = len(atoms)
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
         fixed = {0: Fraction(0)}
-        got = curves.solve_laplacian(rho, range(k), edges, fixed)
-        assert got == dense_solve_laplacian(rho, range(k), edges, fixed)
-        assert all(isinstance(x, Fraction) for x in got.values())
+        got = curves.solve_laplacian(rho, k, edges, fixed)
+        assert got == dense_solve_laplacian(rho, k, edges, fixed)
+        assert all(isinstance(x, Fraction) for x in got)
+
+
+def keyed_solve_laplacian(rho, nodes, edges, fixed):
+    """solve_laplacian as it ran on location keys: the free nodes took
+    positions in the order of `nodes`, and ties went to the lower position."""
+    free = [k for k in nodes if k not in fixed]
+    pos = {k: i for i, k in enumerate(free)}
+    rows = [{} for _ in free]
+    b = [rho.get(k, 0) for k in free]
+    for a, bb, w in edges:
+        for this, other in ((a, bb), (bb, a)):
+            i = pos.get(this)
+            if i is None:
+                continue
+            rows[i][i] = rows[i].get(i, 0) - w
+            j = pos.get(other)
+            if j is None:
+                b[i] -= w * fixed[other]
+            else:
+                rows[i][j] = rows[i].get(j, 0) + w
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done, eliminated = set(), []
+    while heap:
+        size, i = heapq.heappop(heap)
+        if i in done or size != len(rows[i]):
+            continue
+        done.add(i)
+        row = rows[i]
+        piv = row.pop(i)
+        for k in row:
+            row[k] /= piv
+        b[i] /= piv
+        for j in row:
+            c = rows[j].pop(i)
+            for k, v in row.items():
+                rows[j][k] = rows[j].get(k, 0) - c * v
+            b[j] -= c * b[i]
+            heapq.heappush(heap, (len(rows[j]), j))
+        eliminated.append(i)
+    x = [None] * len(free)
+    for i in reversed(eliminated):
+        x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
+    out = dict(fixed)
+    out.update(zip(free, x))
+    return out
+
+
+def test_float_solve_rounds_as_keyed_elimination():
+    # on node numbers the elimination visits the rows in the same order as
+    # it did on keys, so a float solve (the toric Newton step, the envelope's
+    # guide) rounds the same, bit for bit
+    rng = random.Random(1982)
+    for _ in range(30):
+        g, keys = _oracle_graph(rng)
+        index, edges, _ = curves._refine(g, keys)
+        n = len(index)
+        fedges = [(a, b, float(w) * rng.uniform(0.5, 2)) for a, b, w in edges]
+        keyed = {a: k for k, a in index.items()}
+        kedges = [(keyed[a], keyed[b], w) for a, b, w in fedges]
+        rho = {i: rng.uniform(-9, 9) for i in rng.sample(range(n), min(n, 5))}
+        for contact in ([0], rng.sample(range(n), rng.randint(1, n))):
+            fixed = {i: rng.uniform(-5, 5) for i in contact}
+            got = curves.solve_laplacian(rho, n, fedges, fixed)
+            want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, list(index),
+                                         kedges, {keyed[i]: v for i, v in fixed.items()})
+            assert got == [want[k] for k in index]
+
+
+def test_node_order_round_trip():
+    # _refine numbers the vertices first, in graph order, then each edge's
+    # sorted interior offsets, edge by edge; _node_values reads a function
+    # at the nodes in that order and _function_from_node_values reads it
+    # back, on graphs with a loop and a parallel edge, with extra nodes
+    # that are not breakpoints of the function
+    rng = random.Random(1807)
+    for _ in range(40):
+        g, keys = _oracle_graph(rng)
+        evs = [random_breakpoints(rng, ln, rng.choice([2, 3, 4, 7])) for _, _, ln in g.edges]
+        vals = {vid: rnd_frac(rng) for vid in g.vertex_ids}
+        for pairs, (u, v, _) in zip(evs, g.edges):
+            pairs[0], pairs[-1] = (pairs[0][0], vals[u]), (pairs[-1][0], vals[v])
+        f = GraphPLFunction.build(g, evs)
+        keys += [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
+        rng.shuffle(keys)
+        index, edges, offsets = curves._refine(g, keys)
+        interior = [sorted({k[2] for k in keys if k[0] == "e" and k[1] == e})
+                    for e in range(len(g.edges))]
+        assert offsets == interior
+        order = [("v", vid) for vid in g.vertex_ids]
+        order += [("e", e, o) for e, offs in enumerate(offsets) for o in offs]
+        assert list(index) == order and list(index.values()) == list(range(len(order)))
+        segments = []
+        for e, (u, v, ln) in enumerate(g.edges):
+            stops = [("v", u)] + [("e", e, o) for o in offsets[e]] + [("v", v)]
+            offs = [0] + offsets[e] + [ln]
+            segments += [(index[a], index[b], 1 / (o2 - o1))
+                         for a, b, o1, o2 in zip(stops, stops[1:], offs, offs[1:])]
+        assert edges == segments
+        values = curves._node_values(f, g, offsets)
+        assert values == [f.eval(g, k) for k in order]
+        assert curves._function_from_node_values(g, values, offsets) == f.simplify()
 
 
 @pytest.mark.parametrize(
@@ -650,7 +757,7 @@ def test_solve_curve_at_scale():
         u, v = rng.sample(range(nv), 2)
         edges.append((u, v, _length(rng)))
     g = MetricGraph.build(list(range(nv)), edges)
-    pts = [GraphPoint(e, g.edge_length(e) * Fraction(q, 4)) for e, q in ((3, 1), (70, 2), (150, 3))]
+    pts = [("e", e, g.edge_length(e) * Fraction(q, 4)) for e, q in ((3, 1), (70, 2), (150, 3))]
     mu = GraphMeasure.from_atoms(g, zip(pts, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))))
     omega0 = GraphMeasure.from_atoms(
         g, [(vertex_key(0), Fraction(1, 4)), (vertex_key(99), Fraction(3, 4))]

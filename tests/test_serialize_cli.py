@@ -8,18 +8,18 @@ from pathlib import Path
 
 import pytest
 
+import plma
 from plma import cli, curves, geometry, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
-    GraphPoint,
     circle_graph,
     solve_poisson,
     vertex_key,
 )
 from plma.geometry import DiscreteMeasure, Polytope, support_function
 from plma.serialize import SchemaError
-from plma.solver import solve_toric
+from plma.solver import ConvergenceError, solve_toric
 from plma.toric import ma_measure
 
 from conftest import (
@@ -125,7 +125,7 @@ def test_graph_roundtrips(rng):
     g = random_graph(rng)
     assert serialize.graph_from_json(serialize.graph_to_json(g)) == g
     om = random_positive_measure(rng, g, Fraction(2))
-    assert serialize.graph_measure_from_json(serialize.graph_measure_to_json(g, om), g) == om
+    assert serialize.graph_measure_from_json(serialize.graph_measure_to_json(om), g) == om
     from plma.curves import superpose
 
     f = superpose(g, random_positive_measure(rng, g, Fraction(2)), om)
@@ -353,6 +353,19 @@ def test_cli_edgeless_graph_exit_2(tmp_path, capsys, command):
     }
 
 
+def test_bad_input_errors_are_value_errors():
+    # cli.run maps every ValueError to exit 2 and ConvergenceError to exit
+    # 3, so each bad-input error must be a ValueError and ConvergenceError
+    # must not be one
+    exported = {name for name in plma.__all__
+                if isinstance(getattr(plma, name), type) and issubclass(getattr(plma, name), Exception)}
+    assert exported == {"AdmissibilityError", "DegeneratePolytopeError", "DimensionError",
+                        "GraphError", "MassBalanceError", "SubharmonicityError"}
+    for cls in [SchemaError, variational.EnvelopeError, *(getattr(plma, name) for name in exported)]:
+        assert issubclass(cls, ValueError), cls
+    assert not issubclass(ConvergenceError, ValueError)
+
+
 def test_cli_energy(tmp_path, toric_files, capsys):
     d, g = toric_files
     assert cli.run(["toric-energy", "--delta", d, "--g", g]) == 0
@@ -375,7 +388,7 @@ def test_cli_curve_commands(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     g = circle_graph()
     f = serialize.graph_function_from_json(out, g)
-    assert f.eval(g, GraphPoint(0, Fraction(1, 2))) == Fraction(-1, 4)
+    assert f.eval(g, ("e", 0, Fraction(1, 2))) == Fraction(-1, 4)
 
     x = write(tmp_path, "x.json", {"edge": 0, "offset": "1/2"})
     assert cli.run(["curve-green", "--graph", graph, "--x", x, "--omega0", om]) == 0
@@ -893,7 +906,7 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
         g, [((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(-1, 2)), (Fraction(1), Fraction(0)))]
     )
     graph = write(tmp_path, "graph.json", serialize.graph_to_json(g))
-    omega0 = write(tmp_path, "om.json", serialize.graph_measure_to_json(g, om))
+    omega0 = write(tmp_path, "om.json", serialize.graph_measure_to_json(om))
     obstacle = write(tmp_path, "psi.json", serialize.graph_function_to_json(psi))
     argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
     assert cli.run(argv) == 0

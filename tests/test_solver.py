@@ -6,7 +6,6 @@ import pytest
 
 from plma.curves import (
     GraphMeasure,
-    GraphPoint,
     MassBalanceError,
     circle_graph,
     green,
@@ -323,7 +322,7 @@ def test_solve_curve_examples(rng):
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     assert solve_curve(g, om, om).simplify().edge_values[0][0][1] == 0
-    x = GraphPoint(0, Fraction(2, 5))
+    x = ("e", 0, Fraction(2, 5))
     mu = GraphMeasure.from_atoms(g, [(x, Fraction(2))])
     assert solve_curve(g, mu, om) == green(g, x, om)
     for _ in range(5):
@@ -346,7 +345,7 @@ def test_solve_curve_matches_superpose(rng):
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(1))])
     signed = GraphMeasure.from_atoms(
-        g, [(GraphPoint(0, Fraction(1, 2)), Fraction(2)), (vertex_key(0), Fraction(-1))]
+        g, [(("e", 0, Fraction(1, 2)), Fraction(2)), (vertex_key(0), Fraction(-1))]
     )
     for mu, ref in ((om.scale(2), om), (signed, om), (om, signed)):
         with pytest.raises(MassBalanceError) as expected:

@@ -10,7 +10,6 @@ from plma import cli, curves, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
-    GraphPoint,
     MetricGraph,
     circle_graph,
     green,
@@ -394,12 +393,12 @@ def test_envelope_circle_dented_tent():
     )
     env = envelope_subharmonic(psi, g, om)
     # grid oracle: largest subharmonic minorant dips linearly into the dent
-    assert env.eval(g, GraphPoint(0, Fraction(1, 4))) == Fraction(-1, 2)
+    assert env.eval(g, ("e", 0, Fraction(1, 4))) == Fraction(-1, 2)
     assert env.eval(g, vertex_key(0)) <= 0
     assert orthogonality_defect_curve(psi, g, om) == 0
     # envelope below psi everywhere on a fine grid
     for j in range(0, 65):
-        p = GraphPoint(0, Fraction(j, 64))
+        p = ("e", 0, Fraction(j, 64))
         assert env.eval(g, p) <= psi.eval(g, p)
 
 
@@ -423,7 +422,7 @@ def test_envelope_idempotent_and_monotone(rng):
         higher = psi + GraphPLFunction.constant(g, Fraction(1, 2))
         env2 = envelope_subharmonic(higher, g, om)
         for j in range(0, 13):
-            p = GraphPoint(0, Fraction(j, 12))
+            p = ("e", 0, Fraction(j, 12))
             assert env.eval(g, p) <= env2.eval(g, p)
 
 
@@ -459,7 +458,7 @@ def assert_below(env, psi, g):
     """env <= psi at every breakpoint of either function, so everywhere."""
     for e, (p1, p2) in enumerate(zip(env.edge_values, psi.edge_values)):
         for o in {o for o, _ in p1} | {o for o, _ in p2}:
-            assert env.eval(g, GraphPoint(e, o)) <= psi.eval(g, GraphPoint(e, o))
+            assert env.eval(g, ("e", e, o)) <= psi.eval(g, ("e", e, o))
 
 
 def test_envelope_graph_regression():
@@ -473,7 +472,7 @@ def test_envelope_graph_regression():
     ]
     g = MetricGraph.build(range(15), [(u, v, Fraction(ln)) for u, v, ln in edges])
     om = GraphMeasure.from_atoms(
-        g, [(vertex_key(0), Fraction(1, 2)), (GraphPoint(15, Fraction(1, 2)), Fraction(3, 2))]
+        g, [(vertex_key(0), Fraction(1, 2)), (("e", 15, Fraction(1, 2)), Fraction(3, 2))]
     )
     values = [
         [("0", "0"), ("4/3", "-1517/3324")],
@@ -505,24 +504,19 @@ def test_envelope_graph_regression():
 
 
 def obstacle_problem(psi, g, om):
-    """The nodes, segments and node values of psi of the discrete problem,
-    keyed by location and read with psi.eval: the interior nodes are psi's
-    breakpoints and om's atoms, whatever variational picks."""
+    """The discrete problem on node numbers, as _howard takes it: the node
+    index, the (i, j, w) segments, the offsets, the obstacle list read
+    with psi.eval at each node's key, and om's masses.  The interior nodes
+    are psi's breakpoints and om's atoms, whatever variational picks."""
     keys = [k for k, _ in om.atoms] + [
-        g.point_key(GraphPoint(e, o)) for e, pairs in enumerate(psi.edge_values)
+        g.point_key(("e", e, o)) for e, pairs in enumerate(psi.edge_values)
         for o, _ in pairs[1:-1]
     ]
-    nodes, edges, offsets = curves._refine(g, keys)
-    return nodes, edges, offsets, {k: psi.eval(g, k) for k in nodes}
-
-
-def indexed_problem(psi, g, om):
-    """obstacle_problem on node indices, as _howard takes it: the nodes,
-    the (i, j, w) segments, the offsets, the obstacle list and the masses."""
-    nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
-    index = {k: i for i, k in enumerate(nodes)}
-    return (nodes, [(index[a], index[b], w) for a, b, w in edges], offsets,
-            [obstacle[k] for k in nodes], {index[k]: m for k, m in om.atoms})
+    index, edges, offsets = curves._refine(g, keys)
+    obstacle = [None] * len(index)
+    for k, i in index.items():
+        obstacle[i] = psi.eval(g, k)
+    return index, edges, offsets, obstacle, {index[k]: m for k, m in om.atoms}
 
 
 def howard_oracle(psi, g, om):
@@ -530,12 +524,12 @@ def howard_oracle(psi, g, om):
     solves from the contact set of every node until the set repeats."""
     if is_subharmonic(psi, g, om):
         return psi
-    nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
-    mass = dict(om.atoms)
+    _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+    nodes = range(len(obstacle))
     source = {k: -m for k, m in mass.items()}
     contact = set(nodes)
     for _ in range(len(nodes) + 1):
-        x = curves.solve_laplacian(source, nodes, edges, {k: obstacle[k] for k in contact})
+        x = curves.solve_laplacian(source, len(nodes), edges, {k: obstacle[k] for k in contact})
         s = {k: mass.get(k, Fraction(0)) for k in nodes}
         for a, b, w in edges:
             d = w * (x[b] - x[a])
@@ -587,9 +581,9 @@ def test_envelope_against_howard_oracle(monkeypatch):
     solve = curves.solve_laplacian
     exact_solves = []
 
-    def counted(rho, nodes, edges, fixed):
+    def counted(rho, n, edges, fixed):
         exact_solves[-1] += isinstance(edges[0][2], Fraction)
-        return solve(rho, nodes, edges, fixed)
+        return solve(rho, n, edges, fixed)
 
     for i in range(200):
         nv = 4 + i % 57
@@ -610,8 +604,8 @@ def test_exact_howard_from_any_start():
     for i in range(30):
         g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
         expected = howard_oracle(psi, g, om)
-        nodes, edges, offsets, obstacle, mass = indexed_problem(psi, g, om)
-        n = len(nodes)
+        _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+        n = len(obstacle)
         candidates = [set(range(n)), {rng.randrange(n)}]
         candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
         for contact in candidates:
@@ -621,8 +615,7 @@ def test_exact_howard_from_any_start():
                     break
             else:
                 raise AssertionError("no complementary solve in len(nodes) + 1 solves")
-            values = dict(zip(nodes, x))
-            assert curves._function_from_node_values(g, values, offsets) == expected
+            assert curves._function_from_node_values(g, x, offsets) == expected
             starts += 1
     assert starts == 150
 
@@ -649,12 +642,12 @@ def loopy_obstacle(rng, nv):
         offsets = sorted({ln * Fraction(rng.randint(1, 15), 16) for _ in range(rng.randint(0, 3))})
         values.append([(0, vertex[u])] + [(o, rnd_frac(rng)) for o in offsets] + [(ln, vertex[v])])
     psi = GraphPLFunction.build(g, values)
-    breakpoints = [GraphPoint(e, o) for e, pairs in enumerate(psi.edge_values)
+    breakpoints = [("e", e, o) for e, pairs in enumerate(psi.edge_values)
                    for o, _ in pairs[1:-1]]
     e = rng.randrange(len(edges))
     pairs = psi.edge_values[e]
     i = rng.randrange(len(pairs) - 1)
-    inside = GraphPoint(e, (pairs[i][0] + pairs[i + 1][0]) / 2)
+    inside = ("e", e, (pairs[i][0] + pairs[i + 1][0]) / 2)
     atoms = [vertex_key(rng.randrange(nv)), inside]
     if breakpoints:
         atoms.append(rng.choice(breakpoints))
@@ -670,10 +663,10 @@ def test_obstacle_read_off_breakpoints():
     kinds = set()
     for i in range(60):
         g, om, psi = loopy_obstacle(rng, 2 + i % 11)
-        nodes, edges, offsets, obstacle = obstacle_problem(psi, g, om)
-        assert curves._refine(g, variational._candidate_keys(psi, om)) == (nodes, edges, offsets)
-        assert variational._node_values(psi, g, offsets) == [obstacle[k] for k in nodes]
-        breakpoints = {g.point_key(GraphPoint(e, o))
+        index, edges, offsets, obstacle, _ = obstacle_problem(psi, g, om)
+        assert curves._refine(g, variational._candidate_keys(psi, om)) == (index, edges, offsets)
+        assert curves._node_values(psi, g, offsets) == obstacle
+        breakpoints = {g.point_key(("e", e, o))
                        for e, pairs in enumerate(psi.edge_values) for o, _ in pairs}
         kinds.update(k[0] + str(k in breakpoints) for k, _ in om.atoms)
         if i % 4 == 0:
@@ -703,9 +696,9 @@ def subharmonic_obstacles():
     tree = MetricGraph.build(range(5), [(0, 1, 2), (1, 2, Fraction(1, 3)), (1, 3, 1),
                                         (3, 4, Fraction(5, 2))])
     om = GraphMeasure.from_atoms(
-        tree, [(vertex_key(0), Fraction(1, 2)), (GraphPoint(3, Fraction(3, 2)), Fraction(3, 2))])
+        tree, [(vertex_key(0), Fraction(1, 2)), (("e", 3, Fraction(3, 2)), Fraction(3, 2))])
     mu = GraphMeasure.from_atoms(
-        tree, [(vertex_key(2), 1), (GraphPoint(0, Fraction(1, 2)), 1)])
+        tree, [(vertex_key(2), 1), (("e", 0, Fraction(1, 2)), 1)])
     psi = solve_poisson(tree, mu.sub(tree, om), vertex_key(0))
     yield tree, om, with_redundant_point(psi, 3)
 
@@ -729,7 +722,7 @@ def spiked_edge(exp_length, exp_value):
     quarter point."""
     ln, val = Fraction(10) ** exp_length, Fraction(10) ** exp_value
     g = MetricGraph.build([0, 1], [(0, 1, ln)])
-    om = GraphMeasure.from_atoms(g, [(vertex_key(0), 1), (GraphPoint(0, ln / 4), 1)])
+    om = GraphMeasure.from_atoms(g, [(vertex_key(0), 1), (("e", 0, ln / 4), 1)])
     zigzag = [(0, 0), (ln / 4, val), (ln / 2, -val), (3 * ln / 4, val), (ln, 0)]
     return g, om, GraphPLFunction.build(g, [zigzag])
 
@@ -747,9 +740,9 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     g, om, psi = spiked_edge(exp_length, exp_value)
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
-    nodes, edges, _, obstacle, mass = indexed_problem(psi, g, om)
+    _, edges, _, obstacle, mass = obstacle_problem(psi, g, om)
     guide = variational._float_contact(obstacle, mass, edges)
-    assert guide is None or guide == set(range(len(nodes)))
+    assert guide is None or guide == set(range(len(obstacle)))
     howard, starts = variational._howard, []
 
     def recorded(obstacle, mass, edges, contact):
@@ -763,7 +756,7 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     # the guide failed, or its floats could not tell the nodes apart:
     # the exact pass starts from every node
     assert starts == [True]
-    documents = {"graph": serialize.graph_to_json(g), "omega0": serialize.graph_measure_to_json(g, om),
+    documents = {"graph": serialize.graph_to_json(g), "omega0": serialize.graph_measure_to_json(om),
                  "g": serialize.graph_function_to_json(psi)}
     argv = ["envelope"]
     for name, doc in documents.items():
@@ -828,7 +821,7 @@ def test_derivative_first_order_curve(rng):
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     mu = GraphMeasure.from_atoms(
-        g, [(GraphPoint(0, Fraction(1, 3)), Fraction(1)), (vertex_key(0), Fraction(1))]
+        g, [(("e", 0, Fraction(1, 3)), Fraction(1)), (vertex_key(0), Fraction(1))]
     )
     phi = superpose(g, mu, om)
     f = GraphPLFunction.build(
