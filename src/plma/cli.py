@@ -18,7 +18,7 @@ from math import factorial
 
 from . import curves, serialize, toric, variational
 from .geometry import DiscreteMeasure, Polytope, breakpoints, support_function
-from .serialize import SchemaError, dumps, rational_str
+from .serialize import SchemaError, json_array, json_object, json_string
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 
 
@@ -32,6 +32,11 @@ def _emit(text: str, output) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _error(kind: str, message: str) -> None:
+    fields = {"type": json_string(kind), "message": json_string(message)}
+    print(json_object({"error": json_object(fields)}), file=sys.stderr)
 
 
 def _csv(rows) -> str:
@@ -84,7 +89,7 @@ def cmd_toric_ma(args):
         rows += _measure_rows(berk, "berkovich")
         _emit(_csv(rows), args.output)
     else:
-        _emit(dumps(serialize.toric_ma_result_to_json(result)), args.output)
+        _emit(serialize.toric_ma_result_to_json(result) + "\n", args.output)
     return 0
 
 
@@ -102,7 +107,7 @@ def cmd_toric_solve(args):
             rows.append([*coords, _dec(e), "exact"])
         _emit(_csv(rows), args.output)
     else:
-        _emit(dumps(serialize.solve_report_to_json(report)), args.output)
+        _emit(serialize.solve_report_to_json(report) + "\n", args.output)
     return 0 if report.converged else 3
 
 
@@ -117,7 +122,7 @@ def cmd_toric_energy(args):
     if args.format == "csv":
         _emit(_csv([["energy", "exactness"], [_dec(value), "exact"]]), args.output)
     else:
-        _emit(dumps({"energy": rational_str(value)}), args.output)
+        _emit(json_object({"energy": '"%s"' % value}) + "\n", args.output)
     return 0
 
 
@@ -129,7 +134,7 @@ def cmd_envelope(args):
         if args.format == "csv" and delta.dim == 1:
             _emit(_csv([["t", "value", "exactness"], *_sample_rows_1d(env)]), args.output)
         else:
-            _emit(dumps(serialize.pl_function_to_json(env)), args.output)
+            _emit(serialize.pl_function_to_json(env) + "\n", args.output)
         return 0
     graph, omega0 = _curve_context(args)
     psi = serialize.graph_function_from_json(serialize.load_path(args.g), graph)
@@ -140,7 +145,7 @@ def cmd_envelope(args):
             rows += [[e, _dec(o), _dec(y), "exact"] for o, y in pairs]
         _emit(_csv(rows), args.output)
     else:
-        _emit(dumps(serialize.graph_function_to_json(env)), args.output)
+        _emit(serialize.graph_function_to_json(env) + "\n", args.output)
     return 0
 
 
@@ -156,7 +161,7 @@ def cmd_orthogonality(args):
     if args.format == "csv":
         _emit(_csv([["defect", "exactness"], [_dec(defect), "exact"]]), args.output)
     else:
-        _emit(dumps({"defect": rational_str(defect)}), args.output)
+        _emit(json_object({"defect": '"%s"' % defect}) + "\n", args.output)
     return 0
 
 
@@ -164,7 +169,7 @@ def cmd_curve_solve(args):
     graph, omega0 = _curve_context(args)
     mu = serialize.graph_measure_from_json(serialize.load_path(args.mu), graph)
     phi = solve_curve(graph, mu, omega0)
-    _emit(dumps(serialize.graph_function_to_json(phi)), args.output)
+    _emit(serialize.graph_function_to_json(phi) + "\n", args.output)
     return 0
 
 
@@ -172,7 +177,7 @@ def cmd_curve_green(args):
     graph, omega0 = _curve_context(args)
     x = serialize.graph_point_from_json(serialize.load_path(args.x))
     phi = curves.green(graph, x, omega0)
-    _emit(dumps(serialize.graph_function_to_json(phi)), args.output)
+    _emit(serialize.graph_function_to_json(phi) + "\n", args.output)
     return 0
 
 
@@ -188,16 +193,12 @@ def cmd_curve_canonical(args):
             )
         _emit(_csv(rows), args.output)
     else:
-        _emit(
-            dumps(
-                {
-                    "potential": serialize.graph_function_to_json(potential),
-                    "measure": serialize.graph_measure_to_json(measure),
-                    "arc_masses": [rational_str(m) for m in masses],
-                }
-            ),
-            args.output,
-        )
+        document = json_object({
+            "potential": serialize.graph_function_to_json(potential),
+            "measure": serialize.graph_measure_to_json(measure),
+            "arc_masses": json_array(['"%s"' % m for m in masses]),
+        })
+        _emit(document + "\n", args.output)
     return 0
 
 
@@ -303,20 +304,14 @@ def run(argv) -> int:
         toric_mode = args.delta is not None
         curve_mode = args.graph is not None and args.omega0 is not None
         if toric_mode == curve_mode:
-            print(
-                dumps({"error": {"type": "usage", "message": "give either --delta or --graph with --omega0"}}),
-                file=sys.stderr, end="",
-            )
+            _error("usage", "give either --delta or --graph with --omega0")
             return 2
     # every invalid-input error subclasses ValueError (exit 2), and
     # ConvergenceError, a RuntimeError, is non-convergence (exit 3)
     try:
         return args.fn(args)
     except (ValueError, ConvergenceError) as exc:
-        print(
-            dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr, end="",
-        )
+        _error(type(exc).__name__, str(exc))
         return 3 if isinstance(exc, ConvergenceError) else 2
 
 

@@ -99,7 +99,11 @@ class MetricGraph:
         the graph, raises GraphError.
         """
         if isinstance(key, tuple) and len(key) == 2 and key[0] == "v":
-            if key[1] in self._vertex_set:
+            try:
+                known = key[1] in self._vertex_set
+            except TypeError:  # an unhashable id
+                known = False
+            if known:
                 return key
             raise GraphError(f"vertex {key[1]!r} is not a vertex of the graph")
         if not (isinstance(key, tuple) and len(key) == 3 and key[0] == "e"):
@@ -112,7 +116,11 @@ class MetricGraph:
             return ("v", u)
         if off == ln:
             return ("v", v)
-        if not 0 < off < ln:
+        try:
+            inside = 0 < off < ln
+        except TypeError:  # an offset that is not a number
+            inside = False
+        if not inside:
             raise GraphError("offset outside edge")
         return key
 

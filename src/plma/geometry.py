@@ -533,15 +533,19 @@ class DiscreteMeasure:
         return all(m > 0 for _, m in self.atoms)
 
     def mass_at(self, loc) -> Fraction:
-        return self._masses.get(as_point(loc), Fraction(0))
+        return self.masses.get(as_point(loc), Fraction(0))
 
     @cached_property
-    def _masses(self):
+    def masses(self) -> dict:
+        """Mass by location, for the atoms' locations only."""
         return dict(self.atoms)
 
     def scale(self, c) -> "DiscreteMeasure":
+        # the atoms stay sorted and nonzero unless c is 0
         c = as_fraction(c)
-        return DiscreteMeasure.from_atoms([(p, c * m) for p, m in self.atoms])
+        if c == 0:
+            return DiscreteMeasure(())
+        return DiscreteMeasure(tuple((p, c * m) for p, m in self.atoms))
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return DiscreteMeasure.from_atoms(list(self.atoms) + list(other.atoms))

@@ -4,11 +4,16 @@ All numbers are rational strings "p/q" ("p" when the denominator is 1),
 so every file round-trips without loss.  Atom lists are emitted in the
 canonical sorted order, which makes output byte-deterministic.
 
-`dumps` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
-plus a newline, but without calling it: with `indent` set, CPython (3.10
-to 3.13) skips its C encoder for a generator-based pure-Python one, which
-was most of the time of a large curve-canonical.  `dumps` joins each
-container in one pass and hands every string to the C escaper.
+Each `*_to_json` returns the text of its document: the bytes of
+json.dumps(doc, indent=2, sort_keys=True), without the trailing newline.
+The text is written straight from the object, one %-template per record
+(a graph-function pair, a graph-measure atom, a toric piece, atom or
+residual entry), and each container nests its records' texts with one
+replace, which is exact because an escaped JSON string holds no raw
+newline.  json.dumps is not called with `indent`: then CPython before
+3.13 skips its C encoder for a pure-Python one, which cost more than the
+mathematics of a large curve-canonical.  `json_array` and `json_object`
+lay out any other document from already-written values.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
 )
+
+json_string = json.encoder.encode_basestring_ascii
+# vertex ids are JSON scalars; the compact and the indented encoding agree on them
+_scalar = json.dumps
 
 
 class SchemaError(ValueError):
@@ -52,10 +61,6 @@ def _vertex_id(vid):
     return vid
 
 
-def point_to_json(v):
-    return [rational_str(c) for c in v]
-
-
 def point_from_json(obj):
     if not isinstance(obj, list) or not obj:
         raise SchemaError("a point must be a nonempty array of rationals")
@@ -63,11 +68,46 @@ def point_from_json(obj):
 
 
 # ---------------------------------------------------------------------------
+# layout: values are already-written JSON texts at depth 0
+
+
+def json_array(values) -> str:
+    """The indented JSON array of a list of written values."""
+    if not values:
+        return "[]"
+    return "[\n  " + ",\n".join(values).replace("\n", "\n  ") + "\n]"
+
+
+def json_object(fields) -> str:
+    """The indented JSON object of a dict of written values, keys sorted."""
+    if not fields:
+        return "{}"
+    body = ",\n".join([json_string(k) + ": " + v for k, v in sorted(fields.items())])
+    return "{\n  " + body.replace("\n", "\n  ") + "\n}"
+
+
+def _point(v):
+    # a nonempty point's array as a field of a depth-0 record; the library
+    # holds Fractions, whose str is the rational string
+    return '[\n    "' + '",\n    "'.join(map(str, v)) + '"\n  ]'
+
+
+# one template per record, at depth 0, keys in sorted order
+_PIECE = '{\n  "intercept": "%s",\n  "slope": %s\n}'
+_ATOM = '{\n  "mass": "%s",\n  "point": %s\n}'
+_ERROR = '{\n  "error": "%s",\n  "point": %s\n}'
+_PAIR = '[\n  "%s",\n  "%s"\n]'
+_VERTEX_ATOM = '{\n  "mass": "%s",\n  "point": {\n    "vertex": %s\n  }\n}'
+_EDGE_ATOM = '{\n  "mass": "%s",\n  "point": {\n    "edge": %d,\n    "offset": "%s"\n  }\n}'
+
+
+# ---------------------------------------------------------------------------
 # toric side
 
 
-def polytope_to_json(p: Polytope):
-    return {"vertices": [point_to_json(v) for v in p.vertices]}
+def polytope_to_json(p: Polytope) -> str:
+    vertices = [json_array(['"%s"' % c for c in v]) for v in p.vertices]
+    return json_object({"vertices": json_array(vertices)})
 
 
 def polytope_from_json(obj) -> Polytope:
@@ -76,14 +116,11 @@ def polytope_from_json(obj) -> Polytope:
     return Polytope.from_points([point_from_json(v) for v in obj["vertices"]])
 
 
-def pl_function_to_json(g: PLConvexFunction):
+def pl_function_to_json(g: PLConvexFunction) -> str:
     pieces = sorted(g.pieces, key=lambda f: (f.slope, f.intercept))
-    return {
-        "pieces": [
-            {"slope": point_to_json(f.slope), "intercept": rational_str(f.intercept)}
-            for f in pieces
-        ]
-    }
+    return json_object(
+        {"pieces": json_array([_PIECE % (f.intercept, _point(f.slope)) for f in pieces])}
+    )
 
 
 def pl_function_from_json(obj) -> PLConvexFunction:
@@ -101,12 +138,12 @@ def pl_function_from_json(obj) -> PLConvexFunction:
     return PLConvexFunction.from_pieces(pieces)
 
 
-def measure_to_json(mu: DiscreteMeasure):
-    return {
-        "atoms": [
-            {"point": point_to_json(p), "mass": rational_str(m)} for p, m in mu.atoms
-        ]
-    }
+def _atoms(atoms):
+    return json_object({"atoms": json_array([_ATOM % (m, _point(p)) for p, m in atoms])})
+
+
+def measure_to_json(mu: DiscreteMeasure) -> str:
+    return _atoms(mu.atoms)
 
 
 def measure_from_json(obj) -> DiscreteMeasure:
@@ -120,46 +157,39 @@ def measure_from_json(obj) -> DiscreteMeasure:
     return DiscreteMeasure.from_atoms(atoms)
 
 
-def toric_ma_result_to_json(result):
-    return {
+def toric_ma_result_to_json(result) -> str:
+    return json_object({
         "ma_real": measure_to_json(result.measure_NR),
-        "ma_berkovich": {
-            "atoms": [
-                {"point": point_to_json(mp.v), "mass": rational_str(m)}
-                for mp, m in result.measure_an
-            ]
-        },
-        "degree": rational_str(result.degree),
-    }
+        "ma_berkovich": _atoms([(mp.v, m) for mp, m in result.measure_an]),
+        "degree": '"%s"' % result.degree,
+    })
 
 
-def solve_report_to_json(report):
-    return {
+def _residual(entries):
+    return json_array([_ERROR % (e, _point(p)) for p, e in entries])
+
+
+def solve_report_to_json(report) -> str:
+    return json_object({
         "solution": pl_function_to_json(report.solution),
-        "residual": [
-            {"point": point_to_json(p), "error": rational_str(e)}
-            for p, e in report.residual
-        ],
-        "polished_residual": [
-            {"point": point_to_json(p), "error": rational_str(e)}
-            for p, e in report.polished_residual
-        ],
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
+        "residual": _residual(report.residual),
+        "polished_residual": _residual(report.polished_residual),
+        "iterations": "%d" % report.iterations,
+        "converged": "true" if report.converged else "false",
+    })
 
 
 # ---------------------------------------------------------------------------
 # curve side
 
 
-def graph_to_json(graph: MetricGraph):
-    return {
-        "vertices": list(graph.vertex_ids),
-        "edges": [
-            {"ends": [u, v], "length": rational_str(ln)} for u, v, ln in graph.edges
-        ],
-    }
+def graph_to_json(graph: MetricGraph) -> str:
+    edges = [
+        json_object({"ends": json_array([_scalar(u), _scalar(v)]), "length": '"%s"' % ln})
+        for u, v, ln in graph.edges
+    ]
+    vertices = [_scalar(vid) for vid in graph.vertex_ids]
+    return json_object({"vertices": json_array(vertices), "edges": json_array(edges)})
 
 
 def graph_from_json(obj) -> MetricGraph:
@@ -175,13 +205,6 @@ def graph_from_json(obj) -> MetricGraph:
     return MetricGraph.build(vertex_ids, edges)
 
 
-def graph_point_to_json(key):
-    """The JSON object of a canonical location key."""
-    if key[0] == "v":
-        return {"vertex": key[1]}
-    return {"edge": key[1], "offset": rational_str(key[2])}
-
-
 def graph_point_from_json(obj):
     if isinstance(obj, dict) and "vertex" in obj:
         return vertex_key(_vertex_id(obj["vertex"]))
@@ -190,13 +213,9 @@ def graph_point_from_json(obj):
     raise SchemaError('graph point must be {"vertex": id} or {"edge": k, "offset": "p/q"}')
 
 
-def graph_function_to_json(f: GraphPLFunction):
-    return {
-        "edges": [
-            [[rational_str(o), rational_str(y)] for o, y in pairs]
-            for pairs in f.edge_values
-        ]
-    }
+def graph_function_to_json(f: GraphPLFunction) -> str:
+    edges = [json_array([_PAIR % pair for pair in pairs]) for pairs in f.edge_values]
+    return json_object({"edges": json_array(edges)})
 
 
 def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
@@ -212,13 +231,14 @@ def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
     return GraphPLFunction.build(graph, values)
 
 
-def graph_measure_to_json(mu: GraphMeasure):
-    return {
-        "atoms": [
-            {"point": graph_point_to_json(key), "mass": rational_str(m)}
-            for key, m in mu.atoms
-        ]
-    }
+def graph_measure_to_json(mu: GraphMeasure) -> str:
+    # an atom's key is canonical: ("v", id) or ("e", e, offset)
+    atoms = [
+        _VERTEX_ATOM % (m, _scalar(key[1])) if key[0] == "v"
+        else _EDGE_ATOM % (m, key[1], rational_str(key[2]))
+        for key, m in mu.atoms
+    ]
+    return json_object({"atoms": json_array(atoms)})
 
 
 def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
@@ -234,53 +254,6 @@ def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
 
 # ---------------------------------------------------------------------------
 # file helpers
-
-
-def dumps(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
-
-    The stdlib call is not made because its indented encoder is pure
-    Python; `_encode` builds the same text with the C string escaper.
-    """
-    return _encode(obj, "") + "\n"
-
-
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _encode(obj, pad):
-    # json's own dispatch order: str, None/True/False, int, float, list or
-    # tuple, dict; dict items sorted before their keys become strings
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None or obj is True or obj is False:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = (",\n" + inner).join([_encode(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = (",\n" + inner).join(
-            [_escape(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key(k):
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def load_path(path):

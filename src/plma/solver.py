@@ -186,9 +186,12 @@ def _solution_from_weights(delta, atoms, weights):
 
 def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
     """Exact per-atom difference between MA(g) and nu."""
-    got = ma_measure(g, delta, check=False).measure_NR
-    locs = sorted({p for p, _ in got.atoms} | {p for p, _ in nu.atoms})
-    return tuple((p, got.mass_at(p) - nu.mass_at(p)) for p in locs)
+    got = ma_measure(g, delta, check=False).measure_NR.masses
+    want = nu.masses
+    zero = Fraction(0)
+    return tuple(
+        (p, got.get(p, zero) - want.get(p, zero)) for p in sorted(got.keys() | want.keys())
+    )
 
 
 def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):

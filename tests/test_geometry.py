@@ -7,6 +7,7 @@ import pytest
 from plma.geometry import (
     AffineFunctional,
     DimensionError,
+    DiscreteMeasure,
     PLConvexFunction,
     Polytope,
     breakpoints,
@@ -275,3 +276,17 @@ def test_pieces_are_essential():
 def test_float_inputs_rejected():
     with pytest.raises(TypeError):
         AffineFunctional.make((0.5,), 0)
+
+
+def test_measure_scale_matches_from_atoms(rng):
+    # scale keeps the sorted atoms and multiplies their masses; from_atoms
+    # builds the same measure from scratch
+    for _ in range(50):
+        dim = rng.choice([1, 2])
+        atoms = [(tuple(rnd_frac(rng) for _ in range(dim)), rnd_frac(rng))
+                 for _ in range(rng.randint(0, 6))]
+        mu = DiscreteMeasure.from_atoms(atoms)
+        for c in (0, 1, -1, Fraction(-3, 7), rnd_frac(rng), 10**30):
+            want = DiscreteMeasure.from_atoms([(p, c * m) for p, m in mu.atoms])
+            assert mu.scale(c) == want
+    assert DiscreteMeasure.from_atoms([((1,), 2)]).scale(0).atoms == ()

@@ -19,10 +19,11 @@ from plma.curves import (
 )
 from plma.geometry import DiscreteMeasure, Polytope, support_function
 from plma.serialize import SchemaError
-from plma.solver import ConvergenceError, solve_toric
+from plma.solver import ConvergenceError, SolveReport, solve_toric
 from plma.toric import ma_measure
 
 from conftest import (
+    hexagon,
     interval,
     random_admissible,
     random_graph,
@@ -61,7 +62,7 @@ ESCAPES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", "\u2
 
 
 def _random_document(rng, depth=0):
-    """A seeded JSON-able tree of the shapes json.dumps accepts."""
+    """A seeded JSON-able tree with str keys, of the shapes json.dumps accepts."""
     def text():
         return "".join(rng.choice(ESCAPES) for _ in range(rng.randint(0, 5)))
 
@@ -80,66 +81,203 @@ def _random_document(rng, depth=0):
     if kind in (6, 7):
         items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
         return items if kind == 6 else tuple(items)
-    if rng.random() < 0.7:
-        keys = [text() for _ in range(rng.randint(0, 4))]
-    else:
-        # non-str keys: json converts them, after sorting the items
-        keys = rng.choice([[rng.randint(-50, 50) for _ in range(3)],
-                           [0.5, -1.25, float("inf"), 3, True], [None], [False]])
-    return {k: _random_document(rng, depth + 1) for k in keys}
+    return {text(): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
 
 
-def test_dumps_matches_stdlib_indented_output(rng):
+def _write(doc):
+    """A document's text through the layout helpers alone."""
+    if isinstance(doc, dict):
+        return serialize.json_object({k: _write(v) for k, v in doc.items()})
+    if isinstance(doc, (list, tuple)):
+        return serialize.json_array([_write(v) for v in doc])
+    if isinstance(doc, str):
+        return serialize.json_string(doc)
+    return json.dumps(doc)
+
+
+def test_layout_helpers_match_stdlib_indented_output(rng):
     for _ in range(400):
         doc = _random_document(rng)
-        assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert _write(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [object(), {1, 2}, Fraction(1, 2), b"bytes", [1, {"a": complex(1, 2)}],
-     {(1, 2): "tuple key"}, {"a": 1, 2: "mixed keys"}],
-)
-def test_dumps_rejects_what_json_rejects(doc):
-    with pytest.raises(TypeError) as stdlib:
-        json.dumps(doc, indent=2, sort_keys=True)
-    with pytest.raises(TypeError) as ours:
-        serialize.dumps(doc)
-    assert str(ours.value) == str(stdlib.value)
+def _parsed(text):
+    """The parse of a written document, once its text is checked to be the
+    stdlib's indented, key-sorted encoding of that parse."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
+    return doc
+
+
+def _rational(rng):
+    """An integer, negative, large or plain rational."""
+    return rng.choice([
+        Fraction(rng.randint(-9, 9)),
+        Fraction(-rng.randint(1, 10**40)),
+        Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**20)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    ])
+
+
+# one vertex id of each JSON scalar type, pairwise unequal under ==, and
+# strings that need every kind of escape
+VERTEX_IDS = [False, True, -7, 2**70, None, 1.5, -2.5e-310, "", "/", 'a"b', "a\\b",
+              "\n\t\x00\x1f\x7f", "é€\u2028", "\U0001F600"]
+
+
+def _relabelled_graph(rng):
+    """A seeded random graph whose vertex ids are drawn from VERTEX_IDS and
+    whose edge lengths are integer, large or plain rationals."""
+    g = random_graph(rng)
+    ids = rng.sample(VERTEX_IDS, len(g.vertex_ids))
+    edges = [(ids[u], ids[v], abs(_rational(rng)) or Fraction(1)) for u, v, _ in g.edges]
+    return curves.MetricGraph.build(ids, edges)
+
+
+def test_polytope_writer(rng):
+    for delta in (interval(), unit_square(), hexagon()):
+        for _ in range(10):
+            scale, shift = abs(_rational(rng)) or Fraction(1), [_rational(rng) for _ in range(2)]
+            p = Polytope.from_points(
+                [tuple(scale * c + t for c, t in zip(v, shift)) for v in delta.vertices])
+            assert serialize.polytope_from_json(_parsed(serialize.polytope_to_json(p))) == p
+
+
+def test_pl_function_writer(rng):
+    for delta in (interval(), unit_square(), hexagon()):
+        for _ in range(10):
+            g = random_admissible(rng, delta)
+            g = geometry.PLConvexFunction.from_pieces([
+                geometry.AffineFunctional(f.slope, f.intercept + _rational(rng)) for f in g.pieces
+            ])
+            assert serialize.pl_function_from_json(_parsed(serialize.pl_function_to_json(g))) == g
+
+
+def test_measure_writer(rng):
+    for dim in (1, 2, 2, 2):
+        for natoms in (0, 1, 5):
+            atoms = [(tuple(_rational(rng) for _ in range(dim)), _rational(rng))
+                     for _ in range(natoms)]
+            mu = DiscreteMeasure.from_atoms(atoms)
+            assert serialize.measure_from_json(_parsed(serialize.measure_to_json(mu))) == mu
+    assert serialize.measure_to_json(DiscreteMeasure(())) == '{\n  "atoms": []\n}'
+
+
+def test_toric_ma_result_writer(rng):
+    for delta in (interval(), unit_square(), hexagon()):
+        for _ in range(5):
+            result = ma_measure(random_admissible(rng, delta), delta)
+            doc = _parsed(serialize.toric_ma_result_to_json(result))
+            assert serialize.measure_from_json(doc["ma_real"]) == result.measure_NR
+            berkovich = serialize.measure_from_json(doc["ma_berkovich"])
+            assert berkovich.atoms == tuple((mp.v, m) for mp, m in result.measure_an)
+            assert serialize.parse_rational(doc["degree"]) == result.degree
+
+
+def test_solve_report_writer(rng):
+    def entries(doc):
+        return tuple((serialize.point_from_json(r["point"]), serialize.parse_rational(r["error"]))
+                     for r in doc)
+
+    delta = unit_square()
+    three = serialize.measure_from_json(THREE_ATOMS).scale(Fraction(1, 2))
+    one = DiscreteMeasure.from_atoms([((Fraction(1, 3),), Fraction(1))])
+    reports = [solve_toric(delta, three), solve_toric(interval(), one)]
+    errors = tuple(((_rational(rng), _rational(rng)), _rational(rng)) for _ in range(4))
+    g = random_admissible(rng, delta)
+    reports += [SolveReport(g, (), (), 0, False), SolveReport(g, errors, errors[:1], 7, True)]
+    for report in reports:
+        doc = _parsed(serialize.solve_report_to_json(report))
+        assert serialize.pl_function_from_json(doc["solution"]) == report.solution
+        assert entries(doc["residual"]) == report.residual
+        assert entries(doc["polished_residual"]) == report.polished_residual
+        assert doc["iterations"] == report.iterations
+        assert doc["converged"] is report.converged
+
+
+def test_graph_writer(rng):
+    for _ in range(20):
+        g = _relabelled_graph(rng)
+        assert serialize.graph_from_json(_parsed(serialize.graph_to_json(g))) == g
+
+
+def test_graph_function_writer(rng):
+    for _ in range(20):
+        g = _relabelled_graph(rng)
+        om = random_positive_measure(rng, g, Fraction(2))
+        f = solve_poisson(g, random_positive_measure(rng, g, Fraction(2)).sub(g, om),
+                          vertex_key(g.vertex_ids[0]))
+        f = f.scale(_rational(rng)).add_constant(_rational(rng))
+        doc = _parsed(serialize.graph_function_to_json(f))
+        assert serialize.graph_function_from_json(doc, g) == f
+
+
+def test_graph_measure_writer(rng):
+    measures = []
+    for _ in range(20):
+        g = _relabelled_graph(rng)
+        atoms = [(vertex_key(vid), _rational(rng)) for vid in g.vertex_ids]
+        atoms += [(("e", e, ln * Fraction(rng.randint(1, 7), 8)), _rational(rng))
+                  for e, (_, _, ln) in enumerate(g.edges)]
+        measures += [(g, GraphMeasure.from_atoms(g, atoms)), (g, GraphMeasure.from_atoms(g, []))]
+    circle = circle_graph()
+    measures += [(circle, curves.canonical_metric(2, 3)[1]),
+                 (circle, curves.canonical_metric(3, 2, d_L=0)[1])]
+    for g, mu in measures:
+        doc = _parsed(serialize.graph_measure_to_json(mu))
+        assert serialize.graph_measure_from_json(doc, g) == mu
+    assert serialize.graph_measure_to_json(measures[-1][1]) == '{\n  "atoms": []\n}'
+
+
+@pytest.mark.parametrize("error, code", [(curves.GraphError, 2), (ConvergenceError, 3)])
+def test_error_object_writer(error, code, capsys, monkeypatch):
+    message = "".join(ESCAPES)
+    assert "\ud800" in message  # a lone surrogate
+
+    def fail(*args):
+        raise error(message)
+
+    monkeypatch.setattr(curves, "canonical_metric", fail)
+    assert cli.run(["curve-canonical", "--m", "2", "--iterations", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("}\n")
+    doc = _parsed(err[:-1])
+    assert doc == {"error": {"type": error.__name__, "message": message}}
 
 
 def test_polytope_roundtrip(rng):
     for p in (interval(), unit_square()):
-        assert serialize.polytope_from_json(serialize.polytope_to_json(p)) == p
+        assert serialize.polytope_from_json(json.loads(serialize.polytope_to_json(p))) == p
 
 
 def test_function_and_measure_roundtrip(rng):
     delta = unit_square()
     g = random_admissible(rng, delta)
-    assert serialize.pl_function_from_json(serialize.pl_function_to_json(g)) == g
+    assert serialize.pl_function_from_json(json.loads(serialize.pl_function_to_json(g))) == g
     mu = ma_measure(g, delta).measure_NR
-    assert serialize.measure_from_json(serialize.measure_to_json(mu)) == mu
+    assert serialize.measure_from_json(json.loads(serialize.measure_to_json(mu))) == mu
 
 
 def test_graph_roundtrips(rng):
     g = random_graph(rng)
-    assert serialize.graph_from_json(serialize.graph_to_json(g)) == g
+    assert serialize.graph_from_json(json.loads(serialize.graph_to_json(g))) == g
     om = random_positive_measure(rng, g, Fraction(2))
-    assert serialize.graph_measure_from_json(serialize.graph_measure_to_json(om), g) == om
+    om_doc = json.loads(serialize.graph_measure_to_json(om))
+    assert serialize.graph_measure_from_json(om_doc, g) == om
     from plma.curves import superpose
 
     f = superpose(g, random_positive_measure(rng, g, Fraction(2)), om)
-    assert serialize.graph_function_from_json(serialize.graph_function_to_json(f), g) == f
+    f_doc = json.loads(serialize.graph_function_to_json(f))
+    assert serialize.graph_function_from_json(f_doc, g) == f
 
 
 def test_solve_report_serialization():
     delta = interval()
     nu = DiscreteMeasure.from_atoms([((Fraction(1, 3),), Fraction(1))])
     rep = solve_toric(delta, nu)
-    obj = serialize.solve_report_to_json(rep)
+    obj = json.loads(serialize.solve_report_to_json(rep))
     assert obj["converged"] is True
     assert obj["residual"][0]["error"] == "0"
-    json.dumps(obj)
 
 
 def test_schema_errors():
@@ -164,9 +302,9 @@ def write(tmp_path, name, obj):
 @pytest.fixture
 def toric_files(tmp_path):
     delta = unit_square()
-    d = write(tmp_path, "delta.json", serialize.polytope_to_json(delta))
+    d = write(tmp_path, "delta.json", json.loads(serialize.polytope_to_json(delta)))
     g = write(
-        tmp_path, "g.json", serialize.pl_function_to_json(support_function(delta))
+        tmp_path, "g.json", json.loads(serialize.pl_function_to_json(support_function(delta)))
     )
     return d, g
 
@@ -221,7 +359,7 @@ def test_cli_toric_solve_three_atoms_exit_codes(tmp_path, options, code, capsys)
     # one Newton step does not converge: exit 3 with the report; a tolerance
     # that is not finite is invalid: exit 2 (inf reported the start as
     # converged, and nan failed even an exact solve)
-    documents = {"delta": serialize.polytope_to_json(unit_square()), "mu": THREE_ATOMS}
+    documents = {"delta": json.loads(serialize.polytope_to_json(unit_square())), "mu": THREE_ATOMS}
     assert _run_documents(tmp_path, "toric-solve", documents, options) == code
     out, err = capsys.readouterr()
     if code == 3:
@@ -235,7 +373,7 @@ def test_cli_toric_solve_three_atoms_exit_codes(tmp_path, options, code, capsys)
 def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
     # irrational optimal weights: the snap fails, and the CSV must show the
     # exact residual of the returned solution, as the JSON "residual" does
-    d = write(tmp_path, "delta.json", serialize.polytope_to_json(simplex2()))
+    d = write(tmp_path, "delta.json", json.loads(serialize.polytope_to_json(simplex2())))
     corners = (["0", "0"], ["1", "0"], ["0", "1"])  # Berkovich mass 2! * 1/6 each
     mu = write(tmp_path, "mu.json", {"atoms": [{"point": p, "mass": "1/3"} for p in corners]})
     assert cli.run(["toric-solve", "--delta", d, "--mu", mu]) == 0
@@ -259,9 +397,9 @@ def test_cli_malformed_json(tmp_path, capsys):
 ONE_EDGE = {"vertices": [0, 1], "edges": [{"ends": [0, 1], "length": "1"}]}
 AT_0 = {"atoms": [{"point": {"vertex": 0}, "mass": "1"}]}
 VALID_DOCUMENTS = {
-    "toric-ma": {"delta": serialize.polytope_to_json(unit_square()),
-                 "g": serialize.pl_function_to_json(support_function(unit_square()))},
-    "toric-solve": {"delta": serialize.polytope_to_json(unit_square()),
+    "toric-ma": {"delta": json.loads(serialize.polytope_to_json(unit_square())),
+                 "g": json.loads(serialize.pl_function_to_json(support_function(unit_square())))},
+    "toric-solve": {"delta": json.loads(serialize.polytope_to_json(unit_square())),
                     "mu": {"atoms": [{"point": ["1/2", "1/2"], "mass": "2"}]}},
     "curve-solve": {"graph": ONE_EDGE, "omega0": AT_0, "mu": AT_0},
     "curve-green": {"graph": ONE_EDGE, "omega0": AT_0, "x": {"vertex": 1}},
@@ -451,7 +589,8 @@ def _shifted_paraboloid(inner, shift):
     ]}
 
 
-SQUARE_JSON = serialize.polytope_to_json(unit_square())
+SQUARE_JSON = json.loads(serialize.polytope_to_json(unit_square()))
+INTERVAL_JSON = json.loads(serialize.polytope_to_json(interval()))
 MIN_OF_PARABOLOIDS = {"min_of": [
     _shifted_paraboloid([(1, 1), (2, 1), (1, 2), (2, 2)], (Fraction(1, 4), Fraction(-1, 8))),
     _shifted_paraboloid([(1, 0), (0, 2), (2, 3), (3, 1)], (Fraction(-3, 8), Fraction(1, 4))),
@@ -468,7 +607,7 @@ TORIC_GOLDEN = {
     }),
     # simplex, five atoms; the snap succeeds
     "simplex-a5": ("toric-solve", {
-        "delta": serialize.polytope_to_json(simplex2()),
+        "delta": json.loads(serialize.polytope_to_json(simplex2())),
         "mu": {"atoms": [{"point": ["-1/2", "1/2"], "mass": "1/3"},
                          {"point": ["0", "0"], "mass": "1/12"},
                          {"point": ["1/2", "1"], "mass": "1/12"},
@@ -476,7 +615,7 @@ TORIC_GOLDEN = {
                          {"point": ["8", "6"], "mass": "1/4"}]},
     }),
     "interval-a3": ("toric-solve", {
-        "delta": serialize.polytope_to_json(interval()),
+        "delta": INTERVAL_JSON,
         "mu": {"atoms": [{"point": ["-1"], "mass": "1/4"},
                          {"point": ["1/3"], "mass": "1/2"},
                          {"point": ["5/2"], "mass": "1/4"}]},
@@ -523,7 +662,7 @@ def test_cli_toric_golden_stdout(tmp_path, case, digest, capsys):
     assert err == ""
 
 
-SUPPORT_SQUARE = serialize.pl_function_to_json(support_function(unit_square()))
+SUPPORT_SQUARE = json.loads(serialize.pl_function_to_json(support_function(unit_square())))
 # the lattice paraboloid on the whole 1/3 grid of the unit square, k = 16
 PARABOLOID_16 = _shifted_paraboloid(
     [(i, j) for i in range(4) for j in range(4) if {i, j} - {0, 3}], (0, 0))
@@ -595,7 +734,7 @@ PRUNED_INTERVAL = _pieces([
 PRUNED_GOLDEN = {
     "envelope-square": ("envelope", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
     "ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
-    "envelope-interval-csv": ("envelope", {"delta": serialize.polytope_to_json(interval()),
+    "envelope-interval-csv": ("envelope", {"delta": INTERVAL_JSON,
                                            "g": PRUNED_INTERVAL}, CSV),
 }
 
@@ -652,7 +791,7 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
 def test_cli_envelope_interval_csv_samples_around_breakpoints(tmp_path, capsys):
     # g lives on N_R: the rows run from one unit before the first breakpoint
     # to one unit after the last, and every breakpoint is a row
-    documents = {"delta": serialize.polytope_to_json(interval()), "g": PRUNED_INTERVAL}
+    documents = {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}
     assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
     header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     assert header == ["t", "value", "exactness"]
@@ -717,7 +856,8 @@ def _dented_graph(vertices, edges, omega0, mu, dents):
         g, atoms(mu) + atoms(dents, -1) + atoms(omega0, Fraction(-1, 2)))
     psi = solve_poisson(g, rho, vertex_key(vertices[0]))
     omega0 = {"atoms": [{"point": p, "mass": m} for p, m in omega0]}
-    return {"graph": graph, "omega0": omega0, "g": serialize.graph_function_to_json(psi)}
+    psi = json.loads(serialize.graph_function_to_json(psi))
+    return {"graph": graph, "omega0": omega0, "g": psi}
 
 
 def _subharmonic_graph(vertices, edges, omega0, mu, redundant):
@@ -812,7 +952,7 @@ def test_cli_curve_envelope_golden_stdout(tmp_path, command, case, options, dige
 
 def test_cli_envelope_and_orthogonality(tmp_path, capsys):
     delta = interval(-1, 1)
-    d = write(tmp_path, "delta.json", serialize.polytope_to_json(delta))
+    d = write(tmp_path, "delta.json", json.loads(serialize.polytope_to_json(delta)))
     obstacle = write(
         tmp_path,
         "obs.json",
@@ -839,7 +979,7 @@ def test_cli_envelope_slope_range_exit_2(tmp_path, command, capsys):
     # off its conjugate samples was max(-5/6, u - 3/2), above psi(0) = -1
     psi = {"min_of": [{"pieces": [{"slope": ["1/4"], "intercept": "1"},
                                   {"slope": ["3/4"], "intercept": "4/3"}]}]}
-    documents = {"delta": serialize.polytope_to_json(interval()), "g": psi}
+    documents = {"delta": INTERVAL_JSON, "g": psi}
     assert _run_documents(tmp_path, command, documents) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -856,7 +996,7 @@ def test_cli_convex_obstacle_slope_range_exit_2(tmp_path, command, spelling, cap
     psi = {"pieces": [{"slope": ["1/2"], "intercept": "0"}]}
     if spelling == "min-of":
         psi = {"min_of": [psi]}
-    documents = {"delta": serialize.polytope_to_json(interval()), "g": psi}
+    documents = {"delta": INTERVAL_JSON, "g": psi}
     assert _run_documents(tmp_path, command, documents) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -905,9 +1045,9 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     psi = GraphPLFunction.build(
         g, [((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(-1, 2)), (Fraction(1), Fraction(0)))]
     )
-    graph = write(tmp_path, "graph.json", serialize.graph_to_json(g))
-    omega0 = write(tmp_path, "om.json", serialize.graph_measure_to_json(om))
-    obstacle = write(tmp_path, "psi.json", serialize.graph_function_to_json(psi))
+    graph = write(tmp_path, "graph.json", json.loads(serialize.graph_to_json(g)))
+    omega0 = write(tmp_path, "om.json", json.loads(serialize.graph_measure_to_json(om)))
+    obstacle = write(tmp_path, "psi.json", json.loads(serialize.graph_function_to_json(psi)))
     argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
     assert cli.run(argv) == 0
     capsys.readouterr()
