@@ -13,6 +13,14 @@ of the cell.  So every predicate is exact, no floating point enters this
 module, and there is one `Fraction` per result (the small-integer exact
 computation of Yap, Comput. Geom. 1997).
 
+A function's integer form, its slopes S_i / D and intercepts C_i / E
+over common denominators, is computed at most once and cached beside its
+walk (`PLConvexFunction.integer_form`).  The walk runs on it, and so does
+every exact reader of the function: evaluation, `is_admissible`,
+`dual_transform`, and through `PLConvexFunction.integer_cells` the
+Monge-Ampere masses, the Legendre integral of the energy and the
+envelope's samples.
+
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function: its vertices, the cell (subdifferential) at each
 and the pairs of pieces that tie along its edges.  There is one walk per
@@ -44,6 +52,8 @@ class DimensionError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating-point input rejected; pass Fraction/int/str")
     return Fraction(x)
@@ -141,6 +151,25 @@ def ring_area(ring):
     return Fraction(sum(cross2(a, b) for a, b in zip(P, P[1:] + P[:1])), 2 * D * D)
 
 
+def cell_sums(ring):
+    """(A, M): n! D^n times the volume and (n+1)! D^(n+1) times the first
+    moment (the integral of u du) of a cell whose extreme slopes are the
+    integer points P / D of ring.  In 1-D, for [a, b], A = b - a and
+    M = (b^2 - a^2,).  In 2-D they are the shoelace sums over the
+    counterclockwise edges (p, q): A = sum cross(p, q) and
+    M = sum (p + q) cross(p, q)."""
+    if len(ring[0]) == 1:
+        (a,), (b,) = ring
+        return b - a, (b * b - a * a,)
+    A = M0 = M1 = 0
+    for (p0, p1), (q0, q1) in zip(ring, ring[1:] + ring[:1]):
+        c = p0 * q1 - p1 * q0
+        A += c
+        M0 += (p0 + q0) * c
+        M1 += (p1 + q1) * c
+    return A, (M0, M1)
+
+
 @dataclass(frozen=True)
 class Polytope:
     """Rational polytope, canonically the lex-sorted tuple of extreme points."""
@@ -187,20 +216,25 @@ class Polytope:
 
     @cached_property
     def _halfplanes(self):
-        """Integers (n0, n1, c) with n0 u0 + n1 u1 >= c on the polygon, one
-        per counterclockwise side (a, b): n is the inward normal of b - a."""
+        """Integer pairs (n, c) with <n, u> >= c on the polytope: in 1-D
+        one per end, in 2-D one per counterclockwise side (a, b) of a ring
+        of at least 3 points, n the inward normal of b - a."""
+        if self.dim == 1:
+            lo, hi = self.vertices[0][0], self.vertices[-1][0]
+            return (((lo.denominator,), lo.numerator), ((-hi.denominator,), -hi.numerator))
         out = []
         for a, b in zip(self._ring, self._ring[1:] + self._ring[:1]):
             n0, n1 = a[1] - b[1], b[0] - a[0]
             c = n0 * a[0] + n1 * a[1]
             m = math.lcm(n0.denominator, n1.denominator, c.denominator)
-            out.append(_scaled((n0, n1, c), m))
+            N0, N1, c = _scaled((n0, n1, c), m)
+            out.append(((N0, N1), c))
         return tuple(out)
 
     def contains(self, p) -> bool:
         """Whether p lies in the polytope.  In 2-D, p = (x0/q0, x1/q1) lies in a
         polygon iff n0 x0 q1 + n1 x1 q0 >= c q0 q1 for every side's integer
-        half-plane (n0, n1, c)."""
+        half-plane ((n0, n1), c)."""
         p = as_point(p)
         if len(p) != self.dim:
             raise DimensionError("point/polytope dimension mismatch")
@@ -219,7 +253,7 @@ class Polytope:
             s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
             return 0 <= s <= 1
         x0, q0, x1, q1 = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
-        return all(n0 * x0 * q1 + n1 * x1 * q0 >= c * q0 * q1 for n0, n1, c in self._halfplanes)
+        return all(n0 * x0 * q1 + n1 * x1 * q0 >= c * q0 * q1 for (n0, n1), c in self._halfplanes)
 
     def translate(self, t) -> "Polytope":
         t = as_point(t)
@@ -265,8 +299,11 @@ def _lower_chain(lifted):
     return out
 
 
-def subdivision(pieces):
+def subdivision(pieces, form):
     """Linearity subdivision of g = max(<s_i, .> - c_i), exactly.
+
+    form is the pieces' integer form (S, D, C, E), as `_integer_pieces`
+    computes it.
 
     Returns (cells, edges).  cells lists, in sorted order, every vertex v
     of the subdivision with its cell: the pieces whose slopes are the
@@ -292,35 +329,14 @@ def subdivision(pieces):
     """
     pieces = list(pieces)
     if len(pieces[0].slope) == 1:
-        S, D, C, E = _integer_pieces(pieces)
+        S, D, C, E = form
         chain = _lower_chain([(s, c, p) for (s,), c, p in zip(S, C, pieces)])
         cells = [
             ((Fraction(D * (cb - ca), E * (sb - sa)),), (a, b))
             for (sa, ca, a), (sb, cb, b) in zip(chain, chain[1:])
         ]
         return cells, []
-    return _walk(pieces)
-
-
-def cell_volume(cell) -> Fraction:
-    """Volume of the subdifferential spanned by a cell of `subdivision`;
-    in 2-D the shoelace sum on the cell's slopes, run on integers."""
-    if len(cell[0].slope) == 1:
-        return cell[1].slope[0] - cell[0].slope[0]
-    return ring_area([p.slope for p in cell])
-
-
-def cell_moment(cell) -> tuple:
-    """First moment, the integral of u du, over the subdifferential spanned
-    by a cell of `subdivision`: (b^2 - a^2)/2 on [a, b] in 1-D, and the sum
-    of (p + q) cross(p, q)/6 over the counterclockwise edges (p, q) in 2-D,
-    run on the integer slopes P / D of the cell and divided by 6 D^3."""
-    if len(cell[0].slope) == 1:
-        a, b = cell[0].slope[0], cell[1].slope[0]
-        return ((b * b - a * a) / 2,)
-    ring, D = _integer_points([p.slope for p in cell])
-    edges = [(p, q, cross2(p, q)) for p, q in zip(ring, ring[1:] + ring[:1])]
-    return tuple(Fraction(sum((p[i] + q[i]) * c for p, q, c in edges), 6 * D**3) for i in (0, 1))
+    return _walk(pieces, form)
 
 
 def _parallel_edges(pieces, S, C):
@@ -334,17 +350,17 @@ def _parallel_edges(pieces, S, C):
     return list(zip(chain, chain[1:]))
 
 
-def _walk(pieces):
+def _walk(pieces, form):
     """The 2-D part of `subdivision`.
 
-    It runs on integers: slopes are S_i / D and intercepts C_i / E over
-    common denominators, and a vertex is X / q in lowest terms, where piece
-    i has the value (E <S_i, X> - D q C_i) / (D E q).  The cell of a vertex
+    It runs on the integer form: slopes are S_i / D and intercepts C_i / E
+    over common denominators, and a vertex is X / q in lowest terms, where
+    piece i has the value (E <S_i, X> - D q C_i) / (D E q).  The cell of a vertex
     is the monotone chain of the integer slopes of the pieces tied there,
     counterclockwise from the lex-first.  Slopes that do not span the plane
     go to `_parallel_edges`.
     """
-    S, D, C, E = _integer_pieces(pieces)
+    S, D, C, E = form
     u = vsub(S[-1], S[0])
     if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
         return [], _parallel_edges(pieces, S, C)
@@ -431,8 +447,9 @@ class PLConvexFunction:
 
         Validates the pieces, keeps the lowest intercept per slope and
         drops every piece that is never the strict maximum, as read off one
-        `subdivision` walk.  The result keeps that walk: its pieces have
-        the same cells and edge pairs.  Code that already holds canonical
+        `subdivision` walk.  The result keeps that walk, whose cells and
+        edge pairs its pieces share, and the integer form the walk ran on,
+        sliced to the kept pieces.  Code that already holds canonical
         pieces calls the constructor instead.
         """
         ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
@@ -453,18 +470,45 @@ class PLConvexFunction:
         # A piece is the strict maximum somewhere iff its slope is an
         # extreme point of some cell of the subdivision (or of some
         # parallel edge pair, when the slopes are collinear).
-        walk = subdivision(ps)
+        S, D, C, E = form = _integer_pieces(ps)
+        walk = subdivision(ps, form)
         keep = {id(p) for _, cell in walk[0] for p in cell}
         keep.update(id(p) for pair in walk[1] for p in pair)
-        g = PLConvexFunction(tuple(p for p in ps if id(p) in keep))
+        kept = [i for i, p in enumerate(ps) if id(p) in keep]
+        g = PLConvexFunction(tuple(ps[i] for i in kept))
+        g.__dict__["integer_form"] = ([S[i] for i in kept], D, [C[i] for i in kept], E)
         g.__dict__["subdivision"] = walk
         return g
+
+    @cached_property
+    def integer_form(self):
+        """(S, D, C, E): the slopes S_i / D and intercepts C_i / E of the
+        pieces, in order, over common denominators; computed at most once
+        per function and read by the walk and by every exact reader."""
+        return _integer_pieces(self.pieces)
 
     @cached_property
     def subdivision(self):
         """(cells, edges) of the kernel `subdivision` on the pieces, walked
         at most once per function; every reader shares it and only reads."""
-        return subdivision(self.pieces)
+        return subdivision(self.pieces, self.integer_form)
+
+    def integer_cells(self):
+        """The walk on the integer form (S, D, C, E): for each vertex v of
+        the cells of `subdivision`, in order, (v, X, q, ring, y).  v = X / q
+        in lowest terms, ring lists the integer slopes (over D) of v's cell
+        in the cell's order, and g(v) = y / (D E q), read off the cell's
+        first piece, which is active at v."""
+        S, D, C, E = self.integer_form
+        at = {id(p): i for i, p in enumerate(self.pieces)}
+        out = []
+        for v, cell in self.subdivision[0]:
+            q = math.lcm(*(x.denominator for x in v))
+            X = _scaled(v, q)
+            ring = [S[at[id(p)]] for p in cell]
+            a = at[id(cell[0])]
+            out.append((v, X, q, ring, E * _idot(S[a], X) - D * q * C[a]))
+        return out
 
     @property
     def dim(self) -> int:
@@ -475,10 +519,15 @@ class PLConvexFunction:
         return tuple(p.slope for p in self.pieces)
 
     def __call__(self, v) -> Fraction:
+        """g(v), on the integer form (S, D, C, E): at v = X / q it is
+        max_i (E <S_i, X> - D q C_i) / (D E q), one Fraction."""
         v = as_point(v)
         if len(v) != self.dim:
             raise DimensionError("argument dimension mismatch")
-        return max(p.value(v) for p in self.pieces)
+        S, D, C, E = self.integer_form
+        q = math.lcm(*(x.denominator for x in v))
+        X, Dq = _scaled(v, q), D * q
+        return Fraction(max(E * _idot(s, X) - Dq * c for s, c in zip(S, C)), Dq * E)
 
     def active_pieces(self, v):
         v = as_point(v)
@@ -572,13 +621,26 @@ def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
 
     For piecewise-linear g this is equivalent to g - support_function(delta)
     being bounded on the whole space.
+
+    It runs on g's integer slopes S_i / D: S_i lies in delta iff
+    <n, S_i> >= c D for each of delta's integer half-planes (n, c), and a
+    vertex u of delta is a slope iff D u is one of the S_i.  A polygon
+    ring of one or two points (a point or a segment in the plane) has no
+    such half-planes, and there the slopes are tested with `contains`.
     """
     if g.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    slopes = set(g.slopes)
-    if not all(delta.contains(s) for s in slopes):
+    if delta.dim == 2 and len(delta._ring) < 3:
+        slopes = set(g.slopes)
+        return all(map(delta.contains, slopes)) and all(v in slopes for v in delta.vertices)
+    S, D, _, _ = g.integer_form
+    if not all(_idot(n, s) >= c * D for n, c in delta._halfplanes for s in S):
         return False
-    return all(v in slopes for v in delta.vertices)
+    slopes = set(S)
+    return all(
+        all(D % x.denominator == 0 for x in u) and _scaled(u, D) in slopes
+        for u in delta.vertices
+    )
 
 
 def subdifferential(g: PLConvexFunction, v) -> Polytope:
@@ -624,7 +686,7 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    S, D, C, E = _integer_pieces(F.pieces)
+    S, D, C, E = F.integer_form
     ring = delta.ring()
     R, Q = _integer_points(ring)
     DQ = D * Q
@@ -632,13 +694,9 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
         u: Fraction(max(E * _idot(s, V) - DQ * c for s, c in zip(S, C)), DQ * E)
         for u, V in zip(ring, R)
     }
-    for v, cell in F.subdivision[0]:
+    for v, _, q, _, y in F.integer_cells():
         if delta.contains(v):
-            # v = X / q; any piece a of its cell is F there
-            a, q = cell[0], math.lcm(*(x.denominator for x in v))
-            (c,) = _scaled((a.intercept,), E)
-            top = E * _idot(_scaled(a.slope, D), _scaled(v, q)) - D * q * c
-            values[v] = Fraction(top, D * E * q)
+            values[v] = Fraction(y, D * E * q)
     if delta.dim == 2 and len(R) >= 2:
         for P, P1 in zip(R, R[1:] + R[:1]) if len(R) >= 3 else [R]:
             d0, d1 = P1[0] - P[0], P1[1] - P[1]

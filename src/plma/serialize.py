@@ -19,6 +19,7 @@ lay out any other document from already-written values.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
@@ -42,10 +43,21 @@ def rational_str(x) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
+# the plain form this module writes, "p/q" or "p"
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s) -> Fraction:
+    """The Fraction of a rational string or an int.  The plain form
+    "p/q" or "p", in ASCII digits, is split and converted with int, which
+    fails as Fraction(s) does (a zero q, too many digits); everything else
+    goes through Fraction(s)."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError(f"expected a rational string, got {s!r}")
     try:
+        plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None

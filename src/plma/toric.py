@@ -21,7 +21,7 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     as_point,
-    cell_volume,
+    cell_sums,
     is_admissible,
     support_function,
 )
@@ -55,15 +55,24 @@ def degree(delta: Polytope) -> Fraction:
 
 
 def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> ToricMAResult:
-    """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy."""
+    """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy.
+
+    The atoms are the vertices of g's walk.  The mass at v is the volume
+    of its cell, A / (n! D^n), with A the integer sum `cell_sums` of the
+    cell's slopes over g's slope denominator D: one Fraction per atom, and
+    A / D^n on the analytic side.  The walk's vertices are sorted and
+    distinct and its cells have positive volume, so the atoms are already
+    canonical.
+    """
     if check and not is_admissible(g, delta):
         raise AdmissibilityError(
             "function is not admissible for the polytope "
             "(slope outside, or missing vertex slope)"
         )
-    n = delta.dim
-    nr = DiscreteMeasure.from_atoms((v, cell_volume(cell)) for v, cell in g.subdivision[0])
-    an = tuple((MonomialPoint(p), factorial(n) * m) for p, m in nr.atoms)
+    Dn = g.integer_form[1] ** delta.dim
+    masses = [(v, cell_sums(ring)[0]) for v, _, _, ring, _ in g.integer_cells()]
+    nr = DiscreteMeasure(tuple((v, Fraction(A, factorial(delta.dim) * Dn)) for v, A in masses))
+    an = tuple((MonomialPoint(v), Fraction(A, Dn)) for v, A in masses)
     return ToricMAResult(nr, an, degree(delta))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from math import factorial, isfinite, lcm
 
 from . import curves
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph
@@ -29,12 +29,11 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    _idot,
     as_fraction,
     as_point,
-    cell_moment,
-    cell_volume,
+    cell_sums,
     convex_envelope,
-    dot,
     is_admissible,
     support_function,
 )
@@ -57,8 +56,9 @@ def energy_toric(g: PLConvexFunction, g0: PLConvexFunction, delta: Polytope) -> 
     Legendre transform g* (Donaldson, JDG 2002).  g* is affine on the cell
     C at each vertex v of the subdivision of g, so L(g) is the sum of
     <M1(C), v> - Vol(C) g(v), M1 the first moment: one `subdivision` pass,
-    O(k*V).  The checks keep the order of the polarization formula
-    (Boucksom, Favre and Jonsson), which the tests keep as the oracle.
+    O(k*V), summed on integers.  The checks keep the order of the
+    polarization formula (Boucksom, Favre and Jonsson), which the tests
+    keep as the oracle.
     """
     if not is_admissible(g0, delta):
         raise AdmissibilityError("every argument must be admissible for the polytope")
@@ -70,10 +70,25 @@ def energy_toric(g: PLConvexFunction, g0: PLConvexFunction, delta: Polytope) -> 
 
 
 def _legendre_integral(g: PLConvexFunction) -> Fraction:
-    """The integral of g* over the slope hull of g, cell by cell."""
-    cells = g.subdivision[0]
-    terms = (dot(cell_moment(c), v) - cell_volume(c) * c[0].value(v) for v, c in cells)
-    return sum(terms, Fraction(0))
+    """The integral of g* over the slope hull of g, cell by cell.
+
+    g* is affine on the cell C at each vertex v of the walk, where it
+    adds <M1(C), v> - Vol(C) g(v), M1 the first moment.  On g's integer
+    form (S, D, C, E), with v = X / q and g(v) = y / (D E q), the integer
+    sums (A, M) of the cell's slopes (`cell_sums`) give Vol(C) =
+    A / (n! D^n) and M1(C) = M / ((n+1)! D^(n+1)), so the cell adds
+    (E <M, X> - (n+1) A y) / ((n+1)! D^(n+1) E q); in 2-D that is
+    (E <M, X> - 3 A y) / (6 D^3 E q).  The numerators are summed over the
+    lcm of the q, which makes one Fraction.
+    """
+    n, (_, D, _, E) = g.dim, g.integer_form
+    total, Q = 0, 1
+    for _, X, q, ring, y in g.integer_cells():
+        A, M = cell_sums(ring)
+        L = lcm(Q, q)
+        total = total * (L // Q) + (E * _idot(M, X) - (n + 1) * A * y) * (L // q)
+        Q = L
+    return Fraction(total, factorial(n + 1) * D ** (n + 1) * E * Q)
 
 
 def energy_curve(f: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure) -> Fraction:
@@ -131,7 +146,8 @@ class PiecewiseLinear1D:
         if g.dim != 1:
             raise ValueError("1-D only")
         # each breakpoint's value is read off its cell; with none, g is affine
-        pts = tuple((v[0], c[0].value(v)) for v, c in g.subdivision[0])
+        _, D, _, E = g.integer_form
+        pts = tuple((v[0], Fraction(y, D * E * q)) for v, _, q, _, y in g.integer_cells())
         slopes = sorted(s[0] for s in g.slopes)
         return PiecewiseLinear1D(pts or ((Fraction(0), g((0,))),), slopes[0], slopes[-1])
 
@@ -194,7 +210,7 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     delta, and EnvelopeError ("obstacle decays below the admissible slope
     range") is raised.  An admissible convex obstacle is its own envelope.
     The conjugate of each part is sampled at its breakpoints, with the
-    values read off the subdivision cells.
+    values read off the subdivision cells on the part's integer form.
     """
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
@@ -216,18 +232,25 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
     samples = []
     for g in parts:
-        cells = g.subdivision[0]
+        cells = g.integer_cells()
         if not cells:
             raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
-        samples.extend((v, c[0].value(v)) for v, c in cells)
+        _, D, _, E = g.integer_form
+        samples.extend((v, Fraction(y, D * E * q)) for v, _, q, _, y in cells)
     return convex_envelope(samples, delta)
 
 
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
-    """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero."""
+    """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero.
+
+    MA(P(psi)) is the analytic measure of `ma_measure`.  At each of its
+    atoms P(psi), and psi or each convex part of a min of them, are
+    evaluated on their integer forms (`PLConvexFunction.__call__`), one
+    Fraction each.
+    """
     p = envelope_toric(psi, delta)
-    ma = ma_measure(p, delta).measure_NR.scale(factorial(delta.dim))
-    return ma.integrate(lambda x: psi(x) - p(x))
+    atoms = ma_measure(p, delta).measure_an
+    return sum((m * (psi(mp.v) - p(mp.v)) for mp, m in atoms), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    as_fraction,
     breakpoints,
     convex_envelope,
     cross2,
@@ -276,6 +277,16 @@ def test_pieces_are_essential():
 def test_float_inputs_rejected():
     with pytest.raises(TypeError):
         AffineFunctional.make((0.5,), 0)
+
+
+def test_as_fraction_returns_fractions_as_they_are():
+    q = Fraction(-13, 24)
+    assert as_fraction(q) is q
+    for x, want in ((3, Fraction(3)), ("-13/24", q), (True, Fraction(1))):
+        assert type(as_fraction(x)) is Fraction and as_fraction(x) == want
+    for x in (0.5, -0.0, float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            as_fraction(x)
 
 
 def test_measure_scale_matches_from_atoms(rng):

@@ -44,6 +44,36 @@ def test_rational_strings():
         serialize.parse_rational(None)
 
 
+def test_parse_rational_matches_fraction(rng):
+    # the plain "p/q" form is split and converted with int; on every input
+    # the result, or the SchemaError text, must be Fraction(s)'s
+    def reference(s):
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            return f"expected a rational string, got {s!r}"
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            return f"bad rational {s!r}: {exc}"
+
+    def parsed(s):
+        try:
+            x = serialize.parse_rational(s)
+        except SchemaError as exc:
+            return str(exc)
+        assert type(x) is Fraction
+        return x
+
+    corpus = ["-13/24", "007/010", "-0", "0/5", "-0/7", "0", "12", "-7/1", "1/0", "-1/00",
+              "+1", "+1/2", "1 ", " 1/2", "1 /2", "1.5", "-.5", "1e3", "1E-3", "1_000", "1/2_0",
+              "1/2/3", "-", "/2", "1/", "1/-2", "--1", "0x10", "", "abc", "\u0663", "1\n",
+              "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, True, False, 1.5, [1], None,
+              {"p": 1}, 7, -3, 10**40]
+    corpus += [f"{rng.randint(-10**30, 10**30)}/{rng.randint(1, 10**30)}" for _ in range(200)]
+    corpus += [str(rng.randint(-10**30, 10**30)) for _ in range(50)]
+    for s in corpus:
+        assert parsed(s) == reference(s)
+
+
 def test_rational_str_matches_numerator_denominator(rng):
     # the reference: the numerator alone when the denominator is 1, else p/q
     def formula(x):
@@ -778,9 +808,9 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
     calls = []
     walk = geometry._walk
 
-    def counted(pieces):
+    def counted(pieces, form):
         calls.append(len(pieces))
-        return walk(pieces)
+        return walk(pieces, form)
 
     monkeypatch.setattr(geometry, "_walk", counted)
     assert _run_documents(tmp_path, command, documents) == 0

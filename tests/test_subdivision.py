@@ -7,6 +7,11 @@ and essential pieces come from Fourier-Motzkin feasibility, as do the
 pieces of a sum: a pair of pieces is kept when both are strictly active at
 once.  They take O(k^4) exact operations, so the cases stay small except
 for a few lattice paraboloids.
+
+The readers of the walk that run on the integer form (evaluation, the
+Monge-Ampere masses, the Legendre integral of the energy and the
+admissibility test) are checked against the Fraction formulas they
+replaced.
 """
 
 import itertools
@@ -18,25 +23,31 @@ import pytest
 
 from plma.geometry import (
     AffineFunctional,
+    DimensionError,
+    DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    _integer_pieces,
+    _integer_points,
     breakpoints,
-    cell_moment,
-    cell_volume,
+    cell_sums,
     convex_envelope,
     cross2,
     dot,
     dual_transform,
+    is_admissible,
     subdifferential,
     subdivision,
     vadd,
     vscale,
     vsub,
 )
-from plma.toric import ma_measure
+from plma.toric import MonomialPoint, ma_measure
+from plma.variational import _legendre_integral
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    interval,
     lattice_paraboloid,
     random_admissible,
     rational_hexagon,
@@ -333,11 +344,17 @@ DELTAS_1D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 1] + [
 ]
 
 
+def fresh_walk(pieces):
+    """The kernel on the pieces in the given order, on their integer form."""
+    pieces = list(pieces)
+    return subdivision(pieces, _integer_pieces(pieces))
+
+
 def check_edges(g):
     """The edge pairs of a 2-D subdivision: consecutive pieces of the cell
     rings when the slopes span the plane, else consecutive essential pieces
     along the slope line, which are all the pieces pruning keeps."""
-    cells, edges = subdivision(g.pieces)
+    cells, edges = fresh_walk(g.pieces)
     if _spans(g.slopes, 2):
         rings = {(r[i], r[(i + 1) % len(r)]) for _, r in cells for i in range(len(r))}
         assert set(edges) == rings
@@ -350,12 +367,17 @@ def check_edges(g):
 
 def check_kept_walk(g):
     """A function from from_pieces keeps the walk that pruned it: the cells
-    of a fresh walk on its pieces, and the same edge pairs as a set."""
+    of a fresh walk on its pieces, and the same edge pairs as a set.  It
+    also keeps the integer form of that walk, sliced to its pieces: each
+    S_i / D is a slope and each C_i / E an intercept, in order."""
     if len(g.pieces) > 1:
-        assert "subdivision" in vars(g)
-    cells, edges = subdivision(g.pieces)
+        assert "subdivision" in vars(g) and "integer_form" in vars(g)
+    cells, edges = fresh_walk(g.pieces)
     assert g.subdivision[0] == cells
     assert set(g.subdivision[1]) == set(edges)
+    S, D, C, E = g.integer_form
+    assert [tuple(Fraction(x, D) for x in s) for s in S] == list(g.slopes)
+    assert [Fraction(c, E) for c in C] == [p.intercept for p in g.pieces]
 
 
 def pruned_or_not(pieces, rng):
@@ -399,9 +421,9 @@ def test_rational_slopes_against_oracle():
         g = pruned_or_not(pieces, rng)
         check_against_oracle(g, [rng.choice(DELTAS_2D)])
         collinear += len(g.pieces) > 1 and not _spans(g.slopes, 2)
-        cells, edges = subdivision(g.pieces)
+        cells, edges = fresh_walk(g.pieces)
         # the same cells and edge pairs whatever the order of the pieces
-        shuffled = subdivision(rng.sample(g.pieces, len(g.pieces)))
+        shuffled = fresh_walk(rng.sample(g.pieces, len(g.pieces)))
         assert shuffled[0] == cells and set(shuffled[1]) == set(edges)
         for _, cell in cells:
             ring = [p.slope for p in cell]
@@ -409,8 +431,10 @@ def test_rational_slopes_against_oracle():
             assert ring[0] == min(ring)
             assert all(cross2(vsub(b, a), vsub(c, b)) > 0
                        for a, b, c in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]))
-            assert cell_volume(cell) == fraction_shoelace(ring)
-            assert cell_moment(cell) == fraction_moment(ring)
+            P, D = _integer_points(ring)
+            A, M = cell_sums(P)
+            assert Fraction(A, 2 * D**2) == fraction_shoelace(ring)
+            assert tuple(Fraction(m, 6 * D**3) for m in M) == fraction_moment(ring)
             volumes += 1
     assert collinear > 10 and volumes > 200
 
@@ -452,7 +476,7 @@ def test_transform_on_coprime_denominators(n):
         g = pruned_or_not(pieces, rng)
         if n == 1:
             shuffled = rng.sample(g.pieces, len(g.pieces))
-            assert subdivision(shuffled) == (fraction_chain(g.pieces), [])
+            assert fresh_walk(shuffled) == (fraction_chain(g.pieces), [])
             breaks += len(g.subdivision[0])
         for d in (delta, rng.choice(deltas)):
             h = dual_transform(g, d)
@@ -507,3 +531,117 @@ def test_ma_measure_k64_paraboloid():
     assert real.is_positive()
     assert real.total_mass() == delta.volume()
     assert [(mp.v, m) for mp, m in res.measure_an] == [(p, factorial(2) * m) for p, m in real.atoms]
+
+
+# ---------------------------------------------------------------------------
+# the integer readers against their Fraction forms
+
+
+def fraction_cell_volume(cell):
+    """The volume of the subdifferential spanned by a walk cell, on its
+    rational slopes."""
+    if len(cell[0].slope) == 1:
+        return cell[1].slope[0] - cell[0].slope[0]
+    return fraction_shoelace([p.slope for p in cell])
+
+
+def fraction_cell_moment(cell):
+    """The integral of u du over the subdifferential spanned by a walk
+    cell, on its rational slopes."""
+    if len(cell[0].slope) == 1:
+        a, b = cell[0].slope[0], cell[1].slope[0]
+        return ((b * b - a * a) / 2,)
+    return fraction_moment([p.slope for p in cell])
+
+
+def fraction_legendre_integral(g):
+    """The sum over the walk of <M1(C), v> - Vol(C) g(v), on rationals."""
+    return sum((dot(fraction_cell_moment(c), v) - fraction_cell_volume(c) * c[0].value(v)
+                for v, c in g.subdivision[0]), Fraction(0))
+
+
+def fraction_is_admissible(g, delta):
+    """Every slope in delta, by `contains`, and every vertex a slope."""
+    slopes = set(g.slopes)
+    return all(delta.contains(s) for s in slopes) and all(v in slopes for v in delta.vertices)
+
+
+def fraction_ma(g):
+    """The real MA measure: each walk vertex with its cell's volume, through
+    from_atoms."""
+    return DiscreteMeasure.from_atoms((v, fraction_cell_volume(c)) for v, c in g.subdivision[0])
+
+
+READER_DELTAS_1D = [interval(), *RATIONAL_DELTAS_1D, Polytope.from_points([(Q(2, 3),)])]
+READER_DELTAS_2D = [unit_square(), *RATIONAL_DELTAS_2D, DELTAS_2D[-1]]
+
+
+def reader_pieces(rng, delta):
+    """1-10 pieces whose slopes sit at delta's vertices, on its sides,
+    inside it or, except in one draw in three, also near it (often
+    outside), with all of delta's vertices added in one draw in two.  In 2-D one draw in four puts every slope on
+    a line.  One draw in three gives the slopes and intercepts denominators
+    above 10^6."""
+    n, ring = delta.dim, delta.ring()
+    big, kinds = rng.random() < 1 / 3, rng.choice((3, 4, 4))
+
+    def frac(lo, hi):
+        den = rng.randint(10**6 + 1, 4 * 10**6) if big else rng.randint(1, 6)
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    slopes = []
+    for _ in range(rng.randint(1, 10)):
+        i = rng.randrange(len(ring))
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        kind = rng.randrange(kinds)
+        if kind == 0:
+            slopes.append(a)
+        elif kind == 1:
+            slopes.append(vadd(a, vscale(frac(0, 1), vsub(b, a))))
+        elif kind == 2:
+            ws = [frac(0, 1) for _ in ring]
+            total = sum(ws) or Fraction(1)
+            slopes.append(tuple(sum(w * u[j] for w, u in zip(ws, ring)) / total for j in range(n)))
+        else:
+            slopes.append(vadd(a, tuple(frac(-1, 1) for _ in range(n))))
+    if n == 2 and rng.random() < 0.25:
+        base, u = slopes[0], (frac(-1, 1), frac(-1, 1))
+        slopes = [vadd(base, vscale(frac(-2, 2), u)) for _ in slopes]
+    if rng.random() < 0.5:
+        slopes += list(delta.vertices)
+    return [AffineFunctional(s, frac(-3, 3)) for s in slopes]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_readers_against_fraction_forms(n):
+    rng = random.Random(f"readers/{n}")
+    deltas = READER_DELTAS_1D if n == 1 else READER_DELTAS_2D
+    admissible = refused = big = collinear = cells = 0
+    for _ in range(150):
+        delta = rng.choice(deltas)
+        pieces = reader_pieces(rng, delta)
+        g = pruned_or_not(pieces, rng)
+        big += max(p.intercept.denominator for p in pieces) > 10**6
+        collinear += n == 2 and len(g.pieces) > 2 and not _spans(g.slopes, 2)
+        cells += len(g.subdivision[0])
+        assert _legendre_integral(g) == fraction_legendre_integral(g)
+        res = ma_measure(g, delta, check=False)
+        assert res.measure_NR == fraction_ma(g)
+        assert res.measure_an == tuple(
+            (MonomialPoint(p), factorial(n) * m) for p, m in res.measure_NR.atoms)
+        points = [v for v, _ in g.subdivision[0]] + list(delta.vertices) + [
+            tuple(Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 10**7)) for _ in range(n))
+            for _ in range(3)]
+        for v in points:
+            assert g(v) == max(p.value(v) for p in g.pieces)
+        for d in deltas:
+            ok = is_admissible(g, d)
+            assert ok == fraction_is_admissible(g, d)
+            admissible += ok
+            refused += not ok
+    assert admissible > 20 and refused > 200 and big > 25 and cells > 150
+    assert n == 1 or collinear > 10
+    with pytest.raises(DimensionError):
+        g(tuple(range(n + 1)))
+    with pytest.raises(TypeError):
+        g((0.5,) * n)
