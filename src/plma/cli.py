@@ -27,9 +27,15 @@ def _dec(x) -> str:
 
 
 def _emit(text: str, output) -> None:
+    """Write the document to the --output path, or else to stdout.  A path
+    that cannot be written is invalid input, like one that cannot be read
+    (`serialize.load_path`)."""
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"{output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

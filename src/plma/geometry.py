@@ -8,32 +8,38 @@ scale them once to integers over a common denominator and then run on
 and intercepts of all pieces (the transform also on the vertices of the
 polytope), each cell's monotone chain on its tied slopes, the convex hull
 on its points, the point-in-polygon test on a table of integer
-half-planes, one per side, and the cell volume and moment on the slopes
-of the cell.  So every predicate is exact, no floating point enters this
-module, and there is one `Fraction` per result (the small-integer exact
-computation of Yap, Comput. Geom. 1997).
+half-planes, one per side, read off the polytope's integer ring, and the
+cell volume and moment on the slopes of the cell.  So every predicate is
+exact, no floating point enters this module, and there is one `Fraction`
+per result (the small-integer exact computation of Yap, Comput. Geom.
+1997).
 
 A function's integer form, its slopes S_i / D and intercepts C_i / E
 over common denominators, is computed at most once and cached beside its
 walk (`PLConvexFunction.integer_form`).  The walk runs on it, and so does
 every exact reader of the function: evaluation, `is_admissible`,
-`dual_transform`, and through `PLConvexFunction.integer_cells` the
-Monge-Ampere masses, the Legendre integral of the energy and the
-envelope's samples.
+`dual_transform`, the Monge-Ampere masses, the Legendre integral of the
+energy and the envelope's samples.
 
 One kernel, `subdivision`, computes the linearity subdivision of a
-max-of-affine function: its vertices, the cell (subdifferential) at each
-and the pairs of pieces that tie along its edges.  There is one walk per
-function: `PLConvexFunction.subdivision` runs the kernel at most once,
-and `from_pieces` hands it the walk that pruned the pieces to the
-essential ones.  Breakpoints, the Monge-Ampere masses, the toric energy
-and the envelopes all read that walk.  So does the Legendre transform
+max-of-affine function on integers and speaks integers: each vertex is
+X / q in lowest terms, with q > 0, beside the indices of the pieces whose
+slopes span its cell (the subdifferential), and each edge is the index
+pair of the two pieces that tie along it.  A reader builds its one
+`Fraction` per result from X, q and the cell's first piece, which is
+active at the vertex.  There is one walk per function:
+`PLConvexFunction.subdivision` runs the kernel at most once, and
+`from_pieces` hands it the walk that pruned the pieces to the essential
+ones.  Breakpoints, the Monge-Ampere masses, the toric energy and the
+envelopes all read that walk.  So does the Legendre transform
 `dual_transform`: it takes F's vertices inside the polytope from F's
 walk, and F's breakpoints along each side of the polytope from the 1-D
 chain of F restricted to that side, each with its value read off the
-cell that found it.  The walk
-takes O(k) exact operations per vertex and per edge for k pieces, O(k*V)
-in all for V vertices.
+cell that found it.  The 2-D walk takes O(k) exact operations per vertex
+for k pieces, to find the pieces tied there, and O(k) per edge, to clip
+it.  It remembers where each bounded edge leads, so that edge is clipped
+once, from the end the walk reaches first, and not again from the other:
+O(k*(V + B + U)) in all for V vertices, B bounded and U unbounded edges.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -44,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 
 class DimensionError(ValueError):
@@ -144,11 +150,16 @@ def _integer_pieces(pieces):
     return S, D, _scaled([p.intercept for p in pieces], E), E
 
 
-def ring_area(ring):
-    """Signed area of a polygon given by its boundary points: the shoelace
-    sum on the integer points P / D, over 2 D^2."""
-    P, D = _integer_points(ring)
-    return Fraction(sum(cross2(a, b) for a, b in zip(P, P[1:] + P[:1])), 2 * D * D)
+def _point(X, q):
+    """The rational point X / q of integers X and q > 0."""
+    return tuple(Fraction(x, q) for x in X)
+
+
+def _vertex_value(form, X, q, a):
+    """y with g(X / q) = y / (D E q), for g of integer form (S, D, C, E)
+    and a piece a of g active at X / q, such as a cell's first piece."""
+    S, D, C, E = form
+    return E * _idot(S[a], X) - D * q * C[a]
 
 
 def cell_sums(ring):
@@ -201,15 +212,23 @@ class Polytope:
     def _ring(self):
         return self.vertices if self.dim == 1 else tuple(_hull2(self.vertices))
 
+    @cached_property
+    def _integer_ring(self):
+        """(R, Q): the boundary ring as integer points R over their common
+        denominator Q, each vertex being R_j / Q."""
+        return _integer_points(self._ring)
+
     def volume(self) -> Fraction:
+        """The length in 1-D; in 2-D the shoelace sum of the integer ring
+        R / Q, over 2 Q^2."""
         if self.dim == 1:
             if len(self.vertices) < 2:
                 return Fraction(0)
             return self.vertices[-1][0] - self.vertices[0][0]
-        ring = self.ring()
-        if len(ring) < 3:
+        R, Q = self._integer_ring
+        if len(R) < 3:
             return Fraction(0)
-        return ring_area(ring)
+        return Fraction(sum(cross2(a, b) for a, b in zip(R, R[1:] + R[:1])), 2 * Q * Q)
 
     def is_full_dimensional(self) -> bool:
         return self.volume() > 0
@@ -217,43 +236,53 @@ class Polytope:
     @cached_property
     def _halfplanes(self):
         """Integer pairs (n, c) with <n, u> >= c on the polytope: in 1-D
-        one per end, in 2-D one per counterclockwise side (a, b) of a ring
-        of at least 3 points, n the inward normal of b - a."""
+        one per end, in 2-D one per counterclockwise side of a ring of at
+        least 3 points.  The side A -> B of the integer ring R / Q gives
+        n = Q (A1 - B1, B0 - A0), Q times the inward normal of B - A, and
+        c = (A1 - B1) A0 + (B0 - A0) A1, the pair divided by its gcd."""
         if self.dim == 1:
             lo, hi = self.vertices[0][0], self.vertices[-1][0]
             return (((lo.denominator,), lo.numerator), ((-hi.denominator,), -hi.numerator))
+        R, Q = self._integer_ring
         out = []
-        for a, b in zip(self._ring, self._ring[1:] + self._ring[:1]):
-            n0, n1 = a[1] - b[1], b[0] - a[0]
-            c = n0 * a[0] + n1 * a[1]
-            m = math.lcm(n0.denominator, n1.denominator, c.denominator)
-            N0, N1, c = _scaled((n0, n1, c), m)
-            out.append(((N0, N1), c))
+        for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
+            n0, n1 = a1 - b1, b0 - a0
+            N0, N1, c = Q * n0, Q * n1, n0 * a0 + n1 * a1
+            h = math.gcd(N0, N1, c)
+            out.append(((N0 // h, N1 // h), c // h))
         return tuple(out)
 
+    def _contains_scaled(self, X, q) -> bool:
+        """Whether the point X / q, q > 0, lies in the polytope: on integers,
+        <n, X> >= c q for each half-plane (n, c).  A ring of one or two
+        points in the plane has no half-planes, and there X / q is tested
+        with `contains`."""
+        if self.dim == 2 and len(self._ring) < 3:
+            return self.contains(_point(X, q))
+        return all(_idot(n, X) >= c * q for n, c in self._halfplanes)
+
     def contains(self, p) -> bool:
-        """Whether p lies in the polytope.  In 2-D, p = (x0/q0, x1/q1) lies in a
-        polygon iff n0 x0 q1 + n1 x1 q0 >= c q0 q1 for every side's integer
-        half-plane ((n0, n1), c)."""
+        """Whether p lies in the polytope: p = X / q over the lcm q of its
+        denominators, tested on integers (`_contains_scaled`).  A ring of
+        one or two points in the plane has no half-planes, and there p is
+        tested on its Fractions."""
         p = as_point(p)
         if len(p) != self.dim:
             raise DimensionError("point/polytope dimension mismatch")
-        if self.dim == 1:
-            return self.vertices[0][0] <= p[0] <= self.vertices[-1][0]
         ring = self._ring
+        if self.dim == 1 or len(ring) >= 3:
+            q = math.lcm(*(x.denominator for x in p))
+            return self._contains_scaled(_scaled(p, q), q)
         if len(ring) == 1:
             return p == ring[0]
-        if len(ring) == 2:
-            a, b = ring
-            if cross2(vsub(b, a), vsub(p, a)) != 0:
-                return False
-            t = vsub(p, a)
-            d = vsub(b, a)
-            # p = a + s*d with s in [0,1]
-            s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
-            return 0 <= s <= 1
-        x0, q0, x1, q1 = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
-        return all(n0 * x0 * q1 + n1 * x1 * q0 >= c * q0 * q1 for (n0, n1), c in self._halfplanes)
+        a, b = ring
+        if cross2(vsub(b, a), vsub(p, a)) != 0:
+            return False
+        t = vsub(p, a)
+        d = vsub(b, a)
+        # p = a + s*d with s in [0,1]
+        s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
+        return 0 <= s <= 1
 
     def translate(self, t) -> "Polytope":
         t = as_point(t)
@@ -299,90 +328,112 @@ def _lower_chain(lifted):
     return out
 
 
-def subdivision(pieces, form):
+def subdivision(form):
     """Linearity subdivision of g = max(<s_i, .> - c_i), exactly.
 
-    form is the pieces' integer form (S, D, C, E), as `_integer_pieces`
-    computes it.
+    form is the pieces' integer form (S, D, C, E): slopes S_i / D and
+    intercepts C_i / E over common denominators, as `_integer_pieces`
+    computes it.  Pieces are named by their index i.
 
-    Returns (cells, edges).  cells lists, in sorted order, every vertex v
-    of the subdivision with its cell: the pieces whose slopes are the
-    extreme points of the subdifferential at v (counterclockwise in 2-D,
-    left and right in 1-D).  The subdifferential is the convex hull of
-    those slopes, so its volume is the Monge-Ampere mass at v.
+    Returns (cells, edges).  cells lists, sorted by the vertex, a triple
+    (X, q, ring) for every vertex X / q of the subdivision, in lowest
+    terms with q > 0: ring holds the pieces whose slopes are the extreme
+    points of the subdifferential at the vertex, counterclockwise from the
+    lex-first slope in 2-D, left and right in 1-D.  The subdifferential
+    is the convex hull of those slopes, so its volume is the Monge-Ampere
+    mass at the vertex, and every piece of ring is active there, so g at
+    the vertex is read off ring[0] (`_vertex_value`).
 
     edges (2-D only) lists, for each edge of the subdivision, the pair
     (a, b) of pieces that are the maximum along it.  A bounded edge
-    appears once from each end.
+    appears once from each end, as (a, b) and (b, a).
 
     The vertices are the lower facets of the lifted points (s_i, c_i).  In
-    1-D they are read off the lower chain of the integer slopes S_i / D and
-    intercepts C_i / E: the pieces a, b consecutive on it meet at
-    D (C_b - C_a) / (E (S_b - S_a)).  In 2-D the walk starts at one
-    vertex and leaves each vertex v along the outward normal n of every
-    edge (a, b) of its cell: the next vertex is v + t*n for the smallest
-    t > 0 at which some piece overtakes a and b, and none means the edge
-    is unbounded.  That is O(k) exact work per vertex and per edge, for k
-    pieces.  Collinear slopes in 2-D give no vertex; their edges are the
-    parallel lines of the lower chain along the slope line, which an O(k)
-    cross-product test on the integer slopes detects.
+    1-D they are read off the lower chain of the integer slopes and
+    intercepts: the pieces a, b consecutive on it meet at
+    X / q = D (C_b - C_a) / (E (S_b - S_a)).  In 2-D `_walk` goes from
+    vertex to vertex; collinear slopes give no vertex, and their edges are
+    the parallel lines of the lower chain along the slope line.
     """
-    pieces = list(pieces)
-    if len(pieces[0].slope) == 1:
-        S, D, C, E = form
-        chain = _lower_chain([(s, c, p) for (s,), c, p in zip(S, C, pieces)])
-        cells = [
-            ((Fraction(D * (cb - ca), E * (sb - sa)),), (a, b))
-            for (sa, ca, a), (sb, cb, b) in zip(chain, chain[1:])
-        ]
+    S, D, C, E = form
+    if len(S[0]) == 1:
+        cells = []
+        chain = _lower_chain([(s, c, i) for i, ((s,), c) in enumerate(zip(S, C))])
+        for (sa, ca, a), (sb, cb, b) in zip(chain, chain[1:]):
+            X, q = D * (cb - ca), E * (sb - sa)
+            h = math.gcd(X, q)
+            cells.append(((X // h,), q // h, (a, b)))
         return cells, []
-    return _walk(pieces, form)
+    return _walk(form)
 
 
-def _parallel_edges(pieces, S, C):
+def _parallel_edges(S, C):
     """Edges of a 2-D subdivision whose integer slopes S lie on one line:
     parallel full lines, one per pair of consecutive pieces of the lower
     chain along the slope line, from its lexicographically first end to
     its last."""
     u = vsub(max(S), min(S))
-    chain = [p for _, _, p in _lower_chain(
-        [(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])]
+    chain = [i for _, _, i in _lower_chain(
+        [(s0 * u[0] + s1 * u[1], c, i) for i, ((s0, s1), c) in enumerate(zip(S, C))])]
     return list(zip(chain, chain[1:]))
 
 
-def _walk(pieces, form):
-    """The 2-D part of `subdivision`.
+def _vertex_order(a, b):
+    """The lexicographic order of two cells' vertices X / q and Y / r, by
+    cross-multiplication: its sign is that of the first nonzero
+    X_j r - Y_j q."""
+    (X, q, _), (Y, r, _) = a, b
+    for x, y in zip(X, Y):
+        d = x * r - y * q
+        if d:
+            return d
+    return 0
 
-    It runs on the integer form: slopes are S_i / D and intercepts C_i / E
-    over common denominators, and a vertex is X / q in lowest terms, where
-    piece i has the value (E <S_i, X> - D q C_i) / (D E q).  The cell of a vertex
-    is the monotone chain of the integer slopes of the pieces tied there,
-    counterclockwise from the lex-first.  Slopes that do not span the plane
-    go to `_parallel_edges`.
+
+def _walk(form):
+    """The 2-D part of `subdivision`, on the integer form (S, D, C, E).
+
+    A vertex is X / q in lowest terms, where piece i has the value
+    (E <S_i, X> - D q C_i) / (D E q); no Fraction is built.  The cell of a
+    vertex is the monotone chain of the integer slopes of the pieces tied
+    there, counterclockwise from the lex-first.  The walk starts at one
+    vertex and leaves each vertex v along the outward normal n of every
+    edge (a, b) of its cell: the next vertex is v + t*n for the smallest
+    t > 0 at which some piece overtakes a and b, and none means the edge
+    is unbounded.  Finding the tied pieces is O(k) exact work per vertex
+    and a clip is O(k) per edge, for k pieces.  When the edge (a, b) of v
+    leads to w, the edge (b, a) of w leads back to v, and the walk records
+    that, so each bounded edge is clipped once and each unbounded edge
+    once.  The cells are sorted by their vertices with an exact
+    cross-multiplied comparison, whose numbers do not grow with the
+    number of vertices.  Slopes that do not span the plane go to
+    `_parallel_edges`.
     """
     S, D, C, E = form
     u = vsub(S[-1], S[0])
     if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
-        return [], _parallel_edges(pieces, S, C)
+        return [], _parallel_edges(S, C)
     index = {s: i for i, s in enumerate(S)}
 
-    def gaps(X, q):
-        vals = [E * (s0 * X[0] + s1 * X[1]) - D * q * c for (s0, s1), c in zip(S, C)]
-        m = max(vals)
-        return [m - val for val in vals]
+    def values(X, q):
+        """The pieces' values at X / q, times D E q, and their max."""
+        (X0, X1), Dq = X, D * q
+        vals = [E * (s0 * X0 + s1 * X1) - Dq * c for (s0, s1), c in zip(S, C)]
+        return vals, max(vals)
 
-    def cell(gap):
-        return [index[s] for s in _ccw_ring(sorted(s for s, d in zip(S, gap) if d == 0))]
+    def cell(vals, m):
+        return tuple(index[s] for s in _ccw_ring(sorted([s for s, v in zip(S, vals) if v == m])))
 
-    def clip(gap, a, N):
-        """(G, R): some piece first overtakes piece a at X + G/(E R) * N."""
+    def clip(vals, m, a, N):
+        """(G, R): some piece first overtakes piece a at X + G/(E R) * N;
+        G is that piece's gap m - v to the max at X."""
         n0, n1 = N
         base = S[a][0] * n0 + S[a][1] * n1
         best = None
-        for (s0, s1), d in zip(S, gap):
+        for (s0, s1), v in zip(S, vals):
             rate = s0 * n0 + s1 * n1 - base
-            if rate > 0 and (best is None or d * best[1] < best[0] * rate):
-                best = (d, rate)
+            if rate > 0 and (best is None or (m - v) * best[1] < best[0] * rate):
+                best = (m - v, rate)
         return best
 
     def step(X, q, N, clipped):
@@ -394,8 +445,8 @@ def _walk(pieces, form):
     # Start anywhere and move until dim+1 affinely independent pieces tie:
     # off the piece's own region, then along the tie line of two pieces.
     X, q = (0, 0), 1
-    gap = gaps(X, q)
-    ring = cell(gap)
+    vals, m = values(X, q)
+    ring = cell(vals, m)
     while len(ring) < 3:
         a = ring[0]
         if len(ring) == 1:
@@ -403,31 +454,34 @@ def _walk(pieces, form):
         else:
             u = vsub(S[ring[1]], S[a])
             N = (u[1], -u[0])
-            if clip(gap, a, N) is None:
+            if clip(vals, m, a, N) is None:
                 N = (-u[1], u[0])
-        X, q = step(X, q, N, clip(gap, a, N))
-        gap = gaps(X, q)
-        ring = cell(gap)
+        X, q = step(X, q, N, clip(vals, m, a, N))
+        vals, m = values(X, q)
+        ring = cell(vals, m)
 
     cells, edges = [], []
-    todo, seen = [(X, q, gap, ring)], {(X, q)}
+    todo, seen = [(X, q, vals, m, ring)], {(X, q)}
+    reached = set()  # edges (b, a) whose far end was found along (a, b)
     while todo:
-        X, q, gap, ring = todo.pop()
-        v = (Fraction(X[0], q), Fraction(X[1], q))
-        cells.append((v, tuple(pieces[i] for i in ring)))
+        X, q, vals, m, ring = todo.pop()
+        cells.append((X, q, ring))
         for a, b in zip(ring, ring[1:] + ring[:1]):
+            edges.append((a, b))
+            if (a, b) in reached:
+                continue
             u = vsub(S[b], S[a])
             N = (u[1], -u[0])  # outward normal of the CCW edge (a, b)
-            edges.append((pieces[a], pieces[b]))
-            clipped = clip(gap, a, N)
+            clipped = clip(vals, m, a, N)
             if clipped is None:
                 continue
+            reached.add((b, a))
             w = step(X, q, N, clipped)
             if w not in seen:
                 seen.add(w)
-                wgap = gaps(*w)
-                todo.append((*w, wgap, cell(wgap)))
-    cells.sort(key=lambda vc: vc[0])
+                wvals, wm = values(*w)
+                todo.append((*w, wvals, wm, cell(wvals, wm)))
+    cells.sort(key=cmp_to_key(_vertex_order))
     return cells, edges
 
 
@@ -445,11 +499,14 @@ class PLConvexFunction:
     def from_pieces(pieces) -> "PLConvexFunction":
         """The max of the pieces, on its essential pieces.
 
-        Validates the pieces, keeps the lowest intercept per slope and
-        drops every piece that is never the strict maximum, as read off one
-        `subdivision` walk.  The result keeps that walk, whose cells and
-        edge pairs its pieces share, and the integer form the walk ran on,
-        sliced to the kept pieces.  Code that already holds canonical
+        Validates the pieces and computes their integer form (S, D, C, E)
+        once.  On it, it keeps the lowest intercept C_i per integer slope
+        S_i and orders the pieces by S_i, which is the order of the slopes
+        S_i / D.  Then one `subdivision` walk: a piece is kept iff it is in
+        some cell or edge of the walk, that is iff it is the strict maximum
+        somewhere, and the kept pieces are renumbered in order.  The result
+        keeps that walk, on the new numbers, and the integer form it ran
+        on, sliced to the kept pieces.  Code that already holds canonical
         pieces calls the constructor instead.
         """
         ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
@@ -459,25 +516,31 @@ class PLConvexFunction:
         _check_dim(n)
         if any(len(p.slope) != n for p in ps):
             raise DimensionError("pieces of mixed dimension")
+        S, D, C, E = _integer_pieces(ps)
         # Same slope: only the lowest intercept (largest value) can matter.
         best = {}
-        for p in ps:
-            if p.slope not in best or p.intercept < best[p.slope]:
-                best[p.slope] = p.intercept
-        ps = [AffineFunctional(s, c) for s, c in sorted(best.items())]
-        if len(ps) == 1:
-            return PLConvexFunction(tuple(ps))
-        # A piece is the strict maximum somewhere iff its slope is an
-        # extreme point of some cell of the subdivision (or of some
-        # parallel edge pair, when the slopes are collinear).
-        S, D, C, E = form = _integer_pieces(ps)
-        walk = subdivision(ps, form)
-        keep = {id(p) for _, cell in walk[0] for p in cell}
-        keep.update(id(p) for pair in walk[1] for p in pair)
-        kept = [i for i, p in enumerate(ps) if id(p) in keep]
-        g = PLConvexFunction(tuple(ps[i] for i in kept))
-        g.__dict__["integer_form"] = ([S[i] for i in kept], D, [C[i] for i in kept], E)
-        g.__dict__["subdivision"] = walk
+        for i, (s, c) in enumerate(zip(S, C)):
+            if s not in best or c < C[best[s]]:
+                best[s] = i
+        order = [best[s] for s in sorted(best)]
+        ps, S, C = [ps[i] for i in order], [S[i] for i in order], [C[i] for i in order]
+        g = PLConvexFunction(tuple(ps))
+        if len(ps) > 1:
+            # A piece is the strict maximum somewhere iff its slope is an
+            # extreme point of some cell of the subdivision (or of some
+            # parallel edge pair, when the slopes are collinear).
+            cells, edges = subdivision((S, D, C, E))
+            keep = {i for _, _, ring in cells for i in ring}
+            keep.update(i for pair in edges for i in pair)
+            if len(keep) < len(ps):
+                kept = sorted(keep)
+                new = {i: j for j, i in enumerate(kept)}
+                cells = [(X, q, tuple(new[i] for i in ring)) for X, q, ring in cells]
+                edges = [(new[a], new[b]) for a, b in edges]
+                S, C = [S[i] for i in kept], [C[i] for i in kept]
+                g = PLConvexFunction(tuple(ps[i] for i in kept))
+            g.__dict__["subdivision"] = (cells, edges)
+        g.__dict__["integer_form"] = (S, D, C, E)
         return g
 
     @cached_property
@@ -489,26 +552,11 @@ class PLConvexFunction:
 
     @cached_property
     def subdivision(self):
-        """(cells, edges) of the kernel `subdivision` on the pieces, walked
-        at most once per function; every reader shares it and only reads."""
-        return subdivision(self.pieces, self.integer_form)
-
-    def integer_cells(self):
-        """The walk on the integer form (S, D, C, E): for each vertex v of
-        the cells of `subdivision`, in order, (v, X, q, ring, y).  v = X / q
-        in lowest terms, ring lists the integer slopes (over D) of v's cell
-        in the cell's order, and g(v) = y / (D E q), read off the cell's
-        first piece, which is active at v."""
-        S, D, C, E = self.integer_form
-        at = {id(p): i for i, p in enumerate(self.pieces)}
-        out = []
-        for v, cell in self.subdivision[0]:
-            q = math.lcm(*(x.denominator for x in v))
-            X = _scaled(v, q)
-            ring = [S[at[id(p)]] for p in cell]
-            a = at[id(cell[0])]
-            out.append((v, X, q, ring, E * _idot(S[a], X) - D * q * C[a]))
-        return out
+        """(cells, edges) of the kernel `subdivision` on the integer form:
+        each cell (X, q, ring) a vertex X / q with the indices of its cell's
+        pieces, each edge an index pair.  Walked at most once per function;
+        every reader shares it and only reads."""
+        return subdivision(self.integer_form)
 
     @property
     def dim(self) -> int:
@@ -653,9 +701,10 @@ def breakpoints(g: PLConvexFunction):
 
     These are the points where at least dim+1 pieces are active with
     affinely spanning slopes; they are the only possible atoms of the
-    real Monge-Ampere measure of g.
+    real Monge-Ampere measure of g.  Each is built from the vertex X / q of
+    g's walk, in the walk's sorted order.
     """
-    return [v for v, _ in g.subdivision[0]]
+    return [_point(X, q) for X, q, _ in g.subdivision[0]]
 
 
 def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
@@ -674,7 +723,9 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
 
     It runs on integers, with one Fraction per result.  F's slopes are
     S_i / D and its intercepts C_i / E, and delta's vertices are V / Q.  F
-    at a vertex is the integer max of E <S_i, V> - D Q C_i, over D E Q.  On
+    at a vertex is the integer max of E <S_i, V> - D Q C_i, over D E Q.  A
+    walk vertex X / q is tested against delta's integer half-planes,
+    <n, X> >= c q, and only one inside delta becomes a point.  On
     a side P -> P' the restricted slopes <S_i, P' - P> (over D Q) and
     intercepts D Q C_i - E <S_i, P> (over D Q E) are integers, and so is
     the test 0 < s < 1.
@@ -686,17 +737,16 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    S, D, C, E = F.integer_form
-    ring = delta.ring()
-    R, Q = _integer_points(ring)
+    S, D, C, E = form = F.integer_form
+    R, Q = delta._integer_ring
     DQ = D * Q
     values = {
         u: Fraction(max(E * _idot(s, V) - DQ * c for s, c in zip(S, C)), DQ * E)
-        for u, V in zip(ring, R)
+        for u, V in zip(delta._ring, R)
     }
-    for v, _, q, _, y in F.integer_cells():
-        if delta.contains(v):
-            values[v] = Fraction(y, D * E * q)
+    for X, q, ring in F.subdivision[0]:
+        if delta._contains_scaled(X, q):
+            values[_point(X, q)] = Fraction(_vertex_value(form, X, q, ring[0]), D * E * q)
     if delta.dim == 2 and len(R) >= 2:
         for P, P1 in zip(R, R[1:] + R[:1]) if len(R) >= 3 else [R]:
             d0, d1 = P1[0] - P[0], P1[1] - P[1]

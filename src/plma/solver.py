@@ -220,7 +220,7 @@ def _voronoi_weights(delta: Polytope, atoms):
     atoms V_i / A, so c = sum R / (n Q) and v_i - m = (k V_i - sum V) / (k A).
     Each weight is rounded to float once, from its exact value.
     """
-    R, Q = _integer_points(delta.ring())
+    R, Q = delta._integer_ring
     V, A = _integer_points([v for v, _ in atoms])
     n, k = len(R), len(V)
     sR = (sum(r[0] for r in R), sum(r[1] for r in R))

@@ -3,8 +3,9 @@
 The measure assigns to each vertex of the linearity subdivision the exact
 volume of the subdifferential there; for admissible functions the cells
 partition the polytope, so the total mass equals its volume.  Vertices and
-cells come from the function's one `geometry.subdivision` walk (O(k*V)
-exact operations for k pieces and V vertices).  The analytic-side measure is the
+cells come from the function's one `geometry.subdivision` walk (O(k) exact
+operations per vertex and per edge for k pieces), as integer vertices X / q
+and the indices of each cell's pieces.  The analytic-side measure is the
 same atom list scaled by n! and tagged with monomial points.
 """
 
@@ -20,6 +21,7 @@ from .geometry import (
     DimensionError,
     PLConvexFunction,
     Polytope,
+    _point,
     as_point,
     cell_sums,
     is_admissible,
@@ -57,20 +59,23 @@ def degree(delta: Polytope) -> Fraction:
 def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> ToricMAResult:
     """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy.
 
-    The atoms are the vertices of g's walk.  The mass at v is the volume
-    of its cell, A / (n! D^n), with A the integer sum `cell_sums` of the
-    cell's slopes over g's slope denominator D: one Fraction per atom, and
-    A / D^n on the analytic side.  The walk's vertices are sorted and
-    distinct and its cells have positive volume, so the atoms are already
-    canonical.
+    The atoms are the vertices X / q of g's walk, each built as a point
+    from its integers.  The mass at a vertex is the volume of its cell,
+    A / (n! D^n), with A the integer sum `cell_sums` of the integer slopes
+    S_i of the cell's pieces over g's slope denominator D: one Fraction
+    per atom, and A / D^n on the analytic side.  The walk's vertices are
+    sorted and distinct and its cells have positive volume, so the atoms
+    are already canonical.
     """
     if check and not is_admissible(g, delta):
         raise AdmissibilityError(
             "function is not admissible for the polytope "
             "(slope outside, or missing vertex slope)"
         )
-    Dn = g.integer_form[1] ** delta.dim
-    masses = [(v, cell_sums(ring)[0]) for v, _, _, ring, _ in g.integer_cells()]
+    S, D, _, _ = g.integer_form
+    Dn = D ** delta.dim
+    masses = [(_point(X, q), cell_sums([S[i] for i in ring])[0])
+              for X, q, ring in g.subdivision[0]]
     nr = DiscreteMeasure(tuple((v, Fraction(A, factorial(delta.dim) * Dn)) for v, A in masses))
     an = tuple((MonomialPoint(v), Fraction(A, Dn)) for v, A in masses)
     return ToricMAResult(nr, an, degree(delta))

@@ -30,6 +30,8 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     _idot,
+    _point,
+    _vertex_value,
     as_fraction,
     as_point,
     cell_sums,
@@ -74,17 +76,20 @@ def _legendre_integral(g: PLConvexFunction) -> Fraction:
 
     g* is affine on the cell C at each vertex v of the walk, where it
     adds <M1(C), v> - Vol(C) g(v), M1 the first moment.  On g's integer
-    form (S, D, C, E), with v = X / q and g(v) = y / (D E q), the integer
-    sums (A, M) of the cell's slopes (`cell_sums`) give Vol(C) =
-    A / (n! D^n) and M1(C) = M / ((n+1)! D^(n+1)), so the cell adds
-    (E <M, X> - (n+1) A y) / ((n+1)! D^(n+1) E q); in 2-D that is
-    (E <M, X> - 3 A y) / (6 D^3 E q).  The numerators are summed over the
-    lcm of the q, which makes one Fraction.
+    form (S, D, C, E), with v = X / q as the walk gives it and
+    g(v) = y / (D E q) read off the cell's first piece (`_vertex_value`),
+    the integer sums (A, M) of the cell's integer slopes (`cell_sums`)
+    give Vol(C) = A / (n! D^n) and M1(C) = M / ((n+1)! D^(n+1)), so the
+    cell adds (E <M, X> - (n+1) A y) / ((n+1)! D^(n+1) E q); in 2-D that
+    is (E <M, X> - 3 A y) / (6 D^3 E q).  The numerators are summed over
+    the lcm of the q, which makes one Fraction in all and none per cell.
     """
-    n, (_, D, _, E) = g.dim, g.integer_form
+    n, form = g.dim, g.integer_form
+    S, D, _, E = form
     total, Q = 0, 1
-    for _, X, q, ring, y in g.integer_cells():
-        A, M = cell_sums(ring)
+    for X, q, ring in g.subdivision[0]:
+        A, M = cell_sums([S[i] for i in ring])
+        y = _vertex_value(form, X, q, ring[0])
         L = lcm(Q, q)
         total = total * (L // Q) + (E * _idot(M, X) - (n + 1) * A * y) * (L // q)
         Q = L
@@ -145,9 +150,12 @@ class PiecewiseLinear1D:
     def from_convex(g: PLConvexFunction) -> "PiecewiseLinear1D":
         if g.dim != 1:
             raise ValueError("1-D only")
-        # each breakpoint's value is read off its cell; with none, g is affine
-        _, D, _, E = g.integer_form
-        pts = tuple((v[0], Fraction(y, D * E * q)) for v, _, q, _, y in g.integer_cells())
+        # each breakpoint X / q with its value read off its cell; with none,
+        # g is affine
+        form = g.integer_form
+        _, D, _, E = form
+        pts = tuple((Fraction(X[0], q), Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
+                    for X, q, ring in g.subdivision[0])
         slopes = sorted(s[0] for s in g.slopes)
         return PiecewiseLinear1D(pts or ((Fraction(0), g((0,))),), slopes[0], slopes[-1])
 
@@ -209,8 +217,9 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     convex hull.  Otherwise the conjugate of a part is infinite somewhere on
     delta, and EnvelopeError ("obstacle decays below the admissible slope
     range") is raised.  An admissible convex obstacle is its own envelope.
-    The conjugate of each part is sampled at its breakpoints, with the
-    values read off the subdivision cells on the part's integer form.
+    The conjugate of each part is sampled at its breakpoints X / q, each
+    built from the walk's integers with its value read off its cell on the
+    part's integer form (`_vertex_value`).
     """
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
@@ -232,11 +241,13 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
     samples = []
     for g in parts:
-        cells = g.integer_cells()
+        cells = g.subdivision[0]
         if not cells:
             raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
-        _, D, _, E = g.integer_form
-        samples.extend((v, Fraction(y, D * E * q)) for v, _, q, _, y in cells)
+        form = g.integer_form
+        _, D, _, E = form
+        samples.extend((_point(X, q), Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
+                       for X, q, ring in cells)
     return convex_envelope(samples, delta)
 
 

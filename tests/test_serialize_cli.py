@@ -808,9 +808,9 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
     calls = []
     walk = geometry._walk
 
-    def counted(pieces, form):
-        calls.append(len(pieces))
-        return walk(pieces, form)
+    def counted(form):
+        calls.append(len(form[0]))
+        return walk(form)
 
     monkeypatch.setattr(geometry, "_walk", counted)
     assert _run_documents(tmp_path, command, documents) == 0
@@ -1039,6 +1039,21 @@ def test_cli_output_file(tmp_path, toric_files):
     out = tmp_path / "result.json"
     assert cli.run(["toric-ma", "--delta", d, "--g", g, "--output", str(out)]) == 0
     assert json.loads(out.read_text())["degree"] == "2"
+
+
+@pytest.mark.parametrize("command, options", [("toric-ma", ()), ("toric-ma", CSV), ("selftest", ())])
+@pytest.mark.parametrize("unwritable, reason", [
+    ("missing/x.json", "No such file or directory"), (".", "Is a directory")])
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, command, options, unwritable, reason):
+    # an --output path that cannot be written is invalid input, like an
+    # input path that cannot be read: exit 2, the error object on stderr
+    # and nothing on stdout
+    documents = VALID_DOCUMENTS.get(command, {})
+    path = str(tmp_path / unwritable)
+    assert _run_documents(tmp_path, command, documents, [*options, "--output", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"type": "SchemaError", "message": f"{path}: {reason}"}}
 
 
 def test_cli_selftest(capsys):

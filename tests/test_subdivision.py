@@ -8,13 +8,20 @@ pieces of a sum: a pair of pieces is kept when both are strictly active at
 once.  They take O(k^4) exact operations, so the cases stay small except
 for a few lattice paraboloids.
 
+The kernel speaks integers: vertices X / q and index rings.  The walk it
+replaced, which built each vertex as a pair of Fractions and each cell as
+a tuple of pieces, is kept here as `oracle_walk`, and the kernel's cells
+and edges, read back as Fractions and pieces, must equal its cells and
+edges, in order.
+
 The readers of the walk that run on the integer form (evaluation, the
-Monge-Ampere masses, the Legendre integral of the energy and the
-admissibility test) are checked against the Fraction formulas they
-replaced.
+Monge-Ampere masses, the Legendre integral of the energy, the
+admissibility test and the polytope's integer half-planes) are checked
+against the Fraction formulas they replaced.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -27,8 +34,10 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    _ccw_ring,
     _integer_pieces,
     _integer_points,
+    _lower_chain,
     breakpoints,
     cell_sums,
     convex_envelope,
@@ -160,7 +169,7 @@ def fraction_dual_transform(F, delta):
     the chain of the restricted pieces (<s_i, q - p>, c_i - <s_i, p>), each
     breakpoint with the value of its left piece."""
     values = {u: F(u) for u in delta.vertices}
-    walk = fraction_chain(F.pieces) if F.dim == 1 else F.subdivision[0]
+    walk = oracle_walk(F.pieces)[0]
     values.update((v, c[0].value(v)) for v, c in walk if delta.contains(v))
     ring = delta.ring()
     if delta.dim == 2 and len(ring) >= 2:
@@ -177,6 +186,99 @@ def fraction_dual_transform(F, delta):
                 (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
             )
     return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
+
+
+def oracle_walk(pieces):
+    """The kernel as it was before it spoke integers: cells (v, pieces of
+    the ring) with v a pair of Fractions, sorted by v, and edges as pairs
+    of pieces, on the pieces in the given order.  In 1-D, the Fraction
+    lower chain."""
+    pieces = list(pieces)
+    if len(pieces[0].slope) == 1:
+        return fraction_chain(pieces), []
+    S, D, C, E = _integer_pieces(pieces)
+    u = vsub(S[-1], S[0])
+    if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
+        u = vsub(max(S), min(S))
+        chain = [p for _, _, p in _lower_chain(
+            [(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])]
+        return [], list(zip(chain, chain[1:]))
+    index = {s: i for i, s in enumerate(S)}
+
+    def gaps(X, q):
+        vals = [E * (s0 * X[0] + s1 * X[1]) - D * q * c for (s0, s1), c in zip(S, C)]
+        m = max(vals)
+        return [m - val for val in vals]
+
+    def cell(gap):
+        return [index[s] for s in _ccw_ring(sorted(s for s, d in zip(S, gap) if d == 0))]
+
+    def clip(gap, a, N):
+        n0, n1 = N
+        base = S[a][0] * n0 + S[a][1] * n1
+        best = None
+        for (s0, s1), d in zip(S, gap):
+            rate = s0 * n0 + s1 * n1 - base
+            if rate > 0 and (best is None or d * best[1] < best[0] * rate):
+                best = (d, rate)
+        return best
+
+    def step(X, q, N, clipped):
+        G, R = clipped
+        X0, X1, q = E * R * X[0] + G * N[0], E * R * X[1] + G * N[1], E * R * q
+        h = math.gcd(X0, X1, q)
+        return (X0 // h, X1 // h), q // h
+
+    X, q = (0, 0), 1
+    gap = gaps(X, q)
+    ring = cell(gap)
+    while len(ring) < 3:
+        a = ring[0]
+        if len(ring) == 1:
+            N = vsub(next(s for s in S if s != S[a]), S[a])
+        else:
+            u = vsub(S[ring[1]], S[a])
+            N = (u[1], -u[0])
+            if clip(gap, a, N) is None:
+                N = (-u[1], u[0])
+        X, q = step(X, q, N, clip(gap, a, N))
+        gap = gaps(X, q)
+        ring = cell(gap)
+
+    cells, edges = [], []
+    todo, seen = [(X, q, gap, ring)], {(X, q)}
+    while todo:
+        X, q, gap, ring = todo.pop()
+        v = (Fraction(X[0], q), Fraction(X[1], q))
+        cells.append((v, tuple(pieces[i] for i in ring)))
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            u = vsub(S[b], S[a])
+            N = (u[1], -u[0])
+            edges.append((pieces[a], pieces[b]))
+            clipped = clip(gap, a, N)
+            if clipped is None:
+                continue
+            w = step(X, q, N, clipped)
+            if w not in seen:
+                seen.add(w)
+                wgap = gaps(*w)
+                todo.append((*w, wgap, cell(wgap)))
+    cells.sort(key=lambda vc: vc[0])
+    return cells, edges
+
+
+def rational_walk(pieces, walk):
+    """A kernel walk (cells (X, q, ring), index-pair edges) in the oracle's
+    shape: each vertex as Fractions, each index as its piece."""
+    cells, edges = walk
+    return ([(tuple(Fraction(x, q) for x in X), tuple(pieces[i] for i in ring))
+             for X, q, ring in cells],
+            [(pieces[a], pieces[b]) for a, b in edges])
+
+
+def walk_of(g):
+    """g's cached walk in the oracle's shape."""
+    return rational_walk(g.pieces, g.subdivision)
 
 
 def _strict_feasible(constraints, n: int) -> bool:
@@ -345,9 +447,10 @@ DELTAS_1D = [p for p in ACCEPTANCE_POLYTOPES if p.dim == 1] + [
 
 
 def fresh_walk(pieces):
-    """The kernel on the pieces in the given order, on their integer form."""
+    """The kernel on the pieces in the given order, on their integer form,
+    in the oracle's shape."""
     pieces = list(pieces)
-    return subdivision(pieces, _integer_pieces(pieces))
+    return rational_walk(pieces, subdivision(_integer_pieces(pieces)))
 
 
 def check_edges(g):
@@ -366,13 +469,14 @@ def check_edges(g):
 
 
 def check_kept_walk(g):
-    """A function from from_pieces keeps the walk that pruned it: the cells
-    of a fresh walk on its pieces, and the same edge pairs as a set.  It
-    also keeps the integer form of that walk, sliced to its pieces: each
-    S_i / D is a slope and each C_i / E an intercept, in order."""
+    """A function from from_pieces keeps the walk that pruned it, renumbered
+    to its pieces: the cells of a fresh walk on its pieces, and the same
+    edge pairs as a set.  It also keeps the integer form of that walk,
+    sliced to its pieces: each S_i / D is a slope and each C_i / E an
+    intercept, in order."""
     if len(g.pieces) > 1:
         assert "subdivision" in vars(g) and "integer_form" in vars(g)
-    cells, edges = fresh_walk(g.pieces)
+    cells, edges = subdivision(_integer_pieces(g.pieces))
     assert g.subdivision[0] == cells
     assert set(g.subdivision[1]) == set(edges)
     S, D, C, E = g.integer_form
@@ -385,7 +489,20 @@ def pruned_or_not(pieces, rng):
     return PLConvexFunction.from_pieces(pieces) if rng.random() < 0.5 else unpruned(pieces)
 
 
+def check_walk(g):
+    """The kernel's walk, fresh and cached, against the Fraction walk: the
+    same cells in the same order, and the same edges.  The cached walk of
+    a pruned function ran on more pieces, so its edges match as a set."""
+    walk = oracle_walk(g.pieces)
+    assert fresh_walk(g.pieces) == walk
+    cells, edges = walk_of(g)
+    assert cells == walk[0] and set(edges) == set(walk[1])
+    for X, q, ring in g.subdivision[0]:
+        assert q > 0 and math.gcd(*X, q) == 1
+
+
 def check_against_oracle(g, deltas):
+    check_walk(g)
     bps = oracle_breakpoints(g)
     assert breakpoints(g) == bps
     if g.dim == 2:
@@ -557,7 +674,7 @@ def fraction_cell_moment(cell):
 def fraction_legendre_integral(g):
     """The sum over the walk of <M1(C), v> - Vol(C) g(v), on rationals."""
     return sum((dot(fraction_cell_moment(c), v) - fraction_cell_volume(c) * c[0].value(v)
-                for v, c in g.subdivision[0]), Fraction(0))
+                for v, c in walk_of(g)[0]), Fraction(0))
 
 
 def fraction_is_admissible(g, delta):
@@ -569,7 +686,7 @@ def fraction_is_admissible(g, delta):
 def fraction_ma(g):
     """The real MA measure: each walk vertex with its cell's volume, through
     from_atoms."""
-    return DiscreteMeasure.from_atoms((v, fraction_cell_volume(c)) for v, c in g.subdivision[0])
+    return DiscreteMeasure.from_atoms((v, fraction_cell_volume(c)) for v, c in walk_of(g)[0])
 
 
 READER_DELTAS_1D = [interval(), *RATIONAL_DELTAS_1D, Polytope.from_points([(Q(2, 3),)])]
@@ -629,7 +746,7 @@ def test_integer_readers_against_fraction_forms(n):
         assert res.measure_NR == fraction_ma(g)
         assert res.measure_an == tuple(
             (MonomialPoint(p), factorial(n) * m) for p, m in res.measure_NR.atoms)
-        points = [v for v, _ in g.subdivision[0]] + list(delta.vertices) + [
+        points = breakpoints(g) + list(delta.vertices) + [
             tuple(Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 10**7)) for _ in range(n))
             for _ in range(3)]
         for v in points:
@@ -645,3 +762,168 @@ def test_integer_readers_against_fraction_forms(n):
         g(tuple(range(n + 1)))
     with pytest.raises(TypeError):
         g((0.5,) * n)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction walk on hard draws
+
+
+def tied_pieces(rng):
+    """2-D pieces of which 4 to 9 tie at each of one or two points, with
+    slopes on the 1/2 grid of [0, 2]^2 and intercepts <s, v> - t, plus up
+    to 4 more pieces.  One draw in four puts every slope on a line through
+    the origin instead, with no more pieces."""
+    line = rng.random() < 0.25
+    if line:
+        u = (Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(1, 2), 3))
+        grid = [vscale(Fraction(i, 2), u) for i in range(-6, 7)]
+    else:
+        grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(5) for j in range(5)]
+    pieces = []
+    for _ in range(rng.randint(1, 2)):
+        v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        t = Fraction(rng.randint(-2, 2), 2)
+        pieces += [AffineFunctional(s, dot(s, v) - t) for s in rng.sample(grid, rng.randint(4, 9))]
+    if not line:
+        pieces += [AffineFunctional((Q(rng.randint(0, 4), 2), Q(rng.randint(0, 4), 2)),
+                                    Q(rng.randint(-8, 8), 4)) for _ in range(rng.randint(0, 4))]
+    return pieces
+
+
+def big_denominator_paraboloid(rng, k):
+    """k slopes in [0, 1]^2 with two denominators above 10^6, the four
+    corners included, and intercepts |s|^2 / 2: every piece is essential,
+    and the vertices X / q have large q."""
+    dens = [rng.randint(10**6 + 1, 4 * 10**6) for _ in range(2)]
+
+    def frac():
+        den = rng.choice(dens)
+        return Fraction(rng.randint(0, den), den)
+
+    slopes = [(Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))]
+    slopes += [(frac(), frac()) for _ in range(k - 4)]
+    return [AffineFunctional(s, (s[0] ** 2 + s[1] ** 2) / 2) for s in slopes]
+
+
+FLAT_DELTAS_2D = [DELTAS_2D[-1], RATIONAL_DELTAS_2D[2], RATIONAL_DELTAS_2D[3],
+                  Polytope.from_points([(Q(1, 2), Q(1, 3))])]
+
+
+def check_readers(g, deltas):
+    """The integer readers of g's walk against their Fraction forms."""
+    assert breakpoints(g) == [v for v, _ in oracle_walk(g.pieces)[0]]
+    assert _legendre_integral(g) == fraction_legendre_integral(g)
+    assert ma_measure(g, deltas[0], check=False).measure_NR == fraction_ma(g)
+    for d in deltas:
+        assert dual_transform(g, d) == fraction_dual_transform(g, d)
+
+
+def test_kernel_against_oracle_walk_on_ties_and_lines():
+    # many pieces tied at one vertex, collinear slopes, and a segment or a
+    # point as delta
+    rng = random.Random("subdivision/ties")
+    ties = collinear = 0
+    for _ in range(80):
+        pieces = tied_pieces(rng)
+        assert PLConvexFunction.from_pieces(pieces).pieces == oracle_pruned(pieces)
+        check_kept_walk(PLConvexFunction.from_pieces(pieces))
+        g = pruned_or_not(pieces, rng)
+        check_walk(g)
+        check_readers(g, [rng.choice(FLAT_DELTAS_2D), rng.choice(FLAT_DELTAS_2D), unit_square()])
+        ties += sum(len(g.active_pieces(v)) >= 4 for v in breakpoints(g))
+        collinear += len(g.pieces) > 2 and not _spans(g.slopes, 2)
+    assert ties > 30 and collinear > 10
+
+
+def test_kernel_against_oracle_walk_on_large_denominators():
+    # k = 64 slopes with denominators above 10^6: the exact vertex order
+    # on large X and q
+    rng = random.Random("subdivision/large-denominators")
+    for _ in range(3):
+        pieces = big_denominator_paraboloid(rng, 64)
+        g = PLConvexFunction.from_pieces(pieces)
+        assert len(g.pieces) == 64
+        check_kept_walk(g)
+        check_walk(g)
+        assert max(q for _, q, _ in g.subdivision[0]) > 10**18
+        check_readers(g, [unit_square(), *FLAT_DELTAS_2D])
+
+
+# ---------------------------------------------------------------------------
+# the polytope's integer half-planes against their Fraction forms
+
+
+def fraction_halfplanes(delta):
+    """Per counterclockwise side (a, b) of delta's ring, n = (a1 - b1,
+    b0 - a0) and c = <n, a> on Fractions, scaled to integers by the lcm of
+    their denominators."""
+    ring = delta.ring()
+    out = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        n0, n1 = a[1] - b[1], b[0] - a[0]
+        c = n0 * a[0] + n1 * a[1]
+        m = math.lcm(n0.denominator, n1.denominator, c.denominator)
+        out.append(((int(n0 * m), int(n1 * m)), int(c * m)))
+    return out
+
+
+def primitive(halfplane):
+    (n0, n1), c = halfplane
+    h = math.gcd(n0, n1, c)
+    return (n0 // h, n1 // h), c // h
+
+
+def fraction_contains(delta, p):
+    """p in delta, on Fractions: left of every counterclockwise side of a
+    polygon, on a segment between its ends, or equal to a point."""
+    ring = delta.ring()
+    if len(ring) == 1:
+        return p == ring[0]
+    if len(ring) == 2:
+        a, b = ring
+        d, t = vsub(b, a), vsub(p, a)
+        return cross2(d, t) == 0 and 0 <= dot(t, d) <= dot(d, d)
+    return all(cross2(vsub(b, a), vsub(p, a)) >= 0 for a, b in zip(ring, ring[1:] + ring[:1]))
+
+
+def test_halfplanes_from_integer_ring():
+    # polygons, segments and points with denominators above 10^6
+    rng = random.Random("polytope/halfplanes")
+
+    def frac(lo, hi):
+        den = rng.randint(10**6 + 1, 4 * 10**6)
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    kinds = {1: 0, 2: 0, 3: 0}
+    admissible = 0
+    for _ in range(120):
+        m = rng.choice((1, 2, 3, 3, 5, 9))
+        pts = [(frac(-2, 2), frac(-2, 2)) for _ in range(m)]
+        if m > 2 and rng.random() < 0.2:
+            u = (frac(-1, 1), frac(-1, 1))
+            pts = [vadd(pts[0], vscale(frac(-2, 2), u)) for _ in range(m)]
+        delta = Polytope.from_points(pts)
+        ring = delta.ring()
+        kinds[min(len(ring), 3)] += 1
+        if len(ring) >= 3:
+            assert delta._halfplanes == tuple(primitive(h) for h in fraction_halfplanes(delta))
+            assert delta.volume() == fraction_shoelace(ring) > 0
+        else:
+            assert delta.volume() == 0
+        mids = [vscale(Q(1, 2), vadd(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+        probes = ring + mids + [(frac(-2, 2), frac(-2, 2)) for _ in range(6)]
+        probes += [vadd(p, (Q(1, 10**7), Q(-1, 10**7))) for p in ring]
+        for p in probes:
+            inside = fraction_contains(delta, p)
+            assert delta.contains(p) == inside
+            X, q = _integer_points([p])
+            assert delta._contains_scaled(X[0], q) == inside
+        for _ in range(3):
+            slopes = rng.sample(probes, rng.randint(1, 4))
+            if rng.random() < 0.5:
+                slopes += [p for p in mids + ring if delta.contains(p)]
+            g = PLConvexFunction.from_pieces(AffineFunctional(s, frac(-1, 1)) for s in slopes)
+            ok = is_admissible(g, delta)
+            assert ok == fraction_is_admissible(g, delta)
+            admissible += ok
+    assert min(kinds.values()) > 10 and admissible > 20
