@@ -61,8 +61,8 @@ def _load_obstacle_toric(obj):
     if isinstance(obj, dict) and "min_of" in obj:
         if not isinstance(obj["min_of"], list):
             raise SchemaError('obstacle must be {"min_of": [function, ...]}')
-        parts = [serialize.pl_function_from_json(item) for item in obj["min_of"]]
-        return variational.MinOfConvex(tuple(parts))
+        return variational.MinOfConvex.build(
+            serialize.pl_function_from_json(item) for item in obj["min_of"])
     return serialize.pl_function_from_json(obj)
 
 

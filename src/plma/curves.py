@@ -289,10 +289,7 @@ class GraphMeasure:
         for loc, mass in atoms:
             key = graph.point_key(loc)
             acc[key] = acc.get(key, Fraction(0)) + as_fraction(mass)
-        cleaned = sorted(
-            ((k, m) for k, m in acc.items() if m != 0), key=lambda km: repr(km[0])
-        )
-        return GraphMeasure(tuple(cleaned))
+        return _canonical(acc)
 
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
@@ -312,13 +309,27 @@ class GraphMeasure:
         return GraphMeasure(tuple((k, c * m) for k, m in self.atoms if c * m != 0))
 
     def add(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
-        return GraphMeasure.from_atoms(graph, list(self.atoms) + list(other.atoms))
+        """self + other.  Both are keyed canonically already, so their
+        masses are merged by key, with no `point_key` per atom."""
+        acc = dict(self.atoms)
+        for k, m in other.atoms:
+            acc[k] = acc[k] + m if k in acc else m
+        return _canonical(acc)
 
     def sub(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
         return self.add(graph, other.scale(-1))
 
     def integrate(self, graph: MetricGraph, f: GraphPLFunction) -> Fraction:
         return sum((m * f.eval(graph, k) for k, m in self.atoms), Fraction(0))
+
+
+def _canonical(masses: dict) -> GraphMeasure:
+    """The measure of a dict of masses by canonical key, in the one
+    canonical atom order: zero masses dropped, the atoms sorted by the repr
+    of their keys, which is the byte order of every output."""
+    return GraphMeasure(tuple(sorted(
+        ((k, m) for k, m in masses.items() if m != 0), key=lambda km: repr(km[0])
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +356,7 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
         put(("v", v), -slopes[-1])
         for i in range(1, len(pairs) - 1):
             put(("e", e, pairs[i][0]), slopes[i] - slopes[i - 1])
-    cleaned = sorted(((k, m) for k, m in acc.items() if m != 0), key=lambda km: repr(km[0]))
-    return GraphMeasure(tuple(cleaned))
+    return _canonical(acc)
 
 
 def _refine(graph: MetricGraph, keys):

@@ -3,16 +3,16 @@
 Polytopes in V-representation, finite-max-of-affine convex functions,
 subdifferentials, volumes and moments, and Legendre-type transforms over
 a polytope.  All coordinates are `fractions.Fraction`.  The predicates
-scale them once to integers over a common denominator and then run on
-`int`s: the walk, the 1-D chain and the Legendre transform on the slopes
-and intercepts of all pieces (the transform also on the vertices of the
-polytope), each cell's monotone chain on its tied slopes, the convex hull
-on its points, the point-in-polygon test on a table of integer
-half-planes, one per side, read off the polytope's integer ring, and the
-cell volume and moment on the slopes of the cell.  So every predicate is
-exact, no floating point enters this module, and there is one `Fraction`
-per result (the small-integer exact computation of Yap, Comput. Geom.
-1997).
+scale them once to integers over a common denominator and run on `int`s,
+so every predicate is exact, no floating point enters this module, and
+there is one `Fraction` per result (the small-integer exact computation
+of Yap, Comput. Geom. 1997).  Each predicate has one routine.  One chain
+routine, `_half_chain`, builds every convex hull (`_ccw_ring`: each
+cell's, and a polytope's once, in `Polytope.from_points`) and every lower
+chain (`_lower_chain`: the 1-D subdivision, the parallel edges of
+collinear slopes, and each side of the Legendre transform).  Every
+polytope, a point or a segment in the plane included, has one table of
+integer half-planes, and containment is tested on it alone.
 
 A function's integer form, its slopes S_i / D and intercepts C_i / E
 over common denominators, is computed at most once and cached beside its
@@ -119,14 +119,18 @@ def _ccw_ring(pts):
 
 
 def _half_chain(pts):
+    """The strict vertices of the lower convex chain of 2-D points (x, y)
+    by increasing x, or of the upper chain by decreasing x: a point stays
+    only where the chain turns strictly left.  The module's one chain."""
     out = []
-    for x, y in pts:
+    for p in pts:
+        x, y = p
         while len(out) >= 2:
             (x1, y1), (x2, y2) = out[-2], out[-1]
             if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
                 break
             out.pop()
-        out.append((x, y))
+        out.append(p)
     return out
 
 
@@ -202,7 +206,9 @@ class Polytope:
             hull = [lo] if lo == hi else [lo, hi]
         else:
             hull = _hull2(pts)
-        return Polytope(n, tuple(sorted(set(hull))))
+        delta = Polytope(n, tuple(sorted(hull)))
+        delta.__dict__["_ring"] = tuple(hull)
+        return delta
 
     def ring(self):
         """Boundary vertices in counterclockwise order (2-D), as a new list."""
@@ -210,6 +216,8 @@ class Polytope:
 
     @cached_property
     def _ring(self):
+        """`from_points` seeds this with its hull; `translate`, `dilate` and
+        the constructor build it here on first use."""
         return self.vertices if self.dim == 1 else tuple(_hull2(self.vertices))
 
     @cached_property
@@ -219,15 +227,12 @@ class Polytope:
         return _integer_points(self._ring)
 
     def volume(self) -> Fraction:
-        """The length in 1-D; in 2-D the shoelace sum of the integer ring
-        R / Q, over 2 Q^2."""
+        """The length hi - lo in 1-D; in 2-D the shoelace sum of the integer
+        ring R / Q, over 2 Q^2.  Both are 0 for a point, and the shoelace
+        sum is 0 for a segment too."""
         if self.dim == 1:
-            if len(self.vertices) < 2:
-                return Fraction(0)
             return self.vertices[-1][0] - self.vertices[0][0]
         R, Q = self._integer_ring
-        if len(R) < 3:
-            return Fraction(0)
         return Fraction(sum(cross2(a, b) for a, b in zip(R, R[1:] + R[:1])), 2 * Q * Q)
 
     def is_full_dimensional(self) -> bool:
@@ -235,54 +240,45 @@ class Polytope:
 
     @cached_property
     def _halfplanes(self):
-        """Integer pairs (n, c) with <n, u> >= c on the polytope: in 1-D
-        one per end, in 2-D one per counterclockwise side of a ring of at
-        least 3 points.  The side A -> B of the integer ring R / Q gives
-        n = Q (A1 - B1, B0 - A0), Q times the inward normal of B - A, and
-        c = (A1 - B1) A0 + (B0 - A0) A1, the pair divided by its gcd."""
-        if self.dim == 1:
-            lo, hi = self.vertices[0][0], self.vertices[-1][0]
-            return (((lo.denominator,), lo.numerator), ((-hi.denominator,), -hi.numerator))
+        """Every polytope's one table: primitive integer pairs (n, c) with
+        <n, u> >= c exactly on it.  In 2-D, one per counterclockwise side
+        A -> B of the integer ring R / Q: n = Q (A1 - B1, B0 - A0), Q times
+        the inward normal of B - A, and c = (A1 - B1) A0 + (B0 - A0) A1,
+        over their gcd; the side A -> A of a point has gcd 0 and is
+        skipped.  A ring of one or two points adds its bounding box.  So an
+        interval is its ends, a segment its line (the sides A -> B and
+        B -> A) and its box, and a point its box."""
         R, Q = self._integer_ring
         out = []
-        for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
-            n0, n1 = a1 - b1, b0 - a0
-            N0, N1, c = Q * n0, Q * n1, n0 * a0 + n1 * a1
-            h = math.gcd(N0, N1, c)
-            out.append(((N0 // h, N1 // h), c // h))
+        if self.dim == 2:
+            for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
+                n0, n1 = a1 - b1, b0 - a0
+                N0, N1, c = Q * n0, Q * n1, n0 * a0 + n1 * a1
+                h = math.gcd(N0, N1, c)
+                if h:
+                    out.append(((N0 // h, N1 // h), c // h))
+        if len(R) < 3:
+            for j in range(self.dim):
+                e = tuple(int(i == j) for i in range(self.dim))
+                lo, hi = min(v[j] for v in self._ring), max(v[j] for v in self._ring)
+                out.append((vscale(lo.denominator, e), lo.numerator))
+                out.append((vscale(-hi.denominator, e), -hi.numerator))
         return tuple(out)
 
     def _contains_scaled(self, X, q) -> bool:
         """Whether the point X / q, q > 0, lies in the polytope: on integers,
-        <n, X> >= c q for each half-plane (n, c).  A ring of one or two
-        points in the plane has no half-planes, and there X / q is tested
-        with `contains`."""
-        if self.dim == 2 and len(self._ring) < 3:
-            return self.contains(_point(X, q))
+        <n, X> >= c q for each half-plane (n, c) of its table."""
         return all(_idot(n, X) >= c * q for n, c in self._halfplanes)
 
     def contains(self, p) -> bool:
         """Whether p lies in the polytope: p = X / q over the lcm q of its
-        denominators, tested on integers (`_contains_scaled`).  A ring of
-        one or two points in the plane has no half-planes, and there p is
-        tested on its Fractions."""
+        denominators, tested on integers (`_contains_scaled`), whatever
+        the polytope's dimension and number of vertices."""
         p = as_point(p)
         if len(p) != self.dim:
             raise DimensionError("point/polytope dimension mismatch")
-        ring = self._ring
-        if self.dim == 1 or len(ring) >= 3:
-            q = math.lcm(*(x.denominator for x in p))
-            return self._contains_scaled(_scaled(p, q), q)
-        if len(ring) == 1:
-            return p == ring[0]
-        a, b = ring
-        if cross2(vsub(b, a), vsub(p, a)) != 0:
-            return False
-        t = vsub(p, a)
-        d = vsub(b, a)
-        # p = a + s*d with s in [0,1]
-        s = t[0] / d[0] if d[0] != 0 else t[1] / d[1]
-        return 0 <= s <= 1
+        q = math.lcm(*(x.denominator for x in p))
+        return self._contains_scaled(_scaled(p, q), q)
 
     def translate(self, t) -> "Polytope":
         t = as_point(t)
@@ -313,19 +309,21 @@ class AffineFunctional:
 def _lower_chain(lifted):
     """The strict vertices of the lower convex chain of lifted points.
 
-    lifted: (x, c, piece) triples with distinct x; returns the triples at
-    the vertices of the chain, by increasing x.  Points lifted onto the
-    interior of a chain segment, or above the chain, are dropped.
+    lifted: (x, c) pairs with distinct x; returns the pairs at the vertices
+    of the chain, by increasing x.  Points lifted onto the interior of a
+    chain segment, or above the chain, are dropped.  A sort plus
+    `_half_chain`.
     """
-    out = []
-    for x, c, p in sorted(lifted, key=lambda t: t[0]):
-        while len(out) >= 2:
-            (x1, c1, _), (x2, c2, _) = out[-2], out[-1]
-            if (x2 - x1) * (c - c1) - (c2 - c1) * (x - x1) > 0:
-                break
-            out.pop()
-        out.append((x, c, p))
-    return out
+    return _half_chain(sorted(lifted))
+
+
+def _chain_pairs(xs, C):
+    """The index pairs (a, b) of pieces consecutive on the lower chain of
+    the points (x_i, C_i), by increasing x, for distinct integers x_i: the
+    1-D cells, and the parallel edges of collinear 2-D slopes."""
+    index = {x: i for i, x in enumerate(xs)}
+    chain = _lower_chain(zip(xs, C))
+    return [(index[a], index[b]) for (a, _), (b, _) in zip(chain, chain[1:])]
 
 
 def subdivision(form):
@@ -350,32 +348,20 @@ def subdivision(form):
 
     The vertices are the lower facets of the lifted points (s_i, c_i).  In
     1-D they are read off the lower chain of the integer slopes and
-    intercepts: the pieces a, b consecutive on it meet at
+    intercepts (`_chain_pairs`): the pieces a, b consecutive on it meet at
     X / q = D (C_b - C_a) / (E (S_b - S_a)).  In 2-D `_walk` goes from
     vertex to vertex; collinear slopes give no vertex, and their edges are
-    the parallel lines of the lower chain along the slope line.
+    the parallel lines of the same chain along the slope line.
     """
     S, D, C, E = form
     if len(S[0]) == 1:
         cells = []
-        chain = _lower_chain([(s, c, i) for i, ((s,), c) in enumerate(zip(S, C))])
-        for (sa, ca, a), (sb, cb, b) in zip(chain, chain[1:]):
-            X, q = D * (cb - ca), E * (sb - sa)
+        for a, b in _chain_pairs([s for s, in S], C):
+            X, q = D * (C[b] - C[a]), E * (S[b][0] - S[a][0])
             h = math.gcd(X, q)
             cells.append(((X // h,), q // h, (a, b)))
         return cells, []
     return _walk(form)
-
-
-def _parallel_edges(S, C):
-    """Edges of a 2-D subdivision whose integer slopes S lie on one line:
-    parallel full lines, one per pair of consecutive pieces of the lower
-    chain along the slope line, from its lexicographically first end to
-    its last."""
-    u = vsub(max(S), min(S))
-    chain = [i for _, _, i in _lower_chain(
-        [(s0 * u[0] + s1 * u[1], c, i) for i, ((s0, s1), c) in enumerate(zip(S, C))])]
-    return list(zip(chain, chain[1:]))
 
 
 def _vertex_order(a, b):
@@ -407,12 +393,14 @@ def _walk(form):
     once.  The cells are sorted by their vertices with an exact
     cross-multiplied comparison, whose numbers do not grow with the
     number of vertices.  Slopes that do not span the plane go to
-    `_parallel_edges`.
+    `_chain_pairs`.
     """
     S, D, C, E = form
     u = vsub(S[-1], S[0])
     if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
-        return [], _parallel_edges(S, C)
+        # along the line, the first coordinate that varies orders the slopes
+        j = 0 if u[0] else 1
+        return [], _chain_pairs([s[j] for s in S], C)
     index = {s: i for i, s in enumerate(S)}
 
     def values(X, q):
@@ -671,16 +659,12 @@ def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
     being bounded on the whole space.
 
     It runs on g's integer slopes S_i / D: S_i lies in delta iff
-    <n, S_i> >= c D for each of delta's integer half-planes (n, c), and a
-    vertex u of delta is a slope iff D u is one of the S_i.  A polygon
-    ring of one or two points (a point or a segment in the plane) has no
-    such half-planes, and there the slopes are tested with `contains`.
+    <n, S_i> >= c D for each of delta's integer half-planes (n, c), which
+    every polytope has, a point or a segment in the plane included, and a
+    vertex u of delta is a slope iff D u is one of the S_i.
     """
     if g.dim != delta.dim:
         raise DimensionError("dimension mismatch")
-    if delta.dim == 2 and len(delta._ring) < 3:
-        slopes = set(g.slopes)
-        return all(map(delta.contains, slopes)) and all(v in slopes for v in delta.vertices)
     S, D, _, _ = g.integer_form
     if not all(_idot(n, s) >= c * D for n, c in delta._halfplanes for s in S):
         return False
@@ -725,15 +709,18 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     S_i / D and its intercepts C_i / E, and delta's vertices are V / Q.  F
     at a vertex is the integer max of E <S_i, V> - D Q C_i, over D E Q.  A
     walk vertex X / q is tested against delta's integer half-planes,
-    <n, X> >= c q, and only one inside delta becomes a point.  On
-    a side P -> P' the restricted slopes <S_i, P' - P> (over D Q) and
-    intercepts D Q C_i - E <S_i, P> (over D Q E) are integers, and so is
-    the test 0 < s < 1.
+    <n, X> >= c q, and only one inside delta becomes a point.  On each
+    side P -> P' of delta's ring, F((P + s (P' - P)) / Q) has the 1-D
+    integer form of slopes <S_i, P' - P> / (D Q) and intercepts
+    (D Q C_i - E <S_i, P>) / (D Q E); with the lowest intercept kept per
+    slope, its `subdivision` gives the breakpoints s = X / q, kept when
+    0 < X < q.  The two sides of a segment find the same points, a point's
+    one side none.
 
     Only the vertices of delta pay for a max over all k pieces.  Every
-    other value is read off the kernel cell that found the candidate, in
-    O(1): every piece of a cell is active at its vertex, and the left piece
-    of a side's 1-D cell is F on the side (Lucet, Numer. Algorithms 1997).
+    other value is read off the kernel cell that found it (`_vertex_value`)
+    in O(1): every piece of a cell is active at its vertex (Lucet, Numer.
+    Algorithms 1997).
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
@@ -747,8 +734,8 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     for X, q, ring in F.subdivision[0]:
         if delta._contains_scaled(X, q):
             values[_point(X, q)] = Fraction(_vertex_value(form, X, q, ring[0]), D * E * q)
-    if delta.dim == 2 and len(R) >= 2:
-        for P, P1 in zip(R, R[1:] + R[:1]) if len(R) >= 3 else [R]:
+    if delta.dim == 2:
+        for P, P1 in zip(R, R[1:] + R[:1]):
             d0, d1 = P1[0] - P[0], P1[1] - P[1]
             # equal restricted slopes: only the lowest intercept can matter
             side = {}
@@ -756,13 +743,11 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
                 x, y = s0 * d0 + s1 * d1, DQ * c - E * (s0 * P[0] + s1 * P[1])
                 if x not in side or y < side[x]:
                     side[x] = y
-            chain = _lower_chain([(x, y, None) for x, y in side.items()])
-            for (xa, ya, _), (xb, yb, _) in zip(chain, chain[1:]):
-                # consecutive pieces of the chain meet at s = n / m
-                n, m = yb - ya, E * (xb - xa)
-                if 0 < n < m:
-                    u = (Fraction(m * P[0] + n * d0, m * Q), Fraction(m * P[1] + n * d1, m * Q))
-                    values[u] = Fraction(E * xa * n - m * ya, DQ * E * m)
+            side_form = ([(x,) for x in side], DQ, list(side.values()), DQ * E)
+            for (X,), q, (a, _) in subdivision(side_form)[0]:
+                if 0 < X < q:
+                    u = (Fraction(q * P[0] + X * d0, q * Q), Fraction(q * P[1] + X * d1, q * Q))
+                    values[u] = Fraction(_vertex_value(side_form, (X,), q, a), DQ * DQ * E * q)
     return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
 
 

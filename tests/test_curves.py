@@ -109,6 +109,23 @@ def test_laplacian_mass_balance_and_linearity(rng):
         assert lhs == rhs
 
 
+def test_measure_add_equals_from_atoms(rng):
+    # add merges two canonically keyed measures without point_key; the
+    # oracle canonicalises every atom of both again, as add once did
+    cancelled = 0
+    for _ in range(40):
+        g = random_graph(rng)
+        mu = random_positive_measure(rng, g, rnd_frac(rng), natoms=rng.randint(1, 5))
+        nu = random_positive_measure(rng, g, rnd_frac(rng), natoms=rng.randint(1, 5))
+        nu = nu.add(g, mu.scale(-1)) if rng.random() < 0.3 else nu
+        for a, b in ((mu, nu), (nu, mu), (mu, mu.scale(-1))):
+            got = a.add(g, b)
+            assert got == GraphMeasure.from_atoms(g, a.atoms + b.atoms)
+            assert [k for k, _ in got.atoms] == sorted((k for k, _ in got.atoms), key=repr)
+            cancelled += len(got.atoms) < len({k for k, _ in a.atoms + b.atoms})
+    assert cancelled > 40
+
+
 def test_solve_poisson_zero():
     g = star3()
     f = solve_poisson(g, GraphMeasure.from_atoms(g, []), vertex_key(1))

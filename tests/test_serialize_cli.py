@@ -1017,6 +1017,18 @@ def test_cli_envelope_slope_range_exit_2(tmp_path, command, capsys):
         "type": "EnvelopeError", "message": "obstacle decays below the admissible slope range"}}
 
 
+@pytest.mark.parametrize("delta", [INTERVAL_JSON, {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}])
+@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
+def test_cli_empty_min_of_exit_2(tmp_path, command, delta, capsys):
+    # the obstacle is loaded through MinOfConvex.build, so an empty min_of
+    # names the input, not the empty sample set of a later step
+    documents = {"delta": delta, "g": {"min_of": []}}
+    assert _run_documents(tmp_path, command, documents) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": "need at least one function"}}
+
+
 @pytest.mark.parametrize("spelling", ["convex", "min-of"])
 @pytest.mark.parametrize("command", ["envelope", "orthogonality"])
 def test_cli_convex_obstacle_slope_range_exit_2(tmp_path, command, spelling, capsys):

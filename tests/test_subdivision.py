@@ -18,6 +18,11 @@ The readers of the walk that run on the integer form (evaluation, the
 Monge-Ampere masses, the Legendre integral of the energy, the
 admissibility test and the polytope's integer half-planes) are checked
 against the Fraction formulas they replaced.
+
+The oracles share no predicate with the code they check: they run their
+own monotone chain (`oracle_chain`, `oracle_ring`) and their own
+Fraction containment test (`fraction_contains`), never the kernel's
+chain, hull or half-planes.
 """
 
 import itertools
@@ -34,10 +39,8 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    _ccw_ring,
     _integer_pieces,
     _integer_points,
-    _lower_chain,
     breakpoints,
     cell_sums,
     convex_envelope,
@@ -127,9 +130,9 @@ def oracle_dual_transform(F, delta):
                 cands.add((u,))
     else:
         for pi, u in _triple_ties(ps):
-            if pi.value(u) == F(u) and delta.contains(u):
+            if pi.value(u) == F(u) and fraction_contains(delta, u):
                 cands.add(u)
-        ring = delta.ring()
+        ring = fraction_ring(delta)
         if len(ring) >= 2:
             edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
             for pi, pj in itertools.combinations(ps, 2):
@@ -147,18 +150,57 @@ def oracle_dual_transform(F, delta):
     return unpruned([AffineFunctional(u, F(u)) for u in cands]).pieces
 
 
+def oracle_chain(points):
+    """Andrew's monotone chain, apart from the kernel's: the strict vertices
+    of the lower convex chain of (x, y, tag) points, lex-sorted by (x, y).
+    A point stays only where the chain turns strictly left."""
+    out = []
+    for p in sorted(points, key=lambda t: t[:2]):
+        while len(out) >= 2:
+            (x1, y1, _), (x2, y2, _) = out[-2], out[-1]
+            if (x2 - x1) * (p[1] - y1) > (y2 - y1) * (p[0] - x1):
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
+def oracle_ring(points):
+    """The counterclockwise ring of distinct 2-D points from the lex-first,
+    with strict turns: the lower chain, then the lower chain of the points
+    turned by 180 degrees, which is the upper chain.  Collinear points give
+    their two ends, and one point itself."""
+    lower = [p for _, _, p in oracle_chain([(x, y, (x, y)) for x, y in points])]
+    upper = [p for _, _, p in oracle_chain([(-x, -y, (x, y)) for x, y in points])]
+    ring = lower[:-1] + upper[:-1]
+    return ring if len(ring) >= 3 else lower
+
+
+def fraction_ring(delta):
+    """delta's ring from its vertices by `oracle_ring` (in 1-D its ends)."""
+    return list(delta.vertices) if delta.dim == 1 else oracle_ring(delta.vertices)
+
+
+def fraction_contains(delta, p):
+    """p in delta, on Fractions: between the ends of an interval, left of
+    every counterclockwise side of a polygon, on a segment between its
+    ends, or equal to a point."""
+    if delta.dim == 1:
+        return delta.vertices[0] <= p <= delta.vertices[-1]
+    ring = fraction_ring(delta)
+    if len(ring) == 1:
+        return p == ring[0]
+    if len(ring) == 2:
+        a, b = ring
+        d, t = vsub(b, a), vsub(p, a)
+        return cross2(d, t) == 0 and 0 <= dot(t, d) <= dot(d, d)
+    return all(cross2(vsub(b, a), vsub(p, a)) >= 0 for a, b in zip(ring, ring[1:] + ring[:1]))
+
+
 def fraction_chain(pieces):
     """The 1-D `subdivision` on rationals: (breakpoint, (a, b)) for every two
     pieces a, b consecutive on the lower chain of the lifted points (s, c)."""
-    chain = []
-    for p in sorted(pieces, key=lambda p: p.slope):
-        while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
-            if ((b.slope[0] - a.slope[0]) * (p.intercept - a.intercept)
-                    > (b.intercept - a.intercept) * (p.slope[0] - a.slope[0])):
-                break
-            chain.pop()
-        chain.append(p)
+    chain = [p for _, _, p in oracle_chain([(p.slope[0], p.intercept, p) for p in pieces])]
     return [(((b.intercept - a.intercept) / (b.slope[0] - a.slope[0]),), (a, b))
             for a, b in zip(chain, chain[1:])]
 
@@ -170,8 +212,8 @@ def fraction_dual_transform(F, delta):
     breakpoint with the value of its left piece."""
     values = {u: F(u) for u in delta.vertices}
     walk = oracle_walk(F.pieces)[0]
-    values.update((v, c[0].value(v)) for v, c in walk if delta.contains(v))
-    ring = delta.ring()
+    values.update((v, c[0].value(v)) for v, c in walk if fraction_contains(delta, v))
+    ring = fraction_ring(delta)
     if delta.dim == 2 and len(ring) >= 2:
         sides = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else [tuple(ring)]
         for p, q in sides:
@@ -200,7 +242,7 @@ def oracle_walk(pieces):
     u = vsub(S[-1], S[0])
     if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
         u = vsub(max(S), min(S))
-        chain = [p for _, _, p in _lower_chain(
+        chain = [p for _, _, p in oracle_chain(
             [(s0 * u[0] + s1 * u[1], c, p) for (s0, s1), c, p in zip(S, C, pieces)])]
         return [], list(zip(chain, chain[1:]))
     index = {s: i for i, s in enumerate(S)}
@@ -211,7 +253,7 @@ def oracle_walk(pieces):
         return [m - val for val in vals]
 
     def cell(gap):
-        return [index[s] for s in _ccw_ring(sorted(s for s, d in zip(S, gap) if d == 0))]
+        return [index[s] for s in oracle_ring([s for s, d in zip(S, gap) if d == 0])]
 
     def clip(gap, a, N):
         n0, n1 = N
@@ -678,9 +720,10 @@ def fraction_legendre_integral(g):
 
 
 def fraction_is_admissible(g, delta):
-    """Every slope in delta, by `contains`, and every vertex a slope."""
+    """Every slope in delta, by `fraction_contains`, and every vertex a slope."""
     slopes = set(g.slopes)
-    return all(delta.contains(s) for s in slopes) and all(v in slopes for v in delta.vertices)
+    return (all(fraction_contains(delta, s) for s in slopes)
+            and all(v in slopes for v in delta.vertices))
 
 
 def fraction_ma(g):
@@ -857,7 +900,7 @@ def fraction_halfplanes(delta):
     """Per counterclockwise side (a, b) of delta's ring, n = (a1 - b1,
     b0 - a0) and c = <n, a> on Fractions, scaled to integers by the lcm of
     their denominators."""
-    ring = delta.ring()
+    ring = fraction_ring(delta)
     out = []
     for a, b in zip(ring, ring[1:] + ring[:1]):
         n0, n1 = a[1] - b[1], b[0] - a[0]
@@ -867,23 +910,23 @@ def fraction_halfplanes(delta):
     return out
 
 
+def fraction_box(delta):
+    """delta's bounding box, u_j >= lo_j and -u_j >= -hi_j for each
+    coordinate j, on Fractions, each scaled to integers by its
+    denominator."""
+    out = []
+    for j in range(delta.dim):
+        xs = [v[j] for v in delta.vertices]
+        for x, sign in ((min(xs), 1), (max(xs), -1)):
+            n = tuple(sign * x.denominator if i == j else 0 for i in range(delta.dim))
+            out.append((n, int(sign * x * x.denominator)))
+    return out
+
+
 def primitive(halfplane):
-    (n0, n1), c = halfplane
-    h = math.gcd(n0, n1, c)
-    return (n0 // h, n1 // h), c // h
-
-
-def fraction_contains(delta, p):
-    """p in delta, on Fractions: left of every counterclockwise side of a
-    polygon, on a segment between its ends, or equal to a point."""
-    ring = delta.ring()
-    if len(ring) == 1:
-        return p == ring[0]
-    if len(ring) == 2:
-        a, b = ring
-        d, t = vsub(b, a), vsub(p, a)
-        return cross2(d, t) == 0 and 0 <= dot(t, d) <= dot(d, d)
-    return all(cross2(vsub(b, a), vsub(p, a)) >= 0 for a, b in zip(ring, ring[1:] + ring[:1]))
+    n, c = halfplane
+    h = math.gcd(*n, c)
+    return tuple(x // h for x in n), c // h
 
 
 def test_halfplanes_from_integer_ring():
@@ -904,15 +947,32 @@ def test_halfplanes_from_integer_ring():
             pts = [vadd(pts[0], vscale(frac(-2, 2), u)) for _ in range(m)]
         delta = Polytope.from_points(pts)
         ring = delta.ring()
+        assert ring == fraction_ring(delta)
         kinds[min(len(ring), 3)] += 1
         if len(ring) >= 3:
             assert delta._halfplanes == tuple(primitive(h) for h in fraction_halfplanes(delta))
             assert delta.volume() == fraction_shoelace(ring) > 0
         else:
+            # a segment is its line, the sides (a, b) and (b, a), plus its
+            # bounding box; a point is its bounding box
+            line = [primitive(h) for h in fraction_halfplanes(delta)] if len(ring) == 2 else []
+            assert sorted(delta._halfplanes) == sorted(line + fraction_box(delta))
             assert delta.volume() == 0
         mids = [vscale(Q(1, 2), vadd(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
         probes = ring + mids + [(frac(-2, 2), frac(-2, 2)) for _ in range(6)]
         probes += [vadd(p, (Q(1, 10**7), Q(-1, 10**7))) for p in ring]
+        if len(ring) == 2:
+            # on the line beyond each end, and the box corners off the line
+            a, b = ring
+            d = vsub(b, a)
+            probes += [vadd(b, vscale(t, d)) for t in (Q(1, 10**7), Q(1, 2))]
+            probes += [vsub(a, vscale(t, d)) for t in (Q(1, 10**7), Q(1, 2))]
+            probes += [c for c in ((a[0], b[1]), (b[0], a[1])) if cross2(d, vsub(c, a)) != 0]
+        elif len(ring) == 1:
+            # points that share one coordinate with it
+            (x, y), = ring
+            for e in (Q(1, 10**7), -Q(1, 10**7), frac(-2, 2)):
+                probes += [(x, y + e), (x + e, y)]
         for p in probes:
             inside = fraction_contains(delta, p)
             assert delta.contains(p) == inside
