@@ -72,9 +72,23 @@ def _curve_context(args):
     return graph, omega0
 
 
+def _obstacle_and_context(args):
+    """(psi, context) of envelope and orthogonality.  --delta, whenever
+    given (an empty path included), selects the toric model, whose context
+    is the polytope; otherwise the context is (graph, omega0)."""
+    if args.delta is not None:
+        delta = serialize.polytope_from_json(serialize.load_path(args.delta))
+        return _load_obstacle_toric(serialize.load_path(args.g)), delta
+    graph, omega0 = _curve_context(args)
+    psi = serialize.graph_function_from_json(serialize.load_path(args.g), graph)
+    return psi, (graph, omega0)
+
+
 def _sample_rows_1d(g):
-    # g lives on N_R: sample one unit beyond its first and last breakpoints
-    ts = sorted(v[0] for v in breakpoints(g))
+    # g lives on N_R: sample one unit beyond its first and last breakpoints,
+    # or around 0 when g is affine, where PiecewiseLinear1D.from_convex puts
+    # its one point
+    ts = sorted(v[0] for v in breakpoints(g)) or [Fraction(0)]
     lo, hi = ts[0] - 1, ts[-1] + 1
     ts = set(ts) | {lo + Fraction(j, 64) * (hi - lo) for j in range(65)}
     return [[_dec(t), _dec(g((t,))), "exact"] for t in sorted(ts)]
@@ -133,37 +147,26 @@ def cmd_toric_energy(args):
 
 
 def cmd_envelope(args):
-    if args.delta:
-        delta = serialize.polytope_from_json(serialize.load_path(args.delta))
-        psi = _load_obstacle_toric(serialize.load_path(args.g))
-        env = variational.envelope_toric(psi, delta)
-        if args.format == "csv" and delta.dim == 1:
-            _emit(_csv([["t", "value", "exactness"], *_sample_rows_1d(env)]), args.output)
+    psi, context = _obstacle_and_context(args)
+    env = variational.envelope_P(psi, context)
+    if isinstance(context, Polytope):
+        if args.format == "csv" and context.dim == 1:
+            text = _csv([["t", "value", "exactness"], *_sample_rows_1d(env)])
         else:
-            _emit(serialize.pl_function_to_json(env) + "\n", args.output)
-        return 0
-    graph, omega0 = _curve_context(args)
-    psi = serialize.graph_function_from_json(serialize.load_path(args.g), graph)
-    env = variational.envelope_subharmonic(psi, graph, omega0)
-    if args.format == "csv":
+            text = serialize.pl_function_to_json(env) + "\n"
+    elif args.format == "csv":
         rows = [["edge", "offset", "value", "exactness"]]
         for e, pairs in enumerate(env.edge_values):
             rows += [[e, _dec(o), _dec(y), "exact"] for o, y in pairs]
-        _emit(_csv(rows), args.output)
+        text = _csv(rows)
     else:
-        _emit(serialize.graph_function_to_json(env) + "\n", args.output)
+        text = serialize.graph_function_to_json(env) + "\n"
+    _emit(text, args.output)
     return 0
 
 
 def cmd_orthogonality(args):
-    if args.delta:
-        delta = serialize.polytope_from_json(serialize.load_path(args.delta))
-        psi = _load_obstacle_toric(serialize.load_path(args.g))
-        defect = variational.orthogonality_defect_toric(psi, delta)
-    else:
-        graph, omega0 = _curve_context(args)
-        psi = serialize.graph_function_from_json(serialize.load_path(args.g), graph)
-        defect = variational.orthogonality_defect_curve(psi, graph, omega0)
+    defect = variational.orthogonality_defect(*_obstacle_and_context(args))
     if args.format == "csv":
         _emit(_csv([["defect", "exactness"], [_dec(defect), "exact"]]), args.output)
     else:

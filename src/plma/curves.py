@@ -6,15 +6,19 @@ checks a key against the graph and canonicalises an edge end to its
 vertex.  The Laplacian of a piecewise-linear function is the atomic
 signed measure assigning to each point the sum of its outgoing slopes;
 with this convention a local maximum carries negative mass and the total
-mass is always zero.  Poisson problems are solved exactly over the
-rationals by sparse elimination, in minimum-degree order, on the
-Laplacian of the vertices and the atoms; Green functions are normalized
-against the reference measure.  _refine numbers those nodes once (the
-vertices in graph order, then each edge's sorted interior offsets), and
-only this module reads that order.  The same elimination,
-solve_laplacian, is the one linear solve of the package: it runs on the
-node numbers 0..n-1 of any weighted graph, and the toric Newton step runs
-it in floats on the power-cell adjacency graph.  The canonical metric of
+mass is always zero.  A GraphMeasure has the one canonical form of
+geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
+Poisson problems are solved exactly over the rationals by sparse
+elimination, in minimum-degree order, on the Laplacian of the vertices
+and the atoms.  _refine numbers those nodes once (the vertices in graph
+order, then each edge's sorted interior offsets), and only this module
+reads that order.  The same elimination, solve_laplacian, is the one
+linear solve of the package: it runs on the node numbers 0..n-1 of any
+weighted graph, and the toric Newton step runs it in floats on the
+power-cell adjacency graph.  One routine, normalized_potential, solves
+laplacian(f) = mu - omega0 and shifts f to zero integral against the
+reference measure omega0: green is its case mu = d_L delta_x, and
+solver.solve_curve its general case.  The canonical metric of
 multiplication by m on the circle at step k needs no solve: its
 potential is the discrete parabola through the m^k-division points, in
 closed form.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import as_fraction
+from .geometry import AtomicMeasure, as_fraction
 
 
 class GraphError(ValueError):
@@ -277,59 +281,28 @@ def _merge(p1, p2, a, b):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GraphMeasure:
-    """Atomic signed measure; atoms keyed by canonical location."""
+class GraphMeasure(AtomicMeasure):
+    """Atomic signed measure on a metric graph, keyed by canonical location
+    (MetricGraph.point_key).  Its atoms are sorted by the repr of their
+    keys, the byte order of every output."""
 
-    atoms: tuple  # ((key, mass), ...) sorted by key
+    _order = staticmethod(lambda atom: repr(atom[0]))
 
     @staticmethod
     def from_atoms(graph: MetricGraph, atoms) -> "GraphMeasure":
-        acc = {}
-        for loc, mass in atoms:
-            key = graph.point_key(loc)
-            acc[key] = acc.get(key, Fraction(0)) + as_fraction(mass)
-        return _canonical(acc)
-
-    def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
-
-    def is_positive(self) -> bool:
-        return all(m > 0 for _, m in self.atoms)
+        return GraphMeasure._canonical(GraphMeasure._summed(atoms, graph.point_key))
 
     def mass_at(self, graph: MetricGraph, loc) -> Fraction:
-        return self._masses.get(graph.point_key(loc), Fraction(0))
-
-    @cached_property
-    def _masses(self):
-        return dict(self.atoms)
-
-    def scale(self, c) -> "GraphMeasure":
-        c = as_fraction(c)
-        return GraphMeasure(tuple((k, c * m) for k, m in self.atoms if c * m != 0))
+        return self.masses.get(graph.point_key(loc), Fraction(0))
 
     def add(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
-        """self + other.  Both are keyed canonically already, so their
-        masses are merged by key, with no `point_key` per atom."""
-        acc = dict(self.atoms)
-        for k, m in other.atoms:
-            acc[k] = acc[k] + m if k in acc else m
-        return _canonical(acc)
+        return self._merged(other)
 
     def sub(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
         return self.add(graph, other.scale(-1))
 
     def integrate(self, graph: MetricGraph, f: GraphPLFunction) -> Fraction:
         return sum((m * f.eval(graph, k) for k, m in self.atoms), Fraction(0))
-
-
-def _canonical(masses: dict) -> GraphMeasure:
-    """The measure of a dict of masses by canonical key, in the one
-    canonical atom order: zero masses dropped, the atoms sorted by the repr
-    of their keys, which is the byte order of every output."""
-    return GraphMeasure(tuple(sorted(
-        ((k, m) for k, m in masses.items() if m != 0), key=lambda km: repr(km[0])
-    )))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +329,7 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
         put(("v", v), -slopes[-1])
         for i in range(1, len(pairs) - 1):
             put(("e", e, pairs[i][0]), slopes[i] - slopes[i - 1])
-    return _canonical(acc)
+    return GraphMeasure._canonical(acc)
 
 
 def _refine(graph: MetricGraph, keys):
@@ -499,16 +472,29 @@ def solve_poisson(
     return _function_from_node_values(graph, values, edge_offsets)
 
 
+def normalized_potential(
+    graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure, d_L
+) -> GraphPLFunction:
+    """The one normalized potential: f with laplacian(f) = mu - omega0 and
+    zero integral against omega0, whose mass d_L is also mu's.
+
+    One Poisson solve, pinned at the first vertex, then shifted by
+    -(omega0-integral) / d_L.  The normalized f is unique and simplified,
+    so the pin does not show in the result.  Both green and
+    solver.solve_curve return it, after their own checks.
+    """
+    f = solve_poisson(graph, mu.sub(graph, omega0), vertex_key(graph.vertex_ids[0]))
+    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+
+
 def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:
     """Potential with laplacian = d_L delta_x - omega0, normalized so that
-    its integral against omega0 vanishes.  d_L is the mass of omega0."""
+    its integral against omega0 vanishes.  d_L is the mass of omega0.  It
+    is `normalized_potential` for mu = d_L delta_x."""
     d_L = omega0.total_mass()
     if d_L <= 0 or not omega0.is_positive():
         raise MassBalanceError("reference measure must be positive")
-    x_key = graph.point_key(x)
-    rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]).sub(graph, omega0)
-    f = solve_poisson(graph, rho, x_key)
-    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+    return normalized_potential(graph, GraphMeasure.from_atoms(graph, [(x, d_L)]), omega0, d_L)
 
 
 def green_value(graph: MetricGraph, x, y, omega0: GraphMeasure) -> Fraction:

@@ -41,6 +41,11 @@ it.  It remembers where each bounded edge leads, so that edge is clipped
 once, from the end the walk reaches first, and not again from the other:
 O(k*(V + B + U)) in all for V vertices, B bounded and U unbounded edges.
 
+Both atomic measures, DiscreteMeasure here and curves.GraphMeasure, are
+an AtomicMeasure: one canonical form (masses summed by location, zero
+masses dropped, atoms in the class's order), one mass dict, and one
+merge by location for a sum.
+
 Ambient dimensions 1 and 2 are supported.
 """
 
@@ -597,19 +602,35 @@ class PLConvexFunction:
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
-    """Atomic measure with rational masses; atoms lex-sorted, zero masses dropped."""
+class AtomicMeasure:
+    """Signed atomic measure with rational masses, in one canonical form:
+    one atom per location, no zero mass, the atoms in the class's order.
 
-    atoms: tuple  # ((point, mass), ...)
+    `_order` is that order, a sort key on the (location, mass) pairs; None
+    sorts the pairs themselves, that is by location.  DiscreteMeasure
+    (points, sorted) and curves.GraphMeasure (graph locations, by repr)
+    share everything but how a location is read and ordered.
+    """
+
+    atoms: tuple  # ((location, mass), ...) in canonical order
+
+    _order = None
+
+    @classmethod
+    def _canonical(cls, masses: dict):
+        """The measure of a dict of masses by canonical location: zero
+        masses dropped, the atoms sorted in the class's order."""
+        return cls(tuple(sorted(((k, m) for k, m in masses.items() if m != 0), key=cls._order)))
 
     @staticmethod
-    def from_atoms(atoms) -> "DiscreteMeasure":
+    def _summed(atoms, read) -> dict:
+        """The masses of (location, mass) pairs summed by the canonical
+        location read(location), for a subclass's from_atoms."""
         acc = {}
         for loc, mass in atoms:
-            loc = as_point(loc)
-            acc[loc] = acc.get(loc, Fraction(0)) + as_fraction(mass)
-        cleaned = sorted((loc, m) for loc, m in acc.items() if m != 0)
-        return DiscreteMeasure(tuple(cleaned))
+            key = read(loc)
+            acc[key] = acc.get(key, Fraction(0)) + as_fraction(mass)
+        return acc
 
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
@@ -617,23 +638,44 @@ class DiscreteMeasure:
     def is_positive(self) -> bool:
         return all(m > 0 for _, m in self.atoms)
 
-    def mass_at(self, loc) -> Fraction:
-        return self.masses.get(as_point(loc), Fraction(0))
-
     @cached_property
     def masses(self) -> dict:
         """Mass by location, for the atoms' locations only."""
         return dict(self.atoms)
 
-    def scale(self, c) -> "DiscreteMeasure":
-        # the atoms stay sorted and nonzero unless c is 0
+    def scale(self, c):
+        # the atoms stay in order and nonzero unless c is 0
         c = as_fraction(c)
         if c == 0:
-            return DiscreteMeasure(())
-        return DiscreteMeasure(tuple((p, c * m) for p, m in self.atoms))
+            return type(self)(())
+        return type(self)(tuple((k, c * m) for k, m in self.atoms))
+
+    def _merged(self, other):
+        """self + other.  Both are canonical already, so their masses are
+        merged by location, with no location read again."""
+        acc = dict(self.atoms)
+        for k, m in other.atoms:
+            acc[k] = acc[k] + m if k in acc else m
+        return self._canonical(acc)
+
+
+class DiscreteMeasure(AtomicMeasure):
+    """Atomic measure on the points of R^n, its atoms sorted by point.
+
+    Atoms of different dimensions raise DimensionError."""
+
+    @staticmethod
+    def from_atoms(atoms) -> "DiscreteMeasure":
+        acc = DiscreteMeasure._summed(atoms, as_point)
+        if len({len(p) for p in acc}) > 1:
+            raise DimensionError("atoms of mixed dimension")
+        return DiscreteMeasure._canonical(acc)
+
+    def mass_at(self, loc) -> Fraction:
+        return self.masses.get(as_point(loc), Fraction(0))
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure.from_atoms(list(self.atoms) + list(other.atoms))
+        return self._merged(other)
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + other.scale(-1)

@@ -1,7 +1,8 @@
 """Solvers for the Monge-Ampere equation in both computable regimes.
 
 Curve case: linear, one exact Poisson solve with source mu - omega0,
-normalized to zero omega0-integral.
+normalized to zero omega0-integral: the one normalized potential of
+curves (curves.normalized_potential), which green also returns.
 
 Toric case: the variational problem is reduced to its finite-dimensional
 dual, semi-discrete optimal transport.  Each target atom v_i carries a
@@ -25,10 +26,12 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
 The cells are clipped from the polygon one neighbour at a time, and each
 edge keeps the label of the neighbour whose halfplane cut it, so the Newton
 matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
-edges directly.  It is the weighted Laplacian of the cell adjacency graph,
-so with w_0 pinned each Newton step is one sparse Laplacian solve, by the
-same elimination as the curve side (curves.solve_laplacian), in floats:
-the atoms are its nodes 0..k-1 and the solve returns the step as a list.
+edges in the same pass that sums the cell volumes (_power_cells): each
+trial step yields its volumes and, if accepted, the next Newton matrix.
+It is the weighted Laplacian of the cell adjacency graph, so with w_0
+pinned each Newton step is one sparse Laplacian solve, by the same
+elimination as the curve side (curves.solve_laplacian), in floats: the
+atoms are its nodes 0..k-1 and the solve returns the step as a list.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -53,6 +56,7 @@ from fractions import Fraction
 from . import curves
 from .geometry import (
     AffineFunctional,
+    DimensionError,
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
@@ -128,14 +132,24 @@ def _clip_polygon(cell, a, b, j):
 
 
 def _power_cells(ring, atoms, weights):
-    """Labelled power cells of the weighted atoms in the CCW polygon ring.
+    """Power cells of the weighted atoms in the CCW polygon ring: their
+    volumes, and the Newton matrix d vol_i / d w_j as edges (i, j, c / 2)
+    of a Laplacian, from one pass over each cell's edges.
 
     Cell i is the ring clipped by <u, v_i - v_j> >= w_j - w_i for every other
     atom j; each edge is labelled by the j whose line carries it, or None on
-    the boundary of the polygon.  An empty cell is [].  Arithmetic follows
-    the input types: rational in, rational out.
+    the boundary of the polygon, and an empty cell has volume 0.  The edge
+    p -> q of cell i labelled j lies on a line perpendicular to
+    a = v_i - v_j, so c = |q - p| / |a| = |cross(q - p, a)| / |a|^2 is
+    -d vol_i / d w_j (Kitagawa, Merigot and Thibert), and the diagonal makes
+    each row sum to zero.  Each labelled half-edge gives half its c to the
+    undirected pair, so the Laplacian of these edges is (H + H^T) / 2, which
+    is H when the cells are exact.  Float clipping can leave cell i a sliver
+    edge labelled j while cell j has none labelled i; the halves keep the
+    system symmetric all the same.  Arithmetic follows the input types:
+    rational in, rational out.
     """
-    cells, vols = [], []
+    vols, edges = [], []
     for i, (vi, _) in enumerate(atoms):
         cell = [(p, None) for p in ring]
         for j, (vj, _) in enumerate(atoms):
@@ -143,36 +157,15 @@ def _power_cells(ring, atoms, weights):
                 cell = _clip_polygon(
                     cell, (vi[0] - vj[0], vi[1] - vj[1]), weights[j] - weights[i], j
                 )
-        cells.append(cell)
-        edges = zip(cell, cell[1:] + cell[:1])
-        vols.append(
-            sum(p[0] * q[1] - p[1] * q[0] for (p, _), (q, _) in edges) / 2 if cell else 0
-        )
-    return cells, vols
-
-
-def _newton_edges(cells, atoms):
-    """The Newton matrix d vol_i / d w_j as edges (i, j, c / 2) of a Laplacian.
-
-    The edge p -> q of cell i labelled j lies on a line perpendicular to
-    a = v_i - v_j, so c = |q - p| / |a| = |cross(q - p, a)| / |a|^2 is
-    -d vol_i / d w_j (Kitagawa, Merigot and Thibert), and the diagonal makes
-    each row sum to zero.  Each labelled half-edge gives half its c to the
-    undirected pair, so the Laplacian of these edges is (H + H^T) / 2, which
-    is H when the cells are exact.  Float clipping can leave cell i a sliver
-    edge labelled j while cell j has none labelled i; the halves keep the
-    system symmetric all the same.
-    """
-    edges = []
-    for i, cell in enumerate(cells):
-        vi = atoms[i][0]
+        area = 0
         for (p, j), (q, _) in zip(cell, cell[1:] + cell[:1]):
-            if j is None:
-                continue
-            a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
-            c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
-            edges.append((i, j, c / 2))
-    return edges
+            area += p[0] * q[1] - p[1] * q[0]
+            if j is not None:
+                a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
+                c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
+                edges.append((i, j, c / 2))
+        vols.append(area / 2 if cell else 0)
+    return vols, edges
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +244,8 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
     opts = opts or SolverOptions()
     if not delta.is_full_dimensional():
         raise DegeneratePolytopeError("polytope must be full-dimensional")
+    if any(len(v) != delta.dim for v, _ in nu.atoms):
+        raise DimensionError("target atoms and polytope differ in dimension")
     if not nu.is_positive() or not nu.atoms:
         raise AdmissibilityError("target measure must be positive and nonempty")
     vol = delta.volume()
@@ -276,7 +271,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
 
     ring = [tuple(map(float, p)) for p in delta.ring()]
     weights = _voronoi_weights(delta, atoms)
-    cells, vols = _power_cells(ring, fatoms, weights)
+    vols, edges = _power_cells(ring, fatoms, weights)
     r = residual_vec(vols)
     # Kitagawa-Merigot-Thibert: keep every cell at least this large.
     eps0 = 0.5 * min(min(target), min(vols))
@@ -287,22 +282,20 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # Hessian of the dual objective, a graph Laplacian: pin the first
         # weight and solve H d = r.
         try:
-            step = curves.solve_laplacian(
-                {i: -ri for i, ri in enumerate(r)}, k, _newton_edges(cells, fatoms), {0: 0.0}
-            )
+            step = curves.solve_laplacian({i: -ri for i, ri in enumerate(r)}, k, edges, {0: 0.0})
         except curves.GraphError:
             break
         alpha, norm = 1.0, math.hypot(*r)
         while alpha >= MIN_STEP:
             trial = [w + alpha * s for w, s in zip(weights, step)]
-            tcells, tvols = _power_cells(ring, fatoms, trial)
+            tvols, tedges = _power_cells(ring, fatoms, trial)
             tr = residual_vec(tvols)
             if min(tvols) >= eps0 and math.hypot(*tr) <= (1 - alpha / 2) * norm:
                 break
             alpha /= 2
         else:
             break  # the step stalled: report not converged
-        weights, cells, r = trial, tcells, tr
+        weights, edges, r = trial, tedges, tr
 
     converged = max(map(abs, r)) <= tol_abs
     wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
@@ -320,10 +313,8 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
 def solve_curve(graph, mu, omega0):
     """Exact f with laplacian(f) = mu - omega0 and omega0-integral zero.
 
-    One Poisson solve with source mu - omega0; superpose gives the same
-    function from one Green solve per atom of mu.
+    After the checks of superpose, the one normalized potential
+    curves.normalized_potential, which green returns for one atom;
+    superpose gives the same function from one Green solve per atom of mu.
     """
-    d_L = curves._check_balance(mu, omega0)
-    base = curves.vertex_key(graph.vertex_ids[0])
-    f = curves.solve_poisson(graph, mu.sub(graph, omega0), base)
-    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+    return curves.normalized_potential(graph, mu, omega0, curves._check_balance(mu, omega0))

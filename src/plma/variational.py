@@ -407,12 +407,21 @@ def orthogonality_defect_curve(
 # differentiability of energy-of-envelope
 
 
+# the default steps t of the difference quotients
+T_GRID = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
+
+
+def _difference_quotients(energy_at, t_grid):
+    """(t, central difference quotient of energy_at at 0) for each t."""
+    return [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in t_grid]
+
+
 def envelope_energy_derivative_toric(
     phi: PLConvexFunction,
     f: PiecewiseLinear1D,
     delta: Polytope,
     g0: PLConvexFunction | None = None,
-    t_grid=(Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)),
+    t_grid=T_GRID,
 ):
     """Exact pairing of f with MA(phi), plus central difference quotients of
     t -> energy(P(phi + t f)) on the grid (1-D toric context)."""
@@ -426,8 +435,7 @@ def envelope_energy_derivative_toric(
         pert = base + f.scale(t)
         return energy_toric(envelope_toric(pert, delta), g0, delta)
 
-    fd = [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in t_grid]
-    return exact, fd
+    return exact, _difference_quotients(energy_at, t_grid)
 
 
 def envelope_energy_derivative_curve(
@@ -435,7 +443,7 @@ def envelope_energy_derivative_curve(
     f: GraphPLFunction,
     graph: MetricGraph,
     omega0: GraphMeasure,
-    t_grid=(Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)),
+    t_grid=T_GRID,
 ):
     ma = curves.ma_curve(phi, graph, omega0)
     exact = ma.integrate(graph, f)
@@ -444,8 +452,7 @@ def envelope_energy_derivative_curve(
         pert = phi + f.scale(t)
         return energy_curve(envelope_subharmonic(pert, graph, omega0), graph, omega0)
 
-    fd = [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in t_grid]
-    return exact, fd
+    return exact, _difference_quotients(energy_at, t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +493,8 @@ def orthogonality_defect(psi, context) -> Fraction:
 
 def energy_of_envelope_derivative(phi, f, context, t_grid=None):
     """Exact derivative of t -> E(P(phi + t f)) at 0 plus difference quotients."""
-    kwargs = {} if t_grid is None else {"t_grid": tuple(t_grid)}
+    t_grid = T_GRID if t_grid is None else t_grid
     if _is_toric(context):
-        return envelope_energy_derivative_toric(phi, f, context, **kwargs)
+        return envelope_energy_derivative_toric(phi, f, context, t_grid=t_grid)
     graph, omega0 = context
-    return envelope_energy_derivative_curve(phi, f, graph, omega0, **kwargs)
+    return envelope_energy_derivative_curve(phi, f, graph, omega0, t_grid=t_grid)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1114,3 +1115,59 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error == {"type": "ConvergenceError", "message": "obstacle solve did not stabilize"}
+
+
+@pytest.mark.parametrize("fmt", [(), CSV])
+@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
+def test_cli_empty_delta_path_exit_2(tmp_path, command, fmt, capsys):
+    # --delta "" is given, so the toric model is chosen and its empty path
+    # is an input file that cannot be read; it once went to the curve model,
+    # which opened --graph None
+    g = write(tmp_path, "g.json", MIN_OF_PARABOLOIDS)
+    assert cli.run([command, "--delta", "", "--g", g, *fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "SchemaError", "message": ": No such file or directory"}}
+
+
+@pytest.mark.parametrize("delta, points", [
+    (SQUARE_JSON, [["1/2", "1/2"], ["0"]]),  # mixed atoms
+    (SQUARE_JSON, [["0"], ["1"]]),  # 1-D atoms on a square
+    (INTERVAL_JSON, [["1/2"], ["0", "1"]]),  # mixed atoms
+    (INTERVAL_JSON, [["0", "0"], ["1", "1"]]),  # 2-D atoms on an interval
+], ids=["square-mixed", "square-1d", "interval-mixed", "interval-2d"])
+@pytest.mark.parametrize("fmt", [(), CSV])
+def test_cli_toric_solve_atom_dimension_exit_2(tmp_path, delta, points, fmt, capsys):
+    # the masses add up to n! Vol(delta), so only the dimensions are wrong;
+    # a 1-D atom on the square once raised IndexError in the Voronoi start
+    n = len(delta["vertices"][0])
+    mass = str(Fraction(math.factorial(n), n * len(points)))
+    mu = {"atoms": [{"point": p, "mass": mass} for p in points]}
+    assert _run_documents(tmp_path, "toric-solve", {"delta": delta, "mu": mu}, fmt) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = ("atoms of mixed dimension" if len({len(p) for p in points}) > 1
+               else "target atoms and polytope differ in dimension")
+    assert json.loads(err) == {"error": {"type": "DimensionError", "message": message}}
+
+
+@pytest.mark.parametrize("point", ["0", "-3/2", "7/3"])
+def test_cli_envelope_csv_on_a_point_interval(tmp_path, point, capsys):
+    # over delta = {a} the envelope is the affine function a u + c, with no
+    # breakpoint: the CSV samples it at 65 points from -1 to 1, around 0,
+    # where PiecewiseLinear1D.from_convex puts its one point
+    psi = {"min_of": [
+        {"pieces": [{"slope": ["-2"], "intercept": "1"}, {"slope": ["3"], "intercept": "0"}]},
+        {"pieces": [{"slope": ["-3"], "intercept": "0"}, {"slope": ["1/2"], "intercept": "1/3"},
+                    {"slope": ["5/2"], "intercept": "-1"}]},
+    ]}
+    documents = {"delta": {"vertices": [[point]]}, "g": psi}
+    assert _run_documents(tmp_path, "envelope", documents) == 0
+    env = serialize.pl_function_from_json(json.loads(capsys.readouterr().out))
+    assert env.slopes == ((Fraction(point),),)
+    assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,value,exactness"
+    ts = [Fraction(j - 32, 32) for j in range(65)]
+    assert lines[1:] == [f"{cli._dec(t)},{cli._dec(env((t,)))},exact" for t in ts]

@@ -9,7 +9,9 @@ from plma.curves import (
     MassBalanceError,
     circle_graph,
     green,
+    laplacian,
     ma_curve,
+    solve_poisson,
     superpose,
     vertex_key,
 )
@@ -24,9 +26,10 @@ from plma.geometry import (
     vscale,
     vsub,
 )
+from plma.serialize import graph_function_to_json
 from plma.solver import (
     SolverOptions,
-    _newton_edges,
+    _clip_polygon,
     _power_cells,
     _voronoi_weights,
     residual,
@@ -144,8 +147,13 @@ def test_cells_partition_exactly(rng):
     atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
     atoms = list(dict(atoms).items())
     weights = [rnd_frac(rng) for _ in atoms]
-    _, vols = _power_cells(delta.ring(), atoms, weights)
+    vols, _ = _power_cells(delta.ring(), atoms, weights)
     assert sum(vols) == delta.volume()
+    # a cell clipped away has volume 0, not 0.0, so the sum stays exact
+    corners = [((Fraction(0), Fraction(0)), Fraction(1)), ((Fraction(1), Fraction(1)), Fraction(1))]
+    vols, edges = _power_cells(unit_square().ring(), corners, [Fraction(0), Fraction(-10)])
+    assert vols == [1, 0] and edges == []
+    assert isinstance(sum(vols), Fraction)
 
 
 def fraction_voronoi_weights(delta, atoms):
@@ -192,11 +200,10 @@ def test_voronoi_weights_against_fraction_oracle():
     assert single > 40 and coincident > 20 and outside > 200
 
 
-def newton_matrix(cells, atoms):
-    """The dense Laplacian that the edges of _newton_edges assemble."""
-    k = len(atoms)
+def newton_matrix(edges, k):
+    """The dense Laplacian that the Newton edges of _power_cells assemble."""
     H = [[0] * k for _ in range(k)]
-    for i, j, w in _newton_edges(cells, atoms):
+    for i, j, w in edges:
         H[i][i] += w
         H[j][j] += w
         H[i][j] -= w
@@ -216,16 +223,16 @@ def test_newton_matrix_is_the_volume_derivative(rng):
     den = 10**6 + 3
     weights = [-dot(v, v) / 8 + Fraction(rng.randint(-den, den), 100 * den) for v, _ in atoms]
     ring = delta.ring()
-    cells, _ = _power_cells(ring, atoms, weights)
-    assert all(cells)
-    H = newton_matrix(cells, atoms)
-    h = Fraction(1, 10**12)
+    vols, edges = _power_cells(ring, atoms, weights)
+    assert all(v > 0 for v in vols)
     k = len(atoms)
+    H = newton_matrix(edges, k)
+    h = Fraction(1, 10**12)
     for j in range(k):
         up = [w + h * (i == j) for i, w in enumerate(weights)]
         down = [w - h * (i == j) for i, w in enumerate(weights)]
-        _, vup = _power_cells(ring, atoms, up)
-        _, vdown = _power_cells(ring, atoms, down)
+        vup, _ = _power_cells(ring, atoms, up)
+        vdown, _ = _power_cells(ring, atoms, down)
         for i in range(k):
             assert H[i][j] == (vup[i] - vdown[i]) / (2 * h)
     assert all(H[i][j] == H[j][i] for i in range(k) for j in range(k))
@@ -236,10 +243,19 @@ def test_newton_matrix_cut_through_vertices():
     # exactly through two of its vertices; each cell keeps the cut edge
     # there, of length sqrt 2 at distance sqrt 2 between the atoms
     atoms = [((Fraction(0), Fraction(0)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1, 2))]
-    cells, vols = _power_cells(unit_square().ring(), atoms, [Fraction(0), Fraction(-1)])
+    ring = unit_square().ring()
+    vols, edges = _power_cells(ring, atoms, [Fraction(0), Fraction(-1)])
     assert vols == [Fraction(1, 2), Fraction(1, 2)]
-    assert [len(c) for c in cells] == [3, 3]
-    assert newton_matrix(cells, atoms) == [[1, -1], [-1, 1]]
+    assert newton_matrix(edges, 2) == [[1, -1], [-1, 1]]
+    # each cell is a triangle: the cut's points at the two vertices it
+    # passes through are not repeated, and the cut edge carries the label
+    # of the other atom
+    square = [(p, None) for p in ring]
+    below = _clip_polygon(square, (Fraction(-1), Fraction(-1)), Fraction(-1), 1)
+    above = _clip_polygon(square, (Fraction(1), Fraction(1)), Fraction(1), 0)
+    assert [len(c) for c in (below, above)] == [3, 3]
+    assert [lab for _, lab in below].count(1) == 1
+    assert [lab for _, lab in above].count(0) == 1
 
 
 def test_hexagon_target_with_noisy_facet():
@@ -318,6 +334,16 @@ def test_residual_op(rng):
     assert res3[(Fraction(7), Fraction(7))] == Fraction(-1, 9)
 
 
+def green_pinned_at_x(graph, x, omega0):
+    """green as it was solved: the Poisson problem pinned at x itself, then
+    shifted to zero omega0-integral."""
+    d_L = omega0.total_mass()
+    x_key = graph.point_key(x)
+    rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]).sub(graph, omega0)
+    f = solve_poisson(graph, rho, x_key)
+    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+
+
 def test_solve_curve_examples(rng):
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
@@ -325,6 +351,32 @@ def test_solve_curve_examples(rng):
     x = ("e", 0, Fraction(2, 5))
     mu = GraphMeasure.from_atoms(g, [(x, Fraction(2))])
     assert solve_curve(g, mu, om) == green(g, x, om)
+    # green and solve_curve share one potential, pinned at the first vertex:
+    # the pin must not show, whatever the mass of omega0, wherever x lies
+    # (strictly inside an edge or at a vertex), and where the source
+    # cancels, omega0 = d_L delta_x; its own stream keeps the draws below
+    pin_rng = random.Random("green-pin")
+    inside = cancels = 0
+    for _ in range(120):
+        gr = random_graph(pin_rng)
+        d_L = pin_rng.choice([Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(7)])
+        e = pin_rng.randrange(len(gr.edges))
+        x = gr.point_key(("e", e, gr.edge_length(e) * Fraction(pin_rng.randint(0, 5), 5)))
+        if pin_rng.random() < 0.25:
+            om2 = GraphMeasure.from_atoms(gr, [(x, d_L)])
+        else:
+            om2 = random_positive_measure(pin_rng, gr, d_L, natoms=pin_rng.randint(1, 4))
+        mu2 = GraphMeasure.from_atoms(gr, [(x, d_L)])
+        want = green_pinned_at_x(gr, x, om2)
+        for got in (green(gr, x, om2), solve_curve(gr, mu2, om2)):
+            assert got == want
+            assert graph_function_to_json(got) == graph_function_to_json(want)
+        assert laplacian(want, gr) == mu2.sub(gr, om2)
+        assert om2.integrate(gr, want) == 0
+        inside += x[0] == "e"
+        cancels += om2 == mu2
+    assert inside > 40 and cancels > 20
+
     for _ in range(5):
         gr = random_graph(rng)
         om2 = random_positive_measure(rng, gr, Fraction(3))

@@ -837,6 +837,22 @@ def test_derivative_first_order_curve(rng):
         assert abs(q - exact) <= C * t
 
 
+def test_derivative_central_quotients_exact_on_a_quadratic():
+    # MA(phi + t f) = mu + t (delta_x - delta_0) stays positive for |t| < 1,
+    # so phi + t f is its own envelope and t -> E(phi + t f) is quadratic:
+    # each central quotient on the default grid is the derivative, exactly
+    g = circle_graph()
+    om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
+    x = ("e", 0, Fraction(1, 3))
+    mu = GraphMeasure.from_atoms(g, [(x, Fraction(1)), (vertex_key(0), Fraction(1))])
+    phi = superpose(g, mu, om)
+    rho = GraphMeasure.from_atoms(g, [(x, Fraction(1)), (vertex_key(0), Fraction(-1))])
+    f = solve_poisson(g, rho, vertex_key(0))
+    exact, fd = energy_of_envelope_derivative(phi, f, (g, om))
+    assert [t for t, _ in fd] == list(variational.T_GRID)
+    assert exact == mu.integrate(g, f) and all(q == exact for _, q in fd)
+
+
 def test_maximizer_criticality(rng):
     # at the solver output the envelope-composed functional cannot increase
     from plma.solver import solve_toric
