@@ -2,28 +2,28 @@
 
 Inputs and outputs are the JSON files described in serialize; every
 command writes to standard output (or --output) deterministically, so
-identical inputs give byte-identical results.  Exit codes: 0 success,
-2 validation error (with a machine-readable error object), 3 solver
-non-convergence.
+identical inputs give byte-identical results.  Every command but selftest
+also writes CSV (--format csv): a header line, then one row per atom,
+piece, residual entry or graph breakpoint, each number the rational
+string "p/q" (or "p") that the JSON document carries for it.  Exit codes:
+0 success, 2 validation error (with a machine-readable error object), 3
+solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import random
 import sys
 from fractions import Fraction
 from math import factorial
 
 from . import curves, serialize, toric, variational
-from .geometry import DiscreteMeasure, Polytope, breakpoints, support_function
+from .geometry import Polytope, support_function
 from .serialize import SchemaError, json_array, json_object, json_string
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
-
-
-def _dec(x) -> str:
-    return f"{float(x):.12g}"
 
 
 def _emit(text: str, output) -> None:
@@ -45,16 +45,31 @@ def _error(kind: str, message: str) -> None:
     print(json_object({"error": json_object(fields)}), file=sys.stderr)
 
 
-def _csv(rows) -> str:
-    return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
+def _output(args, document, header, rows) -> None:
+    """Write a command's result: the text of document() under --format
+    json, the header and rows under --format csv.  A CSV cell is str of
+    its value, so a Fraction prints as the string the JSON document holds."""
+    if args.format == "csv":
+        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    else:
+        text = document() + "\n"
+    _emit(text, args.output)
 
 
-def _measure_rows(mu, label):
-    rows = []
-    for p, m in mu.atoms:
-        coords = [_dec(c) for c in p] + [""] * (2 - len(p))
-        rows.append([label, *coords, _dec(m), "exact"])
-    return rows
+def _point_rows(pairs, *label):
+    """Rows (label..., x1, x2, value) of (point, value) pairs: atoms,
+    residual entries, or the slopes and intercepts of pieces.  x2 is empty
+    for a 1-D point."""
+    return ([*label, *p, *[""] * (2 - len(p)), value] for p, value in pairs)
+
+
+def _write_graph_function(args, f) -> None:
+    rows = ([e, o, y] for e, pairs in enumerate(f.edge_values) for o, y in pairs)
+    _output(args, lambda: serialize.graph_function_to_json(f), ["edge", "offset", "value"], rows)
+
+
+def _write_value(args, name, value) -> None:
+    _output(args, lambda: json_object({name: '"%s"' % value}), [name], [[value]])
 
 
 def _load_obstacle_toric(obj):
@@ -84,16 +99,6 @@ def _obstacle_and_context(args):
     return psi, (graph, omega0)
 
 
-def _sample_rows_1d(g):
-    # g lives on N_R: sample one unit beyond its first and last breakpoints,
-    # or around 0 when g is affine, where PiecewiseLinear1D.from_convex puts
-    # its one point
-    ts = sorted(v[0] for v in breakpoints(g)) or [Fraction(0)]
-    lo, hi = ts[0] - 1, ts[-1] + 1
-    ts = set(ts) | {lo + Fraction(j, 64) * (hi - lo) for j in range(65)}
-    return [[_dec(t), _dec(g((t,))), "exact"] for t in sorted(ts)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -102,14 +107,10 @@ def cmd_toric_ma(args):
     delta = serialize.polytope_from_json(serialize.load_path(args.delta))
     g = serialize.pl_function_from_json(serialize.load_path(args.g))
     result = toric.ma_measure(g, delta)
-    if args.format == "csv":
-        rows = [["side", "x1", "x2", "mass", "exactness"]]
-        rows += _measure_rows(result.measure_NR, "real")
-        berk = DiscreteMeasure.from_atoms([(mp.v, m) for mp, m in result.measure_an])
-        rows += _measure_rows(berk, "berkovich")
-        _emit(_csv(rows), args.output)
-    else:
-        _emit(serialize.toric_ma_result_to_json(result) + "\n", args.output)
+    rows = itertools.chain(_point_rows(result.measure_NR.atoms, "real"),
+                           _point_rows(((mp.v, m) for mp, m in result.measure_an), "berkovich"))
+    _output(args, lambda: serialize.toric_ma_result_to_json(result),
+            ["side", "x1", "x2", "mass"], rows)
     return 0
 
 
@@ -120,29 +121,17 @@ def cmd_toric_solve(args):
     nu = mu.scale(Fraction(1, factorial(delta.dim)))
     opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
     report = solve_toric(delta, nu, opts)
-    if args.format == "csv":
-        rows = [["x1", "x2", "error", "exactness"]]
-        for p, e in report.residual:
-            coords = [_dec(c) for c in p] + [""] * (2 - len(p))
-            rows.append([*coords, _dec(e), "exact"])
-        _emit(_csv(rows), args.output)
-    else:
-        _emit(serialize.solve_report_to_json(report) + "\n", args.output)
+    _output(args, lambda: serialize.solve_report_to_json(report),
+            ["x1", "x2", "error"], _point_rows(report.residual))
     return 0 if report.converged else 3
 
 
 def cmd_toric_energy(args):
     delta = serialize.polytope_from_json(serialize.load_path(args.delta))
     g = serialize.pl_function_from_json(serialize.load_path(args.g))
-    if args.g0:
-        g0 = serialize.pl_function_from_json(serialize.load_path(args.g0))
-    else:
-        g0 = support_function(delta)
-    value = variational.energy_toric(g, g0, delta)
-    if args.format == "csv":
-        _emit(_csv([["energy", "exactness"], [_dec(value), "exact"]]), args.output)
-    else:
-        _emit(json_object({"energy": '"%s"' % value}) + "\n", args.output)
+    g0 = (support_function(delta) if args.g0 is None
+          else serialize.pl_function_from_json(serialize.load_path(args.g0)))
+    _write_value(args, "energy", variational.energy_toric(g, g0, delta))
     return 0
 
 
@@ -150,43 +139,29 @@ def cmd_envelope(args):
     psi, context = _obstacle_and_context(args)
     env = variational.envelope_P(psi, context)
     if isinstance(context, Polytope):
-        if args.format == "csv" and context.dim == 1:
-            text = _csv([["t", "value", "exactness"], *_sample_rows_1d(env)])
-        else:
-            text = serialize.pl_function_to_json(env) + "\n"
-    elif args.format == "csv":
-        rows = [["edge", "offset", "value", "exactness"]]
-        for e, pairs in enumerate(env.edge_values):
-            rows += [[e, _dec(o), _dec(y), "exact"] for o, y in pairs]
-        text = _csv(rows)
+        _output(args, lambda: serialize.pl_function_to_json(env), ["s1", "s2", "intercept"],
+                _point_rows((f.slope, f.intercept) for f in env.pieces))
     else:
-        text = serialize.graph_function_to_json(env) + "\n"
-    _emit(text, args.output)
+        _write_graph_function(args, env)
     return 0
 
 
 def cmd_orthogonality(args):
-    defect = variational.orthogonality_defect(*_obstacle_and_context(args))
-    if args.format == "csv":
-        _emit(_csv([["defect", "exactness"], [_dec(defect), "exact"]]), args.output)
-    else:
-        _emit(json_object({"defect": '"%s"' % defect}) + "\n", args.output)
+    _write_value(args, "defect", variational.orthogonality_defect(*_obstacle_and_context(args)))
     return 0
 
 
 def cmd_curve_solve(args):
     graph, omega0 = _curve_context(args)
     mu = serialize.graph_measure_from_json(serialize.load_path(args.mu), graph)
-    phi = solve_curve(graph, mu, omega0)
-    _emit(serialize.graph_function_to_json(phi) + "\n", args.output)
+    _write_graph_function(args, solve_curve(graph, mu, omega0))
     return 0
 
 
 def cmd_curve_green(args):
     graph, omega0 = _curve_context(args)
     x = serialize.graph_point_from_json(serialize.load_path(args.x))
-    phi = curves.green(graph, x, omega0)
-    _emit(serialize.graph_function_to_json(phi) + "\n", args.output)
+    _write_graph_function(args, curves.green(graph, x, omega0))
     return 0
 
 
@@ -194,20 +169,16 @@ def cmd_curve_canonical(args):
     potential, measure = curves.canonical_metric(args.m, args.iterations)
     parts = args.m**args.iterations
     masses = curves.arc_masses(measure, parts)
-    if args.format == "csv":
-        rows = [["arc_start", "arc_end", "mass", "exactness"]]
-        for j, mass in enumerate(masses):
-            rows.append(
-                [_dec(Fraction(j, parts)), _dec(Fraction(j + 1, parts)), _dec(mass), "exact"]
-            )
-        _emit(_csv(rows), args.output)
-    else:
-        document = json_object({
+
+    def document():
+        return json_object({
             "potential": serialize.graph_function_to_json(potential),
             "measure": serialize.graph_measure_to_json(measure),
             "arc_masses": json_array(['"%s"' % m for m in masses]),
         })
-        _emit(document + "\n", args.output)
+
+    rows = ([Fraction(j, parts), Fraction(j + 1, parts), m] for j, m in enumerate(masses))
+    _output(args, document, ["arc_start", "arc_end", "mass"], rows)
     return 0
 
 
@@ -271,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag, kw in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **kw)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output")
         p.set_defaults(fn=fn)
-        return p
 
     req = {"required": True}
-    add("toric-ma", cmd_toric_ma, delta=req, g=req)
+    # every command but selftest, whose one output is text, writes JSON or CSV
+    fmt = {"format": {"choices": ["json", "csv"], "default": "json"}}
+    add("toric-ma", cmd_toric_ma, delta=req, g=req, **fmt)
     add(
         "toric-solve",
         cmd_toric_solve,
@@ -285,17 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
         mu=req,
         tol={"type": float, "default": 1e-10},
         max_iter={"type": int, "default": 200},
+        **fmt,
     )
-    add("toric-energy", cmd_toric_energy, delta=req, g=req, g0={})
-    add("envelope", cmd_envelope, delta={}, g=req, graph={}, omega0={})
-    add("orthogonality", cmd_orthogonality, delta={}, g=req, graph={}, omega0={})
-    add("curve-solve", cmd_curve_solve, graph=req, mu=req, omega0=req)
-    add("curve-green", cmd_curve_green, graph=req, x=req, omega0=req)
+    add("toric-energy", cmd_toric_energy, delta=req, g=req, g0={}, **fmt)
+    add("envelope", cmd_envelope, delta={}, g=req, graph={}, omega0={}, **fmt)
+    add("orthogonality", cmd_orthogonality, delta={}, g=req, graph={}, omega0={}, **fmt)
+    add("curve-solve", cmd_curve_solve, graph=req, mu=req, omega0=req, **fmt)
+    add("curve-green", cmd_curve_green, graph=req, x=req, omega0=req, **fmt)
     add(
         "curve-canonical",
         cmd_curve_canonical,
         m={"type": int, "required": True},
         iterations={"type": int, "required": True},
+        **fmt,
     )
     add("selftest", cmd_selftest)
     return parser

@@ -11,6 +11,7 @@ from math import factorial
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
+    MetricGraph,
     arc_masses,
     canonical_metric,
     circle_graph,
@@ -21,14 +22,17 @@ from plma.curves import (
     superpose,
     vertex_key,
 )
-from plma.geometry import DiscreteMeasure, support_function
-from plma.solver import solve_toric
+from plma.geometry import DiscreteMeasure, breakpoints, support_function
+from plma.solver import solve_curve, solve_toric
 from plma.toric import degree, ma_measure, point_mass_solution
 from plma.variational import (
     MinOfConvex,
     PiecewiseLinear1D,
+    energy_curve,
     energy_toric,
     energy_of_envelope_derivative,
+    envelope_subharmonic,
+    envelope_toric,
     orthogonality_defect,
 )
 
@@ -277,3 +281,79 @@ def test_criterion_9_linearity_1d():
             assert lhs == rhs
 
     run_criterion(9, "one-dimensional MA linearity, 30 pairs per context", 5, body)
+
+
+def _segment_instance(rng, translated):
+    """Delta = [a, b] and a shift c inside it with a - c < 0 < b - c: c = 0
+    when 0 lies inside delta, and delta misses 0 in the translated case."""
+    if translated:
+        a = rnd_frac(rng, den=3, lo=1, hi=4)
+        b = a + Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        if rng.random() < 0.5:
+            a, b = -b, -a
+        return interval(a, b), a + (b - a) * Fraction(rng.randint(1, 5), 6)
+    a = -Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    return interval(a, Fraction(rng.randint(1, 12), rng.randint(1, 4))), Fraction(0)
+
+
+def test_criterion_10_toric_interval_is_curve_on_a_segment():
+    # On delta = [a, b] with a < 0 < b, a convex g with slopes in delta is,
+    # on a segment [L, R] holding every breakpoint, an omega0-subharmonic
+    # function for omega0 = -a delta_L + b delta_R; the two models share no
+    # arithmetic, so each checks the other.  Translated: g -> g - c x
+    # carries delta to delta - c.
+    rng = random.Random(110)
+
+    def body():
+        for i in range(200):
+            # i % 4: 0 and 1 contain 0, 2 and 3 are translated; odd i also
+            # check the envelope, orthogonality and the solve
+            delta, c = _segment_instance(rng, translated=i % 4 >= 2)
+            a, b = delta.vertices[0][0] - c, delta.vertices[-1][0] - c
+            g = random_admissible(rng, delta)
+            h = support_function(delta)
+            height = rnd_frac(rng)
+            psi = PiecewiseLinear1D.from_convex(g) + bump_1d(rnd_frac(rng), Fraction(1), height)
+            weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            nu = DiscreteMeasure.from_atoms(
+                [((rnd_frac(rng),), (b - a) * w / sum(weights)) for w in weights])
+            ts = {Fraction(0), *(v[0] for v in breakpoints(g)), *(v for v, _ in psi.points),
+                  *(p[0] for p, _ in nu.atoms)}
+            L, R = min(ts) - rng.randint(0, 1), max(ts) + rng.randint(0, 1)
+            graph = MetricGraph.build([0, 1], [(0, 1, R - L)])
+            omega0 = GraphMeasure.from_atoms(graph, [(vertex_key(0), -a), (vertex_key(1), b)])
+
+            def key(t):
+                return graph.point_key(("e", 0, t - L))
+
+            def on_segment(u, nodes):
+                nodes = sorted({L, R} | {t for t in nodes if L < t < R})
+                return GraphPLFunction.build(graph, [[(t - L, u(t) - c * t) for t in nodes]])
+
+            def agree(u, f, nodes):
+                # u - c x and f on [L, R], at every breakpoint of either
+                nodes = {L, R} | set(nodes) | {L + o for o, _ in f.edge_values[0]}
+                return {u(t) - c * t - f.eval(graph, key(t)) for t in nodes}
+
+            f = on_segment(lambda t: g((t,)), [v[0] for v in breakpoints(g)])
+            want = GraphMeasure.from_atoms(
+                graph, [(key(p[0]), m) for p, m in ma_measure(g, delta).measure_NR.atoms])
+            assert ma_curve(f, graph, omega0) == want
+            f0 = on_segment(lambda t: h((t,)), [v[0] for v in breakpoints(h)])
+            assert energy_toric(g, h, delta) == (
+                energy_curve(f, graph, omega0) - energy_curve(f0, graph, omega0))
+            if i % 2 == 0:
+                continue
+            obstacle = on_segment(psi, [v for v, _ in psi.points])
+            env = envelope_toric(psi, delta)
+            curve_env = envelope_subharmonic(obstacle, graph, omega0)
+            assert agree(lambda t: env((t,)), curve_env, [v[0] for v in breakpoints(env)]) == {0}
+            assert orthogonality_defect(psi, delta) == 0
+            assert orthogonality_defect(obstacle, (graph, omega0)) == 0
+            solution = solve_toric(delta, nu).solution
+            phi = solve_curve(
+                graph, GraphMeasure.from_atoms(graph, [(key(p[0]), m) for p, m in nu.atoms]),
+                omega0)
+            assert len(agree(lambda t: solution((t,)), phi, [p[0] for p, _ in nu.atoms])) == 1
+
+    run_criterion(10, "1-D toric model equals the curve model on a segment, 200 instances", 5, body)

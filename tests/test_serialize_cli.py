@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -410,11 +412,10 @@ def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
     assert cli.run(["toric-solve", "--delta", d, "--mu", mu]) == 0
     residual = json.loads(capsys.readouterr().out)["residual"]
     assert cli.run(["toric-solve", "--delta", d, "--mu", mu, "--format", "csv"]) == 0
-    rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
-    assert len(rows) == len(residual) == 3
-    for row, entry in zip(rows, residual):
-        assert row[2] == cli._dec(serialize.parse_rational(entry["error"]))
-        assert row[3] == "exact"
+    header, *rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")]
+    assert header == ["x1", "x2", "error"]
+    assert rows == [[*entry["point"], entry["error"]] for entry in residual]
+    assert len(rows) == 3 and any(row[2] != "0" for row in rows)
 
 
 def test_cli_malformed_json(tmp_path, capsys):
@@ -568,9 +569,8 @@ def test_cli_curve_commands(tmp_path, capsys):
 def test_cli_canonical_csv(capsys):
     assert cli.run(["curve-canonical", "--m", "2", "--iterations", "6", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
-    assert rows[0] == "arc_start,arc_end,mass,exactness"
-    assert len(rows) == 65
-    assert all(r.split(",")[2] == "0.015625" for r in rows[1:])
+    assert rows[0] == "arc_start,arc_end,mass"
+    assert rows[1:] == [f"{Fraction(j, 64)},{Fraction(j + 1, 64)},1/64" for j in range(64)]
 
 
 @pytest.mark.parametrize(
@@ -597,11 +597,12 @@ def test_cli_canonical_golden_stdout(m, k, digest, capsys):
         (["--m", "2", "--iterations", "12"],
          "a8bb10d643ccb654580cafe3a55e676c4c2201218ddd11be8bd95806f73fae45"),
         (["--m", "3", "--iterations", "5", "--format", "csv"],
-         "60a18b3f603b12149dc09872f60e7acc6d32966a8a622c4ee8df6b186acff9cc"),
+         "8aca9c132b40c7fb3a731e0d43f43cdde61fcb593ed1286ef4c01d72774d43ff"),
     ],
 )
 def test_cli_canonical_golden_stdout_poisson(options, digest, capsys):
-    # sha256 of the stdout the Poisson solve printed
+    # sha256 of the stdout the Poisson solve printed (the CSV digest recorded
+    # again when its cells became the rational strings of the JSON document)
     assert cli.run(["curve-canonical", *options]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -728,9 +729,9 @@ MA_ENERGY_GOLDEN = {
         ("ma-denominator6",
          "d722785e8e937b1c704e2913674c709fac7301079269089b7516a0cbc47bd770"),
         ("ma-paraboloid16-csv",
-         "2f844aa6a2f65113a5861323c02fb18a2b51609863a72918559e74aeb9269e27"),
+         "60382143f995ad20effc215409316911652ab1ddb39048807237e17f2c043ddc"),
         ("ma-denominator6-csv",
-         "ea2be3cf52a2c2c3e031d02f7f7f4658b884a3be32eac0be0c40791450904a86"),
+         "eb200a724aca54947b666e53a8a7087051390c4ad73a6cabb0be48c53a263e3e"),
         ("energy-paraboloid16",
          "a0b78a2c3f35e5d47d82d83c6c32b71d5d48607b96b60b81d3580fc502ae96b2"),
         ("energy-denominator6",
@@ -739,7 +740,8 @@ MA_ENERGY_GOLDEN = {
 )
 def test_cli_toric_ma_energy_golden_stdout(tmp_path, case, digest, capsys):
     # sha256 of the stdout of the two commands that run the subdivision kernel
-    # end to end, pinned before its predicates ran on integers
+    # end to end, pinned before its predicates ran on integers (the CSV
+    # digests recorded again when their cells became rational strings)
     command, documents, options = MA_ENERGY_GOLDEN[case]
     assert _run_documents(tmp_path, command, documents, options) == 0
     out, err = capsys.readouterr()
@@ -778,14 +780,13 @@ PRUNED_GOLDEN = {
         ("ma-square",
          "37da3319ff56c30f86aa7ff518f06f7187c45cff09fd01399fad150bf6aa2aab"),
         ("envelope-interval-csv",
-         "4f779de09d99896a661216aad7f02dd83cb9846b9365ad1c0f665c267e1d2aa2"),
+         "73e83d3f522006cdf457d92ab3f73d3ac6e63d5cd5056c02170ca23d6a14d46c"),
     ],
 )
 def test_cli_pruned_obstacle_golden_stdout(tmp_path, case, digest, capsys):
     # sha256 of the stdout on loaded functions that prune, pinned while
     # pruning was a flag of from_pieces and its walk was thrown away; the
-    # 1-D CSV digest was recorded again when its sample grid moved from the
-    # slope interval to one unit around the breakpoints
+    # 1-D CSV digest was recorded again when its rows became the pieces
     command, documents, options = PRUNED_GOLDEN[case]
     assert _run_documents(tmp_path, command, documents, options) == 0
     out, err = capsys.readouterr()
@@ -819,23 +820,18 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
     assert len(calls) == walks
 
 
-def test_cli_envelope_interval_csv_samples_around_breakpoints(tmp_path, capsys):
-    # g lives on N_R: the rows run from one unit before the first breakpoint
-    # to one unit after the last, and every breakpoint is a row
+def test_cli_envelope_interval_csv_rows_are_pieces(tmp_path, capsys):
+    # a row per piece of the envelope, s2 empty on an interval: the pieces
+    # carry the function exactly, and consecutive rows meet at its breakpoints
     documents = {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}
     assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
     header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-    assert header == ["t", "value", "exactness"]
+    assert header == ["s1", "s2", "intercept"]
     g = variational.envelope_toric(serialize.pl_function_from_json(PRUNED_INTERVAL), interval())
-    ts = sorted(v[0] for v in geometry.breakpoints(g))
-    assert ts == [Fraction(-3, 4), Fraction(15, 8)]
-    # the grid step is 37/512, so every printed t is exact
-    sampled = [Fraction(t) for t, _, _ in rows]
-    assert sampled[0] == ts[0] - 1 and sampled[-1] == ts[-1] + 1
-    assert sampled == sorted(set(sampled)) and len(sampled) == 65 + len(ts)
-    assert set(ts) <= set(sampled)
-    for t, (_, value, exactness) in zip(sampled, rows):
-        assert value == cli._dec(g((t,))) and exactness == "exact"
+    assert rows == [[str(f.slope[0]), "", str(f.intercept)] for f in g.pieces]
+    pieces = [(Fraction(s), Fraction(c)) for s, _, c in rows]
+    meets = [(c2 - c1) / (s2 - s1) for (s1, c1), (s2, c2) in zip(pieces, pieces[1:])]
+    assert meets == [v[0] for v in geometry.breakpoints(g)] == [Fraction(-3, 4), Fraction(15, 8)]
 
 
 @pytest.mark.parametrize("command", ["envelope", "orthogonality"])
@@ -948,33 +944,34 @@ CURVE_GOLDEN = {
         ("envelope", "v8", (),
          "467fdec3c2fddeb8f50a2bcab7203a7540ee437ae1255d1740792efa093a3831"),
         ("envelope", "v8", CSV,
-         "b6b89b94194369049e044c715e58a55f60fa44791d486de36f835bb8722139db"),
+         "2a0bfab4c39e6b8629ebd6213be62e20285be108076f284db626f1eac32d04fa"),
         ("envelope", "v14", (),
          "9174c7975d03a587900c3b8fc5681d80b05b8df24f205c8e855ede00a4924924"),
         ("envelope", "v14", CSV,
-         "2b07e326e17bcf95e1bc8a1a3251e1d170e09290bee411921162e80cff3dcf8e"),
+         "a9b8f1a7656ae8756d9a82694603ce2dbde19b21ad83fba9e49cb6f77b590399"),
         ("orthogonality", "v8", (),
          "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
         ("orthogonality", "v8", CSV,
-         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
         ("orthogonality", "v14", (),
          "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
         ("orthogonality", "v14", CSV,
-         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
         ("envelope", "subharmonic", (),
          "d72813608d6ff93d8decd9f47d71de129be7c915264765675da2cd7a4cfeac83"),
         ("envelope", "subharmonic", CSV,
-         "6c504b1eb0da958024f47f70aa132ec34e1f96224d9ccc6fce115142bf660df6"),
+         "86a22d7cad6489218d9b25f4535524f65881f74fe2444d00788c3465e60ede82"),
         ("orthogonality", "subharmonic", (),
          "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
         ("orthogonality", "subharmonic", CSV,
-         "4cb4230a03ddf334dce3ab6a4c3f2bbfc21871a1313220334eb604fc54b7f794"),
+         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
     ],
 )
 def test_cli_curve_envelope_golden_stdout(tmp_path, command, case, options, digest, capsys):
     # sha256 of the stdout of the graph obstacle problem, pinned while every
     # Howard step was an exact solve from the contact set of all nodes; the
-    # subharmonic case while a test of psi ahead of Howard returned psi
+    # subharmonic case while a test of psi ahead of Howard returned psi (the
+    # CSV digests recorded again when their cells became rational strings)
     assert _run_documents(tmp_path, command, CURVE_GOLDEN[case], options) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -1154,9 +1151,8 @@ def test_cli_toric_solve_atom_dimension_exit_2(tmp_path, delta, points, fmt, cap
 
 @pytest.mark.parametrize("point", ["0", "-3/2", "7/3"])
 def test_cli_envelope_csv_on_a_point_interval(tmp_path, point, capsys):
-    # over delta = {a} the envelope is the affine function a u + c, with no
-    # breakpoint: the CSV samples it at 65 points from -1 to 1, around 0,
-    # where PiecewiseLinear1D.from_convex puts its one point
+    # over delta = {a} the envelope is the affine function a u - c, with no
+    # breakpoint: the CSV prints its one piece
     psi = {"min_of": [
         {"pieces": [{"slope": ["-2"], "intercept": "1"}, {"slope": ["3"], "intercept": "0"}]},
         {"pieces": [{"slope": ["-3"], "intercept": "0"}, {"slope": ["1/2"], "intercept": "1/3"},
@@ -1167,7 +1163,93 @@ def test_cli_envelope_csv_on_a_point_interval(tmp_path, point, capsys):
     env = serialize.pl_function_from_json(json.loads(capsys.readouterr().out))
     assert env.slopes == ((Fraction(point),),)
     assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "t,value,exactness"
-    ts = [Fraction(j - 32, 32) for j in range(65)]
-    assert lines[1:] == [f"{cli._dec(t)},{cli._dec(env((t,)))},exact" for t in ts]
+    assert capsys.readouterr().out == f"s1,s2,intercept\n{point},,{env.pieces[0].intercept}\n"
+
+
+def _padded(point):
+    return [*point, *[""] * (2 - len(point))]
+
+
+def _edge_rows(document):
+    return [["edge", "offset", "value"]] + [
+        [str(e), o, y] for e, pairs in enumerate(document["edges"]) for o, y in pairs]
+
+
+# the CSV table each command writes, read off its JSON document: the same
+# rational strings, one row per atom, residual entry, piece or breakpoint
+CSV_OF_JSON = {
+    "toric-ma": lambda doc: [["side", "x1", "x2", "mass"]] + [
+        [side, *_padded(atom["point"]), atom["mass"]]
+        for side, key in (("real", "ma_real"), ("berkovich", "ma_berkovich"))
+        for atom in doc[key]["atoms"]],
+    "toric-solve": lambda doc: [["x1", "x2", "error"]] + [
+        [*_padded(entry["point"]), entry["error"]] for entry in doc["residual"]],
+    "toric-energy": lambda doc: [["energy"], [doc["energy"]]],
+    "envelope": lambda doc: [["s1", "s2", "intercept"]] + [
+        [*_padded(piece["slope"]), piece["intercept"]] for piece in doc["pieces"]]
+    if "pieces" in doc else _edge_rows(doc),
+    "orthogonality": lambda doc: [["defect"], [doc["defect"]]],
+    "curve-solve": _edge_rows,
+    "curve-green": _edge_rows,
+    "curve-canonical": lambda doc: [["arc_start", "arc_end", "mass"]] + [
+        [str(Fraction(j, n)), str(Fraction(j + 1, n)), m]
+        for n in [len(doc["arc_masses"])] for j, m in enumerate(doc["arc_masses"])],
+}
+V8_CONTEXT = {"graph": CURVE_GOLDEN["v8"]["graph"], "omega0": CURVE_GOLDEN["v8"]["omega0"]}
+CSV_TABLE = {
+    "toric-ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, ()),
+    "toric-ma-interval": ("toric-ma", {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}, ()),
+    "toric-solve-unsnapped": TORIC_GOLDEN["square-a12-unsnapped"] + ((),),
+    "toric-solve-interval": TORIC_GOLDEN["interval-a3"] + ((),),
+    "toric-solve-no-convergence": ("toric-solve", {"delta": SQUARE_JSON, "mu": THREE_ATOMS},
+                                   ("--max-iter", "1")),
+    "toric-energy": MA_ENERGY_GOLDEN["energy-denominator6"],
+    "envelope-square": TORIC_GOLDEN["envelope-min-of"] + ((),),
+    "envelope-interval": ("envelope", {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}, ()),
+    "envelope-graph": ("envelope", CURVE_GOLDEN["v8"], ()),
+    "orthogonality-square": TORIC_GOLDEN["orthogonality-min-of"] + ((),),
+    "orthogonality-graph": ("orthogonality", CURVE_GOLDEN["v14"], ()),
+    "curve-solve": ("curve-solve", {**V8_CONTEXT, "mu": {"atoms": [
+        {"point": {"vertex": 3}, "mass": "1/2"},
+        {"point": {"edge": 2, "offset": "1/3"}, "mass": "3/2"}]}}, ()),
+    "curve-green": ("curve-green", {**V8_CONTEXT, "x": {"edge": 4, "offset": "1/2"}}, ()),
+    "curve-canonical": ("curve-canonical", {}, ("--m", "3", "--iterations", "3")),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_TABLE))
+def test_cli_csv_cells_are_the_json_strings(tmp_path, case, capsys):
+    # every command but selftest writes CSV: it parses as a table, is not a
+    # JSON document, and each cell is the string its JSON document holds
+    command, documents, options = CSV_TABLE[case]
+    code = _run_documents(tmp_path, command, documents, options)
+    document = json.loads(capsys.readouterr().out)
+    assert _run_documents(tmp_path, command, documents, [*options, *CSV]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    table = list(csv.reader(io.StringIO(out)))
+    assert table == CSV_OF_JSON[command](document)
+    assert len(table) > 1 and out == "".join(",".join(row) + "\n" for row in table)
+
+
+def test_cli_energy_empty_g0_path_exit_2(tmp_path, capsys):
+    # --g0 "" is given, so it is read as a path that does not exist; it once
+    # fell back to the support function without a word
+    documents = {"delta": SQUARE_JSON, "g": PARABOLOID_16}
+    assert _run_documents(tmp_path, "toric-energy", documents, ["--g0", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "SchemaError", "message": ": No such file or directory"}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_selftest_has_no_format(fmt, capsys):
+    # selftest writes one text output, so --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["selftest", "--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: --format {fmt}" in err
