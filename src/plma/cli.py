@@ -6,8 +6,9 @@ identical inputs give byte-identical results.  Every command but selftest
 also writes CSV (--format csv): a header line, then one row per atom,
 piece, residual entry or graph breakpoint, each number the rational
 string "p/q" (or "p") that the JSON document carries for it.  Exit codes:
-0 success, 2 validation error (with a machine-readable error object), 3
-solver non-convergence.
+0 success, 2 usage or validation error, 3 solver non-convergence.  Every
+error, a usage error that argparse finds included, prints the one
+machine-readable error object on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import curves, serialize, toric, variational
-from .geometry import Polytope, support_function
+from .geometry import AffineFunctional, PLConvexFunction, Polytope, support_function
 from .serialize import SchemaError, json_array, json_object, json_string
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 
@@ -90,7 +91,10 @@ def _curve_context(args):
 def _obstacle_and_context(args):
     """(psi, context) of envelope and orthogonality.  --delta, whenever
     given (an empty path included), selects the toric model, whose context
-    is the polytope; otherwise the context is (graph, omega0)."""
+    is the polytope; otherwise the context is (graph, omega0).  Both models
+    or neither is a usage error."""
+    if (args.delta is not None) == (args.graph is not None and args.omega0 is not None):
+        _parser().error("give either --delta or --graph with --omega0")
     if args.delta is not None:
         delta = serialize.polytope_from_json(serialize.load_path(args.delta))
         return _load_obstacle_toric(serialize.load_path(args.g)), delta
@@ -183,8 +187,6 @@ def cmd_curve_canonical(args):
 
 
 def cmd_selftest(args):
-    from .geometry import AffineFunctional, PLConvexFunction
-
     rng = random.Random(20240)
     lines = []
 
@@ -231,8 +233,17 @@ def cmd_selftest(args):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise argparse.ArgumentError, which
+    `run` prints as the JSON error object of type "usage", not as argparse's
+    usage text."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plma",
         description="Piecewise-linear Monge-Ampere equations on polytopes and metric graphs",
     )
@@ -281,19 +292,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = _parser().parse_args(argv)
-    if args.fn in (cmd_envelope, cmd_orthogonality):
-        toric_mode = args.delta is not None
-        curve_mode = args.graph is not None and args.omega0 is not None
-        if toric_mode == curve_mode:
-            _error("usage", "give either --delta or --graph with --omega0")
-            return 2
-    # every invalid-input error subclasses ValueError (exit 2), and
-    # ConvergenceError, a RuntimeError, is non-convergence (exit 3)
+    # a usage error is an ArgumentError (exit 2), every invalid-input error
+    # subclasses ValueError (exit 2), and ConvergenceError, a RuntimeError,
+    # is non-convergence (exit 3)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
-    except (ValueError, ConvergenceError) as exc:
-        _error(type(exc).__name__, str(exc))
+    except (argparse.ArgumentError, ValueError, ConvergenceError) as exc:
+        usage = isinstance(exc, argparse.ArgumentError)
+        _error("usage" if usage else type(exc).__name__, str(exc))
         return 3 if isinstance(exc, ConvergenceError) else 2
 
 

@@ -295,12 +295,6 @@ class GraphMeasure(AtomicMeasure):
     def mass_at(self, graph: MetricGraph, loc) -> Fraction:
         return self.masses.get(graph.point_key(loc), Fraction(0))
 
-    def add(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
-        return self._merged(other)
-
-    def sub(self, graph: MetricGraph, other: "GraphMeasure") -> "GraphMeasure":
-        return self.add(graph, other.scale(-1))
-
     def integrate(self, graph: MetricGraph, f: GraphPLFunction) -> Fraction:
         return sum((m * f.eval(graph, k) for k, m in self.atoms), Fraction(0))
 
@@ -483,7 +477,7 @@ def normalized_potential(
     so the pin does not show in the result.  Both green and
     solver.solve_curve return it, after their own checks.
     """
-    f = solve_poisson(graph, mu.sub(graph, omega0), vertex_key(graph.vertex_ids[0]))
+    f = solve_poisson(graph, mu - omega0, vertex_key(graph.vertex_ids[0]))
     return f.add_constant(-omega0.integrate(graph, f) / d_L)
 
 
@@ -526,12 +520,12 @@ def superpose(graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure) -> Gra
 
 def is_subharmonic(f: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure) -> bool:
     """True iff laplacian(f) + omega0 is a positive measure."""
-    return laplacian(f, graph).add(graph, omega0).is_positive()
+    return (laplacian(f, graph) + omega0).is_positive()
 
 
 def ma_curve(f: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure) -> GraphMeasure:
     """omega0 + laplacian(f); requires subharmonicity, total mass = mass(omega0)."""
-    out = laplacian(f, graph).add(graph, omega0)
+    out = laplacian(f, graph) + omega0
     if not out.is_positive():
         raise SubharmonicityError("function is not subharmonic for the reference measure")
     return out

@@ -44,7 +44,7 @@ O(k*(V + B + U)) in all for V vertices, B bounded and U unbounded edges.
 Both atomic measures, DiscreteMeasure here and curves.GraphMeasure, are
 an AtomicMeasure: one canonical form (masses summed by location, zero
 masses dropped, atoms in the class's order), one mass dict, and one
-merge by location for a sum.
+merge by location behind + and -.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -609,7 +609,9 @@ class AtomicMeasure:
     `_order` is that order, a sort key on the (location, mass) pairs; None
     sorts the pairs themselves, that is by location.  DiscreteMeasure
     (points, sorted) and curves.GraphMeasure (graph locations, by repr)
-    share everything but how a location is read and ordered.
+    share everything but how a location is read and ordered: the masses,
+    the scaling, and the sum and difference, m + n and m - n, which merge
+    two canonical measures by location.
     """
 
     atoms: tuple  # ((location, mass), ...) in canonical order
@@ -650,13 +652,16 @@ class AtomicMeasure:
             return type(self)(())
         return type(self)(tuple((k, c * m) for k, m in self.atoms))
 
-    def _merged(self, other):
-        """self + other.  Both are canonical already, so their masses are
-        merged by location, with no location read again."""
+    def __add__(self, other):
+        """Both measures are canonical already, so their masses are merged
+        by location, with no location read again."""
         acc = dict(self.atoms)
         for k, m in other.atoms:
             acc[k] = acc[k] + m if k in acc else m
         return self._canonical(acc)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
 
 class DiscreteMeasure(AtomicMeasure):
@@ -673,12 +678,6 @@ class DiscreteMeasure(AtomicMeasure):
 
     def mass_at(self, loc) -> Fraction:
         return self.masses.get(as_point(loc), Fraction(0))
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return self._merged(other)
-
-    def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return self + other.scale(-1)
 
     def integrate(self, fn) -> Fraction:
         """Pair against a pointwise-evaluable function (exact)."""
@@ -749,15 +748,15 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
 
     It runs on integers, with one Fraction per result.  F's slopes are
     S_i / D and its intercepts C_i / E, and delta's vertices are V / Q.  F
-    at a vertex is the integer max of E <S_i, V> - D Q C_i, over D E Q.  A
-    walk vertex X / q is tested against delta's integer half-planes,
-    <n, X> >= c q, and only one inside delta becomes a point.  On each
-    side P -> P' of delta's ring, F((P + s (P' - P)) / Q) has the 1-D
-    integer form of slopes <S_i, P' - P> / (D Q) and intercepts
-    (D Q C_i - E <S_i, P>) / (D Q E); with the lowest intercept kept per
-    slope, its `subdivision` gives the breakpoints s = X / q, kept when
-    0 < X < q.  The two sides of a segment find the same points, a point's
-    one side none.
+    at a vertex u of delta is F(u), the integer max of
+    `PLConvexFunction.__call__`.  A walk vertex X / q is tested against
+    delta's integer half-planes, <n, X> >= c q, and only one inside delta
+    becomes a point.  On each side P -> P' of delta's ring,
+    F((P + s (P' - P)) / Q) has the 1-D integer form of slopes
+    <S_i, P' - P> / (D Q) and intercepts (D Q C_i - E <S_i, P>) / (D Q E);
+    with the lowest intercept kept per slope, its `subdivision` gives the
+    breakpoints s = X / q, kept when 0 < X < q.  The two sides of a segment
+    find the same points, a point's one side none.
 
     Only the vertices of delta pay for a max over all k pieces.  Every
     other value is read off the kernel cell that found it (`_vertex_value`)
@@ -767,16 +766,13 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
     S, D, C, E = form = F.integer_form
-    R, Q = delta._integer_ring
-    DQ = D * Q
-    values = {
-        u: Fraction(max(E * _idot(s, V) - DQ * c for s, c in zip(S, C)), DQ * E)
-        for u, V in zip(delta._ring, R)
-    }
+    values = {u: F(u) for u in delta._ring}
     for X, q, ring in F.subdivision[0]:
         if delta._contains_scaled(X, q):
             values[_point(X, q)] = Fraction(_vertex_value(form, X, q, ring[0]), D * E * q)
     if delta.dim == 2:
+        R, Q = delta._integer_ring
+        DQ = D * Q
         for P, P1 in zip(R, R[1:] + R[:1]):
             d0, d1 = P1[0] - P[0], P1[1] - P[1]
             # equal restricted slopes: only the lowest intercept can matter

@@ -7,6 +7,8 @@ that adding a constant c to the argument adds c times the degree.
 
 Envelopes come in two flavours.  Toric: the largest admissible convex
 minorant, computed exactly through Legendre transforms over the polytope.
+Every toric obstacle is read the same way, as parts (slopes, samples):
+one slope-hull check, then one `convex_envelope` of all the samples.
 Curve: the largest subharmonic minorant, an obstacle problem on the
 finitely many points where it can bend (vertices, obstacle breakpoints,
 reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
@@ -38,6 +40,8 @@ from .geometry import (
     convex_envelope,
     is_admissible,
     support_function,
+    vscale,
+    vsub,
 )
 from .solver import ConvergenceError
 from .toric import AdmissibilityError, degree, ma_measure
@@ -148,41 +152,28 @@ class PiecewiseLinear1D:
 
     @staticmethod
     def from_convex(g: PLConvexFunction) -> "PiecewiseLinear1D":
+        """g on the points of `_samples(g)`, with its extreme slopes."""
         if g.dim != 1:
             raise ValueError("1-D only")
-        # each breakpoint X / q with its value read off its cell; with none,
-        # g is affine
-        form = g.integer_form
-        _, D, _, E = form
-        pts = tuple((Fraction(X[0], q), Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
-                    for X, q, ring in g.subdivision[0])
-        slopes = sorted(s[0] for s in g.slopes)
-        return PiecewiseLinear1D(pts or ((Fraction(0), g((0,))),), slopes[0], slopes[-1])
+        points = tuple((v, y) for (v,), y in _samples(g))
+        return PiecewiseLinear1D(points, min(g.slopes)[0], max(g.slopes)[0])
 
     def __call__(self, v) -> Fraction:
         v = as_point(v)[0] if isinstance(v, (tuple, list)) else as_fraction(v)
-        pts = self.points
-        if v <= pts[0][0]:
-            return pts[0][1] + self.left_slope * (v - pts[0][0])
-        if v >= pts[-1][0]:
-            return pts[-1][1] + self.right_slope * (v - pts[-1][0])
-        for (v1, y1), (v2, y2) in zip(pts, pts[1:]):
-            if v1 <= v <= v2:
-                return y1 + (y2 - y1) * (v - v1) / (v2 - v1)
-        raise AssertionError("unreachable")
+        (v0, y0), (v1, y1) = self.points[0], self.points[-1]
+        if v <= v0:
+            return y0 + self.left_slope * (v - v0)
+        if v >= v1:
+            return y1 + self.right_slope * (v - v1)
+        return curves._interp(self.points, v)
 
-    def combine(self, other: "PiecewiseLinear1D", a, b) -> "PiecewiseLinear1D":
-        a, b = as_fraction(a), as_fraction(b)
+    def __add__(self, other: "PiecewiseLinear1D") -> "PiecewiseLinear1D":
         xs = sorted({v for v, _ in self.points} | {v for v, _ in other.points})
-        pts = tuple((x, a * self(x) + b * other(x)) for x in xs)
         return PiecewiseLinear1D(
-            pts,
-            a * self.left_slope + b * other.left_slope,
-            a * self.right_slope + b * other.right_slope,
+            tuple((x, self(x) + other(x)) for x in xs),
+            self.left_slope + other.left_slope,
+            self.right_slope + other.right_slope,
         )
-
-    def __add__(self, other):
-        return self.combine(other, 1, 1)
 
     def scale(self, c):
         c = as_fraction(c)
@@ -208,56 +199,73 @@ class MinOfConvex:
         return min(g(v) for g in self.parts)
 
 
+def _samples(g: PLConvexFunction):
+    """(point, value) pairs of g on which g - <u, .> attains its minimum
+    for every slope u in the hull of g's slopes.
+
+    They are the vertices X / q of g's walk, each value read off its cell
+    on g's integer form (S, D, C, E) (`_vertex_value`).  A walk with no
+    vertex has collinear slopes or one piece.  With collinear slopes each
+    walk edge (a, b) is a tie line <w, x> = D (C_a - C_b) / E,
+    w = S_a - S_b, on which g - <u, .> is constant, and its point
+    X / q = D (C_a - C_b) w / (E |w|^2) is read off piece a; one piece
+    gives the origin.
+    """
+    S, D, C, E = form = g.integer_form
+    cells, edges = g.subdivision
+    vertices = ([(X, q, ring[0]) for X, q, ring in cells]
+                or [(vscale(D * (C[a] - C[b]), w := vsub(S[a], S[b])), E * _idot(w, w), a)
+                    for a, b in edges]
+                or [((0,) * g.dim, 1, 0)])
+    return [(_point(X, q), Fraction(_vertex_value(form, X, q, a), D * E * q))
+            for X, q, a in vertices]
+
+
 def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     """Largest convex function with slopes in delta lying below psi.
 
-    psi - h_delta must be bounded below: the recession slopes of a free-form
-    obstacle must bracket delta, and the slopes of a convex obstacle, or of
-    every part of a min of convex functions, must have delta in their
-    convex hull.  Otherwise the conjugate of a part is infinite somewhere on
-    delta, and EnvelopeError ("obstacle decays below the admissible slope
-    range") is raised.  An admissible convex obstacle is its own envelope.
-    The conjugate of each part is sampled at its breakpoints X / q, each
-    built from the walk's integers with its value read off its cell on the
-    part's integer form (`_vertex_value`).
+    An admissible convex obstacle is its own envelope.  Any other obstacle
+    is read as parts (slopes, samples): a free-form obstacle is one part,
+    its recession slopes (none if the left one exceeds the right one) and
+    its breakpoints; a convex obstacle, or each part of a min of convex
+    functions, gives its slopes and `_samples`.  psi - h_delta must be
+    bounded below, that is delta must lie in the convex hull of every
+    part's slopes; otherwise the conjugate of a part is infinite somewhere
+    on delta, and EnvelopeError ("obstacle decays below the admissible
+    slope range") is raised.  The envelope is then the `convex_envelope`
+    of all the samples: each part's samples attain the minimum of the part
+    minus every affine function with slope in delta, so they give its
+    conjugate there exactly.
     """
+    if isinstance(psi, PLConvexFunction) and is_admissible(psi, delta):
+        return psi
     if isinstance(psi, PiecewiseLinear1D):
         if delta.dim != 1:
             raise EnvelopeError("free-form obstacles are one-dimensional")
-        a, b = delta.vertices[0][0], delta.vertices[-1][0]
-        if not (psi.left_slope <= a and b <= psi.right_slope):
-            raise EnvelopeError("obstacle decays below the admissible slope range")
-        return convex_envelope([((v,), y) for v, y in psi.points], delta)
-    if isinstance(psi, PLConvexFunction) and is_admissible(psi, delta):
-        return psi
-    if not isinstance(psi, (PLConvexFunction, MinOfConvex)):
+        left, right = psi.left_slope, psi.right_slope
+        parts = [([(left,), (right,)] if left <= right else [], [((v,), y) for v, y in psi.points])]
+    elif isinstance(psi, (PLConvexFunction, MinOfConvex)):
+        convex = psi.parts if isinstance(psi, MinOfConvex) else (psi,)
+        parts = [(g.slopes, _samples(g)) for g in convex]
+    else:
         raise TypeError(f"unsupported obstacle type {type(psi).__name__}")
-    parts = psi.parts if isinstance(psi, MinOfConvex) else (psi,)
-    # psi - h_delta is bounded below iff every part's slope hull contains delta
-    if all(g.dim == delta.dim for g in parts) and not all(
-        all(map(Polytope.from_points(g.slopes).contains, delta.vertices)) for g in parts
+    # parts of another dimension than delta are left to convex_envelope,
+    # which raises DimensionError
+    if all(len(s) == delta.dim for slopes, _ in parts for s in slopes) and not all(
+        slopes and all(map(Polytope.from_points(slopes).contains, delta.vertices))
+        for slopes, _ in parts
     ):
         raise EnvelopeError("obstacle decays below the admissible slope range")
-    # the conjugate of psi: the max of the pieces (v, g(v)), v a breakpoint of a part g
-    samples = []
-    for g in parts:
-        cells = g.subdivision[0]
-        if not cells:
-            raise EnvelopeError("function has no breakpoints; conjugate domain is degenerate")
-        form = g.integer_form
-        _, D, _, E = form
-        samples.extend((_point(X, q), Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
-                       for X, q, ring in cells)
-    return convex_envelope(samples, delta)
+    return convex_envelope([p for _, samples in parts for p in samples], delta)
 
 
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
     """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero.
 
     MA(P(psi)) is the analytic measure of `ma_measure`.  At each of its
-    atoms P(psi), and psi or each convex part of a min of them, are
-    evaluated on their integer forms (`PLConvexFunction.__call__`), one
-    Fraction each.
+    atoms P(psi), and a convex psi or each convex part of a min of them,
+    are evaluated on their integer forms (`PLConvexFunction.__call__`), one
+    Fraction each; a free-form psi is interpolated between its breakpoints.
     """
     p = envelope_toric(psi, delta)
     atoms = ma_measure(p, delta).measure_an
@@ -417,19 +425,15 @@ def _difference_quotients(energy_at, t_grid):
 
 
 def envelope_energy_derivative_toric(
-    phi: PLConvexFunction,
-    f: PiecewiseLinear1D,
-    delta: Polytope,
-    g0: PLConvexFunction | None = None,
-    t_grid=T_GRID,
+    phi: PLConvexFunction, f: PiecewiseLinear1D, delta: Polytope, t_grid=T_GRID
 ):
     """Exact pairing of f with MA(phi), plus central difference quotients of
-    t -> energy(P(phi + t f)) on the grid (1-D toric context)."""
-    if g0 is None:
-        g0 = support_function(delta)
-    ma = ma_measure(phi, delta).measure_NR.scale(factorial(delta.dim))
-    exact = ma.integrate(lambda x: f(x))
-    base = PiecewiseLinear1D.from_convex(phi)
+    t -> energy(P(phi + t f)) on the grid (1-D toric context).  The pairing
+    is read off the analytic measure of `ma_measure`, and the energy is
+    relative to the support function of delta: another reference adds a
+    constant, which no quotient sees."""
+    exact = sum((m * f(mp.v) for mp, m in ma_measure(phi, delta).measure_an), Fraction(0))
+    base, g0 = PiecewiseLinear1D.from_convex(phi), support_function(delta)
 
     def energy_at(t):
         pert = base + f.scale(t)
@@ -491,9 +495,8 @@ def orthogonality_defect(psi, context) -> Fraction:
     return orthogonality_defect_curve(psi, graph, omega0)
 
 
-def energy_of_envelope_derivative(phi, f, context, t_grid=None):
+def energy_of_envelope_derivative(phi, f, context, t_grid=T_GRID):
     """Exact derivative of t -> E(P(phi + t f)) at 0 plus difference quotients."""
-    t_grid = T_GRID if t_grid is None else t_grid
     if _is_toric(context):
         return envelope_energy_derivative_toric(phi, f, context, t_grid=t_grid)
     graph, omega0 = context

@@ -206,7 +206,7 @@ def test_criterion_6_poisson_green():
             g = random_graph(rng)
             mu = random_positive_measure(rng, g, Fraction(2))
             om = random_positive_measure(rng, g, Fraction(2))
-            rho = mu.sub(g, om)
+            rho = mu - om
             f = solve_poisson(g, rho, random_graph_point(rng, g))
             assert laplacian(f, g) == rho
         for _ in range(20):
@@ -277,7 +277,7 @@ def test_criterion_9_linearity_1d():
             f1 = superpose(g, random_positive_measure(rng, g, Fraction(2)), om)
             f2 = superpose(g, random_positive_measure(rng, g, Fraction(2)), om)
             lhs = ma_curve(f1 + f2, g, om.scale(2))
-            rhs = ma_curve(f1, g, om).add(g, ma_curve(f2, g, om))
+            rhs = ma_curve(f1, g, om) + ma_curve(f2, g, om)
             assert lhs == rhs
 
     run_criterion(9, "one-dimensional MA linearity, 30 pairs per context", 5, body)

@@ -105,21 +105,21 @@ def test_laplacian_mass_balance_and_linearity(rng):
         a, b = Fraction(3, 2), Fraction(-2, 5)
         combo = f1.scale(a) + f2.scale(b)
         lhs = laplacian(combo, g)
-        rhs = laplacian(f1, g).scale(a).add(g, laplacian(f2, g).scale(b))
+        rhs = laplacian(f1, g).scale(a) + laplacian(f2, g).scale(b)
         assert lhs == rhs
 
 
 def test_measure_add_equals_from_atoms(rng):
-    # add merges two canonically keyed measures without point_key; the
-    # oracle canonicalises every atom of both again, as add once did
+    # + merges two canonically keyed measures without point_key; the
+    # oracle canonicalises every atom of both again, as the sum once did
     cancelled = 0
     for _ in range(40):
         g = random_graph(rng)
         mu = random_positive_measure(rng, g, rnd_frac(rng), natoms=rng.randint(1, 5))
         nu = random_positive_measure(rng, g, rnd_frac(rng), natoms=rng.randint(1, 5))
-        nu = nu.add(g, mu.scale(-1)) if rng.random() < 0.3 else nu
+        nu = nu + mu.scale(-1) if rng.random() < 0.3 else nu
         for a, b in ((mu, nu), (nu, mu), (mu, mu.scale(-1))):
-            got = a.add(g, b)
+            got = a + b
             assert got == GraphMeasure.from_atoms(g, a.atoms + b.atoms)
             assert [k for k, _ in got.atoms] == sorted((k for k, _ in got.atoms), key=repr)
             cancelled += len(got.atoms) < len({k for k, _ in a.atoms + b.atoms})
@@ -275,7 +275,7 @@ def test_poisson_uniqueness_up_to_constants(rng):
     g = random_graph(rng)
     mu = random_positive_measure(rng, g, Fraction(3))
     om = random_positive_measure(rng, g, Fraction(3))
-    rho = mu.sub(g, om)
+    rho = mu - om
     p1 = random_graph_point(rng, g)
     p2 = random_graph_point(rng, g)
     f1 = solve_poisson(g, rho, p1)
@@ -321,7 +321,7 @@ def test_superpose_examples(rng):
     a, b = ("e", 0, Fraction(1, 4)), ("e", 0, Fraction(2, 3))
     mu2 = GraphMeasure.from_atoms(g, [(a, Fraction(1)), (b, Fraction(1))])
     f = superpose(g, mu2, om)
-    assert laplacian(f, g) == mu2.sub(g, om)
+    assert laplacian(f, g) == mu2 - om
     assert om.integrate(g, f) == 0
 
 
@@ -393,7 +393,7 @@ def test_perron_inequality(rng):
     om = random_positive_measure(rng, g, Fraction(2))
     x = g.point_key(random_graph_point(rng, g))
     phi_x = green(g, x, om)
-    target = GraphMeasure.from_atoms(g, [(x, Fraction(2))]).sub(g, om)
+    target = GraphMeasure.from_atoms(g, [(x, Fraction(2))]) - om
     for c in (Fraction(0), Fraction(-1, 3), Fraction(-2)):
         cand = phi_x + GraphPLFunction.constant(g, c)
         lap = laplacian(cand, g)
@@ -497,10 +497,10 @@ def pullback_iterates(m, d_L):
     omega1 = GraphMeasure.from_atoms(
         g, [(("e", 0, Fraction(j, m)), d_L / m) for j in range(m)]
     )
-    h = solve_poisson(g, omega1.sub(g, omega0), vertex_key(0))
+    h = solve_poisson(g, omega1 - omega0, vertex_key(0))
     u = GraphPLFunction.constant(g, 0)
     while True:
-        yield u, laplacian(u, g).add(g, omega0)
+        yield u, laplacian(u, g) + omega0
         u = (h + _compose_with_mult(u, m).scale(Fraction(1, m * m))).simplify()
 
 
@@ -515,7 +515,7 @@ def poisson_canonical_metric(m, k, d_L):
         + [(vertex_key(0), -d_L)],
     )
     u = solve_poisson(g, rho, vertex_key(0))
-    return u, laplacian(u, g).add(g, omega0)
+    return u, laplacian(u, g) + omega0
 
 
 def _length(rng):
@@ -780,5 +780,5 @@ def test_solve_curve_at_scale():
         g, [(vertex_key(0), Fraction(1, 4)), (vertex_key(99), Fraction(3, 4))]
     )
     f = solve_curve(g, mu, omega0)
-    assert laplacian(f, g) == mu.sub(g, omega0)
+    assert laplacian(f, g) == mu - omega0
     assert omega0.integrate(g, f) == 0

@@ -238,7 +238,7 @@ def test_graph_function_writer(rng):
     for _ in range(20):
         g = _relabelled_graph(rng)
         om = random_positive_measure(rng, g, Fraction(2))
-        f = solve_poisson(g, random_positive_measure(rng, g, Fraction(2)).sub(g, om),
+        f = solve_poisson(g, random_positive_measure(rng, g, Fraction(2)) - om,
                           vertex_key(g.vertex_ids[0]))
         f = f.scale(_rational(rng)).add_constant(_rational(rng))
         doc = _parsed(serialize.graph_function_to_json(f))
@@ -1247,9 +1247,31 @@ def test_cli_energy_empty_g0_path_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_selftest_has_no_format(fmt, capsys):
-    # selftest writes one text output, so --format is a usage error
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["selftest", "--format", fmt])
-    assert exc.value.code == 2
+    # selftest writes one text output, so --format is a usage error, which
+    # prints the JSON error object like every other error
+    assert cli.run(["selftest", "--format", fmt]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"unrecognized arguments: --format {fmt}" in err
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "usage", "message": f"unrecognized arguments: --format {fmt}"}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["toric-ma", "--delta", "d.json"], "the following arguments are required: --g"),
+    (["toric-ma", "--delta", "d.json", "--g", "g.json", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["envelope", "--g", "g.json"], "give either --delta or --graph with --omega0"),
+])
+def test_cli_usage_errors_print_the_error_object(argv, message, capsys):
+    # argparse's errors take the one usage path of the context check: exit
+    # 2, nothing on stdout, the JSON error object on stderr.  The list of
+    # choices after an invalid one is worded differently across Python
+    # versions, so only the start of that message is pinned
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps(json.loads(err), indent=2, sort_keys=True) + "\n"
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and error["message"].startswith(message)

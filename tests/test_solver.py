@@ -339,7 +339,7 @@ def green_pinned_at_x(graph, x, omega0):
     shifted to zero omega0-integral."""
     d_L = omega0.total_mass()
     x_key = graph.point_key(x)
-    rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]).sub(graph, omega0)
+    rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]) - omega0
     f = solve_poisson(graph, rho, x_key)
     return f.add_constant(-omega0.integrate(graph, f) / d_L)
 
@@ -371,7 +371,7 @@ def test_solve_curve_examples(rng):
         for got in (green(gr, x, om2), solve_curve(gr, mu2, om2)):
             assert got == want
             assert graph_function_to_json(got) == graph_function_to_json(want)
-        assert laplacian(want, gr) == mu2.sub(gr, om2)
+        assert laplacian(want, gr) == mu2 - om2
         assert om2.integrate(gr, want) == 0
         inside += x[0] == "e"
         cancels += om2 == mu2

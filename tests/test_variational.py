@@ -376,6 +376,84 @@ def test_envelope_min_of_below_obstacle_or_rejected():
     assert outcomes == {1: {"accepted", "rejected"}, 2: {"accepted", "rejected"}}
 
 
+def lift_to_segment(g):
+    """The 1-D function g(z) as the plane function x -> g(2 x1 + x2): each
+    slope s becomes s (2, 1), so the slopes are collinear."""
+    return unpruned([AffineFunctional((2 * p.slope[0], p.slope[0]), p.intercept)
+                     for p in g.pieces])
+
+
+def test_envelope_collinear_parts_on_a_segment():
+    # every part's slopes lie on the line through (2, 1), so its walk has
+    # parallel edges and no vertex; the envelope on the segment delta is a
+    # function of z = 2 x1 + x2, the 1-D envelope on [0, 1] of the same parts
+    # in z, whose walks do have vertices.  Such parts were once rejected
+    # with "function has no breakpoints"
+    delta = Polytope.from_points([(0, 0), (2, 1)])
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    fixed = [(pl(((0,), 0), ((1,), 0)),
+              pl(((0,), fifth), ((Fraction(1, 2),), 0), ((1,), third)))]
+    rng = random.Random("envelope/segment")
+    draws = [tuple(random_admissible(rng, interval()) for _ in range(rng.randint(1, 3)))
+             for _ in range(20)]
+    for parts in fixed + draws:
+        psi, psi_z = MinOfConvex(tuple(map(lift_to_segment, parts))), MinOfConvex(parts)
+        assert all(g.subdivision[0] == [] for g in psi.parts)
+        env, env_z = envelope_toric(psi, delta), envelope_toric(psi_z, interval())
+        for _ in range(20):
+            x = (rnd_frac(rng, lo=-3, hi=3), rnd_frac(rng, lo=-3, hi=3))
+            assert env(x) == env_z((2 * x[0] + x[1],)) <= psi(x)
+        assert orthogonality_defect_toric(psi, delta) == 0
+
+
+@pytest.mark.parametrize("slope", [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2),)])
+def test_envelope_affine_parts_on_a_point(slope):
+    # an affine part's walk has no vertex and no edge; on the point delta
+    # = {slope} the envelope of the min of two parallel affine functions is
+    # the lower one.  Such parts were once rejected too
+    delta = Polytope.from_points([slope])
+    low = pl((slope, 1))
+    psi = MinOfConvex((pl((slope, 0)), low))
+    assert envelope_toric(psi, delta) == low
+    assert orthogonality_defect_toric(psi, delta) == 0
+
+
+@pytest.mark.parametrize("left, right", [
+    (-1, Fraction(1, 2)),  # the right slope is below b = 1
+    (Fraction(1, 2), 2),  # the left slope is above a = 0
+    (2, -1),  # both ends decay, though [-1, 2] holds delta
+])
+def test_envelope_free_form_slopes_must_bracket_delta(left, right):
+    psi = PiecewiseLinear1D.build([(0, 0), (Fraction(1, 2), 1)], left, right)
+    with pytest.raises(EnvelopeError, match="^obstacle decays below the admissible slope range$"):
+        envelope_toric(psi, interval())
+    # with slopes that bracket delta the same points have an envelope
+    env = envelope_toric(PiecewiseLinear1D.build(psi.points, -1, 2), interval())
+    assert env((0,)) == 0 and env((Fraction(1, 2),)) == Fraction(1, 2)
+
+
+def random_free_form(rng):
+    xs = rng.sample(range(-12, 13), rng.randint(1, 4))
+    return PiecewiseLinear1D.build([(Fraction(x, 4), rnd_frac(rng)) for x in xs],
+                                   rnd_frac(rng), rnd_frac(rng))
+
+
+def test_free_form_sum_and_scale_are_pointwise():
+    # inside, between and beyond the breakpoints of both terms
+    rng = random.Random("free-form/sum")
+    for _ in range(20):
+        f, h, c = random_free_form(rng), random_free_form(rng), rnd_frac(rng)
+        total, scaled = f + h, f.scale(c)
+        for x in (Fraction(j, 8) for j in range(-40, 41)):
+            assert total(x) == f(x) + h(x) and scaled(x) == c * f(x)
+
+
+def test_envelope_free_form_is_one_dimensional():
+    psi = PiecewiseLinear1D.build([(0, 0)], -1, 2)
+    with pytest.raises(EnvelopeError, match="^free-form obstacles are one-dimensional$"):
+        envelope_toric(psi, unit_square())
+
+
 def test_envelope_circle_dented_tent():
     # psi: dented below the zero function near t=1/4; envelope is affine
     # across the dent and equals psi elsewhere
@@ -698,7 +776,7 @@ def subharmonic_obstacles():
         tree, [(vertex_key(0), Fraction(1, 2)), (("e", 3, Fraction(3, 2)), Fraction(3, 2))])
     mu = GraphMeasure.from_atoms(
         tree, [(vertex_key(2), 1), (("e", 0, Fraction(1, 2)), 1)])
-    psi = solve_poisson(tree, mu.sub(tree, om), vertex_key(0))
+    psi = solve_poisson(tree, mu - om, vertex_key(0))
     yield tree, om, with_redundant_point(psi, 3)
 
 
