@@ -125,8 +125,11 @@ def cmd_toric_solve(args):
     nu = mu.scale(Fraction(1, factorial(delta.dim)))
     opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
     report = solve_toric(delta, nu, opts)
+    rows = itertools.chain(
+        _point_rows(((f.slope, f.intercept) for f in report.solution.pieces), "solution"),
+        _point_rows(report.residual, "residual"))
     _output(args, lambda: serialize.solve_report_to_json(report),
-            ["x1", "x2", "error"], _point_rows(report.residual))
+            ["part", "x1", "x2", "value"], rows)
     return 0 if report.converged else 3
 
 

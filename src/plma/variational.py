@@ -14,8 +14,9 @@ finitely many points where it can bend (vertices, obstacle breakpoints,
 reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
 Zidani, SIAM J. Numer. Anal. 2009) solves it: a float pass only guesses
 the contact set, and an exact pass started from that guess, usually one
-rational Poisson solve, stops at exact complementarity.  The result is
-verified against the obstacle and the subharmonicity constraint.
+rational Poisson solve, stops at exact complementarity.  That node
+check certifies the envelope (below the obstacle, subharmonic), and
+MA(P(psi)) and the orthogonality defect are read off the same nodes.
 """
 
 from __future__ import annotations
@@ -296,39 +297,45 @@ def envelope_subharmonic(
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
     over the rationals from that set, until x is exactly complementary
-    (x <= psi and s >= 0 at every node; s = 0 off C holds by
-    construction), which a good guess passes after one solve.  If the
+    (x <= psi and s >= 0 at every node; s = 0 off C and x = psi on C hold
+    by construction), which a good guess passes after one solve.  If the
     guide fails (an overflow, a singular or non-finite solve, no repeat
     or an empty contact set), the exact pass starts from every node
     instead.  Howard's iteration converges from any nonempty contact set,
     in at most len(nodes) + 1 exact solves (Bokanowski, Maroso and
     Zidani), and the solution is unique, so the guide changes the cost
-    and never the result.  A subharmonic psi needs no test of its own: the
-    exact pass then ends with x = psi at every node, and psi is returned
-    as given, not simplified.  The result is verified against the
-    obstacle and subharmonicity; a failure raises ConvergenceError.
+    and never the result; if those solves end with no complementary
+    iterate, ConvergenceError is raised.
+
+    The node check is the whole proof.  Every breakpoint of psi is a node
+    (_candidate_keys), so psi is linear between nodes, and so is the
+    function built from x; psi - P(psi) is then linear between nodes and
+    >= 0 at each, hence >= 0 everywhere.  Its laplacian has no mass
+    between nodes, and omega0 none either (its atoms are nodes), while at
+    node k, with weights 1 / length on the same segments, laplacian +
+    omega0 is exactly s(k) >= 0: the envelope is omega0-subharmonic, with
+    MA(P(psi)) the measure of the s(k).  A subharmonic psi needs no test
+    of its own: the exact pass then ends with x = psi at every node, and
+    psi is returned as given, not simplified.
     """
-    return _envelope_and_measure(psi, graph, omega0)[0]
+    _, edge_offsets, x, _, obstacle = _envelope_nodes(psi, graph, omega0)
+    if x == obstacle:
+        return psi
+    return curves._function_from_node_values(graph, x, edge_offsets)
 
 
-def _envelope_and_measure(psi, graph, omega0):
-    """envelope_subharmonic's envelope p, with the measure omega0 +
-    laplacian(p) and the gap psi - p that its exact check found positive,
-    so that a caller needing MA(p) or the gap does not compute them again."""
+def _envelope_nodes(psi, graph, omega0):
+    """(index, edge_offsets, x, s, obstacle) of envelope_subharmonic's
+    node problem: the numbering of curves._refine and the exact lists of
+    the envelope's values, its masses laplacian + omega0 and psi's values,
+    at the first complementary iterate of the exact pass."""
     index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
     obstacle = curves._node_values(psi, graph, edge_offsets)
     mass = {index[k]: m for k, m in omega0.atoms}
     contact = _float_contact(obstacle, mass, edges) or set(range(len(index)))
     for x, s, _ in _howard(obstacle, mass, edges, contact):
         if all(xk <= yk for xk, yk in zip(x, obstacle)) and all(sk >= 0 for sk in s):
-            if x == obstacle:
-                env = psi
-            else:
-                env = curves._function_from_node_values(graph, x, edge_offsets)
-            checked = _verify_envelope(env, psi, graph, omega0)
-            if checked is not None:
-                return (env, *checked)
-            break
+            return index, edge_offsets, x, s, obstacle
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
@@ -392,23 +399,18 @@ def _candidate_keys(psi, omega0):
     return keys
 
 
-def _verify_envelope(env, psi, graph, omega0):
-    """(MA(env), psi - env) if env lies below psi and is subharmonic, else
-    None."""
-    gap = psi - env
-    if any(y < 0 for pairs in gap.edge_values for _, y in pairs):
-        return None
-    try:
-        return curves.ma_curve(env, graph, omega0), gap
-    except curves.SubharmonicityError:
-        return None
-
-
 def orthogonality_defect_curve(
     psi: GraphPLFunction, graph: MetricGraph, omega0: GraphMeasure
 ) -> Fraction:
-    _, ma, gap = _envelope_and_measure(psi, graph, omega0)
-    return ma.integrate(graph, gap)
+    """The integral of psi - P(psi) against MA(P(psi)), exact.
+
+    Both are read off the nodes of envelope_subharmonic: MA(P(psi)) is
+    the atom s(k) at node k and nothing between nodes, and psi - P(psi) is
+    psi(k) - x(k) there (see envelope_subharmonic for why), so the
+    integral is the sum of s(k) (psi(k) - x(k)).  Each term vanishes when
+    the pass is complementary; the sum is computed, not assumed."""
+    _, _, x, s, obstacle = _envelope_nodes(psi, graph, omega0)
+    return sum((sk * (yk - xk) for xk, sk, yk in zip(x, s, obstacle)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

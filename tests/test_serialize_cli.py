@@ -405,17 +405,22 @@ def test_cli_toric_solve_three_atoms_exit_codes(tmp_path, options, code, capsys)
 
 def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
     # irrational optimal weights: the snap fails, and the CSV must show the
-    # exact residual of the returned solution, as the JSON "residual" does
+    # solution, one row per piece, and then the exact residual of that
+    # solution, as the JSON "solution" and "residual" do
     d = write(tmp_path, "delta.json", json.loads(serialize.polytope_to_json(simplex2())))
     corners = (["0", "0"], ["1", "0"], ["0", "1"])  # Berkovich mass 2! * 1/6 each
     mu = write(tmp_path, "mu.json", {"atoms": [{"point": p, "mass": "1/3"} for p in corners]})
     assert cli.run(["toric-solve", "--delta", d, "--mu", mu]) == 0
-    residual = json.loads(capsys.readouterr().out)["residual"]
+    document = json.loads(capsys.readouterr().out)
     assert cli.run(["toric-solve", "--delta", d, "--mu", mu, "--format", "csv"]) == 0
     header, *rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")]
-    assert header == ["x1", "x2", "error"]
-    assert rows == [[*entry["point"], entry["error"]] for entry in residual]
-    assert len(rows) == 3 and any(row[2] != "0" for row in rows)
+    assert header == ["part", "x1", "x2", "value"]
+    pieces = document["solution"]["pieces"]
+    assert rows[:len(pieces)] == [["solution", *p["slope"], p["intercept"]] for p in pieces]
+    residual = rows[len(pieces):]
+    assert residual == [["residual", *entry["point"], entry["error"]]
+                        for entry in document["residual"]]
+    assert pieces and len(residual) == 3 and any(row[3] != "0" for row in residual)
 
 
 def test_cli_malformed_json(tmp_path, capsys):
@@ -835,9 +840,9 @@ def test_cli_envelope_interval_csv_rows_are_pieces(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["envelope", "orthogonality"])
-def test_cli_graph_envelope_one_laplacian_per_check(tmp_path, command, capsys, monkeypatch):
-    # one Laplacian, the envelope's, whose measure orthogonality then
-    # integrates: the obstacle is not tested for subharmonicity up front
+def test_cli_graph_envelope_takes_no_laplacian(tmp_path, command, capsys, monkeypatch):
+    # MA(P(psi)) is the exact pass's node masses: no Laplacian is taken,
+    # of the obstacle up front or of the envelope afterwards
     calls = []
     laplacian = curves.laplacian
 
@@ -848,11 +853,11 @@ def test_cli_graph_envelope_one_laplacian_per_check(tmp_path, command, capsys, m
     monkeypatch.setattr(curves, "laplacian", counted)
     assert _run_documents(tmp_path, command, CURVE_GOLDEN["v8"]) == 0
     assert capsys.readouterr().err == ""
-    assert len(calls) == 1
+    assert calls == []
 
 
-def test_cli_graph_orthogonality_one_gap(tmp_path, capsys, monkeypatch):
-    # psi - P(psi) is built once, by the envelope's check, and integrated
+def test_cli_graph_orthogonality_builds_no_gap(tmp_path, capsys, monkeypatch):
+    # psi - P(psi) is read off the nodes, never built as a function
     calls = []
     combine = curves.GraphPLFunction.combine
 
@@ -862,10 +867,9 @@ def test_cli_graph_orthogonality_one_gap(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(curves.GraphPLFunction, "combine", counted)
     for case in ("v8", "v14", "subharmonic"):
-        calls.clear()
         assert _run_documents(tmp_path, "orthogonality", CURVE_GOLDEN[case]) == 0
         assert capsys.readouterr().err == ""
-        assert calls == [(1, -1)]
+    assert calls == []
 
 
 def _dented_graph(vertices, edges, omega0, mu, dents):
@@ -1093,8 +1097,8 @@ def test_cli_start_does_not_import_numpy():
 
 
 def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
-    # An envelope that fails its exact verification is a solver failure:
-    # exit 3, not a validation error.
+    # An exact pass with no complementary iterate in its len(nodes) + 1
+    # solves is a solver failure: exit 3, not a validation error.
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     psi = GraphPLFunction.build(
@@ -1106,7 +1110,14 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
     assert cli.run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(variational, "_verify_envelope", lambda *args: None)
+    howard = variational._howard
+
+    def above_the_obstacle(obstacle, mass, edges, contact):
+        # each iterate lifted by 1, above psi on its nonempty contact set
+        for x, s, contact in howard(obstacle, mass, edges, contact):
+            yield [xk + 1 for xk in x], s, contact
+
+    monkeypatch.setattr(variational, "_howard", above_the_obstacle)
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1182,8 +1193,10 @@ CSV_OF_JSON = {
         [side, *_padded(atom["point"]), atom["mass"]]
         for side, key in (("real", "ma_real"), ("berkovich", "ma_berkovich"))
         for atom in doc[key]["atoms"]],
-    "toric-solve": lambda doc: [["x1", "x2", "error"]] + [
-        [*_padded(entry["point"]), entry["error"]] for entry in doc["residual"]],
+    "toric-solve": lambda doc: [["part", "x1", "x2", "value"]] + [
+        ["solution", *_padded(piece["slope"]), piece["intercept"]]
+        for piece in doc["solution"]["pieces"]] + [
+        ["residual", *_padded(entry["point"]), entry["error"]] for entry in doc["residual"]],
     "toric-energy": lambda doc: [["energy"], [doc["energy"]]],
     "envelope": lambda doc: [["s1", "s2", "intercept"]] + [
         [*_padded(piece["slope"]), piece["intercept"]] for piece in doc["pieces"]]

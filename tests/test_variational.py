@@ -651,6 +651,22 @@ def dented_graph(rng, nv, dents):
     return g, GraphMeasure.from_atoms(g, om), psi
 
 
+def assert_old_check(psi, g, om):
+    """The node certificate checked through the functions themselves, as
+    its oracle: psi - P(psi), merged breakpoint by breakpoint, is nowhere
+    negative, MA(P(psi)) taken with laplacian is the measure of the
+    nonzero node masses s(k), and the defect is MA(P(psi)) integrated
+    against psi - P(psi)."""
+    env = envelope_subharmonic(psi, g, om)
+    gap = psi - env
+    assert all(y >= 0 for pairs in gap.edge_values for _, y in pairs)
+    ma = ma_curve(env, g, om)
+    index, _, _, s, _ = variational._envelope_nodes(psi, g, om)
+    key = {i: k for k, i in index.items()}
+    assert ma == GraphMeasure.from_atoms(g, [(key[i], sk) for i, sk in enumerate(s) if sk])
+    assert orthogonality_defect_curve(psi, g, om) == ma.integrate(g, gap)
+
+
 def test_envelope_against_howard_oracle(monkeypatch):
     # 200 obstacles, v = 4..60 cycled: the float guide and the exact pass
     # give what exact Howard from every node gives, in one exact solve each
@@ -670,7 +686,16 @@ def test_envelope_against_howard_oracle(monkeypatch):
             m.setattr(curves, "solve_laplacian", counted)
             env = envelope_subharmonic(psi, g, om)
         assert env == howard_oracle(psi, g, om)
+        assert_old_check(psi, g, om)
     assert exact_solves == [1] * 200
+
+
+def test_node_certificate_on_bench_obstacles():
+    # the rungs of the benchmark's curve-envelope workload, five draws each
+    rng = random.Random(2028)
+    for nv, dents in ((8, 3), (15, 5), (20, 6), (30, 8)) * 5:
+        g, om, psi = dented_graph(rng, nv, dents)
+        assert_old_check(psi, g, om)
 
 
 def test_exact_howard_from_any_start():
@@ -782,15 +807,28 @@ def subharmonic_obstacles():
 
 def test_subharmonic_obstacle_returned_as_given():
     # the exact pass ends with x = psi at every node, and psi comes back
-    # unchanged, its redundant breakpoint included, with MA(psi) as measure
+    # unchanged, its redundant breakpoint included
     for g, om, psi in subharmonic_obstacles():
         assert is_subharmonic(psi, g, om) and psi.simplify() != psi
-        env, ma, gap = variational._envelope_and_measure(psi, g, om)
-        assert env.edge_values == psi.edge_values
-        assert ma == ma_curve(psi, g, om)
-        assert gap == psi - psi
+        _, _, x, _, obstacle = variational._envelope_nodes(psi, g, om)
+        assert x == obstacle
         assert envelope_subharmonic(psi, g, om).edge_values == psi.edge_values
         assert orthogonality_defect_curve(psi, g, om) == 0
+        assert_old_check(psi, g, om)
+
+
+def test_curve_defect_is_summed_not_assumed(monkeypatch):
+    # an iterate lowered by 1 is still below psi, with the same masses s,
+    # but not complementary: the defect is the sum of s, mass(omega0)
+    howard = variational._howard
+
+    def lowered(obstacle, mass, edges, contact):
+        for x, s, contact in howard(obstacle, mass, edges, contact):
+            yield [xk - 1 for xk in x], s, contact
+
+    monkeypatch.setattr(variational, "_howard", lowered)
+    for g, om, psi in subharmonic_obstacles():
+        assert orthogonality_defect_curve(psi, g, om) == om.total_mass() > 0
 
 
 def spiked_edge(exp_length, exp_value):
@@ -833,6 +871,7 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     # the guide failed, or its floats could not tell the nodes apart:
     # the exact pass starts from every node
     assert starts == [True]
+    assert_old_check(psi, g, om)
     documents = {"graph": serialize.graph_to_json(g), "omega0": serialize.graph_measure_to_json(om),
                  "g": serialize.graph_function_to_json(psi)}
     argv = ["envelope"]
