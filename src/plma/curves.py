@@ -8,20 +8,26 @@ signed measure assigning to each point the sum of its outgoing slopes;
 with this convention a local maximum carries negative mass and the total
 mass is always zero.  A GraphMeasure has the one canonical form of
 geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
-Poisson problems are solved exactly over the rationals by sparse
-elimination, in minimum-degree order, on the Laplacian of the vertices
-and the atoms.  _refine numbers those nodes once (the vertices in graph
+Poisson problems are solved exactly on the Laplacian of the vertices and
+the atoms.  _refine numbers those nodes once (the vertices in graph
 order, then each edge's sorted interior offsets), and only this module
-reads that order.  The same elimination, solve_laplacian, is the one
-linear solve of the package: it runs on the node numbers 0..n-1 of any
-weighted graph, and the toric Newton step runs it in floats on the
-power-cell adjacency graph.  One routine, normalized_potential, solves
-laplacian(f) = mu - omega0 and shifts f to zero integral against the
-reference measure omega0: green is its case mu = d_L delta_x, and
-solver.solve_curve its general case.  The canonical metric of
-multiplication by m on the circle at step k needs no solve: its
-potential is the discrete parabola through the m^k-division points, in
-closed form.
+reads that order.  solve_laplacian is the one linear solve of the
+package, on the node numbers 0..n-1 of any weighted graph, and one
+sparse elimination in minimum-degree order (_eliminate) serves both of
+its arithmetics.  In floats it solves as it stands: the toric Newton step
+runs it on the power-cell adjacency graph, and the envelope's float guide
+through solve_floats.  On rationals the rows are scaled to integers,
+eliminated once modulo a 61-bit prime and the solution is lifted
+p-adically (Dixon) by solve_integer, which returns the integer numerators
+over one common denominator, checked exactly; the envelope's exact
+Howard pass calls it on its own integer rows.  One routine,
+normalized_potential, solves laplacian(f) = mu - omega0 and shifts f to
+zero integral against the reference measure omega0, which must be
+positive with positive mass (reference_mass): green is its case
+mu = d_L delta_x, and solver.solve_curve its general case.  The
+canonical metric of multiplication by m on the circle at step k needs no
+solve: its potential is the discrete parabola through the m^k-division
+points, in closed form.
 
 A graph has at least one edge; loops and parallel edges are allowed,
 and all edge lengths are finite.
@@ -33,6 +39,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt, lcm
+from operator import mul
 
 from .geometry import AtomicMeasure, as_fraction
 
@@ -359,23 +367,60 @@ def _refine(graph: MetricGraph, keys):
     return index, edges, edge_offsets
 
 
+# the primes of the exact solve: a zero pivot modulo one moves to the next
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
 def solve_laplacian(rho, n, edges, fixed):
     """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes of 0..n-1.
 
     rho: dict node -> source (0 where absent); edges: undirected (i, j, w),
     each adding the weight w to the rows of both i and j; fixed: dict
     node -> value of the pinned nodes.  Returns the list of the n values,
-    the pinned ones included.  The arithmetic follows the input types:
-    Fractions in, Fractions out, and floats in, floats out.  A zero pivot
-    raises GraphError.
+    the pinned ones included.  The arithmetic follows the input types: a
+    float source, pin or weight gives floats, and rationals (Fractions or
+    ints) give Fractions.
 
     The system is the Laplacian restricted to the free nodes, one sparse
-    row (a dict) per node.  Rows are eliminated in minimum-degree order,
-    ties broken by the node number (Rose, Tarjan and Lueker), so a chain
-    or a cycle costs O(n); then back substitution.
+    row (a dict) per node (_assemble).  Floats are eliminated as they
+    stand (solve_floats), and a zero pivot raises GraphError.  Rationals
+    go through solve_integer, Dixon's p-adic lifting: each row and its
+    source are scaled to integers by the lcm of their denominators, and
+    the values come back over one common denominator, one Fraction each.
+    That path raises GraphError only when the system is singular modulo
+    every prime of PRIMES, as a singular system is; a connected graph with
+    a pinned node never is.
     """
-    rows = [{} for _ in range(n)]
     b = [rho.get(i, 0) for i in range(n)]
+    rows = _assemble(n, edges, fixed, b)
+    free = [i for i in range(n) if i not in fixed]
+    if float in set(map(type, b)) or any(isinstance(w, float) for _, _, w in edges):
+        solve_floats(rows, b, free)
+        return [fixed[i] if i in fixed else b[i] for i in range(n)]
+    for i in free:
+        row = rows[i]
+        scale = lcm(b[i].denominator, *(v.denominator for v in row.values()))
+        rows[i] = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+        b[i] = b[i].numerator * (scale // b[i].denominator)
+    X, d = solve_integer(rows, b, free)
+    return [fixed[i] if i in fixed else Fraction(X[i], d) for i in range(n)]
+
+
+def solve_floats(rows, b, free):
+    """Solve the float system of the rows of the nodes `free` (as
+    _assemble builds them) in place on the list b; a zero pivot raises
+    GraphError."""
+    try:
+        _back(_eliminate(rows, free, b, None), b, None)
+    except ZeroDivisionError:
+        raise GraphError("singular linear system") from None
+
+
+def _assemble(n, edges, fixed, b):
+    """The rows of the free nodes, each a dict column -> coefficient (the
+    rows of pinned nodes stay empty); the pinned values move into the
+    sources b, in place."""
+    rows = [{} for _ in range(n)]
     for a, c, w in edges:
         for i, j in ((a, c), (c, a)):
             if i in fixed:
@@ -386,10 +431,27 @@ def solve_laplacian(rho, n, edges, fixed):
                 b[i] -= w * fixed[j]
             else:
                 row[j] = row.get(j, 0) + w
-    heap = [(len(rows[i]), i) for i in range(n) if i not in fixed]
+    return rows
+
+
+def _eliminate(rows, free, b, p):
+    """Eliminate the rows of the nodes `free` and their sources b, in
+    place, in floats (p None) or over the integers mod the prime p.
+
+    Rows are eliminated in minimum-degree order, ties broken by the node
+    number (Rose, Tarjan and Lueker), so a chain or a cycle costs O(n).
+    The order and the fill depend on the sparsity pattern only, so both
+    arithmetics eliminate in the same order.  Returns one (i, pivot, row,
+    multipliers) per eliminated node, in order: row i divided by its
+    pivot, less its diagonal, and modulo p the inverted pivot and the
+    multiple of row i taken off each later row of its columns, which
+    _substitute replays on another b.  b is left ready for _back.  A zero
+    pivot raises ZeroDivisionError.
+    """
+    heap = [(len(rows[i]), i) for i in free]
     heapq.heapify(heap)
-    done = [False] * n
-    eliminated = []
+    done = [False] * len(rows)
+    factors = []
     while heap:
         size, i = heapq.heappop(heap)
         if done[i] or size != len(rows[i]):
@@ -397,23 +459,147 @@ def solve_laplacian(rho, n, edges, fixed):
         done[i] = True
         row = rows[i]
         piv = row.pop(i, 0)
+        if p is not None:
+            piv %= p
         if piv == 0:
-            raise GraphError("singular linear system")
-        for k in row:
-            row[k] /= piv
-        b[i] /= piv
+            raise ZeroDivisionError("zero pivot")
+        if p is None:
+            for k in row:
+                row[k] /= piv
+            bi = b[i] = b[i] / piv
+            multipliers = None
+        else:
+            piv = pow(piv, -1, p)
+            for k, v in row.items():
+                row[k] = v * piv % p
+            bi = b[i] = b[i] * piv % p
+            multipliers = []
         for j in row:
             rj = rows[j]
             c = rj.pop(i)
+            if p is not None:
+                c %= p
+                multipliers.append(c)
             for k, v in row.items():
                 rj[k] = rj.get(k, 0) - c * v
-            b[j] -= c * b[i]
+            b[j] -= c * bi
             heapq.heappush(heap, (len(rj), j))
-        eliminated.append(i)
-    x = [fixed.get(i) for i in range(n)]
-    for i in reversed(eliminated):
-        x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
-    return x
+        factors.append((i, piv, row, multipliers))
+    return factors
+
+
+def _substitute(factors, b, p):
+    """Solve modulo p with the factors of _eliminate, in place on the list
+    b: its forward elimination replayed, then _back.  The sums of each
+    node are reduced once, where it is divided by its pivot."""
+    for i, inv, row, multipliers in factors:
+        bi = b[i] = b[i] * inv % p
+        for j, c in zip(row, multipliers):
+            b[j] -= c * bi
+    _back(factors, b, p)
+
+
+def _back(factors, b, p):
+    """Back substitution of the eliminated b, in place: b becomes the
+    solution at the eliminated nodes, modulo p as residues in (-p/2, p/2]."""
+    if p is None:
+        for i, _, row, _ in reversed(factors):
+            b[i] = b[i] - _dot(row, b)
+        return
+    half = p // 2
+    for i, _, row, _ in reversed(factors):
+        y = (b[i] - _dot(row, b)) % p
+        b[i] = y - p if y > half else y
+
+
+def _dot(row, x):
+    """The sparse row (a dict column -> coefficient) times the list x."""
+    return sum(map(mul, row.values(), map(x.__getitem__, row)))
+
+
+def solve_integer(rows, b, free):
+    """Solve the integer system A x = b at the nodes `free`, exactly, by
+    p-adic lifting (Dixon, Numer. Math. 1982).  rows[i] is the sparse
+    integer row of node i (a dict column -> coefficient, its columns among
+    `free`) and b[i] its integer source.  Returns (X, d) with d > 0 and
+    A X = d b; X[i] is set at the nodes of `free` only.
+
+    A is factored once mod a prime of PRIMES (_eliminate), in the same
+    order as in floats.  Each lift solves A y = r mod p, in residues of
+    size below p/2, and sets r <- (r - A y) / p, exactly, so that
+    b - A X = p^k r for X = sum of y p^j after k lifts; r = 0 ends the
+    solve with the integral solution X.  Otherwise, after each of the
+    first eight lifts and then each time the lifts have grown by about an
+    eighth, the rational solution is rebuilt from X mod p^k
+    (_reconstruct) and returned as soon as it satisfies A X = d b
+    exactly.  That check is the guarantee, so the lifts need no
+    a-priori bound; they end, because x is rational and A is invertible
+    mod p.  A zero pivot mod p moves to the next prime; GraphError is
+    raised when every prime meets one.
+    """
+    for p in PRIMES:
+        y = list(b)
+        try:
+            factors = _eliminate([dict(row) for row in rows], free, y, p)
+        except ZeroDivisionError:
+            continue
+        break
+    else:
+        raise GraphError("singular linear system")
+    _back(factors, y, p)
+    r = list(b)
+    X = [0] * len(b)
+    pk, lifts, attempt = 1, 0, 1
+    while True:
+        for i in free:
+            X[i] += y[i] * pk
+        pk *= p
+        lifts += 1
+        for i in free:
+            r[i] = (r[i] - _dot(rows[i], y)) // p
+        if not any(r[i] for i in free):
+            return X, 1
+        if lifts == attempt:
+            attempt += 1 + lifts // 8
+            found = _reconstruct(X, free, pk)
+            if found and all(_dot(rows[i], found[0]) == found[1] * b[i] for i in free):
+                return found
+        y = list(r)
+        _substitute(factors, y, p)
+
+
+def _reconstruct(X, free, modulus):
+    """Rationals N[i] / d congruent to X[i] mod `modulus` at the nodes
+    `free`, over one common denominator d at most sqrt(modulus / 2).  Each
+    X[i] is first multiplied by the denominator found so far: a product
+    within sqrt(modulus / 2) of 0 is its numerator, and a larger one is
+    reconstructed (Wang's half extended Euclid, numerator and denominator
+    both within that bound), its denominator joining d.  Returns (N, d),
+    or None when no such rationals exist."""
+    half = modulus // 2
+    bound = isqrt(half)
+    d = 1
+    out = []
+    for i in free:
+        t = X[i] * d % modulus
+        if t > half:
+            t -= modulus
+        if abs(t) > bound:
+            r0, r1, s0, s1 = modulus, t % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            d *= s1
+            if s1 > bound or d > bound:
+                return None
+            t = r1
+        out.append((i, t, d))
+    N = [0] * len(X)
+    for i, t, di in out:
+        N[i] = t * (d // di)
+    return N, d
 
 
 def _node_values(f, graph, edge_offsets):
@@ -485,9 +671,7 @@ def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:
     """Potential with laplacian = d_L delta_x - omega0, normalized so that
     its integral against omega0 vanishes.  d_L is the mass of omega0.  It
     is `normalized_potential` for mu = d_L delta_x."""
-    d_L = omega0.total_mass()
-    if d_L <= 0 or not omega0.is_positive():
-        raise MassBalanceError("reference measure must be positive")
+    d_L = reference_mass(omega0)
     return normalized_potential(graph, GraphMeasure.from_atoms(graph, [(x, d_L)]), omega0, d_L)
 
 
@@ -495,17 +679,24 @@ def green_value(graph: MetricGraph, x, y, omega0: GraphMeasure) -> Fraction:
     return green(graph, x, omega0).eval(graph, y)
 
 
-def _check_balance(mu: GraphMeasure, omega0: GraphMeasure) -> Fraction:
-    """Check that mu is positive with the mass d_L of the positive reference
-    omega0, as laplacian(f) = mu - omega0 requires; return d_L."""
+def reference_mass(omega0: GraphMeasure) -> Fraction:
+    """The mass d_L of the reference measure omega0, which must be a
+    positive measure of positive mass: MassBalanceError otherwise.  green,
+    solve_curve and the envelope all check it here."""
     d_L = omega0.total_mass()
-    if mu.total_mass() != d_L:
-        raise MassBalanceError("mu must have the same mass as the reference measure")
-    if not mu.is_positive():
-        raise MassBalanceError("mu must be positive")
     if d_L <= 0 or not omega0.is_positive():
         raise MassBalanceError("reference measure must be positive")
     return d_L
+
+
+def _check_balance(mu: GraphMeasure, omega0: GraphMeasure) -> Fraction:
+    """Check that mu is positive with the mass d_L of the positive reference
+    omega0, as laplacian(f) = mu - omega0 requires; return d_L."""
+    if mu.total_mass() != omega0.total_mass():
+        raise MassBalanceError("mu must have the same mass as the reference measure")
+    if not mu.is_positive():
+        raise MassBalanceError("mu must be positive")
+    return reference_mass(omega0)
 
 
 def superpose(graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure) -> GraphPLFunction:
@@ -570,7 +761,11 @@ def canonical_metric(m: int, iterations: int, d_L=1):
     mass = d_L / n
     if mass == 0:
         return potential.simplify(), GraphMeasure(())
-    keys = sorted([("e", 0, o) for o in offsets[1:n]] + [("v", 0)], key=repr)
+    # the repr order of the keys: "('e', 0, Fraction(a, b))" sorts as
+    # (str(a), str(b)), since "," and ")" sort below every digit, and the
+    # vertex key "('v', 0)" comes last
+    points = sorted(offsets[1:n], key=lambda o: (str(o.numerator), str(o.denominator)))
+    keys = [("e", 0, o) for o in points] + [("v", 0)]
     return potential, GraphMeasure(tuple((key, mass) for key in keys))
 
 

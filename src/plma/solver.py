@@ -2,7 +2,10 @@
 
 Curve case: linear, one exact Poisson solve with source mu - omega0,
 normalized to zero omega0-integral: the one normalized potential of
-curves (curves.normalized_potential), which green also returns.
+curves (curves.normalized_potential), which green also returns.  The
+solve is p-adic (curves.solve_integer): the rows scaled to integers are
+factored once modulo a 61-bit prime, and the solution is lifted and
+rebuilt over one common denominator, then checked exactly.
 
 Toric case: the variational problem is reduced to its finite-dimensional
 dual, semi-discrete optimal transport.  Each target atom v_i carries a
@@ -29,9 +32,11 @@ matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
 edges in the same pass that sums the cell volumes (_power_cells): each
 trial step yields its volumes and, if accepted, the next Newton matrix.
 It is the weighted Laplacian of the cell adjacency graph, so with w_0
-pinned each Newton step is one sparse Laplacian solve, by the same
-elimination as the curve side (curves.solve_laplacian), in floats: the
-atoms are its nodes 0..k-1 and the solve returns the step as a list.
+pinned each Newton step is one sparse Laplacian solve,
+curves.solve_laplacian in floats: the atoms are its nodes 0..k-1 and the
+solve returns the step as a list.  Its float path is the minimum-degree
+elimination that the exact curve solves run modulo a prime before they
+lift p-adically; no Newton step goes through that exact path.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The

@@ -14,9 +14,15 @@ finitely many points where it can bend (vertices, obstacle breakpoints,
 reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
 Zidani, SIAM J. Numer. Anal. 2009) solves it: a float pass only guesses
 the contact set, and an exact pass started from that guess, usually one
-rational Poisson solve, stops at exact complementarity.  That node
-check certifies the envelope (below the obstacle, subharmonic), and
-MA(P(psi)) and the orthogonality defect are read off the same nodes.
+p-adic Poisson solve (curves.solve_integer), stops at exact
+complementarity.  The exact pass runs on integers: the obstacle, the
+reference masses and the edge weights each over one common denominator,
+so that the iterate, its masses and its gaps to the obstacle are integer
+numerators over known denominators, and the node check (below the
+obstacle, subharmonic) is integer compares.  That check certifies the
+envelope; MA(P(psi)) and the orthogonality defect are read off the same
+nodes, a Fraction built only for each number returned.  The reference
+measure must be positive with positive mass, as for green.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite, lcm
+from operator import mul
+from typing import NamedTuple
 
 from . import curves
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph
@@ -282,6 +290,9 @@ def envelope_subharmonic(
 ) -> GraphPLFunction:
     """Largest omega0-subharmonic function below psi, exact.
 
+    omega0 must be a positive measure of positive mass, as for green and
+    solve_curve (curves.reference_mass): MassBalanceError otherwise.
+
     The envelope is linear between the nodes (vertices, obstacle
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
@@ -289,16 +300,19 @@ def envelope_subharmonic(
     once, curves._node_values reads the obstacle off psi's breakpoints in
     that order, and curves._function_from_node_values turns the solution
     back into a function; this module sees node numbers only.  Howard's
-    policy iteration (_howard) solves the problem on those numbers, with
-    curves.solve_laplacian as its linear solve: from a contact set C,
-    solve x = psi on C and laplacian(x) = -omega0 off C, then set
-    C = {k : psi(k) - x(k) <= s(k)}.
+    policy iteration (_howard) solves the problem on those numbers: from a
+    contact set C, solve x = psi on C and laplacian(x) = -omega0 off C,
+    then set C = {k : psi(k) - x(k) <= s(k)}.  It runs on the integer
+    form of the problem (_integer_form): the obstacle, the omega0 masses
+    and the edge weights each over one common denominator, so that every
+    exact solve is curves.solve_integer and every compare and sum is on
+    integers.
 
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
-    over the rationals from that set, until x is exactly complementary
-    (x <= psi and s >= 0 at every node; s = 0 off C and x = psi on C hold
-    by construction), which a good guess passes after one solve.  If the
+    exactly from that set, until x is exactly complementary (x <= psi and
+    s >= 0 at every node; s = 0 off C and x = psi on C hold by
+    construction), which a good guess passes after one solve.  If the
     guide fails (an overflow, a singular or non-finite solve, no repeat
     or an empty contact set), the exact pass starts from every node
     instead.  Howard's iteration converges from any nonempty contact set,
@@ -314,71 +328,123 @@ def envelope_subharmonic(
     between nodes, and omega0 none either (its atoms are nodes), while at
     node k, with weights 1 / length on the same segments, laplacian +
     omega0 is exactly s(k) >= 0: the envelope is omega0-subharmonic, with
-    MA(P(psi)) the measure of the s(k).  A subharmonic psi needs no test
+    MA(P(psi)) the measure of the s(k).  A Fraction is built only for
+    each value of the envelope returned.  A subharmonic psi needs no test
     of its own: the exact pass then ends with x = psi at every node, and
     psi is returned as given, not simplified.
     """
-    _, edge_offsets, x, _, obstacle = _envelope_nodes(psi, graph, omega0)
-    if x == obstacle:
+    nodes = _envelope_nodes(psi, graph, omega0)
+    X, Dx = nodes.x
+    if not any(nodes.gap[0]):
         return psi
-    return curves._function_from_node_values(graph, x, edge_offsets)
+    return curves._function_from_node_values(
+        graph, [Fraction(xk, Dx) for xk in X], nodes.edge_offsets)
 
 
-def _envelope_nodes(psi, graph, omega0):
-    """(index, edge_offsets, x, s, obstacle) of envelope_subharmonic's
-    node problem: the numbering of curves._refine and the exact lists of
-    the envelope's values, its masses laplacian + omega0 and psi's values,
-    at the first complementary iterate of the exact pass."""
+class _Nodes(NamedTuple):
+    """The solved node problem of envelope_subharmonic: the numbering of
+    curves._refine (index, edge_offsets), and at the first complementary
+    iterate of the exact pass the envelope's values x, its masses
+    s = laplacian + omega0 and the gaps psi - x, each as a pair
+    (list of integer numerators in node order, common denominator)."""
+
+    index: dict
+    edge_offsets: list
+    x: tuple
+    s: tuple
+    gap: tuple
+
+
+def _envelope_nodes(psi, graph, omega0) -> _Nodes:
+    """Solve envelope_subharmonic's node problem: the float guide, then the
+    exact pass until the node check (every gap and every s >= 0) holds."""
+    curves.reference_mass(omega0)
     index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
-    obstacle = curves._node_values(psi, graph, edge_offsets)
-    mass = {index[k]: m for k, m in omega0.atoms}
-    contact = _float_contact(obstacle, mass, edges) or set(range(len(index)))
-    for x, s, _ in _howard(obstacle, mass, edges, contact):
-        if all(xk <= yk for xk, yk in zip(x, obstacle)) and all(sk >= 0 for sk in s):
-            return index, edge_offsets, x, s, obstacle
+    form = _integer_form(curves._node_values(psi, graph, edge_offsets),
+                         {index[k]: m for k, m in omega0.atoms}, edges)
+    Y, Dy, _, Dm, _, Dw = form
+    contact = _float_contact(form) or set(range(len(index)))
+    for X, Dx, S, _ in _howard(form, contact):
+        gap = [yk * Dx - xk * Dy for xk, yk in zip(X, Y)]
+        if min(gap) >= 0 and min(S) >= 0:
+            return _Nodes(index, edge_offsets, (X, Dx), (S, Dm * Dw * Dx), (gap, Dy * Dx))
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
-def _howard(obstacle, mass, edges, contact):
+def _integer_form(obstacle, mass, edges):
+    """The node problem over three common denominators: (Y, Dy, M, Dm, W,
+    Dw) with obstacle[k] = Y[k] / Dy, mass[k] = M[k] / Dm (a dict, like
+    mass) and W the list `edges` with each weight w = W_e / Dw replaced by
+    its numerator W_e."""
+    Dy = lcm(*(y.denominator for y in obstacle))
+    Dm = lcm(*(m.denominator for m in mass.values()))
+    Dw = lcm(*(w.denominator for _, _, w in edges))
+    return ([y.numerator * (Dy // y.denominator) for y in obstacle], Dy,
+            {k: m.numerator * (Dm // m.denominator) for k, m in mass.items()}, Dm,
+            [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges], Dw)
+
+
+def _howard(form, contact):
     """Howard's policy iteration for the discrete obstacle problem.
 
-    The nodes are the indices of the list `obstacle`, `mass` maps an index
-    to its omega0 mass and `edges` holds (i, j, w) segments.  From the
-    contact set `contact` (a set of indices), yield the lists x and
-    s = laplacian(x) + omega0 and the next contact set, for at most
-    len(obstacle) + 1 solves.  The arithmetic follows the input types, as
-    in solve_laplacian.  With C nonempty on a connected graph, the
+    form = (Y, Dy, M, Dm, W, Dw) is the problem of _integer_form: node k
+    has obstacle Y[k] / Dy and omega0 mass M.get(k, 0) / Dm, and each
+    (i, j, W_e) of the list W is a segment of weight W_e / Dw.  From the
+    contact set `contact` (a set of nodes), yield (X, Dx, S, contact) for
+    at most len(Y) + 1 solves: the iterate x = X / Dx, its masses
+    s = laplacian(x) + omega0 = S / (Dm Dw Dx) and the next contact set.
+    On integers each solve is curves.solve_integer, of the free rows of
+    sum_j W_kj (z_j - z_k) = -M_k Dw Dy with z = Dm Dy x pinned to Dm Y
+    on C, so its common denominator d gives Dx = d Dm Dy, and the contact
+    test psi - x <= s is (Y Dx - X Dy) Dm Dw <= S Dy.  The float guide runs
+    the same routine on floats with unit denominators, each solve then
+    curves.solve_floats.  With C nonempty on a connected graph, the
     Laplacian with Dirichlet rows on C is a nonsingular M-matrix, so every
     solve is well posed; and C never empties, because s sums to
     mass(omega0) > 0 and s = 0 off C, so some node of C has s > 0 = psi - x
     and stays in contact.
     """
-    n = len(obstacle)
+    Y, Dy, M, Dm, W, Dw = form
+    exact = not isinstance(Y[0], float)
+    n = len(Y)
     nodes = range(n)
-    source = {k: -m for k, m in mass.items()}
+    pinned = [Dm * y for y in Y]
+    source = [-M.get(k, 0) * Dw * Dy for k in nodes]
+    mass = [M.get(k, 0) * Dw for k in nodes]
+    flows = [(a, c, Dm * w) for a, c, w in W]
+    scale = Dm * Dw
     for _ in range(n + 1):
-        x = curves.solve_laplacian(source, n, edges, {k: obstacle[k] for k in contact})
-        s = [mass.get(k, 0) for k in nodes]
-        for a, b, w in edges:
-            d = w * (x[b] - x[a])
-            s[a] += d
-            s[b] -= d
-        contact = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
-        yield x, s, contact
+        b = list(source)
+        rows = curves._assemble(n, W, {k: pinned[k] for k in contact}, b)
+        free = [k for k in nodes if k not in contact]
+        if exact:
+            Z, d = curves.solve_integer(rows, b, free)
+        else:
+            curves.solve_floats(rows, b, free)
+            Z, d = b, 1
+        X = [pinned[k] * d if k in contact else Z[k] for k in nodes]
+        Dx = d * Dm * Dy
+        S = [m * Dx for m in mass]
+        for a, c, w in flows:
+            t = w * (X[c] - X[a])
+            S[a] += t
+            S[c] -= t
+        contact = {k for k in nodes if (Y[k] * Dx - X[k] * Dy) * scale <= S[k] * Dy}
+        yield X, Dx, S, contact
 
 
-def _float_contact(obstacle, mass, edges):
+def _float_contact(form):
     """The contact set at which Howard's iteration settles in floats, from
     every node: the first that repeats an earlier one, since rounding at a
     tie node (x = psi, s = 0) can make the float iteration cycle.  None if
     a float solve overflows, is singular or not finite, or nothing repeats.
     Only a guide: the exact pass checks it."""
-    found = [set(range(len(obstacle)))]
+    Y, Dy, M, Dm, W, Dw = form
+    found = [set(range(len(Y)))]
     try:
-        obstacle = [float(y) for y in obstacle]
-        mass = {k: float(m) for k, m in mass.items()}
-        edges = [(a, b, float(w)) for a, b, w in edges]
-        for x, _, contact in _howard(obstacle, mass, edges, found[0]):
+        guide = ([y / Dy for y in Y], 1, {k: m / Dm for k, m in M.items()}, 1,
+                 [(a, b, w / Dw) for a, b, w in W], 1)
+        for x, _, _, contact in _howard(guide, found[0]):
             if not all(map(isfinite, x)):
                 return None
             if contact in found:
@@ -404,13 +470,16 @@ def orthogonality_defect_curve(
 ) -> Fraction:
     """The integral of psi - P(psi) against MA(P(psi)), exact.
 
-    Both are read off the nodes of envelope_subharmonic: MA(P(psi)) is
-    the atom s(k) at node k and nothing between nodes, and psi - P(psi) is
-    psi(k) - x(k) there (see envelope_subharmonic for why), so the
-    integral is the sum of s(k) (psi(k) - x(k)).  Each term vanishes when
-    the pass is complementary; the sum is computed, not assumed."""
-    _, _, x, s, obstacle = _envelope_nodes(psi, graph, omega0)
-    return sum((sk * (yk - xk) for xk, sk, yk in zip(x, s, obstacle)), Fraction(0))
+    Both are read off the nodes of envelope_subharmonic, which checks
+    omega0 the same way: MA(P(psi)) is the atom s(k) at node k and nothing
+    between nodes, and psi - P(psi) is psi(k) - x(k) there (see
+    envelope_subharmonic for why), so the integral is the sum of
+    s(k) (psi(k) - x(k)), summed on the integer numerators of both over
+    their common denominators: one Fraction.  Each term vanishes when the
+    pass is complementary; the sum is computed, not assumed."""
+    nodes = _envelope_nodes(psi, graph, omega0)
+    (S, Ds), (gap, Dg) = nodes.s, nodes.gap
+    return Fraction(sum(map(mul, S, gap)), Ds * Dg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import heapq
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from plma.curves import GraphMeasure, MetricGraph
+from plma.curves import GraphError, GraphMeasure, MetricGraph
 from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
 from plma.toric import mixed_ma
 from plma.variational import MinOfConvex
@@ -150,3 +151,49 @@ def random_positive_measure(rng, graph, total, natoms=3):
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+def fraction_solve_laplacian(rho, n, edges, fixed):
+    """curves.solve_laplacian as it was before the p-adic solve, kept as
+    its oracle: Fraction elimination of the free rows in minimum-degree
+    order, ties broken by the node number, then back substitution."""
+    rows = [{} for _ in range(n)]
+    b = [rho.get(i, 0) for i in range(n)]
+    for a, c, w in edges:
+        for i, j in ((a, c), (c, a)):
+            if i in fixed:
+                continue
+            row = rows[i]
+            row[i] = row.get(i, 0) - w
+            if j in fixed:
+                b[i] -= w * fixed[j]
+            else:
+                row[j] = row.get(j, 0) + w
+    heap = [(len(rows[i]), i) for i in range(n) if i not in fixed]
+    heapq.heapify(heap)
+    done = [False] * n
+    eliminated = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        if done[i] or size != len(rows[i]):
+            continue
+        done[i] = True
+        row = rows[i]
+        piv = Fraction(row.pop(i, 0))
+        if piv == 0:
+            raise GraphError("singular linear system")
+        for k in row:
+            row[k] /= piv
+        b[i] /= piv
+        for j in row:
+            rj = rows[j]
+            c = rj.pop(i)
+            for k, v in row.items():
+                rj[k] = rj.get(k, 0) - c * v
+            b[j] -= c * b[i]
+            heapq.heappush(heap, (len(rj), j))
+        eliminated.append(i)
+    x = [fixed.get(i) for i in range(n)]
+    for i in reversed(eliminated):
+        x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
+    return x

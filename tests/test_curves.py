@@ -26,7 +26,14 @@ from plma.curves import (
 from plma.geometry import dot
 from plma.solver import _power_cells, solve_curve
 
-from conftest import hexagon, random_graph, random_graph_point, random_positive_measure, rnd_frac
+from conftest import (
+    fraction_solve_laplacian,
+    hexagon,
+    random_graph,
+    random_graph_point,
+    random_positive_measure,
+    rnd_frac,
+)
 
 
 def star3():
@@ -428,6 +435,17 @@ def test_canonical_monotone_decay():
         prev = disc
 
 
+def test_canonical_division_points_in_repr_order():
+    # the division points sorted by (str(numerator), str(denominator)) are
+    # in the repr order of their keys, the vertex key last
+    for m in range(2, 8):
+        k = 0
+        while m**k <= 4096:
+            keys = [key for key, _ in canonical_metric(m, k)[1].atoms]
+            assert keys == sorted(keys, key=repr) and keys[-1] == vertex_key(0)
+            k += 1
+
+
 def test_canonical_bad_m():
     # m is checked before the iteration count
     for m, k, message in ((1, 3, "multiplier m"), (1, -1, "multiplier m"), (2, -1, "iterations")):
@@ -558,18 +576,128 @@ def test_sparse_solve_equals_dense_oracle():
         assert all(got[k] == v for k, v in fixed.items())
     # the toric Newton system: the cell adjacency graph of exact power cells
     # of 5 atoms in the hexagon, first weight pinned
-    for _ in range(4):
-        atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
-        atoms = list(dict(atoms).items())
-        weights = [-dot(v, v) / 8 + Fraction(rng.randint(-99, 99), 10**4) for v, _ in atoms]
-        vols, edges = _power_cells(hexagon().ring(), atoms, weights)
-        assert all(v > 0 for v in vols)
-        k = len(atoms)
+    for k, edges in toric_newton_systems(rng, 4):
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
         fixed = {0: Fraction(0)}
         got = curves.solve_laplacian(rho, k, edges, fixed)
         assert got == dense_solve_laplacian(rho, k, edges, fixed)
         assert all(isinstance(x, Fraction) for x in got)
+
+
+def _weighted_graph(rng, kind, n):
+    """(n, edges) of a seeded weighted graph on the nodes 0..n-1: a random
+    tree, a cycle with a chord, or a dense graph with about half of all
+    pairs joined, on rational weights of several denominators."""
+    def weight():
+        return Fraction(rng.randint(1, 40), rng.choice([1, 2, 3, 7, 12, 35]))
+
+    edges = [(rng.randrange(v), v, weight()) for v in range(1, n)] if kind == "tree" else []
+    if kind == "cycle":
+        edges = [(v, (v + 1) % n, weight()) for v in range(n)] + [(0, n // 2, weight())]
+    if kind == "dense":
+        edges = [(u, v, weight()) for u in range(n) for v in range(u) if v == u - 1 or rng.random() < 0.5]
+    return n, edges
+
+
+def toric_newton_systems(rng, count):
+    """The cell adjacency graphs of exact power cells of 5 atoms in the
+    hexagon, with rational weights near the Voronoi ones: the toric Newton
+    system on Fractions."""
+    for _ in range(count):
+        atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
+        atoms = list(dict(atoms).items())
+        weights = [-dot(v, v) / 8 + Fraction(rng.randint(-99, 99), 10**4) for v, _ in atoms]
+        vols, edges = _power_cells(hexagon().ring(), atoms, weights)
+        assert all(v > 0 for v in vols)
+        yield len(atoms), edges
+
+
+def test_padic_solve_equals_fraction_elimination():
+    # the p-adic solve gives what the Fraction elimination gave, on trees,
+    # cycles and dense graphs, pinned at one node (the Neumann mode of
+    # solve_poisson) or on a random contact set (the Howard mode), and on
+    # the toric Newton systems
+    rng = random.Random(1982)
+    systems = []
+    for kind in ("tree", "cycle", "dense") * 8:
+        n, edges = _weighted_graph(rng, kind, rng.randint(3, 60))
+        rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in rng.sample(range(n), 3)}
+        systems.append((rho, n, edges, {0: Fraction(0)}))
+        contact = rng.sample(range(n), rng.randint(1, n))
+        systems.append((rho, n, edges, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                        for k in contact}))
+    for k, edges in toric_newton_systems(rng, 4):
+        rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
+        systems.append((rho, k, edges, {0: Fraction(0)}))
+    for rho, n, edges, fixed in systems:
+        got = curves.solve_laplacian(rho, n, edges, fixed)
+        assert got == fraction_solve_laplacian(rho, n, edges, fixed)
+        assert all(type(x) is Fraction for x in got)
+
+
+def counting(monkeypatch, name):
+    """Count the calls of curves.<name> in the returned list."""
+    calls, original = [], getattr(curves, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curves, name, counted)
+    return calls
+
+
+def test_padic_solve_moves_past_an_unlucky_prime(monkeypatch):
+    # node 0 pinned, then the path 0 - 1 - 2 with weights 1 and 2: the rows
+    # of nodes 1 and 2 tie in size, and the pivot of node 1 is -3, zero mod 3
+    system = ({1: Fraction(1, 2), 2: Fraction(-3)}, 3,
+              [(0, 1, Fraction(1)), (1, 2, Fraction(2))], {0: Fraction(5)})
+    want = fraction_solve_laplacian(*system)
+    assert curves.solve_laplacian(*system) == want
+    eliminations = counting(monkeypatch, "_eliminate")
+    # the real first prime as a weight: its pivot is zero mod that prime
+    p, q = curves.PRIMES[:2]
+    assert curves.solve_laplacian({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0: Fraction(0)}) \
+        == [0, Fraction(-1, p)]
+    assert [args[3] for args in eliminations] == [p, q]
+    eliminations.clear()
+    monkeypatch.setattr(curves, "PRIMES", (3, p))
+    assert curves.solve_laplacian(*system) == want
+    assert [args[3] for args in eliminations] == [3, p]
+    # a zero pivot for every prime of the list
+    monkeypatch.setattr(curves, "PRIMES", (3,))
+    with pytest.raises(GraphError, match="singular linear system"):
+        curves.solve_laplacian(*system)
+
+
+def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
+    # sources made from integer values: the first lift leaves r = 0, and
+    # the solve returns with no second lift and no reconstruction
+    rng = random.Random(7)
+    substitutions = counting(monkeypatch, "_substitute")
+    reconstructions = counting(monkeypatch, "_reconstruct")
+    for kind in ("tree", "cycle", "dense"):
+        n, edges = _weighted_graph(rng, kind, 30)
+        edges = [(a, b, Fraction(rng.randint(1, 9))) for a, b, _ in edges]
+        x = [Fraction(rng.randint(-10**6, 10**6)) for _ in range(n)]
+        rho = {i: Fraction(0) for i in range(n)}
+        for a, b, w in edges:
+            rho[a] += w * (x[b] - x[a])
+            rho[b] += w * (x[a] - x[b])
+        fixed = {k: x[k] for k in rng.sample(range(n), 3)}
+        assert curves.solve_laplacian(rho, n, edges, fixed) == x
+    assert substitutions == [] and reconstructions == []
+
+
+def test_padic_solve_without_a_pinned_node_is_singular():
+    # a Laplacian with no pinned node is singular mod every prime
+    rng = random.Random(3)
+    for kind in ("tree", "cycle", "dense"):
+        n, edges = _weighted_graph(rng, kind, 12)
+        with pytest.raises(GraphError, match="singular linear system"):
+            curves.solve_laplacian({0: Fraction(1), 1: Fraction(-1)}, n, edges, {})
+    with pytest.raises(GraphError, match="singular linear system"):
+        curves.solve_integer([{0: 1, 1: -1}, {0: -1, 1: 1}], [0, 0], [0, 1])
 
 
 def keyed_solve_laplacian(rho, nodes, edges, fixed):

@@ -509,6 +509,31 @@ def test_cli_vertex_not_in_graph_exit_2(tmp_path, capsys, command, role):
     }
 
 
+# -delta_0, delta_0 - delta_1, the empty measure and 2 delta_0 - delta at
+# the middle of edge 0
+NONPOSITIVE_OMEGA0 = [
+    [({"vertex": 0}, "-1")],
+    [({"vertex": 0}, "1"), ({"vertex": 1}, "-1")],
+    [],
+    [({"vertex": 0}, "2"), ({"edge": 0, "offset": "1/2"}, "-1")],
+]
+
+
+@pytest.mark.parametrize("atoms", NONPOSITIVE_OMEGA0)
+@pytest.mark.parametrize("command", ["envelope", "orthogonality", "curve-green"])
+def test_cli_nonpositive_reference_exit_2(tmp_path, capsys, command, atoms):
+    # the graph envelope and orthogonality reject a reference measure that
+    # is not positive or has no mass, with curve-green's error
+    documents = VALID_DOCUMENTS[command]
+    omega0 = {"atoms": [{"point": point, "mass": mass} for point, mass in atoms]}
+    assert _run_documents(tmp_path, command, {**documents, "omega0": omega0}) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "MassBalanceError", "message": "reference measure must be positive"
+    }
+
+
 EDGELESS = {"vertices": [0], "edges": []}
 EDGELESS_DOCUMENTS = {
     "envelope": {"graph": EDGELESS, "omega0": AT_0, "g": {"edges": []}},
@@ -1112,10 +1137,10 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     howard = variational._howard
 
-    def above_the_obstacle(obstacle, mass, edges, contact):
+    def above_the_obstacle(form, contact):
         # each iterate lifted by 1, above psi on its nonempty contact set
-        for x, s, contact in howard(obstacle, mass, edges, contact):
-            yield [xk + 1 for xk in x], s, contact
+        for X, Dx, S, contact in howard(form, contact):
+            yield [xk + Dx for xk in X], Dx, S, contact
 
     monkeypatch.setattr(variational, "_howard", above_the_obstacle)
     assert cli.run(argv) == 3

@@ -9,6 +9,7 @@ from plma import cli, curves, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
+    MassBalanceError,
     MetricGraph,
     circle_graph,
     green,
@@ -50,6 +51,7 @@ from plma.variational import (
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    fraction_solve_laplacian,
     interval,
     lattice_paraboloid,
     polarization_energy,
@@ -597,8 +599,9 @@ def obstacle_problem(psi, g, om):
 
 
 def howard_oracle(psi, g, om):
-    """P(psi) as Howard's iteration computed it with no float guide: exact
-    solves from the contact set of every node until the set repeats."""
+    """P(psi) as Howard's iteration computed it with no float guide and on
+    Fractions: solves by the Fraction elimination from the contact set of
+    every node until the set repeats."""
     if is_subharmonic(psi, g, om):
         return psi
     _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
@@ -606,7 +609,7 @@ def howard_oracle(psi, g, om):
     source = {k: -m for k, m in mass.items()}
     contact = set(nodes)
     for _ in range(len(nodes) + 1):
-        x = curves.solve_laplacian(source, len(nodes), edges, {k: obstacle[k] for k in contact})
+        x = fraction_solve_laplacian(source, len(nodes), edges, {k: obstacle[k] for k in contact})
         s = {k: mass.get(k, Fraction(0)) for k in nodes}
         for a, b, w in edges:
             d = w * (x[b] - x[a])
@@ -661,9 +664,9 @@ def assert_old_check(psi, g, om):
     gap = psi - env
     assert all(y >= 0 for pairs in gap.edge_values for _, y in pairs)
     ma = ma_curve(env, g, om)
-    index, _, _, s, _ = variational._envelope_nodes(psi, g, om)
-    key = {i: k for k, i in index.items()}
-    assert ma == GraphMeasure.from_atoms(g, [(key[i], sk) for i, sk in enumerate(s) if sk])
+    nodes = variational._envelope_nodes(psi, g, om)
+    (S, Ds), key = nodes.s, {i: k for k, i in nodes.index.items()}
+    assert ma == GraphMeasure.from_atoms(g, [(key[i], Fraction(sk, Ds)) for i, sk in enumerate(S) if sk])
     assert orthogonality_defect_curve(psi, g, om) == ma.integrate(g, gap)
 
 
@@ -671,19 +674,19 @@ def test_envelope_against_howard_oracle(monkeypatch):
     # 200 obstacles, v = 4..60 cycled: the float guide and the exact pass
     # give what exact Howard from every node gives, in one exact solve each
     rng = random.Random(20090313)
-    solve = curves.solve_laplacian
+    solve = curves.solve_integer
     exact_solves = []
 
-    def counted(rho, n, edges, fixed):
-        exact_solves[-1] += isinstance(edges[0][2], Fraction)
-        return solve(rho, n, edges, fixed)
+    def counted(rows, b, free):
+        exact_solves[-1] += 1
+        return solve(rows, b, free)
 
     for i in range(200):
         nv = 4 + i % 57
         g, om, psi = dented_graph(rng, nv, min(12, 1 + nv // 4))
         exact_solves.append(0)
         with monkeypatch.context() as m:
-            m.setattr(curves, "solve_laplacian", counted)
+            m.setattr(curves, "solve_integer", counted)
             env = envelope_subharmonic(psi, g, om)
         assert env == howard_oracle(psi, g, om)
         assert_old_check(psi, g, om)
@@ -707,13 +710,15 @@ def test_exact_howard_from_any_start():
         g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
         expected = howard_oracle(psi, g, om)
         _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+        form = variational._integer_form(obstacle, mass, edges)
         n = len(obstacle)
         candidates = [set(range(n)), {rng.randrange(n)}]
         candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
         for contact in candidates:
-            for x, s, contact in variational._howard(obstacle, mass, edges, contact):
+            for X, Dx, S, contact in variational._howard(form, contact):
                 assert contact  # the contact set never empties
-                if all(xk <= yk for xk, yk in zip(x, obstacle)) and min(s) >= 0:
+                x = [Fraction(xk, Dx) for xk in X]
+                if all(xk <= yk for xk, yk in zip(x, obstacle)) and min(S) >= 0:
                     break
             else:
                 raise AssertionError("no complementary solve in len(nodes) + 1 solves")
@@ -810,8 +815,8 @@ def test_subharmonic_obstacle_returned_as_given():
     # unchanged, its redundant breakpoint included
     for g, om, psi in subharmonic_obstacles():
         assert is_subharmonic(psi, g, om) and psi.simplify() != psi
-        _, _, x, _, obstacle = variational._envelope_nodes(psi, g, om)
-        assert x == obstacle
+        gap, _ = variational._envelope_nodes(psi, g, om).gap
+        assert gap == [0] * len(gap)
         assert envelope_subharmonic(psi, g, om).edge_values == psi.edge_values
         assert orthogonality_defect_curve(psi, g, om) == 0
         assert_old_check(psi, g, om)
@@ -822,13 +827,40 @@ def test_curve_defect_is_summed_not_assumed(monkeypatch):
     # but not complementary: the defect is the sum of s, mass(omega0)
     howard = variational._howard
 
-    def lowered(obstacle, mass, edges, contact):
-        for x, s, contact in howard(obstacle, mass, edges, contact):
-            yield [xk - 1 for xk in x], s, contact
+    def lowered(form, contact):
+        for X, Dx, S, contact in howard(form, contact):
+            yield [xk - Dx for xk in X], Dx, S, contact
 
     monkeypatch.setattr(variational, "_howard", lowered)
     for g, om, psi in subharmonic_obstacles():
         assert orthogonality_defect_curve(psi, g, om) == om.total_mass() > 0
+
+
+# reference measures that are not positive or have no mass: -delta_0,
+# delta_0 - delta_1, the empty measure and 2 delta_0 - delta at the middle
+# of edge 0
+NONPOSITIVE_REFERENCES = [
+    [(vertex_key(0), -1)],
+    [(vertex_key(0), 1), (vertex_key(1), -1)],
+    [],
+    [(vertex_key(0), 2), (("e", 0, Fraction(1, 2)), -1)],
+]
+
+
+@pytest.mark.parametrize("atoms", NONPOSITIVE_REFERENCES)
+def test_curve_envelope_rejects_nonpositive_reference(atoms):
+    # the envelope and the defect check omega0 as green does, before any
+    # solve: Howard's iteration needs mass(omega0) > 0
+    g = MetricGraph.build([0, 1], [(0, 1, 1)])
+    om = GraphMeasure.from_atoms(g, atoms)
+    psi = GraphPLFunction.build(g, [[(0, 0), (Fraction(1, 2), -1), (1, 1)]])
+    for solve in (lambda: envelope_subharmonic(psi, g, om),
+                  lambda: orthogonality_defect_curve(psi, g, om),
+                  lambda: envelope_P(psi, (g, om)),
+                  lambda: orthogonality_defect(psi, (g, om)),
+                  lambda: green(g, vertex_key(1), om)):
+        with pytest.raises(MassBalanceError, match="^reference measure must be positive$"):
+            solve()
 
 
 def spiked_edge(exp_length, exp_value):
@@ -856,14 +888,14 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
     _, edges, _, obstacle, mass = obstacle_problem(psi, g, om)
-    guide = variational._float_contact(obstacle, mass, edges)
+    guide = variational._float_contact(variational._integer_form(obstacle, mass, edges))
     assert guide is None or guide == set(range(len(obstacle)))
     howard, starts = variational._howard, []
 
-    def recorded(obstacle, mass, edges, contact):
-        if isinstance(obstacle[0], Fraction):
-            starts.append(contact == set(range(len(obstacle))))
-        return howard(obstacle, mass, edges, contact)
+    def recorded(form, contact):
+        if not isinstance(form[0][0], float):
+            starts.append(contact == set(range(len(form[0]))))
+        return howard(form, contact)
 
     with monkeypatch.context() as m:
         m.setattr(variational, "_howard", recorded)
