@@ -11,16 +11,19 @@ geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
 Poisson problems are solved exactly on the Laplacian of the vertices and
 the atoms.  _refine numbers those nodes once (the vertices in graph
 order, then each edge's sorted interior offsets), and only this module
-reads that order.  solve_laplacian is the one linear solve of the
-package, on the node numbers 0..n-1 of any weighted graph, and one
-sparse elimination in minimum-degree order (_eliminate) serves both of
-its arithmetics.  In floats it solves as it stands: the toric Newton step
-runs it on the power-cell adjacency graph, and the envelope's float guide
-through solve_floats.  On rationals the rows are scaled to integers,
-eliminated once modulo a 61-bit prime and the solution is lifted
-p-adically (Dixon) by solve_integer, which returns the integer numerators
-over one common denominator, checked exactly; the envelope's exact
-Howard pass calls it on its own integer rows.  One routine,
+reads that order.  Every linear solve of the package is a Laplacian on
+the node numbers 0..n-1 of a weighted graph, its free rows built by
+_assemble, and two routines serve both arithmetics: _eliminate factors
+the rows once in minimum-degree order, and _substitute solves with that
+factorization.  solve_floats is one of each, in floats: the toric Newton
+step runs it on the power-cell adjacency graph, and the envelope's float
+guide on its contact sets.  solve_integer factors once modulo a 61-bit
+prime and lifts the solution p-adically (Dixon), one _substitute per
+lift, until it rebuilds the integer numerators over one common
+denominator, checked exactly, or passes a Hadamard bound on their size
+(ConvergenceError); solve_laplacian is its exact entry on rationals, and
+the envelope's exact Howard pass calls it on its own integer rows.  One
+routine,
 normalized_potential, solves laplacian(f) = mu - omega0 and shifts f to
 zero integral against the reference measure omega0, which must be
 positive with positive mass (reference_mass): green is its case
@@ -39,7 +42,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
 from .geometry import AtomicMeasure, as_fraction
@@ -55,6 +58,10 @@ class MassBalanceError(ValueError):
 
 class SubharmonicityError(ValueError):
     pass
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solve stopped without a verified result (CLI exit 3)."""
 
 
 @dataclass(frozen=True)
@@ -372,31 +379,28 @@ PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
 
 def solve_laplacian(rho, n, edges, fixed):
-    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes of 0..n-1.
+    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes of 0..n-1,
+    exactly.
 
     rho: dict node -> source (0 where absent); edges: undirected (i, j, w),
     each adding the weight w to the rows of both i and j; fixed: dict
-    node -> value of the pinned nodes.  Returns the list of the n values,
-    the pinned ones included.  The arithmetic follows the input types: a
-    float source, pin or weight gives floats, and rationals (Fractions or
-    ints) give Fractions.
+    node -> value of the pinned nodes.  Sources, pins and weights are
+    rationals (Fractions or ints).  Returns the list of the n values, the
+    pinned ones included, each free one a Fraction.
 
     The system is the Laplacian restricted to the free nodes, one sparse
-    row (a dict) per node (_assemble).  Floats are eliminated as they
-    stand (solve_floats), and a zero pivot raises GraphError.  Rationals
-    go through solve_integer, Dixon's p-adic lifting: each row and its
-    source are scaled to integers by the lcm of their denominators, and
-    the values come back over one common denominator, one Fraction each.
-    That path raises GraphError only when the system is singular modulo
-    every prime of PRIMES, as a singular system is; a connected graph with
-    a pinned node never is.
+    row (a dict) per node (_assemble).  Each row and its source are scaled
+    to integers by the lcm of their denominators, and solve_integer solves
+    them by Dixon's p-adic lifting, the values coming back over one common
+    denominator.  GraphError is raised only when the system is singular
+    modulo every prime of PRIMES, as a singular system is; a connected
+    graph with a pinned node never is.  ConvergenceError is raised only
+    when the solve passes its lift bound (solve_integer).  Float systems
+    go through solve_floats.
     """
     b = [rho.get(i, 0) for i in range(n)]
     rows = _assemble(n, edges, fixed, b)
     free = [i for i in range(n) if i not in fixed]
-    if float in set(map(type, b)) or any(isinstance(w, float) for _, _, w in edges):
-        solve_floats(rows, b, free)
-        return [fixed[i] if i in fixed else b[i] for i in range(n)]
     for i in free:
         row = rows[i]
         scale = lcm(b[i].denominator, *(v.denominator for v in row.values()))
@@ -408,12 +412,10 @@ def solve_laplacian(rho, n, edges, fixed):
 
 def solve_floats(rows, b, free):
     """Solve the float system of the rows of the nodes `free` (as
-    _assemble builds them) in place on the list b; a zero pivot raises
-    GraphError."""
-    try:
-        _back(_eliminate(rows, free, b, None), b, None)
-    except ZeroDivisionError:
-        raise GraphError("singular linear system") from None
+    _assemble builds them) in place on the list b: one _eliminate, one
+    _substitute.  The toric Newton step and the envelope's float guide
+    solve this way; a zero pivot raises GraphError."""
+    _substitute(_eliminate(rows, free, None), b, None)
 
 
 def _assemble(n, edges, fixed, b):
@@ -434,19 +436,18 @@ def _assemble(n, edges, fixed, b):
     return rows
 
 
-def _eliminate(rows, free, b, p):
-    """Eliminate the rows of the nodes `free` and their sources b, in
-    place, in floats (p None) or over the integers mod the prime p.
+def _eliminate(rows, free, p):
+    """Factor the rows of the nodes `free`, in place, in floats (p None)
+    or over the integers mod the prime p.
 
     Rows are eliminated in minimum-degree order, ties broken by the node
     number (Rose, Tarjan and Lueker), so a chain or a cycle costs O(n).
     The order and the fill depend on the sparsity pattern only, so both
     arithmetics eliminate in the same order.  Returns one (i, pivot, row,
     multipliers) per eliminated node, in order: row i divided by its
-    pivot, less its diagonal, and modulo p the inverted pivot and the
-    multiple of row i taken off each later row of its columns, which
-    _substitute replays on another b.  b is left ready for _back.  A zero
-    pivot raises ZeroDivisionError.
+    pivot, less its diagonal, the pivot (inverted mod p) and the multiple
+    of row i taken off each later row of its columns, which _substitute
+    replays on a source.  A zero pivot raises GraphError.
     """
     heap = [(len(rows[i]), i) for i in free]
     heapq.heapify(heap)
@@ -462,54 +463,46 @@ def _eliminate(rows, free, b, p):
         if p is not None:
             piv %= p
         if piv == 0:
-            raise ZeroDivisionError("zero pivot")
+            raise GraphError("singular linear system")
         if p is None:
             for k in row:
                 row[k] /= piv
-            bi = b[i] = b[i] / piv
-            multipliers = None
         else:
             piv = pow(piv, -1, p)
             for k, v in row.items():
                 row[k] = v * piv % p
-            bi = b[i] = b[i] * piv % p
-            multipliers = []
+        multipliers = []
         for j in row:
             rj = rows[j]
             c = rj.pop(i)
             if p is not None:
                 c %= p
-                multipliers.append(c)
+            multipliers.append(c)
             for k, v in row.items():
                 rj[k] = rj.get(k, 0) - c * v
-            b[j] -= c * bi
             heapq.heappush(heap, (len(rj), j))
         factors.append((i, piv, row, multipliers))
     return factors
 
 
 def _substitute(factors, b, p):
-    """Solve modulo p with the factors of _eliminate, in place on the list
-    b: its forward elimination replayed, then _back.  The sums of each
-    node are reduced once, where it is divided by its pivot."""
-    for i, inv, row, multipliers in factors:
-        bi = b[i] = b[i] * inv % p
+    """Solve with the factors of _eliminate, in place on the list b: the
+    forward elimination replayed, then back substitution, in floats (p
+    None) or mod p.  Floats are divided by the stored pivot, as in the
+    elimination itself.  Mod p, the sums of each node are reduced once,
+    where it is multiplied by its inverted pivot, and b becomes the
+    solution at the eliminated nodes as residues in (-p/2, p/2]."""
+    for i, piv, row, multipliers in factors:
+        bi = b[i] = b[i] / piv if p is None else b[i] * piv % p
         for j, c in zip(row, multipliers):
             b[j] -= c * bi
-    _back(factors, b, p)
-
-
-def _back(factors, b, p):
-    """Back substitution of the eliminated b, in place: b becomes the
-    solution at the eliminated nodes, modulo p as residues in (-p/2, p/2]."""
-    if p is None:
-        for i, _, row, _ in reversed(factors):
-            b[i] = b[i] - _dot(row, b)
-        return
-    half = p // 2
     for i, _, row, _ in reversed(factors):
-        y = (b[i] - _dot(row, b)) % p
-        b[i] = y - p if y > half else y
+        y = b[i] - _dot(row, b)
+        if p is not None:
+            y %= p
+            if y > p // 2:
+                y -= p
+        b[i] = y
 
 
 def _dot(row, x):
@@ -524,48 +517,46 @@ def solve_integer(rows, b, free):
     `free`) and b[i] its integer source.  Returns (X, d) with d > 0 and
     A X = d b; X[i] is set at the nodes of `free` only.
 
-    A is factored once mod a prime of PRIMES (_eliminate), in the same
-    order as in floats.  Each lift solves A y = r mod p, in residues of
-    size below p/2, and sets r <- (r - A y) / p, exactly, so that
-    b - A X = p^k r for X = sum of y p^j after k lifts; r = 0 ends the
-    solve with the integral solution X.  Otherwise, after each of the
-    first eight lifts and then each time the lifts have grown by about an
-    eighth, the rational solution is rebuilt from X mod p^k
-    (_reconstruct) and returned as soon as it satisfies A X = d b
-    exactly.  That check is the guarantee, so the lifts need no
-    a-priori bound; they end, because x is rational and A is invertible
-    mod p.  A zero pivot mod p moves to the next prime; GraphError is
-    raised when every prime meets one.
+    A is factored once mod a prime p of PRIMES (_eliminate), in the same
+    order as in floats.  Each lift is one _substitute: y = A^-1 r mod p,
+    in residues of size below p/2, then r <- (r - A y) / p, exactly, so
+    that b - A X = p^k r for X = sum of y p^j after k lifts; r = 0 ends
+    the solve with the integral solution X.  Otherwise the rational
+    solution is rebuilt from X mod p^k after every lift (_reconstruct)
+    and returned as soon as it satisfies A X = d b exactly.  The product
+    B of (|row i|_1 + |b_i|) over the free rows bounds |det A| and, by
+    Cramer's rule, every numerator of x over the common denominator
+    (Hadamard's inequality with 1-norms), so the reconstruction succeeds
+    once p^k > 2 B^2; a solve that has not ended by then raises
+    ConvergenceError.  A zero pivot mod p moves to the next prime;
+    GraphError is raised when every prime meets one.
     """
     for p in PRIMES:
-        y = list(b)
         try:
-            factors = _eliminate([dict(row) for row in rows], free, y, p)
-        except ZeroDivisionError:
+            factors = _eliminate([dict(row) for row in rows], free, p)
+        except GraphError:
             continue
         break
     else:
         raise GraphError("singular linear system")
-    _back(factors, y, p)
+    bound = 2 * prod(sum(map(abs, rows[i].values())) + abs(b[i]) for i in free) ** 2
     r = list(b)
     X = [0] * len(b)
-    pk, lifts, attempt = 1, 0, 1
-    while True:
+    pk = 1
+    while pk <= bound:
+        y = list(r)
+        _substitute(factors, y, p)
         for i in free:
             X[i] += y[i] * pk
         pk *= p
-        lifts += 1
         for i in free:
             r[i] = (r[i] - _dot(rows[i], y)) // p
         if not any(r[i] for i in free):
             return X, 1
-        if lifts == attempt:
-            attempt += 1 + lifts // 8
-            found = _reconstruct(X, free, pk)
-            if found and all(_dot(rows[i], found[0]) == found[1] * b[i] for i in free):
-                return found
-        y = list(r)
-        _substitute(factors, y, p)
+        found = _reconstruct(X, free, pk)
+        if found and all(_dot(rows[i], found[0]) == found[1] * b[i] for i in free):
+            return found
+    raise ConvergenceError("p-adic solve passed its lift bound unreconstructed")
 
 
 def _reconstruct(X, free, modulus):

@@ -4,8 +4,11 @@ Curve case: linear, one exact Poisson solve with source mu - omega0,
 normalized to zero omega0-integral: the one normalized potential of
 curves (curves.normalized_potential), which green also returns.  The
 solve is p-adic (curves.solve_integer): the rows scaled to integers are
-factored once modulo a 61-bit prime, and the solution is lifted and
-rebuilt over one common denominator, then checked exactly.
+factored once modulo a 61-bit prime, and the solution is lifted and,
+after every lift, rebuilt over one common denominator and checked
+exactly.  A solve that passes its Hadamard bound on the lifts without a
+solution raises ConvergenceError, which curves defines and this module
+exports.
 
 Toric case: the variational problem is reduced to its finite-dimensional
 dual, semi-discrete optimal transport.  Each target atom v_i carries a
@@ -32,11 +35,14 @@ matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
 edges in the same pass that sums the cell volumes (_power_cells): each
 trial step yields its volumes and, if accepted, the next Newton matrix.
 It is the weighted Laplacian of the cell adjacency graph, so with w_0
-pinned each Newton step is one sparse Laplacian solve,
-curves.solve_laplacian in floats: the atoms are its nodes 0..k-1 and the
-solve returns the step as a list.  Its float path is the minimum-degree
-elimination that the exact curve solves run modulo a prime before they
-lift p-adically; no Newton step goes through that exact path.
+pinned each Newton step is one sparse Laplacian solve in floats,
+curves.solve_floats on the rows of curves._assemble: the atoms are its
+nodes 0..k-1, and the step is solved in place on the list of negated
+residuals.  It is the same minimum-degree factorization and substitution
+that the exact curve solves run modulo a prime before they lift
+p-adically; no Newton step goes through that exact path.  A singular
+Newton system (GraphError) ends the solve unconverged, as a stalled step
+does.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -59,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves
+from .curves import ConvergenceError
 from .geometry import (
     AffineFunctional,
     DimensionError,
@@ -69,10 +76,6 @@ from .geometry import (
     dual_transform,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve stopped without a verified result (CLI exit 3)."""
 
 
 # Newton gives up once the damping factor falls below MIN_STEP; the final
@@ -286,8 +289,9 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # vol_i grows with w_i, so H is the (positive semidefinite) negated
         # Hessian of the dual objective, a graph Laplacian: pin the first
         # weight and solve H d = r.
+        step = [0.0] + [-ri for ri in r[1:]]
         try:
-            step = curves.solve_laplacian({i: -ri for i, ri in enumerate(r)}, k, edges, {0: 0.0})
+            curves.solve_floats(curves._assemble(k, edges, {0: 0.0}, step), step, range(1, k))
         except curves.GraphError:
             break
         alpha, norm = 1.0, math.hypot(*r)

@@ -450,7 +450,7 @@ def _float_contact(form):
             if contact in found:
                 return contact
             found.append(contact)
-    except (OverflowError, ZeroDivisionError, curves.GraphError):
+    except (OverflowError, curves.GraphError):
         pass
     return None
 

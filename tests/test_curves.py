@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plma import curves
+from plma import curves, solver
 from plma.curves import (
     GraphError,
     GraphMeasure,
@@ -659,11 +659,11 @@ def test_padic_solve_moves_past_an_unlucky_prime(monkeypatch):
     p, q = curves.PRIMES[:2]
     assert curves.solve_laplacian({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0: Fraction(0)}) \
         == [0, Fraction(-1, p)]
-    assert [args[3] for args in eliminations] == [p, q]
+    assert [args[2] for args in eliminations] == [p, q]
     eliminations.clear()
     monkeypatch.setattr(curves, "PRIMES", (3, p))
     assert curves.solve_laplacian(*system) == want
-    assert [args[3] for args in eliminations] == [3, p]
+    assert [args[2] for args in eliminations] == [3, p]
     # a zero pivot for every prime of the list
     monkeypatch.setattr(curves, "PRIMES", (3,))
     with pytest.raises(GraphError, match="singular linear system"):
@@ -672,7 +672,8 @@ def test_padic_solve_moves_past_an_unlucky_prime(monkeypatch):
 
 def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
     # sources made from integer values: the first lift leaves r = 0, and
-    # the solve returns with no second lift and no reconstruction
+    # the solve returns after one substitution, with no second lift and no
+    # reconstruction
     rng = random.Random(7)
     substitutions = counting(monkeypatch, "_substitute")
     reconstructions = counting(monkeypatch, "_reconstruct")
@@ -686,7 +687,7 @@ def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
             rho[b] += w * (x[a] - x[b])
         fixed = {k: x[k] for k in rng.sample(range(n), 3)}
         assert curves.solve_laplacian(rho, n, edges, fixed) == x
-    assert substitutions == [] and reconstructions == []
+    assert len(substitutions) == 3 and reconstructions == []
 
 
 def test_padic_solve_without_a_pinned_node_is_singular():
@@ -698,6 +699,93 @@ def test_padic_solve_without_a_pinned_node_is_singular():
             curves.solve_laplacian({0: Fraction(1), 1: Fraction(-1)}, n, edges, {})
     with pytest.raises(GraphError, match="singular linear system"):
         curves.solve_integer([{0: 1, 1: -1}, {0: -1, 1: 1}], [0, 0], [0, 1])
+
+
+def lift_bound(rows, b, free):
+    """The lifts after which solve_integer must have reconstructed: the
+    least k with p^k > 2 B^2, B the product over the free rows of
+    |row|_1 + |b_i|, for the first prime."""
+    B = 1
+    for i in free:
+        B *= sum(abs(v) for v in rows[i].values()) + abs(b[i])
+    k, pk = 0, 1
+    while pk <= 2 * B * B:
+        k, pk = k + 1, pk * curves.PRIMES[0]
+    return k
+
+
+def rational_systems(rng, count):
+    """Seeded systems of solve_laplacian (rho, n, edges, fixed) on trees,
+    cycles and dense graphs, each pinned at one to three random nodes."""
+    for kind in ("tree", "cycle", "dense") * count:
+        n, edges = _weighted_graph(rng, kind, rng.randint(3, 40))
+        rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in rng.sample(range(n), 3)}
+        contact = rng.sample(range(n), rng.randint(1, 3))
+        yield rho, n, edges, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
+
+
+def test_padic_lifts_stay_within_the_bound(monkeypatch):
+    # one _substitute per lift; every real solve reconstructs within the
+    # lifts that the Hadamard bound allows, most of them well within
+    substitutions = counting(monkeypatch, "_substitute")
+    calls = counting(monkeypatch, "solve_integer")
+    spare = []
+    for system in rational_systems(random.Random(1923), 6):
+        before = len(substitutions)
+        assert curves.solve_laplacian(*system) == fraction_solve_laplacian(*system)
+        lifts, bound = len(substitutions) - before, lift_bound(*calls[-1])
+        assert 1 <= lifts <= bound
+        spare.append(bound - lifts)
+    assert sum(s > 0 for s in spare) > len(spare) / 2
+
+
+def test_padic_solve_that_never_reconstructs_raises(monkeypatch):
+    # a reconstruction that always fails ends at the bound with
+    # ConvergenceError (CLI exit 3), after exactly the bound's lifts
+    assert curves.ConvergenceError is solver.ConvergenceError
+    monkeypatch.setattr(curves, "_reconstruct", lambda X, free, modulus: None)
+    substitutions = counting(monkeypatch, "_substitute")
+    calls = counting(monkeypatch, "solve_integer")
+    for system in rational_systems(random.Random(1924), 3):
+        before = len(substitutions)
+        with pytest.raises(curves.ConvergenceError,
+                           match="^p-adic solve passed its lift bound unreconstructed$"):
+            curves.solve_laplacian(*system)
+        assert len(substitutions) - before == lift_bound(*calls[-1])
+
+
+CURVE_INPUT_ERRORS = {
+    "duplicate ids": (lambda: MetricGraph.build([0, 1, 0], [(0, 1, 1)]),
+                      GraphError, "duplicate vertex ids"),
+    "nonpositive length": (lambda: MetricGraph.build([0, 1], [(0, 1, 0)]),
+                           GraphError, "edge lengths must be positive"),
+    "undeclared endpoint": (lambda: MetricGraph.build([0, 1], [(0, 2, 1)]),
+                            GraphError, "edge endpoint not a declared vertex"),
+    "no vertices": (lambda: MetricGraph.build([], []), GraphError, "graph must be connected"),
+    "breakpoints short of the edge": (
+        lambda: GraphPLFunction.build(circle_graph(), [((0, 0), (Fraction(1, 2), 1))]),
+        GraphError, "edge 0: breakpoints must run from 0 to the edge length"),
+    "breakpoints not increasing": (
+        lambda: GraphPLFunction.build(circle_graph(), [((0, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 2),
+                                                        (1, 0))]),
+        GraphError, "edge 0: breakpoints must be strictly increasing"),
+    "discontinuity": (
+        lambda: GraphPLFunction.build(MetricGraph.build([0, 1, 2], [(0, 1, 1), (1, 2, 1)]),
+                                      [((0, 0), (1, 1)), ((0, 2), (1, 0))]),
+        GraphError, "discontinuity at vertex 1"),
+    "not subharmonic": (
+        lambda: ma_curve(tent(circle_graph()), circle_graph(),
+                         GraphMeasure.from_atoms(circle_graph(), [(vertex_key(0), Fraction(1))])),
+        curves.SubharmonicityError, "function is not subharmonic for the reference measure"),
+}
+
+
+@pytest.mark.parametrize("case", list(CURVE_INPUT_ERRORS))
+def test_curve_input_errors(case):
+    call, error, message = CURVE_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def keyed_solve_laplacian(rho, nodes, edges, fixed):
@@ -761,7 +849,10 @@ def test_float_solve_rounds_as_keyed_elimination():
         rho = {i: rng.uniform(-9, 9) for i in rng.sample(range(n), min(n, 5))}
         for contact in ([0], rng.sample(range(n), rng.randint(1, n))):
             fixed = {i: rng.uniform(-5, 5) for i in contact}
-            got = curves.solve_laplacian(rho, n, fedges, fixed)
+            got = [rho.get(i, 0) for i in range(n)]
+            free = [i for i in range(n) if i not in fixed]
+            curves.solve_floats(curves._assemble(n, fedges, fixed, got), got, free)
+            got = [fixed.get(i, x) for i, x in enumerate(got)]
             want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, list(index),
                                          kedges, {keyed[i]: v for i, v in fixed.items()})
             assert got == [want[k] for k in index]

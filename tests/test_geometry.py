@@ -301,3 +301,33 @@ def test_measure_scale_matches_from_atoms(rng):
             want = DiscreteMeasure.from_atoms([(p, c * m) for p, m in mu.atoms])
             assert mu.scale(c) == want
     assert DiscreteMeasure.from_atoms([((1,), 2)]).scale(0).atoms == ()
+
+
+GEOMETRY_INPUT_ERRORS = {
+    "no points": (lambda: Polytope.from_points([]), ValueError, "polytope needs at least one point"),
+    "mixed dimensions": (lambda: Polytope.from_points([(0, 0), (1,)]), DimensionError,
+                         "points of mixed dimension"),
+    "a 3-D point": (lambda: Polytope.from_points([(0, 0, 0)]), DimensionError,
+                    "ambient dimension 3 not supported (use 1 or 2)"),
+    "contains in another dimension": (lambda: unit_square().contains((0,)), DimensionError,
+                                      "point/polytope dimension mismatch"),
+    "dilate by 0": (lambda: unit_square().dilate(0), ValueError, "dilation factor must be positive"),
+    "no pieces": (lambda: PLConvexFunction.from_pieces([]), ValueError, "need at least one affine piece"),
+    "sum across dimensions": (lambda: support_function(interval()) + support_function(unit_square()),
+                              DimensionError, "dimension mismatch in sum"),
+    "no samples": (lambda: convex_envelope([], unit_square()), ValueError, "empty sample set"),
+}
+
+
+@pytest.mark.parametrize("case", list(GEOMETRY_INPUT_ERRORS))
+def test_geometry_input_errors(case):
+    call, error, message = GEOMETRY_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_discrete_measure_mass_at():
+    mu = DiscreteMeasure.from_atoms([((Fraction(1, 2), 0), Fraction(2, 3)), ((1, 1), 1)])
+    assert mu.mass_at(("1/2", 0)) == Fraction(2, 3) and mu.mass_at((1, 1)) == 1
+    assert mu.mass_at((0, 0)) == 0

@@ -322,6 +322,34 @@ def test_schema_errors():
         serialize.graph_point_from_json({"offset": "1/2"})
 
 
+ONE_LOOP = curves.MetricGraph.build([0], [(0, 0, 1)])
+SCHEMA_ERRORS = {
+    "empty point": (lambda: serialize.point_from_json([]),
+                    "a point must be a nonempty array of rationals"),
+    "piece without intercept": (lambda: serialize.pl_function_from_json({"pieces": [{"slope": ["0"]}]}),
+                                'each piece must be {"slope": [...], "intercept": "..."}'),
+    "no pieces": (lambda: serialize.pl_function_from_json({"pieces": []}),
+                  "function needs at least one piece"),
+    "graph without edges": (lambda: serialize.graph_from_json({"vertices": [0]}),
+                            'graph must be {"vertices": [...], "edges": [...]}'),
+    "graph function without edges": (lambda: serialize.graph_function_from_json({"edge": []}, ONE_LOOP),
+                                     'graph function must be {"edges": [...]}'),
+    "graph measure without atoms": (lambda: serialize.graph_measure_from_json({}, ONE_LOOP),
+                                    'graph measure must be {"atoms": [...]}'),
+    "graph atom without mass": (
+        lambda: serialize.graph_measure_from_json({"atoms": [{"point": {"vertex": 0}}]}, ONE_LOOP),
+        'each atom must be {"point": ..., "mass": "..."}'),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEMA_ERRORS))
+def test_serialize_input_errors(case):
+    call, message = SCHEMA_ERRORS[case]
+    with pytest.raises(SchemaError) as raised:
+        call()
+    assert type(raised.value) is SchemaError and str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -1148,6 +1176,27 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error == {"type": "ConvergenceError", "message": "obstacle solve did not stabilize"}
+
+
+def test_cli_curve_solve_past_the_lift_bound_exit_code(tmp_path, capsys, monkeypatch):
+    # a p-adic solve whose reconstruction never succeeds stops at its lift
+    # bound with ConvergenceError: exit 3, as for any solve that fails
+    documents = {
+        "graph": {"vertices": [0, 1], "edges": [{"ends": [0, 1], "length": "1"},
+                                                {"ends": [1, 1], "length": "2"}]},
+        "omega0": {"atoms": [{"point": {"vertex": 0}, "mass": "1"},
+                             {"point": {"edge": 1, "offset": "1"}, "mass": "1"}]},
+        "mu": {"atoms": [{"point": {"edge": 0, "offset": "1/3"}, "mass": "3/2"},
+                         {"point": {"vertex": 1}, "mass": "1/2"}]},
+    }
+    assert _run_documents(tmp_path, "curve-solve", documents) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(curves, "_reconstruct", lambda X, free, modulus: None)
+    assert _run_documents(tmp_path, "curve-solve", documents) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ConvergenceError", "message": "p-adic solve passed its lift bound unreconstructed"}}
 
 
 @pytest.mark.parametrize("fmt", [(), CSV])

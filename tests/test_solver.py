@@ -1,10 +1,13 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from plma import cli, curves, serialize, solver
 from plma.curves import (
+    GraphError,
     GraphMeasure,
     MassBalanceError,
     circle_graph,
@@ -19,6 +22,7 @@ from plma.geometry import (
     AffineFunctional,
     DiscreteMeasure,
     PLConvexFunction,
+    Polytope,
     cross2,
     dot,
     support_function,
@@ -36,7 +40,7 @@ from plma.solver import (
     solve_curve,
     solve_toric,
 )
-from plma.toric import AdmissibilityError, ma_measure, point_mass_solution
+from plma.toric import AdmissibilityError, DegeneratePolytopeError, ma_measure, point_mass_solution
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
@@ -299,6 +303,61 @@ def test_nonconvergence_reported():
     rep = solve_toric(delta, nu, SolverOptions(max_iterations=1))
     assert not rep.converged
     assert rep.iterations == 1
+
+
+NEWTON_TARGET = [
+    ((Fraction(1, 7), Fraction(2, 7)), Fraction(1, 3)),
+    ((Fraction(3, 5), Fraction(4, 7)), Fraction(1, 3)),
+    ((Fraction(1, 3), Fraction(6, 7)), Fraction(1, 3)),
+]
+
+
+def _singular_newton_system(rows, b, free):
+    raise GraphError("singular linear system")
+
+
+@pytest.mark.parametrize("patch", [
+    (solver, "MIN_STEP", 2.0),  # no damping factor alpha <= 1 reaches it: the step stalls
+    (curves, "solve_floats", _singular_newton_system),
+], ids=["stall", "singular"])
+def test_newton_early_exits_report_not_converged(patch, tmp_path, capsys, monkeypatch):
+    # both early exits of the Newton loop end the solve unconverged after
+    # its first step, with the exact residual of the returned solution,
+    # and the CLI exits 3 with that report
+    monkeypatch.setattr(*patch)
+    delta, nu = unit_square(), DiscreteMeasure.from_atoms(NEWTON_TARGET)
+    rep = solve_toric(delta, nu)
+    assert not rep.converged and rep.iterations == 1
+    assert rep.residual == residual(rep.solution, nu, delta)
+    assert all(type(e) is Fraction for _, e in rep.residual) and any(e != 0 for _, e in rep.residual)
+    # the CLI reads the target with the Berkovich normalization, 2! times nu
+    files = {"delta": serialize.polytope_to_json(delta), "mu": serialize.measure_to_json(nu.scale(2))}
+    argv = ["toric-solve"]
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert cli.run(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == json.loads(serialize.solve_report_to_json(rep))
+
+
+SOLVER_INPUT_ERRORS = {
+    "segment in the plane": (
+        lambda: solve_toric(Polytope.from_points([(0, 0), (2, 1)]),
+                            DiscreteMeasure.from_atoms([((0, 0), Fraction(1))])),
+        DegeneratePolytopeError, "polytope must be full-dimensional"),
+    "empty target": (lambda: solve_toric(unit_square(), DiscreteMeasure.from_atoms([])),
+                     AdmissibilityError, "target measure must be positive and nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_INPUT_ERRORS))
+def test_solver_input_errors(case):
+    call, error, message = SOLVER_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_solver_options_validation():

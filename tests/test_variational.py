@@ -1017,3 +1017,29 @@ def test_maximizer_criticality(rng):
     for t in (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 32), Fraction(-1, 32)):
         pert = envelope_toric(phi1d + f.scale(t), delta)
         assert f_mu_toric(pert, mu, g0, delta) <= base
+
+
+VARIATIONAL_INPUT_ERRORS = {
+    "mass mismatch": (
+        lambda: f_mu_curve(GraphPLFunction.constant(circle_graph(), 0),
+                           GraphMeasure.from_atoms(circle_graph(), [(vertex_key(0), Fraction(2))]),
+                           circle_graph(),
+                           GraphMeasure.from_atoms(circle_graph(), [(vertex_key(0), Fraction(1))])),
+        MassBalanceError, "mu must have the same mass as the reference"),
+    "no breakpoints": (lambda: PiecewiseLinear1D.build([], 0, 1), ValueError,
+                       "need at least one breakpoint"),
+    "duplicate abscissae": (lambda: PiecewiseLinear1D.build([(0, 0), (0, 1)], 0, 1), ValueError,
+                            "duplicate breakpoint abscissae"),
+    "from_convex in 2-D": (lambda: PiecewiseLinear1D.from_convex(support_function(unit_square())),
+                           ValueError, "1-D only"),
+    "unsupported obstacle": (lambda: envelope_toric("psi", interval()), TypeError,
+                             "unsupported obstacle type str"),
+}
+
+
+@pytest.mark.parametrize("case", list(VARIATIONAL_INPUT_ERRORS))
+def test_variational_input_errors(case):
+    call, error, message = VARIATIONAL_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
