@@ -6,9 +6,10 @@ identical inputs give byte-identical results.  Every command but selftest
 also writes CSV (--format csv): a header line, then one row per atom,
 piece, residual entry or graph breakpoint, each number the rational
 string "p/q" (or "p") that the JSON document carries for it.  Exit codes:
-0 success, 2 usage or validation error, 3 solver non-convergence.  Every
-error, a usage error that argparse finds included, prints the one
-machine-readable error object on stderr and nothing on stdout.
+0 success, 1 a selftest check printed FAIL, 2 usage or validation error,
+3 solver non-convergence.  Every error, a usage error that argparse finds
+included, prints the one machine-readable error object on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations

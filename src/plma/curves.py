@@ -23,10 +23,9 @@ lift, until it rebuilds the integer numerators over one common
 denominator, checked exactly, or passes a Hadamard bound on their size
 (ConvergenceError); solve_laplacian is its exact entry on rationals, and
 the envelope's exact Howard pass calls it on its own integer rows.  One
-routine,
-normalized_potential, solves laplacian(f) = mu - omega0 and shifts f to
-zero integral against the reference measure omega0, which must be
-positive with positive mass (reference_mass): green is its case
+routine, normalized_potential, solves laplacian(f) = mu - omega0 and
+shifts f to zero integral against the reference measure omega0, which
+must be positive with positive mass (reference_mass): green is its case
 mu = d_L delta_x, and solver.solve_curve its general case.  The
 canonical metric of multiplication by m on the circle at step k needs no
 solve: its potential is the discrete parabola through the m^k-division
@@ -115,7 +114,8 @@ class MetricGraph:
 
         An edge key at either end of its edge becomes the end vertex's key.
         Anything else, and a vertex id, edge index or offset that is not in
-        the graph, raises GraphError.
+        the graph, raises GraphError; an offset must be an int (not a bool)
+        or a Fraction.
         """
         if isinstance(key, tuple) and len(key) == 2 and key[0] == "v":
             try:
@@ -130,16 +130,14 @@ class MetricGraph:
         _, e, off = key
         if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < len(self.edges):
             raise GraphError(f"edge index {e!r} is not an edge of the graph")
+        if isinstance(off, bool) or not isinstance(off, (int, Fraction)):
+            raise GraphError(f"offset {off!r} is not an int or a Fraction")
         u, v, ln = self.edges[e]
         if off == 0:
             return ("v", u)
         if off == ln:
             return ("v", v)
-        try:
-            inside = 0 < off < ln
-        except TypeError:  # an offset that is not a number
-            inside = False
-        if not inside:
+        if not 0 < off < ln:
             raise GraphError("offset outside edge")
         return key
 
@@ -349,7 +347,7 @@ def _refine(graph: MetricGraph, keys):
     (index, edges, edge_offsets): index maps each node's key to its
     number, edges holds one (i, j, 1 / length) per segment on those
     numbers, the segments of each graph edge in order, and edge_offsets
-    the sorted interior offsets of each edge.  solve_laplacian breaks its
+    the sorted interior offsets of each edge.  _eliminate breaks its
     minimum-degree ties in this order, and _node_values and
     _function_from_node_values read it.
     """

@@ -274,5 +274,7 @@ def load_path(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None

@@ -190,11 +190,12 @@ def test_points_not_in_the_graph_rejected():
     g = MetricGraph.build([0, 1], [(0, 1, 1)])
     half = Fraction(1, 2)
     # and so is anything that is not a key: another tag, a list, an int, a
-    # key of the wrong length, an unhashable id, an offset that is no number
+    # key of the wrong length, an unhashable id, an offset that is no number,
+    # and one that is a float or a bool
     for loc in (vertex_key(99), ("e", 5, half), ("e", -1, half), ("e", 0, Fraction(3, 2)),
                 ("e", 0, Fraction(-1, 2)), ("x", 1), ["v", 0], ["e", 0, half], 5, ("e", 0),
                 ("v",), ("v", 0, 1), ("e", 0, half, 1), ("v", [0]), ("e", 0, "x"),
-                ("e", 0, None)):
+                ("e", 0, None), ("e", 0, 0.5), ("e", 0, True)):
         with pytest.raises(GraphError):
             g.point_key(loc)
         with pytest.raises(GraphError):

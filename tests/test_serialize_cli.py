@@ -1,8 +1,8 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,7 +15,6 @@ import plma
 from plma import cli, curves, geometry, serialize, variational
 from plma.curves import (
     GraphMeasure,
-    GraphPLFunction,
     circle_graph,
     solve_poisson,
     vertex_key,
@@ -25,6 +24,20 @@ from plma.serialize import SchemaError
 from plma.solver import ConvergenceError, SolveReport, solve_toric
 from plma.toric import ma_measure
 
+from cli_contract import (
+    CSV,
+    CURVE_GOLDEN,
+    DENOMINATOR_6,
+    INTERVAL,
+    MIN_OF_PARABOLOIDS,
+    PARABOLOID_16,
+    PRUNED_INTERVAL,
+    ROWS,
+    SQUARE,
+    THREE_ATOMS,
+    Prefix,
+    Text,
+)
 from conftest import (
     hexagon,
     interval,
@@ -370,14 +383,6 @@ def toric_files(tmp_path):
     return d, g
 
 
-def test_cli_toric_ma(toric_files, capsys):
-    d, g = toric_files
-    assert cli.run(["toric-ma", "--delta", d, "--g", g]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["ma_real"]["atoms"][0]["mass"] == "1"
-    assert out["degree"] == "2"
-
-
 def test_cli_determinism(toric_files, capsys):
     d, g = toric_files
     cli.run(["toric-ma", "--delta", d, "--g", g])
@@ -387,48 +392,6 @@ def test_cli_determinism(toric_files, capsys):
     # emitted JSON re-parses into equal values
     res = serialize.measure_from_json(json.loads(first)["ma_real"])
     assert res.total_mass() == 1
-
-
-def test_cli_toric_solve_exit_codes(tmp_path, toric_files, capsys):
-    d, _ = toric_files
-    mu = write(
-        tmp_path,
-        "mu.json",
-        {"atoms": [{"point": ["1/2", "1/2"], "mass": "2"}]},  # Berkovich mass 2
-    )
-    assert cli.run(["toric-solve", "--delta", d, "--mu", mu]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["converged"] and out["polished_residual"][0]["error"] == "0"
-
-    bad = write(tmp_path, "bad.json", {"atoms": [{"point": ["1/2", "1/2"], "mass": "1"}]})
-    assert cli.run(["toric-solve", "--delta", d, "--mu", bad]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "AdmissibilityError"
-
-
-# three atoms on the unit square; the start misses them by up to 371/1536
-THREE_ATOMS = {"atoms": [{"point": ["0", "0"], "mass": "1/3"},
-                         {"point": ["1", "0"], "mass": "1/2"},
-                         {"point": ["1", "1"], "mass": "7/6"}]}
-
-
-@pytest.mark.parametrize(
-    "options, code",
-    [(("--max-iter", "1"), 3), (("--tol", "nan"), 2), (("--tol", "inf"), 2)],
-)
-def test_cli_toric_solve_three_atoms_exit_codes(tmp_path, options, code, capsys):
-    # one Newton step does not converge: exit 3 with the report; a tolerance
-    # that is not finite is invalid: exit 2 (inf reported the start as
-    # converged, and nan failed even an exact solve)
-    documents = {"delta": json.loads(serialize.polytope_to_json(unit_square())), "mu": THREE_ATOMS}
-    assert _run_documents(tmp_path, "toric-solve", documents, options) == code
-    out, err = capsys.readouterr()
-    if code == 3:
-        assert err == "" and json.loads(out)["converged"] is False
-    else:
-        assert out == ""
-        assert json.loads(err) == {"error": {
-            "type": "ValueError", "message": "tolerance must be positive and finite"}}
 
 
 def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
@@ -451,134 +414,11 @@ def test_cli_toric_solve_csv_reports_exact_residual(tmp_path, capsys):
     assert pieces and len(residual) == 3 and any(row[3] != "0" for row in residual)
 
 
-def test_cli_malformed_json(tmp_path, capsys):
-    p = tmp_path / "broken.json"
-    p.write_text('{"vertices": [')
-    assert cli.run(["toric-ma", "--delta", str(p), "--g", str(p)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert "line" in err["error"]["message"]
-
-
-ONE_EDGE = {"vertices": [0, 1], "edges": [{"ends": [0, 1], "length": "1"}]}
-AT_0 = {"atoms": [{"point": {"vertex": 0}, "mass": "1"}]}
-VALID_DOCUMENTS = {
-    "toric-ma": {"delta": json.loads(serialize.polytope_to_json(unit_square())),
-                 "g": json.loads(serialize.pl_function_to_json(support_function(unit_square())))},
-    "toric-solve": {"delta": json.loads(serialize.polytope_to_json(unit_square())),
-                    "mu": {"atoms": [{"point": ["1/2", "1/2"], "mass": "2"}]}},
-    "curve-solve": {"graph": ONE_EDGE, "omega0": AT_0, "mu": AT_0},
-    "curve-green": {"graph": ONE_EDGE, "omega0": AT_0, "x": {"vertex": 1}},
-    "envelope": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
-    "orthogonality": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
-}
-EDGE_5 = {"edge": 5, "offset": "1/2"}
-
-
 def _run_documents(tmp_path, command, documents, options=()):
     args = [command, *options]
     for name, doc in documents.items():
         args += ["--" + name, write(tmp_path, name + ".json", doc)]
     return cli.run(args)
-
-
-@pytest.mark.parametrize(
-    "command, role, document, error",
-    [
-        ("toric-ma", "delta", {"vertices": 5}, "SchemaError"),
-        ("toric-ma", "g", {"pieces": 7}, "SchemaError"),
-        ("toric-solve", "mu", {"atoms": 3}, "SchemaError"),
-        ("curve-solve", "graph",
-         {"vertices": [0, 1], "edges": [{"ends": 5, "length": "1"}]}, "SchemaError"),
-        ("curve-solve", "graph",
-         {"vertices": [[0], 1], "edges": [{"ends": [1, 1], "length": "1"}]}, "SchemaError"),
-        ("curve-green", "x", {"vertex": [0]}, "SchemaError"),
-        ("envelope", "g", {"edges": [5]}, "SchemaError"),
-        ("curve-green", "x", EDGE_5, "GraphError"),
-        ("curve-green", "x", {"edge": -1, "offset": "1/2"}, "GraphError"),
-        ("curve-green", "x", {"edge": "a", "offset": "1/2"}, "GraphError"),
-        ("curve-green", "omega0", {"atoms": [{"point": EDGE_5, "mass": "1"}]}, "GraphError"),
-        ("curve-solve", "mu", {"atoms": [{"point": EDGE_5, "mass": "1"}]}, "GraphError"),
-        ("envelope", "g", {"edges": []}, "GraphError"),
-        ("envelope", "g", {"edges": [[["0", "0"], ["1", "1"]]] * 2}, "GraphError"),
-    ],
-)
-def test_cli_malformed_documents_exit_2(tmp_path, capsys, command, role, document, error):
-    documents = VALID_DOCUMENTS[command]
-    assert _run_documents(tmp_path, command, documents) == 0
-    capsys.readouterr()
-    assert _run_documents(tmp_path, command, {**documents, role: document}) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == error
-
-
-@pytest.mark.parametrize(
-    "command, role",
-    [
-        ("curve-solve", "mu"),
-        ("curve-solve", "omega0"),
-        ("curve-green", "x"),
-        ("envelope", "omega0"),
-        ("orthogonality", "omega0"),
-    ],
-)
-def test_cli_vertex_not_in_graph_exit_2(tmp_path, capsys, command, role):
-    documents = VALID_DOCUMENTS[command]
-    assert _run_documents(tmp_path, command, documents) == 0
-    capsys.readouterr()
-    vertex_99 = {"vertex": 99}
-    if role != "x":
-        vertex_99 = {"atoms": [{"point": vertex_99, "mass": "1"}]}
-    assert _run_documents(tmp_path, command, {**documents, role: vertex_99}) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"] == {
-        "type": "GraphError", "message": "vertex 99 is not a vertex of the graph"
-    }
-
-
-# -delta_0, delta_0 - delta_1, the empty measure and 2 delta_0 - delta at
-# the middle of edge 0
-NONPOSITIVE_OMEGA0 = [
-    [({"vertex": 0}, "-1")],
-    [({"vertex": 0}, "1"), ({"vertex": 1}, "-1")],
-    [],
-    [({"vertex": 0}, "2"), ({"edge": 0, "offset": "1/2"}, "-1")],
-]
-
-
-@pytest.mark.parametrize("atoms", NONPOSITIVE_OMEGA0)
-@pytest.mark.parametrize("command", ["envelope", "orthogonality", "curve-green"])
-def test_cli_nonpositive_reference_exit_2(tmp_path, capsys, command, atoms):
-    # the graph envelope and orthogonality reject a reference measure that
-    # is not positive or has no mass, with curve-green's error
-    documents = VALID_DOCUMENTS[command]
-    omega0 = {"atoms": [{"point": point, "mass": mass} for point, mass in atoms]}
-    assert _run_documents(tmp_path, command, {**documents, "omega0": omega0}) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"] == {
-        "type": "MassBalanceError", "message": "reference measure must be positive"
-    }
-
-
-EDGELESS = {"vertices": [0], "edges": []}
-EDGELESS_DOCUMENTS = {
-    "envelope": {"graph": EDGELESS, "omega0": AT_0, "g": {"edges": []}},
-    "orthogonality": {"graph": EDGELESS, "omega0": AT_0, "g": {"edges": []}},
-    "curve-solve": {"graph": EDGELESS, "omega0": AT_0, "mu": AT_0},
-    "curve-green": {"graph": EDGELESS, "omega0": AT_0, "x": {"vertex": 0}},
-}
-
-
-@pytest.mark.parametrize("command", list(EDGELESS_DOCUMENTS))
-def test_cli_edgeless_graph_exit_2(tmp_path, capsys, command):
-    assert _run_documents(tmp_path, command, EDGELESS_DOCUMENTS[command]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"] == {
-        "type": "GraphError", "message": "graph must have at least one edge"
-    }
 
 
 def test_bad_input_errors_are_value_errors():
@@ -592,12 +432,6 @@ def test_bad_input_errors_are_value_errors():
     for cls in [SchemaError, variational.EnvelopeError, *(getattr(plma, name) for name in exported)]:
         assert issubclass(cls, ValueError), cls
     assert not issubclass(ConvergenceError, ValueError)
-
-
-def test_cli_energy(tmp_path, toric_files, capsys):
-    d, g = toric_files
-    assert cli.run(["toric-energy", "--delta", d, "--g", g]) == 0
-    assert json.loads(capsys.readouterr().out)["energy"] == "0"
 
 
 def test_cli_curve_commands(tmp_path, capsys):
@@ -632,233 +466,12 @@ def test_cli_canonical_csv(capsys):
 
 
 @pytest.mark.parametrize(
-    "m, k, digest",
-    [
-        (2, 6, "15daf5250f48dcc498397198721b44f22b1215a8bc308fd81d642a51c3335fef"),
-        (2, 8, "b5c25273f879a474ca67602ab9bc82b38f30a8c57370cda979fdc5110e69e6c5"),
-        (2, 10, "0b79ab505012a6885e25f5996d402791b658ab184d79872bfd64ea104399abf8"),
-        (3, 5, "4c05028df2ee77a18c1f8676189e301de3e96e896665387189d6c2c49ff6e7d0"),
-    ],
-)
-def test_cli_canonical_golden_stdout(m, k, digest, capsys):
-    # sha256 of the stdout the pullback iteration printed; the closed form
-    # must keep it byte for byte
-    assert cli.run(["curve-canonical", "--m", str(m), "--iterations", str(k)]) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-@pytest.mark.parametrize(
-    "options, digest",
-    [
-        (["--m", "2", "--iterations", "12"],
-         "a8bb10d643ccb654580cafe3a55e676c4c2201218ddd11be8bd95806f73fae45"),
-        (["--m", "3", "--iterations", "5", "--format", "csv"],
-         "8aca9c132b40c7fb3a731e0d43f43cdde61fcb593ed1286ef4c01d72774d43ff"),
-    ],
-)
-def test_cli_canonical_golden_stdout_poisson(options, digest, capsys):
-    # sha256 of the stdout the Poisson solve printed (the CSV digest recorded
-    # again when its cells became the rational strings of the JSON document)
-    assert cli.run(["curve-canonical", *options]) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-def _shifted_paraboloid(inner, shift):
-    """Lattice paraboloid on the 1/3 grid of the unit square: the four corner
-    slopes plus `inner`, intercepts |s|^2/2 + <s, shift>."""
-    slopes = [(0, 0), (1, 0), (0, 1), (1, 1)] + [(Fraction(i, 3), Fraction(j, 3)) for i, j in inner]
-    return {"pieces": [
-        {"slope": [str(Fraction(c)) for c in s],
-         "intercept": str((Fraction(s[0]) ** 2 + Fraction(s[1]) ** 2) / 2
-                          + s[0] * shift[0] + s[1] * shift[1])}
-        for s in slopes
-    ]}
-
-
-SQUARE_JSON = json.loads(serialize.polytope_to_json(unit_square()))
-INTERVAL_JSON = json.loads(serialize.polytope_to_json(interval()))
-MIN_OF_PARABOLOIDS = {"min_of": [
-    _shifted_paraboloid([(1, 1), (2, 1), (1, 2), (2, 2)], (Fraction(1, 4), Fraction(-1, 8))),
-    _shifted_paraboloid([(1, 0), (0, 2), (2, 3), (3, 1)], (Fraction(-3, 8), Fraction(1, 4))),
-]}
-TORIC_GOLDEN = {
-    # hexagon, four atoms, one inside the hull of the others; the snap succeeds
-    "hexagon-a4i1": ("toric-solve", {
-        "delta": {"vertices": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"],
-                               ["1", "1"], ["-1", "-1"]]},
-        "mu": {"atoms": [{"point": ["-1", "-5"], "mass": "1"},
-                         {"point": ["3/2", "-2"], "mass": "1"},
-                         {"point": ["5/3", "-7/3"], "mass": "3"},
-                         {"point": ["3", "-3"], "mass": "1"}]},
-    }),
-    # simplex, five atoms; the snap succeeds
-    "simplex-a5": ("toric-solve", {
-        "delta": json.loads(serialize.polytope_to_json(simplex2())),
-        "mu": {"atoms": [{"point": ["-1/2", "1/2"], "mass": "1/3"},
-                         {"point": ["0", "0"], "mass": "1/12"},
-                         {"point": ["1/2", "1"], "mass": "1/12"},
-                         {"point": ["5/2", "-5"], "mass": "1/4"},
-                         {"point": ["8", "6"], "mass": "1/4"}]},
-    }),
-    "interval-a3": ("toric-solve", {
-        "delta": INTERVAL_JSON,
-        "mu": {"atoms": [{"point": ["-1"], "mass": "1/4"},
-                         {"point": ["1/3"], "mass": "1/2"},
-                         {"point": ["5/2"], "mass": "1/4"}]},
-    }),
-    # uniform masses on twelve atoms of the 1/17 grid in the unit square; the
-    # snap fails, so the weights on 2^-50 and their exact residual are printed
-    "square-a12-unsnapped": ("toric-solve", {
-        "delta": SQUARE_JSON,
-        "mu": {"atoms": [{"point": [f"{i}/17", f"{j}/17"], "mass": "1/6"} for i, j in [
-            (0, 5), (4, 1), (7, 11), (7, 14), (9, 17), (10, 11),
-            (10, 15), (13, 1), (13, 8), (13, 13), (15, 0), (17, 1)]]},
-    }),
-    "envelope-min-of": ("envelope", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
-    "orthogonality-min-of": ("orthogonality", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}),
-}
-
-
-@pytest.mark.parametrize(
-    "case, digest",
-    [
-        ("hexagon-a4i1",
-         "6a51fe260009783a1f2dbc5a4ef7662b08a880b415fb1ad5baff47bbe9eb95c8"),
-        ("simplex-a5",
-         "e2b77a4032a8066fa43c2909e7da119da00c7aa1ced367c6e1e4cb2513bbe46d"),
-        ("interval-a3",
-         "e5297a288f68c36a33b298f93b03d27bab873dfb6d3269cf6d0267ce99ec55f3"),
-        ("square-a12-unsnapped",
-         "9e5af46f3d7f111d2ad274a7f0772e902fd47b153d586261613b020b4ebf609e"),
-        ("envelope-min-of",
-         "afbbc658bb10f8d6218473a26ca9bcdeda160944aa7f5e2559a2653157200e4c"),
-        ("orthogonality-min-of",
-         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
-    ],
-)
-def test_cli_toric_golden_stdout(tmp_path, case, digest, capsys):
-    # sha256 of the stdout on fixed toric inputs, pinned before the Legendre
-    # transform read its breakpoints along the sides of delta off the 1-D chain
-    # (square-a12-unsnapped: before the transform and the Voronoi start ran
-    # on integers)
-    command, documents = TORIC_GOLDEN[case]
-    assert _run_documents(tmp_path, command, documents) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-SUPPORT_SQUARE = json.loads(serialize.pl_function_to_json(support_function(unit_square())))
-# the lattice paraboloid on the whole 1/3 grid of the unit square, k = 16
-PARABOLOID_16 = _shifted_paraboloid(
-    [(i, j) for i in range(4) for j in range(4) if {i, j} - {0, 3}], (0, 0))
-# the corner slopes plus five interior slopes over the common denominator 6
-DENOMINATOR_6 = {"pieces": [
-    {"slope": s, "intercept": c} for s, c in [
-        (["0", "0"], "1/6"), (["1", "0"], "1/3"), (["0", "1"], "1/2"), (["1", "1"], "5/6"),
-        (["1/6", "1/2"], "-1/6"), (["5/6", "1/3"], "1/6"), (["1/2", "5/6"], "1/3"),
-        (["1/3", "1/6"], "-1/3"), (["1/2", "1/2"], "-1/2"),
-    ]
-]}
-CSV = ("--format", "csv")
-MA_ENERGY_GOLDEN = {
-    "ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": SUPPORT_SQUARE}, ()),
-    "ma-paraboloid16": ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, ()),
-    "ma-denominator6": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, ()),
-    "ma-paraboloid16-csv": ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, CSV),
-    "ma-denominator6-csv": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, CSV),
-    "energy-paraboloid16": ("toric-energy", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, ()),
-    "energy-denominator6": ("toric-energy",
-                            {"delta": SQUARE_JSON, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, ()),
-}
-
-
-@pytest.mark.parametrize(
-    "case, digest",
-    [
-        ("ma-square",
-         "d21af9d40a66bb273084b0c566cc0ec0948b362450e77cec3d1720903254f0c4"),
-        ("ma-paraboloid16",
-         "94bed1a5dc43e8b3b1e3e5f32fd2a1f4ea00309f845d29d482dfc49cb43ffd43"),
-        ("ma-denominator6",
-         "d722785e8e937b1c704e2913674c709fac7301079269089b7516a0cbc47bd770"),
-        ("ma-paraboloid16-csv",
-         "60382143f995ad20effc215409316911652ab1ddb39048807237e17f2c043ddc"),
-        ("ma-denominator6-csv",
-         "eb200a724aca54947b666e53a8a7087051390c4ad73a6cabb0be48c53a263e3e"),
-        ("energy-paraboloid16",
-         "a0b78a2c3f35e5d47d82d83c6c32b71d5d48607b96b60b81d3580fc502ae96b2"),
-        ("energy-denominator6",
-         "45294bd002b287e7a286b4f1c9b4469d9ba3f5d8e272a7b0e189ec380737c136"),
-    ],
-)
-def test_cli_toric_ma_energy_golden_stdout(tmp_path, case, digest, capsys):
-    # sha256 of the stdout of the two commands that run the subdivision kernel
-    # end to end, pinned before its predicates ran on integers (the CSV
-    # digests recorded again when their cells became rational strings)
-    command, documents, options = MA_ENERGY_GOLDEN[case]
-    assert _run_documents(tmp_path, command, documents, options) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-def _pieces(pairs):
-    return {"pieces": [{"slope": s, "intercept": c} for s, c in pairs]}
-
-
-# admissible obstacles that lose pieces when loaded: the slope (0, 0) (and
-# (0) in 1-D) comes twice, and the slope (1/2, 0) (and (1/2)) is never the
-# strict maximum; an admissible obstacle is its own envelope, so envelope
-# prints the loaded function's pieces
-PRUNED_SQUARE = _pieces([
-    (["0", "0"], "0"), (["1", "0"], "1/2"), (["0", "1"], "1/3"), (["1", "1"], "3/2"),
-    (["1/2", "1/2"], "-1/4"), (["1/2", "0"], "1"), (["0", "0"], "2"),
-])
-PRUNED_INTERVAL = _pieces([
-    (["0"], "0"), (["1"], "1"), (["1/3"], "-1/4"), (["1/2"], "1"), (["0"], "3"),
-])
-PRUNED_GOLDEN = {
-    "envelope-square": ("envelope", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
-    "ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": PRUNED_SQUARE}, ()),
-    "envelope-interval-csv": ("envelope", {"delta": INTERVAL_JSON,
-                                           "g": PRUNED_INTERVAL}, CSV),
-}
-
-
-@pytest.mark.parametrize(
-    "case, digest",
-    [
-        ("envelope-square",
-         "616e4de2a0786a03f48975cd7674e3d937ce60f91dfe212d661f67f2964ed516"),
-        ("ma-square",
-         "37da3319ff56c30f86aa7ff518f06f7187c45cff09fd01399fad150bf6aa2aab"),
-        ("envelope-interval-csv",
-         "73e83d3f522006cdf457d92ab3f73d3ac6e63d5cd5056c02170ca23d6a14d46c"),
-    ],
-)
-def test_cli_pruned_obstacle_golden_stdout(tmp_path, case, digest, capsys):
-    # sha256 of the stdout on loaded functions that prune, pinned while
-    # pruning was a flag of from_pieces and its walk was thrown away; the
-    # 1-D CSV digest was recorded again when its rows became the pieces
-    command, documents, options = PRUNED_GOLDEN[case]
-    assert _run_documents(tmp_path, command, documents, options) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-@pytest.mark.parametrize(
     "command, documents, walks",
     [
-        ("toric-ma", {"delta": SQUARE_JSON, "g": PARABOLOID_16}, 1),
-        ("toric-energy", {"delta": SQUARE_JSON, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, 2),
-        ("envelope", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}, 3),
-        ("orthogonality", {"delta": SQUARE_JSON, "g": MIN_OF_PARABOLOIDS}, 4),
+        ("toric-ma", {"delta": SQUARE, "g": PARABOLOID_16}, 1),
+        ("toric-energy", {"delta": SQUARE, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, 2),
+        ("envelope", {"delta": SQUARE, "g": MIN_OF_PARABOLOIDS}, 3),
+        ("orthogonality", {"delta": SQUARE, "g": MIN_OF_PARABOLOIDS}, 4),
     ],
 )
 def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, monkeypatch):
@@ -881,7 +494,7 @@ def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, 
 def test_cli_envelope_interval_csv_rows_are_pieces(tmp_path, capsys):
     # a row per piece of the envelope, s2 empty on an interval: the pieces
     # carry the function exactly, and consecutive rows meet at its breakpoints
-    documents = {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}
+    documents = {"delta": INTERVAL, "g": PRUNED_INTERVAL}
     assert _run_documents(tmp_path, "envelope", documents, CSV) == 0
     header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     assert header == ["s1", "s2", "intercept"]
@@ -925,208 +538,11 @@ def test_cli_graph_orthogonality_builds_no_gap(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-def _dented_graph(vertices, edges, omega0, mu, dents):
-    """Graph documents with the obstacle psi solving laplacian(psi) = mu -
-    dents - omega0/2 (masses 2, 1 and 2), as the benchmark builds them: one
-    exact Poisson solve, so psi fails to be subharmonic at the dents."""
-    graph = {"vertices": vertices,
-             "edges": [{"ends": [u, v], "length": ln} for u, v, ln in edges]}
-    g = serialize.graph_from_json(graph)
-
-    def atoms(pairs, c=1):
-        return [(serialize.graph_point_from_json(p), c * Fraction(m)) for p, m in pairs]
-
-    rho = GraphMeasure.from_atoms(
-        g, atoms(mu) + atoms(dents, -1) + atoms(omega0, Fraction(-1, 2)))
-    psi = solve_poisson(g, rho, vertex_key(vertices[0]))
-    omega0 = {"atoms": [{"point": p, "mass": m} for p, m in omega0]}
-    psi = json.loads(serialize.graph_function_to_json(psi))
-    return {"graph": graph, "omega0": omega0, "g": psi}
-
-
-def _subharmonic_graph(vertices, edges, omega0, mu, redundant):
-    """Graph documents with a subharmonic obstacle: psi solves laplacian(psi)
-    = mu - omega0/2 (masses 1 and 2), and each edge in `redundant` gets one more breakpoint,
-    collinear, in the middle of its first segment."""
-    documents = _dented_graph(vertices, edges, omega0, mu, [])
-    for e in redundant:
-        pairs = documents["g"]["edges"][e]
-        (o1, y1), (o2, y2) = [[Fraction(c) for c in pair] for pair in pairs[:2]]
-        pairs.insert(1, [serialize.rational_str((o1 + o2) / 2), serialize.rational_str((y1 + y2) / 2)])
-    return documents
-
-
-CURVE_GOLDEN = {
-    # 8 vertices, 10 edges with a loop and a parallel pair, four dents
-    "v8": _dented_graph(
-        list(range(8)),
-        [(0, 1, "3/2"), (1, 2, "1"), (1, 3, "2/3"), (3, 4, "5/2"), (0, 5, "2"),
-         (5, 6, "1/3"), (6, 7, "4"), (2, 7, "3"), (4, 4, "2"), (0, 1, "5/3")],
-        [({"vertex": 0}, "1/2"), ({"edge": 3, "offset": "5/8"}, "3/2")],
-        [({"vertex": 6}, "1/2"), ({"edge": 7, "offset": "3/4"}, "5/6"),
-         ({"vertex": 4}, "2/3")],
-        [({"edge": 1, "offset": "1/4"}, "1/3"), ({"vertex": 3}, "1/6"),
-         ({"edge": 8, "offset": "1/2"}, "1/4"), ({"edge": 5, "offset": "1/6"}, "1/4")],
-    ),
-    # 14 vertices on a spanning tree plus three chords, seven dents
-    "v14": _dented_graph(
-        list(range(14)),
-        [(0, 1, "2"), (0, 2, "1/3"), (1, 3, "5/2"), (2, 4, "1"), (3, 5, "4/3"),
-         (4, 6, "3"), (1, 7, "1/2"), (7, 8, "6"), (8, 9, "2/3"), (2, 10, "5/3"),
-         (10, 11, "1"), (6, 12, "3/2"), (12, 13, "2"), (5, 9, "4"), (11, 13, "1/3"),
-         (3, 10, "3")],
-        [({"edge": 7, "offset": "3/2"}, "5/4"), ({"vertex": 12}, "3/4")],
-        [({"vertex": 2}, "1/3"), ({"edge": 13, "offset": "1"}, "1"),
-         ({"edge": 4, "offset": "1/3"}, "2/3")],
-        [({"vertex": 5}, "1/12"), ({"edge": 0, "offset": "1/2"}, "1/6"),
-         ({"edge": 9, "offset": "5/12"}, "1/12"), ({"vertex": 11}, "1/4"),
-         ({"edge": 15, "offset": "9/4"}, "1/6"), ({"vertex": 8}, "1/12"),
-         ({"edge": 6, "offset": "1/8"}, "1/6")],
-    ),    # 5 vertices, a loop and a cycle: psi is subharmonic, its own envelope,
-    # printed with the redundant breakpoints on edges 1 (the loop) and 3
-    "subharmonic": _subharmonic_graph(
-        list(range(5)),
-        [(0, 1, "3/2"), (1, 1, "2"), (1, 2, "1/2"), (2, 3, "5/3"), (0, 3, "1"), (3, 4, "4/3")],
-        [({"vertex": 0}, "1/2"), ({"edge": 3, "offset": "2/3"}, "3/2")],
-        [({"vertex": 4}, "1/2"), ({"edge": 1, "offset": "1/2"}, "1/4"),
-         ({"edge": 0, "offset": "3/4"}, "1/4")],
-        [1, 3],
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "command, case, options, digest",
-    [
-        ("envelope", "v8", (),
-         "467fdec3c2fddeb8f50a2bcab7203a7540ee437ae1255d1740792efa093a3831"),
-        ("envelope", "v8", CSV,
-         "2a0bfab4c39e6b8629ebd6213be62e20285be108076f284db626f1eac32d04fa"),
-        ("envelope", "v14", (),
-         "9174c7975d03a587900c3b8fc5681d80b05b8df24f205c8e855ede00a4924924"),
-        ("envelope", "v14", CSV,
-         "a9b8f1a7656ae8756d9a82694603ce2dbde19b21ad83fba9e49cb6f77b590399"),
-        ("orthogonality", "v8", (),
-         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
-        ("orthogonality", "v8", CSV,
-         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
-        ("orthogonality", "v14", (),
-         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
-        ("orthogonality", "v14", CSV,
-         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
-        ("envelope", "subharmonic", (),
-         "d72813608d6ff93d8decd9f47d71de129be7c915264765675da2cd7a4cfeac83"),
-        ("envelope", "subharmonic", CSV,
-         "86a22d7cad6489218d9b25f4535524f65881f74fe2444d00788c3465e60ede82"),
-        ("orthogonality", "subharmonic", (),
-         "add2b93667012707d6bddae503e94a2fed54761f85e9948c2a1db2c2da3cedc5"),
-        ("orthogonality", "subharmonic", CSV,
-         "b9c8d4321386a49f2ade74a443892e6a56598dc895fbeb7bbda8d8424111a7a6"),
-    ],
-)
-def test_cli_curve_envelope_golden_stdout(tmp_path, command, case, options, digest, capsys):
-    # sha256 of the stdout of the graph obstacle problem, pinned while every
-    # Howard step was an exact solve from the contact set of all nodes; the
-    # subharmonic case while a test of psi ahead of Howard returned psi (the
-    # CSV digests recorded again when their cells became rational strings)
-    assert _run_documents(tmp_path, command, CURVE_GOLDEN[case], options) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == ""
-
-
-def test_cli_envelope_and_orthogonality(tmp_path, capsys):
-    delta = interval(-1, 1)
-    d = write(tmp_path, "delta.json", json.loads(serialize.polytope_to_json(delta)))
-    obstacle = write(
-        tmp_path,
-        "obs.json",
-        {
-            "min_of": [
-                {"pieces": [{"slope": ["-1"], "intercept": "-1"}, {"slope": ["1"], "intercept": "1"}]},
-                {"pieces": [{"slope": ["-1"], "intercept": "1"}, {"slope": ["1"], "intercept": "-1"}]},
-            ]
-        },
-    )
-    assert cli.run(["orthogonality", "--delta", d, "--g", obstacle]) == 0
-    assert json.loads(capsys.readouterr().out)["defect"] == "0"
-    assert cli.run(["envelope", "--delta", d, "--g", obstacle]) == 0
-    json.loads(capsys.readouterr().out)
-    # both contexts or neither: usage error
-    assert cli.run(["envelope", "--g", obstacle]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
-def test_cli_envelope_slope_range_exit_2(tmp_path, command, capsys):
-    # psi = max(u/4 - 1, 3u/4 - 4/3) has slopes in [1/4, 3/4], not all of
-    # delta = [0, 1], so psi - h_delta is unbounded below; an envelope read
-    # off its conjugate samples was max(-5/6, u - 3/2), above psi(0) = -1
-    psi = {"min_of": [{"pieces": [{"slope": ["1/4"], "intercept": "1"},
-                                  {"slope": ["3/4"], "intercept": "4/3"}]}]}
-    documents = {"delta": INTERVAL_JSON, "g": psi}
-    assert _run_documents(tmp_path, command, documents) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "EnvelopeError", "message": "obstacle decays below the admissible slope range"}}
-
-
-@pytest.mark.parametrize("delta", [INTERVAL_JSON, {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}])
-@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
-def test_cli_empty_min_of_exit_2(tmp_path, command, delta, capsys):
-    # the obstacle is loaded through MinOfConvex.build, so an empty min_of
-    # names the input, not the empty sample set of a later step
-    documents = {"delta": delta, "g": {"min_of": []}}
-    assert _run_documents(tmp_path, command, documents) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {"type": "ValueError", "message": "need at least one function"}}
-
-
-@pytest.mark.parametrize("spelling", ["convex", "min-of"])
-@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
-def test_cli_convex_obstacle_slope_range_exit_2(tmp_path, command, spelling, capsys):
-    # psi = u/2 has its one slope in delta = [0, 1] but not delta in its slope
-    # hull: psi - h_delta is unbounded below whether psi comes as a convex
-    # function or as a min of one, and envelope once printed psi for the first
-    psi = {"pieces": [{"slope": ["1/2"], "intercept": "0"}]}
-    if spelling == "min-of":
-        psi = {"min_of": [psi]}
-    documents = {"delta": INTERVAL_JSON, "g": psi}
-    assert _run_documents(tmp_path, command, documents) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "EnvelopeError", "message": "obstacle decays below the admissible slope range"}}
-
-
 def test_cli_output_file(tmp_path, toric_files):
     d, g = toric_files
     out = tmp_path / "result.json"
     assert cli.run(["toric-ma", "--delta", d, "--g", g, "--output", str(out)]) == 0
     assert json.loads(out.read_text())["degree"] == "2"
-
-
-@pytest.mark.parametrize("command, options", [("toric-ma", ()), ("toric-ma", CSV), ("selftest", ())])
-@pytest.mark.parametrize("unwritable, reason", [
-    ("missing/x.json", "No such file or directory"), (".", "Is a directory")])
-def test_cli_unwritable_output_exit_2(tmp_path, capsys, command, options, unwritable, reason):
-    # an --output path that cannot be written is invalid input, like an
-    # input path that cannot be read: exit 2, the error object on stderr
-    # and nothing on stdout
-    documents = VALID_DOCUMENTS.get(command, {})
-    path = str(tmp_path / unwritable)
-    assert _run_documents(tmp_path, command, documents, [*options, "--output", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {"type": "SchemaError", "message": f"{path}: {reason}"}}
-
-
-def test_cli_selftest(capsys):
-    assert cli.run(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 3
 
 
 def test_cli_selftest_output_file(tmp_path, capsys):
@@ -1151,18 +567,8 @@ def test_cli_start_does_not_import_numpy():
 
 def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     # An exact pass with no complementary iterate in its len(nodes) + 1
-    # solves is a solver failure: exit 3, not a validation error.
-    g = circle_graph()
-    om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
-    psi = GraphPLFunction.build(
-        g, [((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(-1, 2)), (Fraction(1), Fraction(0)))]
-    )
-    graph = write(tmp_path, "graph.json", json.loads(serialize.graph_to_json(g)))
-    omega0 = write(tmp_path, "om.json", json.loads(serialize.graph_measure_to_json(om)))
-    obstacle = write(tmp_path, "psi.json", json.loads(serialize.graph_function_to_json(psi)))
-    argv = ["envelope", "--g", obstacle, "--graph", graph, "--omega0", omega0]
-    assert cli.run(argv) == 0
-    capsys.readouterr()
+    # solves is a solver failure: exit 3, not a validation error.  The row
+    # exits 0 unpatched.
     howard = variational._howard
 
     def above_the_obstacle(form, contact):
@@ -1171,67 +577,19 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
             yield [xk + Dx for xk in X], Dx, S, contact
 
     monkeypatch.setattr(variational, "_howard", above_the_obstacle)
-    assert cli.run(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error == {"type": "ConvergenceError", "message": "obstacle solve did not stabilize"}
+    row = ROWS["test_cli_contract[envelope-circle]"]
+    error = ("ConvergenceError", "obstacle solve did not stabilize")
+    _replay(row._replace(code=3, error=error), tmp_path, capsys, monkeypatch)
 
 
 def test_cli_curve_solve_past_the_lift_bound_exit_code(tmp_path, capsys, monkeypatch):
     # a p-adic solve whose reconstruction never succeeds stops at its lift
-    # bound with ConvergenceError: exit 3, as for any solve that fails
-    documents = {
-        "graph": {"vertices": [0, 1], "edges": [{"ends": [0, 1], "length": "1"},
-                                                {"ends": [1, 1], "length": "2"}]},
-        "omega0": {"atoms": [{"point": {"vertex": 0}, "mass": "1"},
-                             {"point": {"edge": 1, "offset": "1"}, "mass": "1"}]},
-        "mu": {"atoms": [{"point": {"edge": 0, "offset": "1/3"}, "mass": "3/2"},
-                         {"point": {"vertex": 1}, "mass": "1/2"}]},
-    }
-    assert _run_documents(tmp_path, "curve-solve", documents) == 0
-    capsys.readouterr()
+    # bound with ConvergenceError: exit 3, as for any solve that fails.  The
+    # row exits 0 unpatched.
     monkeypatch.setattr(curves, "_reconstruct", lambda X, free, modulus: None)
-    assert _run_documents(tmp_path, "curve-solve", documents) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "ConvergenceError", "message": "p-adic solve passed its lift bound unreconstructed"}}
-
-
-@pytest.mark.parametrize("fmt", [(), CSV])
-@pytest.mark.parametrize("command", ["envelope", "orthogonality"])
-def test_cli_empty_delta_path_exit_2(tmp_path, command, fmt, capsys):
-    # --delta "" is given, so the toric model is chosen and its empty path
-    # is an input file that cannot be read; it once went to the curve model,
-    # which opened --graph None
-    g = write(tmp_path, "g.json", MIN_OF_PARABOLOIDS)
-    assert cli.run([command, "--delta", "", "--g", g, *fmt]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "SchemaError", "message": ": No such file or directory"}}
-
-
-@pytest.mark.parametrize("delta, points", [
-    (SQUARE_JSON, [["1/2", "1/2"], ["0"]]),  # mixed atoms
-    (SQUARE_JSON, [["0"], ["1"]]),  # 1-D atoms on a square
-    (INTERVAL_JSON, [["1/2"], ["0", "1"]]),  # mixed atoms
-    (INTERVAL_JSON, [["0", "0"], ["1", "1"]]),  # 2-D atoms on an interval
-], ids=["square-mixed", "square-1d", "interval-mixed", "interval-2d"])
-@pytest.mark.parametrize("fmt", [(), CSV])
-def test_cli_toric_solve_atom_dimension_exit_2(tmp_path, delta, points, fmt, capsys):
-    # the masses add up to n! Vol(delta), so only the dimensions are wrong;
-    # a 1-D atom on the square once raised IndexError in the Voronoi start
-    n = len(delta["vertices"][0])
-    mass = str(Fraction(math.factorial(n), n * len(points)))
-    mu = {"atoms": [{"point": p, "mass": mass} for p in points]}
-    assert _run_documents(tmp_path, "toric-solve", {"delta": delta, "mu": mu}, fmt) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    message = ("atoms of mixed dimension" if len({len(p) for p in points}) > 1
-               else "target atoms and polytope differ in dimension")
-    assert json.loads(err) == {"error": {"type": "DimensionError", "message": message}}
+    row = ROWS["test_cli_contract[curve-solve-dented-graph]"]
+    error = ("ConvergenceError", "p-adic solve passed its lift bound unreconstructed")
+    _replay(row._replace(code=3, error=error), tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("point", ["0", "-3/2", "7/3"])
@@ -1282,83 +640,135 @@ CSV_OF_JSON = {
         [str(Fraction(j, n)), str(Fraction(j + 1, n)), m]
         for n in [len(doc["arc_masses"])] for j, m in enumerate(doc["arc_masses"])],
 }
-V8_CONTEXT = {"graph": CURVE_GOLDEN["v8"]["graph"], "omega0": CURVE_GOLDEN["v8"]["omega0"]}
-CSV_TABLE = {
-    "toric-ma-square": ("toric-ma", {"delta": SQUARE_JSON, "g": DENOMINATOR_6}, ()),
-    "toric-ma-interval": ("toric-ma", {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}, ()),
-    "toric-solve-unsnapped": TORIC_GOLDEN["square-a12-unsnapped"] + ((),),
-    "toric-solve-interval": TORIC_GOLDEN["interval-a3"] + ((),),
-    "toric-solve-no-convergence": ("toric-solve", {"delta": SQUARE_JSON, "mu": THREE_ATOMS},
-                                   ("--max-iter", "1")),
-    "toric-energy": MA_ENERGY_GOLDEN["energy-denominator6"],
-    "envelope-square": TORIC_GOLDEN["envelope-min-of"] + ((),),
-    "envelope-interval": ("envelope", {"delta": INTERVAL_JSON, "g": PRUNED_INTERVAL}, ()),
-    "envelope-graph": ("envelope", CURVE_GOLDEN["v8"], ()),
-    "orthogonality-square": TORIC_GOLDEN["orthogonality-min-of"] + ((),),
-    "orthogonality-graph": ("orthogonality", CURVE_GOLDEN["v14"], ()),
-    "curve-solve": ("curve-solve", {**V8_CONTEXT, "mu": {"atoms": [
-        {"point": {"vertex": 3}, "mass": "1/2"},
-        {"point": {"edge": 2, "offset": "1/3"}, "mass": "3/2"}]}}, ()),
-    "curve-green": ("curve-green", {**V8_CONTEXT, "x": {"edge": 4, "offset": "1/2"}}, ()),
-    "curve-canonical": ("curve-canonical", {}, ("--m", "3", "--iterations", "3")),
-}
 
 
-@pytest.mark.parametrize("case", list(CSV_TABLE))
-def test_cli_csv_cells_are_the_json_strings(tmp_path, case, capsys):
-    # every command but selftest writes CSV: it parses as a table, is not a
-    # JSON document, and each cell is the string its JSON document holds
-    command, documents, options = CSV_TABLE[case]
-    code = _run_documents(tmp_path, command, documents, options)
-    document = json.loads(capsys.readouterr().out)
-    assert _run_documents(tmp_path, command, documents, [*options, *CSV]) == code
+def _run(capsys, argv):
+    code = cli.run(argv)
     out, err = capsys.readouterr()
-    assert err == ""
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-    table = list(csv.reader(io.StringIO(out)))
-    assert table == CSV_OF_JSON[command](document)
-    assert len(table) > 1 and out == "".join(",".join(row) + "\n" for row in table)
+    return code, out, err
 
 
-def test_cli_energy_empty_g0_path_exit_2(tmp_path, capsys):
-    # --g0 "" is given, so it is read as a path that does not exist; it once
-    # fell back to the support function without a word
-    documents = {"delta": SQUARE_JSON, "g": PARABOLOID_16}
-    assert _run_documents(tmp_path, "toric-energy", documents, ["--g0", ""]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "SchemaError", "message": ": No such file or directory"}}
+def _is_indented_json(text):
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_selftest_has_no_format(fmt, capsys):
-    # selftest writes one text output, so --format is a usage error, which
-    # prints the JSON error object like every other error
-    assert cli.run(["selftest", "--format", fmt]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": {
-        "type": "usage", "message": f"unrecognized arguments: --format {fmt}"}}
+def _write_documents(argv):
+    """argv with each inline document written to <flag>.json in the
+    working directory, and its file name in its place."""
+    names = []
+    for arg in argv:
+        if isinstance(arg, (dict, list, Text)):
+            name = names[-1].lstrip("-") + ".json"
+            Path(name).write_text(arg if isinstance(arg, Text) else json.dumps(arg))
+            arg = name
+        names.append(arg)
+    return names
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["toric-ma", "--delta", "d.json"], "the following arguments are required: --g"),
-    (["toric-ma", "--delta", "d.json", "--g", "g.json", "--format", "xml"],
-     "argument --format: invalid choice: 'xml'"),
-    (["bogus"], "argument command: invalid choice: 'bogus'"),
-    ([], "the following arguments are required: command"),
-    (["envelope", "--g", "g.json"], "give either --delta or --graph with --omega0"),
+def _replay(row, tmp_path, capsys, monkeypatch):
+    """Run one row of tests/cli_contract.py through cli.run in tmp_path and
+    check it: its exit code, error and digest; every command but selftest
+    again under --format json and csv, with the same exit code, and its
+    CSV read off its JSON document; a zero orthogonality defect; on every
+    run, an error object exactly where the row has an error, nothing on
+    stdout beside it, and the stdlib's indented encoding of each JSON text."""
+    monkeypatch.chdir(tmp_path)
+    argv = _write_documents(row.argv)
+    capsys.readouterr()
+    runs = [_run(capsys, argv)]
+    code, out, _ = runs[0]
+    assert code == row.code
+    if row.sha256 is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == row.sha256
+    command = argv[0] if argv else None
+    if command in CSV_OF_JSON:
+        as_json, as_csv = (_run(capsys, [*argv, "--format", fmt]) for fmt in ("json", "csv"))
+        assert runs[0] in (as_json, as_csv) and as_json[0] == as_csv[0] == code
+        runs += [as_json, as_csv]
+        if row.error is None:
+            assert _is_indented_json(as_json[1])
+            document = json.loads(as_json[1])
+            with pytest.raises(json.JSONDecodeError):
+                json.loads(as_csv[1])
+            table = CSV_OF_JSON[command](document)
+            assert list(csv.reader(io.StringIO(as_csv[1]))) == table
+            assert as_csv[1] == "".join(",".join(cells) + "\n" for cells in table)
+            if command == "orthogonality":
+                assert document["defect"] == "0"
+    for _, out, err in runs:
+        assert bool(err) == (row.error is not None)
+        if err:
+            assert out == "" and _is_indented_json(err)
+            error = json.loads(err)
+            assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
+            kind, message = row.error
+            assert error["error"]["type"] == kind
+            if isinstance(message, Prefix):
+                assert error["error"]["message"].startswith(message)
+            else:
+                assert error["error"]["message"] == message
+
+
+def _contract_test(cases):
+    if list(cases) == [""]:
+        def test(tmp_path, capsys, monkeypatch):
+            _replay(cases[""], tmp_path, capsys, monkeypatch)
+        return test
+
+    @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
+    def test(row, tmp_path, capsys, monkeypatch):
+        _replay(row, tmp_path, capsys, monkeypatch)
+    return test
+
+
+# test_cli_contract and each test a row was once written out as, one
+# function per name, collected under the ids that key ROWS
+_CASES = {}
+for _id, _row in ROWS.items():
+    _name, _, _case = _id.partition("[")
+    _CASES.setdefault(_name, {})[_case[:-1]] = _row
+globals().update((_name, _contract_test(_cases)) for _name, _cases in _CASES.items())
+
+
+@pytest.mark.parametrize("case", [
+    "test_cli_contract[curve-solve-escaped-ids]",
+    "test_cli_contract[curve-green-escaped-ids]",
+    "test_cli_contract[envelope-missing-g]",
+    "test_cli_toric_solve_three_atoms_exit_codes[options0-3]",
 ])
-def test_cli_usage_errors_print_the_error_object(argv, message, capsys):
-    # argparse's errors take the one usage path of the context check: exit
-    # 2, nothing on stdout, the JSON error object on stderr.  The list of
-    # choices after an invalid one is worded differently across Python
-    # versions, so only the start of that message is pinned
-    assert cli.run(argv) == 2
+def test_cli_main_in_a_subprocess(case, tmp_path, capsys, monkeypatch):
+    # exit 0, an input error, a usage error and exit 3 print the same
+    # through python -m plma.cli as through cli.run, in ASCII; main is
+    # sys.exit(run(argv)), so no other row can differ
+    monkeypatch.chdir(tmp_path)
+    argv = _write_documents(ROWS[case].argv)
+    capsys.readouterr()
+    expected = _run(capsys, argv)
+    assert expected[0] == ROWS[case].code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "plma.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout.decode("ascii"), proc.stderr.decode("ascii")) == expected
+
+
+def test_cli_selftest_failure_exit_1(capsys, monkeypatch):
+    # a check that fails prints its FAIL line, and selftest exits 1
+    monkeypatch.setattr(variational, "orthogonality_defect_toric", lambda psi, delta: 1)
+    assert cli.run(["selftest"]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == json.dumps(json.loads(err), indent=2, sort_keys=True) + "\n"
-    error = json.loads(err)["error"]
-    assert error["type"] == "usage" and error["message"].startswith(message)
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL toric orthogonality"]
+    assert err == ""
+
+
+def test_cli_contract_is_complete():
+    # every command has a row that exits 0 and one that exits 2, every
+    # command but selftest writes the CSV that the replay reads off its
+    # JSON, and the toric solve has a row that exits 3
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    codes = {}
+    for row in ROWS.values():
+        codes.setdefault(row.argv[0] if row.argv else None, set()).add(row.code)
+    assert all({0, 2} <= codes[command] for command in subparsers.choices)
+    assert set(CSV_OF_JSON) == set(subparsers.choices) - {"selftest"}
+    assert 3 in codes["toric-solve"]
