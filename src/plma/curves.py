@@ -13,17 +13,21 @@ the atoms.  _refine numbers those nodes once (the vertices in graph
 order, then each edge's sorted interior offsets), and only this module
 reads that order.  Every linear solve of the package is a Laplacian on
 the node numbers 0..n-1 of a weighted graph, its free rows built by
-_assemble, and two routines serve both arithmetics: _eliminate factors
-the rows once in minimum-degree order, and _substitute solves with that
-factorization.  solve_floats is one of each, in floats: the toric Newton
-step runs it on the power-cell adjacency graph, and the envelope's float
-guide on its contact sets.  solve_integer factors once modulo a 61-bit
-prime and lifts the solution p-adically (Dixon), one _substitute per
-lift, until it rebuilds the integer numerators over one common
-denominator, checked exactly, or passes a Hadamard bound on their size
-(ConvergenceError); solve_laplacian is its exact entry on rationals, and
-the envelope's exact Howard pass calls it on its own integer rows.  One
-routine, normalized_potential, solves laplacian(f) = mu - omega0 and
+_assemble, and each pins its fixed nodes to zero: the toric Newton step
+fixes the gauge w_0 = 0, a Poisson solve f = 0 at its normalization
+point, and the envelope the gap psi - P(psi) = 0 on its contact set, so
+_assemble takes the set of pinned nodes and no values.  Two routines
+serve both arithmetics: _eliminate factors the rows once in
+minimum-degree order, and _substitute solves with that factorization.
+solve_floats is one of each, in floats: the toric Newton step runs it on
+the power-cell adjacency graph, and the envelope's float guide on its
+contact sets.  solve_integer factors once modulo a 61-bit prime and
+lifts the solution p-adically (Dixon), one _substitute per lift, until
+it rebuilds the integer numerators over one common denominator, checked
+exactly, or passes a Hadamard bound on their size (ConvergenceError);
+solve_laplacian is its exact entry on rationals, and the envelope's
+exact Howard pass calls it on its own integer rows, those of the gap.
+One routine, normalized_potential, solves laplacian(f) = mu - omega0 and
 shifts f to zero integral against the reference measure omega0, which
 must be positive with positive mass (reference_mass): green is its case
 mu = d_L delta_x, and solver.solve_curve its general case.  The
@@ -376,15 +380,14 @@ def _refine(graph: MetricGraph, keys):
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
 
-def solve_laplacian(rho, n, edges, fixed):
-    """Solve sum_j w_ij (x_j - x_i) = rho_i at the free nodes of 0..n-1,
-    exactly.
+def solve_laplacian(rho, n, edges, pinned):
+    """Solve sum_j w_ij (x_j - x_i) = rho_i at the nodes of 0..n-1 outside
+    the set `pinned`, exactly, with x = 0 on pinned.
 
     rho: dict node -> source (0 where absent); edges: undirected (i, j, w),
-    each adding the weight w to the rows of both i and j; fixed: dict
-    node -> value of the pinned nodes.  Sources, pins and weights are
-    rationals (Fractions or ints).  Returns the list of the n values, the
-    pinned ones included, each free one a Fraction.
+    each adding the weight w to the rows of both i and j.  Sources and
+    weights are rationals (Fractions or ints).  Returns the list of the n
+    values as Fractions, 0 at the pinned nodes.
 
     The system is the Laplacian restricted to the free nodes, one sparse
     row (a dict) per node (_assemble).  Each row and its source are scaled
@@ -397,15 +400,15 @@ def solve_laplacian(rho, n, edges, fixed):
     go through solve_floats.
     """
     b = [rho.get(i, 0) for i in range(n)]
-    rows = _assemble(n, edges, fixed, b)
-    free = [i for i in range(n) if i not in fixed]
+    rows = _assemble(n, edges, pinned)
+    free = [i for i in range(n) if i not in pinned]
     for i in free:
         row = rows[i]
         scale = lcm(b[i].denominator, *(v.denominator for v in row.values()))
         rows[i] = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
         b[i] = b[i].numerator * (scale // b[i].denominator)
     X, d = solve_integer(rows, b, free)
-    return [fixed[i] if i in fixed else Fraction(X[i], d) for i in range(n)]
+    return [Fraction(x, d) for x in X]
 
 
 def solve_floats(rows, b, free):
@@ -416,20 +419,18 @@ def solve_floats(rows, b, free):
     _substitute(_eliminate(rows, free, None), b, None)
 
 
-def _assemble(n, edges, fixed, b):
-    """The rows of the free nodes, each a dict column -> coefficient (the
-    rows of pinned nodes stay empty); the pinned values move into the
-    sources b, in place."""
+def _assemble(n, edges, pinned):
+    """The rows of the nodes outside the set `pinned`, each a dict column
+    -> coefficient, of the Laplacian with the value 0 on pinned: a pinned
+    column drops out, and the rows of pinned nodes stay empty."""
     rows = [{} for _ in range(n)]
     for a, c, w in edges:
         for i, j in ((a, c), (c, a)):
-            if i in fixed:
+            if i in pinned:
                 continue
             row = rows[i]
             row[i] = row.get(i, 0) - w
-            if j in fixed:
-                b[i] -= w * fixed[j]
-            else:
+            if j not in pinned:
                 row[j] = row.get(j, 0) + w
     return rows
 
@@ -637,7 +638,7 @@ def solve_poisson(
     norm_key = graph.point_key(normalization)
     index, edges, edge_offsets = _refine(graph, [k for k, _ in rho.atoms] + [norm_key])
     source = {index[k]: m for k, m in rho.atoms}
-    values = solve_laplacian(source, len(index), edges, {index[norm_key]: Fraction(0)})
+    values = solve_laplacian(source, len(index), edges, {index[norm_key]})
     return _function_from_node_values(graph, values, edge_offsets)
 
 

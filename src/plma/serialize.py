@@ -14,6 +14,10 @@ newline.  json.dumps is not called with `indent`: then CPython before
 3.13 skips its C encoder for a pure-Python one, which cost more than the
 mathematics of a large curve-canonical.  `json_array` and `json_object`
 lay out any other document from already-written values.
+
+`load_path` reads every input file as UTF-8, as RFC 8259 asks, whatever
+the locale; bytes that are not UTF-8, like malformed JSON, are a
+SchemaError that names the file.
 """
 
 from __future__ import annotations
@@ -270,8 +274,10 @@ def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
 
 def load_path(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:

@@ -227,15 +227,14 @@ def _voronoi_weights(delta: Polytope, atoms):
     sR = (sum(r[0] for r in R), sum(r[1] for r in R))
     sV = (sum(v[0] for v in V), sum(v[1] for v in V))
     dirs = [(k * v[0] - sV[0], k * v[1] - sV[1]) for v in V]
-    # c + t d stays inside the CCW side (a, b) while cross(b - a, c - a) +
-    # t cross(b - a, d) > 0, that is, while t < N k A / (n Q M) with the
-    # integers N = cross(B - A, sum R - n A) and M = cross(k V - sum V, B - A).
+    # c + t d stays in the half-plane <h, u> >= e of delta's table while
+    # <h, c> - e + t <h, d> >= 0, that is, while t <= N k A / (n Q M) with
+    # the integers N = <h, sum R> - n Q e and M = -<h, k V - sum V>.
     limit = None  # the least N / M, compared by cross-multiplication
-    for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
-        e0, e1 = b0 - a0, b1 - a1
-        N = e0 * (sR[1] - n * a1) - e1 * (sR[0] - n * a0)
+    for (h0, h1), e in delta._halfplanes:
+        N = h0 * sR[0] + h1 * sR[1] - n * Q * e
         for d0, d1 in dirs:
-            M = d0 * e1 - d1 * e0
+            M = -h0 * d0 - h1 * d1
             if M > 0 and (limit is None or N * limit[1] < limit[0] * M):
                 limit = (N, M)
     # t = tn / td: half the least limit, or 1
@@ -291,7 +290,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # weight and solve H d = r.
         step = [0.0] + [-ri for ri in r[1:]]
         try:
-            curves.solve_floats(curves._assemble(k, edges, {0: 0.0}, step), step, range(1, k))
+            curves.solve_floats(curves._assemble(k, edges, {0}), step, range(1, k))
         except curves.GraphError:
             break
         alpha, norm = 1.0, math.hypot(*r)

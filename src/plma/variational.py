@@ -11,25 +11,28 @@ Every toric obstacle is read the same way, as parts (slopes, samples):
 one slope-hull check, then one `convex_envelope` of all the samples.
 Curve: the largest subharmonic minorant, an obstacle problem on the
 finitely many points where it can bend (vertices, obstacle breakpoints,
-reference atoms).  Howard's policy iteration (Bokanowski, Maroso and
-Zidani, SIAM J. Numer. Anal. 2009) solves it: a float pass only guesses
-the contact set, and an exact pass started from that guess, usually one
-p-adic Poisson solve (curves.solve_integer), stops at exact
-complementarity.  The exact pass runs on integers: the obstacle, the
-reference masses and the edge weights each over one common denominator,
-so that the iterate, its masses and its gaps to the obstacle are integer
-numerators over known denominators, and the node check (below the
-obstacle, subharmonic) is integer compares.  That check certifies the
-envelope; MA(P(psi)) and the orthogonality defect are read off the same
-nodes, a Fraction built only for each number returned.  The reference
-measure must be positive with positive mass, as for green.
+reference atoms).  It is solved for the gap g = psi - P(psi), as the
+linear complementarity problem g >= 0, s = laplacian(psi) + omega0 -
+laplacian(g) >= 0, g s = 0 at the nodes (Cottle, Pang and Stone), whose
+last condition is the orthogonality property at the nodes.  Howard's
+policy iteration (Bokanowski, Maroso and Zidani, SIAM J. Numer. Anal.
+2009) solves it: a float pass only guesses the contact set, and an exact
+pass started from that guess, usually one p-adic Poisson solve
+(curves.solve_integer) with g pinned to zero on the contact set, stops at
+exact complementarity.  The exact pass runs on integers: laplacian(psi) +
+omega0 and the edge weights each over one common denominator, so that the
+gaps and the masses s are integer numerators over known denominators,
+and the node check (g >= 0, s >= 0) is integer compares.  That check
+certifies the envelope; MA(P(psi)) and the orthogonality defect are read
+off the same nodes, a Fraction built only for each number returned.  The
+reference measure must be positive with positive mass, as for green.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite, lcm
+from math import factorial, gcd, isfinite, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -299,19 +302,23 @@ def envelope_subharmonic(
     s = 0 wherever x < psi.  curves._refine numbers the nodes 0..n-1
     once, curves._node_values reads the obstacle off psi's breakpoints in
     that order, and curves._function_from_node_values turns the solution
-    back into a function; this module sees node numbers only.  Howard's
-    policy iteration (_howard) solves the problem on those numbers: from a
-    contact set C, solve x = psi on C and laplacian(x) = -omega0 off C,
-    then set C = {k : psi(k) - x(k) <= s(k)}.  It runs on the integer
-    form of the problem (_integer_form): the obstacle, the omega0 masses
-    and the edge weights each over one common denominator, so that every
-    exact solve is curves.solve_integer and every compare and sum is on
-    integers.
+    back into a function; this module sees node numbers only.  The problem
+    is solved for the gap g = psi - x.  With r = laplacian(psi) + omega0,
+    s = r - laplacian(g), so it is the linear complementarity problem
+    g >= 0, s >= 0, g s = 0 at every node (Cottle, Pang and Stone), in
+    which the orthogonality of psi - P(psi) and MA(P(psi)) is the last
+    condition.  Howard's policy iteration (_howard) solves it: from a
+    contact set C, solve g = 0 on C and laplacian(g) = r off C, then set
+    C = {k : g(k) <= s(k)}.  It runs on the gap form of the problem
+    (_gap_form): r and the edge weights each over one common denominator,
+    so that every exact solve is curves.solve_integer, every compare and
+    sum is on integers, and no numerator carries the obstacle's own
+    denominator.
 
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
-    exactly from that set, until x is exactly complementary (x <= psi and
-    s >= 0 at every node; s = 0 off C and x = psi on C hold by
+    exactly from that set, until the iterate is exactly complementary
+    (g >= 0 and s >= 0 at every node; s = 0 off C and g = 0 on C hold by
     construction), which a good guess passes after one solve.  If the
     guide fails (an overflow, a singular or non-finite solve, no repeat
     or an empty contact set), the exact pass starts from every node
@@ -323,34 +330,37 @@ def envelope_subharmonic(
 
     The node check is the whole proof.  Every breakpoint of psi is a node
     (_candidate_keys), so psi is linear between nodes, and so is the
-    function built from x; psi - P(psi) is then linear between nodes and
-    >= 0 at each, hence >= 0 everywhere.  Its laplacian has no mass
-    between nodes, and omega0 none either (its atoms are nodes), while at
-    node k, with weights 1 / length on the same segments, laplacian +
-    omega0 is exactly s(k) >= 0: the envelope is omega0-subharmonic, with
-    MA(P(psi)) the measure of the s(k).  A Fraction is built only for
-    each value of the envelope returned.  A subharmonic psi needs no test
-    of its own: the exact pass then ends with x = psi at every node, and
-    psi is returned as given, not simplified.
+    function built from x = psi - g; psi - P(psi) is then linear between
+    nodes and >= 0 at each, hence >= 0 everywhere.  Its laplacian has no
+    mass between nodes, and omega0 none either (its atoms are nodes),
+    while at node k, with weights 1 / length on the same segments,
+    laplacian + omega0 is exactly s(k) >= 0: the envelope is
+    omega0-subharmonic, with MA(P(psi)) the measure of the s(k).  A
+    Fraction is built only for each value of the envelope returned.  A
+    subharmonic psi needs no test of its own: the exact pass then ends
+    with g = 0 at every node, and psi is returned as given, not
+    simplified.
     """
     nodes = _envelope_nodes(psi, graph, omega0)
-    X, Dx = nodes.x
-    if not any(nodes.gap[0]):
+    G, Dg = nodes.gap
+    if not any(G):
         return psi
     return curves._function_from_node_values(
-        graph, [Fraction(xk, Dx) for xk in X], nodes.edge_offsets)
+        graph, [Fraction(y.numerator * Dg - g * y.denominator, y.denominator * Dg)
+                for y, g in zip(nodes.psi, G)], nodes.edge_offsets)
 
 
 class _Nodes(NamedTuple):
     """The solved node problem of envelope_subharmonic: the numbering of
-    curves._refine (index, edge_offsets), and at the first complementary
-    iterate of the exact pass the envelope's values x, its masses
-    s = laplacian + omega0 and the gaps psi - x, each as a pair
-    (list of integer numerators in node order, common denominator)."""
+    curves._refine (index, edge_offsets), the obstacle psi at the nodes (a
+    list of Fractions in node order), and at the first complementary
+    iterate of the exact pass the masses s = laplacian(P(psi)) + omega0
+    and the gaps psi - P(psi), each as a pair (list of integer numerators
+    in node order, common denominator)."""
 
     index: dict
     edge_offsets: list
-    x: tuple
+    psi: list
     s: tuple
     gap: tuple
 
@@ -360,92 +370,93 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     exact pass until the node check (every gap and every s >= 0) holds."""
     curves.reference_mass(omega0)
     index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
-    form = _integer_form(curves._node_values(psi, graph, edge_offsets),
-                         {index[k]: m for k, m in omega0.atoms}, edges)
-    Y, Dy, _, Dm, _, Dw = form
+    obstacle = curves._node_values(psi, graph, edge_offsets)
+    form = _gap_form(obstacle, {index[k]: m for k, m in omega0.atoms}, edges)
+    _, Dr, _, Dw = form
     contact = _float_contact(form) or set(range(len(index)))
-    for X, Dx, S, _ in _howard(form, contact):
-        gap = [yk * Dx - xk * Dy for xk, yk in zip(X, Y)]
-        if min(gap) >= 0 and min(S) >= 0:
-            return _Nodes(index, edge_offsets, (X, Dx), (S, Dm * Dw * Dx), (gap, Dy * Dx))
+    for G, d, S, _ in _howard(form, contact):
+        if min(G) >= 0 and min(S) >= 0:
+            return _Nodes(index, edge_offsets, obstacle, (S, Dw * d * Dr), (G, d * Dr))
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
-def _integer_form(obstacle, mass, edges):
-    """The node problem over three common denominators: (Y, Dy, M, Dm, W,
-    Dw) with obstacle[k] = Y[k] / Dy, mass[k] = M[k] / Dm (a dict, like
-    mass) and W the list `edges` with each weight w = W_e / Dw replaced by
-    its numerator W_e."""
+def _gap_form(obstacle, mass, edges):
+    """The node problem in the gap: (R, Dr, W, Dw), with W the list `edges`
+    with each weight w = W_e / Dw replaced by its numerator W_e, and
+    r = laplacian(psi) + omega0 = R[k] / Dr at node k, where psi is the
+    list `obstacle` and omega0 the dict `mass` (node -> mass).  With
+    psi = Y / Dy and the masses M / Dm, R_k = Dm sum_j W_kj (Y_j - Y_k) +
+    M_k Dw Dy over Dr = Dm Dw Dy, then reduced by the gcd of Dr and every
+    R_k, so that Dr is the least common denominator of r."""
     Dy = lcm(*(y.denominator for y in obstacle))
     Dm = lcm(*(m.denominator for m in mass.values()))
     Dw = lcm(*(w.denominator for _, _, w in edges))
-    return ([y.numerator * (Dy // y.denominator) for y in obstacle], Dy,
-            {k: m.numerator * (Dm // m.denominator) for k, m in mass.items()}, Dm,
-            [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges], Dw)
+    Y = [y.numerator * (Dy // y.denominator) for y in obstacle]
+    W = [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges]
+    R = [0] * len(Y)
+    for k, m in mass.items():
+        R[k] = m.numerator * (Dm // m.denominator) * Dw * Dy
+    for a, b, w in W:
+        t = Dm * w * (Y[b] - Y[a])
+        R[a] += t
+        R[b] -= t
+    h = gcd(Dm * Dw * Dy, *R)
+    return [r // h for r in R], Dm * Dw * Dy // h, W, Dw
 
 
 def _howard(form, contact):
-    """Howard's policy iteration for the discrete obstacle problem.
+    """Howard's policy iteration for the node problem in the gap.
 
-    form = (Y, Dy, M, Dm, W, Dw) is the problem of _integer_form: node k
-    has obstacle Y[k] / Dy and omega0 mass M.get(k, 0) / Dm, and each
-    (i, j, W_e) of the list W is a segment of weight W_e / Dw.  From the
-    contact set `contact` (a set of nodes), yield (X, Dx, S, contact) for
-    at most len(Y) + 1 solves: the iterate x = X / Dx, its masses
-    s = laplacian(x) + omega0 = S / (Dm Dw Dx) and the next contact set.
-    On integers each solve is curves.solve_integer, of the free rows of
-    sum_j W_kj (z_j - z_k) = -M_k Dw Dy with z = Dm Dy x pinned to Dm Y
-    on C, so its common denominator d gives Dx = d Dm Dy, and the contact
-    test psi - x <= s is (Y Dx - X Dy) Dm Dw <= S Dy.  The float guide runs
-    the same routine on floats with unit denominators, each solve then
-    curves.solve_floats.  With C nonempty on a connected graph, the
-    Laplacian with Dirichlet rows on C is a nonsingular M-matrix, so every
-    solve is well posed; and C never empties, because s sums to
-    mass(omega0) > 0 and s = 0 off C, so some node of C has s > 0 = psi - x
-    and stays in contact.
+    form = (R, Dr, W, Dw) is the problem of _gap_form: node k has
+    r = laplacian(psi) + omega0 = R[k] / Dr, and each (i, j, W_e) of the
+    list W is a segment of weight W_e / Dw.  From the contact set
+    `contact` (a set of nodes), yield (G, d, S, contact) for at most
+    len(R) + 1 solves: the gap g = psi - x = G / (d Dr), zero on C, its
+    masses s = r - laplacian(g) = S / (Dw d Dr) and the next contact set.
+    On integers each solve is curves.solve_integer of the rows of
+    sum_j W_kj (G_j - G_k) = Dw R_k off C, pinned to zero on C
+    (curves._assemble), and d is its common denominator; then
+    S = Dw d R - sum_j W_kj (G_j - G_k), and the contact test g <= s is
+    Dw G <= S.  The float guide runs the same routine on floats with unit
+    denominators, each solve then curves.solve_floats.  With C nonempty on
+    a connected graph, the Laplacian with Dirichlet rows on C is a
+    nonsingular M-matrix, so every solve is well posed; and C never
+    empties, because s sums to mass(omega0) > 0 and s = 0 off C, so some
+    node of C has s > 0 = g and stays in contact.
     """
-    Y, Dy, M, Dm, W, Dw = form
-    exact = not isinstance(Y[0], float)
-    n = len(Y)
-    nodes = range(n)
-    pinned = [Dm * y for y in Y]
-    source = [-M.get(k, 0) * Dw * Dy for k in nodes]
-    mass = [M.get(k, 0) * Dw for k in nodes]
-    flows = [(a, c, Dm * w) for a, c, w in W]
-    scale = Dm * Dw
-    for _ in range(n + 1):
-        b = list(source)
-        rows = curves._assemble(n, W, {k: pinned[k] for k in contact}, b)
+    R, _, W, Dw = form
+    exact = not isinstance(R[0], float)
+    nodes = range(len(R))
+    for _ in range(len(R) + 1):
+        rows = curves._assemble(len(R), W, contact)
         free = [k for k in nodes if k not in contact]
+        b = [0 if k in contact else Dw * r for k, r in zip(nodes, R)]
         if exact:
-            Z, d = curves.solve_integer(rows, b, free)
+            G, d = curves.solve_integer(rows, b, free)
         else:
             curves.solve_floats(rows, b, free)
-            Z, d = b, 1
-        X = [pinned[k] * d if k in contact else Z[k] for k in nodes]
-        Dx = d * Dm * Dy
-        S = [m * Dx for m in mass]
-        for a, c, w in flows:
-            t = w * (X[c] - X[a])
-            S[a] += t
-            S[c] -= t
-        contact = {k for k in nodes if (Y[k] * Dx - X[k] * Dy) * scale <= S[k] * Dy}
-        yield X, Dx, S, contact
+            G, d = b, 1
+        S = [Dw * d * r for r in R]
+        for a, c, w in W:
+            t = w * (G[c] - G[a])
+            S[a] -= t
+            S[c] += t
+        contact = {k for k in nodes if Dw * G[k] <= S[k]}
+        yield G, d, S, contact
 
 
 def _float_contact(form):
     """The contact set at which Howard's iteration settles in floats, from
     every node: the first that repeats an earlier one, since rounding at a
-    tie node (x = psi, s = 0) can make the float iteration cycle.  None if
-    a float solve overflows, is singular or not finite, or nothing repeats.
+    tie node (g = s = 0) can make the float iteration cycle.  None if a
+    float solve overflows, is singular or not finite, or nothing repeats.
     Only a guide: the exact pass checks it."""
-    Y, Dy, M, Dm, W, Dw = form
-    found = [set(range(len(Y)))]
+    R, Dr, W, Dw = form
+    found = [set(range(len(R)))]
     try:
-        guide = ([y / Dy for y in Y], 1, {k: m / Dm for k, m in M.items()}, 1,
-                 [(a, b, w / Dw) for a, b, w in W], 1)
-        for x, _, _, contact in _howard(guide, found[0]):
-            if not all(map(isfinite, x)):
+        guide = ([r / Dr for r in R], 1, [(a, b, w / Dw) for a, b, w in W], 1)
+        for G, _, _, contact in _howard(guide, found[0]):
+            if not all(map(isfinite, G)):
                 return None
             if contact in found:
                 return contact

@@ -3,8 +3,8 @@
 A row holds the argv of one `plma` invocation, the exit code, the error
 object's (type, message) or None, and optionally the sha256 of stdout.
 Input documents sit inline in the argv, each right after its flag: a
-dict or list is written as the JSON file <flag>.json, and a Text as it
-stands.  test_serialize_cli replays every row through cli.run in a
+dict or list is written as the JSON file <flag>.json, a Text as it
+stands in UTF-8, and bytes as they are.  test_serialize_cli replays every row through cli.run in a
 fresh directory and checks it against the same relations, so a row
 names no relation: exit code and error, an empty stdout beside every
 error, the stdlib's indented encoding of every JSON document, the CSV
@@ -28,7 +28,7 @@ from plma.curves import GraphMeasure, solve_poisson, vertex_key
 
 
 class Text(str):
-    """An input document given as its raw text."""
+    """An input document given as its raw text, written as UTF-8."""
 
 
 class Prefix(str):
@@ -269,6 +269,8 @@ CONTRACT = {
     "toric-ma-square-pruned": Row(_argv("toric-ma", {"delta": SQUARE, "g": SQUARE_PRUNED_G}), 0),
     "toric-ma-segment": Row(_argv("toric-ma", {"delta": SEGMENT, "g": SEGMENT_G}), 0),
     "toric-ma-point": Row(_argv("toric-ma", {"delta": POINT, "g": POINT_G}), 0),
+    "toric-ma-not-utf8": Row(_argv("toric-ma", {"delta": b"\xff\xfe", "g": SUPPORT_SQUARE}), 2,
+                             ("SchemaError", "delta.json: invalid UTF-8 at byte 0")),
     "toric-ma-nested-too-deeply": Row(
         _argv("toric-ma", {"delta": Text("[" * 100_000), "g": SUPPORT_SQUARE}), 2,
         ("SchemaError", "delta.json: JSON nested too deeply")),
@@ -301,6 +303,11 @@ CONTRACT = {
     "curve-solve-dented-graph": Row(_argv("curve-solve", _graph(DENTED, "mu")), 0),
     "curve-solve-one-edge": Row(_argv("curve-solve", VALID_DOCUMENTS["curve-solve"]), 0),
     "curve-solve-escaped-ids": Row(_argv("curve-solve", _graph(ESCAPED, "mu")), 0),
+    # the same documents with the id "é" as raw UTF-8, read as UTF-8 in any
+    # locale (RFC 8259), so the output is that of the row above
+    "curve-solve-utf8-ids": Row(_argv("curve-solve", {
+        name: Text(json.dumps(doc, ensure_ascii=False)) for name, doc in _graph(ESCAPED, "mu").items()
+    }), 0, sha256="a3888a1e629029022e2613b71cfc4319261b91762d04cba875bde7bb682dbf1b"),
     "curve-solve-duplicate-vertex": Row(
         _argv("curve-solve", {**_graph(DENTED, "mu"), "graph": {**DENTED["graph"], "vertices": [0, 1, 1]}}),
         2, ("GraphError", "duplicate vertex ids")),

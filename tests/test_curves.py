@@ -475,8 +475,10 @@ def _gauss_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def dense_solve_laplacian(rho, n, edges, fixed):
-    """The same system as curves.solve_laplacian, as one dense matrix."""
+def dense_solve_laplacian(rho, n, edges, pinned):
+    """The same system as curves.solve_laplacian, as one dense matrix, its
+    values 0 on the set `pinned`."""
+    fixed = dict.fromkeys(pinned, Fraction(0))
     free = [k for k in range(n) if k not in fixed]
     pos = {k: i for i, k in enumerate(free)}
     m = len(free)
@@ -566,22 +568,19 @@ def test_sparse_solve_equals_dense_oracle():
         n = len(index)
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(range(n), 3)}
         # the pure Neumann mode of solve_poisson: one node pinned to zero
-        fixed = {0: Fraction(0)}
-        pinned = curves.solve_laplacian(rho, n, edges, fixed)
-        assert pinned == dense_solve_laplacian(rho, n, edges, fixed)
+        got = curves.solve_laplacian(rho, n, edges, {0})
+        assert got == dense_solve_laplacian(rho, n, edges, {0})
         # the contact-set mode of the Howard iteration: a nonempty pinned set
-        contact = rng.sample(range(n), rng.randint(1, n))
-        fixed = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
-        got = curves.solve_laplacian(rho, n, edges, fixed)
-        assert got == dense_solve_laplacian(rho, n, edges, fixed)
-        assert all(got[k] == v for k, v in fixed.items())
+        contact = set(rng.sample(range(n), rng.randint(1, n)))
+        got = curves.solve_laplacian(rho, n, edges, contact)
+        assert got == dense_solve_laplacian(rho, n, edges, contact)
+        assert all(got[k] == 0 for k in contact)
     # the toric Newton system: the cell adjacency graph of exact power cells
     # of 5 atoms in the hexagon, first weight pinned
     for k, edges in toric_newton_systems(rng, 4):
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
-        fixed = {0: Fraction(0)}
-        got = curves.solve_laplacian(rho, k, edges, fixed)
-        assert got == dense_solve_laplacian(rho, k, edges, fixed)
+        got = curves.solve_laplacian(rho, k, edges, {0})
+        assert got == dense_solve_laplacian(rho, k, edges, {0})
         assert all(isinstance(x, Fraction) for x in got)
 
 
@@ -623,17 +622,21 @@ def test_padic_solve_equals_fraction_elimination():
     for kind in ("tree", "cycle", "dense") * 8:
         n, edges = _weighted_graph(rng, kind, rng.randint(3, 60))
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in rng.sample(range(n), 3)}
-        systems.append((rho, n, edges, {0: Fraction(0)}))
-        contact = rng.sample(range(n), rng.randint(1, n))
-        systems.append((rho, n, edges, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                        for k in contact}))
+        systems.append((rho, n, edges, {0}))
+        systems.append((rho, n, edges, set(rng.sample(range(n), rng.randint(1, n)))))
     for k, edges in toric_newton_systems(rng, 4):
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
-        systems.append((rho, k, edges, {0: Fraction(0)}))
-    for rho, n, edges, fixed in systems:
-        got = curves.solve_laplacian(rho, n, edges, fixed)
-        assert got == fraction_solve_laplacian(rho, n, edges, fixed)
+        systems.append((rho, k, edges, {0}))
+    for rho, n, edges, pinned in systems:
+        got = curves.solve_laplacian(rho, n, edges, pinned)
+        assert got == fraction_solve_laplacian(rho, n, edges, zero_pins(pinned))
         assert all(type(x) is Fraction for x in got)
+
+
+def zero_pins(pinned):
+    """The pins of the set `pinned` as the Fraction oracle takes them: a
+    dict node -> 0."""
+    return dict.fromkeys(pinned, Fraction(0))
 
 
 def counting(monkeypatch, name):
@@ -652,13 +655,13 @@ def test_padic_solve_moves_past_an_unlucky_prime(monkeypatch):
     # node 0 pinned, then the path 0 - 1 - 2 with weights 1 and 2: the rows
     # of nodes 1 and 2 tie in size, and the pivot of node 1 is -3, zero mod 3
     system = ({1: Fraction(1, 2), 2: Fraction(-3)}, 3,
-              [(0, 1, Fraction(1)), (1, 2, Fraction(2))], {0: Fraction(5)})
-    want = fraction_solve_laplacian(*system)
+              [(0, 1, Fraction(1)), (1, 2, Fraction(2))], {0})
+    want = fraction_solve_laplacian(*system[:3], zero_pins(system[3]))
     assert curves.solve_laplacian(*system) == want
     eliminations = counting(monkeypatch, "_eliminate")
     # the real first prime as a weight: its pivot is zero mod that prime
     p, q = curves.PRIMES[:2]
-    assert curves.solve_laplacian({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0: Fraction(0)}) \
+    assert curves.solve_laplacian({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0}) \
         == [0, Fraction(-1, p)]
     assert [args[2] for args in eliminations] == [p, q]
     eliminations.clear()
@@ -681,13 +684,13 @@ def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
     for kind in ("tree", "cycle", "dense"):
         n, edges = _weighted_graph(rng, kind, 30)
         edges = [(a, b, Fraction(rng.randint(1, 9))) for a, b, _ in edges]
-        x = [Fraction(rng.randint(-10**6, 10**6)) for _ in range(n)]
+        pinned = set(rng.sample(range(n), 3))
+        x = [Fraction(0 if i in pinned else rng.randint(-10**6, 10**6)) for i in range(n)]
         rho = {i: Fraction(0) for i in range(n)}
         for a, b, w in edges:
             rho[a] += w * (x[b] - x[a])
             rho[b] += w * (x[a] - x[b])
-        fixed = {k: x[k] for k in rng.sample(range(n), 3)}
-        assert curves.solve_laplacian(rho, n, edges, fixed) == x
+        assert curves.solve_laplacian(rho, n, edges, pinned) == x
     assert len(substitutions) == 3 and reconstructions == []
 
 
@@ -697,7 +700,7 @@ def test_padic_solve_without_a_pinned_node_is_singular():
     for kind in ("tree", "cycle", "dense"):
         n, edges = _weighted_graph(rng, kind, 12)
         with pytest.raises(GraphError, match="singular linear system"):
-            curves.solve_laplacian({0: Fraction(1), 1: Fraction(-1)}, n, edges, {})
+            curves.solve_laplacian({0: Fraction(1), 1: Fraction(-1)}, n, edges, set())
     with pytest.raises(GraphError, match="singular linear system"):
         curves.solve_integer([{0: 1, 1: -1}, {0: -1, 1: 1}], [0, 0], [0, 1])
 
@@ -716,13 +719,12 @@ def lift_bound(rows, b, free):
 
 
 def rational_systems(rng, count):
-    """Seeded systems of solve_laplacian (rho, n, edges, fixed) on trees,
+    """Seeded systems of solve_laplacian (rho, n, edges, pinned) on trees,
     cycles and dense graphs, each pinned at one to three random nodes."""
     for kind in ("tree", "cycle", "dense") * count:
         n, edges = _weighted_graph(rng, kind, rng.randint(3, 40))
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in rng.sample(range(n), 3)}
-        contact = rng.sample(range(n), rng.randint(1, 3))
-        yield rho, n, edges, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in contact}
+        yield rho, n, edges, set(rng.sample(range(n), rng.randint(1, 3)))
 
 
 def test_padic_lifts_stay_within_the_bound(monkeypatch):
@@ -733,7 +735,8 @@ def test_padic_lifts_stay_within_the_bound(monkeypatch):
     spare = []
     for system in rational_systems(random.Random(1923), 6):
         before = len(substitutions)
-        assert curves.solve_laplacian(*system) == fraction_solve_laplacian(*system)
+        want = fraction_solve_laplacian(*system[:3], zero_pins(system[3]))
+        assert curves.solve_laplacian(*system) == want
         lifts, bound = len(substitutions) - before, lift_bound(*calls[-1])
         assert 1 <= lifts <= bound
         spare.append(bound - lifts)
@@ -848,14 +851,12 @@ def test_float_solve_rounds_as_keyed_elimination():
         keyed = {a: k for k, a in index.items()}
         kedges = [(keyed[a], keyed[b], w) for a, b, w in fedges]
         rho = {i: rng.uniform(-9, 9) for i in rng.sample(range(n), min(n, 5))}
-        for contact in ([0], rng.sample(range(n), rng.randint(1, n))):
-            fixed = {i: rng.uniform(-5, 5) for i in contact}
-            got = [rho.get(i, 0) for i in range(n)]
-            free = [i for i in range(n) if i not in fixed]
-            curves.solve_floats(curves._assemble(n, fedges, fixed, got), got, free)
-            got = [fixed.get(i, x) for i, x in enumerate(got)]
+        for contact in ({0}, set(rng.sample(range(n), rng.randint(1, n)))):
+            got = [0.0 if i in contact else rho.get(i, 0) for i in range(n)]
+            free = [i for i in range(n) if i not in contact]
+            curves.solve_floats(curves._assemble(n, fedges, contact), got, free)
             want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, list(index),
-                                         kedges, {keyed[i]: v for i, v in fixed.items()})
+                                         kedges, {keyed[i]: 0.0 for i in contact})
             assert got == [want[k] for k in index]
 
 

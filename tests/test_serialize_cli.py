@@ -572,9 +572,10 @@ def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     howard = variational._howard
 
     def above_the_obstacle(form, contact):
-        # each iterate lifted by 1, above psi on its nonempty contact set
-        for X, Dx, S, contact in howard(form, contact):
-            yield [xk + Dx for xk in X], Dx, S, contact
+        # each iterate lifted by 1, its gap lowered by 1: above psi on its
+        # nonempty contact set
+        for G, d, S, contact in howard(form, contact):
+            yield [gk - d * form[1] for gk in G], d, S, contact
 
     monkeypatch.setattr(variational, "_howard", above_the_obstacle)
     row = ROWS["test_cli_contract[envelope-circle]"]
@@ -657,9 +658,12 @@ def _write_documents(argv):
     working directory, and its file name in its place."""
     names = []
     for arg in argv:
-        if isinstance(arg, (dict, list, Text)):
+        if isinstance(arg, (dict, list, Text, bytes)):
             name = names[-1].lstrip("-") + ".json"
-            Path(name).write_text(arg if isinstance(arg, Text) else json.dumps(arg))
+            if isinstance(arg, bytes):
+                Path(name).write_bytes(arg)
+            else:
+                Path(name).write_text(arg if isinstance(arg, Text) else json.dumps(arg), encoding="utf-8")
             arg = name
         names.append(arg)
     return names
@@ -732,14 +736,17 @@ globals().update((_name, _contract_test(_cases)) for _name, _cases in _CASES.ite
 
 @pytest.mark.parametrize("case", [
     "test_cli_contract[curve-solve-escaped-ids]",
+    "test_cli_contract[curve-solve-utf8-ids]",
     "test_cli_contract[curve-green-escaped-ids]",
     "test_cli_contract[envelope-missing-g]",
     "test_cli_toric_solve_three_atoms_exit_codes[options0-3]",
 ])
 def test_cli_main_in_a_subprocess(case, tmp_path, capsys, monkeypatch):
     # exit 0, an input error, a usage error and exit 3 print the same
-    # through python -m plma.cli as through cli.run, in ASCII; main is
-    # sys.exit(run(argv)), so no other row can differ
+    # through python -m plma.cli as through cli.run, in ASCII, under the C
+    # locale and without UTF-8 mode, so that a file is read as UTF-8 only
+    # when plma asks for it; main is sys.exit(run(argv)), so no other row
+    # can differ
     monkeypatch.chdir(tmp_path)
     argv = _write_documents(ROWS[case].argv)
     capsys.readouterr()
@@ -747,7 +754,8 @@ def test_cli_main_in_a_subprocess(case, tmp_path, capsys, monkeypatch):
     assert expected[0] == ROWS[case].code
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "plma.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60)
+                          env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"},
+                          capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout.decode("ascii"), proc.stderr.decode("ascii")) == expected
 
 
