@@ -11,22 +11,19 @@ geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
 Poisson problems are solved exactly on the Laplacian of the vertices and
 the atoms.  _refine numbers those nodes once (the vertices in graph
 order, then each edge's sorted interior offsets), and only this module
-reads that order.  Every linear solve of the package is a Laplacian on
-the node numbers 0..n-1 of a weighted graph, its free rows built by
-_assemble, and each pins its fixed nodes to zero: the toric Newton step
-fixes the gauge w_0 = 0, a Poisson solve f = 0 at its normalization
-point, and the envelope the gap psi - P(psi) = 0 on its contact set, so
-_assemble takes the set of pinned nodes and no values.  Two routines
-serve both arithmetics: _eliminate factors the rows once in
-minimum-degree order, and _substitute solves with that factorization.
-solve_floats is one of each, in floats: the toric Newton step runs it on
-the power-cell adjacency graph, and the envelope's float guide on its
-contact sets.  solve_integer factors once modulo a 61-bit prime and
-lifts the solution p-adically (Dixon), one _substitute per lift, until
-it rebuilds the integer numerators over one common denominator, checked
-exactly, or passes a Hadamard bound on their size (ConvergenceError);
-solve_laplacian is its exact entry on rationals, and the envelope's
-exact Howard pass calls it on its own integer rows, those of the gap.
+reads that order.  Every linear solve of the package is one problem with
+one entry: laplacian_form writes a weighted graph on the node numbers
+0..n-1 and its sources over common denominators, and solve_laplacian(form,
+pinned) solves its Laplacian with the value 0 on a set of pinned nodes.
+The toric Newton step pins the gauge w_0 = 0, a Poisson solve f = 0 at
+its normalization point, and each Howard step of the envelope the gap
+psi - P(psi) = 0 on its contact set.  A float form (the Newton step, the
+envelope's float guide) is one _eliminate in minimum-degree order and one
+_substitute with that factorization.  An integer form goes through
+solve_integer, which runs the same two routines modulo a 61-bit prime and
+lifts the solution p-adically (Dixon), one _substitute per lift, until it
+rebuilds the integer numerators over one common denominator, checked
+exactly, or passes a Hadamard bound on their size (ConvergenceError).
 One routine, normalized_potential, solves laplacian(f) = mu - omega0 and
 shifts f to zero integral against the reference measure omega0, which
 must be positive with positive mass (reference_mass): green is its case
@@ -45,7 +42,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .geometry import AtomicMeasure, as_fraction
@@ -243,12 +240,6 @@ class GraphPLFunction:
             tuple(tuple((o, c * y) for o, y in pairs) for pairs in self.edge_values)
         )
 
-    def add_constant(self, c) -> "GraphPLFunction":
-        c = as_fraction(c)
-        return GraphPLFunction(
-            tuple(tuple((o, y + c) for o, y in pairs) for pairs in self.edge_values)
-        )
-
     def simplify(self) -> "GraphPLFunction":
         """Drop breakpoints where the slope does not change."""
         evs = []
@@ -380,51 +371,53 @@ def _refine(graph: MetricGraph, keys):
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
 
-def solve_laplacian(rho, n, edges, pinned):
-    """Solve sum_j w_ij (x_j - x_i) = rho_i at the nodes of 0..n-1 outside
-    the set `pinned`, exactly, with x = 0 on pinned.
+def laplacian_form(values, mass, edges):
+    """The Laplacian problem of solve_laplacian on the nodes 0..n-1 of a
+    weighted graph, over common denominators: (R, Dr, W, Dw), with W the
+    list `edges` of (i, j, w), each weight w = W_e / Dw replaced by its
+    numerator W_e, and r = laplacian(y) + m = R[k] / Dr at node k, where y
+    is the list `values` (n rationals) and m the dict `mass` (node ->
+    rational, 0 where absent).  With y = Y / Dy and the masses M / Dm,
+    R_k = Dm sum_j W_kj (Y_j - Y_k) + M_k Dw Dy over Dr = Dm Dw Dy, then
+    reduced by the gcd of Dr and every R_k, so that Dr is the least common
+    denominator of r.  A Poisson solve passes zero values, and the
+    envelope the obstacle psi with the masses of omega0."""
+    Dy = lcm(*(y.denominator for y in values))
+    Dm = lcm(*(m.denominator for m in mass.values()))
+    Dw = lcm(*(w.denominator for _, _, w in edges))
+    Y = [y.numerator * (Dy // y.denominator) for y in values]
+    W = [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges]
+    R = [0] * len(Y)
+    for k, m in mass.items():
+        R[k] = m.numerator * (Dm // m.denominator) * Dw * Dy
+    for a, b, w in W:
+        t = Dm * w * (Y[b] - Y[a])
+        R[a] += t
+        R[b] -= t
+    h = gcd(Dm * Dw * Dy, *R)
+    return [r // h for r in R], Dm * Dw * Dy // h, W, Dw
 
-    rho: dict node -> source (0 where absent); edges: undirected (i, j, w),
-    each adding the weight w to the rows of both i and j.  Sources and
-    weights are rationals (Fractions or ints).  Returns the list of the n
-    values as Fractions, 0 at the pinned nodes.
 
-    The system is the Laplacian restricted to the free nodes, one sparse
-    row (a dict) per node (_assemble).  Each row and its source are scaled
-    to integers by the lcm of their denominators, and solve_integer solves
-    them by Dixon's p-adic lifting, the values coming back over one common
-    denominator.  GraphError is raised only when the system is singular
-    modulo every prime of PRIMES, as a singular system is; a connected
-    graph with a pinned node never is.  ConvergenceError is raised only
-    when the solve passes its lift bound (solve_integer).  Float systems
-    go through solve_floats.
+def solve_laplacian(form, pinned):
+    """Solve the Laplacian problem `form` = (R, Dr, W, Dw) with the value 0
+    on the set `pinned` of nodes: g with sum_j w_kj (g_j - g_k) = r_k at
+    every other node k, where r = R / Dr and each (i, j, W_e) of the list
+    W is an undirected edge of weight w = W_e / Dw.  Returns (G, d) with
+    g = G / (d Dr), G = 0 on pinned.
+
+    Every linear solve of the package goes through here.  The rows of
+    the free nodes are sum_j W_kj (G_j - G_k) = Dw d R_k, one sparse dict
+    per node, a pinned column dropped.  A float form (R of floats, Dr =
+    Dw = 1) is solved in floats, one _eliminate and one _substitute, and
+    d = 1.  An integer form (laplacian_form) is solved exactly by
+    solve_integer, d its common denominator.  GraphError is raised for a
+    singular system (modulo every prime of PRIMES, when exact); a
+    connected graph with a pinned node never is.  ConvergenceError is
+    raised only when an exact solve passes its lift bound.
     """
-    b = [rho.get(i, 0) for i in range(n)]
-    rows = _assemble(n, edges, pinned)
-    free = [i for i in range(n) if i not in pinned]
-    for i in free:
-        row = rows[i]
-        scale = lcm(b[i].denominator, *(v.denominator for v in row.values()))
-        rows[i] = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
-        b[i] = b[i].numerator * (scale // b[i].denominator)
-    X, d = solve_integer(rows, b, free)
-    return [Fraction(x, d) for x in X]
-
-
-def solve_floats(rows, b, free):
-    """Solve the float system of the rows of the nodes `free` (as
-    _assemble builds them) in place on the list b: one _eliminate, one
-    _substitute.  The toric Newton step and the envelope's float guide
-    solve this way; a zero pivot raises GraphError."""
-    _substitute(_eliminate(rows, free, None), b, None)
-
-
-def _assemble(n, edges, pinned):
-    """The rows of the nodes outside the set `pinned`, each a dict column
-    -> coefficient, of the Laplacian with the value 0 on pinned: a pinned
-    column drops out, and the rows of pinned nodes stay empty."""
-    rows = [{} for _ in range(n)]
-    for a, c, w in edges:
+    R, _, W, Dw = form
+    rows = [{} for _ in R]
+    for a, c, w in W:
         for i, j in ((a, c), (c, a)):
             if i in pinned:
                 continue
@@ -432,7 +425,12 @@ def _assemble(n, edges, pinned):
             row[i] = row.get(i, 0) - w
             if j not in pinned:
                 row[j] = row.get(j, 0) + w
-    return rows
+    free = [k for k in range(len(R)) if k not in pinned]
+    b = [0 if k in pinned else Dw * r for k, r in enumerate(R)]
+    if isinstance(R[0], float):
+        _substitute(_eliminate(rows, free, None), b, None)
+        return b, 1
+    return solve_integer(rows, b, free)
 
 
 def _eliminate(rows, free, p):
@@ -637,9 +635,9 @@ def solve_poisson(
         raise MassBalanceError("source measure must have total mass zero")
     norm_key = graph.point_key(normalization)
     index, edges, edge_offsets = _refine(graph, [k for k, _ in rho.atoms] + [norm_key])
-    source = {index[k]: m for k, m in rho.atoms}
-    values = solve_laplacian(source, len(index), edges, {index[norm_key]})
-    return _function_from_node_values(graph, values, edge_offsets)
+    form = laplacian_form([0] * len(index), {index[k]: m for k, m in rho.atoms}, edges)
+    G, d = solve_laplacian(form, {index[norm_key]})
+    return _function_from_node_values(graph, [Fraction(g, d * form[1]) for g in G], edge_offsets)
 
 
 def normalized_potential(
@@ -648,13 +646,20 @@ def normalized_potential(
     """The one normalized potential: f with laplacian(f) = mu - omega0 and
     zero integral against omega0, whose mass d_L is also mu's.
 
-    One Poisson solve, pinned at the first vertex, then shifted by
-    -(omega0-integral) / d_L.  The normalized f is unique and simplified,
-    so the pin does not show in the result.  Both green and
+    One solve on the nodes of mu's and omega0's atoms, pinned at node 0
+    (the first vertex), gives g = G / (d Dr); then f = g - c with
+    c = sum_k omega0(k) G_k / (d Dr d_L), shifted on the integer
+    numerators, one Fraction per node.  The normalized f is unique and
+    simplified, so the pin does not show in the result.  Both green and
     solver.solve_curve return it, after their own checks.
     """
-    f = solve_poisson(graph, mu - omega0, vertex_key(graph.vertex_ids[0]))
-    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+    index, edges, edge_offsets = _refine(graph, [k for k, _ in mu.atoms + omega0.atoms])
+    form = laplacian_form([0] * len(index), {index[k]: m for k, m in (mu - omega0).atoms}, edges)
+    G, d = solve_laplacian(form, {0})
+    c = sum(m * G[index[k]] for k, m in omega0.atoms) / d_L
+    p, q = c.numerator, c.denominator
+    values = [Fraction(g * q - p, q * d * form[1]) for g in G]
+    return _function_from_node_values(graph, values, edge_offsets)
 
 
 def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:

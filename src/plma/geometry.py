@@ -9,8 +9,8 @@ there is one `Fraction` per result (the small-integer exact computation
 of Yap, Comput. Geom. 1997).  Each predicate has one routine.  One chain
 routine, `_half_chain`, builds every convex hull (`_ccw_ring`: each
 cell's, and a polytope's once, in `Polytope.from_points`) and every lower
-chain (`_lower_chain`: the 1-D subdivision, the parallel edges of
-collinear slopes, and each side of the Legendre transform).  Every
+chain (`_chain_pairs`: the 1-D subdivision and the parallel edges of
+collinear slopes).  Every
 polytope, a point or a segment in the plane included, has one table of
 integer half-planes, and containment is tested on it alone.
 
@@ -311,23 +311,12 @@ class AffineFunctional:
         return dot(self.slope, v) - self.intercept
 
 
-def _lower_chain(lifted):
-    """The strict vertices of the lower convex chain of lifted points.
-
-    lifted: (x, c) pairs with distinct x; returns the pairs at the vertices
-    of the chain, by increasing x.  Points lifted onto the interior of a
-    chain segment, or above the chain, are dropped.  A sort plus
-    `_half_chain`.
-    """
-    return _half_chain(sorted(lifted))
-
-
 def _chain_pairs(xs, C):
     """The index pairs (a, b) of pieces consecutive on the lower chain of
     the points (x_i, C_i), by increasing x, for distinct integers x_i: the
     1-D cells, and the parallel edges of collinear 2-D slopes."""
     index = {x: i for i, x in enumerate(xs)}
-    chain = _lower_chain(zip(xs, C))
+    chain = _half_chain(sorted(zip(xs, C)))
     return [(index[a], index[b]) for (a, _), (b, _) in zip(chain, chain[1:])]
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
@@ -49,19 +50,29 @@ def rational_str(x) -> str:
 
 # the plain form this module writes, "p/q" or "p"
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the exponent that ends a decimal rational, as Fraction(s) reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_rational(s) -> Fraction:
     """The Fraction of a rational string or an int.  The plain form
     "p/q" or "p", in ASCII digits, is split and converted with int, which
     fails as Fraction(s) does (a zero q, too many digits); everything else
-    goes through Fraction(s)."""
+    goes through Fraction(s).  Before that, a string that ends in an
+    exponent larger in magnitude than the int digit limit
+    (sys.get_int_max_str_digits(), unless it is 0) is rejected: Fraction
+    would compute 10 to that power in full, a 14-byte "1e20000000" taking
+    most of a minute."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError(f"expected a rational string, got {s!r}")
     try:
         plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
         if plain:
             return Fraction(int(plain[1]), int(plain[2] or 1))
+        exponent = _EXPONENT.search(s) if isinstance(s, str) else None
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent beyond the limit of {limit} in magnitude")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None

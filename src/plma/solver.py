@@ -1,14 +1,17 @@
 """Solvers for the Monge-Ampere equation in both computable regimes.
 
+Both cases reduce every linear problem to one: a graph Laplacian with
+the value 0 on a set of pinned nodes, solved by the package's one entry
+curves.solve_laplacian.
+
 Curve case: linear, one exact Poisson solve with source mu - omega0,
 normalized to zero omega0-integral: the one normalized potential of
 curves (curves.normalized_potential), which green also returns.  The
-solve is p-adic (curves.solve_integer): the rows scaled to integers are
-factored once modulo a 61-bit prime, and the solution is lifted and,
-after every lift, rebuilt over one common denominator and checked
-exactly.  A solve that passes its Hadamard bound on the lifts without a
-solution raises ConvergenceError, which curves defines and this module
-exports.
+solve is p-adic: the integer rows of curves.laplacian_form are factored
+once modulo a 61-bit prime, and the solution is lifted and, after every
+lift, rebuilt over one common denominator and checked exactly.  A solve
+that passes its Hadamard bound on the lifts without a solution raises
+ConvergenceError, which curves defines and this module exports.
 
 Toric case: the variational problem is reduced to its finite-dimensional
 dual, semi-discrete optimal transport.  Each target atom v_i carries a
@@ -36,13 +39,12 @@ edges in the same pass that sums the cell volumes (_power_cells): each
 trial step yields its volumes and, if accepted, the next Newton matrix.
 It is the weighted Laplacian of the cell adjacency graph, so with w_0
 pinned each Newton step is one sparse Laplacian solve in floats,
-curves.solve_floats on the rows of curves._assemble: the atoms are its
-nodes 0..k-1, and the step is solved in place on the list of negated
-residuals.  It is the same minimum-degree factorization and substitution
-that the exact curve solves run modulo a prime before they lift
-p-adically; no Newton step goes through that exact path.  A singular
-Newton system (GraphError) ends the solve unconverged, as a stalled step
-does.
+curves.solve_laplacian on the float form (negated residuals, 1, edges,
+1) pinned at {0}: the atoms are its nodes 0..k-1.  It is the same
+minimum-degree factorization and substitution that the exact curve
+solves run modulo a prime before they lift p-adically; no Newton step
+goes through that exact path.  A singular Newton system (GraphError)
+ends the solve unconverged, as a stalled step does.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -269,7 +271,6 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         return SolveReport(g, res, res, 0, True)
 
     fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
-    k = len(fatoms)
     target = [m for _, m in fatoms]
     tol_abs = opts.tolerance * float(vol)
 
@@ -288,9 +289,8 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         # vol_i grows with w_i, so H is the (positive semidefinite) negated
         # Hessian of the dual objective, a graph Laplacian: pin the first
         # weight and solve H d = r.
-        step = [0.0] + [-ri for ri in r[1:]]
         try:
-            curves.solve_floats(curves._assemble(k, edges, {0}), step, range(1, k))
+            step, _ = curves.solve_laplacian(([-ri for ri in r], 1, edges, 1), {0})
         except curves.GraphError:
             break
         alpha, norm = 1.0, math.hypot(*r)

@@ -17,22 +17,25 @@ laplacian(g) >= 0, g s = 0 at the nodes (Cottle, Pang and Stone), whose
 last condition is the orthogonality property at the nodes.  Howard's
 policy iteration (Bokanowski, Maroso and Zidani, SIAM J. Numer. Anal.
 2009) solves it: a float pass only guesses the contact set, and an exact
-pass started from that guess, usually one p-adic Poisson solve
-(curves.solve_integer) with g pinned to zero on the contact set, stops at
-exact complementarity.  The exact pass runs on integers: laplacian(psi) +
-omega0 and the edge weights each over one common denominator, so that the
-gaps and the masses s are integer numerators over known denominators,
-and the node check (g >= 0, s >= 0) is integer compares.  That check
-certifies the envelope; MA(P(psi)) and the orthogonality defect are read
-off the same nodes, a Fraction built only for each number returned.  The
-reference measure must be positive with positive mass, as for green.
+pass started from that guess stops at exact complementarity.  Each step
+of either pass is the package's one Laplacian solve,
+curves.solve_laplacian, with g pinned to zero on the contact set: in
+floats for the guide, and for the exact pass usually one p-adic solve.
+The exact pass runs on integers: curves.laplacian_form writes
+laplacian(psi) + omega0 and the edge weights each over one common
+denominator, so that the gaps and the masses s are integer numerators
+over known denominators, and the node check (g >= 0, s >= 0) is integer
+compares.  That check certifies the envelope; MA(P(psi)) and the
+orthogonality defect are read off the same nodes, a Fraction built only
+for each number returned.  The reference measure must be positive with
+positive mass, as for green.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isfinite, lcm
+from math import factorial, isfinite, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -309,11 +312,11 @@ def envelope_subharmonic(
     which the orthogonality of psi - P(psi) and MA(P(psi)) is the last
     condition.  Howard's policy iteration (_howard) solves it: from a
     contact set C, solve g = 0 on C and laplacian(g) = r off C, then set
-    C = {k : g(k) <= s(k)}.  It runs on the gap form of the problem
-    (_gap_form): r and the edge weights each over one common denominator,
-    so that every exact solve is curves.solve_integer, every compare and
-    sum is on integers, and no numerator carries the obstacle's own
-    denominator.
+    C = {k : g(k) <= s(k)}.  It runs on the problem's Laplacian form
+    (curves.laplacian_form): r and the edge weights each over one common
+    denominator, so that every exact solve is curves.solve_laplacian on
+    integers, every compare and sum is on integers, and no numerator
+    carries the obstacle's own denominator.
 
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
@@ -371,7 +374,7 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     curves.reference_mass(omega0)
     index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
     obstacle = curves._node_values(psi, graph, edge_offsets)
-    form = _gap_form(obstacle, {index[k]: m for k, m in omega0.atoms}, edges)
+    form = curves.laplacian_form(obstacle, {index[k]: m for k, m in omega0.atoms}, edges)
     _, Dr, _, Dw = form
     contact = _float_contact(form) or set(range(len(index)))
     for G, d, S, _ in _howard(form, contact):
@@ -380,62 +383,27 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
-def _gap_form(obstacle, mass, edges):
-    """The node problem in the gap: (R, Dr, W, Dw), with W the list `edges`
-    with each weight w = W_e / Dw replaced by its numerator W_e, and
-    r = laplacian(psi) + omega0 = R[k] / Dr at node k, where psi is the
-    list `obstacle` and omega0 the dict `mass` (node -> mass).  With
-    psi = Y / Dy and the masses M / Dm, R_k = Dm sum_j W_kj (Y_j - Y_k) +
-    M_k Dw Dy over Dr = Dm Dw Dy, then reduced by the gcd of Dr and every
-    R_k, so that Dr is the least common denominator of r."""
-    Dy = lcm(*(y.denominator for y in obstacle))
-    Dm = lcm(*(m.denominator for m in mass.values()))
-    Dw = lcm(*(w.denominator for _, _, w in edges))
-    Y = [y.numerator * (Dy // y.denominator) for y in obstacle]
-    W = [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges]
-    R = [0] * len(Y)
-    for k, m in mass.items():
-        R[k] = m.numerator * (Dm // m.denominator) * Dw * Dy
-    for a, b, w in W:
-        t = Dm * w * (Y[b] - Y[a])
-        R[a] += t
-        R[b] -= t
-    h = gcd(Dm * Dw * Dy, *R)
-    return [r // h for r in R], Dm * Dw * Dy // h, W, Dw
-
-
 def _howard(form, contact):
     """Howard's policy iteration for the node problem in the gap.
 
-    form = (R, Dr, W, Dw) is the problem of _gap_form: node k has
-    r = laplacian(psi) + omega0 = R[k] / Dr, and each (i, j, W_e) of the
-    list W is a segment of weight W_e / Dw.  From the contact set
+    form = (R, Dr, W, Dw) is the problem of curves.laplacian_form: node k
+    has r = laplacian(psi) + omega0 = R[k] / Dr, and each (i, j, W_e) of
+    the list W is a segment of weight W_e / Dw.  From the contact set
     `contact` (a set of nodes), yield (G, d, S, contact) for at most
     len(R) + 1 solves: the gap g = psi - x = G / (d Dr), zero on C, its
     masses s = r - laplacian(g) = S / (Dw d Dr) and the next contact set.
-    On integers each solve is curves.solve_integer of the rows of
-    sum_j W_kj (G_j - G_k) = Dw R_k off C, pinned to zero on C
-    (curves._assemble), and d is its common denominator; then
+    Each solve is curves.solve_laplacian(form, C), exact on an integer
+    form and in floats on the float guide's; then
     S = Dw d R - sum_j W_kj (G_j - G_k), and the contact test g <= s is
-    Dw G <= S.  The float guide runs the same routine on floats with unit
-    denominators, each solve then curves.solve_floats.  With C nonempty on
-    a connected graph, the Laplacian with Dirichlet rows on C is a
-    nonsingular M-matrix, so every solve is well posed; and C never
-    empties, because s sums to mass(omega0) > 0 and s = 0 off C, so some
-    node of C has s > 0 = g and stays in contact.
+    Dw G <= S.  With C nonempty on a connected graph, the Laplacian with
+    Dirichlet rows on C is a nonsingular M-matrix, so every solve is well
+    posed; and C never empties, because s sums to mass(omega0) > 0 and
+    s = 0 off C, so some node of C has s > 0 = g and stays in contact.
     """
     R, _, W, Dw = form
-    exact = not isinstance(R[0], float)
     nodes = range(len(R))
     for _ in range(len(R) + 1):
-        rows = curves._assemble(len(R), W, contact)
-        free = [k for k in nodes if k not in contact]
-        b = [0 if k in contact else Dw * r for k, r in zip(nodes, R)]
-        if exact:
-            G, d = curves.solve_integer(rows, b, free)
-        else:
-            curves.solve_floats(rows, b, free)
-            G, d = b, 1
+        G, d = curves.solve_laplacian(form, contact)
         S = [Dw * d * r for r in R]
         for a, c, w in W:
             t = w * (G[c] - G[a])
@@ -450,6 +418,8 @@ def _float_contact(form):
     every node: the first that repeats an earlier one, since rounding at a
     tie node (g = s = 0) can make the float iteration cycle.  None if a
     float solve overflows, is singular or not finite, or nothing repeats.
+    The guide runs _howard on the float form (R / Dr, 1, W / Dw, 1) of
+    `form`, so each of its solves is curves.solve_laplacian in floats.
     Only a guide: the exact pass checks it."""
     R, Dr, W, Dw = form
     found = [set(range(len(R)))]
@@ -497,20 +467,21 @@ def orthogonality_defect_curve(
 # differentiability of energy-of-envelope
 
 
-# the default steps t of the difference quotients
+# the steps t of the difference quotients
 T_GRID = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
 
 
-def _difference_quotients(energy_at, t_grid):
-    """(t, central difference quotient of energy_at at 0) for each t."""
-    return [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in t_grid]
+def _difference_quotients(energy_at):
+    """(t, central difference quotient of energy_at at 0) for each t of
+    T_GRID."""
+    return [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in T_GRID]
 
 
 def envelope_energy_derivative_toric(
-    phi: PLConvexFunction, f: PiecewiseLinear1D, delta: Polytope, t_grid=T_GRID
+    phi: PLConvexFunction, f: PiecewiseLinear1D, delta: Polytope
 ):
     """Exact pairing of f with MA(phi), plus central difference quotients of
-    t -> energy(P(phi + t f)) on the grid (1-D toric context).  The pairing
+    t -> energy(P(phi + t f)) on T_GRID (1-D toric context).  The pairing
     is read off the analytic measure of `ma_measure`, and the energy is
     relative to the support function of delta: another reference adds a
     constant, which no quotient sees."""
@@ -521,7 +492,7 @@ def envelope_energy_derivative_toric(
         pert = base + f.scale(t)
         return energy_toric(envelope_toric(pert, delta), g0, delta)
 
-    return exact, _difference_quotients(energy_at, t_grid)
+    return exact, _difference_quotients(energy_at)
 
 
 def envelope_energy_derivative_curve(
@@ -529,7 +500,6 @@ def envelope_energy_derivative_curve(
     f: GraphPLFunction,
     graph: MetricGraph,
     omega0: GraphMeasure,
-    t_grid=T_GRID,
 ):
     ma = curves.ma_curve(phi, graph, omega0)
     exact = ma.integrate(graph, f)
@@ -538,7 +508,7 @@ def envelope_energy_derivative_curve(
         pert = phi + f.scale(t)
         return energy_curve(envelope_subharmonic(pert, graph, omega0), graph, omega0)
 
-    return exact, _difference_quotients(energy_at, t_grid)
+    return exact, _difference_quotients(energy_at)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +547,9 @@ def orthogonality_defect(psi, context) -> Fraction:
     return orthogonality_defect_curve(psi, graph, omega0)
 
 
-def energy_of_envelope_derivative(phi, f, context, t_grid=T_GRID):
+def energy_of_envelope_derivative(phi, f, context):
     """Exact derivative of t -> E(P(phi + t f)) at 0 plus difference quotients."""
     if _is_toric(context):
-        return envelope_energy_derivative_toric(phi, f, context, t_grid=t_grid)
+        return envelope_energy_derivative_toric(phi, f, context)
     graph, omega0 = context
-    return envelope_energy_derivative_curve(phi, f, graph, omega0, t_grid=t_grid)
+    return envelope_energy_derivative_curve(phi, f, graph, omega0)

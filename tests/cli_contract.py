@@ -274,6 +274,10 @@ CONTRACT = {
     "toric-ma-nested-too-deeply": Row(
         _argv("toric-ma", {"delta": Text("[" * 100_000), "g": SUPPORT_SQUARE}), 2,
         ("SchemaError", "delta.json: JSON nested too deeply")),
+    "toric-ma-exponent-beyond-the-limit": Row(
+        _argv("toric-ma", {"delta": {"vertices": [["0", "0"], ["1e20000000", "0"], ["0", "1"]]},
+                           "g": SUPPORT_SQUARE}), 2,
+        ("SchemaError", "bad rational '1e20000000': exponent beyond the limit of 4300 in magnitude")),
     "toric-energy-square": Row(_argv("toric-energy", {"delta": SQUARE, "g": SQUARE_G}), 0),
     "toric-energy-interval": Row(_argv("toric-energy", {"delta": INTERVAL, "g": INTERVAL_G}), 0),
     "toric-energy-square-pruned": Row(_argv("toric-energy", {"delta": SQUARE, "g": SQUARE_PRUNED_G}), 0),

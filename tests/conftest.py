@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from plma import curves
 from plma.curves import GraphError, GraphMeasure, MetricGraph
 from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
 from plma.toric import mixed_ma
@@ -151,6 +152,15 @@ def random_positive_measure(rng, graph, total, natoms=3):
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+def solve_sources(rho, n, edges, pinned):
+    """curves.solve_laplacian on the form of zero values with the sources
+    rho (a dict node -> rational, 0 where absent) on the nodes 0..n-1:
+    the list of the n values as Fractions, 0 on the set `pinned`."""
+    form = curves.laplacian_form([0] * n, rho, edges)
+    G, d = curves.solve_laplacian(form, pinned)
+    return [Fraction(g, d * form[1]) for g in G]
 
 
 def fraction_solve_laplacian(rho, n, edges, fixed):

@@ -33,6 +33,7 @@ from conftest import (
     random_graph_point,
     random_positive_measure,
     rnd_frac,
+    solve_sources,
 )
 
 
@@ -568,18 +569,18 @@ def test_sparse_solve_equals_dense_oracle():
         n = len(index)
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(range(n), 3)}
         # the pure Neumann mode of solve_poisson: one node pinned to zero
-        got = curves.solve_laplacian(rho, n, edges, {0})
+        got = solve_sources(rho, n, edges, {0})
         assert got == dense_solve_laplacian(rho, n, edges, {0})
         # the contact-set mode of the Howard iteration: a nonempty pinned set
         contact = set(rng.sample(range(n), rng.randint(1, n)))
-        got = curves.solve_laplacian(rho, n, edges, contact)
+        got = solve_sources(rho, n, edges, contact)
         assert got == dense_solve_laplacian(rho, n, edges, contact)
         assert all(got[k] == 0 for k in contact)
     # the toric Newton system: the cell adjacency graph of exact power cells
     # of 5 atoms in the hexagon, first weight pinned
     for k, edges in toric_newton_systems(rng, 4):
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
-        got = curves.solve_laplacian(rho, k, edges, {0})
+        got = solve_sources(rho, k, edges, {0})
         assert got == dense_solve_laplacian(rho, k, edges, {0})
         assert all(isinstance(x, Fraction) for x in got)
 
@@ -628,7 +629,7 @@ def test_padic_solve_equals_fraction_elimination():
         rho = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(k)}
         systems.append((rho, k, edges, {0}))
     for rho, n, edges, pinned in systems:
-        got = curves.solve_laplacian(rho, n, edges, pinned)
+        got = solve_sources(rho, n, edges, pinned)
         assert got == fraction_solve_laplacian(rho, n, edges, zero_pins(pinned))
         assert all(type(x) is Fraction for x in got)
 
@@ -657,21 +658,21 @@ def test_padic_solve_moves_past_an_unlucky_prime(monkeypatch):
     system = ({1: Fraction(1, 2), 2: Fraction(-3)}, 3,
               [(0, 1, Fraction(1)), (1, 2, Fraction(2))], {0})
     want = fraction_solve_laplacian(*system[:3], zero_pins(system[3]))
-    assert curves.solve_laplacian(*system) == want
+    assert solve_sources(*system) == want
     eliminations = counting(monkeypatch, "_eliminate")
     # the real first prime as a weight: its pivot is zero mod that prime
     p, q = curves.PRIMES[:2]
-    assert curves.solve_laplacian({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0}) \
+    assert solve_sources({1: Fraction(1)}, 2, [(0, 1, Fraction(p))], {0}) \
         == [0, Fraction(-1, p)]
     assert [args[2] for args in eliminations] == [p, q]
     eliminations.clear()
     monkeypatch.setattr(curves, "PRIMES", (3, p))
-    assert curves.solve_laplacian(*system) == want
+    assert solve_sources(*system) == want
     assert [args[2] for args in eliminations] == [3, p]
     # a zero pivot for every prime of the list
     monkeypatch.setattr(curves, "PRIMES", (3,))
     with pytest.raises(GraphError, match="singular linear system"):
-        curves.solve_laplacian(*system)
+        solve_sources(*system)
 
 
 def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
@@ -690,7 +691,7 @@ def test_padic_solve_of_an_integral_solution_takes_one_lift(monkeypatch):
         for a, b, w in edges:
             rho[a] += w * (x[b] - x[a])
             rho[b] += w * (x[a] - x[b])
-        assert curves.solve_laplacian(rho, n, edges, pinned) == x
+        assert solve_sources(rho, n, edges, pinned) == x
     assert len(substitutions) == 3 and reconstructions == []
 
 
@@ -700,7 +701,7 @@ def test_padic_solve_without_a_pinned_node_is_singular():
     for kind in ("tree", "cycle", "dense"):
         n, edges = _weighted_graph(rng, kind, 12)
         with pytest.raises(GraphError, match="singular linear system"):
-            curves.solve_laplacian({0: Fraction(1), 1: Fraction(-1)}, n, edges, set())
+            solve_sources({0: Fraction(1), 1: Fraction(-1)}, n, edges, set())
     with pytest.raises(GraphError, match="singular linear system"):
         curves.solve_integer([{0: 1, 1: -1}, {0: -1, 1: 1}], [0, 0], [0, 1])
 
@@ -736,7 +737,7 @@ def test_padic_lifts_stay_within_the_bound(monkeypatch):
     for system in rational_systems(random.Random(1923), 6):
         before = len(substitutions)
         want = fraction_solve_laplacian(*system[:3], zero_pins(system[3]))
-        assert curves.solve_laplacian(*system) == want
+        assert solve_sources(*system) == want
         lifts, bound = len(substitutions) - before, lift_bound(*calls[-1])
         assert 1 <= lifts <= bound
         spare.append(bound - lifts)
@@ -754,7 +755,7 @@ def test_padic_solve_that_never_reconstructs_raises(monkeypatch):
         before = len(substitutions)
         with pytest.raises(curves.ConvergenceError,
                            match="^p-adic solve passed its lift bound unreconstructed$"):
-            curves.solve_laplacian(*system)
+            solve_sources(*system)
         assert len(substitutions) - before == lift_bound(*calls[-1])
 
 
@@ -851,10 +852,9 @@ def test_float_solve_rounds_as_keyed_elimination():
         keyed = {a: k for k, a in index.items()}
         kedges = [(keyed[a], keyed[b], w) for a, b, w in fedges]
         rho = {i: rng.uniform(-9, 9) for i in rng.sample(range(n), min(n, 5))}
+        form = ([rho.get(i, 0.0) for i in range(n)], 1, fedges, 1)
         for contact in ({0}, set(rng.sample(range(n), rng.randint(1, n)))):
-            got = [0.0 if i in contact else rho.get(i, 0) for i in range(n)]
-            free = [i for i in range(n) if i not in contact]
-            curves.solve_floats(curves._assemble(n, fedges, contact), got, free)
+            got, _ = curves.solve_laplacian(form, contact)
             want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, list(index),
                                          kedges, {keyed[i]: 0.0 for i in contact})
             assert got == [want[k] for k in index]

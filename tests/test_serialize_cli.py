@@ -15,6 +15,7 @@ import plma
 from plma import cli, curves, geometry, serialize, variational
 from plma.curves import (
     GraphMeasure,
+    GraphPLFunction,
     circle_graph,
     solve_poisson,
     vertex_key,
@@ -62,10 +63,17 @@ def test_rational_strings():
 
 def test_parse_rational_matches_fraction(rng):
     # the plain "p/q" form is split and converted with int; on every input
-    # the result, or the SchemaError text, must be Fraction(s)'s
+    # the result, or the SchemaError text, must be Fraction(s)'s, except
+    # that an exponent beyond the int digit limit in magnitude is rejected
+    # before Fraction computes 10 to that power
+    limit = sys.get_int_max_str_digits()
+
     def reference(s):
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             return f"expected a rational string, got {s!r}"
+        _, e, exponent = s.lower().rpartition("e") if isinstance(s, str) else ("", "", "")
+        if e and exponent.strip().lstrip("+-").isdigit() and abs(int(exponent)) > limit:
+            return f"bad rational {s!r}: exponent beyond the limit of {limit} in magnitude"
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -83,7 +91,8 @@ def test_parse_rational_matches_fraction(rng):
               "+1", "+1/2", "1 ", " 1/2", "1 /2", "1.5", "-.5", "1e3", "1E-3", "1_000", "1/2_0",
               "1/2/3", "-", "/2", "1/", "1/-2", "--1", "0x10", "", "abc", "\u0663", "1\n",
               "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, True, False, 1.5, [1], None,
-              {"p": 1}, 7, -3, 10**40]
+              {"p": 1}, 7, -3, 10**40, "1e20000000", "-1E-20000000", "1.5e4301", "2e-4300",
+              "-.5E+4301", "1e4301 "]
     corpus += [f"{rng.randint(-10**30, 10**30)}/{rng.randint(1, 10**30)}" for _ in range(200)]
     corpus += [str(rng.randint(-10**30, 10**30)) for _ in range(50)]
     for s in corpus:
@@ -253,7 +262,7 @@ def test_graph_function_writer(rng):
         om = random_positive_measure(rng, g, Fraction(2))
         f = solve_poisson(g, random_positive_measure(rng, g, Fraction(2)) - om,
                           vertex_key(g.vertex_ids[0]))
-        f = f.scale(_rational(rng)).add_constant(_rational(rng))
+        f = f.scale(_rational(rng)) + GraphPLFunction.constant(g, _rational(rng))
         doc = _parsed(serialize.graph_function_to_json(f))
         assert serialize.graph_function_from_json(doc, g) == f
 

@@ -9,6 +9,7 @@ from plma import cli, curves, serialize, solver
 from plma.curves import (
     GraphError,
     GraphMeasure,
+    GraphPLFunction,
     MassBalanceError,
     circle_graph,
     green,
@@ -312,13 +313,13 @@ NEWTON_TARGET = [
 ]
 
 
-def _singular_newton_system(rows, b, free):
+def _singular_newton_system(form, pinned):
     raise GraphError("singular linear system")
 
 
 @pytest.mark.parametrize("patch", [
     (solver, "MIN_STEP", 2.0),  # no damping factor alpha <= 1 reaches it: the step stalls
-    (curves, "solve_floats", _singular_newton_system),
+    (curves, "solve_laplacian", _singular_newton_system),
 ], ids=["stall", "singular"])
 def test_newton_early_exits_report_not_converged(patch, tmp_path, capsys, monkeypatch):
     # both early exits of the Newton loop end the solve unconverged after
@@ -400,7 +401,7 @@ def green_pinned_at_x(graph, x, omega0):
     x_key = graph.point_key(x)
     rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]) - omega0
     f = solve_poisson(graph, rho, x_key)
-    return f.add_constant(-omega0.integrate(graph, f) / d_L)
+    return f + GraphPLFunction.constant(graph, -omega0.integrate(graph, f) / d_L)
 
 
 def test_solve_curve_examples(rng):

@@ -22,6 +22,7 @@ from plma.curves import (
 from plma.geometry import (
     AffineFunctional,
     DimensionError,
+    DiscreteMeasure,
     PLConvexFunction,
     Polytope,
     breakpoints,
@@ -30,7 +31,7 @@ from plma.geometry import (
     support_function,
     vsub,
 )
-from plma.solver import solve_curve
+from plma.solver import solve_curve, solve_toric
 from plma.toric import AdmissibilityError, degree, ma_measure, point_mass_solution
 from plma.variational import (
     EnvelopeError,
@@ -714,7 +715,7 @@ def test_exact_howard_from_any_start():
         g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
         expected = howard_oracle(psi, g, om)
         _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
-        form = variational._gap_form(obstacle, mass, edges)
+        form = curves.laplacian_form(obstacle, mass, edges)
         n = len(obstacle)
         candidates = [set(range(n)), {rng.randrange(n)}]
         candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
@@ -729,6 +730,62 @@ def test_exact_howard_from_any_start():
             assert curves._function_from_node_values(g, x, offsets) == expected
             starts += 1
     assert starts == 150
+
+
+def test_every_linear_solve_goes_through_solve_laplacian(monkeypatch):
+    # the package has one linear solve: a factorization outside a
+    # curves.solve_laplacian call fails, and that entry runs once per
+    # Newton step of a 2-D toric solve, once per solve_curve, green and
+    # solve_poisson, and once per Howard step of the envelope, float guide
+    # and exact pass together
+    entry, eliminate, howard = curves.solve_laplacian, curves._eliminate, variational._howard
+    active, calls, steps = [], [], []
+
+    def solve_laplacian(form, pinned):
+        calls.append((isinstance(form[0][0], float), pinned))
+        active.append(form)
+        try:
+            return entry(form, pinned)
+        finally:
+            active.pop()
+
+    def guarded(rows, free, p):
+        assert active, "a factorization outside curves.solve_laplacian"
+        return eliminate(rows, free, p)
+
+    def counted(form, contact):
+        for step in howard(form, contact):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(curves, "solve_laplacian", solve_laplacian)
+    monkeypatch.setattr(curves, "_eliminate", guarded)
+    monkeypatch.setattr(variational, "_howard", counted)
+    rng = random.Random(33)
+    third = Fraction(1, 3)
+    targets = [(unit_square(), [((Fraction(1, 7), Fraction(2, 7)), third),
+                                ((Fraction(3, 5), Fraction(4, 7)), third),
+                                ((Fraction(1, 3), Fraction(6, 7)), third)]),
+               (simplex2(), [((Fraction(1, 5), Fraction(1, 5)), Fraction(1, 4)),
+                             ((Fraction(1, 2), Fraction(1, 8)), Fraction(1, 4))])]
+    for delta, atoms in targets:
+        calls.clear()
+        report = solve_toric(delta, DiscreteMeasure.from_atoms(atoms))
+        assert report.converged and report.iterations > 0
+        assert calls == [(True, {0})] * report.iterations
+    for nv in (6, 12, 24):
+        g, om, psi = dented_graph(rng, nv, 3)
+        mu = GraphMeasure.from_atoms(g, random_atoms(rng, g, 3, Fraction(2)))
+        for solve in (lambda: solve_curve(g, mu, om), lambda: green(g, vertex_key(1), om),
+                      lambda: solve_poisson(g, mu - om, vertex_key(0))):
+            calls.clear()
+            solve()
+            assert len(calls) == 1
+        calls.clear()
+        steps.clear()
+        envelope_subharmonic(psi, g, om)
+        assert len(calls) == len(steps)
+        assert {floats for floats, _ in calls} == {True, False}  # the guide and the exact pass
 
 
 def test_envelope_lifts_no_more_than_solve_curve(monkeypatch):
@@ -928,7 +985,7 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
     _, edges, _, obstacle, mass = obstacle_problem(psi, g, om)
-    guide = variational._float_contact(variational._gap_form(obstacle, mass, edges))
+    guide = variational._float_contact(curves.laplacian_form(obstacle, mass, edges))
     if (exp_length, exp_value) in SETTLE_ON_EVERY_NODE:
         assert guide == set(range(len(obstacle)))
     else:
