@@ -50,11 +50,18 @@ def _error(kind: str, message: str) -> None:
 def _output(args, document, header, rows) -> None:
     """Write a command's result: the text of document() under --format
     json, the header and rows under --format csv.  A CSV cell is str of
-    its value, so a Fraction prints as the string the JSON document holds."""
-    if args.format == "csv":
-        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-    else:
-        text = document() + "\n"
+    its value, so a Fraction prints as the string the JSON document holds.
+    The text is built without the int digit limit, which guards reading
+    only: a result may have more digits than plma reads back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "csv":
+            text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        else:
+            text = document() + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     _emit(text, args.output)
 
 

@@ -1,8 +1,10 @@
 """JSON encoding of the library's types.
 
 All numbers are rational strings "p/q" ("p" when the denominator is 1),
-so every file round-trips without loss.  Atom lists are emitted in the
-canonical sorted order, which makes output byte-deterministic.
+so every file round-trips without loss.  That plain form, in ASCII digits
+with a sign only on p, is also the one grammar `parse_rational` reads: any
+other string and a JSON number are a SchemaError.  Atom lists are emitted
+in the canonical sorted order, which makes output byte-deterministic.
 
 Each `*_to_json` returns the text of its document: the bytes of
 json.dumps(doc, indent=2, sort_keys=True), without the trailing newline.
@@ -16,15 +18,14 @@ mathematics of a large curve-canonical.  `json_array` and `json_object`
 lay out any other document from already-written values.
 
 `load_path` reads every input file as UTF-8, as RFC 8259 asks, whatever
-the locale; bytes that are not UTF-8, like malformed JSON, are a
-SchemaError that names the file.
+the locale; bytes that are not UTF-8, like malformed JSON or a JSON number
+past the int digit limit, are a SchemaError that names the file.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
@@ -44,42 +45,40 @@ class SchemaError(ValueError):
     """Input does not match the expected JSON layout."""
 
 
-def rational_str(x) -> str:
-    return str(x if isinstance(x, Fraction) else Fraction(x))
-
-
-# the plain form this module writes, "p/q" or "p"
+# the one rational grammar, the plain form this module writes: "p/q" or "p"
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-# the exponent that ends a decimal rational, as Fraction(s) reads it
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_rational(s) -> Fraction:
-    """The Fraction of a rational string or an int.  The plain form
-    "p/q" or "p", in ASCII digits, is split and converted with int, which
-    fails as Fraction(s) does (a zero q, too many digits); everything else
-    goes through Fraction(s).  Before that, a string that ends in an
-    exponent larger in magnitude than the int digit limit
-    (sys.get_int_max_str_digits(), unless it is 0) is rejected: Fraction
-    would compute 10 to that power in full, a 14-byte "1e20000000" taking
-    most of a minute."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise SchemaError(f"expected a rational string, got {s!r}")
+    """The Fraction of a rational string "p/q" or "p": ASCII digits, a
+    sign only on p, and no JSON number.  p and q are converted with int,
+    which refuses a zero q and, before converting anything, a digit string
+    longer than the int digit limit (sys.get_int_max_str_digits())."""
+    plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if not plain:
+        raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
     try:
-        plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
-        if plain:
-            return Fraction(int(plain[1]), int(plain[2] or 1))
-        exponent = _EXPONENT.search(s) if isinstance(s, str) else None
-        limit = sys.get_int_max_str_digits()
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"exponent beyond the limit of {limit} in magnitude")
-        return Fraction(s)
+        return Fraction(int(plain[1]), int(plain[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 
 
 def _has_array(obj, key) -> bool:
     return isinstance(obj, dict) and isinstance(obj.get(key), list)
+
+
+def _records(obj, key, fields, whole, each):
+    """The values of `fields` in each record of the array obj[key], yielded
+    as each record is read: SchemaError(whole) when obj has no such array,
+    SchemaError(each) at the first record that is not a dict with every
+    field.  A reader lists them all before it builds anything, so that every
+    SchemaError comes before the constructor's own errors."""
+    if not _has_array(obj, key):
+        raise SchemaError(whole)
+    for item in obj[key]:
+        if not isinstance(item, dict) or not all(f in item for f in fields):
+            raise SchemaError(each)
+        yield [item[f] for f in fields]
 
 
 def _vertex_id(vid):
@@ -151,15 +150,9 @@ def pl_function_to_json(g: PLConvexFunction) -> str:
 
 
 def pl_function_from_json(obj) -> PLConvexFunction:
-    if not _has_array(obj, "pieces"):
-        raise SchemaError('function must be {"pieces": [...]}')
-    pieces = []
-    for item in obj["pieces"]:
-        if not isinstance(item, dict) or "slope" not in item or "intercept" not in item:
-            raise SchemaError('each piece must be {"slope": [...], "intercept": "..."}')
-        pieces.append(
-            AffineFunctional(point_from_json(item["slope"]), parse_rational(item["intercept"]))
-        )
+    records = _records(obj, "pieces", ("slope", "intercept"), 'function must be {"pieces": [...]}',
+                       'each piece must be {"slope": [...], "intercept": "..."}')
+    pieces = [AffineFunctional(point_from_json(slope), parse_rational(c)) for slope, c in records]
     if not pieces:
         raise SchemaError("function needs at least one piece")
     return PLConvexFunction.from_pieces(pieces)
@@ -174,14 +167,9 @@ def measure_to_json(mu: DiscreteMeasure) -> str:
 
 
 def measure_from_json(obj) -> DiscreteMeasure:
-    if not _has_array(obj, "atoms"):
-        raise SchemaError('measure must be {"atoms": [...]}')
-    atoms = []
-    for item in obj["atoms"]:
-        if not isinstance(item, dict) or "point" not in item or "mass" not in item:
-            raise SchemaError('each atom must be {"point": [...], "mass": "..."}')
-        atoms.append((point_from_json(item["point"]), parse_rational(item["mass"])))
-    return DiscreteMeasure.from_atoms(atoms)
+    records = _records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
+                       'each atom must be {"point": [...], "mass": "..."}')
+    return DiscreteMeasure.from_atoms([(point_from_json(p), parse_rational(m)) for p, m in records])
 
 
 def toric_ma_result_to_json(result) -> str:
@@ -262,20 +250,16 @@ def graph_measure_to_json(mu: GraphMeasure) -> str:
     # an atom's key is canonical: ("v", id) or ("e", e, offset)
     atoms = [
         _VERTEX_ATOM % (m, _scalar(key[1])) if key[0] == "v"
-        else _EDGE_ATOM % (m, key[1], rational_str(key[2]))
+        else _EDGE_ATOM % (m, key[1], key[2])
         for key, m in mu.atoms
     ]
     return json_object({"atoms": json_array(atoms)})
 
 
 def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
-    if not _has_array(obj, "atoms"):
-        raise SchemaError('graph measure must be {"atoms": [...]}')
-    atoms = []
-    for item in obj["atoms"]:
-        if not isinstance(item, dict) or "point" not in item or "mass" not in item:
-            raise SchemaError('each atom must be {"point": ..., "mass": "..."}')
-        atoms.append((graph_point_from_json(item["point"]), parse_rational(item["mass"])))
+    records = _records(obj, "atoms", ("point", "mass"), 'graph measure must be {"atoms": [...]}',
+                       'each atom must be {"point": ..., "mass": "..."}')
+    atoms = [(graph_point_from_json(p), parse_rational(m)) for p, m in records]
     return GraphMeasure.from_atoms(graph, atoms)
 
 
@@ -291,6 +275,9 @@ def load_path(path):
         raise SchemaError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except ValueError as exc:
+        # a JSON number past the int digit limit
+        raise SchemaError(f"{path}: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:

@@ -93,7 +93,7 @@ def _subharmonic_graph(vertices, edges, omega0, mu, redundant):
     for e in redundant:
         pairs = documents["g"]["edges"][e]
         (o1, y1), (o2, y2) = [[Fraction(c) for c in pair] for pair in pairs[:2]]
-        pairs.insert(1, [serialize.rational_str((o1 + o2) / 2), serialize.rational_str((y1 + y2) / 2)])
+        pairs.insert(1, [str((o1 + o2) / 2), str((y1 + y2) / 2)])
     return documents
 
 
@@ -242,8 +242,19 @@ VALID_DOCUMENTS = {
     "envelope": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
     "orthogonality": {"graph": ONE_EDGE, "omega0": AT_0, "g": {"edges": [[["0", "0"], ["1", "1"]]]}},
 }
+PLAIN = 'expected a string "p/q" or "p"'
+BIG = "1" + "0" * 2200
 SLOPE_RANGE = ("EnvelopeError", "obstacle decays below the admissible slope range")
 NOT_POSITIVE = ("MassBalanceError", "reference measure must be positive")
+
+
+def _int_error(digits):
+    """The message of int's ValueError on a digit string past the limit."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{len(digits)} digits are within the limit")
 
 
 def _graph(documents, role):
@@ -277,7 +288,29 @@ CONTRACT = {
     "toric-ma-exponent-beyond-the-limit": Row(
         _argv("toric-ma", {"delta": {"vertices": [["0", "0"], ["1e20000000", "0"], ["0", "1"]]},
                            "g": SUPPORT_SQUARE}), 2,
-        ("SchemaError", "bad rational '1e20000000': exponent beyond the limit of 4300 in magnitude")),
+        ("SchemaError", "bad rational '1e20000000': " + PLAIN)),
+    "toric-ma-decimal": Row(
+        _argv("toric-ma", {"delta": {"vertices": [["0", "0"], ["0.5", "0"], ["0", "1"]]},
+                           "g": SUPPORT_SQUARE}), 2,
+        ("SchemaError", "bad rational '0.5': " + PLAIN)),
+    "toric-ma-exponent": Row(
+        _argv("toric-ma", {"delta": SQUARE, "g": _pieces([(["0", "0"], "1e3"), (["1", "1"], "0")])}),
+        2, ("SchemaError", "bad rational '1e3': " + PLAIN)),
+    "toric-solve-json-number-mass": Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1/2", "1/2"], 1)])}), 2,
+        ("SchemaError", "bad rational 1: " + PLAIN)),
+    # a JSON number past the int digit limit fails json.load, with int's
+    # message, worded as the running Python words it
+    "toric-ma-json-number-beyond-the-digit-limit": Row(
+        _argv("toric-ma", {"delta": Text('{"vertices": [[' + "1" * 5000 + ', "0"], ["0", "1"]]}'),
+                           "g": SUPPORT_SQUARE}), 2,
+        ("SchemaError", "delta.json: " + _int_error("1" * 5000))),
+    # every number of the input has 2 201 digits, within the limit, and the
+    # mass 10^4400/2 has 4 400: plma writes numbers longer than it reads
+    "toric-ma-result-beyond-the-digit-limit": Row(
+        _argv("toric-ma", {"delta": {"vertices": [["0", "0"], [BIG, "0"], ["0", BIG]]},
+                           "g": _pieces([(["0", "0"], "0"), ([BIG, "0"], "0"), (["0", BIG], "0")])}),
+        0, sha256="fd1dbcc8272dc8c75ec7c1c1819e19a57cfe299f6e5b81ff63c00727fb28b4cb"),
     "toric-energy-square": Row(_argv("toric-energy", {"delta": SQUARE, "g": SQUARE_G}), 0),
     "toric-energy-interval": Row(_argv("toric-energy", {"delta": INTERVAL, "g": INTERVAL_G}), 0),
     "toric-energy-square-pruned": Row(_argv("toric-energy", {"delta": SQUARE, "g": SQUARE_PRUNED_G}), 0),
