@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import curves, serialize, toric, variational
-from .geometry import AffineFunctional, PLConvexFunction, Polytope, support_function
+from .geometry import (
+    AffineFunctional, PLConvexFunction, Polytope, support_function, without_digit_limit)
 from .serialize import SchemaError, json_array, json_object, json_string
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 
@@ -51,18 +52,16 @@ def _output(args, document, header, rows) -> None:
     """Write a command's result: the text of document() under --format
     json, the header and rows under --format csv.  A CSV cell is str of
     its value, so a Fraction prints as the string the JSON document holds.
-    The text is built without the int digit limit, which guards reading
-    only: a result may have more digits than plma reads back."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    The text is built without the int digit limit (without_digit_limit),
+    which guards reading only: a result may have more digits than plma
+    reads back."""
+
+    def text():
         if args.format == "csv":
-            text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-        else:
-            text = document() + "\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
-    _emit(text, args.output)
+            return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        return document() + "\n"
+
+    _emit(without_digit_limit(text), args.output)
 
 
 def _point_rows(pairs, *label):
@@ -97,11 +96,13 @@ def _curve_context(args):
 
 
 def _obstacle_and_context(args):
-    """(psi, context) of envelope and orthogonality.  --delta, whenever
-    given (an empty path included), selects the toric model, whose context
-    is the polytope; otherwise the context is (graph, omega0).  Both models
-    or neither is a usage error."""
-    if (args.delta is not None) == (args.graph is not None and args.omega0 is not None):
+    """(psi, context) of envelope and orthogonality: --delta alone (an
+    empty path included) selects the toric model, whose context is the
+    polytope, and --graph with --omega0 the curve model, whose context is
+    (graph, omega0).  Any other choice of the three flags, a curve flag
+    beside --delta included, is a usage error."""
+    # --graph and --omega0 are both absent exactly when --delta is given
+    if (args.graph is None, args.omega0 is None) != (args.delta is not None,) * 2:
         _parser().error("give either --delta or --graph with --omega0")
     if args.delta is not None:
         delta = serialize.polytope_from_json(serialize.load_path(args.delta))

@@ -8,6 +8,11 @@ signed measure assigning to each point the sum of its outgoing slopes;
 with this convention a local maximum carries negative mass and the total
 mass is always zero.  A GraphMeasure has the one canonical form of
 geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
+A function is read between its breakpoints by one routine, _values_at,
+in one pass over an edge's sorted breakpoints: eval, _node_values, the
+breakpoint merge of combine and variational.PiecewiseLinear1D all call
+it.  There is one Laplacian, laplacian_form below: laplacian(f) is that
+form with no mass on f's values at the nodes of f's breakpoints.
 Poisson problems are solved exactly on the Laplacian of the vertices and
 the atoms.  _refine numbers those nodes once (the vertices in graph
 order, then each edge's sorted interior offsets), and only this module
@@ -208,7 +213,7 @@ class GraphPLFunction:
             e, at_start = graph._vertex_ends[key[1]]
             return self.edge_values[e][0 if at_start else -1][1]
         _, e, off = key
-        return _interp(self.edge_values[e], off)
+        return _values_at(self.edge_values[e], [off])[0]
 
     def combine(self, other: "GraphPLFunction", a, b) -> "GraphPLFunction":
         """a * self + b * other, breakpoints merged per edge.
@@ -254,39 +259,36 @@ class GraphPLFunction:
         return GraphPLFunction(tuple(evs))
 
 
-def _interp(pairs, off):
-    for (o1, y1), (o2, y2) in zip(pairs, pairs[1:]):
-        if o1 <= off <= o2:
-            return y1 + (y2 - y1) * (off - o1) / (o2 - o1)
-    raise GraphError("offset outside edge")
+def _values_at(pairs, offsets):
+    """The piecewise-linear function of the sorted (offset, value) pairs at
+    the sorted `offsets`, each within the pairs' range, as a list: one pass
+    over the pairs.  An offset on a breakpoint takes its value as is, and
+    only one strictly inside a segment is interpolated.  It is the one
+    reader of a graph or 1-D function between its breakpoints."""
+    out = []
+    j = 0
+    for o in offsets:
+        while pairs[j][0] < o:
+            j += 1
+        o2, y2 = pairs[j]
+        if o2 == o:
+            out.append(y2)
+        else:
+            o1, y1 = pairs[j - 1]
+            out.append(y1 + (y2 - y1) * (o - o1) / (o2 - o1))
+    return out
 
 
 def _merge(p1, p2, a, b):
-    """The breakpoints of a * f1 + b * f2 on one edge, from those of f1 and f2.
-
-    One pass over both sorted lists: a breakpoint of one function lies on
-    the current segment of the other, which is interpolated there, so an
-    edge costs O(len(p1) + len(p2)).
-    """
+    """The breakpoints of a * f1 + b * f2 on one edge, from those of f1 and
+    f2: both read by _values_at at the sorted union of their offsets.
+    Breakpoint lists that start or end at different offsets raise
+    GraphError."""
     if p1[0][0] != p2[0][0] or p1[-1][0] != p2[-1][0]:
         raise GraphError("edge end offsets differ")
-    out = [(p1[0][0], a * p1[0][1] + b * p2[0][1])]
-    i = j = 1
-    while i < len(p1):
-        (o1, y1), (o2, y2) = p1[i], p2[j]
-        if o1 == o2:
-            out.append((o1, a * y1 + b * y2))
-            i += 1
-            j += 1
-        elif o1 < o2:
-            q, z = p2[j - 1]
-            out.append((o1, a * y1 + b * (z + (y2 - z) * (o1 - q) / (o2 - q))))
-            i += 1
-        else:
-            q, z = p1[i - 1]
-            out.append((o2, a * (z + (y1 - z) * (o2 - q) / (o1 - q)) + b * y2))
-            j += 1
-    return tuple(out)
+    offs = sorted({o for o, _ in p1} | {o for o, _ in p2})
+    ys = zip(_values_at(p1, offs), _values_at(p2, offs))
+    return tuple((o, a * y1 + b * y2) for o, (y1, y2) in zip(offs, ys))
 
 
 class GraphMeasure(AtomicMeasure):
@@ -314,24 +316,15 @@ class GraphMeasure(AtomicMeasure):
 def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
     """Atomic measure of outgoing-slope sums; total mass is exactly zero.
 
-    f lives on graph, so each interior breakpoint (e, o) has 0 < o < the
-    length of e, and ("e", e, o) is its canonical key as it stands."""
-    acc = {}
-
-    def put(key, m):
-        if m != 0:
-            acc[key] = acc.get(key, Fraction(0)) + m
-
-    for e, pairs in enumerate(f.edge_values):
-        u, v, ln = graph.edges[e]
-        slopes = [
-            (y2 - y1) / (o2 - o1) for (o1, y1), (o2, y2) in zip(pairs, pairs[1:])
-        ]
-        put(("v", u), slopes[0])
-        put(("v", v), -slopes[-1])
-        for i in range(1, len(pairs) - 1):
-            put(("e", e, pairs[i][0]), slopes[i] - slopes[i - 1])
-    return GraphMeasure._canonical(acc)
+    It is laplacian_form with no mass on f's values at the nodes of
+    _refine over f's interior breakpoints, the operator every solve
+    writes: f lives on graph, so each interior breakpoint (e, o) has
+    0 < o < the length of e, and ("e", e, o) is its canonical key as it
+    stands."""
+    keys = [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
+    index, edges, edge_offsets = _refine(graph, keys)
+    R, Dr, _, _ = laplacian_form(_node_values(f, graph, edge_offsets), {}, edges)
+    return GraphMeasure._canonical({key: Fraction(R[i], Dr) for key, i in index.items()})
 
 
 def _refine(graph: MetricGraph, keys):
@@ -592,25 +585,14 @@ def _reconstruct(X, free, modulus):
 
 def _node_values(f, graph, edge_offsets):
     """f at the nodes of _refine, as a list in their order: the vertices,
-    then each edge's sorted interior offsets.  One pass over f's
-    breakpoints per edge: a node on a breakpoint takes f's value there,
-    and only a node strictly inside a segment of f is interpolated.  A
-    vertex takes its value from the edge f.eval reads."""
+    then each edge's sorted interior offsets, read by one _values_at call
+    per edge.  A vertex takes its value from the edge f.eval reads."""
     values = []
     for vid in graph.vertex_ids:
         e, first = graph._vertex_ends[vid]
         values.append(f.edge_values[e][0 if first else -1][1])
     for pairs, offsets in zip(f.edge_values, edge_offsets):
-        j = 1
-        for o in offsets:
-            while pairs[j][0] < o:
-                j += 1
-            o2, y2 = pairs[j]
-            if o2 == o:
-                values.append(y2)
-            else:
-                o1, y1 = pairs[j - 1]
-                values.append(y1 + (y2 - y1) * (o - o1) / (o2 - o1))
+        values += _values_at(pairs, offsets)
     return values
 
 

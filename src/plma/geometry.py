@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -68,6 +69,18 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating-point input rejected; pass Fraction/int/str")
     return Fraction(x)
+
+
+def without_digit_limit(build):
+    """build() with Python's int digit limit lifted, and the limit as it
+    was put back after.  The limit guards reading input; a result or a
+    message may have more digits than plma reads back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return build()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def as_point(p) -> tuple:

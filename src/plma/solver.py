@@ -76,6 +76,7 @@ from .geometry import (
     Polytope,
     _integer_points,
     dual_transform,
+    without_digit_limit,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
 
@@ -259,9 +260,9 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         raise AdmissibilityError("target measure must be positive and nonempty")
     vol = delta.volume()
     if nu.total_mass() != vol:
-        raise AdmissibilityError(
-            f"target mass {nu.total_mass()} != Vol(delta) = {vol}"
-        )
+        # the masses may have more digits than plma reads
+        raise AdmissibilityError(without_digit_limit(
+            lambda: f"target mass {nu.total_mass()} != Vol(delta) = {vol}"))
     atoms = list(nu.atoms)
 
     if delta.dim == 1:

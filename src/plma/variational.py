@@ -180,7 +180,7 @@ class PiecewiseLinear1D:
             return y0 + self.left_slope * (v - v0)
         if v >= v1:
             return y1 + self.right_slope * (v - v1)
-        return curves._interp(self.points, v)
+        return curves._values_at(self.points, [v])[0]
 
     def __add__(self, other: "PiecewiseLinear1D") -> "PiecewiseLinear1D":
         xs = sorted({v for v, _ in self.points} | {v for v, _ in other.points})

@@ -271,6 +271,13 @@ CONTRACT = {
     "toric-solve-mass-1": Row(
         _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1/2", "1/2"], "1")])}), 2,
         ("AdmissibilityError", "target mass 1/2 != Vol(delta) = 1")),
+    # Vol(delta) = 10^4400 / 2 has 4 400 digits, past the int digit limit:
+    # the mismatch is still an AdmissibilityError that names both masses
+    # (it was int's ValueError), under JSON and CSV alike, as in every replay
+    "toric-solve-mass-beyond-the-digit-limit": Row(
+        _argv("toric-solve", {"delta": {"vertices": [["0", "0"], [BIG, "0"], ["0", BIG]]},
+                              "mu": _atoms([(["0", "0"], "1")])}), 2,
+        ("AdmissibilityError", "target mass 1/2 != Vol(delta) = 5" + "0" * 4399)),
     "toric-solve-segment": Row(_argv("toric-solve", {"delta": SEGMENT, "mu": THREE_ATOMS}), 2,
                                ("DegeneratePolytopeError", "polytope must be full-dimensional")),
     "toric-solve-no-atoms": Row(_argv("toric-solve", {"delta": SQUARE, "mu": {"atoms": []}}), 2,
@@ -354,6 +361,18 @@ CONTRACT = {
         _argv("curve-green", _graph(ESCAPED, "x")), 2,
         ("GraphError", f"vertex {ESCAPED['x']['vertex']!r} is not a vertex of the graph")),
 }
+# the synopsis is (--delta D | --graph G --omega0 W): a curve flag beside
+# --delta is a usage error; it was ignored, and the toric model ran even
+# with --omega0 naming no file
+for command in ["envelope", "orthogonality"]:
+    for name, documents, options in [
+        ("graph", {"graph": ONE_EDGE}, ()),
+        ("omega0", {}, ("--omega0", "/nonexistent.json")),
+        ("graph-and-omega0", {"graph": ONE_EDGE, "omega0": AT_0}, ()),
+    ]:
+        CONTRACT[f"{command}-delta-with-{name}"] = Row(
+            _argv(command, {"delta": INTERVAL_11, "g": ABS_MIN_OF, **documents}, options), 2,
+            ("usage", "give either --delta or --graph with --omega0"))
 ROWS = {f"test_cli_contract[{case}]": row for case, row in CONTRACT.items()}
 
 # rows once written out as tests of their own, under those tests' ids

@@ -131,6 +131,16 @@ def random_graph(rng, max_extra_edges=4):
     return MetricGraph.build(list(range(nv)), edges)
 
 
+def interp(pairs, off):
+    """The value at off of the function with the sorted (offset, value)
+    breakpoints `pairs`, interpolated on the first segment that holds off:
+    curves._interp as it was, kept as the oracle of curves._values_at."""
+    for (o1, y1), (o2, y2) in zip(pairs, pairs[1:]):
+        if o1 <= off <= o2:
+            return y1 + (y2 - y1) * (off - o1) / (o2 - o1)
+    raise GraphError("offset outside edge")
+
+
 def random_graph_point(rng, graph):
     e = rng.randrange(len(graph.edges))
     ln = graph.edge_length(e)

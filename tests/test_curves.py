@@ -29,6 +29,7 @@ from plma.solver import _power_cells, solve_curve
 from conftest import (
     fraction_solve_laplacian,
     hexagon,
+    interp,
     random_graph,
     random_graph_point,
     random_positive_measure,
@@ -56,9 +57,7 @@ def slope_sum_oracle(f, graph, key):
         pairs = f.edge_values[e]
 
         def val(off):
-            from plma.curves import _interp
-
-            return _interp(pairs, off)
+            return interp(pairs, off)
 
         for end, sgn in ((u, 1), (v, -1)):
             if graph.point_key(vertex_key(end)) == key:
@@ -219,12 +218,11 @@ def test_vertex_value_of_unknown_vertex_names_it():
 
 
 def combine_oracle(f1, f2, a, b):
-    """a * f1 + b * f2 with every merged breakpoint read off by _interp."""
+    """a * f1 + b * f2 with every merged breakpoint read off by interp."""
     evs = []
     for p1, p2 in zip(f1.edge_values, f2.edge_values):
         offs = sorted({o for o, _ in p1} | {o for o, _ in p2})
-        evs.append(tuple(
-            (o, a * curves._interp(p1, o) + b * curves._interp(p2, o)) for o in offs))
+        evs.append(tuple((o, a * interp(p1, o) + b * interp(p2, o)) for o in offs))
     return GraphPLFunction(tuple(evs))
 
 
@@ -236,6 +234,17 @@ def random_breakpoints(rng, ln, grid):
     return [(o, rnd_frac(rng, den=rng.randint(1, 5))) for o in offs]
 
 
+def random_graph_function(rng, g, grid):
+    """A function on g with breakpoints on the 1/grid subdivision of each
+    edge (random_breakpoints), its values at the edge ends agreeing at the
+    vertices, as GraphPLFunction.build requires."""
+    evs = [random_breakpoints(rng, ln, grid) for _, _, ln in g.edges]
+    vals = {vid: rnd_frac(rng) for vid in g.vertex_ids}
+    for pairs, (u, v, _) in zip(evs, g.edges):
+        pairs[0], pairs[-1] = (pairs[0][0], vals[u]), (pairs[-1][0], vals[v])
+    return GraphPLFunction.build(g, evs)
+
+
 def test_combine_merge_against_interp_oracle(rng):
     # two functions per graph with breakpoints on the 1/6 and the 1/4 grids
     # of each edge (offsets at 1/2 coincide, the others lie on one side only)
@@ -244,15 +253,7 @@ def test_combine_merge_against_interp_oracle(rng):
     for _ in range(60):
         g = random_graph(rng)
         grids = rng.choice([(6, 4), (6, 6), (2, 5), (3, 3)])
-        fs = []
-        for grid in grids:
-            evs = [random_breakpoints(rng, ln, grid) for _, _, ln in g.edges]
-            # agree at the vertices, as GraphPLFunction.build requires
-            vals = {vid: rnd_frac(rng) for vid in g.vertex_ids}
-            for pairs, (u, v, _) in zip(evs, g.edges):
-                pairs[0], pairs[-1] = (pairs[0][0], vals[u]), (pairs[-1][0], vals[v])
-            fs.append(GraphPLFunction.build(g, evs))
-        f1, f2 = fs
+        f1, f2 = (random_graph_function(rng, g, grid) for grid in grids)
         for p1, p2 in zip(f1.edge_values, f2.edge_values):
             o1, o2 = {o for o, _ in p1[1:-1]}, {o for o, _ in p2[1:-1]}
             cases["coinciding"] += bool(o1 & o2)
@@ -278,6 +279,151 @@ def test_combine_rejects_other_edges():
     longer = GraphPLFunction.constant(MetricGraph.build([0, 1], [(0, 1, 2)]), 1)
     with pytest.raises(GraphError, match="edge end offsets differ"):
         f1 + longer
+
+
+def slope_sum_laplacian(f, graph):
+    """curves.laplacian as it was before it became laplacian_form on f's
+    node values, kept as its oracle: the outgoing slopes of each edge at
+    its ends and each change of slope at an interior breakpoint, summed
+    by key."""
+    acc = {}
+
+    def put(key, m):
+        if m != 0:
+            acc[key] = acc.get(key, Fraction(0)) + m
+
+    for e, pairs in enumerate(f.edge_values):
+        u, v, _ = graph.edges[e]
+        slopes = [
+            (y2 - y1) / (o2 - o1) for (o1, y1), (o2, y2) in zip(pairs, pairs[1:])
+        ]
+        put(("v", u), slopes[0])
+        put(("v", v), -slopes[-1])
+        for i in range(1, len(pairs) - 1):
+            put(("e", e, pairs[i][0]), slopes[i] - slopes[i - 1])
+    return GraphMeasure._canonical(acc)
+
+
+def three_way_merge(p1, p2, a, b):
+    """curves._merge as it was before it read both functions with
+    _values_at, kept as its oracle: one pass over both sorted lists, a
+    breakpoint of one function interpolated on the current segment of the
+    other."""
+    if p1[0][0] != p2[0][0] or p1[-1][0] != p2[-1][0]:
+        raise GraphError("edge end offsets differ")
+    out = [(p1[0][0], a * p1[0][1] + b * p2[0][1])]
+    i = j = 1
+    while i < len(p1):
+        (o1, y1), (o2, y2) = p1[i], p2[j]
+        if o1 == o2:
+            out.append((o1, a * y1 + b * y2))
+            i += 1
+            j += 1
+        elif o1 < o2:
+            q, z = p2[j - 1]
+            out.append((o1, a * y1 + b * (z + (y2 - z) * (o1 - q) / (o2 - q))))
+            i += 1
+        else:
+            q, z = p1[i - 1]
+            out.append((o2, a * (z + (y1 - z) * (o2 - q) / (o1 - q)) + b * y2))
+            j += 1
+    return tuple(out)
+
+
+def graph_with_loop_and_parallel_edge(rng):
+    """random_graph with a loop at the first end of edge 0 and an edge
+    parallel to edge 0."""
+    g = random_graph(rng)
+    u, v, _ = g.edges[0]
+    extra = [(u, u, Fraction(rng.randint(1, 6), rng.randint(1, 3))),
+             (u, v, Fraction(rng.randint(1, 6), rng.randint(1, 3)))]
+    return MetricGraph.build(g.vertex_ids, [*g.edges, *extra])
+
+
+def with_collinear_breakpoints(rng, f):
+    """f with, on about half of its edges, one more breakpoint in the
+    middle of the first segment, where the slope does not change."""
+    evs = []
+    for pairs in f.edge_values:
+        if rng.random() < 0.5:
+            (o1, y1), (o2, y2) = pairs[:2]
+            pairs = (pairs[0], ((o1 + o2) / 2, (y1 + y2) / 2), *pairs[1:])
+        evs.append(pairs)
+    return GraphPLFunction(tuple(evs))
+
+
+def test_laplacian_against_slope_sum_oracle(rng):
+    # seeded functions on graphs with a loop and a parallel edge, some of
+    # their breakpoints without a change of slope, and the potentials the
+    # package solves for on them
+    cases = {"collinear": 0, "loop breakpoint": 0}
+    for _ in range(40):
+        g = graph_with_loop_and_parallel_edge(rng)
+        f = with_collinear_breakpoints(rng, random_graph_function(rng, g, rng.choice([2, 3, 6])))
+        om = random_positive_measure(rng, g, Fraction(2))
+        fs = [f, f.simplify(), GraphPLFunction.constant(g, rnd_frac(rng)),
+              green(g, random_graph_point(rng, g), om),
+              superpose(g, random_positive_measure(rng, g, Fraction(2)), om)]
+        for h in fs:
+            assert laplacian(h, g) == slope_sum_laplacian(h, g)
+        lap = laplacian(f, g)
+        cases["collinear"] += sum(len(p) for p in f.edge_values) > sum(
+            len(p) for p in f.simplify().edge_values)
+        cases["loop breakpoint"] += any(
+            key[0] == "e" and g.edges[key[1]][0] == g.edges[key[1]][1] for key, _ in lap.atoms)
+    assert min(cases.values()) > 10
+
+
+def test_merge_against_three_way_merge_oracle(rng):
+    # breakpoints on the 1/6 and 1/4 grids of each edge (shared at 1/2),
+    # on the same grid (shared wherever both have one) or on coprime grids,
+    # some without a change of slope, on graphs with a loop and a parallel
+    # edge
+    cases = {"shared": 0, "one-sided": 0}
+    for _ in range(40):
+        g = graph_with_loop_and_parallel_edge(rng)
+        grids = rng.choice([(6, 4), (6, 6), (2, 5), (3, 3)])
+        f1, f2 = (with_collinear_breakpoints(rng, random_graph_function(rng, g, grid))
+                  for grid in grids)
+        a, b = rnd_frac(rng, den=7, lo=-3, hi=3), rnd_frac(rng, den=5, lo=-3, hi=3)
+        for x, y in ((a, b), (Fraction(1), Fraction(-1)), (Fraction(0), b)):
+            want = tuple(three_way_merge(p1, p2, x, y)
+                         for p1, p2 in zip(f1.edge_values, f2.edge_values))
+            assert tuple(curves._merge(p1, p2, x, y)
+                         for p1, p2 in zip(f1.edge_values, f2.edge_values)) == want
+            assert f1.combine(f2, x, y) == GraphPLFunction(want)
+        for p1, p2 in zip(f1.edge_values, f2.edge_values):
+            o1, o2 = {o for o, _ in p1[1:-1]}, {o for o, _ in p2[1:-1]}
+            cases["shared"] += bool(o1 & o2)
+            cases["one-sided"] += bool(o1 ^ o2)
+    assert min(cases.values()) > 20
+
+
+def test_values_at_against_interp_oracle(rng):
+    # at the edge ends, at the breakpoints and between them, sorted, with
+    # repeats; a breakpoint's value comes back as it is stored
+    for _ in range(200):
+        ln = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        pairs = random_breakpoints(rng, ln, rng.choice([2, 3, 6]))
+        breaks = [o for o, _ in pairs]
+        between = [(o1 + o2) / 2 for o1, o2 in zip(breaks, breaks[1:])]
+        between += [ln * Fraction(rng.randint(0, 12), 12) for _ in range(3)]
+        offs = sorted(rng.choices(breaks + between, k=rng.randint(1, 8)) + [breaks[0], breaks[-1]])
+        got = curves._values_at(pairs, offs)
+        assert got == [interp(pairs, o) for o in offs]
+        stored = dict(pairs)
+        assert all(y is stored[o] for o, y in zip(offs, got) if o in stored)
+
+
+def test_eval_against_interp_oracle(rng):
+    # inside every edge, on and between the breakpoints
+    for _ in range(20):
+        g = graph_with_loop_and_parallel_edge(rng)
+        f = with_collinear_breakpoints(rng, random_graph_function(rng, g, rng.choice([2, 3, 6])))
+        for e, pairs in enumerate(f.edge_values):
+            for j in range(1, 12):
+                off = g.edge_length(e) * Fraction(j, 12)
+                assert f.eval(g, ("e", e, off)) == interp(pairs, off)
 
 
 def test_poisson_uniqueness_up_to_constants(rng):
@@ -508,7 +654,7 @@ def _compose_with_mult(f, m):
     out = []
     for o in sorted(offs):
         t = Fraction(0) if o == 1 else (m * o) % 1
-        out.append((o, curves._interp(pairs, t)))
+        out.append((o, interp(pairs, t)))
     return GraphPLFunction((tuple(out),))
 
 

@@ -54,6 +54,7 @@ from plma.variational import (
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     fraction_solve_laplacian,
+    interp,
     interval,
     lattice_paraboloid,
     polarization_energy,
@@ -450,6 +451,17 @@ def test_free_form_sum_and_scale_are_pointwise():
         total, scaled = f + h, f.scale(c)
         for x in (Fraction(j, 8) for j in range(-40, 41)):
             assert total(x) == f(x) + h(x) and scaled(x) == c * f(x)
+
+
+def test_free_form_between_breakpoints_against_interp_oracle():
+    # on and between the breakpoints, strictly inside the outer two
+    rng = random.Random("free-form/interp")
+    for _ in range(40):
+        f = random_free_form(rng)
+        (v0, _), (v1, _) = f.points[0], f.points[-1]
+        for x in (Fraction(j, 16) for j in range(-48, 49)):
+            if v0 < x < v1:
+                assert f(x) == interp(f.points, x)
 
 
 def test_envelope_free_form_is_one_dimensional():
