@@ -25,7 +25,7 @@ from math import factorial
 from . import curves, serialize, toric, variational
 from .geometry import (
     AffineFunctional, PLConvexFunction, Polytope, support_function, without_digit_limit)
-from .serialize import SchemaError, json_array, json_object, json_string
+from .serialize import SchemaError, json_object, json_string
 from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
 
 
@@ -182,19 +182,9 @@ def cmd_curve_green(args):
 
 
 def cmd_curve_canonical(args):
-    potential, measure = curves.canonical_metric(args.m, args.iterations)
-    parts = args.m**args.iterations
-    masses = curves.arc_masses(measure, parts)
-
-    def document():
-        return json_object({
-            "potential": serialize.graph_function_to_json(potential),
-            "measure": serialize.graph_measure_to_json(measure),
-            "arc_masses": json_array(['"%s"' % m for m in masses]),
-        })
-
-    rows = ([Fraction(j, parts), Fraction(j + 1, parts), m] for j, m in enumerate(masses))
-    _output(args, document, ["arc_start", "arc_end", "mass"], rows)
+    form = curves.canonical_form(args.m, args.iterations)
+    _output(args, lambda: serialize.canonical_metric_to_json(form),
+            ["arc_start", "arc_end", "mass"], serialize.canonical_metric_rows(form))
     return 0
 
 

@@ -35,7 +35,10 @@ must be positive with positive mass (reference_mass): green is its case
 mu = d_L delta_x, and solver.solve_curve its general case.  The
 canonical metric of multiplication by m on the circle at step k needs no
 solve: its potential is the discrete parabola through the m^k-division
-points, in closed form.
+points, in closed form.  canonical_form writes that form once, on
+integers, and it has two readers: canonical_metric builds its Fractions,
+and serialize.canonical_metric_to_json, which curve-canonical prints,
+its strings.
 
 A graph has at least one edge; loops and parallel edges are allowed,
 and all edge lengths are finite.
@@ -49,6 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .geometry import AtomicMeasure, as_fraction
 
@@ -339,10 +343,12 @@ def _refine(graph: MetricGraph, keys):
     minimum-degree ties in this order, and _node_values and
     _function_from_node_values read it.
     """
+    # each edge's offsets in the order they come, without repeats, so that
+    # sorting offsets that come sorted costs one comparison per offset
     interior = {}
     for key in keys:
         if key[0] == "e":
-            interior.setdefault(key[1], set()).add(key[2])
+            interior.setdefault(key[1], {})[key[2]] = None
     index = {("v", vid): i for i, vid in enumerate(graph.vertex_ids)}
     edges = []
     edge_offsets = []
@@ -707,6 +713,40 @@ def circle_graph(length=1) -> MetricGraph:
     return MetricGraph.build([0], [(0, 0, length)])
 
 
+class CanonicalForm(NamedTuple):
+    """The closed form of canonical_metric on integers, read by
+    canonical_metric and by serialize.canonical_metric_to_json.
+
+    n = m^k is the number of arcs; the potential at j/n is p j (j - n) / q
+    with q = 2 den(d_L) n^2, p = num(d_L); every atom has the mass d_L / n;
+    order lists the interior division points j = 1 .. n-1 in the repr order
+    of their keys."""
+
+    n: int
+    p: int
+    q: int
+    mass: Fraction
+    order: list
+
+
+def canonical_form(m: int, iterations: int, d_L=1) -> CanonicalForm:
+    """The closed form of the canonical metric at step k = iterations (see
+    canonical_metric), on integers.  Cost O(n log n) for the order."""
+    if m < 2:
+        raise ValueError("multiplier m must be at least 2")
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    d_L = as_fraction(d_L)
+    n = m**iterations
+    # the repr order of the keys: "('e', 0, Fraction(a, b))" with a/b = j/n
+    # in lowest terms sorts as (str(a), str(b)), since "," and ")" sort
+    # below every digit, and so as the string "a/b" (b > 1 here, and "/"
+    # sorts below every digit too); the vertex key "('v', 0)" comes last
+    keys = ["%d/%d" % (j // (g := gcd(j, n)), n // g) for j in range(n)]
+    order = sorted(range(1, n), key=keys.__getitem__)
+    return CanonicalForm(n, d_L.numerator, 2 * d_L.denominator * n * n, d_L / n, order)
+
+
 def canonical_metric(m: int, iterations: int, d_L=1):
     """Canonical metric of multiplication by m on the unit circle, at step k.
 
@@ -722,43 +762,17 @@ def canonical_metric(m: int, iterations: int, d_L=1):
     division point.  This closed form equals both the Poisson solve of that
     problem and the k-th iterate of the pullback u -> h + (u o m) / m^2 from
     u = 0 (Baker and Rumely), which the tests keep as oracles; omega_k
-    equidistributes toward d_L times Lebesgue measure.  Cost O(N).
+    equidistributes toward d_L times Lebesgue measure.  The form is written
+    once, on integers, by canonical_form; this function builds its
+    Fractions from it, and serialize.canonical_metric_to_json its strings.
+    Cost O(N log N).
     """
-    if m < 2:
-        raise ValueError("multiplier m must be at least 2")
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    d_L = as_fraction(d_L)
-    n = m**iterations
+    n, p, q, mass, order = canonical_form(m, iterations, d_L)
     offsets = [Fraction(j, n) for j in range(n)] + [Fraction(1)]
-    p, q = d_L.numerator, 2 * d_L.denominator * n * n
     potential = GraphPLFunction(
         (tuple((o, Fraction(p * j * (j - n), q)) for j, o in enumerate(offsets)),)
     )
-    mass = d_L / n
     if mass == 0:
         return potential.simplify(), GraphMeasure(())
-    # the repr order of the keys: "('e', 0, Fraction(a, b))" sorts as
-    # (str(a), str(b)), since "," and ")" sort below every digit, and the
-    # vertex key "('v', 0)" comes last
-    points = sorted(offsets[1:n], key=lambda o: (str(o.numerator), str(o.denominator)))
-    keys = [("e", 0, o) for o in points] + [("v", 0)]
+    keys = [("e", 0, offsets[j]) for j in order] + [("v", 0)]
     return potential, GraphMeasure(tuple((key, mass) for key in keys))
-
-
-def arc_masses(measure: GraphMeasure, parts: int):
-    """Masses of the arcs [j/parts, (j+1)/parts) of the unit circle.
-
-    An arc with one atom takes its mass as is; only a second atom in the
-    same arc costs an addition.
-    """
-    out = [None] * parts
-    for key, mass in measure.atoms:
-        if key[0] == "v":
-            j = 0
-        else:
-            # floor(frac(o) * parts) from o's integers, negative o included
-            o = key[2]
-            j = o.numerator * parts // o.denominator % parts
-        out[j] = mass if out[j] is None else out[j] + mass
-    return [Fraction(0) if m is None else m for m in out]

@@ -15,7 +15,11 @@ replace, which is exact because an escaped JSON string holds no raw
 newline.  json.dumps is not called with `indent`: then CPython before
 3.13 skips its C encoder for a pure-Python one, which cost more than the
 mathematics of a large curve-canonical.  `json_array` and `json_object`
-lay out any other document from already-written values.
+lay out any other document from already-written values.  One writer reads
+integers, not library objects: `canonical_metric_to_json` and
+`canonical_metric_rows` format curve-canonical's document and CSV rows
+from the closed form of curves.canonical_form, each number once from its
+reduced integers, with the same templates and so the same bytes.
 
 `load_path` reads every input file as UTF-8, as RFC 8259 asks, whatever
 the locale; bytes that are not UTF-8, like malformed JSON or a JSON number
@@ -27,8 +31,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
-from .curves import GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
+from .curves import CanonicalForm, GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
 from .geometry import (
     AffineFunctional,
     DiscreteMeasure,
@@ -228,9 +233,14 @@ def graph_point_from_json(obj):
     raise SchemaError('graph point must be {"vertex": id} or {"edge": k, "offset": "p/q"}')
 
 
-def graph_function_to_json(f: GraphPLFunction) -> str:
-    edges = [json_array([_PAIR % pair for pair in pairs]) for pairs in f.edge_values]
+def _graph_function(edge_values) -> str:
+    # one list of (offset, value) pairs per edge, each written by %s
+    edges = [json_array([_PAIR % pair for pair in pairs]) for pairs in edge_values]
     return json_object({"edges": json_array(edges)})
+
+
+def graph_function_to_json(f: GraphPLFunction) -> str:
+    return _graph_function(f.edge_values)
 
 
 def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
@@ -261,6 +271,41 @@ def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
                        'each atom must be {"point": ..., "mass": "..."}')
     atoms = [(graph_point_from_json(p), parse_rational(m)) for p, m in records]
     return GraphMeasure.from_atoms(graph, atoms)
+
+
+def _rational(a, b):
+    # the rational string of a / b, b > 0, from its reduced integers
+    g = gcd(a, b)
+    return "%d" % (a // g) if g == b else "%d/%d" % (a // g, b // g)
+
+
+def canonical_metric_to_json(form: CanonicalForm) -> str:
+    """The curve-canonical document of the closed form of the canonical
+    metric (curves.canonical_form, d_L != 0), written from its integers:
+    each offset, value and mass string is formatted once from its reduced
+    integers, and no Fraction is built.  The potential's breakpoints, the
+    measure's atoms in their key order and the arc masses reuse them; arc j
+    holds exactly the atom at j/n, so its mass is the one mass d_L/n."""
+    n, p, q, mass, order = form
+    offsets = [_rational(j, n) for j in range(n + 1)]
+    values = [_rational(p * j * (j - n), q) for j in range(n + 1)]
+    mass = str(mass)
+    atoms = [_EDGE_ATOM % (mass, 0, offsets[j]) for j in order]
+    atoms.append(_VERTEX_ATOM % (mass, _scalar(0)))
+    return json_object({
+        "potential": _graph_function([zip(offsets, values)]),
+        "measure": json_object({"atoms": json_array(atoms)}),
+        "arc_masses": json_array(['"%s"' % mass] * n),
+    })
+
+
+def canonical_metric_rows(form: CanonicalForm):
+    """The CSV rows of the same document, formatted as they are read: the
+    strings of j/n, (j+1)/n and the arc's mass d_L/n, j = 0 .. n-1."""
+    n, mass = form.n, str(form.mass)
+    offsets = [_rational(j, n) for j in range(n + 1)]
+    for a, b in zip(offsets, offsets[1:]):
+        yield [a, b, mass]
 
 
 # ---------------------------------------------------------------------------

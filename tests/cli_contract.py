@@ -373,6 +373,27 @@ for command in ["envelope", "orthogonality"]:
         CONTRACT[f"{command}-delta-with-{name}"] = Row(
             _argv(command, {"delta": INTERVAL_11, "g": ABS_MIN_OF, **documents}, options), 2,
             ("usage", "give either --delta or --graph with --omega0"))
+# sha256 of the stdout curve-canonical printed from canonical_metric's
+# Fractions, before it wrote its document from the closed form's integers:
+# the benchmark's four rungs in CSV, k = 0 (one arc, the vertex atom
+# alone) and m = 7
+for case, options, digest in [
+    ("m2k6-csv", ["--m", "2", "--iterations", "6", *CSV],
+     "21c9525400338807f4fed39430676b120f94bd7223bca72fe89ce0acd4485e0d"),
+    ("m2k8-csv", ["--m", "2", "--iterations", "8", *CSV],
+     "ce4a1d92e01618277332e54f4ae904124e6dff277eb04ab64133c485175190e6"),
+    ("m2k10-csv", ["--m", "2", "--iterations", "10", *CSV],
+     "60f1cf641ebf3bbc38feb50945b74268cc7b8f3a7bbeeabbe51d079c9e8ba28a"),
+    ("m3k5-csv", ["--m", "3", "--iterations", "5", *CSV],
+     "8aca9c132b40c7fb3a731e0d43f43cdde61fcb593ed1286ef4c01d72774d43ff"),
+    ("m2k0", ["--m", "2", "--iterations", "0"],
+     "361e1c8d77d934a6341802a4ea2ae207f59e006c2ede916c9ebe3f33415d4e41"),
+    ("m2k0-csv", ["--m", "2", "--iterations", "0", *CSV],
+     "faece812e1f00fd5b6465851df55e39ffa67ea8230a0f1911eccdf8ea722317a"),
+    ("m7k2", ["--m", "7", "--iterations", "2"],
+     "e6e059aba8e721838be9896d59379fff7950dd06fa203bc204b5f22707563b7e"),
+]:
+    CONTRACT[f"curve-canonical-{case}"] = Row(["curve-canonical", *options], 0, sha256=digest)
 ROWS = {f"test_cli_contract[{case}]": row for case, row in CONTRACT.items()}
 
 # rows once written out as tests of their own, under those tests' ids

@@ -141,6 +141,26 @@ def interp(pairs, off):
     raise GraphError("offset outside edge")
 
 
+def arc_masses(measure, parts):
+    """Masses of the arcs [j/parts, (j+1)/parts) of the unit circle.
+
+    An arc with one atom takes its mass as is; only a second atom in the
+    same arc costs an addition.  It was curves.arc_masses, which
+    curve-canonical printed; it is kept as the oracle of the printed arc
+    masses.
+    """
+    out = [None] * parts
+    for key, mass in measure.atoms:
+        if key[0] == "v":
+            j = 0
+        else:
+            # floor(frac(o) * parts) from o's integers, negative o included
+            o = key[2]
+            j = o.numerator * parts // o.denominator % parts
+        out[j] = mass if out[j] is None else out[j] + mass
+    return [Fraction(0) if m is None else m for m in out]
+
+
 def random_graph_point(rng, graph):
     e = rng.randrange(len(graph.edges))
     ln = graph.edge_length(e)

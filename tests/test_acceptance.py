@@ -12,7 +12,6 @@ from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
     MetricGraph,
-    arc_masses,
     canonical_metric,
     circle_graph,
     green_value,
@@ -39,6 +38,7 @@ from plma.variational import (
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    arc_masses,
     interval,
     polarization_energy,
     random_admissible,

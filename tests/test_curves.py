@@ -11,7 +11,6 @@ from plma.curves import (
     GraphPLFunction,
     MassBalanceError,
     MetricGraph,
-    arc_masses,
     canonical_metric,
     circle_graph,
     green,
@@ -27,6 +26,7 @@ from plma.geometry import dot
 from plma.solver import _power_cells, solve_curve
 
 from conftest import (
+    arc_masses,
     fraction_solve_laplacian,
     hexagon,
     interp,

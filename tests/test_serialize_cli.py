@@ -42,6 +42,7 @@ from cli_contract import (
     Text,
 )
 from conftest import (
+    arc_masses,
     hexagon,
     interval,
     random_admissible,
@@ -278,7 +279,7 @@ def test_error_object_writer(error, code, capsys, monkeypatch):
     def fail(*args):
         raise error(message)
 
-    monkeypatch.setattr(curves, "canonical_metric", fail)
+    monkeypatch.setattr(curves, "canonical_form", fail)
     assert cli.run(["curve-canonical", "--m", "2", "--iterations", "1"]) == code
     out, err = capsys.readouterr()
     assert out == "" and err.endswith("}\n")
@@ -458,6 +459,42 @@ def test_cli_canonical_csv(capsys):
     rows = capsys.readouterr().out.strip().split("\n")
     assert rows[0] == "arc_start,arc_end,mass"
     assert rows[1:] == [f"{Fraction(j, 64)},{Fraction(j + 1, 64)},1/64" for j in range(64)]
+
+
+def fraction_canonical_output(m, k, fmt):
+    """curve-canonical's output as it was written: canonical_metric's
+    Fractions through graph_function_to_json, graph_measure_to_json and
+    arc_masses, and CSV rows of Fractions."""
+    potential, measure = curves.canonical_metric(m, k)
+    parts = m**k
+    masses = arc_masses(measure, parts)
+    if fmt == "csv":
+        rows = [["arc_start", "arc_end", "mass"]] + [
+            [Fraction(j, parts), Fraction(j + 1, parts), mass] for j, mass in enumerate(masses)]
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    return serialize.json_object({
+        "potential": serialize.graph_function_to_json(potential),
+        "measure": serialize.graph_measure_to_json(measure),
+        "arc_masses": serialize.json_array(['"%s"' % mass for mass in masses]),
+    }) + "\n"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+def test_cli_canonical_against_fraction_path(m, capsys, tmp_path):
+    # every k with m^k <= 4096, k = 0 (one arc, the vertex atom alone)
+    # included, on stdout and through --output, in JSON and CSV
+    k = 0
+    while m**k <= 4096:
+        for fmt in ("json", "csv"):
+            expected = fraction_canonical_output(m, k, fmt)
+            argv = ["curve-canonical", "--m", str(m), "--iterations", str(k), "--format", fmt]
+            assert cli.run(argv) == 0
+            assert capsys.readouterr() == (expected, "")
+            out = tmp_path / f"{k}.{fmt}"
+            assert cli.run([*argv, "--output", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+            assert out.read_bytes() == expected.encode()
+        k += 1
 
 
 @pytest.mark.parametrize(
