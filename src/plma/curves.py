@@ -11,28 +11,33 @@ geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
 A function is read between its breakpoints by one routine, _values_at,
 in one pass over an edge's sorted breakpoints: eval, _node_values, the
 breakpoint merge of combine and variational.PiecewiseLinear1D all call
-it.  There is one Laplacian, laplacian_form below: laplacian(f) is that
-form with no mass on f's values at the nodes of f's breakpoints.
-Poisson problems are solved exactly on the Laplacian of the vertices and
-the atoms.  _refine numbers those nodes once (the vertices in graph
-order, then each edge's sorted interior offsets), and only this module
-reads that order.  Every linear solve of the package is one problem with
-one entry: laplacian_form writes a weighted graph on the node numbers
-0..n-1 and its sources over common denominators, and solve_laplacian(form,
-pinned) solves its Laplacian with the value 0 on a set of pinned nodes.
-The toric Newton step pins the gauge w_0 = 0, a Poisson solve f = 0 at
-its normalization point, and each Howard step of the envelope the gap
-psi - P(psi) = 0 on its contact set.  A float form (the Newton step, the
-envelope's float guide) is one _eliminate in minimum-degree order and one
-_substitute with that factorization.  An integer form goes through
+it.  There is one node problem, node_problem below: its nodes are the
+vertices, a function's interior breakpoints and a measure's atoms, which
+_refine numbers once (the vertices in graph order, then each edge's
+sorted interior offsets); it reads the function there and writes the
+Laplacian of the function plus the measure with laplacian_form.
+laplacian(f) is its form with no mass, read back at the nodes; the
+normalized potential solves its form with zero values, and the curve
+envelope of variational its obstacle problem.  Only node_problem calls
+_refine and _node_values.  Every linear solve of the package is one
+problem with one entry: laplacian_form writes a weighted graph on the
+node numbers 0..n-1 and its sources over common denominators, and
+solve_laplacian(form, pinned) solves its Laplacian with the value 0 on a
+set of pinned nodes.  The toric Newton step pins the gauge w_0 = 0, the
+normalized potential g = 0 at node 0 (the first vertex) before its
+shift, and each Howard step of the envelope the gap psi - P(psi) = 0 on
+its contact set.  A float form (the Newton step, the envelope's float
+guide) is one _eliminate in minimum-degree order and one _substitute
+with that factorization.  An integer form goes through
 solve_integer, which runs the same two routines modulo a 61-bit prime and
 lifts the solution p-adically (Dixon), one _substitute per lift, until it
 rebuilds the integer numerators over one common denominator, checked
 exactly, or passes a Hadamard bound on their size (ConvergenceError).
 One routine, normalized_potential, solves laplacian(f) = mu - omega0 and
-shifts f to zero integral against the reference measure omega0, which
-must be positive with positive mass (reference_mass): green is its case
-mu = d_L delta_x, and solver.solve_curve its general case.  The
+shifts f to zero integral against the reference measure omega0, a
+positive measure whose mass d_L it reads: solve_poisson(graph, rho, x) is
+its case omega0 = delta_x and mu = rho + delta_x (f = 0 at x), green its
+case mu = d_L delta_x, and solver.solve_curve its general case.  The
 canonical metric of multiplication by m on the circle at step k needs no
 solve: its potential is the discrete parabola through the m^k-division
 points, in closed form.  canonical_form writes that form once, on
@@ -320,15 +325,34 @@ class GraphMeasure(AtomicMeasure):
 def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
     """Atomic measure of outgoing-slope sums; total mass is exactly zero.
 
-    It is laplacian_form with no mass on f's values at the nodes of
-    _refine over f's interior breakpoints, the operator every solve
-    writes: f lives on graph, so each interior breakpoint (e, o) has
-    0 < o < the length of e, and ("e", e, o) is its canonical key as it
-    stands."""
-    keys = [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
-    index, edges, edge_offsets = _refine(graph, keys)
-    R, Dr, _, _ = laplacian_form(_node_values(f, graph, edge_offsets), {}, edges)
+    It is the form of node_problem with no mass on f, read back at every
+    node: the operator every solve writes."""
+    index, _, _, (R, Dr, _, _) = node_problem(graph, f, GraphMeasure(()))
     return GraphMeasure._canonical({key: Fraction(R[i], Dr) for key, i in index.items()})
+
+
+def node_problem(graph: MetricGraph, f, mass: GraphMeasure, keys=()):
+    """The one node problem of the curve Laplacian: laplacian(f) + mass on
+    the nodes where f can bend or mass sits.
+
+    The nodes are the vertices, f's interior breakpoints, the atoms of
+    mass and the canonical location keys `keys`, numbered by _refine.
+    Returns (index, edge_offsets, values, form): index maps each node's
+    key to its number, edge_offsets holds each edge's sorted interior
+    offsets, values is f at the nodes in their order (_node_values; zeros
+    when f is None), and form = laplacian_form(values, mass, edges) is the
+    problem that solve_laplacian takes.  laplacian, normalized_potential
+    and the curve envelope all write their problem here, so only this
+    routine numbers nodes.  A breakpoint (e, o) of f has 0 < o < the
+    length of e, so ("e", e, o) is its canonical key as it stands.
+    """
+    keys = [*keys, *(k for k, _ in mass.atoms)]
+    if f is not None:
+        keys += [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
+    index, edges, edge_offsets = _refine(graph, keys)
+    values = [0] * len(index) if f is None else _node_values(f, graph, edge_offsets)
+    form = laplacian_form(values, {index[k]: m for k, m in mass.atoms}, edges)
+    return index, edge_offsets, values, form
 
 
 def _refine(graph: MetricGraph, keys):
@@ -341,7 +365,7 @@ def _refine(graph: MetricGraph, keys):
     numbers, the segments of each graph edge in order, and edge_offsets
     the sorted interior offsets of each edge.  _eliminate breaks its
     minimum-degree ties in this order, and _node_values and
-    _function_from_node_values read it.
+    _function_from_node_values read it.  node_problem is its one caller.
     """
     # each edge's offsets in the order they come, without repeats, so that
     # sorting offsets that come sorted costs one comparison per offset
@@ -618,33 +642,34 @@ def _function_from_node_values(graph, values, edge_offsets):
 def solve_poisson(
     graph: MetricGraph, rho: GraphMeasure, normalization
 ) -> GraphPLFunction:
-    """Exact f with laplacian(f) = rho and f(normalization) = 0."""
+    """Exact f with laplacian(f) = rho and f(normalization) = 0: the
+    normalized potential of mu = rho + delta_x against omega0 = delta_x,
+    x the normalization point, on the nodes of rho's atoms and x."""
     if rho.total_mass() != 0:
         raise MassBalanceError("source measure must have total mass zero")
-    norm_key = graph.point_key(normalization)
-    index, edges, edge_offsets = _refine(graph, [k for k, _ in rho.atoms] + [norm_key])
-    form = laplacian_form([0] * len(index), {index[k]: m for k, m in rho.atoms}, edges)
-    G, d = solve_laplacian(form, {index[norm_key]})
-    return _function_from_node_values(graph, [Fraction(g, d * form[1]) for g in G], edge_offsets)
+    x = GraphMeasure.from_atoms(graph, [(normalization, 1)])
+    return normalized_potential(graph, rho + x, x)
 
 
 def normalized_potential(
-    graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure, d_L
+    graph: MetricGraph, mu: GraphMeasure, omega0: GraphMeasure
 ) -> GraphPLFunction:
     """The one normalized potential: f with laplacian(f) = mu - omega0 and
     zero integral against omega0, whose mass d_L is also mu's.
 
-    One solve on the nodes of mu's and omega0's atoms, pinned at node 0
-    (the first vertex), gives g = G / (d Dr); then f = g - c with
-    c = sum_k omega0(k) G_k / (d Dr d_L), shifted on the integer
-    numerators, one Fraction per node.  The normalized f is unique and
-    simplified, so the pin does not show in the result.  Both green and
-    solver.solve_curve return it, after their own checks.
+    One solve of node_problem's form on the nodes of mu's and omega0's
+    atoms, pinned at node 0 (the first vertex), gives g = G / (d Dr); then
+    f = g - c with c = sum_k omega0(k) G_k / (d Dr d_L), shifted on the
+    integer numerators, one Fraction per node.  The normalized f is unique
+    and simplified, so the pin does not show in the result.  solve_poisson,
+    green and solver.solve_curve return it, after their own checks.
     """
-    index, edges, edge_offsets = _refine(graph, [k for k, _ in mu.atoms + omega0.atoms])
-    form = laplacian_form([0] * len(index), {index[k]: m for k, m in (mu - omega0).atoms}, edges)
+    # mu - omega0 loses only atoms that omega0 shares, so with omega0's
+    # atoms the nodes are the atoms of both
+    keys = [k for k, _ in omega0.atoms]
+    index, edge_offsets, _, form = node_problem(graph, None, mu - omega0, keys)
     G, d = solve_laplacian(form, {0})
-    c = sum(m * G[index[k]] for k, m in omega0.atoms) / d_L
+    c = sum(m * G[index[k]] for k, m in omega0.atoms) / omega0.total_mass()
     p, q = c.numerator, c.denominator
     values = [Fraction(g * q - p, q * d * form[1]) for g in G]
     return _function_from_node_values(graph, values, edge_offsets)
@@ -655,7 +680,7 @@ def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:
     its integral against omega0 vanishes.  d_L is the mass of omega0.  It
     is `normalized_potential` for mu = d_L delta_x."""
     d_L = reference_mass(omega0)
-    return normalized_potential(graph, GraphMeasure.from_atoms(graph, [(x, d_L)]), omega0, d_L)
+    return normalized_potential(graph, GraphMeasure.from_atoms(graph, [(x, d_L)]), omega0)
 
 
 def green_value(graph: MetricGraph, x, y, omega0: GraphMeasure) -> Fraction:

@@ -6,10 +6,11 @@ curves.solve_laplacian.
 
 Curve case: linear, one exact Poisson solve with source mu - omega0,
 normalized to zero omega0-integral: the one normalized potential of
-curves (curves.normalized_potential), which green also returns.  The
-solve is p-adic: the integer rows of curves.laplacian_form are factored
-once modulo a 61-bit prime, and the solution is lifted and, after every
-lift, rebuilt over one common denominator and checked exactly.  A solve
+curves (curves.normalized_potential, on the form of curves.node_problem),
+which green and solve_poisson also return.  The solve is p-adic: the
+integer rows of curves.laplacian_form are factored once modulo a 61-bit
+prime, and the solution is lifted and, after every lift, rebuilt over
+one common denominator and checked exactly.  A solve
 that passes its Hadamard bound on the lifts without a solution raises
 ConvergenceError, which curves defines and this module exports.
 
@@ -323,7 +324,9 @@ def solve_curve(graph, mu, omega0):
     """Exact f with laplacian(f) = mu - omega0 and omega0-integral zero.
 
     After the checks of superpose, the one normalized potential
-    curves.normalized_potential, which green returns for one atom;
-    superpose gives the same function from one Green solve per atom of mu.
+    curves.normalized_potential, which reads d_L off omega0 and which
+    green returns for one atom; superpose gives the same function from
+    one Green solve per atom of mu.
     """
-    return curves.normalized_potential(graph, mu, omega0, curves._check_balance(mu, omega0))
+    curves._check_balance(mu, omega0)
+    return curves.normalized_potential(graph, mu, omega0)

@@ -21,11 +21,11 @@ pass started from that guess stops at exact complementarity.  Each step
 of either pass is the package's one Laplacian solve,
 curves.solve_laplacian, with g pinned to zero on the contact set: in
 floats for the guide, and for the exact pass usually one p-adic solve.
-The exact pass runs on integers: curves.laplacian_form writes
-laplacian(psi) + omega0 and the edge weights each over one common
-denominator, so that the gaps and the masses s are integer numerators
-over known denominators, and the node check (g >= 0, s >= 0) is integer
-compares.  That check certifies the envelope; MA(P(psi)) and the
+The exact pass runs on integers: curves.node_problem numbers the nodes
+and writes laplacian(psi) + omega0 and the edge weights each over one
+common denominator, so that the gaps and the masses s are integer
+numerators over known denominators, and the node check (g >= 0, s >= 0)
+is integer compares.  That check certifies the envelope; MA(P(psi)) and the
 orthogonality defect are read off the same nodes, a Fraction built only
 for each number returned.  The reference measure must be positive with
 positive mass, as for green.
@@ -302,21 +302,21 @@ def envelope_subharmonic(
     The envelope is linear between the nodes (vertices, obstacle
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
-    s = 0 wherever x < psi.  curves._refine numbers the nodes 0..n-1
-    once, curves._node_values reads the obstacle off psi's breakpoints in
-    that order, and curves._function_from_node_values turns the solution
-    back into a function; this module sees node numbers only.  The problem
-    is solved for the gap g = psi - x.  With r = laplacian(psi) + omega0,
-    s = r - laplacian(g), so it is the linear complementarity problem
-    g >= 0, s >= 0, g s = 0 at every node (Cottle, Pang and Stone), in
-    which the orthogonality of psi - P(psi) and MA(P(psi)) is the last
-    condition.  Howard's policy iteration (_howard) solves it: from a
-    contact set C, solve g = 0 on C and laplacian(g) = r off C, then set
-    C = {k : g(k) <= s(k)}.  It runs on the problem's Laplacian form
-    (curves.laplacian_form): r and the edge weights each over one common
-    denominator, so that every exact solve is curves.solve_laplacian on
-    integers, every compare and sum is on integers, and no numerator
-    carries the obstacle's own denominator.
+    s = 0 wherever x < psi.  curves.node_problem numbers the nodes 0..n-1
+    once, reads the obstacle off psi's breakpoints in that order and
+    writes r = laplacian(psi) + omega0 as a Laplacian form, and
+    curves._function_from_node_values turns the solution back into a
+    function; this module numbers no node.  The problem is solved for the
+    gap g = psi - x.  s = r - laplacian(g), so it is the linear
+    complementarity problem g >= 0, s >= 0, g s = 0 at every node (Cottle,
+    Pang and Stone), in which the orthogonality of psi - P(psi) and
+    MA(P(psi)) is the last condition.  Howard's policy iteration (_howard)
+    solves it: from a contact set C, solve g = 0 on C and laplacian(g) = r
+    off C, then set C = {k : g(k) <= s(k)}.  It runs on the problem's
+    Laplacian form (curves.laplacian_form): r and the edge weights each
+    over one common denominator, so that every exact solve is
+    curves.solve_laplacian on integers, every compare and sum is on
+    integers, and no numerator carries the obstacle's own denominator.
 
     The iteration runs twice.  First in floats, from C = every node until
     a contact set repeats: this guide only proposes a contact set.  Then
@@ -332,7 +332,7 @@ def envelope_subharmonic(
     iterate, ConvergenceError is raised.
 
     The node check is the whole proof.  Every breakpoint of psi is a node
-    (_candidate_keys), so psi is linear between nodes, and so is the
+    (node_problem), so psi is linear between nodes, and so is the
     function built from x = psi - g; psi - P(psi) is then linear between
     nodes and >= 0 at each, hence >= 0 everywhere.  Its laplacian has no
     mass between nodes, and omega0 none either (its atoms are nodes),
@@ -355,11 +355,11 @@ def envelope_subharmonic(
 
 class _Nodes(NamedTuple):
     """The solved node problem of envelope_subharmonic: the numbering of
-    curves._refine (index, edge_offsets), the obstacle psi at the nodes (a
-    list of Fractions in node order), and at the first complementary
-    iterate of the exact pass the masses s = laplacian(P(psi)) + omega0
-    and the gaps psi - P(psi), each as a pair (list of integer numerators
-    in node order, common denominator)."""
+    curves.node_problem (index, edge_offsets), the obstacle psi at the
+    nodes (a list of Fractions in node order), and at the first
+    complementary iterate of the exact pass the masses s =
+    laplacian(P(psi)) + omega0 and the gaps psi - P(psi), each as a pair
+    (list of integer numerators in node order, common denominator)."""
 
     index: dict
     edge_offsets: list
@@ -372,9 +372,7 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     """Solve envelope_subharmonic's node problem: the float guide, then the
     exact pass until the node check (every gap and every s >= 0) holds."""
     curves.reference_mass(omega0)
-    index, edges, edge_offsets = curves._refine(graph, _candidate_keys(psi, omega0))
-    obstacle = curves._node_values(psi, graph, edge_offsets)
-    form = curves.laplacian_form(obstacle, {index[k]: m for k, m in omega0.atoms}, edges)
+    index, edge_offsets, obstacle, form = curves.node_problem(graph, psi, omega0)
     _, Dr, _, Dw = form
     contact = _float_contact(form) or set(range(len(index)))
     for G, d, S, _ in _howard(form, contact):
@@ -434,16 +432,6 @@ def _float_contact(form):
     except (OverflowError, curves.GraphError):
         pass
     return None
-
-
-def _candidate_keys(psi, omega0):
-    """The interior points where the envelope can bend besides the
-    vertices: psi's interior breakpoints and omega0's atoms.  Their order
-    does not matter, as curves._refine sorts the offsets of each edge."""
-    keys = {k for k, _ in omega0.atoms}
-    for e, pairs in enumerate(psi.edge_values):
-        keys.update(("e", e, o) for o, _ in pairs[1:-1])
-    return keys
 
 
 def orthogonality_defect_curve(

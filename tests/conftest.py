@@ -193,6 +193,19 @@ def solve_sources(rho, n, edges, pinned):
     return [Fraction(g, d * form[1]) for g in G]
 
 
+def pinned_poisson(graph, rho, normalization):
+    """curves.solve_poisson as it was, kept as its oracle: the nodes of
+    rho's atoms and of the normalization point x numbered by _refine, one
+    solve pinned at x itself, and the function rebuilt from its values."""
+    if rho.total_mass() != 0:
+        raise curves.MassBalanceError("source measure must have total mass zero")
+    x = graph.point_key(normalization)
+    index, edges, offsets = curves._refine(graph, [k for k, _ in rho.atoms] + [x])
+    form = curves.laplacian_form([0] * len(index), {index[k]: m for k, m in rho.atoms}, edges)
+    G, d = curves.solve_laplacian(form, {index[x]})
+    return curves._function_from_node_values(graph, [Fraction(g, d * form[1]) for g in G], offsets)
+
+
 def fraction_solve_laplacian(rho, n, edges, fixed):
     """curves.solve_laplacian as it was before the p-adic solve, kept as
     its oracle: Fraction elimination of the free rows in minimum-degree

@@ -30,6 +30,7 @@ from conftest import (
     fraction_solve_laplacian,
     hexagon,
     interp,
+    pinned_poisson,
     random_graph,
     random_graph_point,
     random_positive_measure,
@@ -179,6 +180,48 @@ def test_solve_poisson_mass_mismatch():
     rho = GraphMeasure.from_atoms(g, [(vertex_key(1), Fraction(1))])
     with pytest.raises(MassBalanceError):
         solve_poisson(g, rho, vertex_key(0))
+
+
+def test_solve_poisson_against_pinned_oracle():
+    # solve_poisson is the normalized potential against delta_x: it equals
+    # the pinned solve it replaced, with x at a vertex, on an atom of rho
+    # or strictly inside a segment, on graphs with a loop and a parallel
+    # edge, and for rho = 0
+    rng = random.Random("pinned-poisson")
+    kinds = set()
+    for i in range(90):
+        g = random_graph(rng)
+        u, v, _ = rng.choice(g.edges)
+        w = rng.randrange(len(g.vertex_ids))
+        g = MetricGraph.build(g.vertex_ids, [*g.edges, (u, v, Fraction(rng.randint(1, 6), 2)),
+                                             (w, w, Fraction(rng.randint(1, 6), 3))])
+        total = Fraction(rng.randint(1, 5), 2)
+        rho = GraphMeasure(()) if i % 5 == 0 else (
+            random_positive_measure(rng, g, total, natoms=rng.randint(1, 4))
+            - random_positive_measure(rng, g, total, natoms=rng.randint(1, 4)))
+        if i % 3 == 0 or not rho.atoms:
+            x = vertex_key(rng.choice(g.vertex_ids))
+        elif i % 3 == 1:
+            x = rng.choice(rho.atoms)[0]
+        else:
+            e = rng.randrange(len(g.edges))
+            x = ("e", e, g.edge_length(e) * Fraction(rng.randint(1, 6), 7))
+        kinds.add("zero" if not rho.atoms else "atom" if x in rho.masses else x[0])
+        got = solve_poisson(g, rho, x)
+        assert got == pinned_poisson(g, rho, x)
+        assert laplacian(got, g) == rho and got.eval(g, x) == 0
+    assert kinds == {"zero", "atom", "v", "e"}
+    # the mass is checked before the normalization point is read
+    g = circle_graph()
+    outside = ("e", 0, Fraction(3))
+    for rho, error, message in [
+        (GraphMeasure.from_atoms(g, [(vertex_key(0), 1)]), MassBalanceError,
+         "source measure must have total mass zero"),
+        (GraphMeasure(()), GraphError, "offset outside edge"),
+    ]:
+        for solve in (solve_poisson, pinned_poisson):
+            with pytest.raises(error, match=f"^{message}$"):
+                solve(g, rho, outside)
 
 
 def test_disconnected_graph_rejected():

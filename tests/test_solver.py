@@ -15,7 +15,6 @@ from plma.curves import (
     green,
     laplacian,
     ma_curve,
-    solve_poisson,
     superpose,
     vertex_key,
 )
@@ -47,6 +46,7 @@ from conftest import (
     ACCEPTANCE_POLYTOPES,
     hexagon,
     interval,
+    pinned_poisson,
     random_admissible,
     random_graph,
     random_positive_measure,
@@ -395,12 +395,14 @@ def test_residual_op(rng):
 
 
 def green_pinned_at_x(graph, x, omega0):
-    """green as it was solved: the Poisson problem pinned at x itself, then
-    shifted to zero omega0-integral."""
+    """green as it was solved: the Poisson problem pinned at x itself,
+    then shifted to zero omega0-integral.  It calls pinned_poisson, since
+    solve_poisson runs through the normalized potential that green
+    returns, and the comparison would check that potential with itself."""
     d_L = omega0.total_mass()
     x_key = graph.point_key(x)
     rho = GraphMeasure.from_atoms(graph, [(x_key, d_L)]) - omega0
-    f = solve_poisson(graph, rho, x_key)
+    f = pinned_poisson(graph, rho, x_key)
     return f + GraphPLFunction.constant(graph, -omega0.integrate(graph, f) / d_L)
 
 

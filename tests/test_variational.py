@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from plma import cli, curves, serialize, variational
+from plma import cli, curves, serialize, solver, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
@@ -871,9 +871,9 @@ def test_obstacle_read_off_breakpoints():
     kinds = set()
     for i in range(60):
         g, om, psi = loopy_obstacle(rng, 2 + i % 11)
-        index, edges, offsets, obstacle, _ = obstacle_problem(psi, g, om)
-        assert curves._refine(g, variational._candidate_keys(psi, om)) == (index, edges, offsets)
-        assert curves._node_values(psi, g, offsets) == obstacle
+        index, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+        form = curves.laplacian_form(obstacle, mass, edges)
+        assert curves.node_problem(g, psi, om) == (index, offsets, obstacle, form)
         breakpoints = {g.point_key(("e", e, o))
                        for e, pairs in enumerate(psi.edge_values) for o, _ in pairs}
         kinds.update(k[0] + str(k in breakpoints) for k, _ in om.atoms)
@@ -1155,3 +1155,65 @@ def test_variational_input_errors(case):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_toric_interval_is_curve_with_omega0_at_the_origin():
+    # On delta = [alpha, beta], alpha <= 0 < beta, with h its support
+    # function, the 1-D toric data of g equal the curve data of g - h on a
+    # one-edge graph [a, b] that holds 0 and every breakpoint, with omega0
+    # = (beta - alpha) delta_0, exactly: the MA measure, the energy, the
+    # envelope of a free-form psi with recession slopes alpha - 1 and
+    # beta + 1 and both orthogonality defects, and the solve up to a
+    # constant.  Criterion 10 puts omega0 at the ends of the segment.
+    rng = random.Random("toric-segment-omega0-at-the-origin")
+    nonzero_energy = moved = 0
+    for _ in range(200):
+        alpha = -Fraction(rng.randint(0, 8), rng.randint(1, 3))
+        beta = Fraction(rng.randint(1, 8), rng.randint(1, 3))
+        delta, h = interval(alpha, beta), support_function(interval(alpha, beta))
+        slopes = [alpha, beta] + [alpha + (beta - alpha) * Fraction(rng.randint(1, 11), 12)
+                                  for _ in range(rng.randint(0, 4))]
+        g = PLConvexFunction.from_pieces([AffineFunctional((s,), rnd_frac(rng)) for s in slopes])
+        psi = PiecewiseLinear1D.build(
+            [(Fraction(v, 4), rnd_frac(rng)) for v in rng.sample(range(-12, 13), rng.randint(1, 5))],
+            alpha - 1, beta + 1)
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        nu = DiscreteMeasure.from_atoms(
+            [((rnd_frac(rng),), (beta - alpha) * w / sum(weights)) for w in weights])
+        ts = {Fraction(0), *(v[0] for v in breakpoints(g)), *(v for v, _ in psi.points),
+              *(p[0] for p, _ in nu.atoms)}
+        a, b = min(ts) - rng.randint(0, 1), max(ts) + rng.randint(0, 1)
+        graph = MetricGraph.build(["a", "b"], [("a", "b", b - a)])
+        omega0 = GraphMeasure.from_atoms(graph, [(("e", 0, -a), beta - alpha)])
+
+        def key(t):
+            return graph.point_key(("e", 0, t - a))
+
+        def less_h(u, nodes):
+            # u - h on [a, b], linear between 0, a, b and the nodes
+            nodes = sorted({a, b, Fraction(0), *nodes})
+            return GraphPLFunction.build(graph, [[(t - a, u(t) - h((t,))) for t in nodes]])
+
+        def gaps(u, f, nodes):
+            # u - h - f on [a, b], at 0, a, b, the nodes and f's breakpoints
+            nodes = {a, b, Fraction(0), *nodes, *(a + o for o, _ in f.edge_values[0])}
+            return {u(t) - h((t,)) - f.eval(graph, key(t)) for t in nodes}
+
+        phi = less_h(lambda t: g((t,)), [v[0] for v in breakpoints(g)])
+        assert ma_curve(phi, graph, omega0) == GraphMeasure.from_atoms(
+            graph, [(key(p[0]), m) for p, m in ma_measure(g, delta).measure_NR.atoms])
+        energy = energy_toric(g, h, delta)
+        assert energy == energy_curve(phi, graph, omega0)
+        obstacle = less_h(psi, [v for v, _ in psi.points])
+        env = envelope_toric(psi, delta)
+        curve_env = envelope_subharmonic(obstacle, graph, omega0)
+        assert gaps(lambda t: env((t,)), curve_env, [v[0] for v in breakpoints(env)]) == {0}
+        assert orthogonality_defect_toric(psi, delta) == 0
+        assert orthogonality_defect_curve(obstacle, graph, omega0) == 0
+        solution = solver._solution_from_weights(delta, list(nu.atoms), solver.solve_1d_exact(delta, nu))
+        potential = solve_curve(
+            graph, GraphMeasure.from_atoms(graph, [(key(p[0]), m) for p, m in nu.atoms]), omega0)
+        assert len(gaps(lambda t: solution((t,)), potential, [p[0] for p, _ in nu.atoms])) == 1
+        nonzero_energy += energy != 0
+        moved += any(env((t,)) != psi(t) for t in {a, b, *(v for v, _ in psi.points)})
+    assert nonzero_energy > 180 and moved > 180
