@@ -51,7 +51,7 @@ from .variational import (
     f_mu,
     orthogonality_defect,
 )
-from .solver import SolveReport, SolverOptions, residual, solve_curve, solve_toric
+from .solver import SolveReport, residual, solve_curve, solve_toric
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from . import curves, serialize, toric, variational
 from .geometry import (
     AffineFunctional, PLConvexFunction, Polytope, support_function, without_digit_limit)
 from .serialize import SchemaError, json_object, json_string
-from .solver import ConvergenceError, SolverOptions, solve_curve, solve_toric
+from .solver import ConvergenceError, solve_curve, solve_toric
 
 
 def _emit(text: str, output) -> None:
@@ -132,8 +132,7 @@ def cmd_toric_solve(args):
     mu = serialize.measure_from_json(serialize.load_path(args.mu))
     # inputs carry Berkovich mass n! Vol; the solver works in the real scale
     nu = mu.scale(Fraction(1, factorial(delta.dim)))
-    opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
-    report = solve_toric(delta, nu, opts)
+    report = solve_toric(delta, nu)
     rows = itertools.chain(
         _point_rows(((f.slope, f.intercept) for f in report.solution.pieces), "solution"),
         _point_rows(report.residual, "residual"))
@@ -262,15 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every command but selftest, whose one output is text, writes JSON or CSV
     fmt = {"format": {"choices": ["json", "csv"], "default": "json"}}
     add("toric-ma", cmd_toric_ma, delta=req, g=req, **fmt)
-    add(
-        "toric-solve",
-        cmd_toric_solve,
-        delta=req,
-        mu=req,
-        tol={"type": float, "default": 1e-10},
-        max_iter={"type": int, "default": 200},
-        **fmt,
-    )
+    add("toric-solve", cmd_toric_solve, delta=req, mu=req, **fmt)
     add("toric-energy", cmd_toric_energy, delta=req, g=req, g0={}, **fmt)
     add("envelope", cmd_envelope, delta={}, g=req, graph={}, omega0={}, **fmt)
     add("orthogonality", cmd_orthogonality, delta={}, g=req, graph={}, omega0={}, **fmt)

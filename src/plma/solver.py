@@ -30,8 +30,11 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
   area at least eps0 = min(min_i nu_i, smallest starting cell) / 2 and the
   residual norm drops to (1 - alpha/2) times its current value.  This is
   the step of Kitagawa, Merigot and Thibert (arXiv:1603.05579), who prove
-  that it converges from any start with nonempty cells.  A step that needs
-  alpha below MIN_STEP ends the solve unconverged.
+  that it converges from any start with nonempty cells.  The iteration
+  stops once every cell volume is within TOLERANCE * Vol(delta) of its
+  mass; MAX_ITERATIONS only bounds it.  A step that needs alpha below
+  MIN_STEP ends the solve unconverged.  These are constants: the solve has
+  no settings, because its residual is exact whatever stops it.
 
 The cells are clipped from the polygon one neighbour at a time, and each
 edge keeps the label of the neighbour whose halfplane cut it, so the Newton
@@ -45,7 +48,12 @@ curves.solve_laplacian on the float form (negated residuals, 1, edges,
 minimum-degree factorization and substitution that the exact curve
 solves run modulo a prime before they lift p-adically; no Newton step
 goes through that exact path.  A singular Newton system (GraphError)
-ends the solve unconverged, as a stalled step does.
+ends the solve unconverged, as a stalled step does, and so does a float
+operation of the guide that fails (an ArithmeticError: a coordinate or a
+mass past the float range, or a difference that underflows to zero): the
+solve reports its last accepted weights, the Voronoi start onward.  A
+guide with no weights to report, because it fails before its start has
+any or they lie too far apart for the grid 2^-50, raises ConvergenceError.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
@@ -82,22 +90,14 @@ from .geometry import (
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
 
 
-# Newton gives up once the damping factor falls below MIN_STEP; the final
-# weights are snapped to rationals with denominators up to SNAP_DENOMINATOR.
+# Newton stops once every cell volume is within TOLERANCE * Vol(delta) of
+# its mass, after MAX_ITERATIONS steps, or when the damping factor falls
+# below MIN_STEP; the final weights are snapped to rationals with
+# denominators up to SNAP_DENOMINATOR.
+TOLERANCE = 1e-10
+MAX_ITERATIONS = 200
 MIN_STEP = 2.0 ** -20
 SNAP_DENOMINATOR = 10**6
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tolerance: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,55 @@ def _voronoi_weights(delta: Polytope, atoms):
             for d0, d1 in dirs]
 
 
-def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None = None) -> SolveReport:
-    """Find admissible g with MA(g) = nu (real normalization, mass Vol(delta))."""
-    opts = opts or SolverOptions()
+def _newton(delta, atoms, vol):
+    """Damped Newton in floats from the Voronoi start: (weights, iterations,
+    converged).  A float operation that fails once the start has weights
+    ends it unconverged at the last accepted weights; one before raises."""
+    fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
+    target = [m for _, m in fatoms]
+    tol_abs = TOLERANCE * float(vol)
+    ring = [tuple(map(float, p)) for p in delta.ring()]
+    weights, it = _voronoi_weights(delta, atoms), 0
+    try:
+        vols, edges = _power_cells(ring, fatoms, weights)
+        r = [t - v for t, v in zip(target, vols)]
+        # Kitagawa-Merigot-Thibert: keep every cell at least this large.
+        eps0 = 0.5 * min(min(target), min(vols))
+        while it < MAX_ITERATIONS and max(map(abs, r)) > tol_abs:
+            it += 1
+            # vol_i grows with w_i, so H is the (positive semidefinite) negated
+            # Hessian of the dual objective, a graph Laplacian: pin the first
+            # weight and solve H d = r.
+            try:
+                step, _ = curves.solve_laplacian(([-ri for ri in r], 1, edges, 1), {0})
+            except curves.GraphError:
+                break
+            alpha, norm = 1.0, math.hypot(*r)
+            while alpha >= MIN_STEP:
+                trial = [w + alpha * s for w, s in zip(weights, step)]
+                tvols, tedges = _power_cells(ring, fatoms, trial)
+                tr = [t - v for t, v in zip(target, tvols)]
+                if min(tvols) >= eps0 and math.hypot(*tr) <= (1 - alpha / 2) * norm:
+                    break
+                alpha /= 2
+            else:
+                break  # the step stalled: report not converged
+            weights, edges, r = trial, tedges, tr
+        return weights, it, max(map(abs, r)) <= tol_abs
+    except ArithmeticError:
+        return weights, it, False  # the floats cannot carry the target further
+
+
+def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
+    """Find admissible g with MA(g) = nu (real normalization, mass Vol(delta)).
+
+    The float guide runs damped Newton until every cell volume is within
+    TOLERANCE * Vol(delta) of its mass, for at most MAX_ITERATIONS steps.
+    Whatever stops it, the reported residual is exact.  A guide that the
+    floats cannot carry (an ArithmeticError) ends the solve unconverged at
+    its last accepted weights, or raises ConvergenceError when it has none
+    on the grid 2^-50.
+    """
     if not delta.is_full_dimensional():
         raise DegeneratePolytopeError("polytope must be full-dimensional")
     if any(len(v) != delta.dim for v, _ in nu.atoms):
@@ -272,43 +318,11 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure, opts: SolverOptions | None
         res = residual(g, nu, delta)
         return SolveReport(g, res, res, 0, True)
 
-    fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
-    target = [m for _, m in fatoms]
-    tol_abs = opts.tolerance * float(vol)
-
-    def residual_vec(vols):
-        return [t - v for t, v in zip(target, vols)]
-
-    ring = [tuple(map(float, p)) for p in delta.ring()]
-    weights = _voronoi_weights(delta, atoms)
-    vols, edges = _power_cells(ring, fatoms, weights)
-    r = residual_vec(vols)
-    # Kitagawa-Merigot-Thibert: keep every cell at least this large.
-    eps0 = 0.5 * min(min(target), min(vols))
-    it = 0
-    while it < opts.max_iterations and max(map(abs, r)) > tol_abs:
-        it += 1
-        # vol_i grows with w_i, so H is the (positive semidefinite) negated
-        # Hessian of the dual objective, a graph Laplacian: pin the first
-        # weight and solve H d = r.
-        try:
-            step, _ = curves.solve_laplacian(([-ri for ri in r], 1, edges, 1), {0})
-        except curves.GraphError:
-            break
-        alpha, norm = 1.0, math.hypot(*r)
-        while alpha >= MIN_STEP:
-            trial = [w + alpha * s for w, s in zip(weights, step)]
-            tvols, tedges = _power_cells(ring, fatoms, trial)
-            tr = residual_vec(tvols)
-            if min(tvols) >= eps0 and math.hypot(*tr) <= (1 - alpha / 2) * norm:
-                break
-            alpha /= 2
-        else:
-            break  # the step stalled: report not converged
-        weights, edges, r = trial, tedges, tr
-
-    converged = max(map(abs, r)) <= tol_abs
-    wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
+    try:
+        weights, it, converged = _newton(delta, atoms, vol)
+        wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
+    except ArithmeticError:
+        raise ConvergenceError("the float guide cannot represent this target") from None
     g = _solution_from_weights(
         delta, atoms, [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
     )

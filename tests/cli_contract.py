@@ -161,6 +161,10 @@ ABS_MIN_OF = {"min_of": [_pieces([(["-1"], "-1"), (["1"], "1")]),
                          _pieces([(["-1"], "1"), (["1"], "-1")])]}
 # three atoms on the unit square; the start misses them by up to 371/1536
 THREE_ATOMS = _atoms([(["0", "0"], "1/3"), (["1", "0"], "1/2"), (["1", "1"], "7/6")])
+# two atoms 10^-17 apart on the unit square, one point in floats: the
+# guide's first Newton system is singular, so the solve exits 3 with its
+# report after one iteration
+NEAR_ATOMS = _atoms([(["1/2", "1/2"], "1"), (["1/2", "50000000000000001/100000000000000000"], "1")])
 
 # ---------------------------------------------------------------------------
 # graph documents
@@ -244,6 +248,7 @@ VALID_DOCUMENTS = {
 }
 PLAIN = 'expected a string "p/q" or "p"'
 BIG = "1" + "0" * 2200
+HUGE = "1" + "0" * 200
 SLOPE_RANGE = ("EnvelopeError", "obstacle decays below the admissible slope range")
 NOT_POSITIVE = ("MassBalanceError", "reference measure must be positive")
 
@@ -282,6 +287,27 @@ CONTRACT = {
                                ("DegeneratePolytopeError", "polytope must be full-dimensional")),
     "toric-solve-no-atoms": Row(_argv("toric-solve", {"delta": SQUARE, "mu": {"atoms": []}}), 2,
                                 ("AdmissibilityError", "target measure must be positive and nonempty")),
+    # targets the float guide cannot represent exit 3 (they were tracebacks,
+    # exit 1): an atom or a mass past the float range leaves the guide no
+    # start, an atom at 10^300 leaves it weights too far apart for the grid
+    # 2^-50, and atoms 10^-320 apart, whose squared distance underflows to
+    # 0 in the start's cells, end the solve at the start, with its report
+    "toric-solve-guide-atom-overflow": Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1" + "0" * 400, "0"], "1"),
+                                                              (["0", "0"], "1")])}), 3,
+        ("ConvergenceError", "the float guide cannot represent this target")),
+    "toric-solve-guide-weights-apart": Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1" + "0" * 300, "0"], "1"),
+                                                              (["0", "0"], "1")])}), 3,
+        ("ConvergenceError", "the float guide cannot represent this target")),
+    "toric-solve-guide-mass-overflow": Row(
+        _argv("toric-solve", {"delta": {"vertices": [["0", "0"], [HUGE, "0"], [HUGE, HUGE], ["0", HUGE]]},
+                              "mu": _atoms([(["0", "0"], "2" + "0" * 400)])}), 3,
+        ("ConvergenceError", "the float guide cannot represent this target")),
+    "toric-solve-guide-underflow": Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1/1" + "0" * 320, "0"], "1"),
+                                                              (["0", "0"], "1")])}), 3,
+        sha256="434694530199c0ba2f5a408e55fa8dd384f238d3cf4a55ddef17b1097495a50e"),
     "toric-ma-square": Row(_argv("toric-ma", {"delta": SQUARE, "g": SQUARE_G}), 0),
     "toric-ma-interval": Row(_argv("toric-ma", {"delta": INTERVAL, "g": INTERVAL_G}), 0),
     "toric-ma-square-pruned": Row(_argv("toric-ma", {"delta": SQUARE, "g": SQUARE_PRUNED_G}), 0),
@@ -405,16 +431,13 @@ ROWS["test_cli_toric_ma"] = Row(
 ROWS["test_cli_toric_solve_exit_codes"] = Row(
     _argv("toric-solve", VALID_DOCUMENTS["toric-solve"]), 0,
     sha256="7de4669607dce8a42721e4ce826f05ea0d84a6f0132bd5e3fd839f85d0fb9700")
-# one Newton step does not converge: exit 3 with the report; a tolerance
-# that is not finite is invalid: exit 2 (inf reported the start as
-# converged, and nan failed even an exact solve)
-for i, (options, code) in enumerate([
-    (("--max-iter", "1"), 3), (("--tol", "nan"), 2), (("--tol", "inf"), 2),
-]):
-    ROWS[f"test_cli_toric_solve_three_atoms_exit_codes[options{i}-{code}]"] = Row(
-        _argv("toric-solve", {"delta": SQUARE, "mu": THREE_ATOMS}, options), code,
-        None if code == 3 else ("ValueError", "tolerance must be positive and finite"),
-        "6c7d5f218532d7f2803cd5013c6d6c35fa18ed9f05816e961f72b931b8a6e975" if code == 3 else None)
+# the solve has no settings: --max-iter and --tol are usage errors (a
+# tolerance of inf once reported the start as converged, and nan failed
+# even an exact solve)
+for i, options in enumerate([("--max-iter", "1"), ("--tol", "nan"), ("--tol", "inf")]):
+    ROWS[f"test_cli_toric_solve_three_atoms_exit_codes[options{i}-2]"] = Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": THREE_ATOMS}, options), 2,
+        ("usage", "unrecognized arguments: " + " ".join(options)))
 ROWS["test_cli_malformed_json"] = Row(
     _argv("toric-ma", {"delta": Text('{"vertices": ['), "g": Text('{"vertices": [')}), 2,
     ("SchemaError", "delta.json: invalid JSON at line 1 column 15"))
@@ -644,9 +667,8 @@ for case, argv, digest in [
      "9e5af46f3d7f111d2ad274a7f0772e902fd47b153d586261613b020b4ebf609e"),
     ("toric-solve-interval", TORIC_GOLDEN["interval-a3"],
      "e5297a288f68c36a33b298f93b03d27bab873dfb6d3269cf6d0267ce99ec55f3"),
-    ("toric-solve-no-convergence",
-     _argv("toric-solve", {"delta": SQUARE, "mu": THREE_ATOMS}, ("--max-iter", "1")),
-     "6c7d5f218532d7f2803cd5013c6d6c35fa18ed9f05816e961f72b931b8a6e975"),
+    ("toric-solve-no-convergence", _argv("toric-solve", {"delta": SQUARE, "mu": NEAR_ATOMS}),
+     "736969075b1ebc32b76acaaed61cbf7f3af195d91d0587193e3fb1124a76bf0b"),
     ("toric-energy",
      _argv("toric-energy", {"delta": SQUARE, "g": DENOMINATOR_6, "g0": PARABOLOID_16}),
      "45294bd002b287e7a286b4f1c9b4469d9ba3f5d8e272a7b0e189ec380737c136"),
@@ -669,7 +691,7 @@ for case, argv, digest in [
      "933a6685eef1b08dc31cf95ab3685dc6719ea2481c85c75c48708d8d2e6ab1b8"),
 ]:
     ROWS[f"test_cli_csv_cells_are_the_json_strings[{case}]"] = Row(
-        argv, 3 if "--max-iter" in argv else 0, sha256=digest)
+        argv, 3 if case == "toric-solve-no-convergence" else 0, sha256=digest)
 # --g0 "" is given, so it is read as a path that does not exist; it once fell
 # back to the support function without a word
 ROWS["test_cli_energy_empty_g0_path_exit_2"] = Row(

@@ -32,7 +32,6 @@ from plma.geometry import (
 )
 from plma.serialize import graph_function_to_json
 from plma.solver import (
-    SolverOptions,
     _clip_polygon,
     _power_cells,
     _voronoi_weights,
@@ -292,7 +291,8 @@ def test_mass_mismatch_rejected():
         solve_toric(delta, nu)
 
 
-def test_nonconvergence_reported():
+def test_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
     delta = unit_square()
     nu = DiscreteMeasure.from_atoms(
         [
@@ -301,7 +301,7 @@ def test_nonconvergence_reported():
             ((Fraction(1, 3), Fraction(6, 7)), Fraction(1, 3)),
         ]
     )
-    rep = solve_toric(delta, nu, SolverOptions(max_iterations=1))
+    rep = solve_toric(delta, nu)
     assert not rep.converged
     assert rep.iterations == 1
 
@@ -317,14 +317,20 @@ def _singular_newton_system(form, pinned):
     raise GraphError("singular linear system")
 
 
+def _float_overflow(*args):
+    raise OverflowError("math range error")
+
+
 @pytest.mark.parametrize("patch", [
     (solver, "MIN_STEP", 2.0),  # no damping factor alpha <= 1 reaches it: the step stalls
     (curves, "solve_laplacian", _singular_newton_system),
-], ids=["stall", "singular"])
+    (math, "hypot", _float_overflow),  # the first step's residual norm
+], ids=["stall", "singular", "float"])
 def test_newton_early_exits_report_not_converged(patch, tmp_path, capsys, monkeypatch):
-    # both early exits of the Newton loop end the solve unconverged after
-    # its first step, with the exact residual of the returned solution,
-    # and the CLI exits 3 with that report
+    # every early exit of the Newton loop, a float operation that fails
+    # included, ends the solve unconverged after its first step, with the
+    # exact residual of the returned solution, and the CLI exits 3 with
+    # that report
     monkeypatch.setattr(*patch)
     delta, nu = unit_square(), DiscreteMeasure.from_atoms(NEWTON_TARGET)
     rep = solve_toric(delta, nu)
@@ -359,21 +365,6 @@ def test_solver_input_errors(case):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tolerance=0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iterations=0)
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
-def test_solver_options_reject_non_finite_tolerance(tolerance):
-    # an infinite tolerance reported any start as converged, and NaN reported
-    # even an exact solution as not converged
-    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-        SolverOptions(tolerance=tolerance)
 
 
 def test_residual_op(rng):
