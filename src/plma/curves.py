@@ -41,9 +41,10 @@ case mu = d_L delta_x, and solver.solve_curve its general case.  The
 canonical metric of multiplication by m on the circle at step k needs no
 solve: its potential is the discrete parabola through the m^k-division
 points, in closed form.  canonical_form writes that form once, on
-integers, and it has two readers: canonical_metric builds its Fractions,
-and serialize.canonical_metric_to_json, which curve-canonical prints,
-its strings.
+integers, with the reduced string of each division point, and it has two
+readers: canonical_metric builds its Fractions, and
+serialize.canonical_metric_to_json, which curve-canonical prints, its
+document.
 
 A graph has at least one edge; loops and parallel edges are allowed,
 and all edge lengths are finite.
@@ -744,32 +745,42 @@ class CanonicalForm(NamedTuple):
 
     n = m^k is the number of arcs; the potential at j/n is p j (j - n) / q
     with q = 2 den(d_L) n^2, p = num(d_L); every atom has the mass d_L / n;
-    order lists the interior division points j = 1 .. n-1 in the repr order
-    of their keys."""
+    offsets holds the reduced rational string of j/n, j = 0 .. n ("0" and
+    "1" at the ends); order lists the interior division points j = 1 .. n-1
+    in the repr order of their keys."""
 
     n: int
     p: int
     q: int
     mass: Fraction
+    offsets: list
     order: list
 
 
 def canonical_form(m: int, iterations: int, d_L=1) -> CanonicalForm:
     """The closed form of the canonical metric at step k = iterations (see
-    canonical_metric), on integers.  Cost O(n log n) for the order."""
+    canonical_metric), on integers.  Each offset string is formatted once,
+    with one gcd per pair (j, n - j), since gcd(j, n) = gcd(n - j, n), and
+    the order is read off those strings.  Cost O(n log n) for the order."""
     if m < 2:
         raise ValueError("multiplier m must be at least 2")
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     d_L = as_fraction(d_L)
     n = m**iterations
+    offsets = ["0"] * (n + 1)
+    offsets[n] = "1"
+    for j in range(1, n // 2 + 1):
+        g = gcd(j, n)
+        b = n // g
+        offsets[j] = "%d/%d" % (j // g, b)
+        offsets[n - j] = "%d/%d" % (b - j // g, b)
     # the repr order of the keys: "('e', 0, Fraction(a, b))" with a/b = j/n
     # in lowest terms sorts as (str(a), str(b)), since "," and ")" sort
     # below every digit, and so as the string "a/b" (b > 1 here, and "/"
     # sorts below every digit too); the vertex key "('v', 0)" comes last
-    keys = ["%d/%d" % (j // (g := gcd(j, n)), n // g) for j in range(n)]
-    order = sorted(range(1, n), key=keys.__getitem__)
-    return CanonicalForm(n, d_L.numerator, 2 * d_L.denominator * n * n, d_L / n, order)
+    order = sorted(range(1, n), key=offsets.__getitem__)
+    return CanonicalForm(n, d_L.numerator, 2 * d_L.denominator * n * n, d_L / n, offsets, order)
 
 
 def canonical_metric(m: int, iterations: int, d_L=1):
@@ -789,10 +800,10 @@ def canonical_metric(m: int, iterations: int, d_L=1):
     u = 0 (Baker and Rumely), which the tests keep as oracles; omega_k
     equidistributes toward d_L times Lebesgue measure.  The form is written
     once, on integers, by canonical_form; this function builds its
-    Fractions from it, and serialize.canonical_metric_to_json its strings.
+    Fractions from it, and serialize.canonical_metric_to_json its document.
     Cost O(N log N).
     """
-    n, p, q, mass, order = canonical_form(m, iterations, d_L)
+    n, p, q, mass, _, order = canonical_form(m, iterations, d_L)
     offsets = [Fraction(j, n) for j in range(n)] + [Fraction(1)]
     potential = GraphPLFunction(
         (tuple((o, Fraction(p * j * (j - n), q)) for j, o in enumerate(offsets)),)

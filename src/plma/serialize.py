@@ -16,10 +16,12 @@ newline.  json.dumps is not called with `indent`: then CPython before
 3.13 skips its C encoder for a pure-Python one, which cost more than the
 mathematics of a large curve-canonical.  `json_array` and `json_object`
 lay out any other document from already-written values.  One writer reads
-integers, not library objects: `canonical_metric_to_json` and
-`canonical_metric_rows` format curve-canonical's document and CSV rows
-from the closed form of curves.canonical_form, each number once from its
-reduced integers, with the same templates and so the same bytes.
+integers and strings, not library objects: `canonical_metric_to_json` and
+`canonical_metric_rows` write curve-canonical's document and CSV rows from
+the closed form of curves.canonical_form, whose offset strings each are
+formatted once.  The document, the largest the CLI writes, is written in
+one pass at its final indentation: one template per record at its depth,
+filled a column at a time, and one join, with no replace.
 
 `load_path` reads every input file as UTF-8, as RFC 8259 asks, whatever
 the locale; bytes that are not UTF-8, like malformed JSON or a JSON number
@@ -273,37 +275,70 @@ def graph_measure_from_json(obj, graph: MetricGraph) -> GraphMeasure:
     return GraphMeasure.from_atoms(graph, atoms)
 
 
-def _rational(a, b):
-    # the rational string of a / b, b > 0, from its reduced integers
-    g = gcd(a, b)
-    return "%d" % (a // g) if g == b else "%d/%d" % (a // g, b // g)
+# curve-canonical's document at its final indentation: the records of its
+# three arrays at their depth, each with the separator from the next, and
+# the text around them; the last arc, the vertex atom and the pair at the
+# end of the edge close their arrays
+_CANONICAL_ARC = '    "%s",\n'
+_CANONICAL_ATOM = (
+    '      {\n        "mass": "%s",\n        "point": {\n          "edge": 0,\n'
+    '          "offset": "%s"\n        }\n      },\n'
+)
+_CANONICAL_PAIR = '        [\n          "%s",\n          "%s"\n        ],\n'
+_CANONICAL_HEAD = '{\n  "arc_masses": [\n'
+_CANONICAL_MEASURE = '    "%s"\n  ],\n  "measure": {\n    "atoms": [\n'
+_CANONICAL_POTENTIAL = (
+    '      {\n        "mass": "%s",\n        "point": {\n          "vertex": 0\n        }\n'
+    '      }\n    ]\n  },\n  "potential": {\n    "edges": [\n      [\n'
+)
+_CANONICAL_TAIL = '        [\n          "%s",\n          "%s"\n        ]\n      ]\n    ]\n  }\n}'
+
+
+def _filled(template, *columns):
+    """The pieces of template % row for each row of the columns, in order:
+    their "".join is the records' text.  The list is filled a column at a
+    time, by slice, so no record is formatted on its own."""
+    literals = template.split("%s")
+    row = [literals[0]]
+    for literal in literals[1:]:
+        row += [None, literal]
+    pieces = row * len(columns[0])
+    for i, column in enumerate(columns):
+        pieces[2 * i + 1::len(row)] = column
+    return pieces
 
 
 def canonical_metric_to_json(form: CanonicalForm) -> str:
     """The curve-canonical document of the closed form of the canonical
-    metric (curves.canonical_form, d_L != 0), written from its integers:
-    each offset, value and mass string is formatted once from its reduced
-    integers, and no Fraction is built.  The potential's breakpoints, the
-    measure's atoms in their key order and the arc masses reuse them; arc j
-    holds exactly the atom at j/n, so its mass is the one mass d_L/n."""
-    n, p, q, mass, order = form
-    offsets = [_rational(j, n) for j in range(n + 1)]
-    values = [_rational(p * j * (j - n), q) for j in range(n + 1)]
-    mass = str(mass)
-    atoms = [_EDGE_ATOM % (mass, 0, offsets[j]) for j in order]
-    atoms.append(_VERTEX_ATOM % (mass, _scalar(0)))
-    return json_object({
-        "potential": _graph_function([zip(offsets, values)]),
-        "measure": json_object({"atoms": json_array(atoms)}),
-        "arc_masses": json_array(['"%s"' % mass] * n),
-    })
+    metric (curves.canonical_form, d_L != 0), written in one pass at its
+    final indentation, from the form's integers and offset strings: one
+    template per record at its depth, filled by _filled, and one join; no
+    Fraction is built.  Each parabola value p j (j - n) / q is reduced once
+    per pair (j, n - j), on which it is equal.  The measure's atoms follow
+    the form's order, the vertex last; arc j holds exactly the atom at j/n,
+    so its mass is the one mass d_L/n."""
+    n, p, q, mass, offsets, order = form
+    half = []
+    for j in range(n // 2 + 1):
+        v = p * j * (j - n)
+        g = gcd(v, q)
+        half.append("%d" % (v // g) if g == q else "%d/%d" % (v // g, q // g))
+    values = half + half[(n - 1) // 2::-1]
+    return "".join([
+        _CANONICAL_HEAD,
+        (_CANONICAL_ARC % mass) * (n - 1),
+        _CANONICAL_MEASURE % mass,
+        *_filled(_CANONICAL_ATOM % (mass, "%s"), [offsets[j] for j in order]),
+        _CANONICAL_POTENTIAL % mass,
+        *_filled(_CANONICAL_PAIR, offsets[:n], values[:n]),
+        _CANONICAL_TAIL % (offsets[n], values[n]),
+    ])
 
 
 def canonical_metric_rows(form: CanonicalForm):
-    """The CSV rows of the same document, formatted as they are read: the
-    strings of j/n, (j+1)/n and the arc's mass d_L/n, j = 0 .. n-1."""
-    n, mass = form.n, str(form.mass)
-    offsets = [_rational(j, n) for j in range(n + 1)]
+    """The CSV rows of the same document, read off the form's offset
+    strings: j/n, (j+1)/n and the arc's mass d_L/n, j = 0 .. n-1."""
+    offsets, mass = form.offsets, str(form.mass)
     for a, b in zip(offsets, offsets[1:]):
         yield [a, b, mass]
 

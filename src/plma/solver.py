@@ -57,12 +57,18 @@ any or they lie too far apart for the grid 2^-50, raises ConvergenceError.
 
 The iteration runs in floating point, on a float copy of the polygon: the
 float cells guide, and the exact subdifferential kernel verifies.  The
+guide solves a translated copy of the problem, so that its floats carry
+the shape of the cells and not their position: delta moved by -c and the
+atoms by -e, where c and e are the vertex mean of delta and the atom mean
+truncated toward zero to integer points (nothing moves when both means
+lie in (-1, 1)).  Moving the atoms changes no cell, and moving delta
+changes w_i - w_0 by <c, v_i - v_0>, which is added back exactly.  The
 weights are fixed in the gauge w_0 = 0, rounded to the common denominator
-2^50 and snapped to small denominators, which recovers the exact solution
-whenever it is rational.  When the snap fails, the weights on 2^-50 are
-returned: one common dyadic denominator keeps the integers of the exact
-check small, where a separate rational approximation per weight made
-their common denominator grow with k.  The residual of the returned
+2^50, snapped to small denominators (which recovers the exact solution
+whenever it is rational) and then moved back.  When the snap fails, the
+weights on 2^-50 are returned: one common dyadic denominator keeps the
+integers of the exact check small, where a separate rational
+approximation per weight made their common denominator grow with k.  The residual of the returned
 solution is always recomputed exactly through the independent
 subdifferential-volume path.  In one
 dimension the cells are consecutive intervals and the weights have a
@@ -84,7 +90,10 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     _integer_points,
+    dot,
     dual_transform,
+    vscale,
+    vsub,
     without_digit_limit,
 )
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
@@ -289,6 +298,13 @@ def _newton(delta, atoms, vol):
         return weights, it, False  # the floats cannot carry the target further
 
 
+def _truncated_mean(X, q):
+    """The mean of the integer points X / q, q > 0, truncated toward zero
+    to an integer point."""
+    k = len(X) * q
+    return tuple(s // k if s >= 0 else -(-s // k) for s in map(sum, zip(*X)))
+
+
 def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     """Find admissible g with MA(g) = nu (real normalization, mass Vol(delta)).
 
@@ -318,17 +334,29 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
         res = residual(g, nu, delta)
         return SolveReport(g, res, res, 0, True)
 
+    # the guide solves a copy moved near the origin, exactly: delta by -c
+    # and the atoms by -e, the integer points of their means truncated
+    # toward zero, so that its floats do not carry the position
+    c = _truncated_mean(*delta._integer_ring)
+    e = _truncated_mean(*_integer_points([v for v, _ in atoms]))
     try:
-        weights, it, converged = _newton(delta, atoms, vol)
+        weights, it, converged = _newton(
+            delta.translate(vscale(-1, c)) if any(c) else delta,
+            [(vsub(v, e), m) for v, m in atoms] if any(e) else atoms, vol)
         wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
     except ArithmeticError:
         raise ConvergenceError("the float guide cannot represent this target") from None
-    g = _solution_from_weights(
-        delta, atoms, [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
-    )
+    snapped = [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
+    if any(c):
+        # and back: w_i - w_0 = w'_i - w'_0 - <c, v_i - v_0>, on the grid
+        # and on the snap alike
+        back = [dot(c, vsub(v, atoms[0][0])) for v, _ in atoms]
+        wfrac = [w - b for w, b in zip(wfrac, back)]
+        snapped = [w - b for w, b in zip(snapped, back)]
+    g = _solution_from_weights(delta, atoms, snapped)
     polished = residual(g, nu, delta)
     res = polished
-    if any(e != 0 for _, e in polished):
+    if any(r != 0 for _, r in polished):
         g = _solution_from_weights(delta, atoms, wfrac)
         res = residual(g, nu, delta)
     return SolveReport(g, res, polished, it, converged)

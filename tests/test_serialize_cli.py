@@ -481,10 +481,11 @@ def fraction_canonical_output(m, k, fmt):
     }) + "\n"
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_cli_canonical_against_fraction_path(m, capsys, tmp_path):
     # every k with m^k <= 4096, k = 0 (one arc, the vertex atom alone)
-    # included, on stdout and through --output, in JSON and CSV
+    # included, on stdout and through --output, in JSON and CSV; m = 6 is
+    # the first multiplier whose gcd(j, m^k) mixes two primes
     k = 0
     while m**k <= 4096:
         for fmt in ("json", "csv"):

@@ -349,6 +349,32 @@ def test_newton_early_exits_report_not_converged(patch, tmp_path, capsys, monkey
     assert json.loads(out) == json.loads(serialize.solve_report_to_json(rep))
 
 
+# a target that converges in 3 steps on the unit square, and so must every
+# translated copy of it, however far from the origin
+TRANSLATED_TARGET = [
+    ((Fraction(1, 3), Fraction(1, 4)), Fraction(1, 4)),
+    ((Fraction(2, 3), Fraction(1, 2)), Fraction(1, 2)),
+    ((Fraction(1, 5), Fraction(4, 5)), Fraction(1, 4)),
+]
+
+
+@pytest.mark.parametrize("offset", [10**6, 10**20, -(10**20), 10**300],
+                         ids=["1e6", "1e20", "-1e20", "1e300"])
+def test_translated_solve_converges(offset):
+    # delta alone, and delta with the atoms, translated by (offset, offset):
+    # the guide runs on a copy moved back near the origin, so each solve
+    # takes the 3 steps of the untranslated one, and its exact residual is
+    # below TOLERANCE * Vol(delta)
+    t = (offset, offset)
+    delta = unit_square().translate(t)
+    for atoms in (TRANSLATED_TARGET, [(vadd(v, t), m) for v, m in TRANSLATED_TARGET]):
+        nu = DiscreteMeasure.from_atoms(atoms)
+        rep = solve_toric(delta, nu)
+        assert rep.converged and rep.iterations == 3
+        assert rep.residual == residual(rep.solution, nu, delta)
+        assert max(abs(e) for _, e in rep.residual) < solver.TOLERANCE * delta.volume()
+
+
 SOLVER_INPUT_ERRORS = {
     "segment in the plane": (
         lambda: solve_toric(Polytope.from_points([(0, 0), (2, 1)]),
