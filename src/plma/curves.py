@@ -87,14 +87,19 @@ class MetricGraph:
     @staticmethod
     def build(vertex_ids, edges) -> "MetricGraph":
         vids = tuple(vertex_ids)
-        if len(set(vids)) != len(vids):
+        declared = set(vids)
+        if len(declared) != len(vids):
             raise GraphError("duplicate vertex ids")
         es = []
         for u, v, ln in edges:
             ln = as_fraction(ln)
             if ln <= 0:
                 raise GraphError("edge lengths must be positive")
-            if u not in vids or v not in vids:
+            try:
+                known = u in declared and v in declared
+            except TypeError:  # an unhashable end
+                known = False
+            if not known:
                 raise GraphError("edge endpoint not a declared vertex")
             es.append((u, v, ln))
         g = MetricGraph(vids, tuple(es))
@@ -367,6 +372,11 @@ def _refine(graph: MetricGraph, keys):
     the sorted interior offsets of each edge.  _eliminate breaks its
     minimum-degree ties in this order, and _node_values and
     _function_from_node_values read it.  node_problem is its one caller.
+
+    Each weight is one Fraction built from integers: an edge of length
+    p / q with no interior node weighs q / p, and otherwise, with the
+    offsets 0 < o_1 < ... < length written X_j / L over the lcm L of
+    their denominators, segment j weighs L / (X_{j+1} - X_j).
     """
     # each edge's offsets in the order they come, without repeats, so that
     # sorting offsets that come sorted costs one comparison per offset
@@ -383,11 +393,14 @@ def _refine(graph: MetricGraph, keys):
         first = len(index)
         index.update((("e", e, o), first + j) for j, o in enumerate(offs))
         stops = [index[("v", u)], *range(first, len(index)), index[("v", v)]]
-        offs_full = [Fraction(0)] + offs + [ln]
-        edges.extend(
-            (a, b, 1 / (o2 - o1))
-            for a, b, o1, o2 in zip(stops, stops[1:], offs_full, offs_full[1:])
-        )
+        if not offs:
+            edges.append((*stops, Fraction(ln.denominator, ln.numerator)))
+            continue
+        L = lcm(ln.denominator, *(o.denominator for o in offs))
+        X = [0, *(o.numerator * (L // o.denominator) for o in offs),
+             ln.numerator * (L // ln.denominator)]
+        edges.extend((a, b, Fraction(L, x2 - x1))
+                     for a, b, x1, x2 in zip(stops, stops[1:], X, X[1:]))
     return index, edges, edge_offsets
 
 

@@ -248,14 +248,27 @@ def graph_function_to_json(f: GraphPLFunction) -> str:
 def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
     if not _has_array(obj, "edges"):
         raise SchemaError('graph function must be {"edges": [...]}')
-    values = []
+    values, parsed = [], {}
     for pairs in obj["edges"]:
         if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in pairs
         ):
             raise SchemaError('each edge must be a list of ["offset", "value"] pairs')
-        values.append(tuple((parse_rational(o), parse_rational(y)) for o, y in pairs))
+        values.append(tuple((_parse_once(o, parsed), _parse_once(y, parsed)) for o, y in pairs))
     return GraphPLFunction.build(graph, values)
+
+
+def _parse_once(s, parsed):
+    """parse_rational(s), each string parsed once per dict `parsed`: a
+    graph function repeats a vertex value on every edge at the vertex, "0"
+    on every edge and each edge length as its end offset.  The dict lives
+    for one document."""
+    if not isinstance(s, str):
+        return parse_rational(s)
+    q = parsed.get(s)
+    if q is None:
+        q = parsed[s] = parse_rational(s)
+    return q
 
 
 def graph_measure_to_json(mu: GraphMeasure) -> str:

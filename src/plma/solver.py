@@ -220,8 +220,9 @@ def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):
     return weights
 
 
-def _voronoi_weights(delta: Polytope, atoms):
-    """Float weights whose power cells are Voronoi cells of sites inside delta.
+def _voronoi_weights(delta: Polytope, V, A):
+    """Float weights whose power cells are Voronoi cells of sites inside
+    delta, for the atoms V_i / A (the integer points of `_integer_points`).
 
     The sites are p_i = c + t (v_i - m), with c the vertex mean of delta, m
     the atom mean and t half the largest scale that keeps every site in
@@ -235,7 +236,6 @@ def _voronoi_weights(delta: Polytope, atoms):
     Each weight is rounded to float once, from its exact value.
     """
     R, Q = delta._integer_ring
-    V, A = _integer_points([v for v, _ in atoms])
     n, k = len(R), len(V)
     sR = (sum(r[0] for r in R), sum(r[1] for r in R))
     sV = (sum(v[0] for v in V), sum(v[1] for v in V))
@@ -259,15 +259,16 @@ def _voronoi_weights(delta: Polytope, atoms):
             for d0, d1 in dirs]
 
 
-def _newton(delta, atoms, vol):
-    """Damped Newton in floats from the Voronoi start: (weights, iterations,
-    converged).  A float operation that fails once the start has weights
-    ends it unconverged at the last accepted weights; one before raises."""
-    fatoms = [(tuple(float(c) for c in v), float(m)) for v, m in atoms]
-    target = [m for _, m in fatoms]
+def _newton(delta, V, A, masses, vol):
+    """Damped Newton in floats from the Voronoi start, for the atoms V_i / A
+    (integer points) of the given masses: (weights, iterations, converged).
+    A float operation that fails once the start has weights ends it
+    unconverged at the last accepted weights; one before raises."""
+    target = [float(m) for m in masses]
+    fatoms = [(tuple(x / A for x in X), m) for X, m in zip(V, target)]
     tol_abs = TOLERANCE * float(vol)
     ring = [tuple(map(float, p)) for p in delta.ring()]
-    weights, it = _voronoi_weights(delta, atoms), 0
+    weights, it = _voronoi_weights(delta, V, A), 0
     try:
         vols, edges = _power_cells(ring, fatoms, weights)
         r = [t - v for t, v in zip(target, vols)]
@@ -335,14 +336,16 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
         return SolveReport(g, res, res, 0, True)
 
     # the guide solves a copy moved near the origin, exactly: delta by -c
-    # and the atoms by -e, the integer points of their means truncated
-    # toward zero, so that its floats do not carry the position
+    # and the atoms V / A by -e, the integer points of their means
+    # truncated toward zero, so that its floats do not carry the position
     c = _truncated_mean(*delta._integer_ring)
-    e = _truncated_mean(*_integer_points([v for v, _ in atoms]))
+    V, A = _integer_points([v for v, _ in atoms])
+    e = _truncated_mean(V, A)
+    if any(e):
+        V = [vsub(X, vscale(A, e)) for X in V]
     try:
-        weights, it, converged = _newton(
-            delta.translate(vscale(-1, c)) if any(c) else delta,
-            [(vsub(v, e), m) for v, m in atoms] if any(e) else atoms, vol)
+        weights, it, converged = _newton(delta.translate(vscale(-1, c)) if any(c) else delta,
+                                         V, A, [m for _, m in atoms], vol)
         wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
     except ArithmeticError:
         raise ConvergenceError("the float guide cannot represent this target") from None

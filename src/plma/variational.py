@@ -16,8 +16,10 @@ linear complementarity problem g >= 0, s = laplacian(psi) + omega0 -
 laplacian(g) >= 0, g s = 0 at the nodes (Cottle, Pang and Stone), whose
 last condition is the orthogonality property at the nodes.  Howard's
 policy iteration (Bokanowski, Maroso and Zidani, SIAM J. Numer. Anal.
-2009) solves it: a float pass only guesses the contact set, and an exact
-pass started from that guess stops at exact complementarity.  Each step
+2009) solves it: a float pass, started at the nodes where
+laplacian(psi) + omega0 > 0, only guesses the contact set, and an exact
+pass started from that guess (or from the same nodes, when the guide
+fails) stops at exact complementarity.  Each step
 of either pass is the package's one Laplacian solve,
 curves.solve_laplacian, with g pinned to zero on the contact set: in
 floats for the guide, and for the exact pass usually one p-adic solve.
@@ -318,18 +320,25 @@ def envelope_subharmonic(
     curves.solve_laplacian on integers, every compare and sum is on
     integers, and no numerator carries the obstacle's own denominator.
 
-    The iteration runs twice.  First in floats, from C = every node until
-    a contact set repeats: this guide only proposes a contact set.  Then
-    exactly from that set, until the iterate is exactly complementary
-    (g >= 0 and s >= 0 at every node; s = 0 off C and g = 0 on C hold by
-    construction), which a good guess passes after one solve.  If the
-    guide fails (an overflow, a singular or non-finite solve, no repeat
-    or an empty contact set), the exact pass starts from every node
-    instead.  Howard's iteration converges from any nonempty contact set,
-    in at most len(nodes) + 1 exact solves (Bokanowski, Maroso and
-    Zidani), and the solution is unique, so the guide changes the cost
-    and never the result; if those solves end with no complementary
-    iterate, ConvergenceError is raised.
+    The iteration runs twice.  First in floats, from C = {k : r(k) > 0}
+    until a contact set repeats: this guide only proposes a contact set.
+    Then exactly from that set, until the iterate is exactly
+    complementary (g >= 0 and s >= 0 at every node; s = 0 off C and g = 0
+    on C hold by construction), which a good guess passes after one
+    solve.  If the guide fails (an overflow, a singular or non-finite
+    solve, no repeat or an empty contact set), the exact pass starts from
+    {k : r(k) > 0} instead.  That start is the data's own guess, as in a
+    primal-dual active-set method (Hintermueller, Ito and Kunisch): it is
+    never empty, since r sums to mass(omega0) > 0, and every node of the
+    answer's contact set has r(k) = s(k) + laplacian(g)(k) >= 0, because
+    g is 0 there and >= 0 at the neighbours.  So the nodes of negative r
+    start free, as they end, and the nodes of zero r, which a start from
+    every node frees one graph layer per step, start free too.  Howard's
+    iteration converges from any nonempty contact set, in at most
+    len(nodes) + 1 exact solves (Bokanowski, Maroso and Zidani), and the
+    solution is unique, so the start and the guide change the cost and
+    never the result; if those solves end with no complementary iterate,
+    ConvergenceError is raised.
 
     The node check is the whole proof.  Every breakpoint of psi is a node
     (node_problem), so psi is linear between nodes, and so is the
@@ -373,8 +382,9 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     exact pass until the node check (every gap and every s >= 0) holds."""
     curves.reference_mass(omega0)
     index, edge_offsets, obstacle, form = curves.node_problem(graph, psi, omega0)
-    _, Dr, _, Dw = form
-    contact = _float_contact(form) or set(range(len(index)))
+    R, Dr, _, Dw = form
+    start = {k for k, r in enumerate(R) if r > 0}
+    contact = _float_contact(form, start) or start
     for G, d, S, _ in _howard(form, contact):
         if min(G) >= 0 and min(S) >= 0:
             return _Nodes(index, edge_offsets, obstacle, (S, Dw * d * Dr), (G, d * Dr))
@@ -411,19 +421,19 @@ def _howard(form, contact):
         yield G, d, S, contact
 
 
-def _float_contact(form):
+def _float_contact(form, start):
     """The contact set at which Howard's iteration settles in floats, from
-    every node: the first that repeats an earlier one, since rounding at a
-    tie node (g = s = 0) can make the float iteration cycle.  None if a
-    float solve overflows, is singular or not finite, or nothing repeats.
-    The guide runs _howard on the float form (R / Dr, 1, W / Dw, 1) of
-    `form`, so each of its solves is curves.solve_laplacian in floats.
-    Only a guide: the exact pass checks it."""
+    the contact set `start`: the first that repeats an earlier one, since
+    rounding at a tie node (g = s = 0) can make the float iteration cycle.
+    None if a float solve overflows, is singular or not finite, or nothing
+    repeats.  The guide runs _howard on the float form (R / Dr, 1, W / Dw,
+    1) of `form`, so each of its solves is curves.solve_laplacian in
+    floats.  Only a guide: the exact pass checks it."""
     R, Dr, W, Dw = form
-    found = [set(range(len(R)))]
+    found = [start]
     try:
         guide = ([r / Dr for r in R], 1, [(a, b, w / Dw) for a, b, w in W], 1)
-        for G, _, _, contact in _howard(guide, found[0]):
+        for G, _, _, contact in _howard(guide, start):
             if not all(map(isfinite, G)):
                 return None
             if contact in found:

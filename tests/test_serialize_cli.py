@@ -256,6 +256,45 @@ def test_graph_function_writer(rng):
         assert serialize.graph_function_from_json(doc, g) == f
 
 
+def test_graph_function_reader_parses_each_string_once_per_document(monkeypatch):
+    # each distinct string of a document is parsed once, and again in the
+    # next document; the result, or the first bad value's SchemaError, is
+    # that of parse_rational on every value in document order
+    g = curves.MetricGraph.build([0, 1, 2], [(0, 1, 2), (1, 2, Fraction(1, 3)), (2, 0, 1)])
+    parse, parsed = serialize.parse_rational, []
+
+    def counted(s):
+        parsed.append(s)
+        return parse(s)
+
+    def reference(doc):
+        try:
+            return GraphPLFunction.build(g, [tuple((parse(o), parse(y)) for o, y in pairs)
+                                             for pairs in doc["edges"]])
+        except SchemaError as exc:
+            return str(exc)
+
+    def read(doc):
+        try:
+            return serialize.graph_function_from_json(doc, g)
+        except SchemaError as exc:
+            return str(exc)
+
+    good = {"edges": [[["0", "1/2"], ["1", "-3"], ["2", "7"]], [["0", "7"], ["1/3", "2"]],
+                      [["0", "2"], ["1/2", "-3"], ["1", "1/2"]]]}
+    monkeypatch.setattr(serialize, "parse_rational", counted)
+    for _ in range(2):
+        parsed.clear()
+        assert read(good) == reference(good)
+        assert sorted(parsed) == sorted({s for pairs in good["edges"] for pair in pairs for s in pair})
+    for bad in ("1.5", 1, [1], None, "1/0"):
+        for e, i, j in ((0, 1, 1), (1, 1, 0), (2, 2, 1)):
+            doc = json.loads(json.dumps(good))
+            doc["edges"][e][i][j] = bad
+            assert read(doc) == reference(doc)
+            assert read(doc).startswith(f"bad rational {bad!r}")
+
+
 def test_graph_measure_writer(rng):
     measures = []
     for _ in range(20):

@@ -23,6 +23,7 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    _integer_points,
     cross2,
     dot,
     support_function,
@@ -195,7 +196,7 @@ def test_voronoi_weights_against_fraction_oracle():
             atoms = atoms[:1] * k  # every direction v_i - m is 0: no side limits t
         elif k > 2 and rng.random() < 0.3:
             atoms[-1] = atoms[0]
-        weights = _voronoi_weights(delta, atoms)
+        weights = _voronoi_weights(delta, *_integer_points([v for v, _ in atoms]))
         assert weights == fraction_voronoi_weights(delta, atoms)
         assert all(type(w) is float for w in weights)
         single += k == 1

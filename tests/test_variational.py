@@ -720,7 +720,9 @@ def test_node_certificate_on_bench_obstacles():
 
 def test_exact_howard_from_any_start():
     # Howard's iteration converges from any nonempty contact set: from every
-    # node, from one node and from random subsets, it reaches the envelope
+    # node, from one node, from the nodes of positive r = laplacian(psi) +
+    # omega0 (the start of both passes) and from random subsets, it reaches
+    # the envelope
     rng = random.Random(2009)
     starts = 0
     for i in range(30):
@@ -729,7 +731,8 @@ def test_exact_howard_from_any_start():
         _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
         form = curves.laplacian_form(obstacle, mass, edges)
         n = len(obstacle)
-        candidates = [set(range(n)), {rng.randrange(n)}]
+        candidates = [set(range(n)), {rng.randrange(n)},
+                      {k for k, r in enumerate(form[0]) if r > 0}]
         candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
         for contact in candidates:
             for G, d, S, contact in variational._howard(form, contact):
@@ -741,7 +744,25 @@ def test_exact_howard_from_any_start():
             x = [y - Fraction(gk, d * form[1]) for y, gk in zip(obstacle, G)]
             assert curves._function_from_node_values(g, x, offsets) == expected
             starts += 1
-    assert starts == 150
+    assert starts == 180
+
+
+def test_exact_contact_set_lies_where_r_is_nonnegative():
+    # at a node k where P(psi) touches psi the gap is 0 and >= 0 around, so
+    # r_k = s_k + laplacian(gap)_k >= 0: the contact set lies in {r >= 0}.
+    # r sums to mass(omega0) > 0, so {r > 0}, the start of both Howard
+    # passes, is never empty (test_exact_howard_from_any_start runs exact
+    # Howard from it)
+    rng = random.Random(2002)
+    strict = 0
+    for i in range(60):
+        g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
+        nodes = variational._envelope_nodes(psi, g, om)
+        R = curves.node_problem(g, psi, om)[3][0]
+        assert any(r > 0 for r in R)
+        assert all(r >= 0 for r, gk in zip(R, nodes.gap[0]) if gk == 0)
+        strict += min(R) <= 0
+    assert strict == 60  # every draw has nodes of r <= 0, which the start leaves free
 
 
 def test_every_linear_solve_goes_through_solve_laplacian(monkeypatch):
@@ -980,15 +1001,17 @@ def spiked_edge(exp_length, exp_value):
 # an edge weight or an r = laplacian(psi) + omega0 that float() cannot
 # hold, a weight or values that round to zero, a singular float system
 # (every weight rounds to zero while r does not), a gap past the float
-# range, and a contact set that never repeats (the rounding of s exceeds
-# the gaps it is compared with)
+# range, and a float iteration that cycles (the rounding of s exceeds the
+# gaps it is compared with)
 FLOAT_HOSTILE = [(-400, 0), (0, 400), (400, 0), (0, -400), (400, 200), (-200, 150),
                  (100, 320), (-20, -20)]
-# where a weight or the values round to zero, the floats cannot tell the
-# nodes apart and the guide settles on every node; every other input ends
-# the guide with None.  A gap past the float range would settle on every
-# node too if it were iterated on, so None tells that it was caught.
-SETTLE_ON_EVERY_NODE = {(400, 0), (0, -400)}
+# where the values round to zero, the floats cannot tell the nodes apart
+# and the guide settles on every node; where the iteration cycles, it
+# comes back to its start, the nodes of positive r; every other input
+# ends the guide with None.  A gap past the float range would settle on
+# every node too if it were iterated on, so None tells that it was caught.
+SETTLE_ON_EVERY_NODE = {(0, -400)}
+SETTLE_ON_THE_START = {(-20, -20)}
 
 
 @pytest.mark.parametrize("exp_length, exp_value", FLOAT_HOSTILE)
@@ -997,24 +1020,28 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
     _, edges, _, obstacle, mass = obstacle_problem(psi, g, om)
-    guide = variational._float_contact(curves.laplacian_form(obstacle, mass, edges))
+    form = curves.laplacian_form(obstacle, mass, edges)
+    start = {k for k, r in enumerate(form[0]) if r > 0}
+    guide = variational._float_contact(form, start)
     if (exp_length, exp_value) in SETTLE_ON_EVERY_NODE:
         assert guide == set(range(len(obstacle)))
+    elif (exp_length, exp_value) in SETTLE_ON_THE_START:
+        assert guide == start
     else:
         assert guide is None
     howard, starts = variational._howard, []
 
     def recorded(form, contact):
         if not isinstance(form[0][0], float):
-            starts.append(contact == set(range(len(form[0]))))
+            starts.append(contact)
         return howard(form, contact)
 
     with monkeypatch.context() as m:
         m.setattr(variational, "_howard", recorded)
         assert envelope_subharmonic(psi, g, om) == expected
-    # the guide failed, or its floats could not tell the nodes apart:
-    # the exact pass starts from every node
-    assert starts == [True]
+    # the exact pass starts from the guide's set, or from the nodes of
+    # positive r where the guide failed
+    assert starts == [guide or start]
     assert_old_check(psi, g, om)
     documents = {"graph": serialize.graph_to_json(g), "omega0": serialize.graph_measure_to_json(om),
                  "g": serialize.graph_function_to_json(psi)}
