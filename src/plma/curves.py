@@ -9,23 +9,29 @@ with this convention a local maximum carries negative mass and the total
 mass is always zero.  A GraphMeasure has the one canonical form of
 geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
 A function is read between its breakpoints by one routine, _values_at,
-in one pass over an edge's sorted breakpoints: eval, _node_values, the
-breakpoint merge of combine and variational.PiecewiseLinear1D all call
-it.  There is one node problem, node_problem below: its nodes are the
-vertices, a function's interior breakpoints and a measure's atoms, which
-_refine numbers once (the vertices in graph order, then each edge's
-sorted interior offsets); it reads the function there and writes the
-Laplacian of the function plus the measure with laplacian_form.
-laplacian(f) is its form with no mass, read back at the nodes; the
-normalized potential solves its form with zero values, and the curve
-envelope of variational its obstacle problem.  Only node_problem calls
-_refine and _node_values.  Every linear solve of the package is one
-problem with one entry: laplacian_form writes a weighted graph on the
-node numbers 0..n-1 and its sources over common denominators, and
-solve_laplacian(form, pinned) solves its Laplacian with the value 0 on a
-set of pinned nodes.  The toric Newton step pins the gauge w_0 = 0, the
-normalized potential g = 0 at node 0 (the first vertex) before its
-shift, and each Howard step of the envelope the gap psi - P(psi) = 0 on
+in one pass over an edge's sorted breakpoints: eval, _refine (at the
+nodes that are not breakpoints), the breakpoint merge of combine and
+variational.PiecewiseLinear1D all call it.  There is one node problem,
+node_problem below: its nodes are the vertices, a function's interior
+breakpoints and a measure's atoms, which _refine numbers once (the
+vertices in graph order, then each edge's sorted interior offsets: the
+function's breakpoints in the order they come, the few other keys merged
+in); it reads the function there as integer numerators over one
+denominator and writes the Laplacian of the function plus the measure
+with laplacian_form, segment weights included, on integers.
+laplacian(f) is its form with no mass, read back at the nodes, whose
+keys _node_keys lists in that order; the normalized potential solves its
+form with zero values, and the curve envelope of variational its
+obstacle problem.  Only node_problem calls _refine.  A solved function is built by one routine,
+_function_from_node_values, from integer numerators over one common
+denominator: integer slope tests drop the nodes where it does not bend,
+and one Fraction is built per value kept.  Every linear solve of the
+package is one problem with one entry: laplacian_form writes a weighted
+graph on the node numbers 0..n-1 and its sources over common
+denominators, and solve_laplacian(form, pinned) solves its Laplacian
+with the value 0 on a set of pinned nodes.  The toric Newton step pins
+the gauge w_0 = 0, the normalized potential g = 0 at node 0 (the first
+vertex) before its shift, and each Howard step of the envelope the gap psi - P(psi) = 0 on
 its contact set.  A float form (the Newton step, the envelope's float
 guide) is one _eliminate in minimum-degree order and one _substitute
 with that factorization.  An integer form goes through
@@ -53,9 +59,11 @@ and all edge lengths are finite.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -93,7 +101,7 @@ class MetricGraph:
         es = []
         for u, v, ln in edges:
             ln = as_fraction(ln)
-            if ln <= 0:
+            if ln.numerator <= 0:
                 raise GraphError("edge lengths must be positive")
             try:
                 known = u in declared and v in declared
@@ -181,36 +189,58 @@ def vertex_key(vid):
 
 @dataclass(frozen=True)
 class GraphPLFunction:
-    """Continuous piecewise-linear function, stored per edge as (offset, value) breakpoints."""
+    """Continuous piecewise-linear function, stored per edge as (offset, value) breakpoints.
+
+    The constructor takes one tuple of Fraction pairs per edge as it is,
+    unchecked: the package's own routines, which build what they hand it
+    valid, call it.  build converts and checks, for every other caller,
+    and serialize.graph_function_from_json checks its parsed Fractions
+    with build's own checks, _checked."""
 
     edge_values: tuple  # one tuple of (offset, value) pairs per edge, endpoints included
 
     @staticmethod
     def build(graph: MetricGraph, edge_values) -> "GraphPLFunction":
-        edge_values = tuple(edge_values)
-        if len(edge_values) != len(graph.edges):
+        """The function of edge_values, one list of (offset, value) pairs
+        per edge of graph, each number converted by as_fraction, then
+        checked by _checked."""
+        return GraphPLFunction._checked(graph, tuple(
+            tuple((as_fraction(o), as_fraction(y)) for o, y in pairs) for pairs in edge_values
+        ))
+
+    @staticmethod
+    def _checked(graph: MetricGraph, evs) -> "GraphPLFunction":
+        """GraphPLFunction(evs), checked: evs holds one tuple of Fraction
+        pairs per edge of graph.  In this order: one tuple per edge; on
+        each edge the ends (at least two pairs, the first offset 0, the
+        last the edge length), then the strict order of the offsets; then,
+        edge by edge, one value at each vertex.  Every Fraction is in
+        lowest terms, so each check compares integers: o_j < o_{j+1} as
+        p_j q_{j+1} < p_{j+1} q_j, equality as equal numerators and
+        denominators.  build and serialize.graph_function_from_json call
+        it."""
+        if len(evs) != len(graph.edges):
             raise GraphError(
-                f"expected one breakpoint list per edge ({len(graph.edges)}), "
-                f"got {len(edge_values)}"
+                f"expected one breakpoint list per edge ({len(graph.edges)}), got {len(evs)}"
             )
-        evs = []
-        for e, pairs in enumerate(edge_values):
-            ln = graph.edge_length(e)
-            pairs = tuple((as_fraction(o), as_fraction(y)) for o, y in pairs)
-            if len(pairs) < 2 or pairs[0][0] != 0 or pairs[-1][0] != ln:
+        for e, (pairs, (_, _, ln)) in enumerate(zip(evs, graph.edges)):
+            if len(pairs) < 2 or pairs[0][0].numerator or not _same(pairs[-1][0], ln):
                 raise GraphError(f"edge {e}: breakpoints must run from 0 to the edge length")
-            if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
-                raise GraphError(f"edge {e}: breakpoints must be strictly increasing")
-            evs.append(pairs)
-        f = GraphPLFunction(tuple(evs))
-        # continuity across shared vertices
-        vals = {}
-        for e, (u, v, ln) in enumerate(graph.edges):
-            for vid, val in ((u, evs[e][0][1]), (v, evs[e][-1][1])):
-                if vid in vals and vals[vid] != val:
+            # with two pairs 0 < length holds already
+            p, q = 0, 1
+            for o, _ in pairs[1:] if len(pairs) > 2 else ():
+                p1, q1 = o.numerator, o.denominator
+                if p1 * q <= p * q1:
+                    raise GraphError(f"edge {e}: breakpoints must be strictly increasing")
+                p, q = p1, q1
+        at = {}
+        for pairs, (u, v, _) in zip(evs, graph.edges):
+            for vid, y in ((u, pairs[0][1]), (v, pairs[-1][1])):
+                # the reader parses equal strings to one object
+                w = at.setdefault(vid, y)
+                if w is not y and not _same(w, y):
                     raise GraphError(f"discontinuity at vertex {vid!r}")
-                vals[vid] = val
-        return f
+        return GraphPLFunction(evs)
 
     @staticmethod
     def constant(graph: MetricGraph, c) -> "GraphPLFunction":
@@ -274,6 +304,11 @@ class GraphPLFunction:
         return GraphPLFunction(tuple(evs))
 
 
+def _same(a, b) -> bool:
+    """a == b for two Fractions in lowest terms, on their integers."""
+    return a.numerator == b.numerator and a.denominator == b.denominator
+
+
 def _values_at(pairs, offsets):
     """The piecewise-linear function of the sorted (offset, value) pairs at
     the sorted `offsets`, each within the pairs' range, as a list: one pass
@@ -333,8 +368,9 @@ def laplacian(f: GraphPLFunction, graph: MetricGraph) -> GraphMeasure:
 
     It is the form of node_problem with no mass on f, read back at every
     node: the operator every solve writes."""
-    index, _, _, (R, Dr, _, _) = node_problem(graph, f, GraphMeasure(()))
-    return GraphMeasure._canonical({key: Fraction(R[i], Dr) for key, i in index.items()})
+    _, edge_offsets, _, (R, Dr, _, _) = node_problem(graph, f, GraphMeasure(()))
+    keys = _node_keys(graph, edge_offsets)
+    return GraphMeasure._canonical({key: Fraction(r, Dr) for key, r in zip(keys, R) if r})
 
 
 def node_problem(graph: MetricGraph, f, mass: GraphMeasure, keys=()):
@@ -343,87 +379,129 @@ def node_problem(graph: MetricGraph, f, mass: GraphMeasure, keys=()):
 
     The nodes are the vertices, f's interior breakpoints, the atoms of
     mass and the canonical location keys `keys`, numbered by _refine.
-    Returns (index, edge_offsets, values, form): index maps each node's
-    key to its number, edge_offsets holds each edge's sorted interior
-    offsets, values is f at the nodes in their order (_node_values; zeros
-    when f is None), and form = laplacian_form(values, mass, edges) is the
-    problem that solve_laplacian takes.  laplacian, normalized_potential
-    and the curve envelope all write their problem here, so only this
-    routine numbers nodes.  A breakpoint (e, o) of f has 0 < o < the
-    length of e, so ("e", e, o) is its canonical key as it stands.
+    Returns (index, edge_offsets, values, form): index maps each of
+    `keys` and the key of each atom of mass to its node number,
+    edge_offsets holds each edge's sorted interior offsets, values = (Y,
+    Dy) is f at the nodes in their order as integer numerators over one
+    common denominator (zeros over 1 when f is None), and form =
+    laplacian_form(values, mass, weights) is the problem that
+    solve_laplacian takes.  laplacian, normalized_potential and the curve
+    envelope all write their problem here, so only this routine numbers
+    nodes.
     """
     keys = [*keys, *(k for k, _ in mass.atoms)]
-    if f is not None:
-        keys += [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
-    index, edges, edge_offsets = _refine(graph, keys)
-    values = [0] * len(index) if f is None else _node_values(f, graph, edge_offsets)
-    form = laplacian_form(values, {index[k]: m for k, m in mass.atoms}, edges)
+    index, weights, edge_offsets, y = _refine(graph, keys, f)
+    if y is None:
+        values = ([0] * (len(graph.vertex_ids) + sum(map(len, edge_offsets))), 1)
+    else:
+        Dy = lcm(*(q.denominator for q in y))
+        values = ([q.numerator * (Dy // q.denominator) for q in y], Dy)
+    form = laplacian_form(values, {index[k]: m for k, m in mass.atoms}, weights)
     return index, edge_offsets, values, form
 
 
-def _refine(graph: MetricGraph, keys):
-    """Number the nodes of the refined graph: the vertices in graph order,
-    then each edge's sorted interior offsets, edge by edge.
+def _refine(graph: MetricGraph, keys, f=None):
+    """Number the nodes of the refined graph and weigh its segments.
 
-    keys are location keys; those inside an edge become nodes.  Returns
-    (index, edges, edge_offsets): index maps each node's key to its
-    number, edges holds one (i, j, 1 / length) per segment on those
-    numbers, the segments of each graph edge in order, and edge_offsets
-    the sorted interior offsets of each edge.  _eliminate breaks its
-    minimum-degree ties in this order, and _node_values and
-    _function_from_node_values read it.  node_problem is its one caller.
+    The nodes are the vertices in graph order, then edge by edge the
+    interior offsets in increasing order: the interior breakpoints of f
+    (none when f is None) in the order they come, with the offset of each
+    key of `keys` inside the edge merged in, unless f breaks there
+    already.  keys are canonical location keys, few beside f's
+    breakpoints, so that only they are hashed and compared.
 
-    Each weight is one Fraction built from integers: an edge of length
-    p / q with no interior node weighs q / p, and otherwise, with the
-    offsets 0 < o_1 < ... < length written X_j / L over the lcm L of
-    their denominators, segment j weighs L / (X_{j+1} - X_j).
+    Returns (index, weights, edge_offsets, values): index maps each key
+    of `keys` to its node number; weights = (W, Dw) holds one (i, j, W_s)
+    per segment on those numbers, the segments of each graph edge in
+    order from its first end to its second, of weight W_s / Dw = 1 / its
+    length over the least common denominator Dw; edge_offsets holds the
+    sorted interior offsets of each edge, and values is f at the nodes in
+    their order (None when f is None): f's own values at its breakpoints
+    and at the vertices, and _values_at between them.  _eliminate breaks
+    its minimum-degree ties in this order.  node_problem is its one
+    caller.
+
+    The weights are built on integers: with the offsets 0 < o_1 < ... <
+    length of an edge written X_j / L over the lcm L of their
+    denominators, segment j weighs L / (X_{j+1} - X_j), reduced by one
+    gcd (an edge of length p / q with no interior node weighs q / p).
     """
-    # each edge's offsets in the order they come, without repeats, so that
-    # sorting offsets that come sorted costs one comparison per offset
-    interior = {}
+    number = {vid: i for i, vid in enumerate(graph.vertex_ids)}
+    index, extra = {}, {}
     for key in keys:
         if key[0] == "e":
-            interior.setdefault(key[1], {})[key[2]] = None
-    index = {("v", vid): i for i, vid in enumerate(graph.vertex_ids)}
-    edges = []
-    edge_offsets = []
-    for e, (u, v, ln) in enumerate(graph.edges):
-        offs = sorted(interior.get(e, ()))
-        edge_offsets.append(offs)
-        first = len(index)
-        index.update((("e", e, o), first + j) for j, o in enumerate(offs))
-        stops = [index[("v", u)], *range(first, len(index)), index[("v", v)]]
-        if not offs:
-            edges.append((*stops, Fraction(ln.denominator, ln.numerator)))
+            extra.setdefault(key[1], {})[key[2]] = None
+        else:
+            index[key] = number[key[1]]
+    values = None
+    if f is not None:
+        ends = graph._vertex_ends
+        values = [f.edge_values[e][0 if at_start else -1][1]
+                  for e, at_start in map(ends.__getitem__, graph.vertex_ids)]
+    segments, edge_offsets = [], []
+    first = len(number)  # the number of the next interior node
+    breakpoints = repeat(()) if f is None else f.edge_values
+    for e, ((u, v, ln), pairs) in enumerate(zip(graph.edges, breakpoints)):
+        if len(pairs) < 3 and e not in extra:  # one segment, weight 1 / length
+            edge_offsets.append([])
+            segments.append((number[u], number[v], ln.denominator, ln.numerator))
             continue
+        offs = [o for o, _ in pairs[1:-1]]
+        ys = [y for _, y in pairs[1:-1]]
+        if e in extra:
+            new = []
+            for o in sorted(extra[e]):
+                j = bisect_left(offs, o)
+                if j == len(offs) or offs[j] != o:
+                    offs.insert(j, o)
+                    new.append(j)
+                index[("e", e, o)] = first + j
+            if f is not None:
+                for j, y in zip(new, _values_at(pairs, [offs[j] for j in new])):
+                    ys.insert(j, y)
+        if f is not None:
+            values += ys
+        edge_offsets.append(offs)
         L = lcm(ln.denominator, *(o.denominator for o in offs))
         X = [0, *(o.numerator * (L // o.denominator) for o in offs),
              ln.numerator * (L // ln.denominator)]
-        edges.extend((a, b, Fraction(L, x2 - x1))
-                     for a, b, x1, x2 in zip(stops, stops[1:], X, X[1:]))
-    return index, edges, edge_offsets
+        stops = [number[u], *range(first, first + len(offs)), number[v]]
+        for a, b, x1, x2 in zip(stops, stops[1:], X, X[1:]):
+            g = gcd(L, x2 - x1)
+            segments.append((a, b, L // g, (x2 - x1) // g))
+        first += len(offs)
+    Dw = lcm(*(q for _, _, _, q in segments))
+    W = [(a, b, p * (Dw // q)) for a, b, p, q in segments]
+    return index, (W, Dw), edge_offsets, values
+
+
+def _node_keys(graph: MetricGraph, edge_offsets):
+    """The location key of each node of _refine, as a list in their order:
+    the vertices in graph order, then each edge's interior offsets
+    edge_offsets, edge by edge."""
+    keys = [("v", vid) for vid in graph.vertex_ids]
+    keys += [("e", e, o) for e, offs in enumerate(edge_offsets) for o in offs]
+    return keys
 
 
 # the primes of the exact solve: a zero pivot modulo one moves to the next
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
 
-def laplacian_form(values, mass, edges):
+def laplacian_form(values, mass, weights):
     """The Laplacian problem of solve_laplacian on the nodes 0..n-1 of a
-    weighted graph, over common denominators: (R, Dr, W, Dw), with W the
-    list `edges` of (i, j, w), each weight w = W_e / Dw replaced by its
-    numerator W_e, and r = laplacian(y) + m = R[k] / Dr at node k, where y
-    is the list `values` (n rationals) and m the dict `mass` (node ->
-    rational, 0 where absent).  With y = Y / Dy and the masses M / Dm,
-    R_k = Dm sum_j W_kj (Y_j - Y_k) + M_k Dw Dy over Dr = Dm Dw Dy, then
-    reduced by the gcd of Dr and every R_k, so that Dr is the least common
-    denominator of r.  A Poisson solve passes zero values, and the
+    weighted graph, over common denominators: (R, Dr, W, Dw), where
+    weights = (W, Dw) is the list W of the graph's edges (i, j, W_e), of
+    weight W_e / Dw, and r = laplacian(y) + m = R[k] / Dr at node k, where
+    values = (Y, Dy) holds y = Y / Dy at the n nodes as integer numerators
+    over one denominator and m is the dict `mass` (node -> rational, 0
+    where absent).  With the masses M / Dm, R_k = Dm sum_j W_kj (Y_j -
+    Y_k) + M_k Dw Dy over Dr = Dm Dw Dy, then reduced by the gcd of Dr and
+    every R_k, so that Dr is the least common denominator of r.  No
+    Fraction is built.  A Poisson solve passes zero values, and the
     envelope the obstacle psi with the masses of omega0."""
-    Dy = lcm(*(y.denominator for y in values))
+    (Y, Dy), (W, Dw) = values, weights
     Dm = lcm(*(m.denominator for m in mass.values()))
-    Dw = lcm(*(w.denominator for _, _, w in edges))
-    Y = [y.numerator * (Dy // y.denominator) for y in values]
-    W = [(a, b, w.numerator * (Dw // w.denominator)) for a, b, w in edges]
     R = [0] * len(Y)
     for k, m in mass.items():
         R[k] = m.numerator * (Dm // m.denominator) * Dw * Dy
@@ -627,30 +705,37 @@ def _reconstruct(X, free, modulus):
     return N, d
 
 
-def _node_values(f, graph, edge_offsets):
-    """f at the nodes of _refine, as a list in their order: the vertices,
-    then each edge's sorted interior offsets, read by one _values_at call
-    per edge.  A vertex takes its value from the edge f.eval reads."""
-    values = []
-    for vid in graph.vertex_ids:
-        e, first = graph._vertex_ends[vid]
-        values.append(f.edge_values[e][0 if first else -1][1])
-    for pairs, offsets in zip(f.edge_values, edge_offsets):
-        values += _values_at(pairs, offsets)
-    return values
-
-
-def _function_from_node_values(graph, values, edge_offsets):
+def _function_from_node_values(graph, values, edge_offsets, W):
     """The function, linear between the nodes of _refine, that takes the
-    values of the list `values` (in _refine's node order), simplified."""
-    at = dict(zip(graph.vertex_ids, values))
-    node = len(graph.vertex_ids)
+    value N[k] / D at node k, where values = (N, D) holds integer
+    numerators over one common denominator, simplified: the one routine
+    that builds a solved function.
+
+    W is the list of _refine's segments (i, j, W_s), of weight W_s / Dw,
+    each graph edge's in order.  An interior node b between the nodes a
+    and c stays a breakpoint unless the slopes on its two sides agree,
+    (N[b] - N[a]) W_ab = (N[c] - N[b]) W_bc, an integer test that drops
+    what GraphPLFunction.simplify drops.  One Fraction is built per
+    vertex and per kept breakpoint, the offsets are _refine's own."""
+    N, D = values
+    at = {vid: Fraction(n, D) for vid, n in zip(graph.vertex_ids, N)}
+    zero = Fraction(0)
     evs = []
+    s = 0
     for (u, v, ln), offs in zip(graph.edges, edge_offsets):
-        inner = zip(offs, values[node:node + len(offs)])
-        node += len(offs)
-        evs.append(((Fraction(0), at[u]), *inner, (ln, at[v])))
-    return GraphPLFunction(tuple(evs)).simplify()
+        if not offs:
+            evs.append(((zero, at[u]), (ln, at[v])))
+            s += 1
+            continue
+        segs = W[s:s + len(offs) + 1]
+        s += len(offs) + 1
+        pairs = [(zero, at[u])]
+        for (a, b, wl), (_, c, wr), o in zip(segs, segs[1:], offs):
+            if (N[b] - N[a]) * wl != (N[c] - N[b]) * wr:
+                pairs.append((o, Fraction(N[b], D)))
+        pairs.append((ln, at[v]))
+        evs.append(tuple(pairs))
+    return GraphPLFunction(tuple(evs))
 
 
 def solve_poisson(
@@ -674,8 +759,9 @@ def normalized_potential(
     One solve of node_problem's form on the nodes of mu's and omega0's
     atoms, pinned at node 0 (the first vertex), gives g = G / (d Dr); then
     f = g - c with c = sum_k omega0(k) G_k / (d Dr d_L), shifted on the
-    integer numerators, one Fraction per node.  The normalized f is unique
-    and simplified, so the pin does not show in the result.  solve_poisson,
+    integer numerators over their one denominator q d Dr (c = p / q), from
+    which _function_from_node_values builds it.  The normalized f is
+    unique and simplified, so the pin does not show in the result.  solve_poisson,
     green and solver.solve_curve return it, after their own checks.
     """
     # mu - omega0 loses only atoms that omega0 shares, so with omega0's
@@ -685,8 +771,8 @@ def normalized_potential(
     G, d = solve_laplacian(form, {0})
     c = sum(m * G[index[k]] for k, m in omega0.atoms) / omega0.total_mass()
     p, q = c.numerator, c.denominator
-    values = [Fraction(g * q - p, q * d * form[1]) for g in G]
-    return _function_from_node_values(graph, values, edge_offsets)
+    values = ([g * q - p for g in G], q * d * form[1])
+    return _function_from_node_values(graph, values, edge_offsets, form[2])
 
 
 def green(graph: MetricGraph, x, omega0: GraphMeasure) -> GraphPLFunction:

@@ -632,8 +632,8 @@ class AtomicMeasure:
         location read(location), for a subclass's from_atoms."""
         acc = {}
         for loc, mass in atoms:
-            key = read(loc)
-            acc[key] = acc.get(key, Fraction(0)) + as_fraction(mass)
+            key, mass = read(loc), as_fraction(mass)
+            acc[key] = acc[key] + mass if key in acc else mass
         return acc
 
     def total_mass(self) -> Fraction:

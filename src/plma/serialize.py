@@ -9,19 +9,28 @@ in the canonical sorted order, which makes output byte-deterministic.
 Each `*_to_json` returns the text of its document: the bytes of
 json.dumps(doc, indent=2, sort_keys=True), without the trailing newline.
 The text is written straight from the object, one %-template per record
-(a graph-function pair, a graph-measure atom, a toric piece, atom or
-residual entry), and each container nests its records' texts with one
-replace, which is exact because an escaped JSON string holds no raw
-newline.  json.dumps is not called with `indent`: then CPython before
-3.13 skips its C encoder for a pure-Python one, which cost more than the
-mathematics of a large curve-canonical.  `json_array` and `json_object`
-lay out any other document from already-written values.  One writer reads
-integers and strings, not library objects: `canonical_metric_to_json` and
-`canonical_metric_rows` write curve-canonical's document and CSV rows from
-the closed form of curves.canonical_form, whose offset strings each are
-formatted once.  The document, the largest the CLI writes, is written in
-one pass at its final indentation: one template per record at its depth,
-filled a column at a time, and one join, with no replace.
+(a graph-measure atom, a toric piece, atom or residual entry), and each
+container nests its records' texts with one replace, which is exact
+because an escaped JSON string holds no raw newline.  json.dumps is not
+called with `indent`: then CPython before 3.13 skips its C encoder for a
+pure-Python one, which cost more than the mathematics of a large
+curve-canonical.  `json_array` and `json_object` lay out any other
+document from already-written values.  The two largest documents are
+written in one pass at their final indentation, one template per record
+at its depth and no replace: a graph function (`graph_function_to_json`,
+which envelope --graph, curve-solve and curve-green print), each value a
+Fraction built once, with one gcd, by the routine that built the
+function; and curve-canonical's, whose writers `canonical_metric_to_json`
+and `canonical_metric_rows` read integers and strings, not library
+objects: the closed form of curves.canonical_form, whose offset strings
+each are formatted once, filled a column at a time.
+
+The curve readers check each number of a document once.  Each distinct
+rational string of a graph or graph-function document is parsed once
+(`_parse_once`), and `graph_function_from_json` hands the parsed pairs
+to GraphPLFunction._checked, build's checks of the ends, order and
+continuity on the integers of the Fractions, without build's
+conversion.
 
 `load_path` reads every input file as UTF-8, as RFC 8259 asks, whatever
 the locale; bytes that are not UTF-8, like malformed JSON or a JSON number
@@ -65,7 +74,8 @@ def parse_rational(s) -> Fraction:
     if not plain:
         raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
     try:
-        return Fraction(int(plain[1]), int(plain[2] or 1))
+        p, q = int(plain[1]), plain[2]
+        return Fraction(p) if q is None else Fraction(p, int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 
@@ -129,7 +139,6 @@ def _point(v):
 _PIECE = '{\n  "intercept": "%s",\n  "slope": %s\n}'
 _ATOM = '{\n  "mass": "%s",\n  "point": %s\n}'
 _ERROR = '{\n  "error": "%s",\n  "point": %s\n}'
-_PAIR = '[\n  "%s",\n  "%s"\n]'
 _VERTEX_ATOM = '{\n  "mass": "%s",\n  "point": {\n    "vertex": %s\n  }\n}'
 _EDGE_ATOM = '{\n  "mass": "%s",\n  "point": {\n    "edge": %d,\n    "offset": "%s"\n  }\n}'
 
@@ -218,12 +227,12 @@ def graph_from_json(obj) -> MetricGraph:
     if not (_has_array(obj, "vertices") and _has_array(obj, "edges")):
         raise SchemaError('graph must be {"vertices": [...], "edges": [...]}')
     vertex_ids = [_vertex_id(vid) for vid in obj["vertices"]]
-    edges = []
+    edges, parsed = [], {}
     for item in obj["edges"]:
         if not _has_array(item, "ends") or len(item["ends"]) != 2 or "length" not in item:
             raise SchemaError('each edge must be {"ends": [i, j], "length": "p/q"}')
         u, v = item["ends"]
-        edges.append((u, v, parse_rational(item["length"])))
+        edges.append((u, v, _parse_once(item["length"], parsed)))
     return MetricGraph.build(vertex_ids, edges)
 
 
@@ -235,17 +244,29 @@ def graph_point_from_json(obj):
     raise SchemaError('graph point must be {"vertex": id} or {"edge": k, "offset": "p/q"}')
 
 
-def _graph_function(edge_values) -> str:
-    # one list of (offset, value) pairs per edge, each written by %s
-    edges = [json_array([_PAIR % pair for pair in pairs]) for pairs in edge_values]
-    return json_object({"edges": json_array(edges)})
+# a graph function's (offset, value) pair at its depth in the document
+_EDGE_PAIR = '      [\n        "%s",\n        "%s"\n      ]'
 
 
 def graph_function_to_json(f: GraphPLFunction) -> str:
-    return _graph_function(f.edge_values)
+    """The document {"edges": [[["offset", "value"], ...], ...]} of f,
+    written in one pass at its final indentation: one template per pair,
+    each Fraction printed by %s, and one join per edge and one for the
+    edges.  Every edge of a GraphPLFunction has at least two pairs."""
+    edges = [",\n".join([_EDGE_PAIR % pair for pair in pairs]) for pairs in f.edge_values]
+    return '{\n  "edges": [\n    [\n' + "\n    ],\n    [\n".join(edges) + "\n    ]\n  ]\n}"
 
 
 def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
+    """The function of a document {"edges": [[["offset", "value"], ...],
+    ...]} on graph, checked once.
+
+    Every SchemaError comes first: the layout of every edge's pairs, then
+    each rational, parsed once per distinct string (_parse_once).  Then
+    GraphPLFunction._checked, the checks of GraphPLFunction.build, with
+    their messages and in their order, on the integers of the parsed
+    Fractions, which are in lowest terms; build's conversion is not
+    repeated."""
     if not _has_array(obj, "edges"):
         raise SchemaError('graph function must be {"edges": [...]}')
     values, parsed = [], {}
@@ -254,15 +275,15 @@ def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
             isinstance(pair, list) and len(pair) == 2 for pair in pairs
         ):
             raise SchemaError('each edge must be a list of ["offset", "value"] pairs')
-        values.append(tuple((_parse_once(o, parsed), _parse_once(y, parsed)) for o, y in pairs))
-    return GraphPLFunction.build(graph, values)
+        values.append(tuple([(_parse_once(o, parsed), _parse_once(y, parsed)) for o, y in pairs]))
+    return GraphPLFunction._checked(graph, tuple(values))
 
 
 def _parse_once(s, parsed):
     """parse_rational(s), each string parsed once per dict `parsed`: a
     graph function repeats a vertex value on every edge at the vertex, "0"
-    on every edge and each edge length as its end offset.  The dict lives
-    for one document."""
+    on every edge and each edge length as its end offset, and a graph
+    repeats its edge lengths.  The dict lives for one document."""
     if not isinstance(s, str):
         return parse_rational(s)
     q = parsed.get(s)

@@ -31,10 +31,13 @@ gradient nu_i - vol(cell_i), the one method of the 2-D solve:
   residual norm drops to (1 - alpha/2) times its current value.  This is
   the step of Kitagawa, Merigot and Thibert (arXiv:1603.05579), who prove
   that it converges from any start with nonempty cells.  The iteration
-  stops once every cell volume is within TOLERANCE * Vol(delta) of its
-  mass; MAX_ITERATIONS only bounds it.  A step that needs alpha below
-  MIN_STEP ends the solve unconverged.  These are constants: the solve has
-  no settings, because its residual is exact whatever stops it.
+  stops once every float cell volume is within TOLERANCE * Vol(delta) of
+  its mass; MAX_ITERATIONS only bounds it, and a step that needs alpha
+  below MIN_STEP ends it.  Whatever stops it, the solve has converged
+  exactly when every entry of its exact residual is within TOLERANCE *
+  Vol(delta), compared on Fractions: the float test only stops the guide.
+  These are constants: the solve has no settings, because its residual is
+  exact whatever stops it.
 
 The cells are clipped from the polygon one neighbour at a time, and each
 edge keeps the label of the neighbour whose halfplane cut it, so the Newton
@@ -99,11 +102,12 @@ from .geometry import (
 from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
 
 
-# Newton stops once every cell volume is within TOLERANCE * Vol(delta) of
-# its mass, after MAX_ITERATIONS steps, or when the damping factor falls
+# Newton stops once every float cell volume is within TOLERANCE * Vol(delta)
+# of its mass, after MAX_ITERATIONS steps, or when the damping factor falls
 # below MIN_STEP; the final weights are snapped to rationals with
-# denominators up to SNAP_DENOMINATOR.
-TOLERANCE = 1e-10
+# denominators up to SNAP_DENOMINATOR.  A solve has converged when its
+# exact residual is within TOLERANCE * Vol(delta), compared on Fractions.
+TOLERANCE = Fraction(1, 10**10)
 MAX_ITERATIONS = 200
 MIN_STEP = 2.0 ** -20
 SNAP_DENOMINATOR = 10**6
@@ -261,12 +265,12 @@ def _voronoi_weights(delta: Polytope, V, A):
 
 def _newton(delta, V, A, masses, vol):
     """Damped Newton in floats from the Voronoi start, for the atoms V_i / A
-    (integer points) of the given masses: (weights, iterations, converged).
-    A float operation that fails once the start has weights ends it
-    unconverged at the last accepted weights; one before raises."""
+    (integer points) of the given masses: (weights, iterations).  A float
+    operation that fails once the start has weights ends it at the last
+    accepted weights; one before raises."""
     target = [float(m) for m in masses]
     fatoms = [(tuple(x / A for x in X), m) for X, m in zip(V, target)]
-    tol_abs = TOLERANCE * float(vol)
+    tol_abs = float(TOLERANCE) * float(vol)
     ring = [tuple(map(float, p)) for p in delta.ring()]
     weights, it = _voronoi_weights(delta, V, A), 0
     try:
@@ -294,9 +298,9 @@ def _newton(delta, V, A, masses, vol):
             else:
                 break  # the step stalled: report not converged
             weights, edges, r = trial, tedges, tr
-        return weights, it, max(map(abs, r)) <= tol_abs
     except ArithmeticError:
-        return weights, it, False  # the floats cannot carry the target further
+        pass  # the floats cannot carry the target further
+    return weights, it
 
 
 def _truncated_mean(X, q):
@@ -309,12 +313,14 @@ def _truncated_mean(X, q):
 def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     """Find admissible g with MA(g) = nu (real normalization, mass Vol(delta)).
 
-    The float guide runs damped Newton until every cell volume is within
-    TOLERANCE * Vol(delta) of its mass, for at most MAX_ITERATIONS steps.
-    Whatever stops it, the reported residual is exact.  A guide that the
-    floats cannot carry (an ArithmeticError) ends the solve unconverged at
-    its last accepted weights, or raises ConvergenceError when it has none
-    on the grid 2^-50.
+    The float guide runs damped Newton until every float cell volume is
+    within TOLERANCE * Vol(delta) of its mass, for at most MAX_ITERATIONS
+    steps.  Whatever stops it, the reported residual is exact, and the
+    report says converged exactly when every entry of that residual is
+    within TOLERANCE * Vol(delta), compared on Fractions.  A guide that the
+    floats cannot carry (an ArithmeticError) ends at its last accepted
+    weights, or raises ConvergenceError when it has none on the grid
+    2^-50.
     """
     if not delta.is_full_dimensional():
         raise DegeneratePolytopeError("polytope must be full-dimensional")
@@ -344,8 +350,8 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     if any(e):
         V = [vsub(X, vscale(A, e)) for X in V]
     try:
-        weights, it, converged = _newton(delta.translate(vscale(-1, c)) if any(c) else delta,
-                                         V, A, [m for _, m in atoms], vol)
+        weights, it = _newton(delta.translate(vscale(-1, c)) if any(c) else delta,
+                              V, A, [m for _, m in atoms], vol)
         wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
     except ArithmeticError:
         raise ConvergenceError("the float guide cannot represent this target") from None
@@ -362,6 +368,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     if any(r != 0 for _, r in polished):
         g = _solution_from_weights(delta, atoms, wfrac)
         res = residual(g, nu, delta)
+    converged = max(abs(e) for _, e in res) <= TOLERANCE * vol
     return SolveReport(g, res, polished, it, converged)
 
 

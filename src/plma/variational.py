@@ -305,16 +305,15 @@ def envelope_subharmonic(
     breakpoints, reference atoms), so it is the solution x of the discrete
     obstacle problem on them: x <= psi, s = laplacian(x) + omega0 >= 0 and
     s = 0 wherever x < psi.  curves.node_problem numbers the nodes 0..n-1
-    once, reads the obstacle off psi's breakpoints in that order and
-    writes r = laplacian(psi) + omega0 as a Laplacian form, and
-    curves._function_from_node_values turns the solution back into a
-    function; this module numbers no node.  The problem is solved for the
-    gap g = psi - x.  s = r - laplacian(g), so it is the linear
-    complementarity problem g >= 0, s >= 0, g s = 0 at every node (Cottle,
-    Pang and Stone), in which the orthogonality of psi - P(psi) and
-    MA(P(psi)) is the last condition.  Howard's policy iteration (_howard)
-    solves it: from a contact set C, solve g = 0 on C and laplacian(g) = r
-    off C, then set C = {k : g(k) <= s(k)}.  It runs on the problem's
+    once, reads the obstacle off psi's breakpoints in that order, as
+    numerators Y over one denominator Dy, and writes r = laplacian(psi) +
+    omega0 as a Laplacian form; this module numbers no node.  The problem
+    is solved for the gap g = psi - x.  s = r - laplacian(g), so it is the
+    linear complementarity problem g >= 0, s >= 0, g s = 0 at every node
+    (Cottle, Pang and Stone), in which the orthogonality of psi - P(psi)
+    and MA(P(psi)) is the last condition.  Howard's policy iteration
+    (_howard) solves it: from a contact set C, solve g = 0 on C and
+    laplacian(g) = r off C, then set C = {k : g(k) <= s(k)}.  It runs on the problem's
     Laplacian form (curves.laplacian_form): r and the edge weights each
     over one common denominator, so that every exact solve is
     curves.solve_laplacian on integers, every compare and sum is on
@@ -347,32 +346,34 @@ def envelope_subharmonic(
     mass between nodes, and omega0 none either (its atoms are nodes),
     while at node k, with weights 1 / length on the same segments,
     laplacian + omega0 is exactly s(k) >= 0: the envelope is
-    omega0-subharmonic, with MA(P(psi)) the measure of the s(k).  A
-    Fraction is built only for each value of the envelope returned.  A
-    subharmonic psi needs no test of its own: the exact pass then ends
-    with g = 0 at every node, and psi is returned as given, not
-    simplified.
+    omega0-subharmonic, with MA(P(psi)) the measure of the s(k).  With
+    the gaps G over Dg, x = (Y Dg - G Dy) / (Dy Dg) at every node, and
+    curves._function_from_node_values builds the envelope from those
+    numerators: it keeps the nodes where x bends, by integer slope tests,
+    and builds a Fraction only for each value it keeps.  A subharmonic
+    psi needs no test of its own: the exact pass then ends with g = 0 at
+    every node, and psi is returned as given, not simplified.
     """
     nodes = _envelope_nodes(psi, graph, omega0)
-    G, Dg = nodes.gap
+    (Y, Dy), (G, Dg) = nodes.psi, nodes.gap
     if not any(G):
         return psi
-    return curves._function_from_node_values(
-        graph, [Fraction(y.numerator * Dg - g * y.denominator, y.denominator * Dg)
-                for y, g in zip(nodes.psi, G)], nodes.edge_offsets)
+    values = ([y * Dg - g * Dy for y, g in zip(Y, G)], Dy * Dg)
+    return curves._function_from_node_values(graph, values, nodes.edge_offsets, nodes.segments)
 
 
 class _Nodes(NamedTuple):
-    """The solved node problem of envelope_subharmonic: the numbering of
-    curves.node_problem (index, edge_offsets), the obstacle psi at the
-    nodes (a list of Fractions in node order), and at the first
+    """The solved node problem of envelope_subharmonic: each edge's
+    interior offsets in curves.node_problem's numbering, the obstacle psi
+    at the nodes, the segments (i, j, W_s) of its form, and at the first
     complementary iterate of the exact pass the masses s =
-    laplacian(P(psi)) + omega0 and the gaps psi - P(psi), each as a pair
-    (list of integer numerators in node order, common denominator)."""
+    laplacian(P(psi)) + omega0 and the gaps psi - P(psi).  psi, s and the
+    gaps are each a pair (list of integer numerators in node order,
+    common denominator)."""
 
-    index: dict
     edge_offsets: list
-    psi: list
+    psi: tuple
+    segments: list
     s: tuple
     gap: tuple
 
@@ -381,13 +382,13 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     """Solve envelope_subharmonic's node problem: the float guide, then the
     exact pass until the node check (every gap and every s >= 0) holds."""
     curves.reference_mass(omega0)
-    index, edge_offsets, obstacle, form = curves.node_problem(graph, psi, omega0)
-    R, Dr, _, Dw = form
+    _, edge_offsets, obstacle, form = curves.node_problem(graph, psi, omega0)
+    R, Dr, W, Dw = form
     start = {k for k, r in enumerate(R) if r > 0}
     contact = _float_contact(form, start) or start
     for G, d, S, _ in _howard(form, contact):
         if min(G) >= 0 and min(S) >= 0:
-            return _Nodes(index, edge_offsets, obstacle, (S, Dw * d * Dr), (G, d * Dr))
+            return _Nodes(edge_offsets, obstacle, W, (S, Dw * d * Dr), (G, d * Dr))
     raise ConvergenceError("obstacle solve did not stabilize")
 
 

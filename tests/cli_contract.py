@@ -308,6 +308,15 @@ CONTRACT = {
         _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([(["1/1" + "0" * 320, "0"], "1"),
                                                               (["0", "0"], "1")])}), 3,
         sha256="434694530199c0ba2f5a408e55fa8dd384f238d3cf4a55ddef17b1097495a50e"),
+    # two atoms 10^-15 apart: the float guide stops within its tolerance,
+    # but the exact residual of the returned weights is 0.0745, so the
+    # report says not converged and the command exits 3 (it exited 0)
+    "toric-solve-near-coincident-atoms": Row(
+        _argv("toric-solve", {"delta": SQUARE, "mu": _atoms([
+            (["6/25", "19/20"], "1/3"),
+            (["240000000000001/1000000000000000", "949999999999997/1000000000000000"], "1"),
+            (["3/5", "16/25"], "1/2"), (["17/25", "23/100"], "1/6")])}), 3,
+        sha256="b460f51fbca6138cf6ecd8e2e5ed8f437fcd7bd95945f3fe646085098993ac13"),
     "toric-ma-square": Row(_argv("toric-ma", {"delta": SQUARE, "g": SQUARE_G}), 0),
     "toric-ma-interval": Row(_argv("toric-ma", {"delta": INTERVAL, "g": INTERVAL_G}), 0),
     "toric-ma-square-pruned": Row(_argv("toric-ma", {"delta": SQUARE, "g": SQUARE_PRUNED_G}), 0),

@@ -1,7 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -184,11 +184,40 @@ def rng():
     return random.Random(1729)
 
 
+def integer_values(values):
+    """(Y, Dy) of a list of rationals: their numerators over their least
+    common denominator, as curves.laplacian_form and
+    curves._function_from_node_values take them."""
+    values = [Fraction(y) for y in values]
+    Dy = lcm(*(y.denominator for y in values))
+    return [y.numerator * (Dy // y.denominator) for y in values], Dy
+
+
+def integer_weights(edges):
+    """(W, Dw) of a list of weighted edges (i, j, w): the weights'
+    numerators over their least common denominator."""
+    W, Dw = integer_values([w for _, _, w in edges])
+    return [(a, b, w) for (a, b, _), w in zip(edges, W)], Dw
+
+
+def fraction_weights(weights):
+    """The edges (i, j, W / Dw) of weights = (W, Dw), as Fractions."""
+    W, Dw = weights
+    return [(a, b, Fraction(w, Dw)) for a, b, w in W]
+
+
+def function_from_values(graph, values, offsets, weights):
+    """curves._function_from_node_values on a list of rational node
+    values, on the nodes and segments of curves._refine."""
+    return curves._function_from_node_values(graph, integer_values(values), offsets, weights[0])
+
+
 def solve_sources(rho, n, edges, pinned):
     """curves.solve_laplacian on the form of zero values with the sources
-    rho (a dict node -> rational, 0 where absent) on the nodes 0..n-1:
-    the list of the n values as Fractions, 0 on the set `pinned`."""
-    form = curves.laplacian_form([0] * n, rho, edges)
+    rho (a dict node -> rational, 0 where absent) on the nodes 0..n-1 of
+    the weighted edges (i, j, w): the list of the n values as Fractions,
+    0 on the set `pinned`."""
+    form = curves.laplacian_form(([0] * n, 1), rho, integer_weights(edges))
     G, d = curves.solve_laplacian(form, pinned)
     return [Fraction(g, d * form[1]) for g in G]
 
@@ -200,10 +229,11 @@ def pinned_poisson(graph, rho, normalization):
     if rho.total_mass() != 0:
         raise curves.MassBalanceError("source measure must have total mass zero")
     x = graph.point_key(normalization)
-    index, edges, offsets = curves._refine(graph, [k for k, _ in rho.atoms] + [x])
-    form = curves.laplacian_form([0] * len(index), {index[k]: m for k, m in rho.atoms}, edges)
+    index, weights, offsets, _ = curves._refine(graph, [k for k, _ in rho.atoms] + [x])
+    n = len(graph.vertex_ids) + sum(map(len, offsets))
+    form = curves.laplacian_form(([0] * n, 1), {index[k]: m for k, m in rho.atoms}, weights)
     G, d = curves.solve_laplacian(form, {index[x]})
-    return curves._function_from_node_values(graph, [Fraction(g, d * form[1]) for g in G], offsets)
+    return curves._function_from_node_values(graph, (G, d * form[1]), offsets, weights[0])
 
 
 def fraction_solve_laplacian(rho, n, edges, fixed):

@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,6 +29,8 @@ from plma.solver import _power_cells, solve_curve
 from conftest import (
     arc_masses,
     fraction_solve_laplacian,
+    fraction_weights,
+    function_from_values,
     hexagon,
     interp,
     pinned_poisson,
@@ -754,8 +757,8 @@ def test_sparse_solve_equals_dense_oracle():
     rng = random.Random(606)
     for _ in range(36):
         g, keys = _oracle_graph(rng)
-        index, edges, _ = curves._refine(g, keys)
-        n = len(index)
+        index, weights, _, _ = curves._refine(g, keys)
+        n, edges = len(index), fraction_weights(weights)
         rho = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for k in rng.sample(range(n), 3)}
         # the pure Neumann mode of solve_poisson: one node pinned to zero
         got = solve_sources(rho, n, edges, {0})
@@ -1035,26 +1038,29 @@ def test_float_solve_rounds_as_keyed_elimination():
     rng = random.Random(1982)
     for _ in range(30):
         g, keys = _oracle_graph(rng)
-        index, edges, _ = curves._refine(g, keys)
+        index, weights, _, _ = curves._refine(g, keys)
         n = len(index)
-        fedges = [(a, b, float(w) * rng.uniform(0.5, 2)) for a, b, w in edges]
+        fedges = [(a, b, float(w) * rng.uniform(0.5, 2)) for a, b, w in fraction_weights(weights)]
         keyed = {a: k for k, a in index.items()}
+        nodes = [keyed[i] for i in range(n)]
         kedges = [(keyed[a], keyed[b], w) for a, b, w in fedges]
         rho = {i: rng.uniform(-9, 9) for i in rng.sample(range(n), min(n, 5))}
         form = ([rho.get(i, 0.0) for i in range(n)], 1, fedges, 1)
         for contact in ({0}, set(rng.sample(range(n), rng.randint(1, n)))):
             got, _ = curves.solve_laplacian(form, contact)
-            want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, list(index),
+            want = keyed_solve_laplacian({keyed[i]: r for i, r in rho.items()}, nodes,
                                          kedges, {keyed[i]: 0.0 for i in contact})
-            assert got == [want[k] for k in index]
+            assert got == [want[k] for k in nodes]
 
 
 def test_node_order_round_trip():
     # _refine numbers the vertices first, in graph order, then each edge's
-    # sorted interior offsets, edge by edge; _node_values reads a function
-    # at the nodes in that order and _function_from_node_values reads it
-    # back, on graphs with a loop and a parallel edge, with extra nodes
-    # that are not breakpoints of the function
+    # sorted interior offsets, edge by edge: f's breakpoints in their order
+    # with the keys' offsets merged in, or, without f, the keys' offsets
+    # sorted.  It reads f at the nodes in that order, and
+    # _function_from_node_values reads it back as f.simplify() does, on
+    # graphs with a loop and a parallel edge, with extra nodes that are not
+    # breakpoints of the function and some that are
     rng = random.Random(1807)
     for _ in range(40):
         g, keys = _oracle_graph(rng)
@@ -1063,25 +1069,31 @@ def test_node_order_round_trip():
         for pairs, (u, v, _) in zip(evs, g.edges):
             pairs[0], pairs[-1] = (pairs[0][0], vals[u]), (pairs[-1][0], vals[v])
         f = GraphPLFunction.build(g, evs)
-        keys += [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
         rng.shuffle(keys)
-        index, edges, offsets = curves._refine(g, keys)
-        interior = [sorted({k[2] for k in keys if k[0] == "e" and k[1] == e})
+        index, weights, offsets, values = curves._refine(g, keys, f)
+        breakpoints = [("e", e, o) for e, pairs in enumerate(f.edge_values) for o, _ in pairs[1:-1]]
+        interior = [sorted({k[2] for k in keys + breakpoints if k[0] == "e" and k[1] == e})
                     for e in range(len(g.edges))]
         assert offsets == interior
         order = [("v", vid) for vid in g.vertex_ids]
         order += [("e", e, o) for e, offs in enumerate(offsets) for o in offs]
-        assert list(index) == order and list(index.values()) == list(range(len(order)))
+        assert index == {k: order.index(k) for k in keys}
         segments = []
         for e, (u, v, ln) in enumerate(g.edges):
             stops = [("v", u)] + [("e", e, o) for o in offsets[e]] + [("v", v)]
             offs = [0] + offsets[e] + [ln]
-            segments += [(index[a], index[b], 1 / (o2 - o1))
+            segments += [(order.index(a), order.index(b), 1 / (o2 - o1))
                          for a, b, o1, o2 in zip(stops, stops[1:], offs, offs[1:])]
-        assert edges == segments
-        values = curves._node_values(f, g, offsets)
+        assert fraction_weights(weights) == segments
+        W, Dw = weights
+        assert Dw == lcm(*(w.denominator for _, _, w in segments))
         assert values == [f.eval(g, k) for k in order]
-        assert curves._function_from_node_values(g, values, offsets) == f.simplify()
+        assert function_from_values(g, values, offsets, weights) == f.simplify()
+        # without f, the same nodes when every breakpoint is a key
+        everything = keys + breakpoints
+        rng.shuffle(everything)
+        assert curves._refine(g, everything) == (
+            {k: i for i, k in enumerate(order)}, weights, offsets, None)
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,104 @@ def test_graph_function_reader_parses_each_string_once_per_document(monkeypatch)
             assert read(doc).startswith(f"bad rational {bad!r}")
 
 
+def _spelled(rng, q):
+    """A rational string of the Fraction q, not always reduced: "2/4" or
+    "1/2" for 1/2, "007" or "7" for 7, "-0" or "0/3" for 0."""
+    k = rng.choice((1, 1, 2, 3))
+    p, d = q.numerator * k, q.denominator * k
+    if d == 1 and rng.random() < 0.5:
+        return ("-0" if p == 0 and rng.random() < 0.5
+                else "-" * (p < 0) + "0" * rng.randint(1, 2) + str(abs(p)))
+    return f"{p}/{d}" if d > 1 or rng.random() < 0.5 else str(p)
+
+
+def _malformed(rng, edges, g):
+    """A copy of the document's edges with one defect of the kinds that
+    GraphPLFunction.build reports: a wrong edge count, ends that are not 0
+    and the length, equal or decreasing offsets, or a discontinuity."""
+    edges = [[list(pair) for pair in pairs] for pairs in edges]
+    kind = rng.choice(("count", "start", "end", "short", "equal", "decreasing", "jump"))
+    e = rng.randrange(len(edges))
+    pairs = edges[e]
+    ln = g.edge_length(e)
+    if kind == "count":
+        edges.pop(e) if rng.random() < 0.5 else edges.append(edges[e])
+    elif kind == "start":
+        pairs[0][0] = _spelled(rng, ln / rng.randint(2, 5))
+    elif kind == "end":
+        pairs[-1][0] = _spelled(rng, ln * Fraction(rng.choice((1, 3)), 2))
+    elif kind == "short":
+        del pairs[1:]
+    elif kind in ("equal", "decreasing"):
+        # a new breakpoint between two, on one of their offsets, or below
+        # the first or above the second, the length included
+        i = rng.randrange(1, len(pairs))
+        lo, hi = Fraction(pairs[i - 1][0]), Fraction(pairs[i][0])
+        o = rng.choice((lo, hi) if kind == "equal" else (lo - Fraction(1, 3), hi + Fraction(1, 3)))
+        pairs.insert(i, [_spelled(rng, o), "1"])
+    else:
+        # a vertex value that differs from the one read on another edge
+        # end, at random or in its denominator only; on a vertex with one
+        # edge end the function stays valid
+        pair = pairs[rng.choice((0, -1))]
+        y = Fraction(pair[1])
+        y = (Fraction(y.numerator or 1, y.denominator * rng.randint(2, 3)) if rng.random() < 0.5
+             else Fraction(rng.randint(-9, 9), 7))
+        pair[1] = _spelled(rng, y)
+    return edges
+
+
+def fraction_checked(graph, evs):
+    """The checks of GraphPLFunction._checked, written on Fractions
+    compared as numbers, with its messages and in its order: the oracle of
+    its integer checks."""
+    if len(evs) != len(graph.edges):
+        raise curves.GraphError(
+            f"expected one breakpoint list per edge ({len(graph.edges)}), got {len(evs)}")
+    for e, pairs in enumerate(evs):
+        if len(pairs) < 2 or pairs[0][0] != 0 or pairs[-1][0] != graph.edge_length(e):
+            raise curves.GraphError(f"edge {e}: breakpoints must run from 0 to the edge length")
+        if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
+            raise curves.GraphError(f"edge {e}: breakpoints must be strictly increasing")
+    at = {}
+    for pairs, (u, v, _) in zip(evs, graph.edges):
+        for vid, y in ((u, pairs[0][1]), (v, pairs[-1][1])):
+            if at.setdefault(vid, y) != y:
+                raise curves.GraphError(f"discontinuity at vertex {vid!r}")
+    return GraphPLFunction(tuple(evs))
+
+
+def test_graph_function_checks_against_fractions(rng):
+    # GraphPLFunction._checked compares the integers of the Fractions that
+    # the reader parsed and that build converts: on valid documents and on
+    # each kind of defect, spelled with unreduced strings, the reader,
+    # build and the checks on Fractions give the same function or the same
+    # error type and message
+    def outcome(read):
+        try:
+            return read()
+        except curves.GraphError as exc:
+            return type(exc).__name__, str(exc)
+
+    kinds = {"valid": 0, "error": 0}
+    for _ in range(300):
+        g = random_graph(rng, max_extra_edges=4)
+        om = random_positive_measure(rng, g, Fraction(2))
+        f = solve_poisson(g, random_positive_measure(rng, g, Fraction(2)) - om,
+                          vertex_key(g.vertex_ids[0]))
+        edges = [[[_spelled(rng, o), _spelled(rng, y)] for o, y in pairs] for pairs in f.edge_values]
+        if rng.random() < 0.7:
+            edges = _malformed(rng, edges, g)
+        doc = {"edges": edges}
+        parsed = [tuple((serialize.parse_rational(o), serialize.parse_rational(y)) for o, y in pairs)
+                  for pairs in edges]
+        expected = outcome(lambda: fraction_checked(g, parsed))
+        assert outcome(lambda: serialize.graph_function_from_json(doc, g)) == expected
+        assert outcome(lambda: GraphPLFunction.build(g, edges)) == expected
+        kinds["error" if isinstance(expected, tuple) else "valid"] += 1
+    assert min(kinds.values()) > 50
+
+
 def test_graph_measure_writer(rng):
     measures = []
     for _ in range(20):

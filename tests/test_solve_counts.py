@@ -3,8 +3,11 @@
 Timings vary between processes; the number of linear solves does not.
 These tests count the calls of curves.solve_laplacian, the package's one
 linear solve, by kind (float guide or exact pass) on the benchmark's
-curve-envelope corpus and on the graph ladder of BENCH_30.json, and pin
-them.  A change that moves a count on purpose pins it again and says why.
+curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
+rational strings the curve readers parse and the GraphPLFunction.build
+calls they make on that corpus, with the counters of counting.py, and
+pin them.  A change that moves a count on purpose pins it again and says
+why.
 bench/inputs.py is imported, not changed.
 """
 
@@ -19,8 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, curves, serialize
+from plma import cli, serialize
 from plma.variational import envelope_subharmonic
+
+from counting import count_calls
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -32,29 +37,21 @@ def inputs(monkeypatch):
 
 
 @pytest.fixture
-def solves(monkeypatch):
-    """{"float": n, "exact": m}, counting the solve_laplacian calls from now on."""
-    counts = {"float": 0, "exact": 0}
-    solve = curves.solve_laplacian
-
-    def counted(form, pinned):
-        counts["float" if isinstance(form[0][0], float) else "exact"] += 1
-        return solve(form, pinned)
-
-    monkeypatch.setattr(curves, "solve_laplacian", counted)
-    return counts
+def calls(monkeypatch):
+    """counting.count_calls from now on: the calls of parse_rational,
+    GraphPLFunction.build and solve_laplacian by kind."""
+    return count_calls(monkeypatch.setattr)
 
 
-def test_curve_envelope_corpus_solve_counts(inputs, solves, tmp_path, monkeypatch):
-    # the 78 ops of the first 13 rounds of the curve-envelope corpus, one
-    # envelope each: the float guide starts at the nodes of positive
-    # r = laplacian(psi) + omega0 (404 float solves when it started at
-    # every node), and every exact pass takes one solve
+def _run_corpus(inputs, tmp_path, monkeypatch, before=lambda: None):
+    """Run the 78 ops of the first 13 rounds of the curve-envelope corpus
+    through cli.run in tmp_path, each exiting 0; `before` runs once the
+    deck is built, so that counts start there."""
     deck = inputs.make_deck("curve-envelope", 1, 13)
     monkeypatch.chdir(tmp_path)
     for name, text in deck.files.items():
         (tmp_path / name).write_text(text)
-    solves.update(float=0, exact=0)  # the deck's obstacles took a solve each
+    before()
     ops = 0
     for tasks in deck.rounds:
         for task in tasks:
@@ -63,11 +60,22 @@ def test_curve_envelope_corpus_solve_counts(inputs, solves, tmp_path, monkeypatc
                     assert cli.run(argv) == 0
                 ops += 1
     assert ops == 78
-    assert solves == {"float": 170, "exact": 78}
+
+
+def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch):
+    # one envelope per op: the float guide starts at the nodes of positive
+    # r = laplacian(psi) + omega0 (404 float solves when it started at
+    # every node), and every exact pass takes one solve.  The readers
+    # parse each distinct string of a document once, edge lengths included
+    # (3 897 parses when every length was parsed on its own), and check
+    # the graph function they read without GraphPLFunction.build
+    _run_corpus(inputs, tmp_path, monkeypatch,
+                lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
+    assert calls == {"parse_rational": 3124, "build": 0, "float": 170, "exact": 78}
 
 
 @pytest.mark.parametrize("nv", [60, 240])
-def test_graph_ladder_envelope_solve_counts(inputs, solves, nv):
+def test_graph_ladder_envelope_solve_counts(inputs, calls, nv):
     # BENCH_30.json's recipe: 7 and 9 float solves when the guide started
     # at every node
     rng = random.Random(nv)
@@ -78,6 +86,6 @@ def test_graph_ladder_envelope_solve_counts(inputs, solves, nv):
     g = serialize.graph_from_json(inputs.graph_json(graph))
     om = serialize.graph_measure_from_json(inputs.graph_measure_json(omega0), g)
     f = serialize.graph_function_from_json(inputs.graph_function_json(psi), g)
-    solves.update(float=0, exact=0)
+    calls.update(float=0, exact=0)
     envelope_subharmonic(f, g, om)
-    assert solves == {"float": 2, "exact": 1}
+    assert (calls["float"], calls["exact"]) == (2, 1)

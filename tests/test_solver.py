@@ -376,6 +376,42 @@ def test_translated_solve_converges(offset):
         assert max(abs(e) for _, e in rep.residual) < solver.TOLERANCE * delta.volume()
 
 
+def near_coincident_target(rng, e):
+    """Four atoms in the unit square with masses summing to 1, two of them
+    10^-e apart: a point on the 1/25 grid and the point moved by (s, -3 s)
+    10^-e, s = +-1, and two more grid points."""
+    grid = [Fraction(j, 25) for j in range(2, 24)]
+    p = (rng.choice(grid), rng.choice(grid))
+    step = Fraction(rng.choice((-1, 1)), 10**e)
+    points = [p, (p[0] + step, p[1] - 3 * step)]
+    while len(points) < 4:
+        q = (rng.choice(grid), rng.choice(grid))
+        if q not in points:
+            points.append(q)
+    cuts = sorted(rng.sample(range(1, 12), 3))
+    masses = [Fraction(b - a, 12) for a, b in zip([0, *cuts], [*cuts, 12])]
+    return DiscreteMeasure.from_atoms(zip(points, masses))
+
+
+def test_converged_is_the_exact_comparison():
+    # two atoms 10^-e apart, e = 3..15, four draws each: rounding the
+    # weights to 2^-50 moves a cell volume by up to 2^-51 |facet| / |v_i -
+    # v_j|, so the exact residual can lie far above the float guide's.
+    # converged is the exact comparison max |residual| <= TOLERANCE *
+    # Vol(delta), whatever the guide's own test said; the draws reach both
+    # outcomes
+    delta = unit_square()
+    outcomes = set()
+    for e in range(3, 16):
+        rng = random.Random(e)
+        for _ in range(4):
+            rep = solve_toric(delta, near_coincident_target(rng, e))
+            within = max(abs(r) for _, r in rep.residual) <= Fraction(1, 10**10) * delta.volume()
+            assert rep.converged == within
+            outcomes.add(within)
+    assert outcomes == {True, False}
+
+
 SOLVER_INPUT_ERRORS = {
     "segment in the plane": (
         lambda: solve_toric(Polytope.from_points([(0, 0), (2, 1)]),

@@ -54,6 +54,9 @@ from plma.variational import (
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     fraction_solve_laplacian,
+    fraction_weights,
+    function_from_values,
+    integer_values,
     interp,
     interval,
     lattice_paraboloid,
@@ -598,18 +601,19 @@ def test_envelope_graph_regression():
 
 def obstacle_problem(psi, g, om):
     """The discrete problem on node numbers, as _howard takes it: the node
-    index, the (i, j, w) segments, the offsets, the obstacle list read
-    with psi.eval at each node's key, and om's masses.  The interior nodes
-    are psi's breakpoints and om's atoms, whatever variational picks."""
-    keys = [k for k, _ in om.atoms] + [
+    index, the segment weights (W, Dw) of curves._refine, the offsets, the
+    obstacle list read with psi.eval at each node's key, and om's masses.
+    The interior nodes are psi's breakpoints and om's atoms, numbered from
+    their keys with the vertices', whatever variational picks."""
+    keys = [vertex_key(vid) for vid in g.vertex_ids] + [k for k, _ in om.atoms] + [
         g.point_key(("e", e, o)) for e, pairs in enumerate(psi.edge_values)
         for o, _ in pairs[1:-1]
     ]
-    index, edges, offsets = curves._refine(g, keys)
+    index, weights, offsets, _ = curves._refine(g, keys)
     obstacle = [None] * len(index)
     for k, i in index.items():
         obstacle[i] = psi.eval(g, k)
-    return index, edges, offsets, obstacle, {index[k]: m for k, m in om.atoms}
+    return index, weights, offsets, obstacle, {index[k]: m for k, m in om.atoms}
 
 
 def howard_oracle(psi, g, om):
@@ -618,7 +622,8 @@ def howard_oracle(psi, g, om):
     every node until the set repeats."""
     if is_subharmonic(psi, g, om):
         return psi
-    _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+    _, weights, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+    edges = fraction_weights(weights)
     nodes = range(len(obstacle))
     source = {k: -m for k, m in mass.items()}
     contact = set(nodes)
@@ -631,7 +636,7 @@ def howard_oracle(psi, g, om):
             s[b] -= d
         nxt = {k for k in nodes if obstacle[k] - x[k] <= s[k]}
         if nxt == contact:
-            return curves._function_from_node_values(g, x, offsets)
+            return function_from_values(g, x, offsets, weights)
         contact = nxt
     raise AssertionError("the oracle did not settle")
 
@@ -682,7 +687,8 @@ def assert_old_check(psi, g, om):
     assert all(y >= 0 for pairs in gap.edge_values for _, y in pairs)
     ma = ma_curve(env, g, om)
     nodes = variational._envelope_nodes(psi, g, om)
-    (S, Ds), key = nodes.s, {i: k for k, i in nodes.index.items()}
+    S, Ds = nodes.s
+    key = curves._node_keys(g, nodes.edge_offsets)
     assert ma == GraphMeasure.from_atoms(g, [(key[i], Fraction(sk, Ds)) for i, sk in enumerate(S) if sk])
     assert orthogonality_defect_curve(psi, g, om) == ma.integrate(g, gap)
 
@@ -728,8 +734,8 @@ def test_exact_howard_from_any_start():
     for i in range(30):
         g, om, psi = dented_graph(rng, 4 + 2 * i, min(12, 2 + i // 3))
         expected = howard_oracle(psi, g, om)
-        _, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
-        form = curves.laplacian_form(obstacle, mass, edges)
+        _, weights, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+        form = curves.laplacian_form(integer_values(obstacle), mass, weights)
         n = len(obstacle)
         candidates = [set(range(n)), {rng.randrange(n)},
                       {k for k, r in enumerate(form[0]) if r > 0}]
@@ -742,7 +748,7 @@ def test_exact_howard_from_any_start():
             else:
                 raise AssertionError("no complementary solve in len(nodes) + 1 solves")
             x = [y - Fraction(gk, d * form[1]) for y, gk in zip(obstacle, G)]
-            assert curves._function_from_node_values(g, x, offsets) == expected
+            assert function_from_values(g, x, offsets, weights) == expected
             starts += 1
     assert starts == 180
 
@@ -892,9 +898,10 @@ def test_obstacle_read_off_breakpoints():
     kinds = set()
     for i in range(60):
         g, om, psi = loopy_obstacle(rng, 2 + i % 11)
-        index, edges, offsets, obstacle, mass = obstacle_problem(psi, g, om)
-        form = curves.laplacian_form(obstacle, mass, edges)
-        assert curves.node_problem(g, psi, om) == (index, offsets, obstacle, form)
+        index, weights, offsets, obstacle, mass = obstacle_problem(psi, g, om)
+        form = curves.laplacian_form(integer_values(obstacle), mass, weights)
+        assert curves.node_problem(g, psi, om) == (
+            {k: index[k] for k, _ in om.atoms}, offsets, integer_values(obstacle), form)
         breakpoints = {g.point_key(("e", e, o))
                        for e, pairs in enumerate(psi.edge_values) for o, _ in pairs}
         kinds.update(k[0] + str(k in breakpoints) for k, _ in om.atoms)
@@ -1019,8 +1026,8 @@ def test_envelope_float_guide_fallback(tmp_path, capsys, monkeypatch, exp_length
     g, om, psi = spiked_edge(exp_length, exp_value)
     assert not is_subharmonic(psi, g, om)
     expected = howard_oracle(psi, g, om)
-    _, edges, _, obstacle, mass = obstacle_problem(psi, g, om)
-    form = curves.laplacian_form(obstacle, mass, edges)
+    _, weights, _, obstacle, mass = obstacle_problem(psi, g, om)
+    form = curves.laplacian_form(integer_values(obstacle), mass, weights)
     start = {k for k, r in enumerate(form[0]) if r > 0}
     guide = variational._float_contact(form, start)
     if (exp_length, exp_value) in SETTLE_ON_EVERY_NODE:
