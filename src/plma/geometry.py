@@ -27,7 +27,7 @@ X / q in lowest terms, with q > 0, beside the indices of the pieces whose
 slopes span its cell (the subdifferential), and each edge is the index
 pair of the two pieces that tie along it.  A reader builds its one
 `Fraction` per result from X, q and the cell's first piece, which is
-active at the vertex.  There is one walk per function:
+active at the vertex.  There is one walk per Legendre pair:
 `PLConvexFunction.subdivision` runs the kernel at most once, and
 `from_pieces` hands it the walk that pruned the pieces to the essential
 ones.  Breakpoints, the Monge-Ampere masses, the toric energy and the
@@ -35,11 +35,15 @@ envelopes all read that walk.  So does the Legendre transform
 `dual_transform`: it takes F's vertices inside the polytope from F's
 walk, and F's breakpoints along each side of the polytope from the 1-D
 chain of F restricted to that side, each with its value read off the
-cell that found it.  The 2-D walk takes O(k) exact operations per vertex
-for k pieces, to find the pieces tied there, and O(k) per edge, to clip
-it.  It remembers where each bounded edge leads, so that edge is clipped
-once, from the end the walk reaches first, and not again from the other:
-O(k*(V + B + U)) in all for V vertices, B bounded and U unbounded edges.
+cell that found it.  Those corners, with the pieces of F active at each,
+are F's cells in the polytope, and they are the transform's integer
+slopes and the cells of its subdivision, so the transform is handed both
+and is not walked again.  The 2-D walk takes O(k) exact operations per
+vertex for k pieces, to find the pieces tied there, and O(k) per edge,
+to clip it.  It remembers where each bounded edge leads, so that edge is
+clipped once, from the end the walk reaches first, and not again from
+the other: O(k*(V + B + U)) in all for V vertices, B bounded and U
+unbounded edges.
 
 Both atomic measures, DiscreteMeasure here and curves.GraphMeasure, are
 an AtomicMeasure: one canonical form (masses summed by location, zero
@@ -748,47 +752,124 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     and the vertices of its lower chain with 0 < s < 1 are the points where
     an edge of F's subdivision crosses the side.
 
-    It runs on integers, with one Fraction per result.  F's slopes are
-    S_i / D and its intercepts C_i / E, and delta's vertices are V / Q.  F
-    at a vertex u of delta is F(u), the integer max of
-    `PLConvexFunction.__call__`.  A walk vertex X / q is tested against
-    delta's integer half-planes, <n, X> >= c q, and only one inside delta
-    becomes a point.  On each side P -> P' of delta's ring,
-    F((P + s (P' - P)) / Q) has the 1-D integer form of slopes
-    <S_i, P' - P> / (D Q) and intercepts (D Q C_i - E <S_i, P>) / (D Q E);
-    with the lowest intercept kept per slope, its `subdivision` gives the
-    breakpoints s = X / q, kept when 0 < X < q.  The two sides of a segment
-    find the same points, a point's one side none.
-
+    It runs on integers, with one Fraction per coordinate and value of the
+    result.  F's slopes are S_i / D and its intercepts C_i / E, and
+    delta's ring is R / Q.  Each corner u is kept as X / q in lowest
+    terms, with its value y / z and the pieces of F active at u:
+    - at a vertex R_j / Q of delta, the integer max of the pieces'
+      values E <S_i, R_j> - D Q C_i over D E Q, and the pieces that reach it;
+    - at a walk vertex X / q inside delta (delta's integer half-planes,
+      <n, X> >= c q), the value read off its cell and the cell's pieces;
+    - on each side P -> P' of the ring, F((P + s (P' - P)) / Q) has the
+      1-D integer form of slopes <S_i, P' - P> / (D Q) and intercepts
+      (D Q C_i - E <S_i, P>) / (D Q E); with the lowest intercept kept per
+      slope, its `subdivision` gives the breakpoints s = X / q, kept when
+      0 < X < q, each with the value of its left piece and the two pieces
+      that meet there.  The two sides of a segment find the same points,
+      a point's one side none.
     Only the vertices of delta pay for a max over all k pieces.  Every
     other value is read off the kernel cell that found it (`_vertex_value`)
     in O(1): every piece of a cell is active at its vertex (Lucet, Numer.
     Algorithms 1997).
+
+    The corners, on their common denominator L, are h's integer slopes,
+    sorted as integer tuples, so h's integer form is handed over with it.
+    So is its subdivision, when delta is full-dimensional: h's vertices
+    are the slopes v_i of F whose cells meet delta in positive volume,
+    and the cell of v_i is the counterclockwise ring (`_ccw_ring`) of the
+    corners where piece i is active, the vertices of F's cell i in delta.
+    The pieces of F active at a corner include every such i: a piece
+    active at a point but not an extreme slope of F's subdifferential
+    there has a cell of zero area, and at a side breakpoint inside an edge
+    of F the subdifferential is the segment of the two pieces that meet.
+    In 1-D each cell is the two consecutive corners around it.  So h is
+    not walked: one exact diagram, F's cells in delta, serves the
+    transform, its Monge-Ampere masses and the solver's residual.
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
     S, D, C, E = form = F.integer_form
-    values = {u: F(u) for u in delta._ring}
+    R, Q = delta._integer_ring
+    DQ = D * Q
+    corners = {}  # (X, q) in lowest terms -> (y, z, the pieces of F active there)
+
+    def corner(u, y, z, active):
+        corners.setdefault(u, (y, z, set()))[2].update(active)
+
+    for P in R:
+        vals = [E * _idot(s, P) - DQ * c for s, c in zip(S, C)]
+        m = max(vals)
+        r = math.gcd(*P, Q)
+        corner((tuple(x // r for x in P), Q // r), m, DQ * E,
+               [i for i, v in enumerate(vals) if v == m])
     for X, q, ring in F.subdivision[0]:
         if delta._contains_scaled(X, q):
-            values[_point(X, q)] = Fraction(_vertex_value(form, X, q, ring[0]), D * E * q)
+            corner((X, q), _vertex_value(form, X, q, ring[0]), D * E * q, ring)
     if delta.dim == 2:
-        R, Q = delta._integer_ring
-        DQ = D * Q
         for P, P1 in zip(R, R[1:] + R[:1]):
             d0, d1 = P1[0] - P[0], P1[1] - P[1]
             # equal restricted slopes: only the lowest intercept can matter
             side = {}
-            for (s0, s1), c in zip(S, C):
+            for i, ((s0, s1), c) in enumerate(zip(S, C)):
                 x, y = s0 * d0 + s1 * d1, DQ * c - E * (s0 * P[0] + s1 * P[1])
-                if x not in side or y < side[x]:
-                    side[x] = y
-            side_form = ([(x,) for x in side], DQ, list(side.values()), DQ * E)
-            for (X,), q, (a, _) in subdivision(side_form)[0]:
+                if x not in side or y < side[x][0]:
+                    side[x] = (y, i)
+            piece = [i for _, i in side.values()]
+            side_form = ([(x,) for x in side], DQ, [y for y, _ in side.values()], DQ * E)
+            for (X,), q, (a, b) in subdivision(side_form)[0]:
                 if 0 < X < q:
-                    u = (Fraction(q * P[0] + X * d0, q * Q), Fraction(q * P[1] + X * d1, q * Q))
-                    values[u] = Fraction(_vertex_value(side_form, (X,), q, a), DQ * DQ * E * q)
-    return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
+                    U = (q * P[0] + X * d0, q * P[1] + X * d1)
+                    r = math.gcd(*U, q * Q)
+                    corner((tuple(x // r for x in U), q * Q // r),
+                           _vertex_value(side_form, (X,), q, a), DQ * DQ * E * q,
+                           (piece[a], piece[b]))
+    return _from_corners(corners, F, delta)
+
+
+def _from_corners(corners, F, delta):
+    """The function of `dual_transform` from its corners, a dict from each
+    corner X / q in lowest terms to (y, z, active): its value y / z and the
+    pieces of F active there.  It builds one Fraction per coordinate and
+    value for the pieces, and hands over their integer form (S, L, C, E)
+    and, for a full-dimensional delta, their subdivision."""
+    L = math.lcm(*(q for _, q in corners))
+    order = sorted((tuple(x * (L // q) for x in X), X, q) for X, q in corners)
+    pieces, values, index = [], [], {}
+    for j, (P, X, q) in enumerate(order):
+        y, z, _ = corners[X, q]
+        value = Fraction(y, z)
+        pieces.append(AffineFunctional(tuple(Fraction(x, q) for x in X), value))
+        values.append(value)
+        index[P] = j
+    E = math.lcm(*(v.denominator for v in values))
+    S = [P for P, _, _ in order]
+    C = tuple(v.numerator * (E // v.denominator) for v in values)
+    h = PLConvexFunction(tuple(pieces))
+    h.__dict__["integer_form"] = (S, L, C, E)
+    if len(delta._ring) <= delta.dim:  # a point, or a segment in the plane
+        return h
+    if delta.dim == 1:
+        cells = []
+        for a in range(len(S) - 1):
+            X, q = L * (C[a + 1] - C[a]), E * (S[a + 1][0] - S[a][0])
+            r = math.gcd(X, q)
+            cells.append(((X // r,), q // r, (a, a + 1)))
+        h.__dict__["subdivision"] = (cells, [])
+        return h
+    active = {}  # piece of F -> the corners where it is active, sorted
+    for P, X, q in order:
+        for i in corners[X, q][2]:
+            active.setdefault(i, []).append(P)
+    FS, FD = F.integer_form[:2]
+    cells = []
+    for i in sorted(active, key=FS.__getitem__):
+        ring = _ccw_ring(active[i])
+        if len(ring) >= 3:
+            r = math.gcd(*FS[i], FD)
+            cells.append((tuple(s // r for s in FS[i]), FD // r, tuple(index[P] for P in ring)))
+    edges = [(a, b) for _, _, r in cells for a, b in zip(r, r[1:] + r[:1])]
+    h.__dict__["subdivision"] = (cells, edges)
+    return h
 
 
 def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:

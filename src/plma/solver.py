@@ -68,14 +68,23 @@ lie in (-1, 1)).  Moving the atoms changes no cell, and moving delta
 changes w_i - w_0 by <c, v_i - v_0>, which is added back exactly.  The
 weights are fixed in the gauge w_0 = 0, rounded to the common denominator
 2^50, snapped to small denominators (which recovers the exact solution
-whenever it is rational) and then moved back.  When the snap fails, the
-weights on 2^-50 are returned: one common dyadic denominator keeps the
-integers of the exact check small, where a separate rational
-approximation per weight made their common denominator grow with k.  The residual of the returned
-solution is always recomputed exactly through the independent
-subdifferential-volume path.  In one
-dimension the cells are consecutive intervals and the weights have a
-closed form.
+whenever it is rational) and then moved back.  The snap is checked
+only when the lcm of its denominators is at most SNAP_DENOMINATOR**2:
+every snap that recovers a solution of the benchmark's targets has an lcm
+of at most 252, while a generic target's snap has one of dozens of digits
+and an exact check that cost most of the solve.  When the snap is not
+checked, the weights on 2^-50 are the snap.  When it fails, or is not
+checked, the weights on 2^-50 are returned: one common dyadic denominator
+keeps the integers of the exact check small, where a separate rational
+approximation per weight made their common denominator grow with k.
+
+The residual of the returned solution is always recomputed exactly, on
+integers, from the exact power diagram of F_w in the polytope: the
+Legendre transform `dual_transform` finds the corners of every cell, and
+the solution g = F_w* it returns carries them, as its integer slopes and
+the cells of its subdivision, so the residual reads the cell volumes off
+them without walking g (`residual`).  In one dimension the cells are
+consecutive intervals and the weights have a closed form.
 """
 
 from __future__ import annotations
@@ -83,6 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from . import curves
 from .curves import ConvergenceError
@@ -93,13 +103,17 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     _integer_points,
+    _point,
+    _scaled,
+    _vertex_order,
+    cell_sums,
     dot,
     dual_transform,
     vscale,
     vsub,
     without_digit_limit,
 )
-from .toric import AdmissibilityError, DegeneratePolytopeError, ma_measure
+from .toric import AdmissibilityError, DegeneratePolytopeError
 
 
 # Newton stops once every float cell volume is within TOLERANCE * Vol(delta)
@@ -117,7 +131,10 @@ SNAP_DENOMINATOR = 10**6
 class SolveReport:
     solution: PLConvexFunction
     residual: tuple  # ((atom, exact error), ...) for the returned solution
-    polished_residual: tuple  # exact errors after snapping weights to small rationals
+    # exact errors of the weights snapped to small rationals; when the snap
+    # is not checked (its denominators' lcm exceeds SNAP_DENOMINATOR**2),
+    # the weights on 2^-50 are the snap, and this is the residual
+    polished_residual: tuple
     iterations: int
     converged: bool
 
@@ -203,13 +220,37 @@ def _solution_from_weights(delta, atoms, weights):
 
 
 def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
-    """Exact per-atom difference between MA(g) and nu."""
-    got = ma_measure(g, delta, check=False).measure_NR.masses
-    want = nu.masses
-    zero = Fraction(0)
-    return tuple(
-        (p, got.get(p, zero) - want.get(p, zero)) for p in sorted(got.keys() | want.keys())
-    )
+    """Exact per-atom difference between MA(g) and nu: ((point, error), ...)
+    by point, over the vertices of g's subdivision and the atoms of nu.
+
+    It reads g's cells (X, q, ring), which `dual_transform` hands over
+    with the solution, and its integer slopes S_i / D: the mass at X / q
+    is `cell_sums` of the ring's slopes over n! D^n.  The cells are matched
+    with nu's atoms on their integer points X / q in lowest terms, and
+    each entry is one Fraction.  The cells come sorted by vertex, so only
+    an atom of nu that is no vertex of g makes a sort, by the exact
+    cross-multiplied `_vertex_order`.
+    """
+    S, D, _, _ = g.integer_form
+    den = math.factorial(delta.dim) * D ** delta.dim
+    want = {}
+    for p, m in nu.atoms:
+        q = math.lcm(*(x.denominator for x in p))
+        want[_scaled(p, q), q] = p, m
+    out = []
+    for X, q, ring in g.subdivision[0]:
+        A = cell_sums([S[i] for i in ring])[0]
+        atom = want.pop((X, q), None)
+        if atom is None:
+            out.append((X, q, (_point(X, q), Fraction(A, den))))
+        else:
+            p, m = atom
+            out.append((X, q, (p, Fraction(A * m.denominator - m.numerator * den,
+                                            den * m.denominator))))
+    if want:
+        out += [(X, q, (p, -m)) for (X, q), (p, m) in want.items()]
+        out.sort(key=cmp_to_key(_vertex_order))
+    return tuple(entry for _, _, entry in out)
 
 
 def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):
@@ -315,7 +356,10 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
 
     The float guide runs damped Newton until every float cell volume is
     within TOLERANCE * Vol(delta) of its mass, for at most MAX_ITERATIONS
-    steps.  Whatever stops it, the reported residual is exact, and the
+    steps.  Its weights are snapped to small rationals, and the snap is
+    checked when the lcm of its denominators is at most
+    SNAP_DENOMINATOR**2; otherwise the weights on 2^-50 are the snap.
+    Whatever stops it, the reported residual is exact, and the
     report says converged exactly when every entry of that residual is
     within TOLERANCE * Vol(delta), compared on Fractions.  A guide that the
     floats cannot carry (an ArithmeticError) ends at its last accepted
@@ -356,6 +400,11 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     except ArithmeticError:
         raise ConvergenceError("the float guide cannot represent this target") from None
     snapped = [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
+    if math.lcm(*(w.denominator for w in snapped)) > SNAP_DENOMINATOR**2:
+        # a snap this fine is a generic target's, which it does not solve,
+        # and its exact check would cost most of the solve: the grid 2^-50
+        # is the snap
+        snapped = wfrac
     if any(c):
         # and back: w_i - w_0 = w'_i - w'_0 - <c, v_i - v_0>, on the grid
         # and on the snap alike
@@ -363,9 +412,8 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
         wfrac = [w - b for w, b in zip(wfrac, back)]
         snapped = [w - b for w, b in zip(snapped, back)]
     g = _solution_from_weights(delta, atoms, snapped)
-    polished = residual(g, nu, delta)
-    res = polished
-    if any(r != 0 for _, r in polished):
+    polished = res = residual(g, nu, delta)
+    if snapped != wfrac and any(r != 0 for _, r in polished):
         g = _solution_from_weights(delta, atoms, wfrac)
         res = residual(g, nu, delta)
     converged = max(abs(e) for _, e in res) <= TOLERANCE * vol

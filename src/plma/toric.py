@@ -5,8 +5,10 @@ volume of the subdifferential there; for admissible functions the cells
 partition the polytope, so the total mass equals its volume.  Vertices and
 cells come from the function's one `geometry.subdivision` walk (O(k) exact
 operations per vertex and per edge for k pieces), as integer vertices X / q
-and the indices of each cell's pieces.  The analytic-side measure is the
-same atom list scaled by n! and tagged with monomial points.
+and the indices of each cell's pieces; a function that
+`geometry.dual_transform` returns is handed them instead, read off the
+cells it found, and is not walked.  The analytic-side measure is the same
+atom list scaled by n! and tagged with monomial points.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def degree(delta: Polytope) -> Fraction:
 def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> ToricMAResult:
     """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy.
 
-    The atoms are the vertices X / q of g's walk, each built as a point
-    from its integers.  The mass at a vertex is the volume of its cell,
+    The atoms are the vertices X / q of g's subdivision, its walk or the
+    cells that `dual_transform` handed it, each built as a point from its
+    integers.  The mass at a vertex is the volume of its cell,
     A / (n! D^n), with A the integer sum `cell_sums` of the integer slopes
     S_i of the cell's pieces over g's slope denominator D: one Fraction
     per atom, and A / D^n on the analytic side.  The walk's vertices are

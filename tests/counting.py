@@ -1,20 +1,21 @@
 """Counters of the calls that the performance pins count: the rational
 strings serialize.parse_rational parses, the GraphPLFunction.build calls,
-and the curves.solve_laplacian calls by kind, a float guide's form or an
-exact one.  tests/test_solve_counts.py pins them, and tests/ladder.py
-prints them."""
+the curves.solve_laplacian calls by kind, a float guide's form or an
+exact one, the 2-D walks of geometry._walk and the exact residuals of
+solver.residual.  tests/test_solve_counts.py pins them, and
+tests/ladder.py prints them."""
 
-from plma import curves, serialize
+from plma import curves, geometry, serialize, solver
 
 
 def count_calls(setattr):
     """Wrap the counted routines with `setattr`, pytest's
     monkeypatch.setattr, which puts them back after; return the dict of
-    their calls from now on: "parse_rational", "build", "float" and
-    "exact"."""
-    calls = dict.fromkeys(("parse_rational", "build", "float", "exact"), 0)
+    their calls from now on: "parse_rational", "build", "float", "exact",
+    "walk" and "residual"."""
+    calls = dict.fromkeys(("parse_rational", "build", "float", "exact", "walk", "residual"), 0)
     parse, build = serialize.parse_rational, curves.GraphPLFunction.build
-    solve = curves.solve_laplacian
+    solve, walk, residual = curves.solve_laplacian, geometry._walk, solver.residual
 
     def parse_rational(s):
         calls["parse_rational"] += 1
@@ -28,7 +29,17 @@ def count_calls(setattr):
         calls["float" if isinstance(form[0][0], float) else "exact"] += 1
         return solve(form, pinned)
 
+    def counted_walk(form):
+        calls["walk"] += 1
+        return walk(form)
+
+    def counted_residual(g, nu, delta):
+        calls["residual"] += 1
+        return residual(g, nu, delta)
+
     setattr(serialize, "parse_rational", parse_rational)
     setattr(curves.GraphPLFunction, "build", staticmethod(counted_build))
     setattr(curves, "solve_laplacian", solve_laplacian)
+    setattr(geometry, "_walk", counted_walk)
+    setattr(solver, "residual", counted_residual)
     return calls

@@ -1,25 +1,39 @@
-"""The graph ladder: `envelope --graph` and `curve-solve` by graph size.
+"""The size ladders: the graph commands by graph size, the toric solve by
+the number of atoms.
 
 Run from the repository root, with the plma to measure on the path:
 
-    PYTHONPATH=src python tests/ladder.py
+    PYTHONPATH=src python tests/ladder.py [graph] [toric]
 
-pytest does not collect this file.  The inputs are BENCH_30.json's recipe,
-drawn with bench/inputs.py's generators (imported, not changed) and
-random.Random(v) at each size v: random_graph(rng, v), a spanning tree
-plus v/4 chords; omega0 = reference_measure(rng, graph, 2); mu =
-positive_measure(rng, distinct_points(rng, graph, 3), 2); and psi =
-dented_obstacle(rng, graph, omega0, 10).  Their documents are written
-into a temporary directory, and each command runs through cli.run there.
+Naming no set runs both.  pytest does not collect this file.  Each rung's
+documents are written into a temporary directory, and each command runs
+through cli.run there.
 
-For each size the script prints the CPU seconds (time.process_time, the
+The graph set: `envelope --graph` and `curve-solve` at v = 60 to 960, on
+BENCH_30.json's recipe, drawn with bench/inputs.py's generators (imported,
+not changed) and random.Random(v) at each size v: random_graph(rng, v), a
+spanning tree plus v/4 chords; omega0 = reference_measure(rng, graph, 2);
+mu = positive_measure(rng, distinct_points(rng, graph, 3), 2); and psi =
+dented_obstacle(rng, graph, omega0, 10).
+
+The toric set: `toric-solve` at k = 25 to 200 on the generic targets of
+ROADMAP's Baseline: the unit square, and uniform masses on k atoms of the
+1/17 grid in it, random.Random(k).sample of the grid points (i/17, j/17),
+i and j from 0 to 17, in that order.  Their solutions are irrational, so
+the snap does not recover them.
+
+For each rung the script prints the CPU seconds (time.process_time, the
 least of REPEATS runs) of each command and, for one run of each, the
-calls of serialize.parse_rational, of GraphPLFunction.build and of
-curves.solve_laplacian by kind (float guide or exact), counted by
-counting.py as tests/test_solve_counts.py counts them, and last the
-exponent of a least-squares fit of log time on log v for each command.
-A size whose runs take longer than TIMEOUT_S of wall time in all stops
-the ladder there.
+counts of counting.py, as tests/test_solve_counts.py counts them: the
+calls of serialize.parse_rational, of GraphPLFunction.build, of
+curves.solve_laplacian by kind (float guide or exact), of geometry._walk
+and of solver.residual.  A toric rung also prints its Newton iterations,
+whether the solve converged, whether its snap was checked (two residuals,
+or a recovered snap) and the CPU seconds of its exact stage, the calls of
+dual_transform and residual that solve_toric makes.  Last comes the
+exponent of a least-squares fit of log time on log size for each command.
+A rung whose runs take longer than TIMEOUT_S of wall time in all stops
+its set there.
 """
 
 from __future__ import annotations
@@ -41,16 +55,16 @@ from pathlib import Path
 import pytest
 
 from counting import count_calls
-from plma import cli
+from plma import cli, solver
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SIZES = (60, 120, 240, 480, 960)
+GRAPH_SIZES = (60, 120, 240, 480, 960)
+TORIC_SIZES = (25, 50, 100, 200)
 REPEATS = 3
 TIMEOUT_S = 120
-COMMANDS = ("envelope", "curve-solve")
 
 
-def documents(inputs, v):
+def graph_documents(inputs, v):
     """The graph, omega0, mu and psi documents of BENCH_30.json's recipe at
     size v."""
     rng = random.Random(v)
@@ -62,18 +76,68 @@ def documents(inputs, v):
             "mu": inputs.graph_measure_json(mu), "psi": inputs.graph_function_json(psi)}
 
 
+def toric_documents(k):
+    """The unit square and uniform masses on k points of its 1/17 grid,
+    drawn with random.Random(k); the masses are 2/k in the Berkovich
+    scale of the command line, 1/k once divided by 2!."""
+    grid = [(i, j) for i in range(18) for j in range(18)]
+    atoms = random.Random(k).sample(grid, k)
+    return {"delta": {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+            "mu": {"atoms": [{"point": [f"{i}/17", f"{j}/17"], "mass": str(Fraction(2, k))}
+                             for i, j in atoms]}}
+
+
 ARGV = {
     "envelope": ["envelope", "--graph", "graph.json", "--omega0", "omega0.json", "--g", "psi.json"],
     "curve-solve": ["curve-solve", "--graph", "graph.json", "--mu", "mu.json",
                     "--omega0", "omega0.json"],
+    "toric-solve": ["toric-solve", "--delta", "delta.json", "--mu", "mu.json"],
 }
 
 
 def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    """stdout of the command; exit 3, an unconverged toric solve, is a
+    result too."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.run(argv)
-    if code != 0:
+    if code not in (0, 3):
         raise RuntimeError(f"{argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def exact_stage(setattr):
+    """Wrap the dual_transform and residual of solver with `setattr`;
+    return the list whose one entry sums their CPU seconds from now on."""
+    spent = [0.0]
+
+    def timed(fn):
+        def wrapper(*args):
+            start = time.process_time()
+            try:
+                return fn(*args)
+            finally:
+                spent[0] += time.process_time() - start
+        return wrapper
+
+    setattr(solver, "dual_transform", timed(solver.dual_transform))
+    setattr(solver, "residual", timed(solver.residual))
+    return spent
+
+
+def counted(command):
+    """One run of the command with its calls counted: the row's words."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch.setattr)
+        spent = exact_stage(patch.setattr)
+        out = run(ARGV[command])
+    if command != "toric-solve":
+        return [str(calls)]
+    report = json.loads(out)
+    recovered = all(Fraction(r["error"]) == 0 for r in report["polished_residual"])
+    return [f"iterations {report['iterations']}", f"converged {report['converged']}",
+            f"snap checked {calls['residual'] == 2 or recovered}",
+            f"exact stage {spent[0]:.4f} s", str(calls)]
 
 
 def _timeout(signum, frame):
@@ -89,46 +153,54 @@ def exponent(points):
             / sum((x - mx) ** 2 for x in xs))
 
 
-def main():
+def ladder(label, sizes, documents, commands):
+    """Run each command at each size on the documents of that size, and
+    print a row per size and an exponent per command."""
+    times = {command: [] for command in commands}
+    for size in sizes:
+        for name, doc in documents(size).items():
+            Path(f"{name}.json").write_text(json.dumps(doc))
+        row = [f"{label}={size}"]
+        signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+        try:
+            for command in commands:
+                words = counted(command)
+                best = math.inf
+                for _ in range(REPEATS):
+                    start = time.process_time()
+                    run(ARGV[command])
+                    best = min(best, time.process_time() - start)
+                times[command].append((size, best))
+                row += [f"{command} {best:.4f} s", *words]
+        except TimeoutError:
+            print(*row, f"timeout after {TIMEOUT_S} s", sep="  ")
+            break
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        print(*row, sep="  ")
+    for command, points in times.items():
+        if len(points) > 1:
+            print(f"{command}: exponent {exponent(points):.2f} over {label} = "
+                  f"{points[0][0]}..{points[-1][0]}")
+
+
+def main(sets):
     sys.path.insert(0, str(BENCH))
     inputs = importlib.import_module("inputs")
-    times = {command: [] for command in COMMANDS}
     previous, cwd = signal.signal(signal.SIGALRM, _timeout), os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            for v in SIZES:
-                for name, doc in documents(inputs, v).items():
-                    Path(f"{name}.json").write_text(json.dumps(doc))
-                row = [f"v={v}"]
-                signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
-                try:
-                    for command in COMMANDS:
-                        with pytest.MonkeyPatch.context() as patch:
-                            calls = count_calls(patch.setattr)
-                            run(ARGV[command])
-                        best = math.inf
-                        for _ in range(REPEATS):
-                            start = time.process_time()
-                            run(ARGV[command])
-                            best = min(best, time.process_time() - start)
-                        times[command].append((v, best))
-                        row.append(f"{command} {best:.4f} s {calls}")
-                except TimeoutError:
-                    print(*row, f"timeout after {TIMEOUT_S} s", sep="  ")
-                    break
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-                print(*row, sep="  ")
+            if "graph" in sets:
+                ladder("v", GRAPH_SIZES, lambda v: graph_documents(inputs, v),
+                       ("envelope", "curve-solve"))
+            if "toric" in sets:
+                ladder("k", TORIC_SIZES, toric_documents, ("toric-solve",))
             os.chdir(cwd)
     finally:
         os.chdir(cwd)
         signal.signal(signal.SIGALRM, previous)
-    for command, points in times.items():
-        if len(points) > 1:
-            print(f"{command}: exponent {exponent(points):.2f} over v = "
-                  f"{points[0][0]}..{points[-1][0]}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or ("graph", "toric"))

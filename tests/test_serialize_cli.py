@@ -643,13 +643,14 @@ def test_cli_canonical_against_fraction_path(m, capsys, tmp_path):
         ("toric-ma", {"delta": SQUARE, "g": PARABOLOID_16}, 1),
         ("toric-energy", {"delta": SQUARE, "g": DENOMINATOR_6, "g0": PARABOLOID_16}, 2),
         ("envelope", {"delta": SQUARE, "g": MIN_OF_PARABOLOIDS}, 3),
-        ("orthogonality", {"delta": SQUARE, "g": MIN_OF_PARABOLOIDS}, 4),
+        ("orthogonality", {"delta": SQUARE, "g": MIN_OF_PARABOLOIDS}, 3),
     ],
 )
 def test_cli_one_walk_per_function(tmp_path, command, documents, walks, capsys, monkeypatch):
     # each loaded 2-D function is walked once, when it is built, and the
-    # command reads that walk; envelope adds one walk of the sample function
-    # and orthogonality one more of the envelope
+    # command reads that walk; envelope adds one walk of the sample function,
+    # and orthogonality reads the subdivision that dual_transform hands the
+    # envelope (one more walk before it did)
     calls = []
     walk = geometry._walk
 

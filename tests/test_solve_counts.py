@@ -6,8 +6,9 @@ linear solve, by kind (float guide or exact pass) on the benchmark's
 curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
 rational strings the curve readers parse and the GraphPLFunction.build
 calls they make on that corpus, with the counters of counting.py, and
-pin them.  A change that moves a count on purpose pins it again and says
-why.
+pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
+of geometry._walk and the exact residuals of solver.residual.  A change
+that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.
 """
 
@@ -43,11 +44,13 @@ def calls(monkeypatch):
     return count_calls(monkeypatch.setattr)
 
 
-def _run_corpus(inputs, tmp_path, monkeypatch, before=lambda: None):
-    """Run the 78 ops of the first 13 rounds of the curve-envelope corpus
-    through cli.run in tmp_path, each exiting 0; `before` runs once the
-    deck is built, so that counts start there."""
-    deck = inputs.make_deck("curve-envelope", 1, 13)
+def _run_corpus(inputs, tmp_path, monkeypatch, before=lambda: None,
+                workload="curve-envelope", rounds=13, expected=78):
+    """Run the ops of the first `rounds` rounds of a workload's seed-1
+    corpus through cli.run in tmp_path, each exiting 0, and check that
+    there were `expected` of them; `before` runs once the deck is built,
+    so that counts start there."""
+    deck = inputs.make_deck(workload, 1, rounds)
     monkeypatch.chdir(tmp_path)
     for name, text in deck.files.items():
         (tmp_path / name).write_text(text)
@@ -59,7 +62,7 @@ def _run_corpus(inputs, tmp_path, monkeypatch, before=lambda: None):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.run(argv) == 0
                 ops += 1
-    assert ops == 78
+    assert ops == expected
 
 
 def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch):
@@ -71,7 +74,19 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
     # the graph function they read without GraphPLFunction.build
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
-    assert calls == {"parse_rational": 3124, "build": 0, "float": 170, "exact": 78}
+    assert calls == {"parse_rational": 3124, "build": 0, "float": 170, "exact": 78,
+                     "walk": 0, "residual": 0}
+
+
+def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
+    # 60 solves, 50 of them in 2-D: each walks its F_w once, and the
+    # solution and its residual read the diagram that dual_transform hands
+    # over (two walks per 2-D solve when the residual walked the solution
+    # again).  Every snap of the corpus passes the gate and is recovered,
+    # so each solve checks one residual
+    _run_corpus(inputs, tmp_path, monkeypatch,
+                lambda: calls.update(dict.fromkeys(calls, 0)), "toric-solve", 10, 60)
+    assert (calls["walk"], calls["residual"]) == (50, 60)
 
 
 @pytest.mark.parametrize("nv", [60, 240])

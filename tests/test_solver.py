@@ -146,6 +146,23 @@ def test_generic_k50_target_unsnapped():
     assert all(abs(e) <= Fraction(1, 10**10) * delta.volume() for _, e in rep.residual)
 
 
+def test_generic_k100_snap_not_checked():
+    # uniform masses on 100 atoms of the 1/17 grid: the snapped weights have
+    # a common denominator far above SNAP_DENOMINATOR**2, so the snap is not
+    # checked, and the weights on 2^-50 are the snap (an exact check of the
+    # failed snap took most of the solve)
+    delta = unit_square()
+    grid = [(Fraction(i, 17), Fraction(j, 17)) for i in range(18) for j in range(18)]
+    atoms = random.Random("generic/100").sample(grid, 100)
+    nu = DiscreteMeasure.from_atoms([(p, Fraction(1, 100)) for p in atoms])
+    rep = solve_toric(delta, nu)
+    assert rep.converged
+    assert rep.polished_residual == rep.residual
+    assert any(e != 0 for _, e in rep.residual)
+    assert rep.residual == residual(rep.solution, nu, delta)
+    assert all(abs(e) <= solver.TOLERANCE * delta.volume() for _, e in rep.residual)
+
+
 def test_cells_partition_exactly(rng):
     # with rational weights the power cells tile delta: volumes sum exactly
     delta = hexagon()

@@ -26,8 +26,10 @@ chain, hull or half-planes.
 """
 
 import itertools
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -41,6 +43,7 @@ from plma.geometry import (
     Polytope,
     _integer_pieces,
     _integer_points,
+    _point,
     breakpoints,
     cell_sums,
     convex_envelope,
@@ -54,15 +57,20 @@ from plma.geometry import (
     vscale,
     vsub,
 )
+from plma import serialize
+from plma.solver import residual, solve_toric
 from plma.toric import MonomialPoint, ma_measure
 from plma.variational import _legendre_integral
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    hexagon,
     interval,
     lattice_paraboloid,
     random_admissible,
     rational_hexagon,
+    rnd_frac,
+    simplex2,
     unit_square,
     unpruned,
 )
@@ -644,6 +652,158 @@ def test_transform_on_coprime_denominators(n):
             equal += n == 2 and equal_side_slopes(g, d)
         single += len(g.pieces) == 1
     assert single > 5 and (n == 1 and breaks > 100 or n == 2 and equal > 15)
+
+
+def oracle_residual(g, nu, delta):
+    """`solver.residual` as it was before it read g's cells on integers:
+    the Fraction masses of `ma_measure` against nu's, over the union of
+    their points."""
+    got = ma_measure(g, delta, check=False).measure_NR.masses
+    want = nu.masses
+    zero = Fraction(0)
+    return tuple((p, got.get(p, zero) - want.get(p, zero))
+                 for p in sorted(got.keys() | want.keys()))
+
+
+def check_handed_diagram(h, delta):
+    """h = dual_transform(F, delta) carries the integer form of its pieces
+    and, for a full-dimensional delta, the cells of its walk, in order, and
+    its edges as a multiset; a lower-dimensional delta leaves the walk to
+    h.  Returns the handed cells."""
+    form = _integer_pieces(h.pieces)
+    assert h.integer_form == form
+    if not delta.is_full_dimensional():
+        assert "subdivision" not in vars(h)
+        return []
+    cells, edges = vars(h)["subdivision"]
+    walk_cells, walk_edges = subdivision(form)
+    assert cells == walk_cells
+    assert Counter(edges) == Counter(walk_edges)
+    return cells
+
+
+def check_residual(h, nu, delta):
+    """The integer residual against the Fraction one, on h and on h read
+    back from its JSON document, which is walked."""
+    res = residual(h, nu, delta)
+    assert res == oracle_residual(h, nu, delta)
+    assert all(type(e) is Fraction for _, e in res)
+    back = serialize.pl_function_from_json(json.loads(serialize.pl_function_to_json(h)))
+    assert residual(back, nu, delta) == res
+    return res
+
+
+def power_function(atoms, weights):
+    """The solver's F_w = max(<., v_i> + w_i), its pieces in slope order."""
+    return PLConvexFunction(tuple(AffineFunctional(v, -w) for v, w in sorted(zip(atoms, weights))))
+
+
+def power_draw(rng, n):
+    """2-7 distinct atoms on a small grid with weights on a coarse grid, so
+    that cells tie often.  One draw in four lowers one weight by 10, which
+    empties its cell; in 2-D, one in three adds the midpoint of two atoms
+    with the mean of their weights, whose cell is then the tie line of the
+    two, of zero area, or that weight raised by 1/4, a strip between
+    parallel edges."""
+    atoms = list({tuple(rnd_frac(rng, rng.choice([1, 2, 3]), -1, 2) for _ in range(n))
+                  for _ in range(rng.randint(2, 7))})
+    weights = [rnd_frac(rng, rng.choice([1, 2]), -1, 1) for _ in atoms]
+    if rng.random() < 0.25:
+        weights[rng.randrange(len(weights))] -= 10
+    if n == 2 and len(atoms) >= 2 and rng.random() < 1 / 3:
+        i, j = rng.sample(range(len(atoms)), 2)
+        mid = vscale(Fraction(1, 2), vadd(atoms[i], atoms[j]))
+        if mid not in atoms:
+            atoms.append(mid)
+            weights.append((weights[i] + weights[j]) / 2 + rng.choice([0, 0, Fraction(1, 4)]))
+    return atoms, weights
+
+
+def measure_on(rng, atoms, n):
+    """A measure on some of the atoms and, one time in two, on a point that
+    is no atom, with masses on 1/12."""
+    points = rng.sample(atoms, rng.randint(1, len(atoms)))
+    if rng.random() < 0.5:
+        points.append(tuple(Fraction(rng.randint(-20, 20), 7) for _ in range(n)))
+    return DiscreteMeasure.from_atoms([(p, Fraction(rng.randint(1, 12), 12)) for p in points])
+
+
+def test_transform_hands_its_diagram_2d():
+    # dual_transform hands its result the walk that its corners make:
+    # solver solutions on the acceptance polygons and a rational hexagon,
+    # power functions with empty, zero-area and strip cells, convex
+    # envelopes of samples, on translated copies too, and on segments and
+    # points in the plane, which keep the walk
+    rng = random.Random("handed/2")
+    polygons = [unit_square(), simplex2(), hexagon(), rational_hexagon()]
+    empty = flat = solved = envelopes = degenerate = 0
+    for _ in range(150):
+        delta = rng.choice(polygons)
+        if rng.random() < 0.3:
+            delta = delta.translate((rnd_frac(rng, 3), rnd_frac(rng, 5)))
+        kind = rng.choice(["solve", "power", "power", "envelope"])
+        if kind == "solve":
+            atoms = list({(rnd_frac(rng, 3, -1, 2), rnd_frac(rng, 3, -1, 2))
+                          for _ in range(rng.randint(2, 6))})
+            masses = [rng.randint(1, 6) for _ in atoms]
+            nu = DiscreteMeasure.from_atoms(
+                [(v, Fraction(m, sum(masses)) * delta.volume()) for v, m in zip(atoms, masses)])
+            rep = solve_toric(delta, nu)
+            check_handed_diagram(rep.solution, delta)
+            assert check_residual(rep.solution, nu, delta) == rep.residual
+            solved += 1
+            continue
+        if kind == "envelope":
+            samples = [(p.slope, p.intercept) for p in small_pieces(rng, 2)]
+            h = convex_envelope(samples, delta)
+            check_handed_diagram(h, delta)
+            envelopes += 1
+            continue
+        atoms, weights = power_draw(rng, 2)
+        F = power_function(atoms, weights)
+        for d in (delta, rng.choice(RATIONAL_DELTAS_2D[1:] + DELTAS_2D[3:])):
+            h = dual_transform(F, d)
+            cells = check_handed_diagram(h, d)
+            if not cells:
+                degenerate += 1
+                continue
+            check_residual(h, measure_on(rng, atoms, 2), d)
+            vertices = {_point(X, q) for X, q, _ in cells}
+            for p in F.pieces:
+                at = [u for u in h.slopes if p.value(u) == F(u)]
+                empty += not at
+                flat += bool(at) and p.slope not in vertices
+    assert solved > 20 and envelopes > 20 and degenerate > 50 and empty > 20 and flat > 20
+
+
+def test_transform_hands_its_diagram_1d():
+    # on intervals, translated and with rational ends, each cell is two
+    # consecutive corners; a point keeps the walk
+    rng = random.Random("handed/1")
+    intervals = DELTAS_1D + RATIONAL_DELTAS_1D
+    solved = 0
+    for _ in range(100):
+        delta = rng.choice(intervals)
+        if rng.random() < 0.3:
+            delta = delta.translate((rnd_frac(rng, 3),))
+        if rng.random() < 0.2:
+            atoms = list({(rnd_frac(rng, 3, -1, 2),) for _ in range(rng.randint(1, 6))})
+            nu = DiscreteMeasure.from_atoms(
+                [(v, delta.volume() / len(atoms)) for v in atoms])
+            rep = solve_toric(delta, nu)
+            check_handed_diagram(rep.solution, delta)
+            assert check_residual(rep.solution, nu, delta) == rep.residual
+            solved += 1
+            continue
+        atoms, weights = power_draw(rng, 1)
+        F = power_function(atoms, weights)
+        for d in (delta, Polytope.from_points([(Fraction(1, 3),)])):
+            h = dual_transform(F, d)
+            if check_handed_diagram(h, d):
+                check_residual(h, measure_on(rng, atoms, 1), d)
+        h = convex_envelope([(p.slope, p.intercept) for p in small_pieces(rng, 1)], delta)
+        check_handed_diagram(h, delta)
+    assert solved > 10
 
 
 @pytest.mark.parametrize("n", [1, 2])
