@@ -31,6 +31,18 @@ is integer compares.  That check certifies the envelope; MA(P(psi)) and the
 orthogonality defect are read off the same nodes, a Fraction built only
 for each number returned.  The reference measure must be positive with
 positive mass, as for green.
+
+The derivative of t -> E(P(phi + t f)) at 0, which the paper proves is
+the pairing of f with MA(phi) (Boucksom, Favre and Jonsson), is computed
+exactly on each side.  The node problem of phi + t f is a parametric
+linear complementarity problem (Cottle, Pang and Stone): on the same
+nodes for every t, with data affine in t.  On a chamber, an interval of
+t on which one contact set stays valid, the envelope is affine in t at
+the nodes and its energy a quadratic in t, so three exact samples give
+the one-sided derivative.  A contact set complementary at both ends of
+[0, t] is complementary on all of it, so checking it at t = 0 certifies
+[0, t]; t is halved from +-1 until the check holds.  1-D toric takes
+the same path, as the curve model on a segment.
 """
 
 from __future__ import annotations
@@ -56,7 +68,6 @@ from .geometry import (
     cell_sums,
     convex_envelope,
     is_admissible,
-    support_function,
     vscale,
     vsub,
 )
@@ -466,48 +477,44 @@ def orthogonality_defect_curve(
 # differentiability of energy-of-envelope
 
 
-# the steps t of the difference quotients
-T_GRID = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
+def _one_sided_derivatives(phi, f, graph, omega0):
+    """[(h+, d+), (h-, d-)]: on each side of 0, right first, a radius h > 0
+    and the exact one-sided derivative d at 0 of t -> E(P(phi + t f)),
+    which is a quadratic in t on [0, h] (or [-h, 0]).
 
-
-def _difference_quotients(energy_at):
-    """(t, central difference quotient of energy_at at 0) for each t of
-    T_GRID."""
-    return [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in T_GRID]
-
-
-def envelope_energy_derivative_toric(
-    phi: PLConvexFunction, f: PiecewiseLinear1D, delta: Polytope
-):
-    """Exact pairing of f with MA(phi), plus central difference quotients of
-    t -> energy(P(phi + t f)) on T_GRID (1-D toric context).  The pairing
-    is read off the analytic measure of `ma_measure`, and the energy is
-    relative to the support function of delta: another reference adds a
-    constant, which no quotient sees."""
-    exact = sum((m * f(mp.v) for mp, m in ma_measure(phi, delta).measure_an), Fraction(0))
-    base, g0 = PiecewiseLinear1D.from_convex(phi), support_function(delta)
-
+    psi(t) = phi + t f keeps the union of both functions' breakpoints, so
+    curves.node_problem numbers the nodes the same way for every t, and
+    r(t) = laplacian(psi(t)) + omega0 is affine in t at them.  On the side
+    of sign +-1, from t = +-1: solve the node problem at t and take
+    C = {k : g(k) = 0}, which holds the contact set of that solve, so the
+    gap pinned to zero on C is the envelope's at t; then take one pinned
+    solve on C at t = 0.  The pinned gap g and masses s are affine in t
+    (the same Laplacian, an affine right-hand side), so if they are
+    complementary at 0 as at t, they are on all of [0, t], and by the
+    M-matrix that is the unique solution there: [0, t] is a chamber.
+    Otherwise t is halved.  The envelope is piecewise affine in t with
+    finitely many pieces, and on the first, (0, t1], {g = 0} is one set
+    at all but finitely many t, each of which passes the check, so the
+    halving ends.  On a chamber the envelope is affine in t at the
+    nodes, so its energy (the pairing of P with laplacian(P) + 2 omega0,
+    halved) is a quadratic in t, whose derivative at 0 is
+    d = (4 E(t/2) - E(t) - 3 E(0)) / t, from three exact samples; E(0) is
+    E(phi), as phi is subharmonic.
+    """
     def energy_at(t):
-        pert = base + f.scale(t)
-        return energy_toric(envelope_toric(pert, delta), g0, delta)
+        return energy_curve(envelope_subharmonic(phi + f.scale(t), graph, omega0), graph, omega0)
 
-    return exact, _difference_quotients(energy_at)
+    def side(t):
+        while True:
+            G = _envelope_nodes(phi + f.scale(t), graph, omega0).gap[0]
+            G0, _, S0, _ = next(_howard(form, {k for k, g in enumerate(G) if not g}))
+            if min(*G0, *S0) >= 0:
+                return abs(t), (4 * energy_at(t / 2) - energy_at(t) - 3 * e0) / t
+            t /= 2
 
-
-def envelope_energy_derivative_curve(
-    phi: GraphPLFunction,
-    f: GraphPLFunction,
-    graph: MetricGraph,
-    omega0: GraphMeasure,
-):
-    ma = curves.ma_curve(phi, graph, omega0)
-    exact = ma.integrate(graph, f)
-
-    def energy_at(t):
-        pert = phi + f.scale(t)
-        return energy_curve(envelope_subharmonic(pert, graph, omega0), graph, omega0)
-
-    return exact, _difference_quotients(energy_at)
+    form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]
+    e0 = energy_curve(phi, graph, omega0)
+    return [side(Fraction(1)), side(Fraction(-1))]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +554,32 @@ def orthogonality_defect(psi, context) -> Fraction:
 
 
 def energy_of_envelope_derivative(phi, f, context):
-    """Exact derivative of t -> E(P(phi + t f)) at 0 plus difference quotients."""
+    """The derivative of t -> E(P(phi + t f)) at 0, exactly: (exact,
+    [(h+, d+), (h-, d-)]), where exact is the pairing of f with MA(phi)
+    and each d is the exact one-sided derivative, right then left, on a
+    certified chamber of radius h (_one_sided_derivatives).  The paper
+    says d+ = d- = exact.
+
+    1-D toric context delta = [alpha, beta]: exact pairs f with the
+    analytic measure of `ma_measure`, and f (a PiecewiseLinear1D) must
+    have zero recession slopes, or phi + t f decays below the admissible
+    slopes on one side (EnvelopeError).  The derivative is the curve one
+    on a segment [a, b] that holds -1, 0 and every breakpoint of phi and
+    f, for phi - h_delta and omega0 = (beta - alpha) delta_0: the two models
+    agree there, up to a constant in the energy.  Curve context
+    (graph, omega0): exact is the pairing of f with ma_curve(phi)."""
     if _is_toric(context):
-        return envelope_energy_derivative_toric(phi, f, context)
-    graph, omega0 = context
-    return envelope_energy_derivative_curve(phi, f, graph, omega0)
+        exact = sum((m * f(mp.v) for mp, m in ma_measure(phi, context).measure_an), Fraction(0))
+        base = PiecewiseLinear1D.from_convex(phi)
+        if f.left_slope or f.right_slope:
+            raise EnvelopeError("obstacle decays below the admissible slope range")
+        (alpha,), (beta,) = min(context.vertices), max(context.vertices)
+        a, *_, b = ts = sorted({Fraction(-1), Fraction(0), *(v for v, _ in base.points + f.points)})
+        graph = MetricGraph.build([0, 1], [(0, 1, b - a)])
+        omega0 = GraphMeasure.from_atoms(graph, [(("e", 0, -a), beta - alpha)])
+        phi = GraphPLFunction((tuple((t - a, base(t) - max(alpha * t, beta * t)) for t in ts),))
+        f = GraphPLFunction((tuple((t - a, f(t)) for t in ts),))
+    else:
+        graph, omega0 = context
+        exact = curves.ma_curve(phi, graph, omega0).integrate(graph, f)
+    return exact, _one_sided_derivatives(phi, f, graph, omega0)

@@ -6,10 +6,24 @@ from math import factorial, lcm
 import pytest
 
 from plma import curves
-from plma.curves import GraphError, GraphMeasure, MetricGraph
-from plma.geometry import AffineFunctional, PLConvexFunction, Polytope
-from plma.toric import mixed_ma
-from plma.variational import MinOfConvex
+from plma.curves import (
+    GraphError,
+    GraphMeasure,
+    GraphPLFunction,
+    MetricGraph,
+    circle_graph,
+    superpose,
+)
+from plma.geometry import AffineFunctional, PLConvexFunction, Polytope, support_function
+from plma.toric import degree, mixed_ma
+from plma.variational import (
+    MinOfConvex,
+    PiecewiseLinear1D,
+    energy_curve,
+    energy_toric,
+    envelope_subharmonic,
+    envelope_toric,
+)
 
 
 def interval(a=0, b=1):
@@ -280,3 +294,73 @@ def fraction_solve_laplacian(rho, n, edges, fixed):
     for i in reversed(eliminated):
         x[i] = b[i] - sum(v * x[k] for k, v in rows[i].items())
     return x
+
+
+def bump_1d(center, width, height):
+    """The tent of the given height over [center - width, center + width],
+    zero outside: a free-form 1-D function with zero recession slopes."""
+    return PiecewiseLinear1D.build(
+        [(center - width, Fraction(0)), (center, Fraction(height)), (center + width, Fraction(0))],
+        Fraction(0),
+        Fraction(0),
+    )
+
+
+def random_graph_function(rng, graph, scale=1):
+    """A PL function on graph: rnd_frac values times scale at the vertices
+    and at 0-2 interior breakpoints per edge, on the 1/12 grid of its
+    length."""
+    at = {v: rnd_frac(rng) * scale for v in graph.vertex_ids}
+    edge_values = []
+    for u, v, ln in graph.edges:
+        offs = sorted({ln * Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 2))})
+        edge_values.append([(0, at[u]), *((o, rnd_frac(rng) * scale) for o in offs), (ln, at[v])])
+    return GraphPLFunction.build(graph, edge_values)
+
+
+# the steps t of the central difference quotients: the grid on which the
+# derivative of E(P(phi + t f)) was approximated before it was exact
+T_GRID = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
+
+
+def envelope_energy(phi, f, context):
+    """t -> E(P(phi + t f)) in either model, as the derivative read it
+    before it was exact: in 1-D toric through envelope_toric and
+    energy_toric relative to the support function, which share no code
+    with the curve, and on curves through envelope_subharmonic and
+    energy_curve."""
+    if isinstance(context, Polytope):
+        base, g0 = PiecewiseLinear1D.from_convex(phi), support_function(context)
+        return lambda t: energy_toric(envelope_toric(base + f.scale(t), context), g0, context)
+    graph, omega0 = context
+    return lambda t: energy_curve(
+        envelope_subharmonic(phi + f.scale(t), graph, omega0), graph, omega0)
+
+
+def difference_quotients(energy_at):
+    """(t, central difference quotient of energy_at at 0) for each t of
+    T_GRID: the first-order oracle of
+    variational.energy_of_envelope_derivative."""
+    return [(t, (energy_at(t) - energy_at(-t)) / (2 * t)) for t in T_GRID]
+
+
+def differentiability_instances(rng):
+    """Criterion 5's instances (phi, f, context, C), C the constant of the
+    first-order bound |q - exact| <= C t: twelve tents f against random
+    admissible phi on [0, 1], then eight tents on the circle against
+    phi = superpose(mu, omega0)."""
+    seg = interval()
+    for _ in range(12):
+        phi = random_admissible(rng, seg)
+        height = rnd_frac(rng, den=4, lo=-1, hi=1)
+        f = bump_1d(rnd_frac(rng), Fraction(1), height)
+        yield phi, f, seg, 4 * degree(seg) * max(abs(height), Fraction(1, 100))
+    g = circle_graph()
+    for _ in range(8):
+        om = random_positive_measure(rng, g, Fraction(2))
+        mu = random_positive_measure(rng, g, Fraction(2))
+        phi = superpose(g, mu, om)
+        peak = rnd_frac(rng, den=4, lo=-1, hi=1)
+        f = GraphPLFunction.build(
+            g, [((Fraction(0), Fraction(0)), (Fraction(1, 2), peak), (Fraction(1), Fraction(0)))])
+        yield phi, f, (g, om), 4 * om.total_mass() * max(abs(peak), Fraction(1, 100))

@@ -13,7 +13,6 @@ from plma.curves import (
     GraphPLFunction,
     MetricGraph,
     canonical_metric,
-    circle_graph,
     green_value,
     laplacian,
     ma_curve,
@@ -23,9 +22,8 @@ from plma.curves import (
 )
 from plma.geometry import DiscreteMeasure, breakpoints, support_function
 from plma.solver import solve_curve, solve_toric
-from plma.toric import degree, ma_measure, point_mass_solution
+from plma.toric import ma_measure, point_mass_solution
 from plma.variational import (
-    T_GRID,
     MinOfConvex,
     PiecewiseLinear1D,
     energy_curve,
@@ -33,17 +31,24 @@ from plma.variational import (
     energy_of_envelope_derivative,
     envelope_subharmonic,
     envelope_toric,
+    f_mu_curve,
+    f_mu_toric,
     orthogonality_defect,
 )
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     arc_masses,
+    bump_1d,
+    difference_quotients,
+    differentiability_instances,
+    envelope_energy,
     interval,
     polarization_energy,
     random_admissible,
     random_graph,
     random_graph_point,
+    random_graph_function,
     random_positive_measure,
     rnd_frac,
     simplex2,
@@ -155,48 +160,21 @@ def test_criterion_4_orthogonality():
     run_criterion(4, "orthogonality defect exactly zero, 50 toric + 50 curve", 30, body)
 
 
-def bump_1d(center, width, height):
-    return PiecewiseLinear1D.build(
-        [(center - width, Fraction(0)), (center, height), (center + width, Fraction(0))],
-        Fraction(0),
-        Fraction(0),
-    )
-
-
 def test_criterion_5_envelope_differentiability():
+    # both one-sided derivatives of E(P(phi + t f)) at 0, each exact on its
+    # certified chamber, equal the pairing of f with MA(phi); the central
+    # quotients of the old grid (conftest) stay within C t of it
     rng = random.Random(105)
-    assert T_GRID == (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
 
     def body():
-        seg = interval()
-        for _ in range(12):
-            phi = random_admissible(rng, seg)
-            height = rnd_frac(rng, den=4, lo=-1, hi=1)
-            f = bump_1d(rnd_frac(rng), Fraction(1), height)
-            exact, fd = energy_of_envelope_derivative(phi, f, seg)
-            C = 4 * degree(seg) * max(abs(height), Fraction(1, 100))
-            for t, q in fd:
-                assert abs(q - exact) <= C * t
-        g = circle_graph()
-        for _ in range(8):
-            om = random_positive_measure(rng, g, Fraction(2))
-            mu = random_positive_measure(rng, g, Fraction(2))
-            phi = superpose(g, mu, om)
-            peak = rnd_frac(rng, den=4, lo=-1, hi=1)
-            f = GraphPLFunction.build(
-                g,
-                [(
-                    (Fraction(0), Fraction(0)),
-                    (Fraction(1, 2), peak),
-                    (Fraction(1), Fraction(0)),
-                )],
-            )
-            exact, fd = energy_of_envelope_derivative(phi, f, (g, om))
-            C = 4 * om.total_mass() * max(abs(peak), Fraction(1, 100))
-            for t, q in fd:
+        for phi, f, context, C in differentiability_instances(rng):
+            exact, fd = energy_of_envelope_derivative(phi, f, context)
+            assert [q for _, q in fd] == [exact, exact]
+            for t, q in difference_quotients(envelope_energy(phi, f, context)):
                 assert abs(q - exact) <= C * t
 
-    run_criterion(5, "E(P(phi + t f)) first-order accurate, 20 instances", 30, body)
+    run_criterion(5, "E(P(phi + t f)) has the MA pairing as exact derivative on both sides, "
+                     "first-order quotients, 20 instances", 30, body)
 
 
 def test_criterion_6_poisson_green():
@@ -358,3 +336,52 @@ def test_criterion_10_toric_interval_is_curve_on_a_segment():
             assert len(agree(lambda t: solution((t,)), phi, [p[0] for p, _ in nu.atoms])) == 1
 
     run_criterion(10, "1-D toric model equals the curve model on a segment, 200 instances", 5, body)
+
+
+def test_criterion_11_variational_principle():
+    # The solution phi of MA(phi) = mu maximizes F_mu = E o P - the mu
+    # pairing: F_mu(P(phi + t f)) <= F_mu(phi) exactly at rational t of
+    # both signs, and both one-sided derivatives of t -> F_mu(P(phi + t f))
+    # at 0, the exact ones of E(P(phi + t f)) less the pairing of f with
+    # mu, vanish.  Curve: solve_curve on random graphs; 1-D toric: exact
+    # solves on intervals, half of them translated off 0
+    rng = random.Random(111)
+    ts = (Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2, 7))
+
+    def body():
+        below = 0
+        for _ in range(20):
+            g = random_graph(rng)
+            om = random_positive_measure(rng, g, Fraction(2))
+            mu = random_positive_measure(rng, g, Fraction(2))
+            phi = solve_curve(g, mu, om)
+            f = random_graph_function(rng, g)
+            best = f_mu_curve(phi, mu, g, om)
+            for t in ts:
+                value = f_mu_curve(envelope_subharmonic(phi + f.scale(t), g, om), mu, g, om)
+                assert value <= best
+                below += value < best
+            _, fd = energy_of_envelope_derivative(phi, f, (g, om))
+            assert [d - mu.integrate(g, f) for _, d in fd] == [0, 0]
+        for i in range(20):
+            delta, _ = _segment_instance(rng, translated=i % 2 == 1)
+            (a,), (b,) = delta.vertices[0], delta.vertices[-1]
+            weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            mu = DiscreteMeasure.from_atoms(
+                [((rnd_frac(rng),), (b - a) * w / sum(weights)) for w in weights])
+            report = solve_toric(delta, mu)
+            assert all(e == 0 for _, e in report.residual)
+            phi, g0 = report.solution, support_function(delta)
+            f = bump_1d(rnd_frac(rng), Fraction(1), rnd_frac(rng))
+            best = f_mu_toric(phi, mu, g0, delta)
+            base = PiecewiseLinear1D.from_convex(phi)
+            for t in ts:
+                value = f_mu_toric(envelope_toric(base + f.scale(t), delta), mu, g0, delta)
+                assert value <= best
+                below += value < best
+            _, fd = energy_of_envelope_derivative(phi, f, delta)
+            assert [d - mu.integrate(f) for _, d in fd] == [0, 0]
+        assert below > 120  # of 160: most perturbations lose strictly
+
+    run_criterion(11, "F_mu(P(phi + t f)) <= F_mu(phi) and zero one-sided derivatives at the "
+                      "solution, 20 curve + 20 1-D toric instances", 30, body)

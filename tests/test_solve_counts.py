@@ -7,7 +7,9 @@ curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
 rational strings the curve readers parse and the GraphPLFunction.build
 calls they make on that corpus, with the counters of counting.py, and
 pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
-of geometry._walk and the exact residuals of solver.residual.  A change
+of geometry._walk and the exact residuals of solver.residual, and on
+criterion 5's instances the node problems and exact solves of
+variational.energy_of_envelope_derivative.  A change
 that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.
 """
@@ -23,9 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, serialize
-from plma.variational import envelope_subharmonic
+from plma import cli, serialize, variational
+from plma.variational import energy_of_envelope_derivative, envelope_subharmonic
 
+from conftest import differentiability_instances
 from counting import count_calls
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -104,3 +107,27 @@ def test_graph_ladder_envelope_solve_counts(inputs, calls, nv):
     calls.update(float=0, exact=0)
     envelope_subharmonic(f, g, om)
     assert (calls["float"], calls["exact"]) == (2, 1)
+
+
+def test_differentiability_solve_counts(calls, monkeypatch):
+    # criterion 5's 20 derivatives: per side, one node problem per radius
+    # tried from 1 down (58 radii, 18 of them halvings; radii 1/8 to 1),
+    # then the two envelopes of the energy at t / 2 and t, and E(0) is
+    # E(phi): 58 + 80 node problems.  Each takes one exact solve, and each
+    # radius tried one pinned solve at t = 0: 138 + 58 exact solves
+    nodes = 0
+    solve = variational._envelope_nodes
+
+    def counted(psi, graph, omega0):
+        nonlocal nodes
+        nodes += 1
+        return solve(psi, graph, omega0)
+
+    instances = list(differentiability_instances(random.Random(105)))
+    monkeypatch.setattr(variational, "_envelope_nodes", counted)
+    calls.update(dict.fromkeys(calls, 0))  # the instances took solves
+    radii = set()
+    for phi, f, context, _ in instances:
+        radii |= {h for h, _ in energy_of_envelope_derivative(phi, f, context)[1]}
+    assert min(radii) == Fraction(1, 8) and max(radii) == 1
+    assert (nodes, calls["exact"]) == (138, 196)
