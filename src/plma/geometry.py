@@ -2,24 +2,28 @@
 
 Polytopes in V-representation, finite-max-of-affine convex functions,
 subdifferentials, volumes and moments, and Legendre-type transforms over
-a polytope.  All coordinates are `fractions.Fraction`.  The predicates
-scale them once to integers over a common denominator and run on `int`s,
-so every predicate is exact, no floating point enters this module, and
-there is one `Fraction` per result (the small-integer exact computation
-of Yap, Comput. Geom. 1997).  Each predicate has one routine.  One chain
-routine, `_half_chain`, builds every convex hull (`_ccw_ring`: each
-cell's, and a polytope's once, in `Polytope.from_points`) and every lower
-chain (`_chain_pairs`: the 1-D subdivision and the parallel edges of
-collinear slopes).  Every
-polytope, a point or a segment in the plane included, has one table of
-integer half-planes, and containment is tested on it alone.
+a polytope.  The public coordinates are `fractions.Fraction`.  The
+predicates run on `int`s, over common denominators, so every predicate is
+exact, no floating point enters this module, and a `Fraction` is built
+only for a result that is read or printed (the small-integer exact
+computation of Yap, Comput. Geom. 1997).  Each predicate has one routine.
+One chain routine, `_half_chain`, builds every convex hull (`_ccw_ring`:
+each cell's, and a polytope's once, in `Polytope._from_integer_points`)
+and every lower chain (`_chain_pairs`: the 1-D subdivision and the
+parallel edges of collinear slopes).  Every polytope, a point or a
+segment in the plane included, has one table of integer half-planes, and
+containment is tested on it alone.
 
-A function's integer form, its slopes S_i / D and intercepts C_i / E
-over common denominators, is computed at most once and cached beside its
-walk (`PLConvexFunction.integer_form`).  The walk runs on it, and so does
-every exact reader of the function: evaluation, `is_admissible`,
-`dual_transform`, the Monge-Ampere masses, the Legendre integral of the
-energy and the envelope's samples.
+A function is its integer form, its slopes S_i / D and intercepts C_i / E
+over common denominators (`PLConvexFunction.integer_form`).  The walk runs
+on it, and so does every exact reader of the function: evaluation,
+`is_admissible`, `dual_transform`, the Monge-Ampere masses, the Legendre
+integral of the energy and the envelope's samples.  The toric readers of
+serialize, `dual_transform`, the envelope's samples and the solver hand a
+function its form (`PLConvexFunction.from_form`), and its `Fraction`
+pieces are built from the form on first read, which in practice means by
+the writers and by library callers: Fractions are built only for what is
+printed.
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function on integers and speaks integers: each vertex is
@@ -29,7 +33,7 @@ pair of the two pieces that tie along it.  A reader builds its one
 `Fraction` per result from X, q and the cell's first piece, which is
 active at the vertex.  There is one walk per Legendre pair:
 `PLConvexFunction.subdivision` runs the kernel at most once, and
-`from_pieces` hands it the walk that pruned the pieces to the essential
+`from_form` hands it the walk that pruned the pieces to the essential
 ones.  Breakpoints, the Monge-Ampere masses, the toric energy and the
 envelopes all read that walk.  So does the Legendre transform
 `dual_transform`: it takes F's vertices inside the polytope from F's
@@ -37,8 +41,9 @@ walk, and F's breakpoints along each side of the polytope from the 1-D
 chain of F restricted to that side, each with its value read off the
 cell that found it.  Those corners, with the pieces of F active at each,
 are F's cells in the polytope, and they are the transform's integer
-slopes and the cells of its subdivision, so the transform is handed both
-and is not walked again.  The 2-D walk takes O(k) exact operations per
+slopes and the cells of its subdivision, so the transform is handed both,
+the cells built only when a reader asks for them, and is not walked
+again.  The 2-D walk takes O(k) exact operations per
 vertex for k pieces, to find the pieces tied there, and O(k) per edge,
 to clip it.  It remembers where each bounded edge leads, so that edge is
 clipped once, from the end the walk reaches first, and not again from
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
@@ -99,6 +104,15 @@ def _idot(a, b) -> int:
     return sum(map(operator.mul, a, b))
 
 
+def _dots(S, X):
+    """[<S_i, X>] for integer points S_i and X of dimension 1 or 2, in
+    one pass with no call per point."""
+    if len(X) == 1:
+        return [s0 * X[0] for s0, in S]
+    x0, x1 = X
+    return [s0 * x0 + s1 * x1 for s0, s1 in S]
+
+
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -120,14 +134,14 @@ def _check_dim(n: int):
         raise DimensionError(f"ambient dimension {n} not supported (use 1 or 2)")
 
 
-def _hull2(points):
-    """Extreme points of a sequence of 2-D rational points, in
-    counterclockwise boundary order, found on the integer points over their
-    common denominator.  Collapses to 1 or 2 points for degenerate inputs.
-    """
-    P, _ = _integer_points(points)
-    back = dict(zip(P, points))
-    return [back[p] for p in _ccw_ring(sorted(back))]
+def _one_dim(rows, kind):
+    """The common length of a nonempty list of points or slopes, which
+    must be 1 or 2: DimensionError otherwise, with `kind` naming them."""
+    n = len(rows[0])
+    _check_dim(n)
+    if any(len(r) != n for r in rows):
+        raise DimensionError(f"{kind} of mixed dimension")
+    return n
 
 
 def _ccw_ring(pts):
@@ -219,17 +233,24 @@ class Polytope:
         pts = [as_point(p) for p in points]
         if not pts:
             raise ValueError("polytope needs at least one point")
-        n = len(pts[0])
-        _check_dim(n)
-        if any(len(p) != n for p in pts):
-            raise DimensionError("points of mixed dimension")
-        if n == 1:
-            lo, hi = min(pts), max(pts)
-            hull = [lo] if lo == hi else [lo, hi]
+        _one_dim(pts, "points")
+        return Polytope._from_integer_points(*_integer_points(pts))
+
+    @staticmethod
+    def _from_integer_points(P, Q) -> "Polytope":
+        """The hull of the points P_j / Q, for a nonempty list of integer
+        points P_j of one dimension, 1 or 2, and Q > 0.  The hull is found
+        on the integers (`_ccw_ring`), one Fraction is built per coordinate
+        of its vertices, and its ring and integer ring are handed over."""
+        if len(P[0]) == 1:
+            lo, hi = min(P), max(P)
+            ring = [lo] if lo == hi else [lo, hi]
         else:
-            hull = _hull2(pts)
-        delta = Polytope(n, tuple(sorted(hull)))
-        delta.__dict__["_ring"] = tuple(hull)
+            ring = _ccw_ring(sorted(set(P)))
+        points = {p: tuple(Fraction(x, Q) for x in p) for p in ring}
+        delta = Polytope(len(P[0]), tuple(points[p] for p in sorted(ring)))
+        delta.__dict__["_ring"] = tuple(points[p] for p in ring)
+        delta.__dict__["_integer_ring"] = (ring, Q)
         return delta
 
     def ring(self):
@@ -238,14 +259,16 @@ class Polytope:
 
     @cached_property
     def _ring(self):
-        """`from_points` seeds this with its hull; `translate`, `dilate` and
-        the constructor build it here on first use."""
-        return self.vertices if self.dim == 1 else tuple(_hull2(self.vertices))
+        """`from_points` hands this over with its hull; for `translate`,
+        `dilate` and the constructor it is the same hull, built here on
+        first use."""
+        return Polytope._from_integer_points(*_integer_points(self.vertices))._ring
 
     @cached_property
     def _integer_ring(self):
-        """(R, Q): the boundary ring as integer points R over their common
-        denominator Q, each vertex being R_j / Q."""
+        """(R, Q): the boundary ring as integer points R over a common
+        denominator Q, each vertex being R_j / Q; Q is the least one unless
+        `from_points` handed it over."""
         return _integer_points(self._ring)
 
     def volume(self) -> Fraction:
@@ -391,9 +414,13 @@ def _walk(form):
     """The 2-D part of `subdivision`, on the integer form (S, D, C, E).
 
     A vertex is X / q in lowest terms, where piece i has the value
-    (E <S_i, X> - D q C_i) / (D E q); no Fraction is built.  The cell of a
-    vertex is the monotone chain of the integer slopes of the pieces tied
-    there, counterclockwise from the lex-first.  The walk starts at one
+    (E <S_i, X> - D q C_i) / (D E q); no Fraction is built.  The walk runs
+    on the pieces in slope order, with the two coordinates of the slopes
+    in two flat lists, and numbers the pieces back at the end; a function's
+    form is in slope order already.  The cell of a vertex is the monotone
+    chain of the integer slopes of the pieces tied there, counterclockwise
+    from the lex-first; a cell of three pieces, the usual one, takes its
+    order from one cross product of their slopes.  The walk starts at one
     vertex and leaves each vertex v along the outward normal n of every
     edge (a, b) of its cell: the next vertex is v + t*n for the smallest
     t > 0 at which some piece overtakes a and b, and none means the edge
@@ -407,37 +434,46 @@ def _walk(form):
     `_chain_pairs`.
     """
     S, D, C, E = form
-    u = vsub(S[-1], S[0])
-    if all(cross2(u, vsub(s, S[0])) == 0 for s in S):
+    u0, u1 = S[-1][0] - S[0][0], S[-1][1] - S[0][1]
+    if all(u0 * (s1 - S[0][1]) == u1 * (s0 - S[0][0]) for s0, s1 in S):
         # along the line, the first coordinate that varies orders the slopes
-        j = 0 if u[0] else 1
+        j = 0 if u0 else 1
         return [], _chain_pairs([s[j] for s in S], C)
-    index = {s: i for i, s in enumerate(S)}
+    order = sorted(range(len(S)), key=S.__getitem__)
+    S0, S1 = [S[i][0] for i in order], [S[i][1] for i in order]
+    C = [C[i] for i in order]
+    index = {(s0, s1): i for i, (s0, s1) in enumerate(zip(S0, S1))}
 
     def values(X, q):
         """The pieces' values at X / q, times D E q, and their max."""
-        (X0, X1), Dq = X, D * q
-        vals = [E * (s0 * X0 + s1 * X1) - Dq * c for (s0, s1), c in zip(S, C)]
+        EX0, EX1, Dq = E * X[0], E * X[1], D * q
+        vals = [s0 * EX0 + s1 * EX1 - Dq * c for s0, s1, c in zip(S0, S1, C)]
         return vals, max(vals)
 
     def cell(vals, m):
-        return tuple(index[s] for s in _ccw_ring(sorted([s for s, v in zip(S, vals) if v == m])))
+        tied = [i for i, v in enumerate(vals) if v == m]
+        if len(tied) < 3:
+            return tuple(tied)
+        if len(tied) > 3:
+            return tuple(index[s] for s in _ccw_ring([(S0[i], S1[i]) for i in tied]))
+        a, b, c = tied
+        turn = (S0[b] - S0[a]) * (S1[c] - S1[a]) - (S1[b] - S1[a]) * (S0[c] - S0[a])
+        return (a, b, c) if turn > 0 else (a, c, b) if turn else (a, c)
 
-    def clip(vals, m, a, N):
+    def clip(vals, m, a, n0, n1):
         """(G, R): some piece first overtakes piece a at X + G/(E R) * N;
         G is that piece's gap m - v to the max at X."""
-        n0, n1 = N
-        base = S[a][0] * n0 + S[a][1] * n1
-        best = None
-        for (s0, s1), v in zip(S, vals):
+        base = S0[a] * n0 + S1[a] * n1
+        G = R = 0  # R = 0: no piece overtakes a
+        for s0, s1, v in zip(S0, S1, vals):
             rate = s0 * n0 + s1 * n1 - base
-            if rate > 0 and (best is None or (m - v) * best[1] < best[0] * rate):
-                best = (m - v, rate)
-        return best
+            if rate > 0 and (not R or (m - v) * R < G * rate):
+                G, R = m - v, rate
+        return (G, R) if R else None
 
-    def step(X, q, N, clipped):
+    def step(X, q, n0, n1, clipped):
         G, R = clipped
-        X0, X1, q = E * R * X[0] + G * N[0], E * R * X[1] + G * N[1], E * R * q
+        X0, X1, q = E * R * X[0] + G * n0, E * R * X[1] + G * n1, E * R * q
         h = math.gcd(X0, X1, q)
         return (X0 // h, X1 // h), q // h
 
@@ -449,13 +485,14 @@ def _walk(form):
     while len(ring) < 3:
         a = ring[0]
         if len(ring) == 1:
-            N = vsub(next(s for s in S if s != S[a]), S[a])
+            b = 1 if a == 0 else 0
+            n0, n1 = S0[b] - S0[a], S1[b] - S1[a]
         else:
-            u = vsub(S[ring[1]], S[a])
-            N = (u[1], -u[0])
-            if clip(vals, m, a, N) is None:
-                N = (-u[1], u[0])
-        X, q = step(X, q, N, clip(vals, m, a, N))
+            b = ring[1]
+            n0, n1 = S1[b] - S1[a], S0[a] - S0[b]
+            if clip(vals, m, a, n0, n1) is None:
+                n0, n1 = -n0, -n1
+        X, q = step(X, q, n0, n1, clip(vals, m, a, n0, n1))
         vals, m = values(X, q)
         ring = cell(vals, m)
 
@@ -469,97 +506,151 @@ def _walk(form):
             edges.append((a, b))
             if (a, b) in reached:
                 continue
-            u = vsub(S[b], S[a])
-            N = (u[1], -u[0])  # outward normal of the CCW edge (a, b)
-            clipped = clip(vals, m, a, N)
+            # outward normal of the CCW edge (a, b)
+            n0, n1 = S1[b] - S1[a], S0[a] - S0[b]
+            clipped = clip(vals, m, a, n0, n1)
             if clipped is None:
                 continue
             reached.add((b, a))
-            w = step(X, q, N, clipped)
+            w = step(X, q, n0, n1, clipped)
             if w not in seen:
                 seen.add(w)
                 wvals, wm = values(*w)
                 todo.append((*w, wvals, wm, cell(wvals, wm)))
     cells.sort(key=cmp_to_key(_vertex_order))
+    if any(i != j for i, j in enumerate(order)):
+        cells = [(X, q, tuple(order[i] for i in ring)) for X, q, ring in cells]
+        edges = [(order[a], order[b]) for a, b in edges]
     return cells, edges
 
 
-@dataclass(frozen=True)
 class PLConvexFunction:
     """Finite max of affine functionals; convex and piecewise linear.
 
-    The constructor takes canonical pieces: distinct slopes, in (slope,
-    intercept) order.
+    A function is its integer form (S, D, C, E): the slopes S_i / D and
+    intercepts C_i / E of its pieces over common denominators, distinct
+    integer slopes in increasing order.  The walk and every exact reader
+    run on it, and the `Fraction` pieces are built from it on first read,
+    which in practice means by the writers and by library callers.  The
+    constructor takes canonical pieces instead (distinct slopes, in
+    (slope, intercept) order) and computes the form on first read;
+    `from_form` and `from_pieces` take any form or pieces and prune them.
+    Equality, hashing and repr are those of the pieces, as for a frozen
+    dataclass whose one field is `pieces`, and a function is immutable.
     """
 
-    pieces: tuple
+    # a zero-argument callable that builds the subdivision, for a function
+    # handed its cells (`dual_transform`); None walks the integer form
+    _diagram = None
+
+    def __init__(self, pieces):
+        self.__dict__["pieces"] = pieces
 
     @staticmethod
-    def from_pieces(pieces) -> "PLConvexFunction":
-        """The max of the pieces, on its essential pieces.
+    def _of_form(form, diagram=None) -> "PLConvexFunction":
+        """The function of a canonical integer form, as it is, with no
+        walk: `diagram`, if given, builds its subdivision on first read."""
+        g = object.__new__(PLConvexFunction)
+        g.__dict__.update(integer_form=form, _diagram=diagram)
+        return g
 
-        Validates the pieces and computes their integer form (S, D, C, E)
-        once.  On it, it keeps the lowest intercept C_i per integer slope
-        S_i and orders the pieces by S_i, which is the order of the slopes
-        S_i / D.  Then one `subdivision` walk: a piece is kept iff it is in
-        some cell or edge of the walk, that is iff it is the strict maximum
-        somewhere, and the kept pieces are renumbered in order.  The result
-        keeps that walk, on the new numbers, and the integer form it ran
-        on, sliced to the kept pieces.  Code that already holds canonical
-        pieces calls the constructor instead.
+    @staticmethod
+    def from_form(form) -> "PLConvexFunction":
+        """The max of the pieces of an integer form (S, D, C, E), slopes
+        S_i / D and intercepts C_i / E with D, E > 0, on its essential
+        pieces.
+
+        It keeps the lowest intercept C_i per integer slope S_i and orders
+        the pieces by S_i, which is the order of the slopes S_i / D.  Then
+        one `subdivision` walk: a piece is kept iff it is in some cell or
+        edge of the walk, that is iff it is the strict maximum somewhere,
+        and the kept pieces are renumbered in order.  The result keeps that
+        walk, on the new numbers, and the form it ran on, sliced to the
+        kept pieces; no Fraction is built.
         """
-        ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
-        if not ps:
-            raise ValueError("need at least one affine piece")
-        n = len(ps[0].slope)
-        _check_dim(n)
-        if any(len(p.slope) != n for p in ps):
-            raise DimensionError("pieces of mixed dimension")
-        S, D, C, E = _integer_pieces(ps)
+        S, D, C, E = form
         # Same slope: only the lowest intercept (largest value) can matter.
         best = {}
         for i, (s, c) in enumerate(zip(S, C)):
             if s not in best or c < C[best[s]]:
                 best[s] = i
         order = [best[s] for s in sorted(best)]
-        ps, S, C = [ps[i] for i in order], [S[i] for i in order], [C[i] for i in order]
-        g = PLConvexFunction(tuple(ps))
-        if len(ps) > 1:
-            # A piece is the strict maximum somewhere iff its slope is an
-            # extreme point of some cell of the subdivision (or of some
-            # parallel edge pair, when the slopes are collinear).
-            cells, edges = subdivision((S, D, C, E))
-            keep = {i for _, _, ring in cells for i in ring}
-            keep.update(i for pair in edges for i in pair)
-            if len(keep) < len(ps):
-                kept = sorted(keep)
-                new = {i: j for j, i in enumerate(kept)}
-                cells = [(X, q, tuple(new[i] for i in ring)) for X, q, ring in cells]
-                edges = [(new[a], new[b]) for a, b in edges]
-                S, C = [S[i] for i in kept], [C[i] for i in kept]
-                g = PLConvexFunction(tuple(ps[i] for i in kept))
-            g.__dict__["subdivision"] = (cells, edges)
-        g.__dict__["integer_form"] = (S, D, C, E)
+        S, C = [S[i] for i in order], [C[i] for i in order]
+        if len(S) == 1:
+            return PLConvexFunction._of_form((S, D, C, E))
+        # A piece is the strict maximum somewhere iff its slope is an
+        # extreme point of some cell of the subdivision (or of some
+        # parallel edge pair, when the slopes are collinear).
+        cells, edges = subdivision((S, D, C, E))
+        keep = {i for _, _, ring in cells for i in ring}
+        keep.update(i for pair in edges for i in pair)
+        if len(keep) < len(S):
+            kept = sorted(keep)
+            new = {i: j for j, i in enumerate(kept)}
+            cells = [(X, q, tuple(new[i] for i in ring)) for X, q, ring in cells]
+            edges = [(new[a], new[b]) for a, b in edges]
+            S, C = [S[i] for i in kept], [C[i] for i in kept]
+        g = PLConvexFunction._of_form((S, D, C, E))
+        g.__dict__["subdivision"] = (cells, edges)
         return g
+
+    @staticmethod
+    def from_pieces(pieces) -> "PLConvexFunction":
+        """The max of the pieces, on its essential pieces: the pieces are
+        validated, their integer form computed once (`_integer_pieces`) and
+        handed to `from_form`.  Code that already holds canonical pieces
+        calls the constructor instead.
+        """
+        ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
+        if not ps:
+            raise ValueError("need at least one affine piece")
+        _one_dim([p.slope for p in ps], "pieces")
+        return PLConvexFunction.from_form(_integer_pieces(ps))
+
+    @cached_property
+    def pieces(self):
+        """The pieces as AffineFunctionals of Fractions, in slope order,
+        built from the integer form on first read."""
+        S, D, C, E = self.integer_form
+        return tuple(AffineFunctional(tuple(Fraction(x, D) for x in s), Fraction(c, E))
+                     for s, c in zip(S, C))
 
     @cached_property
     def integer_form(self):
         """(S, D, C, E): the slopes S_i / D and intercepts C_i / E of the
-        pieces, in order, over common denominators; computed at most once
-        per function and read by the walk and by every exact reader."""
+        pieces, in order, over common denominators; the function's data,
+        or computed at most once from the pieces it was built with."""
         return _integer_pieces(self.pieces)
 
     @cached_property
     def subdivision(self):
         """(cells, edges) of the kernel `subdivision` on the integer form:
         each cell (X, q, ring) a vertex X / q with the indices of its cell's
-        pieces, each edge an index pair.  Walked at most once per function;
-        every reader shares it and only reads."""
-        return subdivision(self.integer_form)
+        pieces, each edge an index pair.  Walked at most once per function,
+        or built once by the function's `_diagram`; every reader shares it
+        and only reads."""
+        return self._diagram() if self._diagram else subdivision(self.integer_form)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pieces == other.pieces
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pieces,))
+
+    def __repr__(self):
+        return f"PLConvexFunction(pieces={self.pieces!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
-        return len(self.pieces[0].slope)
+        return len(self.integer_form[0][0])
 
     @property
     def slopes(self):
@@ -574,7 +665,7 @@ class PLConvexFunction:
         S, D, C, E = self.integer_form
         q = math.lcm(*(x.denominator for x in v))
         X, Dq = _scaled(v, q), D * q
-        return Fraction(max(E * _idot(s, X) - Dq * c for s, c in zip(S, C)), Dq * E)
+        return Fraction(max(E * d - Dq * c for d, c in zip(_dots(S, X), C)), Dq * E)
 
     def active_pieces(self, v):
         v = as_point(v)
@@ -708,17 +799,18 @@ def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
     It runs on g's integer slopes S_i / D: S_i lies in delta iff
     <n, S_i> >= c D for each of delta's integer half-planes (n, c), which
     every polytope has, a point or a segment in the plane included, and a
-    vertex u of delta is a slope iff D u is one of the S_i.
+    vertex R_j / Q of delta's integer ring is a slope iff Q divides D R_j
+    and D R_j / Q is one of the S_i.
     """
     if g.dim != delta.dim:
         raise DimensionError("dimension mismatch")
     S, D, _, _ = g.integer_form
-    if not all(_idot(n, s) >= c * D for n, c in delta._halfplanes for s in S):
+    if not all(min(_dots(S, n)) >= c * D for n, c in delta._halfplanes):
         return False
     slopes = set(S)
+    R, Q = delta._integer_ring
     return all(
-        all(D % x.denominator == 0 for x in u) and _scaled(u, D) in slopes
-        for u in delta.vertices
+        not any(D * x % Q for x in P) and tuple(D * x // Q for x in P) in slopes for P in R
     )
 
 
@@ -752,8 +844,8 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     and the vertices of its lower chain with 0 < s < 1 are the points where
     an edge of F's subdivision crosses the side.
 
-    It runs on integers, with one Fraction per coordinate and value of the
-    result.  F's slopes are S_i / D and its intercepts C_i / E, and
+    It runs on integers and builds no Fraction.  F's slopes are S_i / D
+    and its intercepts C_i / E, and
     delta's ring is R / Q.  Each corner u is kept as X / q in lowest
     terms, with its value y / z and the pieces of F active at u:
     - at a vertex R_j / Q of delta, the integer max of the pieces'
@@ -773,8 +865,10 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     Algorithms 1997).
 
     The corners, on their common denominator L, are h's integer slopes,
-    sorted as integer tuples, so h's integer form is handed over with it.
-    So is its subdivision, when delta is full-dimensional: h's vertices
+    sorted as integer tuples, so h is its integer form, and its Fraction
+    pieces are built only if something reads them.  It is handed its
+    subdivision too, when delta is full-dimensional, built when a reader
+    first asks for it (`_transform_cells`): h's vertices
     are the slopes v_i of F whose cells meet delta in positive volume,
     and the cell of v_i is the counterclockwise ring (`_ccw_ring`) of the
     corners where piece i is active, the vertices of F's cell i in delta.
@@ -797,7 +891,7 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
         corners.setdefault(u, (y, z, set()))[2].update(active)
 
     for P in R:
-        vals = [E * _idot(s, P) - DQ * c for s, c in zip(S, C)]
+        vals = [E * d - DQ * c for d, c in zip(_dots(S, P), C)]
         m = max(vals)
         r = math.gcd(*P, Q)
         corner((tuple(x // r for x in P), Q // r), m, DQ * E,
@@ -828,34 +922,43 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
 
 def _from_corners(corners, F, delta):
     """The function of `dual_transform` from its corners, a dict from each
-    corner X / q in lowest terms to (y, z, active): its value y / z and the
-    pieces of F active there.  It builds one Fraction per coordinate and
-    value for the pieces, and hands over their integer form (S, L, C, E)
-    and, for a full-dimensional delta, their subdivision."""
+    corner X / q in lowest terms to (y, z, active): its value y / z, z > 0,
+    and the pieces of F active there.  The corners on their common
+    denominator L, sorted as integer tuples, and the values in lowest
+    terms over their common denominator E are its integer form (S, L, C, E);
+    no Fraction is built.  For a full-dimensional delta it is handed its
+    subdivision too, built on first read (`_transform_cells`)."""
     L = math.lcm(*(q for _, q in corners))
     order = sorted((tuple(x * (L // q) for x in X), X, q) for X, q in corners)
-    pieces, values, index = [], [], {}
-    for j, (P, X, q) in enumerate(order):
+    values = []
+    for _, X, q in order:
         y, z, _ = corners[X, q]
-        value = Fraction(y, z)
-        pieces.append(AffineFunctional(tuple(Fraction(x, q) for x in X), value))
-        values.append(value)
-        index[P] = j
-    E = math.lcm(*(v.denominator for v in values))
-    S = [P for P, _, _ in order]
-    C = tuple(v.numerator * (E // v.denominator) for v in values)
-    h = PLConvexFunction(tuple(pieces))
-    h.__dict__["integer_form"] = (S, L, C, E)
+        r = math.gcd(y, z)
+        values.append((y // r, z // r))
+    E = math.lcm(*(z for _, z in values))
+    form = ([P for P, _, _ in order], L, tuple(y * (E // z) for y, z in values), E)
     if len(delta._ring) <= delta.dim:  # a point, or a segment in the plane
-        return h
-    if delta.dim == 1:
+        return PLConvexFunction._of_form(form)
+    return PLConvexFunction._of_form(form, lambda: _transform_cells(form, order, corners, F))
+
+
+def _transform_cells(form, order, corners, F):
+    """The subdivision of `dual_transform`'s result h over a
+    full-dimensional delta, from the corners sorted as in h's form.  In
+    1-D the cells are the consecutive corners.  In 2-D h's vertices are
+    the slopes v_i of F whose cells meet delta in positive area, and the
+    cell of v_i is the counterclockwise ring (`_ccw_ring`) of the corners
+    where piece i is active, in h's numbers, with the ring pairs as its
+    edges."""
+    S, L, C, E = form
+    if len(S[0]) == 1:
         cells = []
         for a in range(len(S) - 1):
             X, q = L * (C[a + 1] - C[a]), E * (S[a + 1][0] - S[a][0])
             r = math.gcd(X, q)
             cells.append(((X // r,), q // r, (a, a + 1)))
-        h.__dict__["subdivision"] = (cells, [])
-        return h
+        return cells, []
+    index = {P: j for j, P in enumerate(S)}
     active = {}  # piece of F -> the corners where it is active, sorted
     for P, X, q in order:
         for i in corners[X, q][2]:
@@ -868,8 +971,7 @@ def _from_corners(corners, F, delta):
             r = math.gcd(*FS[i], FD)
             cells.append((tuple(s // r for s in FS[i]), FD // r, tuple(index[P] for P in ring)))
     edges = [(a, b) for _, _, r in cells for a, b in zip(r, r[1:] + r[:1])]
-    h.__dict__["subdivision"] = (cells, edges)
-    return h
+    return cells, edges
 
 
 def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
@@ -878,13 +980,31 @@ def convex_envelope(samples, delta: Polytope) -> PLConvexFunction:
     samples: iterable of (point, value) pairs.  The result h satisfies
     h(p) <= y for every sample and no convex minorant with slopes in
     delta exceeds it anywhere.  Samples of mixed dimension, or of another
-    dimension than delta, raise DimensionError.
-
-    The sample function is pruned like any other, and `dual_transform`
-    reads the walk that pruned it.
+    dimension than delta, raise DimensionError.  Each sample is read as
+    integers, its point X / q over the lcm q of its denominators, for
+    `_sample_envelope`.
     """
-    samples = [(as_point(p), as_fraction(y)) for p, y in samples]
+    quads = []
+    for p, y in [(as_point(p), as_fraction(y)) for p, y in samples]:
+        q = math.lcm(*(x.denominator for x in p))
+        quads.append((_scaled(p, q), q, y.numerator, y.denominator))
+    return _sample_envelope(quads, delta)
+
+
+def _sample_envelope(samples, delta: Polytope) -> PLConvexFunction:
+    """`convex_envelope` of integer samples (X, q, y, z), each the point
+    X / q with the value y / z, q and z > 0.
+
+    The sample function max(<X / q, .> - y / z) is the integer form of the
+    points over their common denominator and the values over theirs.
+    `PLConvexFunction.from_form` prunes it, and `dual_transform` reads the
+    walk that pruned it.
+    """
     if not samples:
         raise ValueError("empty sample set")
-    F = PLConvexFunction.from_pieces(AffineFunctional(p, y) for p, y in samples)
-    return dual_transform(F, delta)
+    _one_dim([X for X, _, _, _ in samples], "pieces")
+    L = math.lcm(*(q for _, q, _, _ in samples))
+    E = math.lcm(*(z for _, _, _, z in samples))
+    form = ([tuple(x * (L // q) for x in X) for X, q, _, _ in samples], L,
+            [y * (E // z) for _, _, y, z in samples], E)
+    return dual_transform(PLConvexFunction.from_form(form), delta)

@@ -25,6 +25,18 @@ and `canonical_metric_rows` read integers and strings, not library
 objects: the closed form of curves.canonical_form, whose offset strings
 each are formatted once, filled a column at a time.
 
+The toric readers (`pl_function_from_json`, which also reads each
+function of a `min_of` obstacle, and `polytope_from_json`) build no
+Fraction: each distinct rational string of a document is parsed once into
+its integers (`_rational_pair`, through `_parse_once`), the slopes, the
+intercepts or the vertices are put over the lcm of their denominators
+(`_over_lcm`), and that integer form is handed to
+PLConvexFunction.from_form or Polytope._from_integer_points.  A toric
+function is its integer form, and Fractions are built only for what is
+printed.  The readers keep the errors of the Fraction path they replaced,
+with their messages and in their order: every SchemaError in document
+order, then the dimension checks of from_pieces and from_points.
+
 The curve readers check each number of a document once.  Each distinct
 rational string of a graph or graph-function document is parsed once
 (`_parse_once`), and `graph_function_from_json` hands the parsed pairs
@@ -42,15 +54,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .curves import CanonicalForm, GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
-from .geometry import (
-    AffineFunctional,
-    DiscreteMeasure,
-    PLConvexFunction,
-    Polytope,
-)
+from .geometry import DiscreteMeasure, PLConvexFunction, Polytope, _one_dim
 
 json_string = json.encoder.encode_basestring_ascii
 # vertex ids are JSON scalars; the compact and the indented encoding agree on them
@@ -65,19 +72,28 @@ class SchemaError(ValueError):
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(s) -> Fraction:
-    """The Fraction of a rational string "p/q" or "p": ASCII digits, a
-    sign only on p, and no JSON number.  p and q are converted with int,
-    which refuses a zero q and, before converting anything, a digit string
-    longer than the int digit limit (sys.get_int_max_str_digits())."""
+def _rational_pair(s):
+    """The integers (p, q) of a rational string "p/q" or "p" (q = 1), as
+    written, not reduced: ASCII digits, a sign only on p, and no JSON
+    number.  p and q are converted with int, which refuses a digit string
+    longer than the int digit limit (sys.get_int_max_str_digits()); a zero
+    q is refused with Fraction's message."""
     plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if not plain:
         raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
     try:
-        p, q = int(plain[1]), plain[2]
-        return Fraction(p) if q is None else Fraction(p, int(q))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(plain[1]), int(plain[2] or 1)
+    except ValueError as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
+    if not q:
+        raise SchemaError(f"bad rational {s!r}: Fraction({p}, 0)")
+    return p, q
+
+
+def parse_rational(s) -> Fraction:
+    """The Fraction of a rational string, read by `_rational_pair`."""
+    p, q = _rational_pair(s)
+    return Fraction(p) if q == 1 else Fraction(p, q)
 
 
 def _has_array(obj, key) -> bool:
@@ -153,9 +169,18 @@ def polytope_to_json(p: Polytope) -> str:
 
 
 def polytope_from_json(obj) -> Polytope:
+    """The polytope of a document {"vertices": [[...], ...]}, read on
+    integers: the checks of Polytope.from_points, with their messages and
+    in their order, after every SchemaError, and the hull of the points
+    over the lcm of their denominators, as `_over_lcm` writes them."""
     if not _has_array(obj, "vertices"):
         raise SchemaError('polytope must be {"vertices": [...]}')
-    return Polytope.from_points([point_from_json(v) for v in obj["vertices"]])
+    parsed = {}
+    points = [_pair_point(v, parsed) for v in obj["vertices"]]
+    if not points:
+        raise ValueError("polytope needs at least one point")
+    _one_dim(points, "points")
+    return Polytope._from_integer_points(*_over_lcm(points))
 
 
 def pl_function_to_json(g: PLConvexFunction) -> str:
@@ -166,12 +191,39 @@ def pl_function_to_json(g: PLConvexFunction) -> str:
 
 
 def pl_function_from_json(obj) -> PLConvexFunction:
+    """The function of a document {"pieces": [{"slope": [...], "intercept":
+    "..."}, ...]}, read on integers: every SchemaError first, in the order
+    of the pieces, then the dimension checks of PLConvexFunction.from_pieces
+    with their messages, and the slopes and the intercepts each over the
+    lcm of their denominators (`_over_lcm`), the integer form that
+    PLConvexFunction.from_form prunes.  No Fraction is built."""
     records = _records(obj, "pieces", ("slope", "intercept"), 'function must be {"pieces": [...]}',
                        'each piece must be {"slope": [...], "intercept": "..."}')
-    pieces = [AffineFunctional(point_from_json(slope), parse_rational(c)) for slope, c in records]
-    if not pieces:
+    parsed, slopes, intercepts = {}, [], []
+    for slope, c in records:
+        slopes.append(_pair_point(slope, parsed))
+        intercepts.append(_parse_once(c, parsed, _rational_pair))
+    if not slopes:
         raise SchemaError("function needs at least one piece")
-    return PLConvexFunction.from_pieces(pieces)
+    _one_dim(slopes, "pieces")
+    S, D = _over_lcm(slopes)
+    E = lcm(*(q for _, q in intercepts))
+    return PLConvexFunction.from_form((S, D, [p * (E // q) for p, q in intercepts], E))
+
+
+def _pair_point(obj, parsed):
+    """`point_from_json` on integers: the pair (p, q) of each coordinate,
+    each string parsed once per dict `parsed` (`_parse_once`)."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("a point must be a nonempty array of rationals")
+    return [_parse_once(c, parsed, _rational_pair) for c in obj]
+
+
+def _over_lcm(rows):
+    """(P, D): rows of pairs (p, q), each the rational p / q, as integer
+    tuples P_j over the lcm D of all the q."""
+    D = lcm(*(q for row in rows for _, q in row))
+    return [tuple([p * (D // q) for p, q in row]) for row in rows], D
 
 
 def _atoms(atoms):
@@ -232,7 +284,7 @@ def graph_from_json(obj) -> MetricGraph:
         if not _has_array(item, "ends") or len(item["ends"]) != 2 or "length" not in item:
             raise SchemaError('each edge must be {"ends": [i, j], "length": "p/q"}')
         u, v = item["ends"]
-        edges.append((u, v, _parse_once(item["length"], parsed)))
+        edges.append((u, v, _parse_once(item["length"], parsed, parse_rational)))
     return MetricGraph.build(vertex_ids, edges)
 
 
@@ -275,20 +327,22 @@ def graph_function_from_json(obj, graph: MetricGraph) -> GraphPLFunction:
             isinstance(pair, list) and len(pair) == 2 for pair in pairs
         ):
             raise SchemaError('each edge must be a list of ["offset", "value"] pairs')
-        values.append(tuple([(_parse_once(o, parsed), _parse_once(y, parsed)) for o, y in pairs]))
+        values.append(tuple([(_parse_once(o, parsed, parse_rational),
+                              _parse_once(y, parsed, parse_rational)) for o, y in pairs]))
     return GraphPLFunction._checked(graph, tuple(values))
 
 
-def _parse_once(s, parsed):
-    """parse_rational(s), each string parsed once per dict `parsed`: a
-    graph function repeats a vertex value on every edge at the vertex, "0"
-    on every edge and each edge length as its end offset, and a graph
-    repeats its edge lengths.  The dict lives for one document."""
+def _parse_once(s, parsed, parse):
+    """parse(s), parse_rational or _rational_pair, each string parsed once
+    per dict `parsed`, which lives for one document and one parse: a graph
+    function repeats a vertex value on every edge at the vertex, "0" on
+    every edge and each edge length as its end offset, a graph repeats its
+    edge lengths, and a toric document its slope coordinates."""
     if not isinstance(s, str):
-        return parse_rational(s)
+        return parse(s)
     q = parsed.get(s)
     if q is None:
-        q = parsed[s] = parse_rational(s)
+        q = parsed[s] = parse(s)
     return q
 
 

@@ -97,7 +97,6 @@ from functools import cmp_to_key
 from . import curves
 from .curves import ConvergenceError
 from .geometry import (
-    AffineFunctional,
     DimensionError,
     DiscreteMeasure,
     PLConvexFunction,
@@ -215,8 +214,13 @@ def _power_cells(ring, atoms, weights):
 
 
 def _solution_from_weights(delta, atoms, weights):
-    F = PLConvexFunction(tuple(AffineFunctional(v, -w) for (v, _), w in zip(atoms, weights)))
-    return dual_transform(F, delta)
+    """dual_transform of F_w = max(<v_i, .> + w_i) over the sorted atoms
+    v_i, built as its integer form: the atoms over their common
+    denominator and the weights' numerators over theirs; no Fraction."""
+    V, A = _integer_points([v for v, _ in atoms])
+    E = math.lcm(*(w.denominator for w in weights))
+    C = [-w.numerator * (E // w.denominator) for w in weights]
+    return dual_transform(PLConvexFunction._of_form((V, A, C, E)), delta)
 
 
 def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):

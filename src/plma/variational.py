@@ -7,8 +7,9 @@ that adding a constant c to the argument adds c times the degree.
 
 Envelopes come in two flavours.  Toric: the largest admissible convex
 minorant, computed exactly through Legendre transforms over the polytope.
-Every toric obstacle is read the same way, as parts (slopes, samples):
-one slope-hull check, then one `convex_envelope` of all the samples.
+Every toric obstacle is read the same way, as parts (slopes, samples) on
+integers: one slope-hull check, then one convex envelope of all the
+samples.
 Curve: the largest subharmonic minorant, an obstacle problem on the
 finitely many points where it can bend (vertices, obstacle breakpoints,
 reference atoms).  It is solved for the gap g = psi - P(psi), as the
@@ -61,12 +62,12 @@ from .geometry import (
     PLConvexFunction,
     Polytope,
     _idot,
-    _point,
+    _integer_points,
+    _sample_envelope,
     _vertex_value,
     as_fraction,
     as_point,
     cell_sums,
-    convex_envelope,
     is_admissible,
     vscale,
     vsub,
@@ -180,11 +181,13 @@ class PiecewiseLinear1D:
 
     @staticmethod
     def from_convex(g: PLConvexFunction) -> "PiecewiseLinear1D":
-        """g on the points of `_samples(g)`, with its extreme slopes."""
+        """g on the points of `_samples(g)`, with its extreme slopes, the
+        first and last of its integer form."""
         if g.dim != 1:
             raise ValueError("1-D only")
-        points = tuple((v, y) for (v,), y in _samples(g))
-        return PiecewiseLinear1D(points, min(g.slopes)[0], max(g.slopes)[0])
+        S, D, _, _ = g.integer_form
+        points = tuple((Fraction(v, q), Fraction(y, z)) for (v,), q, y, z in _samples(g))
+        return PiecewiseLinear1D(points, Fraction(S[0][0], D), Fraction(S[-1][0], D))
 
     def __call__(self, v) -> Fraction:
         v = as_point(v)[0] if isinstance(v, (tuple, list)) else as_fraction(v)
@@ -228,16 +231,17 @@ class MinOfConvex:
 
 
 def _samples(g: PLConvexFunction):
-    """(point, value) pairs of g on which g - <u, .> attains its minimum
-    for every slope u in the hull of g's slopes.
+    """Samples (X, q, y, z), the points X / q and values y / z of g, on
+    which g - <u, .> attains its minimum for every slope u in the hull of
+    g's slopes.
 
     They are the vertices X / q of g's walk, each value read off its cell
-    on g's integer form (S, D, C, E) (`_vertex_value`).  A walk with no
-    vertex has collinear slopes or one piece.  With collinear slopes each
-    walk edge (a, b) is a tie line <w, x> = D (C_a - C_b) / E,
+    on g's integer form (S, D, C, E) (`_vertex_value`), over z = D E q.  A
+    walk with no vertex has collinear slopes or one piece.  With collinear
+    slopes each walk edge (a, b) is a tie line <w, x> = D (C_a - C_b) / E,
     w = S_a - S_b, on which g - <u, .> is constant, and its point
     X / q = D (C_a - C_b) w / (E |w|^2) is read off piece a; one piece
-    gives the origin.
+    gives the origin.  No Fraction is built.
     """
     S, D, C, E = form = g.integer_form
     cells, edges = g.subdivision
@@ -245,25 +249,26 @@ def _samples(g: PLConvexFunction):
                 or [(vscale(D * (C[a] - C[b]), w := vsub(S[a], S[b])), E * _idot(w, w), a)
                     for a, b in edges]
                 or [((0,) * g.dim, 1, 0)])
-    return [(_point(X, q), Fraction(_vertex_value(form, X, q, a), D * E * q))
-            for X, q, a in vertices]
+    return [(X, q, _vertex_value(form, X, q, a), D * E * q) for X, q, a in vertices]
 
 
 def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
     """Largest convex function with slopes in delta lying below psi.
 
     An admissible convex obstacle is its own envelope.  Any other obstacle
-    is read as parts (slopes, samples): a free-form obstacle is one part,
-    its recession slopes (none if the left one exceeds the right one) and
-    its breakpoints; a convex obstacle, or each part of a min of convex
-    functions, gives its slopes and `_samples`.  psi - h_delta must be
-    bounded below, that is delta must lie in the convex hull of every
-    part's slopes; otherwise the conjugate of a part is infinite somewhere
-    on delta, and EnvelopeError ("obstacle decays below the admissible
-    slope range") is raised.  The envelope is then the `convex_envelope`
-    of all the samples: each part's samples attain the minimum of the part
-    minus every affine function with slope in delta, so they give its
-    conjugate there exactly.
+    is read as parts (slopes, samples), on integers: a free-form obstacle
+    is one part, its recession slopes (none if the left one exceeds the
+    right one) and its breakpoints; a convex obstacle, or each part of a
+    min of convex functions, gives its integer slopes S_i / D and
+    `_samples`.  psi - h_delta must be bounded below, that is delta must
+    lie in the convex hull of every part's slopes; otherwise the conjugate
+    of a part is infinite somewhere on delta, and EnvelopeError ("obstacle
+    decays below the admissible slope range") is raised.  The hull test
+    runs on integers: the hull of the S_i over D holds each vertex R_j / Q
+    of delta's integer ring.  The envelope is then the convex envelope of
+    all the samples (`geometry._sample_envelope`, on their integers): each
+    part's samples attain the minimum of the part minus every affine
+    function with slope in delta, so they give its conjugate there exactly.
     """
     if isinstance(psi, PLConvexFunction) and is_admissible(psi, delta):
         return psi
@@ -271,33 +276,49 @@ def envelope_toric(psi, delta: Polytope) -> PLConvexFunction:
         if delta.dim != 1:
             raise EnvelopeError("free-form obstacles are one-dimensional")
         left, right = psi.left_slope, psi.right_slope
-        parts = [([(left,), (right,)] if left <= right else [], [((v,), y) for v, y in psi.points])]
+        slopes = _integer_points([(left,), (right,)]) if left <= right else ([], 1)
+        parts = [(slopes, [((v.numerator,), v.denominator, y.numerator, y.denominator)
+                           for v, y in psi.points])]
     elif isinstance(psi, (PLConvexFunction, MinOfConvex)):
         convex = psi.parts if isinstance(psi, MinOfConvex) else (psi,)
-        parts = [(g.slopes, _samples(g)) for g in convex]
+        parts = [(g.integer_form[:2], _samples(g)) for g in convex]
     else:
         raise TypeError(f"unsupported obstacle type {type(psi).__name__}")
-    # parts of another dimension than delta are left to convex_envelope,
+    # parts of another dimension than delta are left to _sample_envelope,
     # which raises DimensionError
-    if all(len(s) == delta.dim for slopes, _ in parts for s in slopes) and not all(
-        slopes and all(map(Polytope.from_points(slopes).contains, delta.vertices))
-        for slopes, _ in parts
+    if all(len(s) == delta.dim for (S, _), _ in parts for s in S) and not all(
+        _hull_holds(slopes, delta) for slopes, _ in parts
     ):
         raise EnvelopeError("obstacle decays below the admissible slope range")
-    return convex_envelope([p for _, samples in parts for p in samples], delta)
+    return _sample_envelope([p for _, samples in parts for p in samples], delta)
+
+
+def _hull_holds(slopes, delta: Polytope) -> bool:
+    """Whether the hull of the integer slopes (S, D), each S_i / D, holds
+    delta, on integers: every vertex R_j / Q of delta's integer ring."""
+    S, D = slopes
+    if not S:
+        return False
+    hull = Polytope._from_integer_points(S, D)
+    R, Q = delta._integer_ring
+    return all(hull._contains_scaled(P, Q) for P in R)
 
 
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
     """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero.
 
-    MA(P(psi)) is the analytic measure of `ma_measure`.  At each of its
-    atoms P(psi), and a convex psi or each convex part of a min of them,
-    are evaluated on their integer forms (`PLConvexFunction.__call__`), one
-    Fraction each; a free-form psi is interpolated between its breakpoints.
+    MA(P(psi)) is the analytic measure of `ma_measure`, one atom per cell
+    of P(psi), in the cells' order.  At each atom P(psi) is read off its
+    cell (`_vertex_value`), and a convex psi, or each convex part of a min
+    of them, is evaluated on its integer form (`PLConvexFunction.__call__`),
+    one Fraction each; a free-form psi is interpolated between its
+    breakpoints.
     """
     p = envelope_toric(psi, delta)
     atoms = ma_measure(p, delta).measure_an
-    return sum((m * (psi(mp.v) - p(mp.v)) for mp, m in atoms), Fraction(0))
+    _, D, _, E = form = p.integer_form
+    return sum((m * (psi(mp.v) - Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
+                for (mp, m), (X, q, ring) in zip(atoms, p.subdivision[0])), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +386,11 @@ def envelope_subharmonic(
     psi needs no test of its own: the exact pass then ends with g = 0 at
     every node, and psi is returned as given, not simplified.
     """
-    nodes = _envelope_nodes(psi, graph, omega0)
+    return _envelope_from_nodes(psi, graph, _envelope_nodes(psi, graph, omega0))
+
+
+def _envelope_from_nodes(psi, graph, nodes):
+    """The envelope of psi from its solved node problem, `_Nodes`."""
     (Y, Dy), (G, Dg) = nodes.psi, nodes.gap
     if not any(G):
         return psi
@@ -498,18 +523,24 @@ def _one_sided_derivatives(phi, f, graph, omega0):
     halving ends.  On a chamber the envelope is affine in t at the
     nodes, so its energy (the pairing of P with laplacian(P) + 2 omega0,
     halved) is a quadratic in t, whose derivative at 0 is
-    d = (4 E(t/2) - E(t) - 3 E(0)) / t, from three exact samples; E(0) is
-    E(phi), as phi is subharmonic.
+    d = (4 E(t/2) - E(t) - 3 E(0)) / t, from three exact samples: E(t)
+    from the node problem that the check solved, E(t/2) from one more,
+    and E(0) is E(phi), as phi is subharmonic.
     """
+    def energy(psi, nodes):
+        return energy_curve(_envelope_from_nodes(psi, graph, nodes), graph, omega0)
+
     def energy_at(t):
-        return energy_curve(envelope_subharmonic(phi + f.scale(t), graph, omega0), graph, omega0)
+        psi = phi + f.scale(t)
+        return energy(psi, _envelope_nodes(psi, graph, omega0))
 
     def side(t):
         while True:
-            G = _envelope_nodes(phi + f.scale(t), graph, omega0).gap[0]
-            G0, _, S0, _ = next(_howard(form, {k for k, g in enumerate(G) if not g}))
+            psi = phi + f.scale(t)
+            nodes = _envelope_nodes(psi, graph, omega0)
+            G0, _, S0, _ = next(_howard(form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
             if min(*G0, *S0) >= 0:
-                return abs(t), (4 * energy_at(t / 2) - energy_at(t) - 3 * e0) / t
+                return abs(t), (4 * energy_at(t / 2) - energy(psi, nodes) - 3 * e0) / t
             t /= 2
 
     form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]

@@ -1,5 +1,7 @@
 """Counters of the calls that the performance pins count: the rational
-strings serialize.parse_rational parses, the GraphPLFunction.build calls,
+strings serialize.parse_rational parses into Fractions and
+serialize._rational_pair into integers (every parse, parse_rational's
+included), the GraphPLFunction.build calls,
 the curves.solve_laplacian calls by kind, a float guide's form or an
 exact one, the 2-D walks of geometry._walk and the exact residuals of
 solver.residual.  tests/test_solve_counts.py pins them, and
@@ -11,15 +13,21 @@ from plma import curves, geometry, serialize, solver
 def count_calls(setattr):
     """Wrap the counted routines with `setattr`, pytest's
     monkeypatch.setattr, which puts them back after; return the dict of
-    their calls from now on: "parse_rational", "build", "float", "exact",
-    "walk" and "residual"."""
-    calls = dict.fromkeys(("parse_rational", "build", "float", "exact", "walk", "residual"), 0)
-    parse, build = serialize.parse_rational, curves.GraphPLFunction.build
+    their calls from now on: "parse_rational", "pair", "build", "float",
+    "exact", "walk" and "residual"."""
+    calls = dict.fromkeys(
+        ("parse_rational", "pair", "build", "float", "exact", "walk", "residual"), 0)
+    parse, pair = serialize.parse_rational, serialize._rational_pair
+    build = curves.GraphPLFunction.build
     solve, walk, residual = curves.solve_laplacian, geometry._walk, solver.residual
 
     def parse_rational(s):
         calls["parse_rational"] += 1
         return parse(s)
+
+    def rational_pair(s):
+        calls["pair"] += 1
+        return pair(s)
 
     def counted_build(graph, edge_values):
         calls["build"] += 1
@@ -38,6 +46,7 @@ def count_calls(setattr):
         return residual(g, nu, delta)
 
     setattr(serialize, "parse_rational", parse_rational)
+    setattr(serialize, "_rational_pair", rational_pair)
     setattr(curves.GraphPLFunction, "build", staticmethod(counted_build))
     setattr(curves, "solve_laplacian", solve_laplacian)
     setattr(geometry, "_walk", counted_walk)

@@ -3,9 +3,9 @@ the number of atoms.
 
 Run from the repository root, with the plma to measure on the path:
 
-    PYTHONPATH=src python tests/ladder.py [graph] [toric]
+    PYTHONPATH=src python tests/ladder.py [graph] [walk] [toric]
 
-Naming no set runs both.  pytest does not collect this file.  Each rung's
+Naming no set runs all three.  pytest does not collect this file.  Each rung's
 documents are written into a temporary directory, and each command runs
 through cli.run there.
 
@@ -15,6 +15,18 @@ not changed) and random.Random(v) at each size v: random_graph(rng, v), a
 spanning tree plus v/4 chords; omega0 = reference_measure(rng, graph, 2);
 mu = positive_measure(rng, distinct_points(rng, graph, 3), 2); and psi =
 dented_obstacle(rng, graph, omega0, 10).
+
+The walk set: `toric-ma` at k = 64, 256, 1 024 and 4 096 on the unit
+square, with lattice paraboloids of its own generator: every slope
+s = (i/grid, j/grid) of the 1/grid lattice of the square, i and j from 0
+to grid = sqrt(k) - 1, in that order, with the intercept
+|s|^2/2 + r/(100 grid^2) and r drawn from 0 to 20 by random.Random(k),
+slope by slope.  The perturbation, at most 1/(5 grid^2), stays below the
+lattice's second difference 1/grid^2 (and below a quarter of it), so
+every lifted point is in strictly convex position and all k pieces are
+essential; bench/inputs.py's lattice_paraboloid perturbs by up to
+2/1 000, which at grid 32 leaves 603 of k = 1 024 pieces.  The row
+counts the 2-D walks of geometry._walk: one, the read function's.
 
 The toric set: `toric-solve` at k = 25 to 200 on the generic targets of
 ROADMAP's Baseline: the unit square, and uniform masses on k atoms of the
@@ -60,6 +72,7 @@ from plma import cli, solver
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GRAPH_SIZES = (60, 120, 240, 480, 960)
 TORIC_SIZES = (25, 50, 100, 200)
+WALK_SIZES = (64, 256, 1024, 4096)
 REPEATS = 3
 TIMEOUT_S = 120
 
@@ -87,7 +100,20 @@ def toric_documents(k):
                              for i, j in atoms]}}
 
 
+def walk_documents(k):
+    """The unit square and the lattice paraboloid of k = (grid + 1)^2
+    pieces described above."""
+    grid, rng = math.isqrt(k) - 1, random.Random(k)
+    pieces = [{"slope": [str(Fraction(i, grid)), str(Fraction(j, grid))],
+               "intercept": str(Fraction(i * i + j * j, 2 * grid * grid)
+                                + Fraction(rng.randint(0, 20), 100 * grid * grid))}
+              for i in range(grid + 1) for j in range(grid + 1)]
+    return {"delta": {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+            "g": {"pieces": pieces}}
+
+
 ARGV = {
+    "toric-ma": ["toric-ma", "--delta", "delta.json", "--g", "g.json"],
     "envelope": ["envelope", "--graph", "graph.json", "--omega0", "omega0.json", "--g", "psi.json"],
     "curve-solve": ["curve-solve", "--graph", "graph.json", "--mu", "mu.json",
                     "--omega0", "omega0.json"],
@@ -194,6 +220,8 @@ def main(sets):
             if "graph" in sets:
                 ladder("v", GRAPH_SIZES, lambda v: graph_documents(inputs, v),
                        ("envelope", "curve-solve"))
+            if "walk" in sets:
+                ladder("k", WALK_SIZES, walk_documents, ("toric-ma",))
             if "toric" in sets:
                 ladder("k", TORIC_SIZES, toric_documents, ("toric-solve",))
             os.chdir(cwd)
@@ -203,4 +231,4 @@ def main(sets):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ("graph", "toric"))
+    main(sys.argv[1:] or ("graph", "walk", "toric"))

@@ -393,6 +393,156 @@ def test_graph_function_checks_against_fractions(rng):
     assert min(kinds.values()) > 50
 
 
+def fraction_parse_rational(s):
+    """serialize.parse_rational as it was when the toric readers built a
+    Fraction per number: the oracle of their integer parse."""
+    plain = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
+    if not plain:
+        raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
+    try:
+        p, q = int(plain[1]), plain[2]
+        return Fraction(p) if q is None else Fraction(p, int(q))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {s!r}: {exc}") from None
+
+
+def fraction_point(obj):
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("a point must be a nonempty array of rationals")
+    return tuple(fraction_parse_rational(c) for c in obj)
+
+
+def fraction_pl_function(obj):
+    """The toric function reader's Fraction path: a Fraction per number,
+    AffineFunctionals and PLConvexFunction.from_pieces."""
+    records = serialize._records(
+        obj, "pieces", ("slope", "intercept"), 'function must be {"pieces": [...]}',
+        'each piece must be {"slope": [...], "intercept": "..."}')
+    pieces = [geometry.AffineFunctional(fraction_point(slope), fraction_parse_rational(c))
+              for slope, c in records]
+    if not pieces:
+        raise SchemaError("function needs at least one piece")
+    return geometry.PLConvexFunction.from_pieces(pieces)
+
+
+def fraction_polytope(obj):
+    if not serialize._has_array(obj, "vertices"):
+        raise SchemaError('polytope must be {"vertices": [...]}')
+    return Polytope.from_points([fraction_point(v) for v in obj["vertices"]])
+
+
+def fraction_obstacle(obj):
+    if isinstance(obj, dict) and "min_of" in obj:
+        if not isinstance(obj["min_of"], list):
+            raise SchemaError('obstacle must be {"min_of": [function, ...]}')
+        return variational.MinOfConvex.build(fraction_pl_function(item) for item in obj["min_of"])
+    return fraction_pl_function(obj)
+
+
+BAD_VALUES = ("1.5", 1, [1], None, "1/0", "-1/00", "1" * 5000, "1/" + "7" * 5000)
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except ValueError as exc:  # SchemaError, DimensionError and the others
+        return type(exc).__name__, str(exc)
+
+
+def _function_doc(rng, n, k):
+    return {"pieces": [{"slope": [_spelled(rng, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                                  for _ in range(n)],
+                        "intercept": _spelled(rng, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))}
+                       for _ in range(k)]}
+
+
+def _defective(rng, pieces):
+    """pieces with one defect: a bad value at a random position, a record
+    that is not a piece, a slope that is no nonempty array, or a slope of
+    another dimension (3-D, or mixed)."""
+    pieces = json.loads(json.dumps(pieces))
+    whole = [i for i, p in enumerate(pieces) if isinstance(p, dict) and "intercept" in p
+             and isinstance(p.get("slope"), list) and p["slope"]]
+    if not whole:
+        return pieces
+    i = rng.choice(whole)
+    kind = rng.choice(("value", "value", "record", "slope", "dimension"))
+    if kind == "value":
+        where = rng.choice(["intercept"] + list(range(len(pieces[i]["slope"]))))
+        target = pieces[i] if where == "intercept" else pieces[i]["slope"]
+        target[where] = rng.choice(BAD_VALUES)
+    elif kind == "record":
+        pieces[i] = rng.choice(({"slope": ["0"]}, ["0"], "piece", {"intercept": "1"}))
+    elif kind == "slope":
+        pieces[i]["slope"] = rng.choice(([], "0", None, {"0": "1"}))
+    else:
+        pieces[i]["slope"] = pieces[i]["slope"][:1] if rng.random() < 0.5 else ["1", "2", "3"]
+    return pieces
+
+
+def test_toric_readers_errors_against_fractions(rng):
+    # the integer readers of toric functions, polytopes and min_of
+    # obstacles, against the Fraction path they replaced: on valid
+    # documents, spelled with unreduced strings, and with one or two
+    # defects, the same object or the same error type and message,
+    # the first defect in reading order reported
+    def read_obstacle(doc):
+        return cli._load_obstacle_toric(doc)
+
+    kinds = {"valid": 0, "SchemaError": 0, "DimensionError": 0, "ValueError": 0}
+    for _ in range(400):
+        n = rng.choice((1, 2, 2, 3))
+        doc = _function_doc(rng, n, rng.randint(1, 5))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            doc["pieces"] = _defective(rng, doc["pieces"])
+        if rng.random() < 0.05:
+            doc = rng.choice(({"pieces": []}, {"piece": []}, [], {"pieces": "0"}))
+        expected = _outcome(fraction_pl_function, doc)
+        assert _outcome(serialize.pl_function_from_json, doc) == expected
+        kinds[expected[0] if isinstance(expected, tuple) else "valid"] += 1
+
+        vertices = [piece["slope"] if isinstance(piece, dict) and "slope" in piece else piece
+                    for piece in doc["pieces"]] if isinstance(doc, dict) and isinstance(
+                        doc.get("pieces"), list) else doc
+        polytope = {"vertices": vertices} if rng.random() < 0.95 else {"points": vertices}
+        expected = _outcome(fraction_polytope, polytope)
+        assert _outcome(serialize.polytope_from_json, polytope) == expected
+        kinds[expected[0] if isinstance(expected, tuple) else "valid"] += 1
+
+        parts = [doc] + [_function_doc(rng, rng.choice((1, 2)), rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        obstacle = rng.choice(({"min_of": parts}, doc, {"min_of": "f"}, {"min_of": []}))
+        expected = _outcome(fraction_obstacle, obstacle)
+        assert _outcome(read_obstacle, obstacle) == expected
+    assert min(kinds.values()) > 5
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_toric_readers_bad_value_at_each_position(bad):
+    # one bad value at each position of a function, a polytope and a
+    # min_of obstacle: the error of the Fraction path, and it names the
+    # value
+    good = {"pieces": [{"slope": ["0", "1/2"], "intercept": "1"},
+                       {"slope": ["1", "-2/3"], "intercept": "0"},
+                       {"slope": ["1/4", "1"], "intercept": "-5/6"}]}
+    readers = ((serialize.pl_function_from_json, fraction_pl_function, lambda d: d),
+               (serialize.polytope_from_json, fraction_polytope,
+                lambda d: {"vertices": [p["slope"] for p in d["pieces"]]}),
+               (cli._load_obstacle_toric, fraction_obstacle, lambda d: {"min_of": [good, d]}))
+    for i in range(3):
+        for where in (0, 1, "intercept"):
+            doc = json.loads(json.dumps(good))
+            (doc["pieces"][i] if where == "intercept" else doc["pieces"][i]["slope"])[where] = bad
+            for read, oracle, wrap in readers:
+                if read is serialize.polytope_from_json and where == "intercept":
+                    continue
+                expected = _outcome(oracle, wrap(doc))
+                assert expected[0] == "SchemaError" and expected[1].startswith(
+                    f"bad rational {bad!r}"[:40])
+                assert _outcome(read, wrap(doc)) == expected
+
+
 def test_graph_measure_writer(rng):
     measures = []
     for _ in range(20):

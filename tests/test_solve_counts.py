@@ -7,7 +7,9 @@ curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
 rational strings the curve readers parse and the GraphPLFunction.build
 calls they make on that corpus, with the counters of counting.py, and
 pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
-of geometry._walk and the exact residuals of solver.residual, and on
+of geometry._walk and the exact residuals of solver.residual, on its
+toric-forward corpus the walks and the rational strings the toric
+readers parse, and on
 criterion 5's instances the node problems and exact solves of
 variational.energy_of_envelope_derivative.  A change
 that moves a count on purpose pins it again and says why.
@@ -77,8 +79,19 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
     # the graph function they read without GraphPLFunction.build
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
-    assert calls == {"parse_rational": 3124, "build": 0, "float": 170, "exact": 78,
-                     "walk": 0, "residual": 0}
+    assert calls == {"parse_rational": 3124, "pair": 3124, "build": 0, "float": 170,
+                     "exact": 78, "walk": 0, "residual": 0}
+
+
+def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
+    # the first 3 rounds of the seed-1 toric-forward deck, 72 ops: one walk
+    # per function read and one per convex envelope of samples.  The toric
+    # readers parse each distinct string of a document once into integers
+    # and build no Fraction (3 204 parse_rational calls when they read
+    # every number into a Fraction)
+    _run_corpus(inputs, tmp_path, monkeypatch,
+                lambda: calls.update(dict.fromkeys(calls, 0)), "toric-forward", 3, 72)
+    assert (calls["walk"], calls["parse_rational"], calls["pair"]) == (138, 0, 1478)
 
 
 def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
@@ -112,9 +125,11 @@ def test_graph_ladder_envelope_solve_counts(inputs, calls, nv):
 def test_differentiability_solve_counts(calls, monkeypatch):
     # criterion 5's 20 derivatives: per side, one node problem per radius
     # tried from 1 down (58 radii, 18 of them halvings; radii 1/8 to 1),
-    # then the two envelopes of the energy at t / 2 and t, and E(0) is
-    # E(phi): 58 + 80 node problems.  Each takes one exact solve, and each
-    # radius tried one pinned solve at t = 0: 138 + 58 exact solves
+    # then the envelope of the energy at t / 2; the energy at t reads the
+    # certified radius's node problem, and E(0) is E(phi): 58 + 40 node
+    # problems (138 when the envelope at t was solved again).  Each takes
+    # one exact solve, and each radius tried one pinned solve at t = 0:
+    # 98 + 58 exact solves
     nodes = 0
     solve = variational._envelope_nodes
 
@@ -130,4 +145,4 @@ def test_differentiability_solve_counts(calls, monkeypatch):
     for phi, f, context, _ in instances:
         radii |= {h for h, _ in energy_of_envelope_derivative(phi, f, context)[1]}
     assert min(radii) == Fraction(1, 8) and max(radii) == 1
-    assert (nodes, calls["exact"]) == (138, 196)
+    assert (nodes, calls["exact"]) == (98, 156)

@@ -668,14 +668,15 @@ def oracle_residual(g, nu, delta):
 def check_handed_diagram(h, delta):
     """h = dual_transform(F, delta) carries the integer form of its pieces
     and, for a full-dimensional delta, the cells of its walk, in order, and
-    its edges as a multiset; a lower-dimensional delta leaves the walk to
-    h.  Returns the handed cells."""
+    its edges as a multiset, built when first read; a lower-dimensional
+    delta leaves the walk to h.  Returns the handed cells."""
     form = _integer_pieces(h.pieces)
     assert h.integer_form == form
     if not delta.is_full_dimensional():
-        assert "subdivision" not in vars(h)
+        assert vars(h)["_diagram"] is None
         return []
-    cells, edges = vars(h)["subdivision"]
+    assert vars(h)["_diagram"] is not None
+    cells, edges = h.subdivision
     walk_cells, walk_edges = subdivision(form)
     assert cells == walk_cells
     assert Counter(edges) == Counter(walk_edges)
@@ -1147,3 +1148,41 @@ def test_halfplanes_from_integer_ring():
             assert ok == fraction_is_admissible(g, delta)
             admissible += ok
     assert min(kinds.values()) > 10 and admissible > 20
+
+
+def _spelled_document(rng, pieces):
+    """The JSON document of the pieces in a random order, each number
+    "p/q" with p and q multiplied by 1, 2 or 3, so not always reduced."""
+    def spell(x):
+        k = rng.choice((1, 1, 2, 3))
+        return f"{x.numerator * k}/{x.denominator * k}" if k > 1 else str(x)
+
+    return {"pieces": [{"slope": [spell(c) for c in p.slope], "intercept": spell(p.intercept)}
+                       for p in rng.sample(pieces, len(pieces))]}
+
+
+def test_read_function_is_the_fraction_path():
+    # a function read on integers equals the Fraction path, the pieces
+    # pruned by the Fourier-Motzkin oracle and the Fraction pieces through
+    # from_pieces: the same pieces, equality, hash, repr, document and walk
+    rng = random.Random("subdivision/read")
+    draws = [small_pieces(rng, rng.choice((1, 2))) for _ in range(80)]
+    draws += [rational_pieces(rng) for _ in range(80)]
+    draws += [coprime_pieces(rng, n, rng.choice(RATIONAL_DELTAS_1D if n == 1 else RATIONAL_DELTAS_2D))
+              for n in (1, 2) for _ in range(40)]
+    for k, grid in ((8, 5), (16, 5), (32, 7), (48, 7)):
+        pieces = list(lattice_paraboloid(rng, k, grid).pieces)
+        # and pieces that are never the strict maximum
+        pieces += [AffineFunctional(p.slope, p.intercept + rng.randint(1, 3)) for p in pieces[:5]]
+        draws.append(pieces)
+    for pieces in draws:
+        doc = _spelled_document(rng, pieces)
+        g = serialize.pl_function_from_json(json.loads(json.dumps(doc)))
+        old = oracle_pruned(pieces)
+        f = PLConvexFunction.from_pieces(pieces)
+        assert g.pieces == old == f.pieces
+        assert g == f == PLConvexFunction(old)
+        assert hash(g) == hash(f) == hash((old,))
+        assert repr(g) == repr(f) == f"PLConvexFunction(pieces={old!r})"
+        assert serialize.pl_function_to_json(g) == serialize.pl_function_to_json(f)
+        assert g.subdivision == f.subdivision
