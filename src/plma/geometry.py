@@ -10,9 +10,15 @@ computation of Yap, Comput. Geom. 1997).  Each predicate has one routine.
 One chain routine, `_half_chain`, builds every convex hull (`_ccw_ring`:
 each cell's, and a polytope's once, in `Polytope._from_integer_points`)
 and every lower chain (`_chain_pairs`: the 1-D subdivision and the
-parallel edges of collinear slopes).  Every polytope, a point or a
-segment in the plane included, has one table of integer half-planes, and
-containment is tested on it alone.
+parallel edges of collinear slopes).
+
+A polytope is its integer ring (R, Q): its extreme points R_j / Q over
+the least common denominator, counterclockwise from the lex-first in
+2-D.  `Polytope._from_integer_points` is its one builder, for
+`from_points`, the readers, `translate` and `dilate` alike, and its
+`Fraction` vertices are built only when they are read.  Every polytope,
+a point or a segment in the plane included, has one table of integer
+half-planes, read off the ring, and containment is tested on it alone.
 
 A function is its integer form, its slopes S_i / D and intercepts C_i / E
 over common denominators (`PLConvexFunction.integer_form`).  The walk runs
@@ -223,10 +229,17 @@ def cell_sums(ring):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Rational polytope, canonically the lex-sorted tuple of extreme points."""
+    """Rational polytope, canonically its integer ring (R, Q): the extreme
+    points R_j / Q, integer points R_j over the least common denominator
+    Q > 0, so gcd(Q, every coordinate) = 1.  In 2-D R runs
+    counterclockwise from the lex-first vertex, or holds the two ends of a
+    segment; in 1-D it holds the two ends; a point is R = (P,).  Equal
+    polytopes hold equal rings, so equality and hashing are the ring's.
+    `_from_integer_points` is the one builder: `from_points`, `translate`
+    and `dilate` all hand it integer points.  The `Fraction` vertices
+    (`vertices`, sorted, and `ring()`) are built from R when read."""
 
-    dim: int
-    vertices: tuple
+    integer_ring: tuple
 
     @staticmethod
     def from_points(points) -> "Polytope":
@@ -239,49 +252,45 @@ class Polytope:
     @staticmethod
     def _from_integer_points(P, Q) -> "Polytope":
         """The hull of the points P_j / Q, for a nonempty list of integer
-        points P_j of one dimension, 1 or 2, and Q > 0.  The hull is found
-        on the integers (`_ccw_ring`), one Fraction is built per coordinate
-        of its vertices, and its ring and integer ring are handed over."""
+        point tuples P_j of one dimension, 1 or 2, and Q > 0: the ring of
+        its extreme points found on the integers (`_ccw_ring`), over Q
+        reduced to the least denominator.  No Fraction is built."""
         if len(P[0]) == 1:
             lo, hi = min(P), max(P)
-            ring = [lo] if lo == hi else [lo, hi]
+            R = [lo] if lo == hi else [lo, hi]
         else:
-            ring = _ccw_ring(sorted(set(P)))
-        points = {p: tuple(Fraction(x, Q) for x in p) for p in ring}
-        delta = Polytope(len(P[0]), tuple(points[p] for p in sorted(ring)))
-        delta.__dict__["_ring"] = tuple(points[p] for p in ring)
-        delta.__dict__["_integer_ring"] = (ring, Q)
-        return delta
+            R = _ccw_ring(sorted(set(P)))
+        h = math.gcd(Q, *(x for p in R for x in p))
+        return Polytope((tuple([tuple([x // h for x in p]) for p in R]), Q // h))
+
+    @property
+    def dim(self) -> int:
+        return len(self.integer_ring[0][0])
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The extreme points as Fraction points, lex-sorted."""
+        R, Q = self.integer_ring
+        return tuple(_point(P, Q) for P in sorted(R))
 
     def ring(self):
-        """Boundary vertices in counterclockwise order (2-D), as a new list."""
-        return list(self._ring)
-
-    @cached_property
-    def _ring(self):
-        """`from_points` hands this over with its hull; for `translate`,
-        `dilate` and the constructor it is the same hull, built here on
-        first use."""
-        return Polytope._from_integer_points(*_integer_points(self.vertices))._ring
-
-    @cached_property
-    def _integer_ring(self):
-        """(R, Q): the boundary ring as integer points R over a common
-        denominator Q, each vertex being R_j / Q; Q is the least one unless
-        `from_points` handed it over."""
-        return _integer_points(self._ring)
+        """Boundary vertices in counterclockwise order (2-D), as a new list
+        of Fraction points."""
+        R, Q = self.integer_ring
+        return [_point(P, Q) for P in R]
 
     def volume(self) -> Fraction:
-        """The length hi - lo in 1-D; in 2-D the shoelace sum of the integer
-        ring R / Q, over 2 Q^2.  Both are 0 for a point, and the shoelace
-        sum is 0 for a segment too."""
+        """The length (hi - lo) / Q in 1-D; in 2-D the shoelace sum of the
+        ring over 2 Q^2.  Both are 0 for a point, and the shoelace sum is 0
+        for a segment too."""
+        R, Q = self.integer_ring
         if self.dim == 1:
-            return self.vertices[-1][0] - self.vertices[0][0]
-        R, Q = self._integer_ring
+            return Fraction(R[-1][0] - R[0][0], Q)
         return Fraction(sum(cross2(a, b) for a, b in zip(R, R[1:] + R[:1])), 2 * Q * Q)
 
     def is_full_dimensional(self) -> bool:
-        return self.volume() > 0
+        # the ends of an interval, or three vertices with strict turns
+        return len(self.integer_ring[0]) > self.dim
 
     @cached_property
     def _halfplanes(self):
@@ -290,10 +299,11 @@ class Polytope:
         A -> B of the integer ring R / Q: n = Q (A1 - B1, B0 - A0), Q times
         the inward normal of B - A, and c = (A1 - B1) A0 + (B0 - A0) A1,
         over their gcd; the side A -> A of a point has gcd 0 and is
-        skipped.  A ring of one or two points adds its bounding box.  So an
-        interval is its ends, a segment its line (the sides A -> B and
-        B -> A) and its box, and a point its box."""
-        R, Q = self._integer_ring
+        skipped.  A ring of one or two points adds its bounding box, each
+        bound L / Q as the row (Q, L) over gcd(Q, L).  So an interval is its
+        ends, a segment its line (the sides A -> B and B -> A) and its box,
+        and a point its box."""
+        R, Q = self.integer_ring
         out = []
         if self.dim == 2:
             for (a0, a1), (b0, b1) in zip(R, R[1:] + R[:1]):
@@ -305,9 +315,9 @@ class Polytope:
         if len(R) < 3:
             for j in range(self.dim):
                 e = tuple(int(i == j) for i in range(self.dim))
-                lo, hi = min(v[j] for v in self._ring), max(v[j] for v in self._ring)
-                out.append((vscale(lo.denominator, e), lo.numerator))
-                out.append((vscale(-hi.denominator, e), -hi.numerator))
+                for sign, L in ((1, min(P[j] for P in R)), (-1, max(P[j] for P in R))):
+                    h = math.gcd(Q, L)
+                    out.append((vscale(sign * Q // h, e), sign * L // h))
         return tuple(out)
 
     def _contains_scaled(self, X, q) -> bool:
@@ -326,14 +336,20 @@ class Polytope:
         return self._contains_scaled(_scaled(p, q), q)
 
     def translate(self, t) -> "Polytope":
-        t = as_point(t)
-        return Polytope(self.dim, tuple(sorted(vadd(v, t) for v in self.vertices)))
+        """The polytope moved by t = T / q: the ring (q R + Q T) / (Q q)."""
+        (T,), q = _integer_points([as_point(t)])
+        R, Q = self.integer_ring
+        return Polytope._from_integer_points(
+            [tuple(q * x + Q * s for x, s in zip(P, T)) for P in R], Q * q)
 
     def dilate(self, c) -> "Polytope":
+        """The polytope scaled by c = a / b > 0: the ring a R / (Q b)."""
         c = as_fraction(c)
         if c <= 0:
             raise ValueError("dilation factor must be positive")
-        return Polytope(self.dim, tuple(sorted(vscale(c, v) for v in self.vertices)))
+        R, Q = self.integer_ring
+        return Polytope._from_integer_points(
+            [tuple(c.numerator * x for x in P) for P in R], Q * c.denominator)
 
 
 @dataclass(frozen=True)
@@ -786,8 +802,10 @@ class DiscreteMeasure(AtomicMeasure):
 
 
 def support_function(delta: Polytope) -> PLConvexFunction:
-    """max over vertices u of delta of <u, .>."""
-    return PLConvexFunction(tuple(AffineFunctional(u, Fraction(0)) for u in delta.vertices))
+    """max over vertices u of delta of <u, .>: the integer form of delta's
+    sorted ring R / Q with zero intercepts."""
+    R, Q = delta.integer_ring
+    return PLConvexFunction._of_form((sorted(R), Q, [0] * len(R), 1))
 
 
 def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
@@ -808,7 +826,7 @@ def is_admissible(g: PLConvexFunction, delta: Polytope) -> bool:
     if not all(min(_dots(S, n)) >= c * D for n, c in delta._halfplanes):
         return False
     slopes = set(S)
-    R, Q = delta._integer_ring
+    R, Q = delta.integer_ring
     return all(
         not any(D * x % Q for x in P) and tuple(D * x // Q for x in P) in slopes for P in R
     )
@@ -867,8 +885,8 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     The corners, on their common denominator L, are h's integer slopes,
     sorted as integer tuples, so h is its integer form, and its Fraction
     pieces are built only if something reads them.  It is handed its
-    subdivision too, when delta is full-dimensional, built when a reader
-    first asks for it (`_transform_cells`): h's vertices
+    subdivision too, when delta is a full-dimensional polygon, built when
+    a reader first asks for it (`_transform_cells`): h's vertices
     are the slopes v_i of F whose cells meet delta in positive volume,
     and the cell of v_i is the counterclockwise ring (`_ccw_ring`) of the
     corners where piece i is active, the vertices of F's cell i in delta.
@@ -876,14 +894,15 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     active at a point but not an extreme slope of F's subdifferential
     there has a cell of zero area, and at a side breakpoint inside an edge
     of F the subdifferential is the segment of the two pieces that meet.
-    In 1-D each cell is the two consecutive corners around it.  So h is
-    not walked: one exact diagram, F's cells in delta, serves the
-    transform, its Monge-Ampere masses and the solver's residual.
+    So h is not walked: one exact diagram, F's cells in delta, serves the
+    transform, its Monge-Ampere masses and the solver's residual.  In 1-D
+    h's cells are the consecutive corners, which the kernel's chain
+    (`subdivision`) reads off h's form, with no walk.
     """
     if F.dim != delta.dim:
         raise DimensionError("dimension mismatch")
     S, D, C, E = form = F.integer_form
-    R, Q = delta._integer_ring
+    R, Q = delta.integer_ring
     DQ = D * Q
     corners = {}  # (X, q) in lowest terms -> (y, z, the pieces of F active there)
 
@@ -926,8 +945,9 @@ def _from_corners(corners, F, delta):
     and the pieces of F active there.  The corners on their common
     denominator L, sorted as integer tuples, and the values in lowest
     terms over their common denominator E are its integer form (S, L, C, E);
-    no Fraction is built.  For a full-dimensional delta it is handed its
-    subdivision too, built on first read (`_transform_cells`)."""
+    no Fraction is built.  For a full-dimensional 2-D delta it is handed
+    its subdivision too, built on first read (`_transform_cells`); in 1-D
+    the kernel's chain gives the cells when they are first read."""
     L = math.lcm(*(q for _, q in corners))
     order = sorted((tuple(x * (L // q) for x in X), X, q) for X, q in corners)
     values = []
@@ -937,28 +957,19 @@ def _from_corners(corners, F, delta):
         values.append((y // r, z // r))
     E = math.lcm(*(z for _, z in values))
     form = ([P for P, _, _ in order], L, tuple(y * (E // z) for y, z in values), E)
-    if len(delta._ring) <= delta.dim:  # a point, or a segment in the plane
+    if len(delta.integer_ring[0]) < 3:  # 1-D, or a point or a segment in the plane
         return PLConvexFunction._of_form(form)
-    return PLConvexFunction._of_form(form, lambda: _transform_cells(form, order, corners, F))
+    return PLConvexFunction._of_form(form, lambda: _transform_cells(order, corners, F))
 
 
-def _transform_cells(form, order, corners, F):
+def _transform_cells(order, corners, F):
     """The subdivision of `dual_transform`'s result h over a
-    full-dimensional delta, from the corners sorted as in h's form.  In
-    1-D the cells are the consecutive corners.  In 2-D h's vertices are
-    the slopes v_i of F whose cells meet delta in positive area, and the
-    cell of v_i is the counterclockwise ring (`_ccw_ring`) of the corners
-    where piece i is active, in h's numbers, with the ring pairs as its
-    edges."""
-    S, L, C, E = form
-    if len(S[0]) == 1:
-        cells = []
-        for a in range(len(S) - 1):
-            X, q = L * (C[a + 1] - C[a]), E * (S[a + 1][0] - S[a][0])
-            r = math.gcd(X, q)
-            cells.append(((X // r,), q // r, (a, a + 1)))
-        return cells, []
-    index = {P: j for j, P in enumerate(S)}
+    full-dimensional 2-D delta, from the corners sorted as in h's form:
+    h's vertices are the slopes v_i of F whose cells meet delta in
+    positive area, and the cell of v_i is the counterclockwise ring
+    (`_ccw_ring`) of the corners where piece i is active, in h's numbers,
+    with the ring pairs as its edges."""
+    index = {P: j for j, (P, _, _) in enumerate(order)}
     active = {}  # piece of F -> the corners where it is active, sorted
     for P, X, q in order:
         for i in corners[X, q][2]:

@@ -36,6 +36,9 @@ function is its integer form, and Fractions are built only for what is
 printed.  The readers keep the errors of the Fraction path they replaced,
 with their messages and in their order: every SchemaError in document
 order, then the dimension checks of from_pieces and from_points.
+`measure_from_json` reads its points through the same `_pair_point`, each
+distinct string of its document parsed once, and builds one Fraction per
+coordinate and mass.
 
 The curve readers check each number of a document once.  Each distinct
 rational string of a graph or graph-function document is parsed once
@@ -92,7 +95,12 @@ def _rational_pair(s):
 
 def parse_rational(s) -> Fraction:
     """The Fraction of a rational string, read by `_rational_pair`."""
-    p, q = _rational_pair(s)
+    return _fraction(_rational_pair(s))
+
+
+def _fraction(pair):
+    """The Fraction p / q of a pair (p, q) of `_rational_pair`."""
+    p, q = pair
     return Fraction(p) if q == 1 else Fraction(p, q)
 
 
@@ -121,9 +129,8 @@ def _vertex_id(vid):
 
 
 def point_from_json(obj):
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("a point must be a nonempty array of rationals")
-    return tuple(parse_rational(c) for c in obj)
+    """The Fraction point of `_pair_point`'s pairs."""
+    return tuple(map(_fraction, _pair_point(obj, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +191,9 @@ def polytope_from_json(obj) -> Polytope:
 
 
 def pl_function_to_json(g: PLConvexFunction) -> str:
-    pieces = sorted(g.pieces, key=lambda f: (f.slope, f.intercept))
+    # every function holds its pieces in (slope, intercept) order
     return json_object(
-        {"pieces": json_array([_PIECE % (f.intercept, _point(f.slope)) for f in pieces])}
+        {"pieces": json_array([_PIECE % (f.intercept, _point(f.slope)) for f in g.pieces])}
     )
 
 
@@ -212,8 +219,10 @@ def pl_function_from_json(obj) -> PLConvexFunction:
 
 
 def _pair_point(obj, parsed):
-    """`point_from_json` on integers: the pair (p, q) of each coordinate,
-    each string parsed once per dict `parsed` (`_parse_once`)."""
+    """The one reader of a point: the pair (p, q) of each coordinate, each
+    string parsed once per dict `parsed` (`_parse_once`).  The toric
+    readers keep the pairs; `point_from_json` and `measure_from_json`
+    build one Fraction per coordinate."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError("a point must be a nonempty array of rationals")
     return [_parse_once(c, parsed, _rational_pair) for c in obj]
@@ -237,7 +246,9 @@ def measure_to_json(mu: DiscreteMeasure) -> str:
 def measure_from_json(obj) -> DiscreteMeasure:
     records = _records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
                        'each atom must be {"point": [...], "mass": "..."}')
-    return DiscreteMeasure.from_atoms([(point_from_json(p), parse_rational(m)) for p, m in records])
+    parsed = {}  # each distinct string of the document is parsed once
+    atoms = [(_pair_point(p, parsed), _parse_once(m, parsed, _rational_pair)) for p, m in records]
+    return DiscreteMeasure.from_atoms([(tuple(map(_fraction, p)), _fraction(m)) for p, m in atoms])
 
 
 def toric_ma_result_to_json(result) -> str:

@@ -284,7 +284,7 @@ def _voronoi_weights(delta: Polytope, V, A):
     atoms V_i / A, so c = sum R / (n Q) and v_i - m = (k V_i - sum V) / (k A).
     Each weight is rounded to float once, from its exact value.
     """
-    R, Q = delta._integer_ring
+    R, Q = delta.integer_ring
     n, k = len(R), len(V)
     sR = (sum(r[0] for r in R), sum(r[1] for r in R))
     sV = (sum(v[0] for v in V), sum(v[1] for v in V))
@@ -310,13 +310,15 @@ def _voronoi_weights(delta: Polytope, V, A):
 
 def _newton(delta, V, A, masses, vol):
     """Damped Newton in floats from the Voronoi start, for the atoms V_i / A
-    (integer points) of the given masses: (weights, iterations).  A float
-    operation that fails once the start has weights ends it at the last
-    accepted weights; one before raises."""
+    (integer points) of the given masses: (weights, iterations).  The cells
+    are clipped to delta's ring R_j / Q, each coordinate one correctly
+    rounded int division.  A float operation that fails once the start has
+    weights ends it at the last accepted weights; one before raises."""
     target = [float(m) for m in masses]
     fatoms = [(tuple(x / A for x in X), m) for X, m in zip(V, target)]
     tol_abs = float(TOLERANCE) * float(vol)
-    ring = [tuple(map(float, p)) for p in delta.ring()]
+    R, Q = delta.integer_ring
+    ring = [tuple(x / Q for x in P) for P in R]
     weights, it = _voronoi_weights(delta, V, A), 0
     try:
         vols, edges = _power_cells(ring, fatoms, weights)
@@ -392,7 +394,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     # the guide solves a copy moved near the origin, exactly: delta by -c
     # and the atoms V / A by -e, the integer points of their means
     # truncated toward zero, so that its floats do not carry the position
-    c = _truncated_mean(*delta._integer_ring)
+    c = _truncated_mean(*delta.integer_ring)
     V, A = _integer_points([v for v, _ in atoms])
     e = _truncated_mean(V, A)
     if any(e):

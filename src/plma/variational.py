@@ -300,7 +300,7 @@ def _hull_holds(slopes, delta: Polytope) -> bool:
     if not S:
         return False
     hull = Polytope._from_integer_points(S, D)
-    R, Q = delta._integer_ring
+    R, Q = delta.integer_ring
     return all(hull._contains_scaled(P, Q) for P in R)
 
 

@@ -204,7 +204,7 @@ def test_polytope_canonical_form():
     p = Polytope.from_points([(1, 1), (0, 0), (1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))])
     assert p == unit_square()
     assert p.vertices == tuple(sorted(p.vertices))
-    # the ring is computed once; a caller that edits its copy changes nothing
+    # ring() builds a new list from the integer ring; a caller that edits it changes nothing
     ring = p.ring()
     ring.append((5, 5))
     assert p.ring() == [(0, 0), (1, 0), (1, 1), (0, 1)]

@@ -197,6 +197,45 @@ def test_pl_function_writer(rng):
             assert serialize.pl_function_from_json(_parsed(serialize.pl_function_to_json(g))) == g
 
 
+def _in_order(g):
+    """Whether g holds its pieces in (slope, intercept) order, the order
+    pl_function_to_json writes them in, with no sort of its own."""
+    pieces = list(g.pieces)
+    written = _parsed(serialize.pl_function_to_json(g))["pieces"]
+    return (pieces == sorted(pieces, key=lambda f: (f.slope, f.intercept))
+            and written == [{"slope": [str(c) for c in f.slope], "intercept": str(f.intercept)}
+                            for f in pieces])
+
+
+def test_every_function_holds_its_pieces_in_order(rng):
+    # each path that builds a function: the reader, from_pieces,
+    # dual_transform, convex_envelope, a solve_toric solution, shift,
+    # translate and support_function, on seeded inputs over each polytope
+    for delta in (interval(), unit_square(), simplex2(), hexagon()):
+        for _ in range(6):
+            pieces = [(tuple(_rational(rng) for _ in range(delta.dim)), _rational(rng))
+                      for _ in range(rng.randint(1, 6))]
+            rng.shuffle(pieces)
+            g = geometry.PLConvexFunction.from_pieces(pieces)
+            doc = {"pieces": [{"slope": [_spelled(rng, c) for c in s], "intercept": _spelled(rng, c)}
+                              for s, c in reversed(pieces)]}
+            F = random_admissible(rng, delta)
+            t = tuple(_rational(rng) for _ in range(delta.dim))
+            samples = [(tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(delta.dim)),
+                        Fraction(rng.randint(-9, 9), 4)) for _ in range(rng.randint(1, 8))]
+            rng.shuffle(samples)
+            functions = [serialize.pl_function_from_json(doc), g, geometry.dual_transform(g, delta),
+                         geometry.convex_envelope(samples, delta), F.shift(_rational(rng)),
+                         F.translate(t), support_function(delta), support_function(delta.translate(t))]
+            assert all(_in_order(f) for f in functions)
+        masses = [Fraction(rng.randint(1, 5)) for _ in range(3)]
+        atoms = [tuple(Fraction(rng.randint(0, 4), 4) for _ in range(delta.dim)) for _ in masses]
+        vol = delta.volume()
+        mu = DiscreteMeasure.from_atoms(
+            [(a, m * vol / sum(masses)) for a, m in zip(atoms, masses)])
+        assert _in_order(solve_toric(delta, mu).solution)
+
+
 def test_measure_writer(rng):
     for dim in (1, 2, 2, 2):
         for natoms in (0, 1, 5):
@@ -431,6 +470,14 @@ def fraction_polytope(obj):
     return Polytope.from_points([fraction_point(v) for v in obj["vertices"]])
 
 
+def fraction_measure(obj):
+    """The measure reader's Fraction path: parse_rational per number."""
+    records = serialize._records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
+                                 'each atom must be {"point": [...], "mass": "..."}')
+    return DiscreteMeasure.from_atoms([(fraction_point(p), fraction_parse_rational(m))
+                                       for p, m in records])
+
+
 def fraction_obstacle(obj):
     if isinstance(obj, dict) and "min_of" in obj:
         if not isinstance(obj["min_of"], list):
@@ -574,6 +621,28 @@ def test_error_object_writer(error, code, capsys, monkeypatch):
     assert out == "" and err.endswith("}\n")
     doc = _parsed(err[:-1])
     assert doc == {"error": {"type": error.__name__, "message": message}}
+
+
+def test_measure_reader_against_fractions(rng):
+    # measure_from_json parses each distinct string once through
+    # _pair_point: on the atoms of function documents, spelled with
+    # unreduced and repeated strings and with one or two defects, the
+    # measure or the error of the Fraction path, first defect first
+    kinds = {"valid": 0, "SchemaError": 0, "DimensionError": 0}
+    for _ in range(300):
+        doc = _function_doc(rng, rng.choice((1, 2, 2, 3)), rng.randint(1, 5))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            doc["pieces"] = _defective(rng, doc["pieces"])
+        atoms = [{"point": p["slope"], "mass": p["intercept"]}
+                 if isinstance(p, dict) and "slope" in p and "intercept" in p else p
+                 for p in doc["pieces"]]
+        measure = {"atoms": atoms + atoms[:rng.randint(0, 2)]}
+        if rng.random() < 0.05:
+            measure = rng.choice(({"atoms": []}, {"atom": []}, [], {"atoms": "0"}))
+        expected = _outcome(fraction_measure, measure)
+        assert _outcome(serialize.measure_from_json, measure) == expected
+        kinds[expected[0] if isinstance(expected, tuple) else "valid"] += 1
+    assert min(kinds.values()) > 5
 
 
 def test_polytope_roundtrip(rng):

@@ -13,7 +13,8 @@ readers parse, and on
 criterion 5's instances the node problems and exact solves of
 variational.energy_of_envelope_derivative.  A change
 that moves a count on purpose pins it again and says why.
-bench/inputs.py is imported, not changed.
+bench/inputs.py is imported, not changed.  So is bench/tracing.py, whose
+Tracer must find, wrap and restore every name it traces.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, serialize, variational
+from plma import cli, geometry, serialize, variational
 from plma.variational import energy_of_envelope_derivative, envelope_subharmonic
 
 from conftest import differentiability_instances
@@ -146,3 +147,27 @@ def test_differentiability_solve_counts(calls, monkeypatch):
         radii |= {h for h, _ in energy_of_envelope_derivative(phi, f, context)[1]}
     assert min(radii) == Fraction(1, 8) and max(radii) == 1
     assert (nodes, calls["exact"]) == (98, 156)
+
+
+def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):
+    # bench/run.py --trace rebinds these names; one renamed in plma would
+    # otherwise fail only a traced benchmark run
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    modules = {layer: importlib.import_module(f"plma.{layer}") for layer in tracing.FUNCTIONS}
+    functions = {(layer, name): getattr(modules[layer], name)
+                 for layer, names in tracing.FUNCTIONS.items() for name in names}
+    cls = geometry.PLConvexFunction
+    methods = {attr: cls.__dict__[attr] for attr in tracing.METHODS}
+    assert len(methods) == 2
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (layer, name), fn in functions.items():
+            assert getattr(modules[layer], name).__wrapped__ is fn
+        for attr, raw in methods.items():
+            assert cls.__dict__[attr] is not raw
+    finally:
+        tracer.uninstall()
+    assert all(getattr(modules[layer], name) is fn for (layer, name), fn in functions.items())
+    assert all(cls.__dict__[attr] is raw for attr, raw in methods.items())

@@ -668,14 +668,16 @@ def oracle_residual(g, nu, delta):
 def check_handed_diagram(h, delta):
     """h = dual_transform(F, delta) carries the integer form of its pieces
     and, for a full-dimensional delta, the cells of its walk, in order, and
-    its edges as a multiset, built when first read; a lower-dimensional
-    delta leaves the walk to h.  Returns the handed cells."""
+    its edges as a multiset: a polygon hands h a builder that makes them
+    when first read, and an interval none, so that h's 1-D cells come from
+    the kernel's chain; a lower-dimensional delta leaves the walk to h.
+    Returns the cells."""
     form = _integer_pieces(h.pieces)
     assert h.integer_form == form
     if not delta.is_full_dimensional():
         assert vars(h)["_diagram"] is None
         return []
-    assert vars(h)["_diagram"] is not None
+    assert (vars(h)["_diagram"] is None) == (delta.dim == 1)
     cells, edges = h.subdivision
     walk_cells, walk_edges = subdivision(form)
     assert cells == walk_cells
@@ -1148,6 +1150,60 @@ def test_halfplanes_from_integer_ring():
             assert ok == fraction_is_admissible(g, delta)
             admissible += ok
     assert min(kinds.values()) > 10 and admissible > 20
+
+
+def test_polytope_is_its_canonical_integer_ring():
+    # seeded point sets in 1-D and 2-D with duplicates, interior and
+    # collinear points, single points and segments in the plane: the ring
+    # R / Q over the least Q, the oracle's hull, and one ring however the
+    # polytope is spelled, moved or read back
+    rng = random.Random("polytope/canonical-ring")
+    kinds = Counter()
+    for _ in range(300):
+        n, den = rng.choice((1, 2, 2)), rng.choice((1, 2, 6, 35))
+
+        def coord():
+            return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+        m = rng.choice((1, 1, 2, 3, 5, 8))
+        if n == 2 and m > 1 and rng.random() < 0.3:
+            a, d = (coord(), coord()), (coord(), coord())
+            pts = [vadd(a, vscale(Fraction(rng.randint(-4, 4), 2), d)) for _ in range(m)]
+        else:
+            pts = [tuple(coord() for _ in range(n)) for _ in range(m)]
+        # convex combinations with finer denominators, and repeats
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(pts), rng.choice(pts)
+            w = Fraction(rng.randint(0, 7), 7)
+            pts.append(vadd(vscale(w, a), vscale(1 - w, b)))
+        pts += rng.sample(pts, rng.randint(0, len(pts)))
+        rng.shuffle(pts)
+        distinct = sorted(set(pts))
+        hull = oracle_ring(distinct) if n == 2 else sorted({distinct[0], distinct[-1]})
+        kinds[n, min(len(hull), 3)] += 1
+
+        delta = Polytope.from_points(pts)
+        R, Q = delta.integer_ring
+        assert Q > 0 and math.gcd(Q, *(x for P in R for x in P)) == 1
+        assert delta.ring() == hull == fraction_ring(delta)
+        assert delta.vertices == tuple(sorted(hull))
+        assert delta.dim == n and delta.is_full_dimensional() == (len(hull) > n)
+
+        P, D = _integer_points(rng.sample(pts, len(pts)))
+        k = rng.randint(2, 9)
+        spellings = [Polytope.from_points([tuple(map(str, v)) for v in reversed(hull)]),
+                     Polytope._from_integer_points([tuple(k * x for x in p) for p in P], k * D),
+                     serialize.polytope_from_json(json.loads(serialize.polytope_to_json(delta)))]
+        for other in spellings:
+            assert other == delta and hash(other) == hash(delta)
+            assert other.integer_ring == delta.integer_ring
+
+        t = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        assert delta.translate(t) == Polytope.from_points([vadd(v, t) for v in hull])
+        assert delta.dilate(c) == Polytope.from_points([vscale(c, v) for v in hull])
+    # points and intervals in 1-D; points, segments and polygons in 2-D
+    assert len(kinds) == 5 and min(kinds.values()) > 5
 
 
 def _spelled_document(rng, pieces):
