@@ -20,16 +20,20 @@ the least common denominator, counterclockwise from the lex-first in
 a point or a segment in the plane included, has one table of integer
 half-planes, read off the ring, and containment is tested on it alone.
 
-A function is its integer form, its slopes S_i / D and intercepts C_i / E
-over common denominators (`PLConvexFunction.integer_form`).  The walk runs
-on it, and so does every exact reader of the function: evaluation,
-`is_admissible`, `dual_transform`, the Monge-Ampere masses, the Legendre
-integral of the energy and the envelope's samples.  The toric readers of
-serialize, `dual_transform`, the envelope's samples and the solver hand a
-function its form (`PLConvexFunction.from_form`), and its `Fraction`
-pieces are built from the form on first read, which in practice means by
-the writers and by library callers: Fractions are built only for what is
-printed.
+A function is its canonical integer form, its slopes S_i / D and
+intercepts C_i / E over their least common denominators, the slopes
+distinct and in increasing order (`PLConvexFunction.integer_form`, the
+one compared field of a frozen dataclass): equal functions hold equal
+forms.  `PLConvexFunction._of_form` is its one builder, for the toric
+readers of serialize, `from_form`, `from_pieces`, `dual_transform`,
+`support_function` and the solver alike, and `shift`, `translate` and `+`
+work on the form.  The walk runs on it, and so does every exact reader of
+the function: evaluation, `is_admissible`, `dual_transform`, the
+Monge-Ampere masses, the Legendre integral of the energy and the
+envelope's samples.  None of them depends on the scale of the form.  The
+`Fraction` pieces are built from the form on first read, which in
+practice means by the writers and by library callers: Fractions are built
+only for what is printed.
 
 One kernel, `subdivision`, computes the linearity subdivision of a
 max-of-affine function on integers and speaks integers: each vertex is
@@ -40,9 +44,9 @@ pair of the two pieces that tie along it.  A reader builds its one
 active at the vertex.  There is one walk per Legendre pair:
 `PLConvexFunction.subdivision` runs the kernel at most once, and
 `from_form` hands it the walk that pruned the pieces to the essential
-ones.  Breakpoints, the Monge-Ampere masses, the toric energy and the
-envelopes all read that walk.  So does the Legendre transform
-`dual_transform`: it takes F's vertices inside the polytope from F's
+ones.  Breakpoints, the Monge-Ampere masses,
+the toric energy and the envelopes all read that walk.  So does the
+Legendre transform `dual_transform`: it takes F's vertices inside the polytope from F's
 walk, and F's breakpoints along each side of the polytope from the 1-D
 chain of F restricted to that side, each with its value read off the
 cell that found it.  Those corners, with the pieces of F active at each,
@@ -69,7 +73,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
@@ -194,6 +198,17 @@ def _integer_pieces(pieces):
     S, D = _integer_points([p.slope for p in pieces])
     E = math.lcm(*(p.intercept.denominator for p in pieces))
     return S, D, _scaled([p.intercept for p in pieces], E), E
+
+
+def _integer_point(p, n, message):
+    """(X, q): the point p of dimension n as the integer point X over the
+    lcm q of its denominators; DimensionError(message) for another
+    dimension."""
+    p = as_point(p)
+    if len(p) != n:
+        raise DimensionError(message)
+    (X,), q = _integer_points([p])
+    return X, q
 
 
 def _point(X, q):
@@ -329,15 +344,13 @@ class Polytope:
         """Whether p lies in the polytope: p = X / q over the lcm q of its
         denominators, tested on integers (`_contains_scaled`), whatever
         the polytope's dimension and number of vertices."""
-        p = as_point(p)
-        if len(p) != self.dim:
-            raise DimensionError("point/polytope dimension mismatch")
-        q = math.lcm(*(x.denominator for x in p))
-        return self._contains_scaled(_scaled(p, q), q)
+        X, q = _integer_point(p, self.dim, "point/polytope dimension mismatch")
+        return self._contains_scaled(X, q)
 
     def translate(self, t) -> "Polytope":
-        """The polytope moved by t = T / q: the ring (q R + Q T) / (Q q)."""
-        (T,), q = _integer_points([as_point(t)])
+        """The polytope moved by t = T / q: the ring (q R + Q T) / (Q q).  A
+        vector of another dimension raises DimensionError."""
+        T, q = _integer_point(t, self.dim, "translation dimension mismatch")
         R, Q = self.integer_ring
         return Polytope._from_integer_points(
             [tuple(q * x + Q * s for x, s in zip(P, T)) for P in R], Q * q)
@@ -540,35 +553,49 @@ def _walk(form):
     return cells, edges
 
 
+@dataclass(frozen=True)
 class PLConvexFunction:
     """Finite max of affine functionals; convex and piecewise linear.
 
-    A function is its integer form (S, D, C, E): the slopes S_i / D and
-    intercepts C_i / E of its pieces over common denominators, distinct
-    integer slopes in increasing order.  The walk and every exact reader
-    run on it, and the `Fraction` pieces are built from it on first read,
-    which in practice means by the writers and by library callers.  The
-    constructor takes canonical pieces instead (distinct slopes, in
-    (slope, intercept) order) and computes the form on first read;
-    `from_form` and `from_pieces` take any form or pieces and prune them.
-    Equality, hashing and repr are those of the pieces, as for a frozen
-    dataclass whose one field is `pieces`, and a function is immutable.
+    A function is its canonical integer form (S, D, C, E), its one
+    compared field: the slopes S_i / D and intercepts C_i / E of its
+    pieces over common denominators, S a tuple of distinct integer slope
+    tuples in increasing order and C a tuple, with D and E least
+    (gcd(D, S) = gcd(E, C) = 1).  Equal functions hold equal forms, so
+    equality, hashing and repr are the form's.  The walk and every exact
+    reader run on it, and the `Fraction` pieces are built from it on first
+    read, which in practice means by the writers and by library callers.
+    `_of_form` is the one builder, and the constructor is its private
+    step: it refuses anything but an (S, D, C, E) tuple with integer D and
+    E.  The public builders `from_form` and `from_pieces` take any form or
+    pieces and prune them.  `_diagram`, neither compared nor shown, is a
+    zero-argument callable that builds the subdivision, for a function
+    handed its cells; None walks the form.
     """
 
-    # a zero-argument callable that builds the subdivision, for a function
-    # handed its cells (`dual_transform`); None walks the integer form
-    _diagram = None
+    integer_form: tuple
+    _diagram: object = field(default=None, compare=False, repr=False)
 
-    def __init__(self, pieces):
-        self.__dict__["pieces"] = pieces
+    def __post_init__(self):
+        form = self.integer_form
+        if not (type(form) is tuple and len(form) == 4
+                and isinstance(form[1], int) and isinstance(form[3], int)):
+            raise TypeError("PLConvexFunction takes an integer form; use from_pieces or from_form")
 
     @staticmethod
     def _of_form(form, diagram=None) -> "PLConvexFunction":
-        """The function of a canonical integer form, as it is, with no
-        walk: `diagram`, if given, builds its subdivision on first read."""
-        g = object.__new__(PLConvexFunction)
-        g.__dict__.update(integer_form=form, _diagram=diagram)
-        return g
+        """The function of an integer form whose slopes are distinct and in
+        increasing order, with no piece dropped and no walk: D and the S
+        coordinates divided by their gcd, and E and the C_i by theirs.  `diagram`, if
+        given, builds its subdivision on first read; no reader depends on
+        the scale of the form."""
+        S, D, C, E = form
+        h, k = math.gcd(D, *map(math.gcd, *S)), math.gcd(E, *C)
+        if h > 1:
+            S, D = [tuple([x // h for x in s]) for s in S], D // h
+        if k > 1:
+            C, E = [c // k for c in C], E // k
+        return PLConvexFunction((tuple(S), D, tuple(C), E), diagram)
 
     @staticmethod
     def from_form(form) -> "PLConvexFunction":
@@ -580,9 +607,9 @@ class PLConvexFunction:
         the pieces by S_i, which is the order of the slopes S_i / D.  Then
         one `subdivision` walk: a piece is kept iff it is in some cell or
         edge of the walk, that is iff it is the strict maximum somewhere,
-        and the kept pieces are renumbered in order.  The result keeps that
-        walk, on the new numbers, and the form it ran on, sliced to the
-        kept pieces; no Fraction is built.
+        and the kept pieces are renumbered in order.  The result, built by
+        `_of_form` on the kept pieces, is handed that walk, on the new
+        numbers; no Fraction is built.
         """
         S, D, C, E = form
         # Same slope: only the lowest intercept (largest value) can matter.
@@ -606,16 +633,13 @@ class PLConvexFunction:
             cells = [(X, q, tuple(new[i] for i in ring)) for X, q, ring in cells]
             edges = [(new[a], new[b]) for a, b in edges]
             S, C = [S[i] for i in kept], [C[i] for i in kept]
-        g = PLConvexFunction._of_form((S, D, C, E))
-        g.__dict__["subdivision"] = (cells, edges)
-        return g
+        return PLConvexFunction._of_form((S, D, C, E), lambda: (cells, edges))
 
     @staticmethod
     def from_pieces(pieces) -> "PLConvexFunction":
         """The max of the pieces, on its essential pieces: the pieces are
         validated, their integer form computed once (`_integer_pieces`) and
-        handed to `from_form`.  Code that already holds canonical pieces
-        calls the constructor instead.
+        handed to `from_form`.
         """
         ps = [p if isinstance(p, AffineFunctional) else AffineFunctional.make(*p) for p in pieces]
         if not ps:
@@ -632,13 +656,6 @@ class PLConvexFunction:
                      for s, c in zip(S, C))
 
     @cached_property
-    def integer_form(self):
-        """(S, D, C, E): the slopes S_i / D and intercepts C_i / E of the
-        pieces, in order, over common denominators; the function's data,
-        or computed at most once from the pieces it was built with."""
-        return _integer_pieces(self.pieces)
-
-    @cached_property
     def subdivision(self):
         """(cells, edges) of the kernel `subdivision` on the integer form:
         each cell (X, q, ring) a vertex X / q with the indices of its cell's
@@ -646,23 +663,6 @@ class PLConvexFunction:
         or built once by the function's `_diagram`; every reader shares it
         and only reads."""
         return self._diagram() if self._diagram else subdivision(self.integer_form)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pieces == other.pieces
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pieces,))
-
-    def __repr__(self):
-        return f"PLConvexFunction(pieces={self.pieces!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -672,46 +672,54 @@ class PLConvexFunction:
     def slopes(self):
         return tuple(p.slope for p in self.pieces)
 
-    def __call__(self, v) -> Fraction:
-        """g(v), on the integer form (S, D, C, E): at v = X / q it is
-        max_i (E <S_i, X> - D q C_i) / (D E q), one Fraction."""
-        v = as_point(v)
-        if len(v) != self.dim:
-            raise DimensionError("argument dimension mismatch")
+    def _values(self, X, q):
+        """E <S_i, X> - D q C_i for every piece i of the integer form
+        (S, D, C, E): the pieces' values at the integer point X / q, q > 0,
+        each times D E q."""
         S, D, C, E = self.integer_form
-        q = math.lcm(*(x.denominator for x in v))
-        X, Dq = _scaled(v, q), D * q
-        return Fraction(max(E * d - Dq * c for d, c in zip(_dots(S, X), C)), Dq * E)
+        Dq = D * q
+        return [E * d - Dq * c for d, c in zip(_dots(S, X), C)]
+
+    def __call__(self, v) -> Fraction:
+        """g(v) at v = X / q, the integer max of the pieces' values over
+        D E q: one Fraction."""
+        X, q = _integer_point(v, self.dim, "argument dimension mismatch")
+        _, D, _, E = self.integer_form
+        return Fraction(max(self._values(X, q)), D * E * q)
 
     def active_pieces(self, v):
-        v = as_point(v)
-        m = self(v)
-        return [p for p in self.pieces if p.value(v) == m]
+        """The pieces that attain g(v), their values compared on integers."""
+        values = self._values(*_integer_point(v, self.dim, "argument dimension mismatch"))
+        m = max(values)
+        return [p for p, y in zip(self.pieces, values) if y == m]
 
     def shift(self, c) -> "PLConvexFunction":
-        """Pointwise g + c."""
+        """Pointwise g + c, c = p / r: the intercepts (C_i r - p E) / (E r)."""
         c = as_fraction(c)
-        return PLConvexFunction(
-            tuple(AffineFunctional(p.slope, p.intercept - c) for p in self.pieces)
-        )
+        S, D, C, E = self.integer_form
+        p, r = c.numerator, c.denominator
+        return PLConvexFunction._of_form((S, D, [x * r - p * E for x in C], E * r))
 
     def translate(self, t) -> "PLConvexFunction":
-        """g(. - t)."""
-        t = as_point(t)
-        return PLConvexFunction(
-            tuple(AffineFunctional(p.slope, p.intercept + dot(p.slope, t)) for p in self.pieces)
-        )
+        """g(. - t), t = T / r: the intercepts (C_i D r + E <S_i, T>) / (E D r).
+        A vector of another dimension raises DimensionError."""
+        T, r = _integer_point(t, self.dim, "translation dimension mismatch")
+        S, D, C, E = self.integer_form
+        return PLConvexFunction._of_form(
+            (S, D, [c * D * r + E * d for c, d in zip(C, _dots(S, T))], E * D * r))
 
     def __add__(self, other: "PLConvexFunction") -> "PLConvexFunction":
+        """The max of all pairwise sums of pieces, the slopes over
+        lcm(D1, D2) and the intercepts over lcm(E1, E2); `from_form` prunes
+        them to the pairs that are strictly active together somewhere."""
         if self.dim != other.dim:
             raise DimensionError("dimension mismatch in sum")
-        # The sum is the max of all pairwise sums; pruning keeps the pairs
-        # that are strictly active together somewhere.
-        return PLConvexFunction.from_pieces(
-            AffineFunctional(vadd(p.slope, q.slope), p.intercept + q.intercept)
-            for p in self.pieces
-            for q in other.pieces
-        )
+        (S1, D1, C1, E1), (S2, D2, C2, E2) = self.integer_form, other.integer_form
+        D, E = math.lcm(D1, D2), math.lcm(E1, E2)
+        a, b, c, d = D // D1, D // D2, E // E1, E // E2
+        return PLConvexFunction.from_form(
+            ([tuple([a * x + b * y for x, y in zip(s, t)]) for s in S1 for t in S2], D,
+             [c * x + d * y for x in C1 for y in C2], E))
 
 
 @dataclass(frozen=True)
@@ -867,7 +875,8 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
     delta's ring is R / Q.  Each corner u is kept as X / q in lowest
     terms, with its value y / z and the pieces of F active at u:
     - at a vertex R_j / Q of delta, the integer max of the pieces'
-      values E <S_i, R_j> - D Q C_i over D E Q, and the pieces that reach it;
+      values E <S_i, R_j> - D Q C_i over D E Q (`PLConvexFunction._values`),
+      and the pieces that reach it;
     - at a walk vertex X / q inside delta (delta's integer half-planes,
       <n, X> >= c q), the value read off its cell and the cell's pieces;
     - on each side P -> P' of the ring, F((P + s (P' - P)) / Q) has the
@@ -910,7 +919,7 @@ def dual_transform(F: PLConvexFunction, delta: Polytope) -> PLConvexFunction:
         corners.setdefault(u, (y, z, set()))[2].update(active)
 
     for P in R:
-        vals = [E * d - DQ * c for d, c in zip(_dots(S, P), C)]
+        vals = F._values(P, Q)
         m = max(vals)
         r = math.gcd(*P, Q)
         corner((tuple(x // r for x in P), Q // r), m, DQ * E,

@@ -14,7 +14,15 @@ from plma.curves import (
     circle_graph,
     superpose,
 )
-from plma.geometry import AffineFunctional, PLConvexFunction, Polytope, support_function
+from plma.geometry import (
+    AffineFunctional,
+    PLConvexFunction,
+    Polytope,
+    _integer_pieces,
+    dot,
+    support_function,
+    vadd,
+)
 from plma.toric import degree, mixed_ma
 from plma.variational import (
     MinOfConvex,
@@ -74,15 +82,43 @@ def random_admissible(rng, delta, extra=4):
     return PLConvexFunction.from_pieces(pieces)
 
 
+def canonical_function(pieces):
+    """The function of canonical pieces (distinct slopes, in (slope,
+    intercept) order) as they are, with no piece pruned and no walk: what
+    the pieces constructor `PLConvexFunction(pieces)` built, kept as the
+    oracle of the integer operations, on the integer form of the pieces."""
+    return PLConvexFunction._of_form(_integer_pieces(pieces))
+
+
+def fraction_shift(g, c):
+    """g.shift(c) as it was, on the Fraction pieces: each intercept minus c."""
+    return canonical_function(tuple(AffineFunctional(p.slope, p.intercept - c) for p in g.pieces))
+
+
+def fraction_translate(g, t):
+    """g.translate(t) as it was, on the Fraction pieces: each intercept
+    plus <slope, t>."""
+    return canonical_function(
+        tuple(AffineFunctional(p.slope, p.intercept + dot(p.slope, t)) for p in g.pieces))
+
+
+def fraction_sum(f, g):
+    """f + g as it was, on the Fraction pieces: from_pieces of every
+    pairwise sum, which prunes them."""
+    return PLConvexFunction.from_pieces(
+        AffineFunctional(vadd(p.slope, q.slope), p.intercept + q.intercept)
+        for p in f.pieces for q in g.pieces)
+
+
 def unpruned(pieces):
     """The max of the pieces with the lowest intercept per slope and no piece
-    dropped, in canonical order for the constructor, so that the kernel also
-    runs on pieces that are never the strict maximum."""
+    dropped, in canonical order, so that the kernel also runs on pieces
+    that are never the strict maximum."""
     best = {}
     for p in pieces:
         if p.slope not in best or p.intercept < best[p.slope]:
             best[p.slope] = p.intercept
-    return PLConvexFunction(tuple(AffineFunctional(s, c) for s, c in sorted(best.items())))
+    return canonical_function(tuple(AffineFunctional(s, c) for s, c in sorted(best.items())))
 
 
 def random_min_of(rng, delta, free=1 / 3):

@@ -167,6 +167,21 @@ def test_volume_nonnegative_and_translation_invariant(rng):
         assert p.translate(t).volume() == p.volume()
 
 
+def test_translate_checks_the_dimension():
+    # a vector of another length raises DimensionError, for a polytope and
+    # a function alike, where it was cut to the shorter length: the unit
+    # square moved by (1,) was the interval [1, 2]
+    rng = random.Random("translate/dimension")
+    for delta, lengths in ((unit_square(), (1, 3)), (interval(), (2,))):
+        for obj in (delta, random_admissible(rng, delta)):
+            for n in lengths:
+                t = tuple(rnd_frac(rng) for _ in range(n))
+                with pytest.raises(DimensionError, match="^translation dimension mismatch$"):
+                    obj.translate(t)
+            t = tuple(rnd_frac(rng) for _ in range(delta.dim))
+            assert obj.translate(t).translate(vscale(-1, t)) == obj
+
+
 def test_subdifferential_inside_slope_hull(rng):
     for _ in range(10):
         g = random_admissible(rng, unit_square())

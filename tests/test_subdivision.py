@@ -53,6 +53,7 @@ from plma.geometry import (
     is_admissible,
     subdifferential,
     subdivision,
+    support_function,
     vadd,
     vscale,
     vsub,
@@ -64,6 +65,10 @@ from plma.variational import _legendre_integral
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    canonical_function,
+    fraction_shift,
+    fraction_sum,
+    fraction_translate,
     hexagon,
     interval,
     lattice_paraboloid,
@@ -235,7 +240,7 @@ def fraction_dual_transform(F, delta):
             values.update(
                 (vadd(p, vscale(s, d)), a.value((s,))) for (s,), (a, _) in cells if 0 < s < 1
             )
-    return PLConvexFunction(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
+    return canonical_function(tuple(AffineFunctional(u, y) for u, y in sorted(values.items())))
 
 
 def oracle_walk(pieces):
@@ -519,13 +524,13 @@ def check_edges(g):
 
 
 def check_kept_walk(g):
-    """A function from from_pieces keeps the walk that pruned it, renumbered
-    to its pieces: the cells of a fresh walk on its pieces, and the same
-    edge pairs as a set.  It also keeps the integer form of that walk,
-    sliced to its pieces: each S_i / D is a slope and each C_i / E an
-    intercept, in order."""
+    """A function from from_pieces is handed the walk that pruned it,
+    renumbered to its pieces: the cells of a fresh walk on its pieces, and
+    the same edge pairs as a set.  Its integer form is that walk's, sliced
+    to its pieces: each S_i / D is a slope and each C_i / E an intercept,
+    in order."""
     if len(g.pieces) > 1:
-        assert "subdivision" in vars(g) and "integer_form" in vars(g)
+        assert vars(g)["_diagram"] is not None
     cells, edges = subdivision(_integer_pieces(g.pieces))
     assert g.subdivision[0] == cells
     assert set(g.subdivision[1]) == set(edges)
@@ -672,8 +677,8 @@ def check_handed_diagram(h, delta):
     when first read, and an interval none, so that h's 1-D cells come from
     the kernel's chain; a lower-dimensional delta leaves the walk to h.
     Returns the cells."""
-    form = _integer_pieces(h.pieces)
-    assert h.integer_form == form
+    S, D, C, E = form = _integer_pieces(h.pieces)
+    assert h.integer_form == (tuple(S), D, C, E)
     if not delta.is_full_dimensional():
         assert vars(h)["_diagram"] is None
         return []
@@ -698,7 +703,7 @@ def check_residual(h, nu, delta):
 
 def power_function(atoms, weights):
     """The solver's F_w = max(<., v_i> + w_i), its pieces in slope order."""
-    return PLConvexFunction(tuple(AffineFunctional(v, -w) for v, w in sorted(zip(atoms, weights))))
+    return canonical_function(tuple(AffineFunctional(v, -w) for v, w in sorted(zip(atoms, weights))))
 
 
 def power_draw(rng, n):
@@ -1237,8 +1242,83 @@ def test_read_function_is_the_fraction_path():
         old = oracle_pruned(pieces)
         f = PLConvexFunction.from_pieces(pieces)
         assert g.pieces == old == f.pieces
-        assert g == f == PLConvexFunction(old)
-        assert hash(g) == hash(f) == hash((old,))
-        assert repr(g) == repr(f) == f"PLConvexFunction(pieces={old!r})"
+        S, D, C, E = _integer_pieces(old)
+        form = (tuple(S), D, C, E)
+        assert g == f == canonical_function(old)
+        assert g.integer_form == f.integer_form == form
+        assert hash(g) == hash(f) == hash((form,))
+        assert repr(g) == repr(f) == f"PLConvexFunction(integer_form={form!r})"
         assert serialize.pl_function_to_json(g) == serialize.pl_function_to_json(f)
         assert g.subdivision == f.subdivision
+
+
+def check_canonical(g):
+    """g holds the canonical integer form: tuples, distinct slopes in
+    increasing order, D and E least (gcd(D, S) = gcd(E, C) = 1), the
+    least form of its Fraction pieces."""
+    S, D, C, E = form = g.integer_form
+    assert type(S) is tuple and type(C) is tuple and all(type(s) is tuple for s in S)
+    assert list(S) == sorted(set(S)) and D > 0 and E > 0
+    assert math.gcd(D, *(x for s in S for x in s)) == 1 == math.gcd(E, *C)
+    P, L, Y, M = _integer_pieces(g.pieces)
+    assert form == (tuple(P), L, Y, M)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_operations_against_fraction_pieces(n):
+    # shift, translate and + on the integer form equal the Fraction-piece
+    # oracles of conftest, pruned receivers or not, with single pieces,
+    # collinear slopes and sums whose pairs prune; every result holds a
+    # canonical form
+    rng = random.Random(f"operations/{n}")
+    single = collinear = pruned = 0
+    for _ in range(120):
+        draw = rational_pieces if n == 2 and rng.random() < 0.5 else lambda r: small_pieces(r, n)
+        f, g = (pruned_or_not(draw(rng), rng) for _ in range(2))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        t = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+        for got, want in ((f.shift(c), fraction_shift(f, c)), (f.translate(t), fraction_translate(f, t)),
+                          (f + g, fraction_sum(f, g))):
+            assert got == want and got.pieces == want.pieces
+            check_canonical(got)
+        single += len(f.pieces) == 1
+        collinear += len(f.pieces) > 2 and not _spans(f.slopes, n)
+        pruned += len((f + g).pieces) < len(f.pieces) * len(g.pieces)
+    assert single > 2 and pruned > 50 and (n == 1 or collinear > 5)
+
+
+def test_every_builder_holds_a_canonical_form():
+    # the reader of unreduced strings, from_pieces, dual_transform,
+    # convex_envelope, a solve_toric solution, support_function, shift,
+    # translate and + all give the canonical form; other spellings of one
+    # function (unreduced strings, a scaled form, the pieces as they are,
+    # a zero shift or translation, the sum with zero) compare, hash and
+    # print equal; the constructor refuses pieces
+    rng = random.Random("subdivision/canonical")
+    for delta in ACCEPTANCE_POLYTOPES + [rational_hexagon()]:
+        n = delta.dim
+        for _ in range(5):
+            pieces = rational_pieces(rng) if n == 2 and rng.random() < 0.5 else small_pieces(rng, n)
+            f = PLConvexFunction.from_pieces(pieces)
+            g = random_admissible(rng, delta)
+            read = serialize.pl_function_from_json(_spelled_document(rng, pieces))
+            samples = [(p.slope, p.intercept) for p in small_pieces(rng, n)]
+            nu = ma_measure(g, delta).measure_NR
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            t = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+            for pieces in (f.pieces, (f.pieces * 4)[:4]):
+                with pytest.raises(TypeError):
+                    PLConvexFunction(pieces)
+            for h in (read, f, dual_transform(f, delta), convex_envelope(samples, delta),
+                      solve_toric(delta, nu).solution, support_function(delta), g.shift(c),
+                      f.translate(t), f + g):
+                check_canonical(h)
+            S, D, C, E = f.integer_form
+            k, m = rng.randint(2, 9), rng.randint(2, 9)
+            spellings = [read, canonical_function(f.pieces),
+                         PLConvexFunction.from_form(([vscale(k, s) for s in S], k * D,
+                                                     [m * x for x in C], m * E)),
+                         f.shift(0), f.translate((0,) * n),
+                         f + PLConvexFunction.from_pieces([((0,) * n, 0)])]
+            for other in spellings:
+                assert other == f and hash(other) == hash(f) and repr(other) == repr(f)

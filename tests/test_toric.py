@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from plma.geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    is_admissible,
     subdifferential,
     support_function,
 )
+from plma.solver import solve_toric
 from plma.toric import (
     AdmissibilityError,
     DegeneratePolytopeError,
@@ -19,6 +22,12 @@ from plma.toric import (
     ma_measure,
     mixed_ma,
     point_mass_solution,
+)
+from plma.variational import (
+    MinOfConvex,
+    energy_toric,
+    envelope_toric,
+    orthogonality_defect_toric,
 )
 
 from conftest import (
@@ -219,3 +228,81 @@ def test_degree():
     assert degree(simplex2()) == 1
     assert degree(unit_square()) == 2
     assert degree(hexagon()) == 6
+
+
+# SL2(Z)'s generators S and T, their inverses, and the reflection of det -1
+GL2Z_GENERATORS = (((0, -1), (1, 0)), ((0, 1), (-1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)),
+                   ((1, 0), (0, -1)))
+
+
+def _apply(M, v):
+    return tuple(r[0] * v[0] + r[1] * v[1] for r in M)
+
+
+def _gl2z_word(rng):
+    """The product of a seeded word of length at most 6 in the generators."""
+    A = ((1, 0), (0, 1))
+    for _ in range(rng.randint(0, 6)):
+        B = rng.choice(GL2Z_GENERATORS)
+        A = tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
+                  for i in range(2))
+    return A
+
+
+class Transport:
+    """x -> A x + b on the domain, A in GL2(Z), with c added to every
+    function: g'(x) = g(A^-1 (x - b)) + c has the slopes A^-T s_i, in
+    delta' = A^-T delta, and MA(g') = (A x + b)_* MA(g), with equal masses
+    because |det A| = 1."""
+
+    def __init__(self, A, b, c):
+        (a00, a01), (a10, a11) = A
+        det = a00 * a11 - a01 * a10  # +-1, its own inverse
+        self.A, self.b, self.c, self.det = A, b, c, det
+        self.M = ((a11 * det, -a10 * det), (-a01 * det, a00 * det))  # A^-T
+
+    def polytope(self, delta):
+        return Polytope.from_points([_apply(self.M, v) for v in delta.vertices])
+
+    def function(self, g):
+        pieces = [AffineFunctional(_apply(self.M, p.slope), p.intercept) for p in g.pieces]
+        return PLConvexFunction.from_pieces(pieces).translate(self.b).shift(self.c)
+
+    def obstacle(self, psi):
+        return MinOfConvex.build([self.function(g) for g in psi.parts])
+
+    def measure(self, nu):
+        return DiscreteMeasure.from_atoms(
+            [(tuple(x + y for x, y in zip(_apply(self.A, p), self.b)), m) for p, m in nu.atoms])
+
+
+def test_gl2z_equivariance():
+    # every toric output is exact, so the GL2(Z) symmetry of the problem is
+    # a set of equalities: MA(g') is the push-forward of MA(g), energies are
+    # equal, envelope and orthogonality commute with the transport of a
+    # min-of-two obstacle, and the solve of the pushed measure over delta'
+    # is the transported solution, up to a constant; det -1 reverses every
+    # ring and moves the lex-first vertex and the walk's start
+    rng = random.Random("toric/gl2z")
+    reflections = solved = 0
+    for _ in range(40):
+        delta = rng.choice(ACCEPTANCE_POLYTOPES[1:])
+        T = Transport(_gl2z_word(rng), (rnd_frac(rng, 5), rnd_frac(rng, 7)), rnd_frac(rng, 4))
+        reflections += T.det == -1
+        moved = T.polytope(delta)
+        assert moved.volume() == delta.volume()
+        g, g0 = random_admissible(rng, delta), random_admissible(rng, delta)
+        nu = ma_measure(g, delta).measure_NR
+        assert is_admissible(T.function(g), moved)
+        assert ma_measure(T.function(g), moved).measure_NR == T.measure(nu)
+        assert energy_toric(T.function(g), T.function(g0), moved) == energy_toric(g, g0, delta)
+        psi = MinOfConvex.build([random_admissible(rng, delta).translate((rnd_frac(rng, 3), 0)),
+                                 random_admissible(rng, delta)])
+        assert envelope_toric(T.obstacle(psi), moved) == T.function(envelope_toric(psi, delta))
+        assert (orthogonality_defect_toric(T.obstacle(psi), moved)
+                == orthogonality_defect_toric(psi, delta))
+        rep, moved_rep = solve_toric(delta, nu), solve_toric(moved, T.measure(nu))
+        want = T.function(rep.solution)
+        assert moved_rep.solution == want.shift(moved_rep.solution((0, 0)) - want((0, 0)))
+        solved += all(e == 0 for _, e in moved_rep.residual)
+    assert reflections > 8 and solved == 40
