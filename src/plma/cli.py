@@ -188,46 +188,37 @@ def cmd_curve_canonical(args):
 
 
 def cmd_selftest(args):
+    """Three seeded checks, ten draws each, one PASS or FAIL line per check.
+    Each check draws all ten inputs before it checks them, so the draws
+    never depend on a result."""
     rng = random.Random(20240)
-    lines = []
-
-    def report(name, passed):
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}\n")
-
     square = Polytope.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    passed = True
-    for _ in range(10):
-        pieces = [AffineFunctional(v, Fraction(rng.randint(-6, 6), 3)) for v in square.vertices]
-        g = PLConvexFunction.from_pieces(pieces)
-        res = toric.ma_measure(g, square)
-        passed = passed and res.measure_NR.total_mass() == square.volume()
-    report("toric mass identity", passed)
 
-    passed = True
-    for _ in range(10):
-        pieces = [AffineFunctional(v, Fraction(rng.randint(-6, 6), 3)) for v in square.vertices]
-        parts = (PLConvexFunction.from_pieces(pieces), support_function(square))
-        psi = variational.MinOfConvex(parts)
-        passed = passed and variational.orthogonality_defect_toric(psi, square) == 0
-    report("toric orthogonality", passed)
+    def convex():
+        return PLConvexFunction.from_pieces(
+            [AffineFunctional(v, Fraction(rng.randint(-6, 6), 3)) for v in square.vertices])
 
-    passed = True
-    for _ in range(10):
-        graph = curves.MetricGraph.build(
-            [0, 1, 2],
-            [(0, 1, Fraction(rng.randint(1, 4))), (1, 2, Fraction(rng.randint(1, 4))),
-             (2, 0, Fraction(rng.randint(1, 4)))],
-        )
+    def triangle():
+        return curves.MetricGraph.build([0, 1, 2], [
+            (0, 1, Fraction(rng.randint(1, 4))), (1, 2, Fraction(rng.randint(1, 4))),
+            (2, 0, Fraction(rng.randint(1, 4)))])
+
+    def green_symmetric(graph):
         omega0 = curves.GraphMeasure.from_atoms(graph, [(("v", 0), Fraction(1))])
-        x = ("e", 0, Fraction(1, 3))
-        y = ("e", 1, Fraction(1, 2))
-        passed = passed and curves.green_value(graph, x, y, omega0) == curves.green_value(
-            graph, y, x, omega0
-        )
-    report("curve Green symmetry", passed)
+        x, y = ("e", 0, Fraction(1, 3)), ("e", 1, Fraction(1, 2))
+        return curves.green_value(graph, x, y, omega0) == curves.green_value(graph, y, x, omega0)
 
-    _emit("".join(lines), args.output)
-    return 1 if any(line.startswith("FAIL") for line in lines) else 0
+    checks = [
+        ("toric mass identity", convex,
+         lambda g: toric.ma_measure(g, square).measure_NR.total_mass() == square.volume()),
+        ("toric orthogonality", convex, lambda g: variational.orthogonality_defect_toric(
+            variational.MinOfConvex((g, support_function(square))), square) == 0),
+        ("curve Green symmetry", triangle, green_symmetric),
+    ]
+    passed = [all(map(check, [draw() for _ in range(10)])) for _, draw, check in checks]
+    _emit("".join(f"{'PASS' if ok else 'FAIL'} {name}\n"
+                  for ok, (name, _, _) in zip(passed, checks)), args.output)
+    return 0 if all(passed) else 1
 
 
 # ---------------------------------------------------------------------------

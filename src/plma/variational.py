@@ -38,12 +38,14 @@ the pairing of f with MA(phi) (Boucksom, Favre and Jonsson), is computed
 exactly on each side.  The node problem of phi + t f is a parametric
 linear complementarity problem (Cottle, Pang and Stone): on the same
 nodes for every t, with data affine in t.  On a chamber, an interval of
-t on which one contact set stays valid, the envelope is affine in t at
-the nodes and its energy a quadratic in t, so three exact samples give
-the one-sided derivative.  A contact set complementary at both ends of
-[0, t] is complementary on all of it, so checking it at t = 0 certifies
-[0, t]; t is halved from +-1 until the check holds.  1-D toric takes
-the same path, as the curve model on a segment.
+t on which one contact set stays valid, the envelope and its masses are
+affine in t at the nodes and the energy a quadratic in t, so the
+one-sided derivative is a closed form in the two solves at the ends of
+the chamber, with no energy sampled between them.  A contact set
+complementary at both ends of [0, t] is complementary on all of it, so
+checking it at t = 0 certifies [0, t]; t is halved from +-1 until the
+check holds.  1-D toric takes the same path, as the curve model on a
+segment.
 """
 
 from __future__ import annotations
@@ -386,16 +388,25 @@ def envelope_subharmonic(
     psi needs no test of its own: the exact pass then ends with g = 0 at
     every node, and psi is returned as given, not simplified.
     """
-    return _envelope_from_nodes(psi, graph, _envelope_nodes(psi, graph, omega0))
-
-
-def _envelope_from_nodes(psi, graph, nodes):
-    """The envelope of psi from its solved node problem, `_Nodes`."""
-    (Y, Dy), (G, Dg) = nodes.psi, nodes.gap
-    if not any(G):
+    nodes = _envelope_nodes(psi, graph, omega0)
+    if not any(nodes.gap[0]):
         return psi
-    values = ([y * Dg - g * Dy for y, g in zip(Y, G)], Dy * Dg)
-    return curves._function_from_node_values(graph, values, nodes.edge_offsets, nodes.segments)
+    return curves._function_from_node_values(
+        graph, _combine(nodes.psi, nodes.gap, -1), nodes.edge_offsets, nodes.segments)
+
+
+def _combine(a, b, c):
+    """a + c b for two vectors on the nodes, each a pair (list of integer
+    numerators in node order, common denominator), as such a pair."""
+    (A, Da), (B, Db) = a, b
+    return [x * Db + c * y * Da for x, y in zip(A, B)], Da * Db
+
+
+def _pairing(a, b) -> Fraction:
+    """sum_k a_k b_k for two vectors on the nodes, as _combine takes them:
+    a sum on integers, one Fraction."""
+    (A, Da), (B, Db) = a, b
+    return Fraction(sum(map(mul, A, B)), Da * Db)
 
 
 class _Nodes(NamedTuple):
@@ -405,7 +416,7 @@ class _Nodes(NamedTuple):
     complementary iterate of the exact pass the masses s =
     laplacian(P(psi)) + omega0 and the gaps psi - P(psi).  psi, s and the
     gaps are each a pair (list of integer numerators in node order,
-    common denominator)."""
+    common denominator), as _combine takes them."""
 
     edge_offsets: list
     psi: tuple
@@ -494,8 +505,7 @@ def orthogonality_defect_curve(
     their common denominators: one Fraction.  Each term vanishes when the
     pass is complementary; the sum is computed, not assumed."""
     nodes = _envelope_nodes(psi, graph, omega0)
-    (S, Ds), (gap, Dg) = nodes.s, nodes.gap
-    return Fraction(sum(map(mul, S, gap)), Ds * Dg)
+    return _pairing(nodes.s, nodes.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -520,31 +530,35 @@ def _one_sided_derivatives(phi, f, graph, omega0):
     Otherwise t is halved.  The envelope is piecewise affine in t with
     finitely many pieces, and on the first, (0, t1], {g = 0} is one set
     at all but finitely many t, each of which passes the check, so the
-    halving ends.  On a chamber the envelope is affine in t at the
-    nodes, so its energy (the pairing of P with laplacian(P) + 2 omega0,
-    halved) is a quadratic in t, whose derivative at 0 is
-    d = (4 E(t/2) - E(t) - 3 E(0)) / t, from three exact samples: E(t)
-    from the node problem that the check solved, E(t/2) from one more,
-    and E(0) is E(phi), as phi is subharmonic.
+    halving ends.
+
+    On a chamber the node values x = psi - g of the envelope and its
+    masses s are affine in t, and so is u = s + omega0 (omega0 at the
+    nodes).  The energy, the pairing of the envelope with laplacian + 2
+    omega0 halved, is E(t) = u(t) . x(t) / 2 at the nodes, since both
+    measures sit on them and the envelope is linear between them: a
+    quadratic in t.  Its derivative at 0 is the closed form
+    d = (u(0) . (x(t) - 2 x(0)) + u(t) . x(0)) / (2 t), equal to
+    (4 E(t/2) - E(t) - 3 E(0)) / t, read off the two solves that certify
+    the chamber: x(t) and s(t) from the node problem at t, x(0) and s(0)
+    from the pinned solve at 0 on the nodes of curves.node_problem(phi +
+    0 f), whose index puts omega0's atoms on their nodes.  The sums run
+    on integer numerators (_combine), one Fraction per pairing.
     """
-    def energy(psi, nodes):
-        return energy_curve(_envelope_from_nodes(psi, graph, nodes), graph, omega0)
-
-    def energy_at(t):
-        psi = phi + f.scale(t)
-        return energy(psi, _envelope_nodes(psi, graph, omega0))
-
     def side(t):
-        while True:
-            psi = phi + f.scale(t)
-            nodes = _envelope_nodes(psi, graph, omega0)
-            G0, _, S0, _ = next(_howard(form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
-            if min(*G0, *S0) >= 0:
-                return abs(t), (4 * energy_at(t / 2) - energy(psi, nodes) - 3 * e0) / t
-            t /= 2
+        nodes = _envelope_nodes(phi + f.scale(t), graph, omega0)
+        G, d, S, _ = next(_howard(form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
+        if min(*G, *S) < 0:
+            return side(t / 2)
+        x0, xt = _combine(psi0, (G, d * Dr), -1), _combine(nodes.psi, nodes.gap, -1)
+        u0, ut = _combine((S, Dw * d * Dr), mass, 1), _combine(nodes.s, mass, 1)
+        return abs(t), (_pairing(u0, _combine(xt, x0, -2)) + _pairing(ut, x0)) / (2 * t)
 
-    form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]
-    e0 = energy_curve(phi, graph, omega0)
+    index, _, psi0, form = curves.node_problem(graph, phi + f.scale(0), omega0)
+    _, Dr, _, Dw = form
+    # omega0 on the nodes: the form of zero values and no segments is its mass
+    masses = {index[key]: m for key, m in omega0.atoms}
+    mass = curves.laplacian_form(([0] * len(psi0[0]), 1), masses, ([], 1))[:2]
     return [side(Fraction(1)), side(Fraction(-1))]
 
 

@@ -5,7 +5,7 @@ from math import factorial, lcm
 
 import pytest
 
-from plma import curves
+from plma import curves, variational
 from plma.curves import (
     GraphError,
     GraphMeasure,
@@ -400,3 +400,68 @@ def differentiability_instances(rng):
         f = GraphPLFunction.build(
             g, [((Fraction(0), Fraction(0)), (Fraction(1, 2), peak), (Fraction(1), Fraction(0)))])
         yield phi, f, (g, om), 4 * om.total_mass() * max(abs(peak), Fraction(1, 100))
+
+
+def derivative_instances(rng):
+    """(phi, f, context) for the derivative's oracle: 14 tents, or sums of
+    two, against random admissible phi on intervals with ends on the 1/2
+    grid of [-3, 3]; then 28 random graphs, the last 14 with a loop edge
+    at vertex 0 appended, each with omega0 of mass 2 on two atoms strictly
+    inside edges (one on the loop when there is one), phi the superposition
+    of a random mu or its solve, and f a random graph function."""
+    for _ in range(14):
+        a, b = sorted(rng.sample(range(-6, 7), 2))
+        f = bump_1d(rnd_frac(rng), Fraction(rng.randint(1, 4), 2), rnd_frac(rng, den=4))
+        if rng.random() < 1 / 2:
+            f = f + bump_1d(rnd_frac(rng), Fraction(1, 2), rnd_frac(rng))
+        delta = interval(Fraction(a, 2), Fraction(b, 2))
+        yield random_admissible(rng, delta), f, delta
+    for i in range(28):
+        g = random_graph(rng, 2)
+        if i >= 14:
+            g = MetricGraph.build(g.vertex_ids, [*g.edges, (0, 0, Fraction(rng.randint(1, 6), 2))])
+        inside = [len(g.edges) - 1 if i >= 14 else rng.randrange(len(g.edges)),
+                  rng.randrange(len(g.edges))]
+        split = Fraction(rng.randint(1, 11), 6)
+        om = GraphMeasure.from_atoms(g, [
+            (("e", e, g.edge_length(e) * Fraction(rng.randint(1, 3), 4)), m)
+            for e, m in zip(inside, (split, 2 - split))])
+        mu = random_positive_measure(rng, g, Fraction(2))
+        phi = curves.normalized_potential(g, mu, om) if i % 2 else superpose(g, mu, om)
+        yield phi, random_graph_function(rng, g, 2), (g, om)
+
+
+def three_sample_derivatives(phi, f, graph, omega0):
+    """variational._one_sided_derivatives as it was before its closed
+    form, kept as its oracle: on the same certified chamber [0, t],
+    d = (4 E(t/2) - E(t) - 3 E(0)) / t from three exact samples of the
+    energy, each from an envelope built as a function and read by
+    energy_curve, E(t/2) from a node problem of its own and E(0) = E(phi)."""
+    def envelope(psi, nodes):
+        (Y, Dy), (G, Dg) = nodes.psi, nodes.gap
+        if not any(G):
+            return psi
+        values = ([y * Dg - g * Dy for y, g in zip(Y, G)], Dy * Dg)
+        return curves._function_from_node_values(graph, values, nodes.edge_offsets,
+                                                 nodes.segments)
+
+    def energy(psi, nodes):
+        return energy_curve(envelope(psi, nodes), graph, omega0)
+
+    def energy_at(t):
+        psi = phi + f.scale(t)
+        return energy(psi, variational._envelope_nodes(psi, graph, omega0))
+
+    def side(t):
+        while True:
+            psi = phi + f.scale(t)
+            nodes = variational._envelope_nodes(psi, graph, omega0)
+            G0, _, S0, _ = next(variational._howard(
+                form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
+            if min(*G0, *S0) >= 0:
+                return abs(t), (4 * energy_at(t / 2) - energy(psi, nodes) - 3 * e0) / t
+            t /= 2
+
+    form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]
+    e0 = energy_curve(phi, graph, omega0)
+    return [side(Fraction(1)), side(Fraction(-1))]

@@ -7,12 +7,12 @@ curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
 rational strings the curve readers parse and the GraphPLFunction.build
 calls they make on that corpus, with the counters of counting.py, and
 pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
-of geometry._walk and the exact residuals of solver.residual, on its
-toric-forward corpus the walks and the rational strings the toric
-readers parse, and on
-criterion 5's instances the node problems and exact solves of
-variational.energy_of_envelope_derivative.  A change
-that moves a count on purpose pins it again and says why.
+of geometry._walk, the exact residuals of solver.residual and the float
+power-cell evaluations of solver._power_cells with the Newton iterations
+they serve; on its toric-forward corpus the walks and the rational
+strings the toric readers parse; and on criterion 5's instances the node
+problems and exact solves of variational.energy_of_envelope_derivative.
+A change that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.  So is bench/tracing.py, whose
 Tracer must find, wrap and restore every name it traces.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -53,22 +54,23 @@ def calls(monkeypatch):
 def _run_corpus(inputs, tmp_path, monkeypatch, before=lambda: None,
                 workload="curve-envelope", rounds=13, expected=78):
     """Run the ops of the first `rounds` rounds of a workload's seed-1
-    corpus through cli.run in tmp_path, each exiting 0, and check that
-    there were `expected` of them; `before` runs once the deck is built,
-    so that counts start there."""
+    corpus through cli.run in tmp_path, each exiting 0, check that there
+    were `expected` of them and return their stdouts; `before` runs once
+    the deck is built, so that counts start there."""
     deck = inputs.make_deck(workload, 1, rounds)
     monkeypatch.chdir(tmp_path)
     for name, text in deck.files.items():
         (tmp_path / name).write_text(text)
     before()
-    ops = 0
+    outs = []
     for tasks in deck.rounds:
         for task in tasks:
             for argv in task.argvs:
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
                     assert cli.run(argv) == 0
-                ops += 1
-    assert ops == expected
+                outs.append(out.getvalue())
+    assert len(outs) == expected
+    return outs
 
 
 def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch):
@@ -81,7 +83,7 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
     assert calls == {"parse_rational": 3124, "pair": 3124, "build": 0, "float": 170,
-                     "exact": 78, "walk": 0, "residual": 0}
+                     "exact": 78, "walk": 0, "residual": 0, "cells": 0}
 
 
 def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
@@ -100,10 +102,13 @@ def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
     # solution and its residual read the diagram that dual_transform hands
     # over (two walks per 2-D solve when the residual walked the solution
     # again).  Every snap of the corpus passes the gate and is recovered,
-    # so each solve checks one residual
-    _run_corpus(inputs, tmp_path, monkeypatch,
-                lambda: calls.update(dict.fromkeys(calls, 0)), "toric-solve", 10, 60)
-    assert (calls["walk"], calls["residual"]) == (50, 60)
+    # so each solve checks one residual.  The Newton guide of a 2-D solve
+    # evaluates its float power cells once at its start and once per trial
+    # step: 290 evaluations for 225 Newton iterations, the 1-D solves none
+    outs = _run_corpus(inputs, tmp_path, monkeypatch,
+                       lambda: calls.update(dict.fromkeys(calls, 0)), "toric-solve", 10, 60)
+    iterations = sum(json.loads(out)["iterations"] for out in outs)
+    assert (calls["walk"], calls["residual"], calls["cells"], iterations) == (50, 60, 290, 225)
 
 
 @pytest.mark.parametrize("nv", [60, 240])
@@ -126,11 +131,12 @@ def test_graph_ladder_envelope_solve_counts(inputs, calls, nv):
 def test_differentiability_solve_counts(calls, monkeypatch):
     # criterion 5's 20 derivatives: per side, one node problem per radius
     # tried from 1 down (58 radii, 18 of them halvings; radii 1/8 to 1),
-    # then the envelope of the energy at t / 2; the energy at t reads the
-    # certified radius's node problem, and E(0) is E(phi): 58 + 40 node
-    # problems (138 when the envelope at t was solved again).  Each takes
-    # one exact solve, and each radius tried one pinned solve at t = 0:
-    # 98 + 58 exact solves
+    # and each radius tried one pinned solve at t = 0.  The derivative is
+    # read off the certified radius's node problem and its pinned solve in
+    # closed form: 58 node problems (98 when the energy at t / 2 took a
+    # node problem of its own, 138 when the one at t did too).  Each node
+    # problem takes one exact solve: 58 + 58 exact solves (156 with the
+    # solves at t / 2)
     nodes = 0
     solve = variational._envelope_nodes
 
@@ -146,7 +152,7 @@ def test_differentiability_solve_counts(calls, monkeypatch):
     for phi, f, context, _ in instances:
         radii |= {h for h, _ in energy_of_envelope_derivative(phi, f, context)[1]}
     assert min(radii) == Fraction(1, 8) and max(radii) == 1
-    assert (nodes, calls["exact"]) == (98, 156)
+    assert (nodes, calls["exact"]) == (58, 116)
 
 
 def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):

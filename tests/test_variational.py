@@ -54,6 +54,7 @@ from plma.variational import (
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     bump_1d,
+    derivative_instances,
     difference_quotients,
     differentiability_instances,
     envelope_energy,
@@ -72,6 +73,7 @@ from conftest import (
     random_positive_measure,
     rnd_frac,
     simplex2,
+    three_sample_derivatives,
     unit_square,
     unpruned,
 )
@@ -1190,6 +1192,24 @@ def test_derivative_on_random_graphs():
         below_one += sum(h < 1 for h, _ in fd)
     assert below_one > 48
 
+
+
+def test_derivative_closed_form_equals_three_sample_oracle(monkeypatch):
+    # criterion 5's 20 instances and 42 more (conftest): 1-D toric tents,
+    # and graphs with omega0's atoms inside edges, a loop edge's included.
+    # The closed form on the two solves of each certified chamber returns
+    # exactly what three exact energy samples returned, radii included
+    instances = [i[:3] for i in differentiability_instances(random.Random(105))]
+    instances += derivative_instances(random.Random("closed-form-derivative"))
+    closed = [energy_of_envelope_derivative(*i) for i in instances]
+    monkeypatch.setattr(variational, "_one_sided_derivatives", three_sample_derivatives)
+    assert [energy_of_envelope_derivative(*i) for i in instances] == closed
+    assert all([d for _, d in fd] == [exact, exact] for exact, fd in closed)
+    graphs = [c for _, _, c in instances if not isinstance(c, Polytope)]
+    inside = [[g.edges[k[1]] for k, _ in om.atoms if k[0] == "e"] for g, om in graphs]
+    on_loop = sum(any(u == v for u, v, _ in edges) for edges in inside)
+    assert (len(instances), len(graphs), sum(map(bool, inside)), on_loop) == (62, 36, 36, 24)
+    assert sum(h < 1 for _, fd in closed for h, _ in fd) > 50
 
 def test_maximizer_criticality(rng):
     # at the solver output the envelope-composed functional cannot increase
