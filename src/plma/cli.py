@@ -50,15 +50,15 @@ def _error(kind: str, message: str) -> None:
 
 def _output(args, document, header, rows) -> None:
     """Write a command's result: the text of document() under --format
-    json, the header and rows under --format csv.  A CSV cell is str of
-    its value, so a Fraction prints as the string the JSON document holds.
-    The text is built without the int digit limit (without_digit_limit),
-    which guards reading only: a result may have more digits than plma
-    reads back."""
+    json, the header and the rows of rows() under --format csv, so that
+    each is built only for its format.  A CSV cell is str of its value, so
+    a Fraction prints as the string the JSON document holds.  The text is
+    built without the int digit limit (without_digit_limit), which guards
+    reading only: a result may have more digits than plma reads back."""
 
     def text():
         if args.format == "csv":
-            return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+            return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows()])
         return document() + "\n"
 
     _emit(without_digit_limit(text), args.output)
@@ -72,12 +72,12 @@ def _point_rows(pairs, *label):
 
 
 def _write_graph_function(args, f) -> None:
-    rows = ([e, o, y] for e, pairs in enumerate(f.edge_values) for o, y in pairs)
-    _output(args, lambda: serialize.graph_function_to_json(f), ["edge", "offset", "value"], rows)
+    _output(args, lambda: serialize.graph_function_to_json(f), ["edge", "offset", "value"],
+            lambda: ([e, o, y] for e, pairs in enumerate(f.edge_values) for o, y in pairs))
 
 
 def _write_value(args, name, value) -> None:
-    _output(args, lambda: json_object({name: '"%s"' % value}), [name], [[value]])
+    _output(args, lambda: json_object({name: '"%s"' % value}), [name], lambda: [[value]])
 
 
 def _load_obstacle_toric(obj):
@@ -120,10 +120,10 @@ def cmd_toric_ma(args):
     delta = serialize.polytope_from_json(serialize.load_path(args.delta))
     g = serialize.pl_function_from_json(serialize.load_path(args.g))
     result = toric.ma_measure(g, delta)
-    rows = itertools.chain(_point_rows(result.measure_NR.atoms, "real"),
-                           _point_rows(((mp.v, m) for mp, m in result.measure_an), "berkovich"))
-    _output(args, lambda: serialize.toric_ma_result_to_json(result),
-            ["side", "x1", "x2", "mass"], rows)
+    _output(args, lambda: serialize.toric_ma_result_to_json(result), ["side", "x1", "x2", "mass"],
+            lambda: itertools.chain(
+                _point_rows(result.measure_NR.atoms, "real"),
+                _point_rows(((mp.v, m) for mp, m in result.measure_an), "berkovich")))
     return 0
 
 
@@ -133,11 +133,10 @@ def cmd_toric_solve(args):
     # inputs carry Berkovich mass n! Vol; the solver works in the real scale
     nu = mu.scale(Fraction(1, factorial(delta.dim)))
     report = solve_toric(delta, nu)
-    rows = itertools.chain(
-        _point_rows(((f.slope, f.intercept) for f in report.solution.pieces), "solution"),
-        _point_rows(report.residual, "residual"))
-    _output(args, lambda: serialize.solve_report_to_json(report),
-            ["part", "x1", "x2", "value"], rows)
+    _output(args, lambda: serialize.solve_report_to_json(report), ["part", "x1", "x2", "value"],
+            lambda: itertools.chain(
+                _point_rows(((f.slope, f.intercept) for f in report.solution.pieces), "solution"),
+                _point_rows(report.residual, "residual")))
     return 0 if report.converged else 3
 
 
@@ -155,7 +154,7 @@ def cmd_envelope(args):
     env = variational.envelope_P(psi, context)
     if isinstance(context, Polytope):
         _output(args, lambda: serialize.pl_function_to_json(env), ["s1", "s2", "intercept"],
-                _point_rows((f.slope, f.intercept) for f in env.pieces))
+                lambda: _point_rows((f.slope, f.intercept) for f in env.pieces))
     else:
         _write_graph_function(args, env)
     return 0
@@ -183,7 +182,7 @@ def cmd_curve_green(args):
 def cmd_curve_canonical(args):
     form = curves.canonical_form(args.m, args.iterations)
     _output(args, lambda: serialize.canonical_metric_to_json(form),
-            ["arc_start", "arc_end", "mass"], serialize.canonical_metric_rows(form))
+            ["arc_start", "arc_end", "mass"], lambda: serialize.canonical_metric_rows(form))
     return 0
 
 

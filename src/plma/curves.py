@@ -6,8 +6,8 @@ checks a key against the graph and canonicalises an edge end to its
 vertex.  The Laplacian of a piecewise-linear function is the atomic
 signed measure assigning to each point the sum of its outgoing slopes;
 with this convention a local maximum carries negative mass and the total
-mass is always zero.  A GraphMeasure has the one canonical form of
-geometry.AtomicMeasure, its atoms sorted by the repr of their keys.
+mass is always zero.  A GraphMeasure is canonical: one atom per
+location, no zero mass, the atoms sorted by the repr of their keys.
 A function is read between its breakpoints by one routine, _values_at,
 in one pass over an edge's sorted breakpoints: eval, _refine (at the
 nodes that are not breakpoints), the breakpoint merge of combine and
@@ -68,7 +68,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .geometry import AtomicMeasure, as_fraction
+from .geometry import as_fraction
 
 
 class GraphError(ValueError):
@@ -341,16 +341,57 @@ def _merge(p1, p2, a, b):
     return tuple((o, a * y1 + b * y2) for o, (y1, y2) in zip(offs, ys))
 
 
-class GraphMeasure(AtomicMeasure):
+@dataclass(frozen=True)
+class GraphMeasure:
     """Atomic signed measure on a metric graph, keyed by canonical location
-    (MetricGraph.point_key).  Its atoms are sorted by the repr of their
-    keys, the byte order of every output."""
+    (MetricGraph.point_key), with rational masses, in one canonical form:
+    one atom per location, no zero mass, the atoms sorted by the repr of
+    their keys, the byte order of every output.  The sum and difference,
+    m + n and m - n, merge two canonical measures by location."""
 
-    _order = staticmethod(lambda atom: repr(atom[0]))
+    atoms: tuple  # ((key, mass), ...) in canonical order
+
+    @staticmethod
+    def _canonical(masses: dict) -> "GraphMeasure":
+        """The measure of a dict of masses by canonical key: zero masses
+        dropped, the atoms sorted by the repr of their keys."""
+        return GraphMeasure(tuple(sorted(((k, m) for k, m in masses.items() if m != 0),
+                                         key=lambda atom: repr(atom[0]))))
 
     @staticmethod
     def from_atoms(graph: MetricGraph, atoms) -> "GraphMeasure":
-        return GraphMeasure._canonical(GraphMeasure._summed(atoms, graph.point_key))
+        acc = {}
+        for loc, mass in atoms:
+            key, mass = graph.point_key(loc), as_fraction(mass)
+            acc[key] = acc[key] + mass if key in acc else mass
+        return GraphMeasure._canonical(acc)
+
+    def total_mass(self) -> Fraction:
+        return sum((m for _, m in self.atoms), Fraction(0))
+
+    def is_positive(self) -> bool:
+        return all(m > 0 for _, m in self.atoms)
+
+    @cached_property
+    def masses(self) -> dict:
+        """Mass by location, for the atoms' locations only."""
+        return dict(self.atoms)
+
+    def scale(self, c) -> "GraphMeasure":
+        # the atoms stay in order and nonzero unless c is 0
+        c = as_fraction(c)
+        return GraphMeasure(tuple((k, c * m) for k, m in self.atoms) if c else ())
+
+    def __add__(self, other: "GraphMeasure") -> "GraphMeasure":
+        """Both measures are canonical already, so their masses are merged
+        by location, with no location read again."""
+        acc = dict(self.atoms)
+        for k, m in other.atoms:
+            acc[k] = acc[k] + m if k in acc else m
+        return GraphMeasure._canonical(acc)
+
+    def __sub__(self, other: "GraphMeasure") -> "GraphMeasure":
+        return self + other.scale(-1)
 
     def mass_at(self, graph: MetricGraph, loc) -> Fraction:
         return self.masses.get(graph.point_key(loc), Fraction(0))

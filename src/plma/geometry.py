@@ -60,10 +60,15 @@ clipped once, from the end the walk reaches first, and not again from
 the other: O(k*(V + B + U)) in all for V vertices, B bounded and U
 unbounded edges.
 
-Both atomic measures, DiscreteMeasure here and curves.GraphMeasure, are
-an AtomicMeasure: one canonical form (masses summed by location, zero
-masses dropped, atoms in the class's order), one mass dict, and one
-merge by location behind + and -.
+A measure is its canonical integer form as well: `DiscreteMeasure`
+holds its points V_i / A and its masses M_i / Dm over their least common
+denominators, the points sorted and distinct and no mass zero
+(`DiscreteMeasure.integer_form`).  `DiscreteMeasure._of_form` is its one
+builder, which sums by point, sorts and reduces, for `from_atoms`, the
+reader of serialize, `toric.ma_measure`, the scaling and the sum alike;
+the total mass and the positivity test read the integers, and the
+`Fraction` atoms are built on first read.  curves.GraphMeasure, whose
+locations are graph keys, keeps its Fraction atoms.
 
 Ambient dimensions 1 and 2 are supported.
 """
@@ -723,79 +728,72 @@ class PLConvexFunction:
 
 
 @dataclass(frozen=True)
-class AtomicMeasure:
-    """Signed atomic measure with rational masses, in one canonical form:
-    one atom per location, no zero mass, the atoms in the class's order.
-
-    `_order` is that order, a sort key on the (location, mass) pairs; None
-    sorts the pairs themselves, that is by location.  DiscreteMeasure
-    (points, sorted) and curves.GraphMeasure (graph locations, by repr)
-    share everything but how a location is read and ordered: the masses,
-    the scaling, and the sum and difference, m + n and m - n, which merge
-    two canonical measures by location.
+class DiscreteMeasure:
+    """Signed atomic measure on the points of R^n, canonically its integer
+    form (V, A, M, Dm), its one compared field: the atoms V_i / A with the
+    masses M_i / Dm, V a tuple of distinct integer point tuples in
+    increasing order, M a tuple of nonzero integers, and A and Dm least
+    (gcd(A, V) = gcd(Dm, M) = 1); the empty measure is ((), 1, (), 1).
+    Equal measures hold equal forms, so equality, hashing and repr are the
+    form's.  `_of_form` is the one builder, for `from_atoms`, the reader of
+    serialize, `ma_measure`, the scaling and the sum alike, and the
+    constructor is its private step: it refuses anything but a (V, A, M,
+    Dm) tuple with integer A and Dm.  The `Fraction` atoms, sorted by
+    point, are built on first read, which in practice means by library
+    callers and the CSV rows: the solver and the writer read the form.
     """
 
-    atoms: tuple  # ((location, mass), ...) in canonical order
+    integer_form: tuple
 
-    _order = None
-
-    @classmethod
-    def _canonical(cls, masses: dict):
-        """The measure of a dict of masses by canonical location: zero
-        masses dropped, the atoms sorted in the class's order."""
-        return cls(tuple(sorted(((k, m) for k, m in masses.items() if m != 0), key=cls._order)))
+    def __post_init__(self):
+        form = self.integer_form
+        if not (type(form) is tuple and len(form) == 4
+                and isinstance(form[1], int) and isinstance(form[3], int)):
+            raise TypeError("DiscreteMeasure takes an integer form; use from_atoms")
 
     @staticmethod
-    def _summed(atoms, read) -> dict:
-        """The masses of (location, mass) pairs summed by the canonical
-        location read(location), for a subclass's from_atoms."""
+    def _of_form(V, A, M, Dm) -> "DiscreteMeasure":
+        """The measure of the masses M_i / Dm at the points V_i / A, for
+        integer point tuples V_i and A, Dm > 0: the masses summed by point,
+        zero sums dropped, the points sorted, and A and Dm divided with the
+        numerators by their gcd.  Points of different dimensions raise
+        DimensionError."""
+        if len({len(v) for v in V}) > 1:
+            raise DimensionError("atoms of mixed dimension")
         acc = {}
-        for loc, mass in atoms:
-            key, mass = read(loc), as_fraction(mass)
-            acc[key] = acc[key] + mass if key in acc else mass
-        return acc
-
-    def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
-
-    def is_positive(self) -> bool:
-        return all(m > 0 for _, m in self.atoms)
-
-    @cached_property
-    def masses(self) -> dict:
-        """Mass by location, for the atoms' locations only."""
-        return dict(self.atoms)
-
-    def scale(self, c):
-        # the atoms stay in order and nonzero unless c is 0
-        c = as_fraction(c)
-        if c == 0:
-            return type(self)(())
-        return type(self)(tuple((k, c * m) for k, m in self.atoms))
-
-    def __add__(self, other):
-        """Both measures are canonical already, so their masses are merged
-        by location, with no location read again."""
-        acc = dict(self.atoms)
-        for k, m in other.atoms:
-            acc[k] = acc[k] + m if k in acc else m
-        return self._canonical(acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-
-class DiscreteMeasure(AtomicMeasure):
-    """Atomic measure on the points of R^n, its atoms sorted by point.
-
-    Atoms of different dimensions raise DimensionError."""
+        for v, m in zip(V, M):
+            acc[v] = acc.get(v, 0) + m
+        V = sorted([v for v, m in acc.items() if m])
+        h, k = math.gcd(A, *(x for v in V for x in v)), math.gcd(Dm, *map(acc.get, V))
+        return DiscreteMeasure((tuple([tuple([x // h for x in v]) for v in V]), A // h,
+                                tuple([acc[v] // k for v in V]), Dm // k))
 
     @staticmethod
     def from_atoms(atoms) -> "DiscreteMeasure":
-        acc = DiscreteMeasure._summed(atoms, as_point)
-        if len({len(p) for p in acc}) > 1:
-            raise DimensionError("atoms of mixed dimension")
-        return DiscreteMeasure._canonical(acc)
+        """The measure of (point, mass) pairs, summed by point: the points
+        over the lcm of their denominators and the masses over theirs.
+        Atoms of different dimensions raise DimensionError."""
+        pairs = [(as_point(p), as_fraction(m)) for p, m in atoms]
+        (M,), Dm = _integer_points([[m for _, m in pairs]])
+        return DiscreteMeasure._of_form(*_integer_points([p for p, _ in pairs]), M, Dm)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """((point, mass), ...) as Fractions, sorted by point, built from
+        the integer form on first read."""
+        V, A, M, Dm = self.integer_form
+        return tuple((_point(v, A), Fraction(m, Dm)) for v, m in zip(V, M))
+
+    @cached_property
+    def masses(self) -> dict:
+        """Mass by point, for the atoms' points only."""
+        return dict(self.atoms)
+
+    def total_mass(self) -> Fraction:
+        return Fraction(sum(self.integer_form[2]), self.integer_form[3])
+
+    def is_positive(self) -> bool:
+        return all(m > 0 for m in self.integer_form[2])
 
     def mass_at(self, loc) -> Fraction:
         return self.masses.get(as_point(loc), Fraction(0))
@@ -803,6 +801,23 @@ class DiscreteMeasure(AtomicMeasure):
     def integrate(self, fn) -> Fraction:
         """Pair against a pointwise-evaluable function (exact)."""
         return sum((m * fn(p) for p, m in self.atoms), Fraction(0))
+
+    def scale(self, c) -> "DiscreteMeasure":
+        """c times the measure, c = p / r: the masses p M_i / (r Dm)."""
+        c = as_fraction(c)
+        V, A, M, Dm = self.integer_form
+        return DiscreteMeasure._of_form(V, A, [c.numerator * m for m in M], c.denominator * Dm)
+
+    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
+        """Both forms over lcm(A1, A2) and lcm(Dm1, Dm2), summed by point."""
+        (V1, A1, M1, D1), (V2, A2, M2, D2) = self.integer_form, other.integer_form
+        A, D = math.lcm(A1, A2), math.lcm(D1, D2)
+        return DiscreteMeasure._of_form(
+            [vscale(A // A1, v) for v in V1] + [vscale(A // A2, v) for v in V2], A,
+            [m * (D // D1) for m in M1] + [m * (D // D2) for m in M2], D)
+
+    def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
+        return self + other.scale(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,19 +26,19 @@ objects: the closed form of curves.canonical_form, whose offset strings
 each are formatted once, filled a column at a time.
 
 The toric readers (`pl_function_from_json`, which also reads each
-function of a `min_of` obstacle, and `polytope_from_json`) build no
-Fraction: each distinct rational string of a document is parsed once into
-its integers (`_rational_pair`, through `_parse_once`), the slopes, the
-intercepts or the vertices are put over the lcm of their denominators
-(`_over_lcm`), and that integer form is handed to
-PLConvexFunction.from_form or Polytope._from_integer_points.  A toric
-function is its integer form, and Fractions are built only for what is
-printed.  The readers keep the errors of the Fraction path they replaced,
-with their messages and in their order: every SchemaError in document
-order, then the dimension checks of from_pieces and from_points.
-`measure_from_json` reads its points through the same `_pair_point`, each
-distinct string of its document parsed once, and builds one Fraction per
-coordinate and mass.
+function of a `min_of` obstacle, `polytope_from_json` and
+`measure_from_json`) build no Fraction: each distinct rational string of
+a document is parsed once into its integers (`_rational_pair`, through
+`_parse_once`), the slopes, the intercepts, the vertices, the points or
+the masses are put over the lcm of their denominators (`_over_lcm`), and
+that integer form is handed to PLConvexFunction.from_form,
+Polytope._from_integer_points or DiscreteMeasure._of_form.  The readers
+keep the errors of the Fraction path they replaced, with their messages
+and in their order: every SchemaError in document order, then the
+dimension checks of from_pieces, from_points and from_atoms.  The toric
+writers of a function, a measure and a solve report's solution format
+from the integer forms, one gcd per number (`_ratio`), so a toric
+function or measure builds its Fractions only for a library caller.
 
 The curve readers check each number of a document once.  Each distinct
 rational string of a graph or graph-function document is parsed once
@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .curves import CanonicalForm, GraphMeasure, GraphPLFunction, MetricGraph, vertex_key
 from .geometry import DiscreteMeasure, PLConvexFunction, Polytope, _one_dim
@@ -190,11 +190,20 @@ def polytope_from_json(obj) -> Polytope:
     return Polytope._from_integer_points(*_over_lcm(points))
 
 
+def _ratio(p, q):
+    """The rational string of p / q, q > 0, with one gcd: "p/q" in lowest
+    terms, or "p" when q divides p, as str of the Fraction writes it."""
+    h = gcd(p, q)
+    return "%d" % (p // h) if h == q else "%d/%d" % (p // h, q // h)
+
+
 def pl_function_to_json(g: PLConvexFunction) -> str:
-    # every function holds its pieces in (slope, intercept) order
-    return json_object(
-        {"pieces": json_array([_PIECE % (f.intercept, _point(f.slope)) for f in g.pieces])}
-    )
+    """The document {"pieces": [...]} of g, written from its integer form
+    (S, D, C, E) in its (slope, intercept) order, one gcd per number
+    (`_ratio`); g's Fraction pieces are not built."""
+    S, D, C, E = g.integer_form
+    pieces = [_PIECE % (_ratio(c, E), _point([_ratio(x, D) for x in s])) for s, c in zip(S, C)]
+    return json_object({"pieces": json_array(pieces)})
 
 
 def pl_function_from_json(obj) -> PLConvexFunction:
@@ -235,28 +244,44 @@ def _over_lcm(rows):
     return [tuple([p * (D // q) for p, q in row]) for row in rows], D
 
 
-def _atoms(atoms):
-    return json_object({"atoms": json_array([_ATOM % (m, _point(p)) for p, m in atoms])})
+def _measure_texts(mu: DiscreteMeasure, *factors):
+    """The documents {"atoms": [...]} of c mu, one for each integer c of
+    factors, written from mu's integer form (V, A, M, Dm): each point's
+    text once, and one gcd per number (`_ratio`); no Fraction is built."""
+    V, A, M, Dm = mu.integer_form
+    points = [_point([_ratio(x, A) for x in v]) for v in V]
+    return [json_object({"atoms": json_array([_ATOM % (_ratio(c * m, Dm), p)
+                                              for p, m in zip(points, M)])})
+            for c in factors]
 
 
 def measure_to_json(mu: DiscreteMeasure) -> str:
-    return _atoms(mu.atoms)
+    return _measure_texts(mu, 1)[0]
 
 
 def measure_from_json(obj) -> DiscreteMeasure:
+    """The measure of a document {"atoms": [{"point": [...], "mass":
+    "..."}, ...]}, read on integers: every SchemaError first, in the order
+    of the atoms, then the points and the masses each over the lcm of
+    their denominators (`_over_lcm`), the form that DiscreteMeasure._of_form
+    sums by point after its check of mixed dimension, the message of
+    from_atoms.  No Fraction is built."""
     records = _records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
                        'each atom must be {"point": [...], "mass": "..."}')
     parsed = {}  # each distinct string of the document is parsed once
     atoms = [(_pair_point(p, parsed), _parse_once(m, parsed, _rational_pair)) for p, m in records]
-    return DiscreteMeasure.from_atoms([(tuple(map(_fraction, p)), _fraction(m)) for p, m in atoms])
+    (M,), Dm = _over_lcm([[m for _, m in atoms]])
+    return DiscreteMeasure._of_form(*_over_lcm([p for p, _ in atoms]), M, Dm)
 
 
 def toric_ma_result_to_json(result) -> str:
-    return json_object({
-        "ma_real": measure_to_json(result.measure_NR),
-        "ma_berkovich": _atoms([(mp.v, m) for mp, m in result.measure_an]),
-        "degree": '"%s"' % result.degree,
-    })
+    """The real measure and the Berkovich one, n! times it at the same
+    points (toric.ma_measure), both written from the real measure's
+    integer form, each point's text once."""
+    V = result.measure_NR.integer_form[0]
+    real, berkovich = _measure_texts(result.measure_NR, 1, factorial(len(V[0])) if V else 1)
+    return json_object({"ma_real": real, "ma_berkovich": berkovich,
+                        "degree": '"%s"' % result.degree})
 
 
 def _residual(entries):
@@ -417,11 +442,7 @@ def canonical_metric_to_json(form: CanonicalForm) -> str:
     the form's order, the vertex last; arc j holds exactly the atom at j/n,
     so its mass is the one mass d_L/n."""
     n, p, q, mass, offsets, order = form
-    half = []
-    for j in range(n // 2 + 1):
-        v = p * j * (j - n)
-        g = gcd(v, q)
-        half.append("%d" % (v // g) if g == q else "%d/%d" % (v // g, q // g))
+    half = [_ratio(p * j * (j - n), q) for j in range(n // 2 + 1)]
     values = half + half[(n - 1) // 2::-1]
     return "".join([
         _CANONICAL_HEAD,

@@ -67,12 +67,16 @@ truncated toward zero to integer points (nothing moves when both means
 lie in (-1, 1)).  Moving the atoms changes no cell, and moving delta
 changes w_i - w_0 by <c, v_i - v_0>, which is added back exactly.  The
 weights are fixed in the gauge w_0 = 0, rounded to the common denominator
-2^50, snapped to small denominators (which recovers the exact solution
-whenever it is rational) and then moved back.  The snap is checked
-only when the lcm of its denominators is at most SNAP_DENOMINATOR**2:
-every snap that recovers a solution of the benchmark's targets has an lcm
-of at most 252, while a generic target's snap has one of dozens of digits
-and an exact check that cost most of the solve.  When the snap is not
+GRID = 2^50, snapped to small denominators (which recovers the exact
+solution whenever it is rational) and then moved back.  The snap is
+`_limit_denominator`, on integers, which returns what
+Fraction.limit_denominator(SNAP_DENOMINATOR) returns without the
+Fraction comparisons that cost Python 3.11 about 14 us per weight.  It is
+checked only when the lcm of its denominators is at most
+SNAP_DENOMINATOR**2: every snap that recovers a solution of the
+benchmark's targets has an lcm of at most 252, while a generic target's
+snap has one of dozens of digits and an exact check that cost most of
+the solve.  When the snap is not
 checked, the weights on 2^-50 are the snap.  When it fails, or is not
 checked, the weights on 2^-50 are returned: one common dyadic denominator
 keeps the integers of the exact check small, where a separate rational
@@ -85,6 +89,16 @@ the solution g = F_w* it returns carries them, as its integer slopes and
 the cells of its subdivision, so the residual reads the cell volumes off
 them without walking g (`residual`).  In one dimension the cells are
 consecutive intervals and the weights have a closed form.
+
+The solve runs on the target's integer form (geometry.DiscreteMeasure:
+its atoms V_i / A and masses M_i / Dm, sorted and distinct), from the
+checks to the residual: the guide's atoms are V / A and its masses the
+float quotients M_i / Dm, a weight vector is integer numerators over one
+denominator (the grid, the snap, the 1-D closed form and the move back by
+<c, V_i - V_0> / A alike), F_w is the integer form (V, A, -W, E), and the
+residual matches the cells with the atoms on their integer points.  The
+only Fractions it builds are the residual's entries, the points and
+errors that the report carries.
 """
 
 from __future__ import annotations
@@ -101,12 +115,10 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
-    _integer_points,
+    _idot,
     _point,
-    _scaled,
     _vertex_order,
     cell_sums,
-    dot,
     dual_transform,
     vscale,
     vsub,
@@ -124,6 +136,7 @@ TOLERANCE = Fraction(1, 10**10)
 MAX_ITERATIONS = 200
 MIN_STEP = 2.0 ** -20
 SNAP_DENOMINATOR = 10**6
+GRID = 2**50  # the common denominator of the guide's weights
 
 
 @dataclass(frozen=True)
@@ -213,14 +226,11 @@ def _power_cells(ring, atoms, weights):
 # toric solve
 
 
-def _solution_from_weights(delta, atoms, weights):
-    """dual_transform of F_w = max(<v_i, .> + w_i) over the sorted atoms
-    v_i, built as its integer form: the atoms over their common
-    denominator and the weights' numerators over theirs; no Fraction."""
-    V, A = _integer_points([v for v, _ in atoms])
-    E = math.lcm(*(w.denominator for w in weights))
-    C = [-w.numerator * (E // w.denominator) for w in weights]
-    return dual_transform(PLConvexFunction._of_form((V, A, C, E)), delta)
+def _solution_from_weights(delta, V, A, W, E):
+    """dual_transform of F_w = max(<v_i, .> + w_i) over the atoms v_i = V_i / A
+    of the target's integer form, sorted and distinct, with the weights
+    w_i = W_i / E: the integer form (V, A, -W, E); no Fraction."""
+    return dual_transform(PLConvexFunction._of_form((V, A, [-w for w in W], E)), delta)
 
 
 def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
@@ -230,43 +240,42 @@ def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
     It reads g's cells (X, q, ring), which `dual_transform` hands over
     with the solution, and its integer slopes S_i / D: the mass at X / q
     is `cell_sums` of the ring's slopes over n! D^n.  The cells are matched
-    with nu's atoms on their integer points X / q in lowest terms, and
-    each entry is one Fraction.  The cells come sorted by vertex, so only
+    with nu's atoms V_i / A, masses M_i / Dm (`nu.integer_form`), on their
+    integer points X / q in lowest terms, and each entry is one Fraction
+    and the Fraction point X / q.  The cells come sorted by vertex, so only
     an atom of nu that is no vertex of g makes a sort, by the exact
     cross-multiplied `_vertex_order`.
     """
     S, D, _, _ = g.integer_form
     den = math.factorial(delta.dim) * D ** delta.dim
+    V, A, M, Dm = nu.integer_form
     want = {}
-    for p, m in nu.atoms:
-        q = math.lcm(*(x.denominator for x in p))
-        want[_scaled(p, q), q] = p, m
+    for v, m in zip(V, M):
+        r = math.gcd(A, *v)
+        want[tuple([x // r for x in v]), A // r] = m
     out = []
     for X, q, ring in g.subdivision[0]:
-        A = cell_sums([S[i] for i in ring])[0]
-        atom = want.pop((X, q), None)
-        if atom is None:
-            out.append((X, q, (_point(X, q), Fraction(A, den))))
-        else:
-            p, m = atom
-            out.append((X, q, (p, Fraction(A * m.denominator - m.numerator * den,
-                                            den * m.denominator))))
+        a = cell_sums([S[i] for i in ring])[0]
+        m = want.pop((X, q), 0)
+        out.append((X, q, (_point(X, q), Fraction(a * Dm - m * den, den * Dm))))
     if want:
-        out += [(X, q, (p, -m)) for (X, q), (p, m) in want.items()]
+        out += [(X, q, (_point(X, q), Fraction(-m, Dm))) for (X, q), m in want.items()]
         out.sort(key=cmp_to_key(_vertex_order))
     return tuple(entry for _, _, entry in out)
 
 
 def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):
-    """Closed-form weights: cells are consecutive intervals of prescribed length."""
-    a = delta.vertices[0][0]
-    atoms = list(nu.atoms)  # sorted by location
-    weights = [Fraction(0)]
-    cut = a + atoms[0][1]
-    for (v1, _), (v2, m2) in zip(atoms, atoms[1:]):
-        weights.append(weights[-1] - cut * (v2[0] - v1[0]))
-        cut += m2
-    return weights
+    """Closed-form weights (W, E), w_i = W_i / E: the cells are consecutive
+    intervals of prescribed length.  On integers: delta = [R_0 / Q, ...],
+    the atoms V_i / A and masses M_i / Dm of nu's integer form, sorted by
+    point.  Cell i ends at the cut a + (M_0 + ... + M_i) / Dm, and
+    w_(i+1) = w_i - cut_i (v_(i+1) - v_i), all over E = A Q Dm."""
+    (((lo,), _), Q), (V, A, M, Dm) = delta.integer_ring, nu.integer_form
+    W, cut = [0], lo * Dm + M[0] * Q  # the cut over Q Dm
+    for (v1,), (v2,), m2 in zip(V, V[1:], M[1:]):
+        W.append(W[-1] - cut * (v2 - v1))
+        cut += m2 * Q
+    return W, A * Q * Dm
 
 
 def _voronoi_weights(delta: Polytope, V, A):
@@ -308,13 +317,13 @@ def _voronoi_weights(delta: Polytope, V, A):
             for d0, d1 in dirs]
 
 
-def _newton(delta, V, A, masses, vol):
+def _newton(delta, V, A, target, vol):
     """Damped Newton in floats from the Voronoi start, for the atoms V_i / A
-    (integer points) of the given masses: (weights, iterations).  The cells
-    are clipped to delta's ring R_j / Q, each coordinate one correctly
-    rounded int division.  A float operation that fails once the start has
-    weights ends it at the last accepted weights; one before raises."""
-    target = [float(m) for m in masses]
+    (integer points) of the float masses `target`: (weights, iterations).
+    The cells are clipped to delta's ring R_j / Q, each coordinate one
+    correctly rounded int division.  A float operation that fails once the
+    start has weights ends it at the last accepted weights; one before
+    raises."""
     fatoms = [(tuple(x / A for x in X), m) for X, m in zip(V, target)]
     tol_abs = float(TOLERANCE) * float(vol)
     R, Q = delta.integer_ring
@@ -350,6 +359,28 @@ def _newton(delta, V, A, masses, vol):
     return weights, it
 
 
+def _limit_denominator(n, d, N):
+    """(p, q): Fraction(n, d).limit_denominator(N) as coprime integers,
+    q > 0, for d > 0 and N >= 1, without a Fraction: n / d itself when its
+    least denominator is at most N, else the closer of the last convergent
+    p1 / q1 of its continued fraction with q1 <= N and the semiconvergent
+    (p0 + k p1) / (q0 + k q1) with the largest k that keeps q0 + k q1 <= N,
+    p1 / q1 on a tie.  The two lie 1 / (q1 (q0 + k q1)) apart, with n / d
+    between them at y / (q1 d) from p1 / q1, where y is the remainder of
+    the expansion, so the test is one integer comparison: CPython's
+    algorithm, step for step."""
+    h = math.gcd(n, d)
+    n, d = n // h, d // h
+    if d <= N:
+        return n, d
+    p0, q0, p1, q1, x, y = 0, 1, 1, 0, n, d
+    while q0 + x // y * q1 <= N:
+        a = x // y
+        p0, q0, p1, q1, x, y = p1, q1, p0 + a * p1, q0 + a * q1, y, x - a * y
+    k = (N - q0) // q1
+    return (p1, q1) if 2 * y * (q0 + k * q1) <= d else (p0 + k * p1, q0 + k * q1)
+
+
 def _truncated_mean(X, q):
     """The mean of the integer points X / q, q > 0, truncated toward zero
     to an integer point."""
@@ -370,24 +401,23 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     within TOLERANCE * Vol(delta), compared on Fractions.  A guide that the
     floats cannot carry (an ArithmeticError) ends at its last accepted
     weights, or raises ConvergenceError when it has none on the grid
-    2^-50.
+    2^-50.  nu is read through its integer form only.
     """
     if not delta.is_full_dimensional():
         raise DegeneratePolytopeError("polytope must be full-dimensional")
-    if any(len(v) != delta.dim for v, _ in nu.atoms):
+    V, A, M, Dm = nu.integer_form
+    if any(len(v) != delta.dim for v in V):
         raise DimensionError("target atoms and polytope differ in dimension")
-    if not nu.is_positive() or not nu.atoms:
+    if not M or min(M) <= 0:
         raise AdmissibilityError("target measure must be positive and nonempty")
-    vol = delta.volume()
-    if nu.total_mass() != vol:
+    vol, total = delta.volume(), nu.total_mass()
+    if total != vol:
         # the masses may have more digits than plma reads
         raise AdmissibilityError(without_digit_limit(
-            lambda: f"target mass {nu.total_mass()} != Vol(delta) = {vol}"))
-    atoms = list(nu.atoms)
+            lambda: f"target mass {total} != Vol(delta) = {vol}"))
 
     if delta.dim == 1:
-        weights = solve_1d_exact(delta, nu)
-        g = _solution_from_weights(delta, atoms, weights)
+        g = _solution_from_weights(delta, V, A, *solve_1d_exact(delta, nu))
         res = residual(g, nu, delta)
         return SolveReport(g, res, res, 0, True)
 
@@ -395,32 +425,32 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
     # and the atoms V / A by -e, the integer points of their means
     # truncated toward zero, so that its floats do not carry the position
     c = _truncated_mean(*delta.integer_ring)
-    V, A = _integer_points([v for v, _ in atoms])
     e = _truncated_mean(V, A)
-    if any(e):
-        V = [vsub(X, vscale(A, e)) for X in V]
     try:
         weights, it = _newton(delta.translate(vscale(-1, c)) if any(c) else delta,
-                              V, A, [m for _, m in atoms], vol)
-        wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
+                              [vsub(X, vscale(A, e)) for X in V] if any(e) else V, A,
+                              [m / Dm for m in M], vol)
+        W = [round((w - weights[0]) * GRID) for w in weights]
     except ArithmeticError:
         raise ConvergenceError("the float guide cannot represent this target") from None
-    snapped = [w.limit_denominator(SNAP_DENOMINATOR) for w in wfrac]
-    if math.lcm(*(w.denominator for w in snapped)) > SNAP_DENOMINATOR**2:
+    snapped = [_limit_denominator(w, GRID, SNAP_DENOMINATOR) for w in W]
+    L = math.lcm(*(q for _, q in snapped))
+    snap = [p * (L // q) for p, q in snapped]
+    if L > SNAP_DENOMINATOR**2 or all(s * GRID == w * L for s, w in zip(snap, W)):
         # a snap this fine is a generic target's, which it does not solve,
         # and its exact check would cost most of the solve: the grid 2^-50
-        # is the snap
-        snapped = wfrac
+        # is the snap, as it is when the snap leaves the grid's weights
+        snap, L = W, GRID
+    weights = [(snap, L), (W, GRID)]
     if any(c):
-        # and back: w_i - w_0 = w'_i - w'_0 - <c, v_i - v_0>, on the grid
-        # and on the snap alike
-        back = [dot(c, vsub(v, atoms[0][0])) for v, _ in atoms]
-        wfrac = [w - b for w, b in zip(wfrac, back)]
-        snapped = [w - b for w, b in zip(snapped, back)]
-    g = _solution_from_weights(delta, atoms, snapped)
+        # and back: w_i - w_0 = w'_i - w'_0 - <c, v_i - v_0>, on the snap
+        # and on the grid alike, <c, V_i - V_0> over A
+        back = [_idot(c, vsub(v, V[0])) for v in V]
+        weights = [([w * A - E * b for w, b in zip(N, back)], E * A) for N, E in weights]
+    g = _solution_from_weights(delta, V, A, *weights[0])
     polished = res = residual(g, nu, delta)
-    if snapped != wfrac and any(r != 0 for _, r in polished):
-        g = _solution_from_weights(delta, atoms, wfrac)
+    if snap is not W and any(r != 0 for _, r in polished):
+        g = _solution_from_weights(delta, V, A, *weights[1])
         res = residual(g, nu, delta)
     converged = max(abs(e) for _, e in res) <= TOLERANCE * vol
     return SolveReport(g, res, polished, it, converged)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .geometry import (
     DiscreteMeasure,
@@ -28,6 +28,7 @@ from .geometry import (
     cell_sums,
     is_admissible,
     support_function,
+    vscale,
 )
 
 
@@ -62,13 +63,13 @@ def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> Tori
     """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy.
 
     The atoms are the vertices X / q of g's subdivision, its walk or the
-    cells that `dual_transform` handed it, each built as a point from its
-    integers.  The mass at a vertex is the volume of its cell,
-    A / (n! D^n), with A the integer sum `cell_sums` of the integer slopes
-    S_i of the cell's pieces over g's slope denominator D: one Fraction
-    per atom, and A / D^n on the analytic side.  The walk's vertices are
-    sorted and distinct and its cells have positive volume, so the atoms
-    are already canonical.
+    cells that `dual_transform` handed it.  The mass at a vertex is the
+    volume of its cell, A / (n! D^n), with A the integer sum `cell_sums`
+    of the integer slopes S_i of the cell's pieces over g's slope
+    denominator D.  The real measure is the integer form of the vertices
+    over the lcm L of their q and of the sums A over n! D^n, with no
+    Fraction; the analytic side builds one Fraction point and the mass
+    A / D^n per atom.
     """
     if check and not is_admissible(g, delta):
         raise AdmissibilityError(
@@ -76,11 +77,12 @@ def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> Tori
             "(slope outside, or missing vertex slope)"
         )
     S, D, _, _ = g.integer_form
-    Dn = D ** delta.dim
-    masses = [(_point(X, q), cell_sums([S[i] for i in ring])[0])
-              for X, q, ring in g.subdivision[0]]
-    nr = DiscreteMeasure(tuple((v, Fraction(A, factorial(delta.dim) * Dn)) for v, A in masses))
-    an = tuple((MonomialPoint(v), Fraction(A, Dn)) for v, A in masses)
+    Dn, cells = D ** delta.dim, g.subdivision[0]
+    sums = [cell_sums([S[i] for i in ring])[0] for _, _, ring in cells]
+    L = lcm(*(q for _, q, _ in cells))
+    nr = DiscreteMeasure._of_form([vscale(L // q, X) for X, q, _ in cells], L, sums,
+                                  factorial(delta.dim) * Dn)
+    an = tuple((MonomialPoint(_point(X, q)), Fraction(A, Dn)) for (X, q, _), A in zip(cells, sums))
     return ToricMAResult(nr, an, degree(delta))
 
 

@@ -1,11 +1,13 @@
 import heapq
 import random
+import re
 from fractions import Fraction
+from functools import cmp_to_key
 from math import factorial, lcm
 
 import pytest
 
-from plma import curves, variational
+from plma import curves, serialize, solver, variational
 from plma.curves import (
     GraphError,
     GraphMeasure,
@@ -16,14 +18,27 @@ from plma.curves import (
 )
 from plma.geometry import (
     AffineFunctional,
+    DimensionError,
     PLConvexFunction,
     Polytope,
     _integer_pieces,
+    _integer_points,
+    _point,
+    _scaled,
+    _vertex_order,
+    as_fraction,
+    as_point,
+    cell_sums,
     dot,
+    dual_transform,
     support_function,
     vadd,
+    vscale,
+    vsub,
 )
-from plma.toric import degree, mixed_ma
+from plma.serialize import SchemaError
+from plma.solver import ConvergenceError, SolveReport
+from plma.toric import AdmissibilityError, DegeneratePolytopeError, degree, mixed_ma
 from plma.variational import (
     MinOfConvex,
     PiecewiseLinear1D,
@@ -465,3 +480,132 @@ def three_sample_derivatives(phi, f, graph, omega0):
     form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]
     e0 = energy_curve(phi, graph, omega0)
     return [side(Fraction(1)), side(Fraction(-1))]
+
+
+# ---------------------------------------------------------------------------
+# the toric solve on Fractions: the oracle of its integer path
+
+
+def fraction_parse_rational(s):
+    """serialize.parse_rational as it was when the toric readers built a
+    Fraction per number: the oracle of their integer parse."""
+    plain = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
+    if not plain:
+        raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
+    try:
+        p, q = int(plain[1]), plain[2]
+        return Fraction(p) if q is None else Fraction(p, int(q))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {s!r}: {exc}") from None
+
+
+def fraction_point(obj):
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("a point must be a nonempty array of rationals")
+    return tuple(fraction_parse_rational(c) for c in obj)
+
+
+def fraction_atoms(atoms):
+    """DiscreteMeasure.from_atoms as it was, on Fractions: the masses of
+    the (point, mass) pairs summed by point, atoms of mixed dimension a
+    DimensionError, zero masses dropped and the atoms sorted by point.
+    Returns the atoms, which a measure's `atoms` must equal."""
+    acc = {}
+    for p, m in atoms:
+        p, m = as_point(p), as_fraction(m)
+        acc[p] = acc[p] + m if p in acc else m
+    if len({len(p) for p in acc}) > 1:
+        raise DimensionError("atoms of mixed dimension")
+    return tuple(sorted((p, m) for p, m in acc.items() if m != 0))
+
+
+def fraction_measure(obj):
+    """The measure reader's Fraction path, parse_rational per number, as
+    the atoms of `fraction_atoms`."""
+    records = serialize._records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
+                                 'each atom must be {"point": [...], "mass": "..."}')
+    return fraction_atoms([(fraction_point(p), fraction_parse_rational(m)) for p, m in records])
+
+
+def fraction_residual(g, atoms, delta):
+    """solver.residual as it was, keyed on the Fraction atoms of the target."""
+    S, D, _, _ = g.integer_form
+    den = factorial(delta.dim) * D ** delta.dim
+    want = {}
+    for p, m in atoms:
+        q = lcm(*(x.denominator for x in p))
+        want[_scaled(p, q), q] = p, m
+    out = []
+    for X, q, ring in g.subdivision[0]:
+        A = cell_sums([S[i] for i in ring])[0]
+        atom = want.pop((X, q), None)
+        if atom is None:
+            out.append((X, q, (_point(X, q), Fraction(A, den))))
+        else:
+            p, m = atom
+            out.append((X, q, (p, Fraction(A * m.denominator - m.numerator * den,
+                                            den * m.denominator))))
+    if want:
+        out += [(X, q, (p, -m)) for (X, q), (p, m) in want.items()]
+        out.sort(key=cmp_to_key(_vertex_order))
+    return tuple(entry for _, _, entry in out)
+
+
+def fraction_solve_toric(delta, nu):
+    """solver.solve_toric as it was, on the Fraction atoms of nu: its
+    checks on Fractions, the 1-D closed form on Fractions, the weights as
+    Fractions on the grid 2^-50, the snap by Fraction.limit_denominator,
+    the move back by dot(c, v_i - v_0), F_w from the Fraction weights and
+    the residual keyed on the Fraction atoms.  The float guide
+    (solver._newton, with its masses as float(m)) and the exact kernel
+    are shared with the integer path."""
+    if not delta.is_full_dimensional():
+        raise DegeneratePolytopeError("polytope must be full-dimensional")
+    atoms = list(nu.atoms)
+    if any(len(v) != delta.dim for v, _ in atoms):
+        raise DimensionError("target atoms and polytope differ in dimension")
+    if not atoms or not all(m > 0 for _, m in atoms):
+        raise AdmissibilityError("target measure must be positive and nonempty")
+    vol, total = delta.volume(), sum((m for _, m in atoms), Fraction(0))
+    if total != vol:
+        raise AdmissibilityError(f"target mass {total} != Vol(delta) = {vol}")
+
+    def solution(weights):
+        V, A = _integer_points([v for v, _ in atoms])
+        E = lcm(*(w.denominator for w in weights))
+        C = [-w.numerator * (E // w.denominator) for w in weights]
+        return dual_transform(PLConvexFunction._of_form((V, A, C, E)), delta)
+
+    if delta.dim == 1:
+        weights, cut = [Fraction(0)], delta.vertices[0][0] + atoms[0][1]
+        for (v1, _), (v2, m2) in zip(atoms, atoms[1:]):
+            weights.append(weights[-1] - cut * (v2[0] - v1[0]))
+            cut += m2
+        g = solution(weights)
+        res = fraction_residual(g, atoms, delta)
+        return SolveReport(g, res, res, 0, True)
+    c = solver._truncated_mean(*delta.integer_ring)
+    V, A = _integer_points([v for v, _ in atoms])
+    e = solver._truncated_mean(V, A)
+    if any(e):
+        V = [vsub(X, vscale(A, e)) for X in V]
+    try:
+        weights, it = solver._newton(delta.translate(vscale(-1, c)) if any(c) else delta,
+                                     V, A, [float(m) for _, m in atoms], vol)
+        wfrac = [Fraction(round((w - weights[0]) * 2**50), 2**50) for w in weights]
+    except ArithmeticError:
+        raise ConvergenceError("the float guide cannot represent this target") from None
+    snapped = [w.limit_denominator(solver.SNAP_DENOMINATOR) for w in wfrac]
+    if lcm(*(w.denominator for w in snapped)) > solver.SNAP_DENOMINATOR**2:
+        snapped = wfrac
+    if any(c):
+        back = [dot(c, vsub(v, atoms[0][0])) for v, _ in atoms]
+        wfrac = [w - b for w, b in zip(wfrac, back)]
+        snapped = [w - b for w, b in zip(snapped, back)]
+    g = solution(snapped)
+    polished = res = fraction_residual(g, atoms, delta)
+    if snapped != wfrac and any(r != 0 for _, r in polished):
+        g = solution(wfrac)
+        res = fraction_residual(g, atoms, delta)
+    converged = max(abs(e) for _, e in res) <= solver.TOLERANCE * vol
+    return SolveReport(g, res, polished, it, converged)

@@ -4,9 +4,14 @@ serialize._rational_pair into integers (every parse, parse_rational's
 included), the GraphPLFunction.build calls,
 the curves.solve_laplacian calls by kind, a float guide's form or an
 exact one, the 2-D walks of geometry._walk, the exact residuals of
-solver.residual and the float power-cell evaluations of
-solver._power_cells, one per Newton start and per trial step.
-tests/test_solve_counts.py pins them, and tests/ladder.py prints them."""
+solver.residual, the float power-cell evaluations of
+solver._power_cells, one per Newton start and per trial step, and the
+first builds of the Fraction pieces of a PLConvexFunction and of the
+Fraction atoms of a DiscreteMeasure, each built once per object from its
+integer form.  tests/test_solve_counts.py pins them, and tests/ladder.py
+prints them."""
+
+from functools import cached_property
 
 from plma import curves, geometry, serialize, solver
 
@@ -15,9 +20,9 @@ def count_calls(setattr):
     """Wrap the counted routines with `setattr`, pytest's
     monkeypatch.setattr, which puts them back after; return the dict of
     their calls from now on: "parse_rational", "pair", "build", "float",
-    "exact", "walk", "residual" and "cells"."""
-    calls = dict.fromkeys(
-        ("parse_rational", "pair", "build", "float", "exact", "walk", "residual", "cells"), 0)
+    "exact", "walk", "residual", "cells", "pieces" and "atoms"."""
+    calls = dict.fromkeys(("parse_rational", "pair", "build", "float", "exact", "walk",
+                           "residual", "cells", "pieces", "atoms"), 0)
     parse, pair = serialize.parse_rational, serialize._rational_pair
     build = curves.GraphPLFunction.build
     solve, walk, residual = curves.solve_laplacian, geometry._walk, solver.residual
@@ -58,4 +63,20 @@ def count_calls(setattr):
     setattr(geometry, "_walk", counted_walk)
     setattr(solver, "residual", counted_residual)
     setattr(solver, "_power_cells", power_cells)
+    for cls, name in ((geometry.PLConvexFunction, "pieces"), (geometry.DiscreteMeasure, "atoms")):
+        setattr(cls, name, _first_builds(cls, name, calls))
     return calls
+
+
+def _first_builds(cls, name, calls):
+    """The cached property `name` of cls, counting in calls[name] each
+    time it is built, once per object."""
+    build = cls.__dict__[name].func
+
+    def counted(self):
+        calls[name] += 1
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    return prop

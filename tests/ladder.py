@@ -1,13 +1,26 @@
 """The size ladders: the graph commands by graph size, the toric solve by
-the number of atoms.
+the number of atoms; and the stage split of a benchmark deck.
 
 Run from the repository root, with the plma to measure on the path:
 
     PYTHONPATH=src python tests/ladder.py [graph] [walk] [toric]
+    PYTHONPATH=src python tests/ladder.py split WORKLOAD
 
-Naming no set runs all three.  pytest does not collect this file.  Each rung's
-documents are written into a temporary directory, and each command runs
-through cli.run there.
+Naming no set runs all three ladders.  pytest does not collect this file.
+Each rung's documents are written into a temporary directory, and each
+command runs through cli.run there.
+
+The split: the ops of the first SPLIT_ROUNDS rounds of WORKLOAD's seed-1
+deck (bench/inputs.py make_deck: 60 toric-solve ops, 72 toric-forward, 80
+curve-potential or 78 curve-envelope) run through cli.run, SPLIT_PASSES
+passes in one process, each stage timed with time.perf_counter and only
+where no other stage is running: the readers (serialize.load_path and
+every serialize *_from_json), the float guide (solver._newton and every
+float curves.solve_laplacian), the exact stage (solver.dual_transform and
+solver.residual, and every exact curves.solve_laplacian), the writer
+(every serialize *_to_json) and argparse (cli's parse_args).  It prints
+the least time of each stage and of a whole pass over the passes, each
+stage's share of that pass, and the rest.
 
 The graph set: `envelope --graph` and `curve-solve` at v = 60 to 960, on
 BENCH_30.json's recipe, drawn with bench/inputs.py's generators (imported,
@@ -68,9 +81,11 @@ from pathlib import Path
 import pytest
 
 from counting import count_calls
-from plma import cli, solver
+from plma import cli, curves, serialize, solver
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPLIT_ROUNDS = {"toric-solve": 10, "toric-forward": 3, "curve-potential": 10, "curve-envelope": 13}
+SPLIT_PASSES = 15
 GRAPH_SIZES = (60, 120, 240, 480, 960)
 TORIC_SIZES = (25, 50, 100, 200)
 WALK_SIZES = (64, 256, 1024, 4096)
@@ -211,6 +226,68 @@ def ladder(label, sizes, documents, commands):
                   f"{points[0][0]}..{points[-1][0]}")
 
 
+def stage_timers(setattr, spent):
+    """Wrap the routines of each stage of the split with `setattr`, adding
+    their perf_counter seconds to spent[stage] where no stage is running."""
+    running = []
+
+    def timed(stage_of, fn):
+        def wrapper(*args, **kwargs):
+            if running:
+                return fn(*args, **kwargs)
+            running.append(stage_of(*args))
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[running.pop()] += time.perf_counter() - start
+        return wrapper
+
+    def stage(name):
+        return lambda *args: name
+
+    for name in dir(serialize):
+        if name == "load_path" or name.endswith(("_from_json", "_to_json")):
+            kind = "writer" if name.endswith("_to_json") else "readers"
+            setattr(serialize, name, timed(stage(kind), getattr(serialize, name)))
+    setattr(solver, "_newton", timed(stage("float guide"), solver._newton))
+    for name in ("dual_transform", "residual"):
+        setattr(solver, name, timed(stage("exact stage"), getattr(solver, name)))
+    setattr(curves, "solve_laplacian", timed(
+        lambda form, pinned: "float guide" if isinstance(form[0][0], float) else "exact stage",
+        curves.solve_laplacian))
+    setattr(cli._Parser, "parse_args", timed(stage("argparse"), cli._Parser.parse_args))
+
+
+def split(inputs, workload):
+    """Print the stage split of the seed-1 deck of workload, in process."""
+    deck = inputs.make_deck(workload, 1, SPLIT_ROUNDS[workload])
+    for name, text in deck.files.items():
+        Path(name).write_text(text)
+    argvs = [argv for tasks in deck.rounds for task in tasks for argv in task.argvs]
+    stages = ("readers", "float guide", "exact stage", "writer", "argparse")
+    best = dict.fromkeys((*stages, "pass"), math.inf)
+    with pytest.MonkeyPatch.context() as patch:
+        spent = dict.fromkeys(stages, 0.0)
+        stage_timers(patch.setattr, spent)
+        for _ in range(SPLIT_PASSES):
+            spent.update(dict.fromkeys(stages, 0.0))
+            start = time.perf_counter()
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.run(argv) not in (0, 3):
+                        raise RuntimeError(f"{argv[0]} failed")
+            best["pass"] = min(best["pass"], time.perf_counter() - start)
+            for name in stages:
+                best[name] = min(best[name], spent[name])
+    total = best.pop("pass")
+    best["rest"] = total - sum(best.values())
+    print(f"split {workload}: seed-1 deck, {SPLIT_ROUNDS[workload]} rounds, {len(argvs)} ops, "
+          f"least of {SPLIT_PASSES} passes: {total * 1e3:.2f} ms per pass")
+    for name, t in best.items():
+        print(f"  {name:<12} {t * 1e3:8.2f} ms {100 * t / total:6.1f} %")
+
+
 def main(sets):
     sys.path.insert(0, str(BENCH))
     inputs = importlib.import_module("inputs")
@@ -218,6 +295,8 @@ def main(sets):
     try:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
+            if sets[0] == "split":
+                split(inputs, sets[1])
             if "graph" in sets:
                 ladder("v", GRAPH_SIZES, lambda v: graph_documents(inputs, v),
                        ("envelope", "curve-solve"))

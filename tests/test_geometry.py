@@ -25,6 +25,7 @@ from plma.variational import envelope_toric
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    fraction_atoms,
     interval,
     random_admissible,
     random_min_of,
@@ -346,3 +347,43 @@ def test_discrete_measure_mass_at():
     mu = DiscreteMeasure.from_atoms([((Fraction(1, 2), 0), Fraction(2, 3)), ((1, 1), 1)])
     assert mu.mass_at(("1/2", 0)) == Fraction(2, 3) and mu.mass_at((1, 1)) == 1
     assert mu.mass_at((0, 0)) == 0
+
+
+def _random_atoms(rng, dim):
+    """Up to six atoms on a coarse grid, so that points repeat, spelled
+    with unreduced denominators, with zero and negative masses."""
+    return [(tuple(Fraction(rng.randint(-6, 6) * r, 2 * r) for _ in range(dim)),
+             Fraction(rng.randint(-3, 3), rng.choice((1, 2, 6))))
+            for r in [rng.randint(1, 3) for _ in range(rng.randint(0, 6))]]
+
+
+def test_measure_integer_form_against_fractions(rng):
+    # DiscreteMeasure is its canonical integer form: its atoms, scaling,
+    # sum, difference, total mass and positivity equal those of the
+    # Fraction measure that from_atoms built, and equal measures hold
+    # equal forms
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        a1, a2 = _random_atoms(rng, dim), _random_atoms(rng, dim)
+        mu, nu = DiscreteMeasure.from_atoms(a1), DiscreteMeasure.from_atoms(a2)
+        want = fraction_atoms(a1)
+        assert mu.atoms == want and mu.total_mass() == sum(m for _, m in want)
+        assert mu.is_positive() == all(m > 0 for _, m in want)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        assert mu.scale(c).atoms == fraction_atoms([(p, c * m) for p, m in a1])
+        assert (mu + nu).atoms == fraction_atoms(a1 + a2)
+        assert (mu - nu).atoms == fraction_atoms(a1 + [(p, -m) for p, m in a2])
+        again = DiscreteMeasure.from_atoms(reversed(mu.atoms))
+        assert again == mu and hash(again) == hash(mu) and again.integer_form == mu.integer_form
+    V, A, M, Dm = DiscreteMeasure.from_atoms([(("2/4", 1), "-2/6"), ((0, "1/3"), 1)]).integer_form
+    assert (V, A, M, Dm) == (((0, 2), (3, 6)), 6, (3, -1), 3)
+
+
+def test_measure_constructor_and_dimensions():
+    with pytest.raises(TypeError, match="integer form"):
+        DiscreteMeasure(((Fraction(1),), Fraction(1)))
+    for atoms in ([((1,), 1), ((1, 2), 0)], [((1,), 1), ((1, 2), 1)]):
+        with pytest.raises(DimensionError, match="atoms of mixed dimension"):
+            DiscreteMeasure.from_atoms(atoms)
+    with pytest.raises(DimensionError, match="atoms of mixed dimension"):
+        DiscreteMeasure.from_atoms([((1,), 1)]) + DiscreteMeasure.from_atoms([((1, 2), 1)])

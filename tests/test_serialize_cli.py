@@ -45,6 +45,9 @@ from cli_contract import (
 )
 from conftest import (
     arc_masses,
+    fraction_measure,
+    fraction_parse_rational,
+    fraction_point,
     hexagon,
     interval,
     random_admissible,
@@ -243,7 +246,9 @@ def test_measure_writer(rng):
                      for _ in range(natoms)]
             mu = DiscreteMeasure.from_atoms(atoms)
             assert serialize.measure_from_json(_parsed(serialize.measure_to_json(mu))) == mu
-    assert serialize.measure_to_json(DiscreteMeasure(())) == '{\n  "atoms": []\n}'
+    assert serialize.measure_to_json(DiscreteMeasure.from_atoms([])) == '{\n  "atoms": []\n}'
+    with pytest.raises(TypeError, match="integer form"):
+        DiscreteMeasure(())  # the atoms constructor is gone
 
 
 def test_toric_ma_result_writer(rng):
@@ -432,25 +437,6 @@ def test_graph_function_checks_against_fractions(rng):
     assert min(kinds.values()) > 50
 
 
-def fraction_parse_rational(s):
-    """serialize.parse_rational as it was when the toric readers built a
-    Fraction per number: the oracle of their integer parse."""
-    plain = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
-    if not plain:
-        raise SchemaError(f'bad rational {s!r}: expected a string "p/q" or "p"')
-    try:
-        p, q = int(plain[1]), plain[2]
-        return Fraction(p) if q is None else Fraction(p, int(q))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r}: {exc}") from None
-
-
-def fraction_point(obj):
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("a point must be a nonempty array of rationals")
-    return tuple(fraction_parse_rational(c) for c in obj)
-
-
 def fraction_pl_function(obj):
     """The toric function reader's Fraction path: a Fraction per number,
     AffineFunctionals and PLConvexFunction.from_pieces."""
@@ -468,14 +454,6 @@ def fraction_polytope(obj):
     if not serialize._has_array(obj, "vertices"):
         raise SchemaError('polytope must be {"vertices": [...]}')
     return Polytope.from_points([fraction_point(v) for v in obj["vertices"]])
-
-
-def fraction_measure(obj):
-    """The measure reader's Fraction path: parse_rational per number."""
-    records = serialize._records(obj, "atoms", ("point", "mass"), 'measure must be {"atoms": [...]}',
-                                 'each atom must be {"point": [...], "mass": "..."}')
-    return DiscreteMeasure.from_atoms([(fraction_point(p), fraction_parse_rational(m))
-                                       for p, m in records])
 
 
 def fraction_obstacle(obj):
@@ -640,9 +618,46 @@ def test_measure_reader_against_fractions(rng):
         if rng.random() < 0.05:
             measure = rng.choice(({"atoms": []}, {"atom": []}, [], {"atoms": "0"}))
         expected = _outcome(fraction_measure, measure)
-        assert _outcome(serialize.measure_from_json, measure) == expected
-        kinds[expected[0] if isinstance(expected, tuple) else "valid"] += 1
+        assert _outcome(lambda doc: serialize.measure_from_json(doc).atoms, measure) == expected
+        kinds[expected[0] if expected and isinstance(expected[0], str) else "valid"] += 1
     assert min(kinds.values()) > 5
+
+
+def _atom_doc(*atoms):
+    return {"atoms": [{"point": list(point), "mass": mass} for point, mass in atoms]}
+
+
+MEASURE_DOCUMENTS = {
+    "1/2 and 2/4 merge": _atom_doc((["1/2"], "1"), (["2/4"], "1/3"), (["3/6"], "-2/6")),
+    "masses summing to zero dropped": _atom_doc(
+        (["1", "2/4"], "1/2"), (["2/2", "1/2"], "-1/2"), (["0", "0"], "3")),
+    "every mass dropped": _atom_doc((["1/3"], "0"), (["1/3"], "0/5")),
+    "empty atoms": {"atoms": []},
+    "mixed dimensions": _atom_doc((["1/3"], "1"), (["1/3", "0"], "1")),
+    "mixed dimensions at a zero mass": _atom_doc((["1/3"], "0"), (["1/3", "0"], "1")),
+    "three coordinates": _atom_doc((["1", "2", "3/9"], "1"), (["1", "2", "1/3"], "1")),
+    "bad rational after mixed dimensions": _atom_doc((["1"], "1"), (["1", "2"], "1"), (["1"], "1/0")),
+    "empty point": _atom_doc(([], "1")),
+    "JSON number": _atom_doc((["1"], 1)),
+    "no mass": {"atoms": [{"point": ["1"]}]},
+    "no atoms": {"atom": []},
+    "not an object": [],
+}
+
+
+@pytest.mark.parametrize("name", list(MEASURE_DOCUMENTS))
+def test_measure_reader_pinned_against_fraction_path(name):
+    # the integer reader's atoms, or its error and message, are the
+    # Fraction path's: equal points spelled apart merge, a mass that sums
+    # to zero goes, every SchemaError comes before the check of mixed
+    # dimension, and a 3-D point is read (the solver refuses it)
+    doc = MEASURE_DOCUMENTS[name]
+    expected = _outcome(fraction_measure, doc)
+    assert _outcome(lambda d: serialize.measure_from_json(d).atoms, doc) == expected
+    if name == "1/2 and 2/4 merge":
+        assert serialize.measure_from_json(doc).integer_form == (((1,),), 2, (1,), 1)
+    if name in ("every mass dropped", "empty atoms"):
+        assert serialize.measure_from_json(doc).integer_form == ((), 1, (), 1)
 
 
 def test_polytope_roundtrip(rng):

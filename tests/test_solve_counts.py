@@ -83,7 +83,7 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
     assert calls == {"parse_rational": 3124, "pair": 3124, "build": 0, "float": 170,
-                     "exact": 78, "walk": 0, "residual": 0, "cells": 0}
+                     "exact": 78, "walk": 0, "residual": 0, "cells": 0, "pieces": 0, "atoms": 0}
 
 
 def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
@@ -104,11 +104,16 @@ def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
     # again).  Every snap of the corpus passes the gate and is recovered,
     # so each solve checks one residual.  The Newton guide of a 2-D solve
     # evaluates its float power cells once at its start and once per trial
-    # step: 290 evaluations for 225 Newton iterations, the 1-D solves none
+    # step: 290 evaluations for 225 Newton iterations, the 1-D solves none.
+    # Under --format json the solve runs from the reader to the writer on
+    # integer forms: no function builds its Fraction pieces and no measure
+    # its Fraction atoms (one of each per op when the reader, the scaling,
+    # the solver and the writer read them)
     outs = _run_corpus(inputs, tmp_path, monkeypatch,
                        lambda: calls.update(dict.fromkeys(calls, 0)), "toric-solve", 10, 60)
     iterations = sum(json.loads(out)["iterations"] for out in outs)
     assert (calls["walk"], calls["residual"], calls["cells"], iterations) == (50, 60, 290, 225)
+    assert (calls["pieces"], calls["atoms"]) == (0, 0)
 
 
 @pytest.mark.parametrize("nv", [60, 240])

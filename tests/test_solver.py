@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +35,13 @@ from plma.geometry import (
 )
 from plma.serialize import graph_function_to_json
 from plma.solver import (
+    SNAP_DENOMINATOR,
+    ConvergenceError,
+    SolveReport,
     _clip_polygon,
+    _limit_denominator,
     _power_cells,
+    _truncated_mean,
     _voronoi_weights,
     residual,
     solve_curve,
@@ -44,6 +51,7 @@ from plma.toric import AdmissibilityError, DegeneratePolytopeError, ma_measure, 
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    fraction_solve_toric,
     hexagon,
     interval,
     pinned_poisson,
@@ -556,3 +564,156 @@ def test_dominance_over_perturbations(rng):
     for _ in range(10):
         other = random_admissible(rng, delta)
         assert f_mu_toric(other, mu, g0, delta) <= best + slack
+
+
+# ---------------------------------------------------------------------------
+# the integer path against the Fraction oracle (tests/conftest.py)
+
+
+def _outcome(solve, delta, nu):
+    """The report, or the type and message of the error (a ValueError or
+    ConvergenceError)."""
+    try:
+        return solve(delta, nu)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _lifted(g, t):
+    """g with every slope moved by t: admissible for delta + t when g is
+    for delta."""
+    return PLConvexFunction.from_pieces([AffineFunctional(vadd(p.slope, t), p.intercept)
+                                         for p in g.pieces])
+
+
+def oracle_draws(rng):
+    """(kind, delta, nu) solve targets: 1-D targets; the MA measures of
+    random admissible functions, whose snap recovers the solution; the
+    same with delta moved (c != 0), the atoms moved (e != 0) or both, by
+    up to 10^20; generic targets, uniform masses on points of the 1/17
+    grid of the unit square, whose snap does not solve them, some moved;
+    and near-coincident targets, some of which end unconverged."""
+    draws = []
+    for _ in range(12):
+        a = rnd_frac(rng, 4, -3, 3)
+        b = a + Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        ws = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        draws.append(("1-D", interval(a, b), DiscreteMeasure.from_atoms(
+            [((rnd_frac(rng, 6, -4, 4),), (b - a) * w / sum(ws)) for w in ws])))
+    polygons = [unit_square(), simplex2(), hexagon(), rational_hexagon()]
+    for i in range(12):
+        delta = polygons[i % 4]
+        draws.append(("snapped", delta, ma_measure(random_admissible(rng, delta), delta).measure_NR))
+    for i in range(12):
+        delta, g = polygons[i % 4], random_admissible(rng, polygons[i % 4])
+        big = 10 ** rng.choice((1, 6, 20))
+        t = (rng.randint(-big, big), Fraction(rng.randint(-big, big), rng.randint(1, 9)))
+        if i % 3 != 1:
+            delta, g = delta.translate(t), _lifted(g, t)
+        if i % 3 != 0:
+            g = g.translate((rng.randint(-big, big), rng.randint(-big, big)))
+        draws.append(("moved", delta, ma_measure(g, delta).measure_NR))
+    grid = [(Fraction(i, 17), Fraction(j, 17)) for i in range(18) for j in range(18)]
+    for i in range(12):
+        k, delta = rng.randint(3, 8), unit_square()
+        points = rng.sample(grid, k)
+        if i % 3 == 2:
+            t = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            delta, points = delta.translate(t), [vadd(p, t) for p in points]
+        draws.append(("generic", delta, DiscreteMeasure.from_atoms([(p, Fraction(1, k)) for p in points])))
+    for e in (4, 8, 12, 14):
+        draws.append(("near-coincident", unit_square(), near_coincident_target(rng, e)))
+    return draws
+
+
+def test_integer_solve_equals_fraction_oracle():
+    # field for field, SolveReport included: the solution, both residuals,
+    # the iterations and converged, or the same error; the draws reach the
+    # 1-D closed form, recovered snaps, the grid kept when the snap fails,
+    # a guide moved by c != 0 and by e != 0, and unconverged solves
+    seen = set()
+    for kind, delta, nu in oracle_draws(random.Random(48)):
+        got = _outcome(solve_toric, delta, nu)
+        assert got == _outcome(fraction_solve_toric, delta, nu), kind
+        seen.add(kind)
+        if isinstance(got, SolveReport):
+            recovered = all(e == 0 for _, e in got.polished_residual)
+            seen.add("recovered" if recovered else "grid")
+            seen.add("converged" if got.converged else "unconverged")
+            if delta.dim == 2:
+                seen.update(name for name, moved in (("c", delta.integer_ring), ("e", nu.integer_form[:2]))
+                            if any(_truncated_mean(*moved)))
+    assert seen == {"1-D", "snapped", "moved", "generic", "near-coincident", "recovered", "grid",
+                    "converged", "unconverged", "c", "e"}
+
+
+def test_integer_solve_equals_fraction_oracle_on_the_decks(monkeypatch):
+    # every toric-solve target of the benchmark's seed 1-3 decks, 3 rounds
+    # each, in the solver's real scale
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs = importlib.import_module("inputs")
+    count = 0
+    for seed in (1, 2, 3):
+        for tasks in inputs.make_deck("toric-solve", seed, 3).rounds:
+            for task in tasks:
+                delta = Polytope.from_points(task.data["verts"])
+                nu = DiscreteMeasure.from_atoms(task.data["target"]).scale(
+                    Fraction(1, math.factorial(delta.dim)))
+                assert solve_toric(delta, nu) == fraction_solve_toric(delta, nu)
+                count += 1
+    assert count == 54
+
+
+ORACLE_INPUT_ERRORS = [
+    (Polytope.from_points([(0, 0), (2, 1)]), [((0, 0), 1)]),
+    (interval(), [((0, 0), 1)]),
+    (unit_square(), []),
+    (interval(), [((0,), 2), ((1,), -1)]),
+    (interval(), [((0,), Fraction(1, 2))]),
+    (unit_square(), [((0, 0), Fraction(1, 3)), ((1, 1), Fraction(1, 3))]),
+]
+
+
+@pytest.mark.parametrize("delta, atoms", ORACLE_INPUT_ERRORS,
+                         ids=["degenerate", "dimension", "empty", "negative", "mass", "mass-2d"])
+def test_integer_solve_errors_equal_fraction_oracle(delta, atoms):
+    nu = DiscreteMeasure.from_atoms(atoms)
+    got = _outcome(solve_toric, delta, nu)
+    assert isinstance(got, tuple) and got == _outcome(fraction_solve_toric, delta, nu)
+
+
+def snap_draws(rng):
+    """(n, d, N) for the snap: the weights on the grid 2^-50 at
+    SNAP_DENOMINATOR, unreduced; fractions whose least denominator is at or
+    below N; the N = 1 midpoints (2j + 1) / 2, which tie; midpoints of two
+    fractions of small denominators, some of which tie; and wide random
+    numerators and denominators, both signs throughout."""
+    for _ in range(5000):
+        yield rng.randint(-2**62, 2**62), 2**50, SNAP_DENOMINATOR
+    for _ in range(4000):
+        N = rng.choice((1, 2, 7, 1000, SNAP_DENOMINATOR))
+        q, r = rng.randint(1, N), rng.randint(1, 10**4)
+        yield rng.randint(-10**12, 10**12) * r, q * r, N
+    for _ in range(3000):
+        r = rng.randint(1, 10**6)
+        yield (2 * rng.randint(-10**9, 10**9) + 1) * r, 2 * r, 1
+    for _ in range(4000):
+        N = rng.choice((1, 2, 3, 5, 10, 100))
+        b, d = rng.randint(1, N), rng.randint(1, N)
+        a, c = rng.randint(-10 * b, 10 * b), rng.randint(-10 * d, 10 * d)
+        yield a * d + c * b, 2 * b * d, N
+    for _ in range(4000):
+        yield (rng.randint(-10**20, 10**20), rng.randint(1, 10**20),
+               rng.choice((1, 2, 10, SNAP_DENOMINATOR, rng.randint(1, 10**9))))
+
+
+def test_integer_snap_is_limit_denominator():
+    # 20 000 draws: the integer snap returns what Fraction.limit_denominator
+    # returns on this interpreter (Python 3.10 and 3.11 compare Fractions
+    # to break the choice, 3.12 on compare integers)
+    count = 0
+    for n, d, N in snap_draws(random.Random(48)):
+        f = Fraction(n, d).limit_denominator(N)
+        assert _limit_denominator(n, d, N) == (f.numerator, f.denominator), (n, d, N)
+        count += 1
+    assert count == 20000

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from plma import cli, curves, serialize, solver, variational
+from plma import cli, curves, serialize, variational
 from plma.curves import (
     GraphMeasure,
     GraphPLFunction,
@@ -1328,7 +1328,7 @@ def test_toric_interval_is_curve_with_omega0_at_the_origin():
         assert gaps(lambda t: env((t,)), curve_env, [v[0] for v in breakpoints(env)]) == {0}
         assert orthogonality_defect_toric(psi, delta) == 0
         assert orthogonality_defect_curve(obstacle, graph, omega0) == 0
-        solution = solver._solution_from_weights(delta, list(nu.atoms), solver.solve_1d_exact(delta, nu))
+        solution = solve_toric(delta, nu).solution  # the 1-D closed form
         potential = solve_curve(
             graph, GraphMeasure.from_atoms(graph, [(key(p[0]), m) for p, m in nu.atoms]), omega0)
         assert len(gaps(lambda t: solution((t,)), potential, [p[0] for p, _ in nu.atoms])) == 1
