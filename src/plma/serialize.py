@@ -289,10 +289,13 @@ def _residual(entries):
 
 
 def solve_report_to_json(report) -> str:
+    # one residual twice, unless a snap was checked and failed
+    residual = _residual(report.residual)
     return json_object({
         "solution": pl_function_to_json(report.solution),
-        "residual": _residual(report.residual),
-        "polished_residual": _residual(report.polished_residual),
+        "residual": residual,
+        "polished_residual": (residual if report.polished_residual is report.residual
+                              else _residual(report.polished_residual)),
         "iterations": "%d" % report.iterations,
         "converged": "true" if report.converged else "false",
     })

@@ -44,7 +44,12 @@ edge keeps the label of the neighbour whose halfplane cut it, so the Newton
 matrix d vol_i / d w_j = -|facet ij| / |v_i - v_j| is read off the labelled
 edges in the same pass that sums the cell volumes (_power_cells): each
 trial step yields its volumes and, if accepted, the next Newton matrix.
-It is the weighted Laplacian of the cell adjacency graph, so with w_0
+Only the cells 0..k-2 are clipped, with (k-1)^2 halfplane cuts in all:
+the last cell's volume is Vol(delta) minus the others, and its facets are
+the edges labelled k-1 of the other cells, each read once, where a facet
+between two clipped cells gives half its weight from either side.  A clip
+runs its dedup pass only when a cut repeats a neighbouring point.  The
+matrix is the weighted Laplacian of the cell adjacency graph, so with w_0
 pinned each Newton step is one sparse Laplacian solve in floats,
 curves.solve_laplacian on the float form (negated residuals, 1, edges,
 1) pinned at {0}: the atoms are its nodes 0..k-1.  It is the same
@@ -159,10 +164,14 @@ def _clip_polygon(cell, a, b, j):
     """Intersect a labelled CCW polygon with the halfplane a . u >= b.
 
     A cell is a list of (p, label) pairs, the label naming the edge from p to
-    the next point.  Kept edges keep their label; the new edge on the line
-    a . u = b gets the label j.
+    the next point, and no point equals the next one, cyclically.  Kept
+    edges keep their label; the new edge on the line a . u = b gets the
+    label j.  Points kept next to each other were next to each other in
+    the cell, so only a cut can repeat a point: the one before it, the end
+    q of its edge, or, across the wrap, the first.  Only then does the
+    dedup pass run.
     """
-    out = []
+    out, repeated = [], False
     for (p, lab), (q, _) in zip(cell, cell[1:] + cell[:1]):
         fp = a[0] * p[0] + a[1] * p[1] - b
         fq = a[0] * q[0] + a[1] * q[1] - b
@@ -171,7 +180,10 @@ def _clip_polygon(cell, a, b, j):
         if fp >= 0 > fq or fp < 0 < fq:
             t = fp / (fp - fq)
             cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            repeated = repeated or cut == q or bool(out) and cut == out[-1][0]
             out.append((cut, j if fq < 0 else lab))
+    if not (repeated or out and out[0][0] == out[-1][0]):
+        return out if len(out) >= 3 else []
     # a repeated point starts a zero-length edge: keep the label of the edge
     # that leaves it
     dedup = []
@@ -185,10 +197,11 @@ def _clip_polygon(cell, a, b, j):
     return dedup if len(dedup) >= 3 else []
 
 
-def _power_cells(ring, atoms, weights):
-    """Power cells of the weighted atoms in the CCW polygon ring: their
-    volumes, and the Newton matrix d vol_i / d w_j as edges (i, j, c / 2)
-    of a Laplacian, from one pass over each cell's edges.
+def _power_cells(ring, atoms, weights, vol):
+    """Power cells of the weighted atoms in the CCW polygon ring of volume
+    vol: their volumes, and the Newton matrix d vol_i / d w_j as edges
+    (i, j, c) of a Laplacian, from one pass over the edges of the cells
+    0 .. k - 2.
 
     Cell i is the ring clipped by <u, v_i - v_j> >= w_j - w_i for every other
     atom j; each edge is labelled by the j whose line carries it, or None on
@@ -196,15 +209,19 @@ def _power_cells(ring, atoms, weights):
     p -> q of cell i labelled j lies on a line perpendicular to
     a = v_i - v_j, so c = |q - p| / |a| = |cross(q - p, a)| / |a|^2 is
     -d vol_i / d w_j (Kitagawa, Merigot and Thibert), and the diagonal makes
-    each row sum to zero.  Each labelled half-edge gives half its c to the
-    undirected pair, so the Laplacian of these edges is (H + H^T) / 2, which
-    is H when the cells are exact.  Float clipping can leave cell i a sliver
+    each row sum to zero.  The last cell is the complement: it is not
+    clipped, its volume is vol minus the others (in floats, an empty one
+    is 0 up to rounding), and its facets are read from the other side, each
+    edge labelled k - 1 giving its whole c to the pair.  Every other
+    labelled half-edge gives half its c, so the Laplacian of these edges is
+    (H + H^T) / 2 off the last row and column and H on them, which is H
+    when the cells are exact.  Float clipping can leave cell i a sliver
     edge labelled j while cell j has none labelled i; the halves keep the
     system symmetric all the same.  Arithmetic follows the input types:
     rational in, rational out.
     """
-    vols, edges = [], []
-    for i, (vi, _) in enumerate(atoms):
+    vols, edges, last = [], [], len(atoms) - 1
+    for i, (vi, _) in enumerate(atoms[:last]):
         cell = [(p, None) for p in ring]
         for j, (vj, _) in enumerate(atoms):
             if j != i and cell:
@@ -217,8 +234,9 @@ def _power_cells(ring, atoms, weights):
             if j is not None:
                 a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
                 c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
-                edges.append((i, j, c / 2))
+                edges.append((i, j, c if j == last else c / 2))
         vols.append(area / 2 if cell else 0)
+    vols.append(vol - sum(vols))
     return vols, edges
 
 
@@ -325,12 +343,13 @@ def _newton(delta, V, A, target, vol):
     start has weights ends it at the last accepted weights; one before
     raises."""
     fatoms = [(tuple(x / A for x in X), m) for X, m in zip(V, target)]
-    tol_abs = float(TOLERANCE) * float(vol)
+    vol = float(vol)
+    tol_abs = float(TOLERANCE) * vol
     R, Q = delta.integer_ring
     ring = [tuple(x / Q for x in P) for P in R]
     weights, it = _voronoi_weights(delta, V, A), 0
     try:
-        vols, edges = _power_cells(ring, fatoms, weights)
+        vols, edges = _power_cells(ring, fatoms, weights, vol)
         r = [t - v for t, v in zip(target, vols)]
         # Kitagawa-Merigot-Thibert: keep every cell at least this large.
         eps0 = 0.5 * min(min(target), min(vols))
@@ -346,7 +365,7 @@ def _newton(delta, V, A, target, vol):
             alpha, norm = 1.0, math.hypot(*r)
             while alpha >= MIN_STEP:
                 trial = [w + alpha * s for w, s in zip(weights, step)]
-                tvols, tedges = _power_cells(ring, fatoms, trial)
+                tvols, tedges = _power_cells(ring, fatoms, trial, vol)
                 tr = [t - v for t, v in zip(target, tvols)]
                 if min(tvols) >= eps0 and math.hypot(*tr) <= (1 - alpha / 2) * norm:
                     break

@@ -609,3 +609,48 @@ def fraction_solve_toric(delta, nu):
         res = fraction_residual(g, atoms, delta)
     converged = max(abs(e) for _, e in res) <= solver.TOLERANCE * vol
     return SolveReport(g, res, polished, it, converged)
+
+
+def clip_polygon_oracle(cell, a, b, j):
+    """solver._clip_polygon as it was: the same cut, then the dedup pass on
+    every clip."""
+    out = []
+    for (p, lab), (q, _) in zip(cell, cell[1:] + cell[:1]):
+        fp = a[0] * p[0] + a[1] * p[1] - b
+        fq = a[0] * q[0] + a[1] * q[1] - b
+        if fp >= 0:
+            out.append((p, lab))
+        if fp >= 0 > fq or fp < 0 < fq:
+            t = fp / (fp - fq)
+            cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            out.append((cut, j if fq < 0 else lab))
+    dedup = []
+    for p, lab in out:
+        if dedup and p == dedup[-1][0]:
+            dedup[-1] = (p, lab)
+        else:
+            dedup.append((p, lab))
+    if len(dedup) >= 2 and dedup[0][0] == dedup[-1][0]:
+        dedup.pop()
+    return dedup if len(dedup) >= 3 else []
+
+
+def power_cells_oracle(ring, atoms, weights):
+    """solver._power_cells as it was: all k cells clipped against the k - 1
+    other atoms, each labelled edge giving half its c to its pair."""
+    vols, edges = [], []
+    for i, (vi, _) in enumerate(atoms):
+        cell = [(p, None) for p in ring]
+        for j, (vj, _) in enumerate(atoms):
+            if j != i and cell:
+                cell = clip_polygon_oracle(
+                    cell, (vi[0] - vj[0], vi[1] - vj[1]), weights[j] - weights[i], j)
+        area = 0
+        for (p, j), (q, _) in zip(cell, cell[1:] + cell[:1]):
+            area += p[0] * q[1] - p[1] * q[0]
+            if j is not None:
+                a0, a1 = vi[0] - atoms[j][0][0], vi[1] - atoms[j][0][1]
+                c = abs((q[0] - p[0]) * a1 - (q[1] - p[1]) * a0) / (a0 * a0 + a1 * a1)
+                edges.append((i, j, c / 2))
+        vols.append(area / 2 if cell else 0)
+    return vols, edges

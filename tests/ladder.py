@@ -52,8 +52,9 @@ least of REPEATS runs) of each command and, for one run of each, the
 counts of counting.py, as tests/test_solve_counts.py counts them: the
 calls of serialize.parse_rational, of GraphPLFunction.build, of
 curves.solve_laplacian by kind (float guide or exact), of geometry._walk,
-of solver.residual and of solver._power_cells, the Newton guide's float
-cell evaluations.  A toric rung also prints its Newton iterations,
+of solver.residual, of solver._power_cells, the Newton guide's float
+cell evaluations, and of solver._clip_polygon, their halfplane clips.  A
+toric rung also prints its Newton iterations,
 whether the solve converged, whether its snap was checked (two residuals,
 or a recovered snap) and the CPU seconds of its exact stage, the calls of
 dual_transform and residual that solve_toric makes.  Last comes the

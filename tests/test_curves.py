@@ -800,7 +800,7 @@ def toric_newton_systems(rng, count):
         atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
         atoms = list(dict(atoms).items())
         weights = [-dot(v, v) / 8 + Fraction(rng.randint(-99, 99), 10**4) for v, _ in atoms]
-        vols, edges = _power_cells(hexagon().ring(), atoms, weights)
+        vols, edges = _power_cells(hexagon().ring(), atoms, weights, hexagon().volume())
         assert all(v > 0 for v in vols)
         yield len(atoms), edges
 

@@ -1169,6 +1169,42 @@ def test_cli_main_in_a_subprocess(case, tmp_path, capsys, monkeypatch):
     assert (proc.returncode, proc.stdout.decode("ascii"), proc.stderr.decode("ascii")) == expected
 
 
+def full_parser_run(argv):
+    """cli.run as it was: every argv through the full parser."""
+    try:
+        args = cli._parser().parse_args(argv)
+        return args.fn(args)
+    except (argparse.ArgumentError, ValueError, ConvergenceError) as exc:
+        usage = isinstance(exc, argparse.ArgumentError)
+        cli._error("usage" if usage else type(exc).__name__, str(exc))
+        return 3 if isinstance(exc, ConvergenceError) else 2
+
+
+def test_cli_command_subparser_equals_the_full_parser(tmp_path, capsys, monkeypatch):
+    # run hands the rest of an argv that starts with a command to that
+    # command's subparser: every usage error of the contract, every row
+    # with an unknown flag after it and every -h print and exit as they do
+    # through the full parser, which still takes no argv, -h and a bogus
+    # command
+    monkeypatch.chdir(tmp_path)
+    commands = cli._parser().commands
+    argvs = [row.argv for row in ROWS.values() if row.error and row.error[0] == "usage"]
+    argvs += [[*row.argv, "--no-such-flag"] for row in ROWS.values()]
+    argvs += [[command, "-h"] for command in commands] + [["-h"]]
+    capsys.readouterr()
+    for argv in map(_write_documents, argvs):
+        outcomes = []
+        for run in (cli.run, full_parser_run):
+            try:
+                code = run(argv)
+            except SystemExit as exit:
+                code = exit.code
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (0, 2)
+    assert sum(bool(argv) and argv[0] in commands for argv in argvs) > 200
+
+
 def test_cli_curve_commands_at_960_vertices(tmp_path, monkeypatch):
     # the one run past the benchmark's 40 vertices: a graph, omega0, mu and
     # a dented obstacle drawn by the generators of bench/inputs.py, then

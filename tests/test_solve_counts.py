@@ -7,10 +7,11 @@ curve-envelope corpus and on the graph ladder of BENCH_30.json, and the
 rational strings the curve readers parse and the GraphPLFunction.build
 calls they make on that corpus, with the counters of counting.py, and
 pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
-of geometry._walk, the exact residuals of solver.residual and the float
+of geometry._walk, the exact residuals of solver.residual, the float
 power-cell evaluations of solver._power_cells with the Newton iterations
-they serve; on its toric-forward corpus the walks and the rational
-strings the toric readers parse; and on criterion 5's instances the node
+they serve, and their halfplane clips, the calls of solver._clip_polygon;
+on its toric-forward corpus the walks and the rational strings the toric
+readers parse; and on criterion 5's instances the node
 problems and exact solves of variational.energy_of_envelope_derivative.
 A change that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.  So is bench/tracing.py, whose
@@ -83,7 +84,8 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
     assert calls == {"parse_rational": 3124, "pair": 3124, "build": 0, "float": 170,
-                     "exact": 78, "walk": 0, "residual": 0, "cells": 0, "pieces": 0, "atoms": 0}
+                     "exact": 78, "walk": 0, "residual": 0, "cells": 0, "clips": 0,
+                     "pieces": 0, "atoms": 0}
 
 
 def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
@@ -105,6 +107,8 @@ def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
     # so each solve checks one residual.  The Newton guide of a 2-D solve
     # evaluates its float power cells once at its start and once per trial
     # step: 290 evaluations for 225 Newton iterations, the 1-D solves none.
+    # An evaluation clips only the cells 0..k-2, the last being their
+    # complement: 2 352 clips (3 171 when it clipped all k cells).
     # Under --format json the solve runs from the reader to the writer on
     # integer forms: no function builds its Fraction pieces and no measure
     # its Fraction atoms (one of each per op when the reader, the scaling,
@@ -113,6 +117,7 @@ def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
                        lambda: calls.update(dict.fromkeys(calls, 0)), "toric-solve", 10, 60)
     iterations = sum(json.loads(out)["iterations"] for out in outs)
     assert (calls["walk"], calls["residual"], calls["cells"], iterations) == (50, 60, 290, 225)
+    assert calls["clips"] == 2352
     assert (calls["pieces"], calls["atoms"]) == (0, 0)
 
 

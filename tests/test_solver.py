@@ -51,10 +51,12 @@ from plma.toric import AdmissibilityError, DegeneratePolytopeError, ma_measure, 
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
+    clip_polygon_oracle,
     fraction_solve_toric,
     hexagon,
     interval,
     pinned_poisson,
+    power_cells_oracle,
     random_admissible,
     random_graph,
     random_positive_measure,
@@ -177,11 +179,15 @@ def test_cells_partition_exactly(rng):
     atoms = [((rnd_frac(rng), rnd_frac(rng)), Fraction(1)) for _ in range(5)]
     atoms = list(dict(atoms).items())
     weights = [rnd_frac(rng) for _ in atoms]
-    vols, _ = _power_cells(delta.ring(), atoms, weights)
+    vols, _ = _power_cells(delta.ring(), atoms, weights, delta.volume())
     assert sum(vols) == delta.volume()
+    # the last cell is the complement there: the k clipped cells of the
+    # oracle tile delta too
+    assert sum(power_cells_oracle(delta.ring(), atoms, weights)[0]) == delta.volume()
     # a cell clipped away has volume 0, not 0.0, so the sum stays exact
     corners = [((Fraction(0), Fraction(0)), Fraction(1)), ((Fraction(1), Fraction(1)), Fraction(1))]
-    vols, edges = _power_cells(unit_square().ring(), corners, [Fraction(0), Fraction(-10)])
+    vols, edges = _power_cells(unit_square().ring(), corners, [Fraction(0), Fraction(-10)],
+                               unit_square().volume())
     assert vols == [1, 0] and edges == []
     assert isinstance(sum(vols), Fraction)
 
@@ -253,7 +259,7 @@ def test_newton_matrix_is_the_volume_derivative(rng):
     den = 10**6 + 3
     weights = [-dot(v, v) / 8 + Fraction(rng.randint(-den, den), 100 * den) for v, _ in atoms]
     ring = delta.ring()
-    vols, edges = _power_cells(ring, atoms, weights)
+    vols, edges = _power_cells(ring, atoms, weights, delta.volume())
     assert all(v > 0 for v in vols)
     k = len(atoms)
     H = newton_matrix(edges, k)
@@ -261,8 +267,8 @@ def test_newton_matrix_is_the_volume_derivative(rng):
     for j in range(k):
         up = [w + h * (i == j) for i, w in enumerate(weights)]
         down = [w - h * (i == j) for i, w in enumerate(weights)]
-        vup, _ = _power_cells(ring, atoms, up)
-        vdown, _ = _power_cells(ring, atoms, down)
+        vup, _ = _power_cells(ring, atoms, up, delta.volume())
+        vdown, _ = _power_cells(ring, atoms, down, delta.volume())
         for i in range(k):
             assert H[i][j] == (vup[i] - vdown[i]) / (2 * h)
     assert all(H[i][j] == H[j][i] for i in range(k) for j in range(k))
@@ -274,7 +280,7 @@ def test_newton_matrix_cut_through_vertices():
     # there, of length sqrt 2 at distance sqrt 2 between the atoms
     atoms = [((Fraction(0), Fraction(0)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1, 2))]
     ring = unit_square().ring()
-    vols, edges = _power_cells(ring, atoms, [Fraction(0), Fraction(-1)])
+    vols, edges = _power_cells(ring, atoms, [Fraction(0), Fraction(-1)], unit_square().volume())
     assert vols == [Fraction(1, 2), Fraction(1, 2)]
     assert newton_matrix(edges, 2) == [[1, -1], [-1, 1]]
     # each cell is a triangle: the cut's points at the two vertices it
@@ -286,6 +292,94 @@ def test_newton_matrix_cut_through_vertices():
     assert [len(c) for c in (below, above)] == [3, 3]
     assert [lab for _, lab in below].count(1) == 1
     assert [lab for _, lab in above].count(0) == 1
+
+
+def test_clip_polygon_dedups_where_the_oracle_does():
+    # float clips of convex cells by lines through one of their vertices,
+    # moved by up to 3 ulps: a cut that rounds onto the point before it,
+    # onto the end of its edge or, across the wrap, onto the first point
+    # is deduped as the oracle, which dedups every clip, dedups it
+    rng = random.Random("near a vertex")
+    for _ in range(4000):
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.choice([3, 4, 5])))
+        r, c = rng.choice([1, 1e3, 1e-3]), (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        cell = [((c[0] + r * math.cos(t), c[1] + r * math.sin(t)), None) for t in angles]
+        (q, _), a = rng.choice(cell), (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        b = a[0] * q[0] + a[1] * q[1]
+        for _ in range(rng.randint(0, 3)):
+            b = math.nextafter(b, rng.choice([-math.inf, math.inf]))
+        assert _clip_polygon(cell, a, b, 0) == clip_polygon_oracle(cell, a, b, 0)
+
+
+def pair_weights(edges):
+    """The Newton weight of each pair {i, j}: the sum of the c of its edges."""
+    out = {}
+    for i, j, c in edges:
+        out[min(i, j), max(i, j)] = out.get((min(i, j), max(i, j)), 0) + c
+    return out
+
+
+def test_power_cells_equal_the_k_cell_oracle(monkeypatch):
+    # the complement cell and its one-sided weights against the k clipped
+    # cells and their halves: equal on Fractions and within 1e-12 of the
+    # volume and of the largest weight on floats; every clip equals the
+    # oracle's, which dedups on every clip, point for point and label for
+    # label, also when a cut passes through a vertex
+    clips = through = 0
+
+    def both(cell, a, b, j):
+        nonlocal clips, through
+        got = clip(cell, a, b, j)
+        assert got == clip_polygon_oracle(cell, a, b, j)
+        clips += 1
+        through += any(a[0] * p[0] + a[1] * p[1] == b for p, _ in cell)
+        return got
+
+    clip = solver._clip_polygon
+    monkeypatch.setattr(solver, "_clip_polygon", both)
+    rng = random.Random("complement")
+    deltas = (unit_square(), simplex2(), hexagon())
+    most = empty = 0
+    for n in range(84):
+        delta, k, generic = deltas[n % 3], 2 + n % 7, n < 56
+        ring, vol = delta.ring(), delta.volume()
+        if generic:
+            # near the Voronoi start, in general position
+            den = 10**6 + 3
+            points = sorted({(rnd_frac(rng, den), rnd_frac(rng, den)) for _ in range(k)})
+            weights = [Fraction(w) for w in _voronoi_weights(delta, *_integer_points(points))]
+        else:
+            # half-integer atoms and weights: the bisectors pass through
+            # the vertices of the polygons
+            points = sorted({(rnd_frac(rng, 2), rnd_frac(rng, 2)) for _ in range(k)})
+            weights = [rnd_frac(rng, 2, -1, 1) for _ in points]
+        atoms = [(v, Fraction(1)) for v in points]
+        most += (len(atoms) - 1) ** 2
+        for kind in (Fraction, float):
+            args = ([tuple(map(kind, p)) for p in ring],
+                    [(tuple(map(kind, v)), kind(m)) for v, m in atoms], list(map(kind, weights)))
+            vols, edges = _power_cells(*args, kind(vol))
+            want_vols, want_edges = power_cells_oracle(*args)
+            got, want = pair_weights(edges), pair_weights(want_edges)
+            # where the bisectors of collinear atoms coincide, a facet keeps
+            # the label of its first clip, so next to an empty cell the
+            # pairs may differ; _newton accepts no empty cell (eps0 > 0)
+            full = min(want_vols) > 0
+            empty += kind is Fraction and not full
+            if kind is Fraction:
+                assert vols == want_vols and (got == want or not full)
+            else:
+                scale = max(want.values(), default=0)
+                assert all(abs(x - y) <= 1e-12 * vol for x, y in zip(vols, want_vols))
+                assert not full or all(abs(got.get(e, 0) - want.get(e, 0)) <= 1e-12 * scale
+                                       for e in got.keys() | want.keys())
+    # each evaluation, on Fractions and on floats, clips at most (k - 1)^2
+    # times, and many clips cut through a vertex of their cell, where the
+    # dedup pass runs; only half-integer draws, and not all of them, have
+    # an empty cell
+    assert clips <= 2 * most
+    assert through > 50
+    assert 0 < empty < 28
 
 
 def test_hexagon_target_with_noisy_facet():
