@@ -21,6 +21,7 @@ from .toric import (
     ma_measure,
     mixed_ma,
     point_mass_solution,
+    real_measure,
 )
 from .curves import (
     GraphError,

@@ -65,7 +65,7 @@ holds its points V_i / A and its masses M_i / Dm over their least common
 denominators, the points sorted and distinct and no mass zero
 (`DiscreteMeasure.integer_form`).  `DiscreteMeasure._of_form` is its one
 builder, which sums by point, sorts and reduces, for `from_atoms`, the
-reader of serialize, `toric.ma_measure`, the scaling and the sum alike;
+reader of serialize, `toric.real_measure`, the scaling and the sum alike;
 the total mass and the positivity test read the integers, and the
 `Fraction` atoms are built on first read.  curves.GraphMeasure, whose
 locations are graph keys, keeps its Fraction atoms.
@@ -382,6 +382,9 @@ class AffineFunctional:
         return AffineFunctional(as_point(slope), as_fraction(intercept))
 
     def value(self, v) -> Fraction:
+        """u . v - intercept; DimensionError for v of another dimension."""
+        if len(v) != len(self.slope):
+            raise DimensionError("argument dimension mismatch")
         return dot(self.slope, v) - self.intercept
 
 
@@ -736,7 +739,7 @@ class DiscreteMeasure:
     (gcd(A, V) = gcd(Dm, M) = 1); the empty measure is ((), 1, (), 1).
     Equal measures hold equal forms, so equality, hashing and repr are the
     form's.  `_of_form` is the one builder, for `from_atoms`, the reader of
-    serialize, `ma_measure`, the scaling and the sum alike, and the
+    serialize, `toric.real_measure`, the scaling and the sum alike, and the
     constructor is its private step: it refuses anything but a (V, A, M,
     Dm) tuple with integer A and Dm.  The `Fraction` atoms, sorted by
     point, are built on first read, which in practice means by library

@@ -92,8 +92,9 @@ integers, from the exact power diagram of F_w in the polytope: the
 Legendre transform `dual_transform` finds the corners of every cell, and
 the solution g = F_w* it returns carries them, as its integer slopes and
 the cells of its subdivision, so the residual reads the cell volumes off
-them without walking g (`residual`).  In one dimension the cells are
-consecutive intervals and the weights have a closed form.
+them without walking g: it is `toric.real_measure(g)`, the one measure
+that `ma_measure` returns too, less nu (`residual`).  In one dimension
+the cells are consecutive intervals and the weights have a closed form.
 
 The solve runs on the target's integer form (geometry.DiscreteMeasure:
 its atoms V_i / A and masses M_i / Dm, sorted and distinct), from the
@@ -101,9 +102,9 @@ checks to the residual: the guide's atoms are V / A and its masses the
 float quotients M_i / Dm, a weight vector is integer numerators over one
 denominator (the grid, the snap, the 1-D closed form and the move back by
 <c, V_i - V_0> / A alike), F_w is the integer form (V, A, -W, E), and the
-residual matches the cells with the atoms on their integer points.  The
-only Fractions it builds are the residual's entries, the points and
-errors that the report carries.
+residual merges the integer forms of MA(g) and nu over common
+denominators.  The only Fractions it builds are the residual's entries,
+the points and errors that the report carries.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from . import curves
 from .curves import ConvergenceError
@@ -122,14 +122,12 @@ from .geometry import (
     Polytope,
     _idot,
     _point,
-    _vertex_order,
-    cell_sums,
     dual_transform,
     vscale,
     vsub,
     without_digit_limit,
 )
-from .toric import AdmissibilityError, DegeneratePolytopeError
+from .toric import AdmissibilityError, DegeneratePolytopeError, real_measure
 
 
 # Newton stops once every float cell volume is within TOLERANCE * Vol(delta)
@@ -251,35 +249,22 @@ def _solution_from_weights(delta, V, A, W, E):
     return dual_transform(PLConvexFunction._of_form((V, A, [-w for w in W], E)), delta)
 
 
-def residual(g: PLConvexFunction, nu: DiscreteMeasure, delta: Polytope):
+def residual(g: PLConvexFunction, nu: DiscreteMeasure):
     """Exact per-atom difference between MA(g) and nu: ((point, error), ...)
-    by point, over the vertices of g's subdivision and the atoms of nu.
+    sorted by point, over the atoms of `real_measure(g)` and of nu, a zero
+    entry kept at each vertex of g where the masses agree.
 
-    It reads g's cells (X, q, ring), which `dual_transform` hands over
-    with the solution, and its integer slopes S_i / D: the mass at X / q
-    is `cell_sums` of the ring's slopes over n! D^n.  The cells are matched
-    with nu's atoms V_i / A, masses M_i / Dm (`nu.integer_form`), on their
-    integer points X / q in lowest terms, and each entry is one Fraction
-    and the Fraction point X / q.  The cells come sorted by vertex, so only
-    an atom of nu that is no vertex of g makes a sort, by the exact
-    cross-multiplied `_vertex_order`.
-    """
-    S, D, _, _ = g.integer_form
-    den = math.factorial(delta.dim) * D ** delta.dim
-    V, A, M, Dm = nu.integer_form
-    want = {}
-    for v, m in zip(V, M):
-        r = math.gcd(A, *v)
-        want[tuple([x // r for x in v]), A // r] = m
-    out = []
-    for X, q, ring in g.subdivision[0]:
-        a = cell_sums([S[i] for i in ring])[0]
-        m = want.pop((X, q), 0)
-        out.append((X, q, (_point(X, q), Fraction(a * Dm - m * den, den * Dm))))
-    if want:
-        out += [(X, q, (_point(X, q), Fraction(-m, Dm))) for (X, q), m in want.items()]
-        out.sort(key=cmp_to_key(_vertex_order))
-    return tuple(entry for _, _, entry in out)
+    Both integer forms are merged over the lcm of their point denominators
+    and of their mass denominators, so each entry is one Fraction and the
+    Fraction point."""
+    (V1, A1, M1, D1), (V2, A2, M2, D2) = real_measure(g).integer_form, nu.integer_form
+    A, Dm = math.lcm(A1, A2), math.lcm(D1, D2)
+    errors = {}
+    for V, a, M, d in ((V1, A1, M1, D1), (V2, A2, [-m for m in M2], D2)):
+        for v, m in zip(V, M):
+            X = vscale(A // a, v)
+            errors[X] = errors.get(X, 0) + m * (Dm // d)
+    return tuple((_point(X, A), Fraction(e, Dm)) for X, e in sorted(errors.items()))
 
 
 def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):
@@ -437,7 +422,7 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
 
     if delta.dim == 1:
         g = _solution_from_weights(delta, V, A, *solve_1d_exact(delta, nu))
-        res = residual(g, nu, delta)
+        res = residual(g, nu)
         return SolveReport(g, res, res, 0, True)
 
     # the guide solves a copy moved near the origin, exactly: delta by -c
@@ -467,10 +452,10 @@ def solve_toric(delta: Polytope, nu: DiscreteMeasure) -> SolveReport:
         back = [_idot(c, vsub(v, V[0])) for v in V]
         weights = [([w * A - E * b for w, b in zip(N, back)], E * A) for N, E in weights]
     g = _solution_from_weights(delta, V, A, *weights[0])
-    polished = res = residual(g, nu, delta)
+    polished = res = residual(g, nu)
     if snap is not W and any(r != 0 for _, r in polished):
         g = _solution_from_weights(delta, V, A, *weights[1])
-        res = residual(g, nu, delta)
+        res = residual(g, nu)
     converged = max(abs(e) for _, e in res) <= TOLERANCE * vol
     return SolveReport(g, res, polished, it, converged)
 

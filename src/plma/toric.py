@@ -7,8 +7,12 @@ cells come from the function's one `geometry.subdivision` walk (O(k) exact
 operations per vertex and per edge for k pieces), as integer vertices X / q
 and the indices of each cell's pieces; a function that
 `geometry.dual_transform` returns is handed them instead, read off the
-cells it found, and is not walked.  The analytic-side measure is the same
-atom list scaled by n! and tagged with monomial points.
+cells it found, and is not walked.  `real_measure` is the one routine that
+turns the cells into the measure: `ma_measure` (which checks
+admissibility first), `mixed_ma`, the solver's residual and the
+variational pairings all read it.  The analytic-side measure is the same
+atom list scaled by n! and tagged with monomial points, built from the
+real measure only when it is read.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
 
 from .geometry import (
@@ -23,7 +28,6 @@ from .geometry import (
     DimensionError,
     PLConvexFunction,
     Polytope,
-    _point,
     as_point,
     cell_sums,
     is_admissible,
@@ -50,8 +54,15 @@ class MonomialPoint:
 @dataclass(frozen=True)
 class ToricMAResult:
     measure_NR: DiscreteMeasure
-    measure_an: tuple  # ((MonomialPoint, mass), ...)
     degree: Fraction
+
+    @cached_property
+    def measure_an(self) -> tuple:
+        """((MonomialPoint, mass), ...): the real atoms, their masses times
+        n!, built on first read."""
+        V = self.measure_NR.integer_form[0]
+        scale = factorial(len(V[0])) if V else 1
+        return tuple((MonomialPoint(p), scale * m) for p, m in self.measure_NR.atoms)
 
 
 def degree(delta: Polytope) -> Fraction:
@@ -59,31 +70,32 @@ def degree(delta: Polytope) -> Fraction:
     return factorial(delta.dim) * delta.volume()
 
 
-def ma_measure(g: PLConvexFunction, delta: Polytope, check: bool = True) -> ToricMAResult:
-    """Real Monge-Ampere measure of g, plus its n!-scaled analytic copy.
-
-    The atoms are the vertices X / q of g's subdivision, its walk or the
-    cells that `dual_transform` handed it.  The mass at a vertex is the
-    volume of its cell, A / (n! D^n), with A the integer sum `cell_sums`
-    of the integer slopes S_i of the cell's pieces over g's slope
-    denominator D.  The real measure is the integer form of the vertices
+def real_measure(g: PLConvexFunction) -> DiscreteMeasure:
+    """Real Monge-Ampere measure of g: the mass at each vertex X / q of g's
+    subdivision, its walk or the cells that `dual_transform` handed it, is
+    the volume of its cell, A / (n! D^n), with A the integer sum
+    `cell_sums` of the integer slopes S_i of the cell's pieces over g's
+    slope denominator D.  The measure is the integer form of the vertices
     over the lcm L of their q and of the sums A over n! D^n, with no
-    Fraction; the analytic side builds one Fraction point and the mass
-    A / D^n per atom.
-    """
-    if check and not is_admissible(g, delta):
+    Fraction.  No admissibility check: `ma_measure` makes it."""
+    S, D, _, _ = g.integer_form
+    cells = g.subdivision[0]
+    L = lcm(*(q for _, q, _ in cells))
+    return DiscreteMeasure._of_form([vscale(L // q, X) for X, q, _ in cells], L,
+                                    [cell_sums([S[i] for i in ring])[0] for _, _, ring in cells],
+                                    factorial(g.dim) * D ** g.dim)
+
+
+def ma_measure(g: PLConvexFunction, delta: Polytope) -> ToricMAResult:
+    """Real Monge-Ampere measure of g (`real_measure`), for g admissible
+    for delta (AdmissibilityError otherwise), with the degree of delta;
+    the n!-scaled analytic copy is built on first read."""
+    if not is_admissible(g, delta):
         raise AdmissibilityError(
             "function is not admissible for the polytope "
             "(slope outside, or missing vertex slope)"
         )
-    S, D, _, _ = g.integer_form
-    Dn, cells = D ** delta.dim, g.subdivision[0]
-    sums = [cell_sums([S[i] for i in ring])[0] for _, _, ring in cells]
-    L = lcm(*(q for _, q, _ in cells))
-    nr = DiscreteMeasure._of_form([vscale(L // q, X) for X, q, _ in cells], L, sums,
-                                  factorial(delta.dim) * Dn)
-    an = tuple((MonomialPoint(_point(X, q)), Fraction(A, Dn)) for (X, q, _), A in zip(cells, sums))
-    return ToricMAResult(nr, an, degree(delta))
+    return ToricMAResult(real_measure(g), degree(delta))
 
 
 def point_mass_solution(delta: Polytope, v0) -> PLConvexFunction:
@@ -113,7 +125,5 @@ def mixed_ma(gs, delta: Polytope) -> DiscreteMeasure:
             h = gs[subset[0]]
             for i in subset[1:]:
                 h = h + gs[i]
-            part = ma_measure(h, delta.dilate(r), check=False).measure_NR
-            sign = (-1) ** (n - r)
-            total = total + part.scale(sign)
+            total = total + real_measure(h).scale((-1) ** (n - r))
     return total.scale(Fraction(1, factorial(n)))

@@ -68,7 +68,6 @@ from .geometry import (
     _sample_envelope,
     _vertex_value,
     as_fraction,
-    as_point,
     cell_sums,
     is_admissible,
     vscale,
@@ -192,7 +191,11 @@ class PiecewiseLinear1D:
         return PiecewiseLinear1D(points, Fraction(S[0][0], D), Fraction(S[-1][0], D))
 
     def __call__(self, v) -> Fraction:
-        v = as_point(v)[0] if isinstance(v, (tuple, list)) else as_fraction(v)
+        """The value at v, a number or a point of dimension 1;
+        DimensionError for a point of another dimension."""
+        if isinstance(v, (tuple, list)) and len(v) != 1:
+            raise DimensionError("argument dimension mismatch")
+        v = as_fraction(v[0] if isinstance(v, (tuple, list)) else v)
         (v0, y0), (v1, y1) = self.points[0], self.points[-1]
         if v <= v0:
             return y0 + self.left_slope * (v - v0)
@@ -309,18 +312,15 @@ def _hull_holds(slopes, delta: Polytope) -> bool:
 def orthogonality_defect_toric(psi, delta: Polytope) -> Fraction:
     """Pairing of psi - P(psi) against MA(P(psi)); the theorem says zero.
 
-    MA(P(psi)) is the analytic measure of `ma_measure`, one atom per cell
-    of P(psi), in the cells' order.  At each atom P(psi) is read off its
-    cell (`_vertex_value`), and a convex psi, or each convex part of a min
-    of them, is evaluated on its integer form (`PLConvexFunction.__call__`),
+    MA(P(psi)) is n! times the real measure of `ma_measure`.  At each of
+    its atoms P(psi), and a convex psi or each convex part of a min of
+    them, is evaluated on its integer form (`PLConvexFunction.__call__`),
     one Fraction each; a free-form psi is interpolated between its
     breakpoints.
     """
     p = envelope_toric(psi, delta)
-    atoms = ma_measure(p, delta).measure_an
-    _, D, _, E = form = p.integer_form
-    return sum((m * (psi(mp.v) - Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
-                for (mp, m), (X, q, ring) in zip(atoms, p.subdivision[0])), Fraction(0))
+    return factorial(delta.dim) * ma_measure(p, delta).measure_NR.integrate(
+        lambda v: psi(v) - p(v))
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +605,9 @@ def energy_of_envelope_derivative(phi, f, context):
     certified chamber of radius h (_one_sided_derivatives).  The paper
     says d+ = d- = exact.
 
-    1-D toric context delta = [alpha, beta]: exact pairs f with the
-    analytic measure of `ma_measure`, and f (a PiecewiseLinear1D) must
+    1-D toric context delta = [alpha, beta] (a 2-D phi raises ValueError
+    before any pairing): exact pairs f with the real measure of
+    `ma_measure`, the analytic one in 1-D, and f (a PiecewiseLinear1D) must
     have zero recession slopes, or phi + t f decays below the admissible
     slopes on one side (EnvelopeError).  The derivative is the curve one
     on a segment [a, b] that holds -1, 0 and every breakpoint of phi and
@@ -614,8 +615,8 @@ def energy_of_envelope_derivative(phi, f, context):
     agree there, up to a constant in the energy.  Curve context
     (graph, omega0): exact is the pairing of f with ma_curve(phi)."""
     if _is_toric(context):
-        exact = sum((m * f(mp.v) for mp, m in ma_measure(phi, context).measure_an), Fraction(0))
         base = PiecewiseLinear1D.from_convex(phi)
+        exact = ma_measure(phi, context).measure_NR.integrate(f)
         if f.left_slope or f.right_slope:
             raise EnvelopeError("obstacle decays below the admissible slope range")
         (alpha,), (beta,) = min(context.vertices), max(context.vertices)

@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from functools import cmp_to_key
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -26,6 +26,7 @@ from plma.geometry import (
     _point,
     _scaled,
     _vertex_order,
+    _vertex_value,
     as_fraction,
     as_point,
     cell_sums,
@@ -38,7 +39,7 @@ from plma.geometry import (
 )
 from plma.serialize import SchemaError
 from plma.solver import ConvergenceError, SolveReport
-from plma.toric import AdmissibilityError, DegeneratePolytopeError, degree, mixed_ma
+from plma.toric import AdmissibilityError, DegeneratePolytopeError, degree, ma_measure, mixed_ma
 from plma.variational import (
     MinOfConvex,
     PiecewiseLinear1D,
@@ -549,6 +550,41 @@ def fraction_residual(g, atoms, delta):
         out += [(X, q, (p, -m)) for (X, q), (p, m) in want.items()]
         out.sort(key=cmp_to_key(_vertex_order))
     return tuple(entry for _, _, entry in out)
+
+
+def cells_residual(g, nu, delta):
+    """solver.residual as it was before it read `toric.real_measure`: the
+    mass at each cell X / q of g is `cell_sums` of its ring's slopes over
+    n! D^n, and the cells are matched with nu's atoms V_i / A on their
+    integer points in lowest terms; an atom of nu that is no vertex of g
+    makes a sort by `_vertex_order`."""
+    S, D, _, _ = g.integer_form
+    den = factorial(delta.dim) * D ** delta.dim
+    V, A, M, Dm = nu.integer_form
+    want = {}
+    for v, m in zip(V, M):
+        r = gcd(A, *v)
+        want[tuple([x // r for x in v]), A // r] = m
+    out = []
+    for X, q, ring in g.subdivision[0]:
+        a = cell_sums([S[i] for i in ring])[0]
+        m = want.pop((X, q), 0)
+        out.append((X, q, (_point(X, q), Fraction(a * Dm - m * den, den * Dm))))
+    if want:
+        out += [(X, q, (_point(X, q), Fraction(-m, Dm))) for (X, q), m in want.items()]
+        out.sort(key=cmp_to_key(_vertex_order))
+    return tuple(entry for _, _, entry in out)
+
+
+def cells_orthogonality_defect(psi, delta):
+    """variational.orthogonality_defect_toric as it was: the analytic
+    measure of `ma_measure` zipped with P(psi)'s cells by position, P(psi)
+    read off each cell (`_vertex_value`)."""
+    p = envelope_toric(psi, delta)
+    atoms = ma_measure(p, delta).measure_an
+    _, D, _, E = form = p.integer_form
+    return sum((m * (psi(mp.v) - Fraction(_vertex_value(form, X, q, ring[0]), D * E * q))
+                for (mp, m), (X, q, ring) in zip(atoms, p.subdivision[0])), Fraction(0))
 
 
 def fraction_solve_toric(delta, nu):

@@ -7,24 +7,25 @@ exact one, the 2-D walks of geometry._walk, the exact residuals of
 solver.residual, the float power-cell evaluations of
 solver._power_cells, one per Newton start and per trial step, and their
 halfplane clips, the calls of solver._clip_polygon, and the
-first builds of the Fraction pieces of a PLConvexFunction and of the
-Fraction atoms of a DiscreteMeasure, each built once per object from its
-integer form.  tests/test_solve_counts.py pins them, and tests/ladder.py
+first builds of the Fraction pieces of a PLConvexFunction, of the
+Fraction atoms of a DiscreteMeasure and of the analytic measure_an of a
+toric.ToricMAResult, each built once per object from its integer form or
+its real measure.  tests/test_solve_counts.py pins them, and tests/ladder.py
 prints them."""
 
 from functools import cached_property
 
-from plma import curves, geometry, serialize, solver
+from plma import curves, geometry, serialize, solver, toric
 
 
 def count_calls(setattr):
     """Wrap the counted routines with `setattr`, pytest's
     monkeypatch.setattr, which puts them back after; return the dict of
     their calls from now on: "parse_rational", "pair", "build", "float",
-    "exact", "walk", "residual", "cells", "clips", "pieces" and
-    "atoms"."""
+    "exact", "walk", "residual", "cells", "clips", "pieces", "atoms"
+    and "measure_an"."""
     calls = dict.fromkeys(("parse_rational", "pair", "build", "float", "exact", "walk",
-                           "residual", "cells", "clips", "pieces", "atoms"), 0)
+                           "residual", "cells", "clips", "pieces", "atoms", "measure_an"), 0)
     parse, pair = serialize.parse_rational, serialize._rational_pair
     build = curves.GraphPLFunction.build
     solve, walk, residual = curves.solve_laplacian, geometry._walk, solver.residual
@@ -50,9 +51,9 @@ def count_calls(setattr):
         calls["walk"] += 1
         return walk(form)
 
-    def counted_residual(g, nu, delta):
+    def counted_residual(g, nu):
         calls["residual"] += 1
-        return residual(g, nu, delta)
+        return residual(g, nu)
 
     def power_cells(ring, atoms, weights, vol):
         calls["cells"] += 1
@@ -70,7 +71,8 @@ def count_calls(setattr):
     setattr(solver, "residual", counted_residual)
     setattr(solver, "_power_cells", power_cells)
     setattr(solver, "_clip_polygon", clip_polygon)
-    for cls, name in ((geometry.PLConvexFunction, "pieces"), (geometry.DiscreteMeasure, "atoms")):
+    for cls, name in ((geometry.PLConvexFunction, "pieces"), (geometry.DiscreteMeasure, "atoms"),
+                      (toric.ToricMAResult, "measure_an")):
         setattr(cls, name, _first_builds(cls, name, calls))
     return calls
 

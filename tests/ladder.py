@@ -17,8 +17,10 @@ passes in one process, each stage timed with time.perf_counter and only
 where no other stage is running: the readers (serialize.load_path and
 every serialize *_from_json), the float guide (solver._newton and every
 float curves.solve_laplacian), the exact stage (solver.dual_transform and
-solver.residual, and every exact curves.solve_laplacian), the writer
-(every serialize *_to_json) and argparse (cli's parse_args).  It prints
+solver.residual, every exact curves.solve_laplacian, and the toric
+forward maps toric.ma_measure and variational.energy_toric,
+envelope_toric and orthogonality_defect_toric), the writer (every
+serialize *_to_json) and argparse (cli's parse_args).  It prints
 the least time of each stage and of a whole pass over the passes, each
 stage's share of that pass, and the rest.
 
@@ -82,7 +84,7 @@ from pathlib import Path
 import pytest
 
 from counting import count_calls
-from plma import cli, curves, serialize, solver
+from plma import cli, curves, serialize, solver, toric, variational
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPLIT_ROUNDS = {"toric-solve": 10, "toric-forward": 3, "curve-potential": 10, "curve-envelope": 13}
@@ -252,8 +254,11 @@ def stage_timers(setattr, spent):
             kind = "writer" if name.endswith("_to_json") else "readers"
             setattr(serialize, name, timed(stage(kind), getattr(serialize, name)))
     setattr(solver, "_newton", timed(stage("float guide"), solver._newton))
-    for name in ("dual_transform", "residual"):
-        setattr(solver, name, timed(stage("exact stage"), getattr(solver, name)))
+    for module, names in ((solver, ("dual_transform", "residual")), (toric, ("ma_measure",)),
+                          (variational, ("energy_toric", "envelope_toric",
+                                         "orthogonality_defect_toric"))):
+        for name in names:
+            setattr(module, name, timed(stage("exact stage"), getattr(module, name)))
     setattr(curves, "solve_laplacian", timed(
         lambda form, pinned: "float guide" if isinstance(form[0][0], float) else "exact stage",
         curves.solve_laplacian))

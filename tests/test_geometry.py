@@ -332,6 +332,8 @@ GEOMETRY_INPUT_ERRORS = {
     "sum across dimensions": (lambda: support_function(interval()) + support_function(unit_square()),
                               DimensionError, "dimension mismatch in sum"),
     "no samples": (lambda: convex_envelope([], unit_square()), ValueError, "empty sample set"),
+    "value in another dimension": (lambda: AffineFunctional.make((1, 2), 0).value((3,)),
+                                   DimensionError, "argument dimension mismatch"),
 }
 
 

@@ -10,8 +10,9 @@ pin them.  On the benchmark's toric-solve corpus they pin the 2-D walks
 of geometry._walk, the exact residuals of solver.residual, the float
 power-cell evaluations of solver._power_cells with the Newton iterations
 they serve, and their halfplane clips, the calls of solver._clip_polygon;
-on its toric-forward corpus the walks and the rational strings the toric
-readers parse; and on criterion 5's instances the node
+on its toric-forward corpus the walks, the rational strings the toric
+readers parse and the analytic copies of MA measures built
+(toric.ToricMAResult.measure_an); and on criterion 5's instances the node
 problems and exact solves of variational.energy_of_envelope_derivative.
 A change that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.  So is bench/tracing.py, whose
@@ -85,7 +86,7 @@ def test_curve_envelope_corpus_solve_counts(inputs, calls, tmp_path, monkeypatch
                 lambda: calls.update(dict.fromkeys(calls, 0)))  # the deck took solves
     assert calls == {"parse_rational": 3124, "pair": 3124, "build": 0, "float": 170,
                      "exact": 78, "walk": 0, "residual": 0, "cells": 0, "clips": 0,
-                     "pieces": 0, "atoms": 0}
+                     "pieces": 0, "atoms": 0, "measure_an": 0}
 
 
 def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
@@ -93,10 +94,14 @@ def test_toric_forward_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):
     # per function read and one per convex envelope of samples.  The toric
     # readers parse each distinct string of a document once into integers
     # and build no Fraction (3 204 parse_rational calls when they read
-    # every number into a Fraction)
+    # every number into a Fraction).  No op builds the analytic copy of
+    # an MA measure: the toric-ma writer and the orthogonality defect read
+    # the real measure (one per toric-ma and orthogonality op, 15 in all,
+    # when ma_measure built it)
     _run_corpus(inputs, tmp_path, monkeypatch,
                 lambda: calls.update(dict.fromkeys(calls, 0)), "toric-forward", 3, 72)
     assert (calls["walk"], calls["parse_rational"], calls["pair"]) == (138, 0, 1478)
+    assert calls["measure_an"] == 0
 
 
 def test_toric_solve_corpus_walk_counts(inputs, calls, tmp_path, monkeypatch):

@@ -113,7 +113,7 @@ def test_simplex_three_atoms():
     assert all(abs(e) <= Fraction(1, 10**10) for _, e in rep.polished_residual)
     assert all(isinstance(e, Fraction) for _, e in rep.polished_residual)
     # the reported residual is the exact one of the returned solution
-    assert rep.residual == residual(rep.solution, nu, delta)
+    assert rep.residual == residual(rep.solution, nu)
     assert all(isinstance(e, Fraction) for _, e in rep.residual)
 
 
@@ -152,7 +152,7 @@ def test_generic_k50_target_unsnapped():
     rep = solve_toric(delta, nu)
     assert rep.converged
     assert any(e != 0 for _, e in rep.polished_residual)
-    assert rep.residual == residual(rep.solution, nu, delta)
+    assert rep.residual == residual(rep.solution, nu)
     assert all(abs(e) <= Fraction(1, 10**10) * delta.volume() for _, e in rep.residual)
 
 
@@ -169,7 +169,7 @@ def test_generic_k100_snap_not_checked():
     assert rep.converged
     assert rep.polished_residual == rep.residual
     assert any(e != 0 for _, e in rep.residual)
-    assert rep.residual == residual(rep.solution, nu, delta)
+    assert rep.residual == residual(rep.solution, nu)
     assert all(abs(e) <= solver.TOLERANCE * delta.volume() for _, e in rep.residual)
 
 
@@ -455,7 +455,7 @@ def test_newton_early_exits_report_not_converged(patch, tmp_path, capsys, monkey
     delta, nu = unit_square(), DiscreteMeasure.from_atoms(NEWTON_TARGET)
     rep = solve_toric(delta, nu)
     assert not rep.converged and rep.iterations == 1
-    assert rep.residual == residual(rep.solution, nu, delta)
+    assert rep.residual == residual(rep.solution, nu)
     assert all(type(e) is Fraction for _, e in rep.residual) and any(e != 0 for _, e in rep.residual)
     # the CLI reads the target with the Berkovich normalization, 2! times nu
     files = {"delta": serialize.polytope_to_json(delta), "mu": serialize.measure_to_json(nu.scale(2))}
@@ -491,7 +491,7 @@ def test_translated_solve_converges(offset):
         nu = DiscreteMeasure.from_atoms(atoms)
         rep = solve_toric(delta, nu)
         assert rep.converged and rep.iterations == 3
-        assert rep.residual == residual(rep.solution, nu, delta)
+        assert rep.residual == residual(rep.solution, nu)
         assert max(abs(e) for _, e in rep.residual) < solver.TOLERANCE * delta.volume()
 
 
@@ -554,16 +554,16 @@ def test_residual_op(rng):
     v0 = (Fraction(1, 3), Fraction(1, 4))
     g = point_mass_solution(delta, v0)
     nu = DiscreteMeasure.from_atoms([(v0, Fraction(1, 2))])
-    assert all(e == 0 for _, e in residual(g, nu, delta))
+    assert all(e == 0 for _, e in residual(g, nu))
     # perturb one intercept: errors appear only at affected atoms
     pieces = list(g.pieces)
     pieces[0] = AffineFunctional(pieces[0].slope, pieces[0].intercept + Fraction(1, 10))
     g2 = PLConvexFunction.from_pieces(pieces)
-    res2 = residual(g2, nu, delta)
+    res2 = residual(g2, nu)
     assert any(e != 0 for _, e in res2)
     # an atom with no matching breakpoint shows up as minus its mass
     extra = DiscreteMeasure.from_atoms([(v0, Fraction(1, 2)), ((Fraction(7), Fraction(7)), Fraction(1, 9))])
-    res3 = dict(residual(g, extra, delta))
+    res3 = dict(residual(g, extra))
     assert res3[(Fraction(7), Fraction(7))] == Fraction(-1, 9)
 
 

@@ -60,12 +60,13 @@ from plma.geometry import (
 )
 from plma import serialize
 from plma.solver import residual, solve_toric
-from plma.toric import MonomialPoint, ma_measure
+from plma.toric import MonomialPoint, ToricMAResult, degree, ma_measure, real_measure
 from plma.variational import _legendre_integral
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     canonical_function,
+    cells_residual,
     fraction_shift,
     fraction_sum,
     fraction_translate,
@@ -562,7 +563,7 @@ def check_against_oracle(g, deltas):
     assert breakpoints(g) == bps
     if g.dim == 2:
         check_edges(g)
-    assert ma_measure(g, deltas[0], check=False).measure_NR.atoms == oracle_ma_atoms(g, bps)
+    assert real_measure(g).atoms == oracle_ma_atoms(g, bps)
     for delta in deltas:
         assert dual_transform(g, delta).pieces == oracle_dual_transform(g, delta)
 
@@ -659,11 +660,11 @@ def test_transform_on_coprime_denominators(n):
     assert single > 5 and (n == 1 and breaks > 100 or n == 2 and equal > 15)
 
 
-def oracle_residual(g, nu, delta):
+def oracle_residual(g, nu):
     """`solver.residual` as it was before it read g's cells on integers:
-    the Fraction masses of `ma_measure` against nu's, over the union of
-    their points."""
-    got = ma_measure(g, delta, check=False).measure_NR.masses
+    the Fraction masses of MA(g) against nu's, over the union of their
+    points."""
+    got = real_measure(g).masses
     want = nu.masses
     zero = Fraction(0)
     return tuple((p, got.get(p, zero) - want.get(p, zero))
@@ -691,13 +692,14 @@ def check_handed_diagram(h, delta):
 
 
 def check_residual(h, nu, delta):
-    """The integer residual against the Fraction one, on h and on h read
-    back from its JSON document, which is walked."""
-    res = residual(h, nu, delta)
-    assert res == oracle_residual(h, nu, delta)
+    """The integer residual against the Fraction one and against the cells
+    matched with nu's atoms (`cells_residual`), on h and on h read back
+    from its JSON document, which is walked."""
+    res = residual(h, nu)
+    assert res == oracle_residual(h, nu) == cells_residual(h, nu, delta)
     assert all(type(e) is Fraction for _, e in res)
     back = serialize.pl_function_from_json(json.loads(serialize.pl_function_to_json(h)))
-    assert residual(back, nu, delta) == res
+    assert residual(back, nu) == res
     return res
 
 
@@ -953,10 +955,11 @@ def test_integer_readers_against_fraction_forms(n):
         collinear += n == 2 and len(g.pieces) > 2 and not _spans(g.slopes, 2)
         cells += len(g.subdivision[0])
         assert _legendre_integral(g) == fraction_legendre_integral(g)
-        res = ma_measure(g, delta, check=False)
-        assert res.measure_NR == fraction_ma(g)
+        real = fraction_ma(g)
+        res = ToricMAResult(real_measure(g), degree(delta))
+        assert res.measure_NR == real
         assert res.measure_an == tuple(
-            (MonomialPoint(p), factorial(n) * m) for p, m in res.measure_NR.atoms)
+            (MonomialPoint(p), factorial(n) * m) for p, m in real.atoms)
         points = breakpoints(g) + list(delta.vertices) + [
             tuple(Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 10**7)) for _ in range(n))
             for _ in range(3)]
@@ -1024,7 +1027,7 @@ def check_readers(g, deltas):
     """The integer readers of g's walk against their Fraction forms."""
     assert breakpoints(g) == [v for v, _ in oracle_walk(g.pieces)[0]]
     assert _legendre_integral(g) == fraction_legendre_integral(g)
-    assert ma_measure(g, deltas[0], check=False).measure_NR == fraction_ma(g)
+    assert real_measure(g) == fraction_ma(g)
     for d in deltas:
         assert dual_transform(g, d) == fraction_dual_transform(g, d)
 

@@ -54,6 +54,7 @@ from plma.variational import (
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     bump_1d,
+    cells_orthogonality_defect,
     derivative_instances,
     difference_quotients,
     differentiability_instances,
@@ -538,6 +539,39 @@ def test_orthogonality_toric(rng):
         assert orthogonality_defect(psi, delta) == 0
     g = random_admissible(rng, delta)
     assert orthogonality_defect_toric(g, delta) == 0
+
+
+def test_orthogonality_defect_against_the_cells_oracle():
+    # the defect paired on MA(P(psi))'s real measure equals the analytic
+    # atoms zipped with P(psi)'s cells, P(psi) read off each cell
+    # (cells_orthogonality_defect), on mins of convex parts, on convex
+    # obstacles and on 1-D free-form obstacles; an obstacle that decays
+    # below the admissible slopes is rejected by both
+    rng = random.Random("orthogonality/cells-oracle")
+    seen = dict.fromkeys(("min", "convex", "free", "rejected"), 0)
+    for _ in range(150):
+        kind = rng.choice(["min", "convex", "free"])
+        delta = rng.choice(ACCEPTANCE_POLYTOPES)
+        if kind == "min":
+            psi = random_min_of(rng, delta)
+        elif kind == "convex":
+            psi = random_min_of(rng, delta, free=1 / 4).parts[0]
+        else:
+            delta = interval(-rng.randint(0, 3), rng.randint(1, 3))
+            (alpha,), (beta,) = delta.vertices
+            psi = PiecewiseLinear1D.build(
+                [(Fraction(v, 4), rnd_frac(rng)) for v in rng.sample(range(-12, 13), rng.randint(1, 5))],
+                alpha - rng.randint(0, 1), beta + rng.randint(0, 1))
+        try:
+            want = cells_orthogonality_defect(psi, delta)
+        except EnvelopeError:
+            with pytest.raises(EnvelopeError):
+                orthogonality_defect_toric(psi, delta)
+            seen["rejected"] += 1
+            continue
+        assert orthogonality_defect_toric(psi, delta) == want
+        seen[kind] += 1
+    assert min(seen.values()) > 15, seen
 
 
 def test_orthogonality_curve(rng):
@@ -1241,6 +1275,9 @@ VARIATIONAL_INPUT_ERRORS = {
                             "duplicate breakpoint abscissae"),
     "from_convex in 2-D": (lambda: PiecewiseLinear1D.from_convex(support_function(unit_square())),
                            ValueError, "1-D only"),
+    "1-D function at a 2-D point": (
+        lambda: PiecewiseLinear1D.build([(0, 0), (1, 1)], 0, 0)((Fraction(1, 2), 5)),
+        DimensionError, "argument dimension mismatch"),
     "unsupported obstacle": (lambda: envelope_toric("psi", interval()), TypeError,
                              "unsupported obstacle type str"),
     "derivative in 2-D": (
