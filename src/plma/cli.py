@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import random
 import sys
 from fractions import Fraction
 from math import factorial
@@ -103,7 +102,7 @@ def _obstacle_and_context(args):
     beside --delta included, is a usage error."""
     # --graph and --omega0 are both absent exactly when --delta is given
     if (args.graph is None, args.omega0 is None) != (args.delta is not None,) * 2:
-        _parser().error("give either --delta or --graph with --omega0")
+        raise argparse.ArgumentError(None, "give either --delta or --graph with --omega0")
     if args.delta is not None:
         delta = serialize.polytope_from_json(serialize.load_path(args.delta))
         return _load_obstacle_toric(serialize.load_path(args.g)), delta
@@ -190,6 +189,8 @@ def cmd_selftest(args):
     """Three seeded checks, ten draws each, one PASS or FAIL line per check.
     Each check draws all ten inputs before it checks them, so the draws
     never depend on a result."""
+    import random  # only selftest draws; a command's start does not load it
+
     rng = random.Random(20240)
     square = Polytope.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -227,65 +228,84 @@ def cmd_selftest(args):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise argparse.ArgumentError, which
     `run` prints as the JSON error object of type "usage", not as argparse's
-    usage text.  build_parser's parser maps each command to its subparser
-    in `commands`."""
+    usage text."""
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
 
+_REQUIRED = {"required": True}
+# every command but selftest, whose one output is text, writes JSON or CSV
+_FORMAT = {"format": {"choices": ["json", "csv"], "default": "json"}}
+
+# each command's function and its flags, each flag's add_argument keywords
+# by name; every command takes --output too
+COMMANDS = {
+    "toric-ma": (cmd_toric_ma, {"delta": _REQUIRED, "g": _REQUIRED, **_FORMAT}),
+    "toric-solve": (cmd_toric_solve, {"delta": _REQUIRED, "mu": _REQUIRED, **_FORMAT}),
+    "toric-energy": (cmd_toric_energy,
+                     {"delta": _REQUIRED, "g": _REQUIRED, "g0": {}, **_FORMAT}),
+    "envelope": (cmd_envelope,
+                 {"delta": {}, "g": _REQUIRED, "graph": {}, "omega0": {}, **_FORMAT}),
+    "orthogonality": (cmd_orthogonality,
+                      {"delta": {}, "g": _REQUIRED, "graph": {}, "omega0": {}, **_FORMAT}),
+    "curve-solve": (cmd_curve_solve,
+                    {"graph": _REQUIRED, "mu": _REQUIRED, "omega0": _REQUIRED, **_FORMAT}),
+    "curve-green": (cmd_curve_green,
+                    {"graph": _REQUIRED, "x": _REQUIRED, "omega0": _REQUIRED, **_FORMAT}),
+    "curve-canonical": (cmd_curve_canonical, {"m": {"type": int, "required": True},
+                                              "iterations": {"type": int, "required": True},
+                                              **_FORMAT}),
+    "selftest": (cmd_selftest, {}),
+}
+
+
+def _add_command(parser, name):
+    """Give parser the flags of the command `name` and its function."""
+    fn, flags = COMMANDS[name]
+    for flag, kw in flags.items():
+        parser.add_argument("--" + flag.replace("_", "-"), **kw)
+    parser.add_argument("--output")
+    parser.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with one subparser per command of COMMANDS."""
     parser = _Parser(
         prog="plma",
         description="Piecewise-linear Monge-Ampere equations on polytopes and metric graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        for flag, kw in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
-        p.add_argument("--output")
-        p.set_defaults(fn=fn)
-
-    req = {"required": True}
-    # every command but selftest, whose one output is text, writes JSON or CSV
-    fmt = {"format": {"choices": ["json", "csv"], "default": "json"}}
-    add("toric-ma", cmd_toric_ma, delta=req, g=req, **fmt)
-    add("toric-solve", cmd_toric_solve, delta=req, mu=req, **fmt)
-    add("toric-energy", cmd_toric_energy, delta=req, g=req, g0={}, **fmt)
-    add("envelope", cmd_envelope, delta={}, g=req, graph={}, omega0={}, **fmt)
-    add("orthogonality", cmd_orthogonality, delta={}, g=req, graph={}, omega0={}, **fmt)
-    add("curve-solve", cmd_curve_solve, graph=req, mu=req, omega0=req, **fmt)
-    add("curve-green", cmd_curve_green, graph=req, x=req, omega0=req, **fmt)
-    add(
-        "curve-canonical",
-        cmd_curve_canonical,
-        m={"type": int, "required": True},
-        iterations={"type": int, "required": True},
-        **fmt,
-    )
-    add("selftest", cmd_selftest)
+    for name in COMMANDS:
+        _add_command(sub.add_parser(name), name)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import; no argument has a mutable default
-    return build_parser()
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The full parser, or the parser of one command of COMMANDS alone,
+    which parses the rest of an argv as that command's subparser in the
+    full parser does; each built on first use, not at import.  No argument
+    has a mutable default."""
+    if command is None:
+        return build_parser()
+    parser = _Parser(prog="plma " + command)
+    _add_command(parser, command)
+    return parser
 
 
 def run(argv) -> int:
     # a usage error is an ArgumentError (exit 2), every invalid-input error
     # subclasses ValueError (exit 2), and ConvergenceError, a RuntimeError,
     # is non-convergence (exit 3).  An argv that starts with a command goes
-    # straight to its subparser, which parses the rest as the full parser
-    # would, in less than half the time; any other argv takes the full one
+    # to that command's own parser, which builds and parses in a fraction of
+    # the full parser's time; only no argv, -h and an unknown name build the
+    # full one
     try:
-        parser = _parser()
-        command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            args = _parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _parser().parse_args(argv)
         return args.fn(args)
     except (argparse.ArgumentError, ValueError, ConvergenceError) as exc:
         usage = isinstance(exc, argparse.ArgumentError)

@@ -60,15 +60,14 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import NamedTuple
 
-from .geometry import as_fraction
+from .geometry import Record, as_fraction
 
 
 class GraphError(ValueError):
@@ -87,8 +86,7 @@ class ConvergenceError(RuntimeError):
     """An iterative solve stopped without a verified result (CLI exit 3)."""
 
 
-@dataclass(frozen=True)
-class MetricGraph:
+class MetricGraph(Record):
     vertex_ids: tuple
     edges: tuple  # ((u, v, length), ...)
 
@@ -187,8 +185,7 @@ def vertex_key(vid):
     return ("v", vid)
 
 
-@dataclass(frozen=True)
-class GraphPLFunction:
+class GraphPLFunction(Record):
     """Continuous piecewise-linear function, stored per edge as (offset, value) breakpoints.
 
     The constructor takes one tuple of Fraction pairs per edge as it is,
@@ -341,8 +338,7 @@ def _merge(p1, p2, a, b):
     return tuple((o, a * y1 + b * y2) for o, (y1, y2) in zip(offs, ys))
 
 
-@dataclass(frozen=True)
-class GraphMeasure:
+class GraphMeasure(Record):
     """Atomic signed measure on a metric graph, keyed by canonical location
     (MetricGraph.point_key), with rational masses, in one canonical form:
     one atom per location, no zero mass, the atoms sorted by the repr of
@@ -879,22 +875,16 @@ def circle_graph(length=1) -> MetricGraph:
     return MetricGraph.build([0], [(0, 0, length)])
 
 
-class CanonicalForm(NamedTuple):
-    """The closed form of canonical_metric on integers, read by
+CanonicalForm = namedtuple("CanonicalForm", "n p q mass offsets order")
+CanonicalForm.__doc__ = """The closed form of canonical_metric on integers, read by
     canonical_metric and by serialize.canonical_metric_to_json.
 
     n = m^k is the number of arcs; the potential at j/n is p j (j - n) / q
     with q = 2 den(d_L) n^2, p = num(d_L); every atom has the mass d_L / n;
     offsets holds the reduced rational string of j/n, j = 0 .. n ("0" and
     "1" at the ends); order lists the interior division points j = 1 .. n-1
-    in the repr order of their keys."""
-
-    n: int
-    p: int
-    q: int
-    mass: Fraction
-    offsets: list
-    order: list
+    in the repr order of their keys.  n, p and q are ints, mass a Fraction,
+    and offsets and order lists."""
 
 
 def canonical_form(m: int, iterations: int, d_L=1) -> CanonicalForm:

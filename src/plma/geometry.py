@@ -23,7 +23,7 @@ half-planes, read off the ring, and containment is tested on it alone.
 A function is its canonical integer form, its slopes S_i / D and
 intercepts C_i / E over their least common denominators, the slopes
 distinct and in increasing order (`PLConvexFunction.integer_form`, the
-one compared field of a frozen dataclass): equal functions hold equal
+one compared field of a frozen `Record`): equal functions hold equal
 forms.  `PLConvexFunction._of_form` is its one builder, for the toric
 readers of serialize, `from_form`, `from_pieces`, `dual_transform`,
 `support_function` and the solver alike, and `shift`, `translate` and `+`
@@ -78,13 +78,63 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 
 class DimensionError(ValueError):
     """Raised when ambient dimensions disagree or are unsupported."""
+
+
+class Record:
+    """The frozen record that plma's value types subclass, in place of
+    `dataclasses.dataclass(frozen=True)`, whose import and per-class code
+    generation cost a command more than its work does.
+
+    A subclass declares its fields as annotations, in order, with a
+    default as a class attribute, and a field whose name starts with "_"
+    is neither compared nor shown.  The subclass gets the methods that the
+    dataclass would generate, from one small source per class: an
+    `__init__` that takes the fields by position or keyword and then calls
+    `__post_init__`, if the class has one, and value equality and hashing
+    on the tuple of the compared fields.  The repr shows the shown fields,
+    and assignment and deletion raise AttributeError.  A `cached_property`
+    writes the instance's `__dict__` directly, so it still caches."""
+
+    def __init_subclass__(cls):
+        names = list(cls.__annotations__)
+        compared = [n for n in names if not n.startswith("_")]
+        cls._shown = compared
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = ", ".join(n + ("=_" + n if n in defaults else "") for n in names)
+        mine = "(%s,)" % ", ".join("self." + n for n in compared)
+        theirs = "(%s,)" % ", ".join("other." + n for n in compared)
+        lines = [f"def __init__(self, {params}):",
+                 *[f"    _set(self, {n!r}, {n})" for n in names]]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        lines += ["def __eq__(self, other):",
+                  "    if other.__class__ is self.__class__:",
+                  f"        return {mine} == {theirs}",
+                  "    return NotImplemented",
+                  "def __hash__(self):",
+                  f"    return hash({mine})"]
+        methods = {"_set": object.__setattr__, **{"_" + n: v for n, v in defaults.items()}}
+        exec("\n".join(lines), methods)
+        for name in ("__init__", "__eq__", "__hash__"):
+            fn = methods[name]
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, fn)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_fraction(x) -> Fraction:
@@ -130,10 +180,6 @@ def _dots(S, X):
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vscale(c, a):
@@ -247,8 +293,7 @@ def cell_sums(ring):
     return A, (M0, M1)
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record):
     """Rational polytope, canonically its integer ring (R, Q): the extreme
     points R_j / Q, integer points R_j over the least common denominator
     Q > 0, so gcd(Q, every coordinate) = 1.  In 2-D R runs
@@ -370,8 +415,7 @@ class Polytope:
             [tuple(c.numerator * x for x in P) for P in R], Q * c.denominator)
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
+class AffineFunctional(Record):
     """u . v - intercept, with slope u in the dual space."""
 
     slope: tuple
@@ -561,8 +605,7 @@ def _walk(form):
     return cells, edges
 
 
-@dataclass(frozen=True)
-class PLConvexFunction:
+class PLConvexFunction(Record):
     """Finite max of affine functionals; convex and piecewise linear.
 
     A function is its canonical integer form (S, D, C, E), its one
@@ -582,7 +625,7 @@ class PLConvexFunction:
     """
 
     integer_form: tuple
-    _diagram: object = field(default=None, compare=False, repr=False)
+    _diagram: object = None
 
     def __post_init__(self):
         form = self.integer_form
@@ -730,8 +773,7 @@ class PLConvexFunction:
              [c * x + d * y for x in C1 for y in C2], E))
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     """Signed atomic measure on the points of R^n, canonically its integer
     form (V, A, M, Dm), its one compared field: the atoms V_i / A with the
     masses M_i / Dm, V a tuple of distinct integer point tuples in
@@ -759,17 +801,24 @@ class DiscreteMeasure:
         """The measure of the masses M_i / Dm at the points V_i / A, for
         integer point tuples V_i and A, Dm > 0: the masses summed by point,
         zero sums dropped, the points sorted, and A and Dm divided with the
-        numerators by their gcd.  Points of different dimensions raise
+        numerators by their gcd.  Points already sorted and distinct with
+        no zero mass, as a measure's own form and the vertices of a walk
+        are, are taken as they are.  Points of different dimensions raise
         DimensionError."""
         if len({len(v) for v in V}) > 1:
             raise DimensionError("atoms of mixed dimension")
-        acc = {}
-        for v, m in zip(V, M):
-            acc[v] = acc.get(v, 0) + m
-        V = sorted([v for v, m in acc.items() if m])
-        h, k = math.gcd(A, *(x for v in V for x in v)), math.gcd(Dm, *map(acc.get, V))
-        return DiscreteMeasure((tuple([tuple([x // h for x in v]) for v in V]), A // h,
-                                tuple([acc[v] // k for v in V]), Dm // k))
+        if not (all(M) and all(map(operator.lt, V, V[1:]))):
+            acc = {}
+            for v, m in zip(V, M):
+                acc[v] = acc.get(v, 0) + m
+            V = sorted([v for v, m in acc.items() if m])
+            M = [acc[v] for v in V]
+        h, k = math.gcd(A, *(x for v in V for x in v)), math.gcd(Dm, *M)
+        if h > 1:
+            V, A = [tuple([x // h for x in v]) for v in V], A // h
+        if k > 1:
+            M, Dm = [m // k for m in M], Dm // k
+        return DiscreteMeasure((tuple(V), A, tuple(M), Dm))
 
     @staticmethod
     def from_atoms(atoms) -> "DiscreteMeasure":

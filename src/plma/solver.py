@@ -110,7 +110,6 @@ the points and errors that the report carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves
@@ -120,6 +119,7 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    Record,
     _idot,
     _point,
     dual_transform,
@@ -142,8 +142,7 @@ SNAP_DENOMINATOR = 10**6
 GRID = 2**50  # the common denominator of the guide's weights
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     solution: PLConvexFunction
     residual: tuple  # ((atom, exact error), ...) for the returned solution
     # exact errors of the weights snapped to small rationals; when the snap
@@ -254,17 +253,35 @@ def residual(g: PLConvexFunction, nu: DiscreteMeasure):
     sorted by point, over the atoms of `real_measure(g)` and of nu, a zero
     entry kept at each vertex of g where the masses agree.
 
-    Both integer forms are merged over the lcm of their point denominators
-    and of their mass denominators, so each entry is one Fraction and the
-    Fraction point."""
+    Both integer forms, sorted by point, are merged in one pass over the
+    lcm of their point denominators and of their mass denominators, a form
+    rescaled only when its denominator is not that lcm, so each entry is
+    one Fraction, shared when it is zero, as at a converged solution's
+    every atom, and the Fraction point."""
     (V1, A1, M1, D1), (V2, A2, M2, D2) = real_measure(g).integer_form, nu.integer_form
     A, Dm = math.lcm(A1, A2), math.lcm(D1, D2)
-    errors = {}
-    for V, a, M, d in ((V1, A1, M1, D1), (V2, A2, [-m for m in M2], D2)):
-        for v, m in zip(V, M):
-            X = vscale(A // a, v)
-            errors[X] = errors.get(X, 0) + m * (Dm // d)
-    return tuple((_point(X, A), Fraction(e, Dm)) for X, e in sorted(errors.items()))
+    if A1 != A:
+        V1 = [vscale(A // A1, v) for v in V1]
+    if A2 != A:
+        V2 = [vscale(A // A2, v) for v in V2]
+    if D1 != Dm:
+        M1 = [m * (Dm // D1) for m in M1]
+    if D2 != Dm:
+        M2 = [m * (Dm // D2) for m in M2]
+    zero, out, i, j, n1, n2 = Fraction(0), [], 0, 0, len(V1), len(V2)
+    while i < n1 or j < n2:
+        if j == n2 or i < n1 and V1[i] < V2[j]:
+            X, e = V1[i], M1[i]
+            i += 1
+        elif i == n1 or V2[j] < V1[i]:
+            X, e = V2[j], -M2[j]
+            j += 1
+        else:
+            X, e = V1[i], M1[i] - M2[j]
+            i += 1
+            j += 1
+        out.append((_point(X, A), Fraction(e, Dm) if e else zero))
+    return tuple(out)
 
 
 def solve_1d_exact(delta: Polytope, nu: DiscreteMeasure):

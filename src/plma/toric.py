@@ -18,7 +18,6 @@ real measure only when it is read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
@@ -28,6 +27,7 @@ from .geometry import (
     DimensionError,
     PLConvexFunction,
     Polytope,
+    Record,
     as_point,
     cell_sums,
     is_admissible,
@@ -44,15 +44,13 @@ class DegeneratePolytopeError(ValueError):
     """Operation requires a full-dimensional polytope."""
 
 
-@dataclass(frozen=True)
-class MonomialPoint:
+class MonomialPoint(Record):
     """Label for the multiplicative seminorm attached to a point of N_R."""
 
     v: tuple
 
 
-@dataclass(frozen=True)
-class ToricMAResult:
+class ToricMAResult(Record):
     measure_NR: DiscreteMeasure
     degree: Fraction
 
@@ -81,7 +79,7 @@ def real_measure(g: PLConvexFunction) -> DiscreteMeasure:
     S, D, _, _ = g.integer_form
     cells = g.subdivision[0]
     L = lcm(*(q for _, q, _ in cells))
-    return DiscreteMeasure._of_form([vscale(L // q, X) for X, q, _ in cells], L,
+    return DiscreteMeasure._of_form([X if q == L else vscale(L // q, X) for X, q, _ in cells], L,
                                     [cell_sums([S[i] for i in ring])[0] for _, _, ring in cells],
                                     factorial(g.dim) * D ** g.dim)
 

@@ -50,11 +50,10 @@ segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, isfinite, lcm
 from operator import mul
-from typing import NamedTuple
 
 from . import curves
 from .curves import GraphMeasure, GraphPLFunction, MetricGraph
@@ -63,6 +62,7 @@ from .geometry import (
     DiscreteMeasure,
     PLConvexFunction,
     Polytope,
+    Record,
     _idot,
     _integer_points,
     _sample_envelope,
@@ -160,8 +160,7 @@ def f_mu_curve(
 # toric obstacles and envelopes
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear1D:
+class PiecewiseLinear1D(Record):
     """Free-form continuous PL function on the line.
 
     Breakpoint list plus the two recession slopes; not necessarily convex.
@@ -218,8 +217,7 @@ class PiecewiseLinear1D:
         )
 
 
-@dataclass(frozen=True)
-class MinOfConvex:
+class MinOfConvex(Record):
     """Pointwise minimum of finitely many convex PL functions (any dimension)."""
 
     parts: tuple
@@ -409,20 +407,14 @@ def _pairing(a, b) -> Fraction:
     return Fraction(sum(map(mul, A, B)), Da * Db)
 
 
-class _Nodes(NamedTuple):
-    """The solved node problem of envelope_subharmonic: each edge's
+_Nodes = namedtuple("_Nodes", "edge_offsets psi segments s gap")
+_Nodes.__doc__ = """The solved node problem of envelope_subharmonic: each edge's
     interior offsets in curves.node_problem's numbering, the obstacle psi
     at the nodes, the segments (i, j, W_s) of its form, and at the first
     complementary iterate of the exact pass the masses s =
     laplacian(P(psi)) + omega0 and the gaps psi - P(psi).  psi, s and the
     gaps are each a pair (list of integer numerators in node order,
     common denominator), as _combine takes them."""
-
-    edge_offsets: list
-    psi: tuple
-    segments: list
-    s: tuple
-    gap: tuple
 
 
 def _envelope_nodes(psi, graph, omega0) -> _Nodes:

@@ -33,7 +33,6 @@ from plma.geometry import (
     dot,
     dual_transform,
     support_function,
-    vadd,
     vscale,
     vsub,
 )
@@ -48,6 +47,11 @@ from plma.variational import (
     envelope_subharmonic,
     envelope_toric,
 )
+
+
+def vadd(a, b):
+    """The sum of two points, coordinate by coordinate."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def interval(a=0, b=1):

@@ -1,14 +1,16 @@
 """The size ladders: the graph commands by graph size, the toric solve by
-the number of atoms; and the stage split of a benchmark deck.
+the number of atoms; the stage split of a benchmark deck; and the start
+ladder of spawned interpreters.
 
 Run from the repository root, with the plma to measure on the path:
 
     PYTHONPATH=src python tests/ladder.py [graph] [walk] [toric]
     PYTHONPATH=src python tests/ladder.py split WORKLOAD
+    PYTHONPATH=src python tests/ladder.py start
 
-Naming no set runs all three ladders.  pytest does not collect this file.
-Each rung's documents are written into a temporary directory, and each
-command runs through cli.run there.
+Naming no set runs all three size ladders.  pytest does not collect this
+file.  Each rung's documents are written into a temporary directory, and
+each command runs through cli.run there.
 
 The split: the ops of the first SPLIT_ROUNDS rounds of WORKLOAD's seed-1
 deck (bench/inputs.py make_deck: 60 toric-solve ops, 72 toric-forward, 80
@@ -20,9 +22,27 @@ float curves.solve_laplacian), the exact stage (solver.dual_transform and
 solver.residual, every exact curves.solve_laplacian, and the toric
 forward maps toric.ma_measure and variational.energy_toric,
 envelope_toric and orthogonality_defect_toric), the writer (every
-serialize *_to_json) and argparse (cli's parse_args).  It prints
+serialize *_to_json) and argparse (cli's parse_args).  The kernel
+geometry.subdivision, the walk, is exact stage too, wherever it runs:
+each moment counts to the innermost stage running, so the walk that
+prunes a function a reader builds moves its time from the readers to
+the exact stage.  It prints
 the least time of each stage and of a whole pass over the passes, each
 stage's share of that pass, and the rest.
+
+The start ladder: the wall time of spawned interpreters, run one at a
+time, round robin over the rows, the least of START_SPAWNS per row.  The
+rows are a bare start (`pass`), the stdlib floor (importing STDLIB, the
+standard modules that src/plma imports), `import plma.cli`, the same plus
+`build_parser()`, and one spawned `plma` command per command family of
+the seed-1 decks of bench/inputs.py (make_deck, one round of each
+workload), on the family's smallest rung and that task's first argv,
+through plma.cli.main as the console script runs it.  Each row runs in
+two cache modes, on a copy of the package with no bytecode: "no cache",
+with PYTHONDONTWRITEBYTECODE=1, so plma is compiled on every start, and
+"warm cache", with the bytecode of every module in a temporary
+PYTHONPYCACHEPREFIX that one unmeasured spawn of each row fills.  Each
+time is printed with its excess over the bare start of its mode.
 
 The graph set: `envelope --graph` and `curve-solve` at v = 60 to 960, on
 BENCH_30.json's recipe, drawn with bench/inputs.py's generators (imported,
@@ -74,7 +94,9 @@ import json
 import math
 import os
 import random
+import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -84,7 +106,7 @@ from pathlib import Path
 import pytest
 
 from counting import count_calls
-from plma import cli, curves, serialize, solver, toric, variational
+from plma import cli, curves, geometry, serialize, solver, toric, variational
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPLIT_ROUNDS = {"toric-solve": 10, "toric-forward": 3, "curve-potential": 10, "curve-envelope": 13}
@@ -94,6 +116,8 @@ TORIC_SIZES = (25, 50, 100, 200)
 WALK_SIZES = (64, 256, 1024, 4096)
 REPEATS = 3
 TIMEOUT_S = 120
+START_SPAWNS = 25
+STDLIB = "argparse, bisect, collections, fractions, functools, heapq, itertools, json, math, operator, re"
 
 
 def graph_documents(inputs, v):
@@ -231,19 +255,26 @@ def ladder(label, sizes, documents, commands):
 
 def stage_timers(setattr, spent):
     """Wrap the routines of each stage of the split with `setattr`, adding
-    their perf_counter seconds to spent[stage] where no stage is running."""
+    their perf_counter seconds to spent[stage]: each moment counts to the
+    innermost stage running, so a routine of another stage inside a stage
+    moves its time from the enclosing stage to its own."""
     running = []
 
     def timed(stage_of, fn):
         def wrapper(*args, **kwargs):
-            if running:
+            stage = stage_of(*args)
+            if running and running[-1] == stage:
                 return fn(*args, **kwargs)
-            running.append(stage_of(*args))
+            running.append(stage)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[running.pop()] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                running.pop()
+                spent[stage] += elapsed
+                if running:  # the enclosing stage's timer counts this call too
+                    spent[running[-1]] -= elapsed
         return wrapper
 
     def stage(name):
@@ -256,7 +287,8 @@ def stage_timers(setattr, spent):
     setattr(solver, "_newton", timed(stage("float guide"), solver._newton))
     for module, names in ((solver, ("dual_transform", "residual")), (toric, ("ma_measure",)),
                           (variational, ("energy_toric", "envelope_toric",
-                                         "orthogonality_defect_toric"))):
+                                         "orthogonality_defect_toric")),
+                          (geometry, ("subdivision",))):
         for name in names:
             setattr(module, name, timed(stage("exact stage"), getattr(module, name)))
     setattr(curves, "solve_laplacian", timed(
@@ -294,6 +326,61 @@ def split(inputs, workload):
         print(f"  {name:<12} {t * 1e3:8.2f} ms {100 * t / total:6.1f} %")
 
 
+def start_rows(inputs, root):
+    """(label, argv, directory) of each row of the start ladder; the decks'
+    files are written under root, one directory per workload."""
+    py = sys.executable
+    rows = [("bare start", [py, "-c", "pass"], root),
+            ("stdlib floor", [py, "-c", f"import {STDLIB}"], root),
+            ("import plma.cli", [py, "-c", "import plma.cli"], root),
+            ("+ build_parser()", [py, "-c", "import plma.cli; plma.cli.build_parser()"], root)]
+    for workload in inputs.WORKLOADS:
+        deck = inputs.make_deck(workload, 1, 1)
+        where = root / workload
+        where.mkdir()
+        for name, text in deck.files.items():
+            (where / name).write_text(text)
+        smallest = {}
+        for task in deck.rounds[0]:
+            family = (task.argvs[0][0], "--graph" in task.argvs[0])
+            if family not in smallest or task.size < smallest[family].size:
+                smallest[family] = task
+        rows += [(task.rung, [py, "-c", "from plma.cli import main; main()", *task.argvs[0]], where)
+                 for task in smallest.values()]
+    return rows
+
+
+def start(inputs):
+    """Print the start ladder described above."""
+    root = Path.cwd()
+    shutil.copytree(Path(cli.__file__).parent, root / "src" / "plma",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rows = start_rows(inputs, root)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONPATH"] = str(root / "src")
+    modes = {"no cache": {**env, "PYTHONDONTWRITEBYTECODE": "1"},
+             "warm cache": {**env, "PYTHONPYCACHEPREFIX": str(root / "pycache")}}
+    best = {mode: [math.inf] * len(rows) for mode in modes}
+    for mode, mode_env in modes.items():
+        for spawn in range(START_SPAWNS + 1):  # the first, unmeasured, fills the cache
+            for i, (label, argv, where) in enumerate(rows):
+                begin = time.perf_counter()
+                code = subprocess.run(argv, cwd=where, env=mode_env, stdin=subprocess.DEVNULL,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+                elapsed = time.perf_counter() - begin
+                if code not in (0, 3):
+                    raise RuntimeError(f"{label} exited {code}")
+                if spawn:
+                    best[mode][i] = min(best[mode][i], elapsed)
+    print(f"start: wall ms, least of {START_SPAWNS} spawned interpreters per row, "
+          "and the excess over the bare start")
+    print(f"  {'row':<34}" + "".join(f"{mode:>20}" for mode in modes))
+    for i, (label, _, _) in enumerate(rows):
+        cells = [f"{t[i] * 1e3:8.1f} ({(t[i] - t[0]) * 1e3:+7.1f})" for t in best.values()]
+        print(f"  {label:<34}" + "".join(f"{cell:>20}" for cell in cells))
+
+
 def main(sets):
     sys.path.insert(0, str(BENCH))
     inputs = importlib.import_module("inputs")
@@ -303,6 +390,8 @@ def main(sets):
             os.chdir(tmp)
             if sets[0] == "split":
                 split(inputs, sets[1])
+            if sets[0] == "start":
+                start(inputs)
             if "graph" in sets:
                 ladder("v", GRAPH_SIZES, lambda v: graph_documents(inputs, v),
                        ("envelope", "curve-solve"))

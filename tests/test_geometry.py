@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,21 +19,27 @@ from plma.geometry import (
     is_admissible,
     subdifferential,
     support_function,
-    vadd,
     vscale,
     vsub,
 )
-from plma.variational import envelope_toric
+from plma.curves import GraphMeasure, GraphPLFunction, MetricGraph
+from plma.solver import SolveReport, residual
+from plma.toric import MonomialPoint, ToricMAResult, ma_measure
+from plma.variational import MinOfConvex, PiecewiseLinear1D, envelope_toric
 
 from conftest import (
     ACCEPTANCE_POLYTOPES,
     fraction_atoms,
     interval,
     random_admissible,
+    random_graph,
+    random_graph_function,
     random_min_of,
+    random_positive_measure,
     rnd_frac,
     simplex2,
     unit_square,
+    vadd,
 )
 
 
@@ -389,3 +397,90 @@ def test_measure_constructor_and_dimensions():
             DiscreteMeasure.from_atoms(atoms)
     with pytest.raises(DimensionError, match="atoms of mixed dimension"):
         DiscreteMeasure.from_atoms([((1,), 1)]) + DiscreteMeasure.from_atoms([((1, 2), 1)])
+
+
+def _plain(rng):
+    """A random admissible function with no walk handed to it, so that it
+    pickles: a walk handed over is a closure."""
+    return PLConvexFunction._of_form(random_admissible(rng, rng.choice(ACCEPTANCE_POLYTOPES)).integer_form)
+
+
+def _solve_report(rng):
+    g = _plain(rng)
+    nu = DiscreteMeasure.from_atoms([(breakpoints(g)[0], rnd_frac(rng))])
+    return SolveReport(g, residual(g, nu), residual(g, nu), rng.randint(0, 2), rng.random() < 0.5)
+
+
+def _toric_ma_result(rng):
+    delta = rng.choice(ACCEPTANCE_POLYTOPES)
+    return ma_measure(random_admissible(rng, delta), delta)
+
+
+def _maybe_walked(rng):
+    """A random admissible function, with its walk handed over or not."""
+    g = random_admissible(rng, rng.choice(ACCEPTANCE_POLYTOPES), extra=1)
+    return g if rng.random() < 0.5 else PLConvexFunction._of_form(g.integer_form)
+
+
+HIDDEN = ("_diagram", object, dataclasses.field(default=None, compare=False, repr=False))
+
+# each record class: a seeded draw built by the library, and the fields of
+# its dataclass twin
+RECORDS = {
+    Polytope: (lambda rng: Polytope.from_points(
+        [(rng.randint(0, 2), rng.randint(0, 1)) for _ in range(rng.randint(1, 4))]), ["integer_ring"]),
+    AffineFunctional: (lambda rng: AffineFunctional.make(
+        (rng.randint(0, 1),), rnd_frac(rng, 1, 0, 1)), ["slope", "intercept"]),
+    PLConvexFunction: (_maybe_walked, ["integer_form", HIDDEN]),
+    DiscreteMeasure: (lambda rng: DiscreteMeasure.from_atoms(
+        [((rng.randint(0, 1),), rng.randint(-1, 1)) for _ in range(rng.randint(0, 2))]),
+        ["integer_form"]),
+    MetricGraph: (lambda rng: random_graph(rng, 1), ["vertex_ids", "edges"]),
+    GraphPLFunction: (lambda rng: random_graph_function(rng, random_graph(rng, 0)),
+                      ["edge_values"]),
+    GraphMeasure: (lambda rng: random_positive_measure(rng, random_graph(rng, 0), Fraction(1)),
+                   ["atoms"]),
+    MonomialPoint: (lambda rng: MonomialPoint((rnd_frac(rng, 1, 0, 1),)), ["v"]),
+    ToricMAResult: (_toric_ma_result, ["measure_NR", "degree"]),
+    SolveReport: (_solve_report,
+                  ["solution", "residual", "polished_residual", "iterations", "converged"]),
+    PiecewiseLinear1D: (lambda rng: PiecewiseLinear1D.build(
+        [(v, rng.randint(0, 1)) for v in range(rng.randint(1, 2))], rng.randint(-1, 0),
+        rng.randint(0, 1)), ["points", "left_slope", "right_slope"]),
+    MinOfConvex: (lambda rng: MinOfConvex.build([_plain(rng) for _ in range(rng.randint(1, 2))]),
+                  ["parts"]),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_against_its_dataclass_twin(cls):
+    # each record behaves as the frozen dataclass of its fields that it
+    # replaced: positional and keyword construction, ==, hash and repr,
+    # the errors of assignment and deletion, and a pickle round trip.  The
+    # draw of each seed is built twice, so equal records are distinct
+    # objects too
+    draw, fields = RECORDS[cls]
+    twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    names = [f if isinstance(f, str) else f[0] for f in fields]
+    records = [draw(random.Random(seed)) for seed in range(10) for _ in range(2)]
+    twins = [twin(*(getattr(r, n) for n in names)) for r in records]
+    for r, t in zip(records, twins):
+        values = [getattr(r, n) for n in names]
+        assert type(r) is cls and cls(*values) == r == cls(**dict(zip(names, values)))
+        assert (repr(r), hash(r)) == (repr(t), hash(t))
+        for name in names:
+            messages = []
+            for obj in (r, t):
+                for change in (lambda: setattr(obj, name, None), lambda: delattr(obj, name)):
+                    with pytest.raises(AttributeError) as error:
+                        change()
+                    messages.append(str(error.value))
+            assert messages[:2] == messages[2:]
+        if getattr(r, "_diagram", None) is None:  # a walk handed over does not pickle
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is cls and back == r and (repr(back), hash(back)) == (repr(t), hash(t))
+    pairs = list(itertools.product(zip(records, twins), repeat=2))
+    for (r1, t1), (r2, t2) in pairs:
+        assert (r1 == r2, r1 != r2) == (t1 == t2, t1 != t2)
+    assert any(r1 is not r2 and r1 == r2 for (r1, _), (r2, _) in pairs)
+    assert any(r1 != r2 for (r1, _), (r2, _) in pairs)

@@ -961,15 +961,22 @@ def test_cli_selftest_output_file(tmp_path, capsys):
 
 
 def test_cli_start_does_not_import_numpy():
-    # the package is standard library only; a fresh interpreter shows it
+    # the package is standard library only, and a command's start loads
+    # neither dataclasses nor the modules that it pulls in, nor typing or
+    # random, which only selftest draws from: a fresh interpreter shows it.
+    # -S keeps site's .pth files, which may load such modules themselves,
+    # out of the count
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, plma.cli; plma.cli.build_parser(); print('numpy' in sys.modules)"
+    code = ("import sys, plma.cli; plma.cli.build_parser(); "
+            "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
+    heavy = ["numpy", "dataclasses", "inspect", "ast", "tokenize", "typing", "random"]
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code, *heavy], env=env, capture_output=True, text=True,
+        timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_envelope_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
@@ -1187,7 +1194,7 @@ def test_cli_command_subparser_equals_the_full_parser(tmp_path, capsys, monkeypa
     # through the full parser, which still takes no argv, -h and a bogus
     # command
     monkeypatch.chdir(tmp_path)
-    commands = cli._parser().commands
+    commands = cli.COMMANDS
     argvs = [row.argv for row in ROWS.values() if row.error and row.error[0] == "usage"]
     argvs += [[*row.argv, "--no-such-flag"] for row in ROWS.values()]
     argvs += [[command, "-h"] for command in commands] + [["-h"]]

@@ -29,7 +29,6 @@ from plma.geometry import (
     cross2,
     dot,
     support_function,
-    vadd,
     vscale,
     vsub,
 )
@@ -64,6 +63,7 @@ from conftest import (
     rnd_frac,
     simplex2,
     unit_square,
+    vadd,
 )
 
 

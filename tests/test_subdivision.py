@@ -54,7 +54,6 @@ from plma.geometry import (
     subdifferential,
     subdivision,
     support_function,
-    vadd,
     vscale,
     vsub,
 )
@@ -79,6 +78,7 @@ from conftest import (
     simplex2,
     unit_square,
     unpruned,
+    vadd,
 )
 
 
