@@ -37,15 +37,18 @@ The derivative of t -> E(P(phi + t f)) at 0, which the paper proves is
 the pairing of f with MA(phi) (Boucksom, Favre and Jonsson), is computed
 exactly on each side.  The node problem of phi + t f is a parametric
 linear complementarity problem (Cottle, Pang and Stone): on the same
-nodes for every t, with data affine in t.  On a chamber, an interval of
-t on which one contact set stays valid, the envelope and its masses are
-affine in t at the nodes and the energy a quadratic in t, so the
-one-sided derivative is a closed form in the two solves at the ends of
-the chamber, with no energy sampled between them.  A contact set
-complementary at both ends of [0, t] is complementary on all of it, so
-checking it at t = 0 certifies [0, t]; t is halved from +-1 until the
-check holds.  1-D toric takes the same path, as the curve model on a
-segment.
+nodes for every t, with data affine in t.  At t = 0 it needs no solve:
+phi is subharmonic, so the gap is 0 and the masses are laplacian(phi) +
+omega0.  On each side, the rates of the gap and the masses solve one
+derivative problem of the same kind on the same Laplacian, with source
++-laplacian(f) and the gap held at 0 where the mass is positive (the
+parametric step of Cottle, Pang and Stone, section 4.5).  The rates stay
+complementary until the first positive mass reaches 0, which one exact
+ratio test finds, so the first chamber, the interval of t on which one
+contact set stays valid, is known with no solve to certify it.  On it
+the envelope and its masses are affine in t at the nodes and the energy
+a quadratic in t, whose slope at 0 is a closed form in the rates.  1-D
+toric takes the same path, as the curve model on a segment.
 """
 
 from __future__ import annotations
@@ -431,7 +434,7 @@ def _envelope_nodes(psi, graph, omega0) -> _Nodes:
     raise ConvergenceError("obstacle solve did not stabilize")
 
 
-def _howard(form, contact):
+def _howard(form, contact, pinned=frozenset()):
     """Howard's policy iteration for the node problem in the gap.
 
     form = (R, Dr, W, Dw) is the problem of curves.laplacian_form: node k
@@ -443,10 +446,16 @@ def _howard(form, contact):
     Each solve is curves.solve_laplacian(form, C), exact on an integer
     form and in floats on the float guide's; then
     S = Dw d R - sum_j W_kj (G_j - G_k), and the contact test g <= s is
-    Dw G <= S.  With C nonempty on a connected graph, the Laplacian with
-    Dirichlet rows on C is a nonsingular M-matrix, so every solve is well
-    posed; and C never empties, because s sums to mass(omega0) > 0 and
-    s = 0 off C, so some node of C has s > 0 = g and stays in contact.
+    Dw G <= S.  The nodes of `pinned` (none for the envelope) stay in
+    every contact set: the derivative problem of _one_sided_derivatives
+    holds its gap at 0 where the mass is positive, whatever the sign of
+    the mass's rate there.  With C nonempty on a connected graph, the
+    Laplacian with Dirichlet rows on C is a nonsingular M-matrix, so
+    every solve is well posed; and the envelope's C never empties,
+    because s sums to mass(omega0) > 0 and s = 0 off C, so some node of
+    C has s > 0 = g and stays in contact.  For the same reason some node
+    has positive mass, so the derivative problem's pinned set is never
+    empty.
     """
     R, _, W, Dw = form
     nodes = range(len(R))
@@ -457,7 +466,7 @@ def _howard(form, contact):
             t = w * (G[c] - G[a])
             S[a] -= t
             S[c] += t
-        contact = {k for k in nodes if Dw * G[k] <= S[k]}
+        contact = {k for k in nodes if Dw * G[k] <= S[k]} | pinned
         yield G, d, S, contact
 
 
@@ -505,53 +514,64 @@ def orthogonality_defect_curve(
 
 
 def _one_sided_derivatives(phi, f, graph, omega0):
-    """[(h+, d+), (h-, d-)]: on each side of 0, right first, a radius h > 0
-    and the exact one-sided derivative d at 0 of t -> E(P(phi + t f)),
-    which is a quadratic in t on [0, h] (or [-h, 0]).
+    """[(h+, d+), (h-, d-)]: on each side of 0, right first, the end h of
+    the first chamber, the largest h <= 1 such that t -> P(phi + t f) is
+    affine in t on [0, h] (or [-h, 0]), and the exact one-sided
+    derivative d at 0 of t -> E(P(phi + t f)), a quadratic in t there.
 
     psi(t) = phi + t f keeps the union of both functions' breakpoints, so
     curves.node_problem numbers the nodes the same way for every t, and
-    r(t) = laplacian(psi(t)) + omega0 is affine in t at them.  On the side
-    of sign +-1, from t = +-1: solve the node problem at t and take
-    C = {k : g(k) = 0}, which holds the contact set of that solve, so the
-    gap pinned to zero on C is the envelope's at t; then take one pinned
-    solve on C at t = 0.  The pinned gap g and masses s are affine in t
-    (the same Laplacian, an affine right-hand side), so if they are
-    complementary at 0 as at t, they are on all of [0, t], and by the
-    M-matrix that is the unique solution there: [0, t] is a chamber.
-    Otherwise t is halved.  The envelope is piecewise affine in t with
-    finitely many pieces, and on the first, (0, t1], {g = 0} is one set
-    at all but finitely many t, each of which passes the check, so the
-    halving ends.
+    r(t) = laplacian(psi(t)) + omega0 is affine in t at them.  phi is
+    subharmonic (ma_curve checks it; a 1-D toric phi is so on its segment
+    by construction), so at t = 0 the gap g is 0 and the masses s are the
+    r of node_problem(phi + 0 f), with no solve.  On the side of sign
+    +-1, with tau = |t|, the rates (g', s') of (g, s) in tau solve one
+    derivative problem on the same Laplacian, with source r' =
+    +-laplacian(f): s' = r' - laplacian(g'), g' = 0 where s > 0 (the
+    pinned nodes of _howard), and g' >= 0, s' >= 0, g' s' = 0 where
+    s = 0.  Its solution is unique (the Laplacian with Dirichlet rows on
+    a nonempty set is an M-matrix), and _howard finds it from the data's
+    own guess, the pinned nodes and those where r' > 0.  Then the gap
+    tau g' and the masses s + tau s' stay complementary as long as every
+    s + tau s' >= 0 where s > 0: the pinned nodes keep g = 0, the others
+    keep s = 0 and s' >= 0 and are complementary by the derivative
+    problem.  So h = min(1, -s_k / s'_k over s_k > 0 > s'_k), one ratio
+    test, and [0, h] is a chamber with no certifying solve: (tau g',
+    s + tau s') solves the node problem at every tau in it, and is its
+    unique solution.  For h < 1 some mass of MA(phi) reaches 0 at h and
+    would turn negative past it, so h is the chamber's exact end.
 
-    On a chamber the node values x = psi - g of the envelope and its
-    masses s are affine in t, and so is u = s + omega0 (omega0 at the
+    On the chamber the node values x = psi - g of the envelope and its
+    masses s are affine in tau, and so is u = s + omega0 (omega0 at the
     nodes).  The energy, the pairing of the envelope with laplacian + 2
-    omega0 halved, is E(t) = u(t) . x(t) / 2 at the nodes, since both
-    measures sit on them and the envelope is linear between them: a
-    quadratic in t.  Its derivative at 0 is the closed form
-    d = (u(0) . (x(t) - 2 x(0)) + u(t) . x(0)) / (2 t), equal to
-    (4 E(t/2) - E(t) - 3 E(0)) / t, read off the two solves that certify
-    the chamber: x(t) and s(t) from the node problem at t, x(0) and s(0)
-    from the pinned solve at 0 on the nodes of curves.node_problem(phi +
-    0 f), whose index puts omega0's atoms on their nodes.  The sums run
-    on integer numerators (_combine), one Fraction per pairing.
+    omega0 halved, is E = u . x / 2 at the nodes, since both measures sit
+    on them and the envelope is linear between them: a quadratic in tau.
+    Its derivative in t at 0 is the closed form
+    d = (s' . x + u . (+-f - g')) / (2 (+-1)) at tau = 0, where +-f at
+    the nodes is read off node_problem of phi.combine(f, 0, +-1) and
+    omega0 at the nodes off the index of node_problem(phi + 0 f).  The
+    sums run on integer numerators (_combine), one Fraction per pairing.
+    By the symmetry of the Laplacian and g' s = 0, d is the pairing of f
+    with s, MA(phi), as the paper says; it is computed, not assumed.
     """
-    def side(t):
-        nodes = _envelope_nodes(phi + f.scale(t), graph, omega0)
-        G, d, S, _ = next(_howard(form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
-        if min(*G, *S) < 0:
-            return side(t / 2)
-        x0, xt = _combine(psi0, (G, d * Dr), -1), _combine(nodes.psi, nodes.gap, -1)
-        u0, ut = _combine((S, Dw * d * Dr), mass, 1), _combine(nodes.s, mass, 1)
-        return abs(t), (_pairing(u0, _combine(xt, x0, -2)) + _pairing(ut, x0)) / (2 * t)
+    def side(sign):
+        f1 = curves.node_problem(graph, phi.combine(f, 0, sign), omega0)[2]
+        R1, Dr1, _, _ = form = curves.laplacian_form(f1, {}, (W, Dw))
+        for G, d, S, _ in _howard(form, pinned | {k for k, r in enumerate(R1) if r > 0}, pinned):
+            if min(G) >= 0 and all(s >= 0 for s, r in zip(S, R) if not r):
+                ds, dg = (S, Dw * d * Dr1), (G, d * Dr1)
+                h = min([Fraction(1), *(Fraction(-R[k] * ds[1], Dr * S[k])
+                                        for k in pinned if S[k] < 0)])
+                return h, (_pairing(ds, x) + _pairing(u, _combine(f1, dg, -1))) / (2 * sign)
+        raise ConvergenceError("derivative problem did not stabilize")
 
-    index, _, psi0, form = curves.node_problem(graph, phi + f.scale(0), omega0)
-    _, Dr, _, Dw = form
+    curves.reference_mass(omega0)
+    index, _, x, (R, Dr, W, Dw) = curves.node_problem(graph, phi + f.scale(0), omega0)
+    pinned = {k for k, r in enumerate(R) if r > 0}
     # omega0 on the nodes: the form of zero values and no segments is its mass
     masses = {index[key]: m for key, m in omega0.atoms}
-    mass = curves.laplacian_form(([0] * len(psi0[0]), 1), masses, ([], 1))[:2]
-    return [side(Fraction(1)), side(Fraction(-1))]
+    u = _combine((R, Dr), curves.laplacian_form(([0] * len(R), 1), masses, ([], 1))[:2], 1)
+    return [side(1), side(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +613,13 @@ def orthogonality_defect(psi, context) -> Fraction:
 def energy_of_envelope_derivative(phi, f, context):
     """The derivative of t -> E(P(phi + t f)) at 0, exactly: (exact,
     [(h+, d+), (h-, d-)]), where exact is the pairing of f with MA(phi)
-    and each d is the exact one-sided derivative, right then left, on a
-    certified chamber of radius h (_one_sided_derivatives).  The paper
-    says d+ = d- = exact.
+    and each d is the exact one-sided derivative, right then left, on the
+    first chamber [0, h] (or [-h, 0]), h its exact end in (0, 1]: where
+    t -> P(phi + t f) first bends, or 1 (_one_sided_derivatives).  The
+    chamber is read off one derivative problem and one ratio test per
+    side; on it the energy is a quadratic in t, and no solve certifies it
+    because the gap t g' and the masses s + t s' are complementary on it
+    by construction.  The paper says d+ = d- = exact.
 
     1-D toric context delta = [alpha, beta] (a 2-D phi raises ValueError
     before any pairing): exact pairs f with the real measure of

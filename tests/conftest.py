@@ -451,9 +451,17 @@ def derivative_instances(rng):
         yield phi, random_graph_function(rng, g, 2), (g, om)
 
 
+def derivative_oracle_instances():
+    """The 62 (phi, f, context) of the derivative's oracles: criterion 5's
+    20 instances, then 42 of derivative_instances."""
+    instances = [i[:3] for i in differentiability_instances(random.Random(105))]
+    return instances + list(derivative_instances(random.Random("closed-form-derivative")))
+
+
 def three_sample_derivatives(phi, f, graph, omega0):
     """variational._one_sided_derivatives as it was before its closed
-    form, kept as its oracle: on the same certified chamber [0, t],
+    form, kept as the oracle of halving_derivatives: on the same
+    certified chamber [0, t],
     d = (4 E(t/2) - E(t) - 3 E(0)) / t from three exact samples of the
     energy, each from an envelope built as a function and read by
     energy_curve, E(t/2) from a node problem of its own and E(0) = E(phi)."""
@@ -485,6 +493,119 @@ def three_sample_derivatives(phi, f, graph, omega0):
     form = curves.node_problem(graph, phi + f.scale(0), omega0)[3]
     e0 = energy_curve(phi, graph, omega0)
     return [side(Fraction(1)), side(Fraction(-1))]
+
+
+def halving_derivatives(phi, f, graph, omega0):
+    """variational._one_sided_derivatives as it was before it read the
+    first chamber off one derivative problem, kept as its oracle: on each
+    side, from t = +-1, the envelope's node problem at t, one pinned solve
+    at 0 on its contact set {g = 0}, and t halved until that solve is
+    complementary, which certifies [0, t]; then the closed form
+    d = (u(0) . (x(t) - 2 x(0)) + u(t) . x(0)) / (2 t) in the two solves."""
+    def side(t):
+        nodes = variational._envelope_nodes(phi + f.scale(t), graph, omega0)
+        G, d, S, _ = next(variational._howard(
+            form, {k for k, g in enumerate(nodes.gap[0]) if not g}))
+        if min(*G, *S) < 0:
+            return side(t / 2)
+        x0, xt = combine(psi0, (G, d * Dr), -1), combine(nodes.psi, nodes.gap, -1)
+        u0, ut = combine((S, Dw * d * Dr), mass, 1), combine(nodes.s, mass, 1)
+        return abs(t), (pairing(u0, combine(xt, x0, -2)) + pairing(ut, x0)) / (2 * t)
+
+    combine, pairing = variational._combine, variational._pairing
+    index, _, psi0, form = curves.node_problem(graph, phi + f.scale(0), omega0)
+    _, Dr, _, Dw = form
+    masses = {index[key]: m for key, m in omega0.atoms}
+    mass = curves.laplacian_form(([0] * len(psi0[0]), 1), masses, ([], 1))[:2]
+    return [side(Fraction(1)), side(Fraction(-1))]
+
+
+def derivative_problems(instances):
+    """Each instance's derivative through energy_of_envelope_derivative,
+    and the curve problem (phi, f, graph, omega0) on which it took the
+    one-sided derivatives: a curve instance's own, and a 1-D toric
+    instance's curve model on a segment."""
+    one_sided, problems = variational._one_sided_derivatives, []
+
+    def recorded(*problem):
+        problems.append(problem)
+        return one_sided(*problem)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(variational, "_one_sided_derivatives", recorded)
+        results = [variational.energy_of_envelope_derivative(*i) for i in instances]
+    return results, problems
+
+
+def envelope_path(phi, f, graph, omega0, sign):
+    """The path t -> P(phi + t f) on [0, sign], chamber by chamber, on
+    Fractions at the nodes of curves.node_problem(phi + 0 f): the oracle
+    of the derivative's first chamber and of the theorem at every kink.
+
+    Each chamber is a dict: its ends t0 and t1, the gaps g and masses s
+    at each end (g0, s0, g1, s1), the energy u . x / 2 at each end (E0,
+    E1), u = s + omega0 and x = psi - g at the nodes, and the derivative
+    of E in t at each end from inside the chamber (D0, D1).  The general
+    step, at a point with gaps g and masses s: the rates (g', s') in
+    tau = |t - t0| solve s' = sign laplacian(f) - laplacian(g') with
+    s' = 0 where g > 0 (free), g' = 0 where g = 0 < s (strict contact)
+    and g' >= 0, s' >= 0, g' s' = 0 where g = s = 0 (ties), by Howard's
+    iteration on the ties, each solve fraction_solve_laplacian.  The
+    chamber ends at the first tau where a free gap or a strict contact's
+    mass reaches 0, or at t = sign."""
+    index, _, (Y, Dy), (R, Dr, W, Dw) = curves.node_problem(graph, phi + f.scale(0), omega0)
+    (Y1, Dy1) = curves.node_problem(graph, phi + f, omega0)[2]
+    n = len(Y)
+    x0 = [Fraction(y, Dy) for y in Y]
+    fv = [Fraction(y, Dy1) - v for y, v in zip(Y1, x0)]
+    edges = [(a, c, Fraction(w, Dw)) for a, c, w in W]
+    omega = [0] * n
+    for key, m in omega0.atoms:
+        omega[index[key]] = m
+
+    def laplacian(v):
+        out = [Fraction(0)] * n
+        for a, c, w in edges:
+            out[a] += w * (v[c] - v[a])
+            out[c] -= w * (v[c] - v[a])
+        return out
+
+    def energy(t, g, s):
+        return sum((sk + om) * (xk + t * fk - gk)
+                   for sk, om, xk, fk, gk in zip(s, omega, x0, fv, g)) / 2
+
+    def slope(t, g, s, dg, ds):
+        return sign * sum(dsk * (xk + t * fk - gk) + (sk + om) * (sign * fk - dgk)
+                          for sk, om, xk, fk, gk, dgk, dsk
+                          in zip(s, omega, x0, fv, g, dg, ds)) / 2
+
+    source = [sign * v for v in laplacian(fv)]
+    t, g, s = Fraction(0), [Fraction(0)] * n, [Fraction(r, Dr) for r in R]
+    chambers = []
+    while abs(t) < 1:
+        strict = {k for k in range(n) if g[k] == 0 < s[k]}
+        ties = [k for k in range(n) if g[k] == 0 == s[k]]
+        contact = strict | {k for k in ties if source[k] > 0}
+        for _ in range(n + 1):
+            dg = fraction_solve_laplacian({k: source[k] for k in range(n) if k not in contact},
+                                          n, edges, dict.fromkeys(contact, 0))
+            ds = [a - b for a, b in zip(source, laplacian(dg))]
+            if all(dg[k] >= 0 and ds[k] >= 0 for k in ties):
+                break
+            contact = strict | {k for k in ties if dg[k] <= ds[k]}
+        else:
+            raise ConvergenceError("derivative problem did not stabilize")
+        h = min([1 - abs(t)]
+                + [-g[k] / dg[k] for k in range(n) if g[k] > 0 > dg[k]]
+                + [-s[k] / ds[k] for k in strict if ds[k] < 0])
+        t1 = t + sign * h
+        g1 = [a + h * b for a, b in zip(g, dg)]
+        s1 = [a + h * b for a, b in zip(s, ds)]
+        chambers.append(dict(t0=t, t1=t1, g0=g, s0=s, g1=g1, s1=s1,
+                             E0=energy(t, g, s), E1=energy(t1, g1, s1),
+                             D0=slope(t, g, s, dg, ds), D1=slope(t1, g1, s1, dg, ds)))
+        t, g, s = t1, g1, s1
+    return chambers
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The size ladders: the graph commands by graph size, the toric solve by
-the number of atoms; the stage split of a benchmark deck; and the start
-ladder of spawned interpreters.
+the number of atoms; the stage split of a benchmark deck; the start
+ladder of spawned interpreters; and the derivative's oracle instances.
 
 Run from the repository root, with the plma to measure on the path:
 
     PYTHONPATH=src python tests/ladder.py [graph] [walk] [toric]
     PYTHONPATH=src python tests/ladder.py split WORKLOAD
     PYTHONPATH=src python tests/ladder.py start
+    PYTHONPATH=src python tests/ladder.py derivative
 
 Naming no set runs all three size ladders.  pytest does not collect this
 file.  Each rung's documents are written into a temporary directory, and
@@ -43,6 +44,14 @@ with PYTHONDONTWRITEBYTECODE=1, so plma is compiled on every start, and
 "warm cache", with the bytecode of every module in a temporary
 PYTHONPYCACHEPREFIX that one unmeasured spawn of each row fills.  Each
 time is printed with its excess over the bare start of its mode.
+
+The derivative: variational.energy_of_envelope_derivative on the 62
+instances of conftest's derivative_oracle_instances (criterion 5's 20,
+then 42 of derivative_instances), in process: the CPU seconds of all 62
+(time.process_time, the least of DERIVATIVE_PASSES passes), and for one
+pass the exact and float calls of curves.solve_laplacian (counting.py)
+and the calls of variational._envelope_nodes, the envelope's solved node
+problem.
 
 The graph set: `envelope --graph` and `curve-solve` at v = 60 to 960, on
 BENCH_30.json's recipe, drawn with bench/inputs.py's generators (imported,
@@ -105,6 +114,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import derivative_oracle_instances
 from counting import count_calls
 from plma import cli, curves, geometry, serialize, solver, toric, variational
 
@@ -117,6 +127,7 @@ WALK_SIZES = (64, 256, 1024, 4096)
 REPEATS = 3
 TIMEOUT_S = 120
 START_SPAWNS = 25
+DERIVATIVE_PASSES = 5
 STDLIB = "argparse, bisect, collections, fractions, functools, heapq, itertools, json, math, operator, re"
 
 
@@ -326,6 +337,32 @@ def split(inputs, workload):
         print(f"  {name:<12} {t * 1e3:8.2f} ms {100 * t / total:6.1f} %")
 
 
+def derivative():
+    """Print the time and the counts of the derivative's 62 oracle
+    instances, in process."""
+    instances = derivative_oracle_instances()
+    with pytest.MonkeyPatch.context() as patch:
+        calls, envelopes = count_calls(patch.setattr), [0]
+        solve = variational._envelope_nodes
+
+        def counted(psi, graph, omega0):
+            envelopes[0] += 1
+            return solve(psi, graph, omega0)
+
+        patch.setattr(variational, "_envelope_nodes", counted)
+        for instance in instances:
+            variational.energy_of_envelope_derivative(*instance)
+    best = math.inf
+    for _ in range(DERIVATIVE_PASSES):
+        start = time.process_time()
+        for instance in instances:
+            variational.energy_of_envelope_derivative(*instance)
+        best = min(best, time.process_time() - start)
+    print(f"derivative: {len(instances)} instances, {2 * len(instances)} sides, "
+          f"least of {DERIVATIVE_PASSES} passes: {best:.4f} s  exact solves {calls['exact']}  "
+          f"float solves {calls['float']}  _envelope_nodes calls {envelopes[0]}")
+
+
 def start_rows(inputs, root):
     """(label, argv, directory) of each row of the start ladder; the decks'
     files are written under root, one directory per workload."""
@@ -392,6 +429,8 @@ def main(sets):
                 split(inputs, sets[1])
             if sets[0] == "start":
                 start(inputs)
+            if sets[0] == "derivative":
+                derivative()
             if "graph" in sets:
                 ladder("v", GRAPH_SIZES, lambda v: graph_documents(inputs, v),
                        ("envelope", "curve-solve"))

@@ -162,7 +162,7 @@ def test_criterion_4_orthogonality():
 
 def test_criterion_5_envelope_differentiability():
     # both one-sided derivatives of E(P(phi + t f)) at 0, each exact on its
-    # certified chamber, equal the pairing of f with MA(phi); the central
+    # first chamber, equal the pairing of f with MA(phi); the central
     # quotients of the old grid (conftest) stay within C t of it
     rng = random.Random(105)
 

@@ -5,10 +5,11 @@ reversing an edge and relabelling the vertices keep the metric graph, so
 every curve output is the same function, read at the moved locations.
 The outputs are exact, so the symmetry is a set of equalities: the
 potential of solve_curve, the Green function, the envelope and the
-orthogonality defect, and the derivative of E(P(phi + t f)) with its
-certified radii.  The moves renumber the nodes, flip offsets and add
-nodes where every function is linear, which reaches the node numbering,
-the Laplacian form and the pinned solves.
+orthogonality defect, and the derivative of E(P(phi + t f)) with the
+ends of its first chambers.  The moves renumber the nodes, flip offsets
+and add nodes where every function is linear, which reaches the node
+numbering, the Laplacian form, the pinned solves and the derivative
+problem's pinned nodes and ratio test.
 """
 
 import random
@@ -91,11 +92,12 @@ def test_curve_kernels_commute_with_graph_moves(kind):
     # each output on the moved graph is the moved output, as a function:
     # both simplified, so equal at every point, the moved locations
     # included.  The derivative's exact value, radii and one-sided
-    # derivatives are equal too, so the chamber check does not depend on
-    # the numbering or on a node where every function is linear.  Every
+    # derivatives are equal too, so the derivative problem and its ratio
+    # test do not depend on the numbering or on a node where every
+    # function is linear.  Every
     # fourth graph gets a loop edge at vertex 0, and its move takes that edge
     rng = random.Random(f"curve-moves/{kind}")
-    halved = 0
+    inside = 0
     for i in range(24):
         g = random_graph(rng, 3)
         if i % 4 == 0:
@@ -121,5 +123,5 @@ def test_curve_kernels_commute_with_graph_moves(kind):
         derivative = energy_of_envelope_derivative(phi, f, (g, om))
         assert energy_of_envelope_derivative(T.function(phi), T.function(f), (moved, om2)) \
             == derivative
-        halved += any(h < 1 for h, _ in derivative[1])
-    assert halved > 12
+        inside += any(h < 1 for h, _ in derivative[1])
+    assert inside > 12

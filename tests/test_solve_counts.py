@@ -12,8 +12,10 @@ power-cell evaluations of solver._power_cells with the Newton iterations
 they serve, and their halfplane clips, the calls of solver._clip_polygon;
 on its toric-forward corpus the walks, the rational strings the toric
 readers parse and the analytic copies of MA measures built
-(toric.ToricMAResult.measure_an); and on criterion 5's instances the node
-problems and exact solves of variational.energy_of_envelope_derivative.
+(toric.ToricMAResult.measure_an); and on criterion 5's instances the
+envelope solves (variational._envelope_nodes), node problems
+(curves.node_problem) and linear solves of
+variational.energy_of_envelope_derivative.
 A change that moves a count on purpose pins it again and says why.
 bench/inputs.py is imported, not changed.  So is bench/tracing.py, whose
 Tracer must find, wrap and restore every name it traces.
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from plma import cli, geometry, serialize, variational
+from plma import cli, curves, geometry, serialize, variational
 from plma.variational import energy_of_envelope_derivative, envelope_subharmonic
 
 from conftest import differentiability_instances
@@ -144,30 +146,35 @@ def test_graph_ladder_envelope_solve_counts(inputs, calls, nv):
 
 
 def test_differentiability_solve_counts(calls, monkeypatch):
-    # criterion 5's 20 derivatives: per side, one node problem per radius
-    # tried from 1 down (58 radii, 18 of them halvings; radii 1/8 to 1),
-    # and each radius tried one pinned solve at t = 0.  The derivative is
-    # read off the certified radius's node problem and its pinned solve in
-    # closed form: 58 node problems (98 when the energy at t / 2 took a
-    # node problem of its own, 138 when the one at t did too).  Each node
-    # problem takes one exact solve: 58 + 58 exact solves (156 with the
-    # solves at t / 2)
-    nodes = 0
-    solve = variational._envelope_nodes
+    # criterion 5's 20 derivatives: phi is subharmonic, so the envelope at
+    # 0 is phi, read off one node problem with no solve; each side then
+    # takes one derivative problem, which Howard's iteration solves
+    # exactly from the data's guess in one solve, and one ratio test: no
+    # envelope is solved (58 when a halving loop solved one per radius
+    # tried from 1 down), 40 exact solves (116 with that loop) and no float
+    # one.  The radii are the first chambers' exact ends, 3/16 to 1
+    # (dyadic, 1/8 to 1, with the loop).  The node problems are one at 0
+    # and one for the values of +-f per side, 60, and one per curve
+    # instance for ma_curve's check of phi, 8
+    counted = {"envelope": 0, "node_problem": 0}
 
-    def counted(psi, graph, omega0):
-        nonlocal nodes
-        nodes += 1
-        return solve(psi, graph, omega0)
+    def counting(name, fn):
+        def wrapper(*args):
+            counted[name] += 1
+            return fn(*args)
+        return wrapper
 
     instances = list(differentiability_instances(random.Random(105)))
-    monkeypatch.setattr(variational, "_envelope_nodes", counted)
+    monkeypatch.setattr(variational, "_envelope_nodes",
+                        counting("envelope", variational._envelope_nodes))
+    monkeypatch.setattr(curves, "node_problem", counting("node_problem", curves.node_problem))
     calls.update(dict.fromkeys(calls, 0))  # the instances took solves
     radii = set()
     for phi, f, context, _ in instances:
         radii |= {h for h, _ in energy_of_envelope_derivative(phi, f, context)[1]}
-    assert min(radii) == Fraction(1, 8) and max(radii) == 1
-    assert (nodes, calls["exact"]) == (58, 116)
+    assert min(radii) == Fraction(3, 16) and max(radii) == 1
+    assert (counted["envelope"], calls["exact"], calls["float"]) == (0, 40, 0)
+    assert counted["node_problem"] == 68
 
 
 def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):

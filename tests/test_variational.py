@@ -55,13 +55,16 @@ from conftest import (
     ACCEPTANCE_POLYTOPES,
     bump_1d,
     cells_orthogonality_defect,
-    derivative_instances,
+    derivative_oracle_instances,
+    derivative_problems,
     difference_quotients,
     differentiability_instances,
     envelope_energy,
+    envelope_path,
     fraction_solve_laplacian,
     fraction_weights,
     function_from_values,
+    halving_derivatives,
     integer_values,
     interp,
     interval,
@@ -1162,7 +1165,7 @@ def test_derivative_first_order_curve(rng):
 def test_derivative_central_quotients_exact_on_a_quadratic():
     # MA(phi + t f) = mu + t (delta_x - delta_0) stays positive for |t| <= 1,
     # so phi + t f is its own envelope and t -> E(phi + t f) is quadratic:
-    # the first chamber checked, of radius 1, holds on both sides
+    # the first chamber reaches 1 on both sides
     g = circle_graph()
     om = GraphMeasure.from_atoms(g, [(vertex_key(0), Fraction(2))])
     x = ("e", 0, Fraction(1, 3))
@@ -1188,8 +1191,8 @@ def test_derivative_toric_through_the_curve_fits_toric_energies():
     # 200 intervals with ends on the 1/2 grid of [-8, 8], many missing 0:
     # the derivative, taken through the curve model on a segment, equals
     # the MA pairing on both sides, and envelope_toric and energy_toric,
-    # which share no code with the curve, fit it on the certified radius
-    # by the same three-point formula: E is quadratic on the chamber
+    # which share no code with the curve, fit it on the first chamber
+    # by the same three-point formula: E is quadratic there
     rng = random.Random("derivative-toric-through-the-curve")
     without_zero = below_one = 0
     for _ in range(200):
@@ -1229,21 +1232,91 @@ def test_derivative_on_random_graphs():
 
 
 def test_derivative_closed_form_equals_three_sample_oracle(monkeypatch):
-    # criterion 5's 20 instances and 42 more (conftest): 1-D toric tents,
+    # the 62 oracle instances (conftest): criterion 5's 20, 1-D toric tents,
     # and graphs with omega0's atoms inside edges, a loop edge's included.
-    # The closed form on the two solves of each certified chamber returns
-    # exactly what three exact energy samples returned, radii included
-    instances = [i[:3] for i in differentiability_instances(random.Random(105))]
-    instances += derivative_instances(random.Random("closed-form-derivative"))
+    # The first chamber, read off one derivative problem, gives the halving
+    # oracle's derivatives on a radius at least as wide, and the three
+    # samples (4 E(h/2) - E(h) - 3 E(0)) / h of envelope_energy (conftest:
+    # envelope_toric and energy_toric in 1-D toric, which share no code
+    # with the curve) give the same d on it.  The halving oracle returns
+    # what the three-sample oracle returns, radii included
+    instances = derivative_oracle_instances()
     closed = [energy_of_envelope_derivative(*i) for i in instances]
+    monkeypatch.setattr(variational, "_one_sided_derivatives", halving_derivatives)
+    halving = [energy_of_envelope_derivative(*i) for i in instances]
     monkeypatch.setattr(variational, "_one_sided_derivatives", three_sample_derivatives)
-    assert [energy_of_envelope_derivative(*i) for i in instances] == closed
-    assert all([d for _, d in fd] == [exact, exact] for exact, fd in closed)
+    assert [energy_of_envelope_derivative(*i) for i in instances] == halving
+    wider = 0
+    for instance, (exact, fd), (old_exact, old) in zip(instances, closed, halving):
+        energy_at = envelope_energy(*instance)
+        assert exact == old_exact
+        for (h, d), (h0, d0), sign in zip(fd, old, (1, -1)):
+            t = sign * h
+            assert d == d0 == exact and 0 < h0 <= h <= 1
+            assert (4 * energy_at(t / 2) - energy_at(t) - 3 * energy_at(0)) / t == d
+            wider += h > h0
     graphs = [c for _, _, c in instances if not isinstance(c, Polytope)]
     inside = [[g.edges[k[1]] for k, _ in om.atoms if k[0] == "e"] for g, om in graphs]
     on_loop = sum(any(u == v for u, v, _ in edges) for edges in inside)
     assert (len(instances), len(graphs), sum(map(bool, inside)), on_loop) == (62, 36, 36, 24)
     assert sum(h < 1 for _, fd in closed for h, _ in fd) > 50
+    assert wider == 71
+
+
+def test_derivative_radius_is_the_chambers_exact_end():
+    # on every side of the 62 oracle instances whose first chamber ends
+    # before +-1, the envelope at +-h has mass 0 at a node where MA(phi)
+    # has positive mass: h is where that mass reaches 0, the first kink of
+    # t -> P(phi + t f), not a radius short of it
+    results, problems = derivative_problems(derivative_oracle_instances())
+    ends = 0
+    for (_, fd), (phi, f, graph, omega0) in zip(results, problems):
+        R = curves.node_problem(graph, phi + f.scale(0), omega0)[3][0]
+        for (h, _), sign in zip(fd, (1, -1)):
+            if h < 1:
+                nodes = variational._envelope_nodes(phi + f.scale(sign * h), graph, omega0)
+                assert any(s == 0 < r for s, r in zip(nodes.s[0], R))
+                ends += 1
+    assert ends == 74
+
+
+def test_energy_derivative_theorem_at_every_kink():
+    # the 62 oracle instances, each side walked over [0, +-1] chamber by
+    # chamber with the general step of conftest's envelope_path.  At every
+    # chamber end t the walked gaps and masses are those of the envelope's
+    # node problem at t, the walked energy is energy_curve of
+    # envelope_subharmonic at t, and the derivative of the energy from
+    # each side of t equals the pairing of f with the masses there,
+    # MA(P(phi + t f)), as the paper says.  The first chamber of each side
+    # is the library's (h, d).  Criterion 5's 20 instances come first
+    results, problems = derivative_problems(derivative_oracle_instances())
+    chambers = []
+    for (exact, fd), (phi, f, graph, omega0) in zip(results, problems):
+        x = curves.node_problem(graph, phi + f.scale(0), omega0)[2]
+        fv = variational._combine(curves.node_problem(graph, phi + f, omega0)[2], x, -1)
+        at = {}
+
+        def check(t, g, s, energy, slope):
+            if t not in at:
+                psi = phi + f.scale(t)
+                at[t] = (variational._envelope_nodes(psi, graph, omega0),
+                         energy_curve(envelope_subharmonic(psi, graph, omega0), graph, omega0))
+            nodes, curve_energy = at[t]
+            (G, Dg), (S, Ds) = nodes.gap, nodes.s
+            assert g == [Fraction(v, Dg) for v in G] and s == [Fraction(v, Ds) for v in S]
+            assert slope == variational._pairing(nodes.s, fv) and energy == curve_energy
+
+        for (h, d), sign in zip(fd, (1, -1)):
+            path = envelope_path(phi, f, graph, omega0, sign)
+            assert (abs(path[0]["t1"]), path[0]["D0"]) == (h, d) and d == exact
+            for c in path:
+                check(c["t0"], c["g0"], c["s0"], c["E0"], c["D0"])
+                check(c["t1"], c["g1"], c["s1"], c["E1"], c["D1"])
+            chambers.append(len(path))
+    # a side's last chamber ends at +-1, so it has one kink fewer than chambers
+    assert (sum(chambers[:40]), sum(chambers[:40]) - 40) == (54, 14)
+    assert (sum(chambers), sum(chambers) - 124, max(chambers)) == (311, 187, 8)
+
 
 def test_maximizer_criticality(rng):
     # at the solver output the envelope-composed functional cannot increase
